@@ -5,7 +5,9 @@ command's ``--seed`` picks the load: request arrivals, request mix and URI
 popularity in ``serve`` and ``drift``.  ``campaign`` and ``partition`` take
 no load from it: a different entity split changes which pairs are selected
 and so the work of every batch (20% apart between two seeds), which would
-hide a regression rather than measure one.  Every workload sets up
+hide a regression rather than measure one.  ``campaign`` and ``partition``
+run a fixed number of batches, sized to about 15 s on a 2-core host;
+``serve`` and ``drift`` stream for ``--seconds``.  Every workload sets up
 ``SETUP_REPEATS`` times and keeps the last set-up, so ``setup_s`` is a median.
 
 The first model fit of a process pays for lazy imports and first-touch
