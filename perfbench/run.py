@@ -31,7 +31,16 @@ sys.path.insert(0, str(HERE))
 import tracing  # noqa: E402
 from harness import BenchError, environment_record, pin_environment, result_line  # noqa: E402
 
-#: name -> unit; every workload reports every one, measured on its own work.
+#: name -> unit; every workload reports every one, measured on its own work:
+#:   wait_ms     campaign, partition: mean labelled-batch wait;
+#:               serve: nominal read p50; drift: read p50 during updates
+#:   ok_frac     campaign, partition: batches that pass their checks;
+#:               serve (nominal), drift: reads correct within 25 ms over sent
+#:   work_per_s  campaign: labels per second of fit plus batches;
+#:               partition: labels per second; serve: answers per second at
+#:               overload; drift: updates (apply_update to hot_swap) per second
+#:   entity_h1   test H@1 of the model the phase ends with (serve: on a
+#:               600-match sample through the service)
 END_TO_END = {
     "setup_s": "s",
     "entity_h1": "ratio",
