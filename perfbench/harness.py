@@ -10,11 +10,13 @@ run without it.  What lives here:
   lateness is recorded so a stall shows up in the latencies it causes;
 * the environment guard: ``REPRO_*`` overrides are refused and the BLAS
   thread counts must be pinned before NumPy is imported;
+* the host-speed probe that puts CPU-bound times on one scale;
 * the result line the one command prints last.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -28,6 +30,10 @@ from typing import Callable, Sequence
 #: Every thread-count variable a NumPy BLAS build may read.
 THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 MIN_BEYOND = 10
+#: Seconds one burst median of the reference probe takes on the 2-vCPU host
+#: the benchmark was defined on (Xeon at 2.1 GHz) when that host runs fast.
+REFERENCE_PROBE_S = 0.015
+PROBE_BURST = 5
 
 
 class BenchError(RuntimeError):
@@ -99,6 +105,85 @@ def median(values: Sequence[float]) -> float:
     if not values:
         raise BenchError("median of no samples")
     return statistics.median(values)
+
+
+# ------------------------------------------------------------------ host speed
+def reference_probe() -> float:
+    """Seconds one fixed reference computation takes now.
+
+    Small NumPy kernels plus dict and tuple churn in the interpreter, the mix
+    the measured program spends its time on, but none of the program's code:
+    a change to the program never moves the probe.  The collector is off
+    while it runs: a collection would traverse the program's heap, whose
+    size is not the host's speed.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    left, right = rng.random((128, 64)), rng.random((64, 128))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        for _ in range(40):
+            product = left @ right
+            np.argsort(product, axis=1)
+            np.tanh(product).sum()
+        table = {}
+        for i in range(40_000):
+            table[(i, i & 63)] = float(i)
+        sum(table.values())
+        return time.perf_counter() - start
+    finally:
+        if collecting:
+            gc.enable()
+
+
+class HostSpeed:
+    """The host's speed around each timed interval, from reference probes.
+
+    The shared host this benchmark runs on changes speed by tens of percent
+    for seconds to minutes at a time, and CPU time swings with it, so a raw
+    CPU-bound time mostly measures the neighbours.  A burst of probes runs
+    before the first timed interval and after each one, outside them; an
+    interval's time is multiplied by ``REFERENCE_PROBE_S`` over the mean of
+    the bursts on either side, and a rate is divided by it.  The result
+    reads as seconds on the reference host at its fast speed: a program
+    change moves it, a host slowdown that slows the probe as much does not.
+    """
+
+    def __init__(self, probe: Callable[[], float] = reference_probe,
+                 burst: int = PROBE_BURST) -> None:
+        self.probe, self.burst = probe, burst
+        self.bursts: list[float] = []
+
+    def measure(self) -> None:
+        """Run one burst of probes and keep its median."""
+        self.bursts.append(statistics.median(self.probe() for _ in range(self.burst)))
+
+    def factors(self, intervals: int) -> list[float]:
+        """The scale of each interval; interval ``i`` lies between bursts ``i`` and ``i + 1``."""
+        if len(self.bursts) != intervals + 1:
+            raise BenchError(
+                f"{intervals} intervals need {intervals + 1} probe bursts, "
+                f"got {len(self.bursts)}"
+            )
+        return [
+            REFERENCE_PROBE_S * 2.0 / (self.bursts[i] + self.bursts[i + 1])
+            for i in range(intervals)
+        ]
+
+    def factor(self) -> float:
+        """One scale for a stretch of long intervals: the median over all its bursts.
+
+        Two bursts of a tenth of a second say little about the speed during
+        an interval of several seconds; the median of every burst around a
+        stretch of them says more.
+        """
+        return REFERENCE_PROBE_S / median(self.bursts)
+
+    def probe_ms(self) -> float:
+        return median(self.bursts) * 1e3
 
 
 # ------------------------------------------------------------------- open loop

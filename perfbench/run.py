@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import shutil
-import statistics
 import sys
 import tempfile
 import threading
@@ -31,80 +30,33 @@ sys.path.insert(0, str(HERE))
 import tracing  # noqa: E402
 from harness import BenchError, environment_record, pin_environment, result_line  # noqa: E402
 
-#: name -> unit; every workload reports every one, measured on its own work:
-#:   wait_ms     campaign, partition: mean labelled-batch wait;
-#:               serve: nominal read p50; drift: read p50 during updates
-#:   ok_frac     campaign, partition: batches that pass their checks;
-#:               serve (nominal), drift: reads correct within 25 ms over sent
-#:   work_per_s  campaign: labels per second of fit plus batches;
-#:               partition: labels per second; serve: answers per second at
-#:               overload; drift: updates (apply_update to hot_swap) per second
-#:   entity_h1   test H@1 of the model the phase ends with (serve: on a
-#:               600-match sample through the service)
-END_TO_END = {
-    "setup_s": "s",
-    "entity_h1": "ratio",
-    "wait_ms": "ms",
-    "ok_frac": "ratio",
-    "work_per_s": "1/s",
-}
 
-#: name -> unit of the per-layer metrics (``--trace 1``).  ``_s`` metrics are
-#: self seconds inside the timed phase; layers a workload never calls read 0.
-PER_LAYER = {
-    "embedding.pretrain_s": "s",
-    "alignment.train_s": "s",
-    "autograd.backward_s": "s",
-    "autograd.backward_calls": "count",
-    "nn.step_s": "s",
-    "alignment.fine_tune_s": "s",
-    "alignment.evaluate_s": "s",
-    "alignment.calibrate_s": "s",
-    "active.pool_s": "s",
-    "inference.graph_s": "s",
-    "inference.graph_edges": "count",
-    "inference.reach_s": "s",
-    "inference.reach_calls": "count",
-    "inference.edge_power_calls": "count",
-    "inference.edge_power_hit_frac": "ratio",
-    "active.greedy_s": "s",
-    "active.partition_s": "s",
-    "active.partition_groups": "count",
-    "active.match_frac": "ratio",
-    "serving.top_k_s": "s",
-    "serving.top_k_calls": "count",
-    "serving.rows_per_call": "count",
-    "serving.score_s": "s",
-    "runtime.view_top_k_s": "s",
-    "serving.cache_hit_frac": "ratio",
-    "serving.deadline_flush_frac": "ratio",
-    "serving.batch_mean": "count",
-    "serving.shed": "count",
-    "updates.route_s": "s",
-    "kg.apply_delta_s": "s",
-    "runtime.piece_s": "s",
-    "runtime.pieces_per_update": "count",
-    "updates.warm_start_s": "s",
-    "persistence.save_s": "s",
-    "persistence.load_s": "s",
-    "runtime.merge_s": "s",
-    "serving.snapshot_s": "s",
-    "serving.hot_swap_s": "s",
-    "serving.fold_s": "s",
-    "kg.partition_s": "s",
-    "load.late_ms": "ms",
-    "trace.phase_s": "s",
-    "trace.cover_frac": "ratio",
-    "trace.overhead_s": "s",
-}
+def declared_metrics() -> tuple[dict[str, str], dict[str, str]]:
+    """Name -> unit of the end-to-end and per-layer metrics, from BENCHMARK.json.
+
+    What each end-to-end metric measures on each workload is documented on
+    :class:`workloads.Result`.  Per-layer ``_s`` metrics are self seconds
+    inside the timed phase; layers a workload never calls read 0.
+    """
+    path = ROOT / "BENCHMARK.json"
+    try:
+        spec = json.loads(path.read_text(encoding="utf-8"))
+        return tuple(
+            {metric["name"]: metric["unit"] for metric in spec[key]}
+            for key in ("end_to_end", "per_layer")
+        )
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise BenchError(f"cannot read the declared metrics from {path}: {exc}") from exc
 
 
-def layer_metrics(tracer, result, main_thread: int, setup_repeats: int) -> dict[str, float]:
+def layer_metrics(
+    names, tracer, result, main_thread: int, setup_repeats: int
+) -> dict[str, float]:
     """The per-layer table: self seconds and counts inside the timed phase."""
     seconds, calls = tracer.layer_seconds("timed")
     setup_seconds, _ = tracer.layer_seconds("setup")
     counted = lambda name: tracer.counted("timed", name)  # noqa: E731
-    values = {name: seconds.get(name[:-2], 0.0) for name in PER_LAYER if name.endswith("_s")}
+    values = {name: seconds.get(name[:-2], 0.0) for name in names if name.endswith("_s")}
 
     def ratio(top: float, bottom: float) -> float:
         return top / bottom if bottom else 0.0
@@ -135,7 +87,7 @@ def layer_metrics(tracer, result, main_thread: int, setup_repeats: int) -> dict[
     events = sum(calls.values()) + counted("inference.edge_power_calls")
     values["trace.overhead_s"] = events * tracing.span_cost()
     values.update(result.layers)
-    return {name: values.get(name, 0.0) for name in PER_LAYER}
+    return {name: values.get(name, 0.0) for name in names}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -147,6 +99,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         pin_environment()
+        end_to_end_units, per_layer_units = declared_metrics()
         if not (ROOT / "src" / "repro" / "__init__.py").is_file():
             raise BenchError(f"no program to measure: {ROOT / 'src' / 'repro'} is missing")
         sys.path.insert(0, str(ROOT / "src"))
@@ -190,28 +143,32 @@ def main(argv: list[str] | None = None) -> int:
         print(f"perfbench: {result.failed} of {result.attempted} operations failed "
               "their checks", file=sys.stderr)
 
-    end_to_end = {
-        "setup_s": statistics.median(result.setup_seconds),
+    measured = {
+        "setup_s": result.setup.scaled_median,
         "entity_h1": result.entity_h1,
         "wait_ms": result.wait_ms,
         "ok_frac": result.ok_frac,
         "work_per_s": result.work_per_s,
     }
-    print(f"# set-up seconds {[round(s, 3) for s in result.setup_seconds]}; "
+    end_to_end = {name: measured[name] for name in end_to_end_units}
+    print(f"# set-up seconds {[round(s, 3) for s in result.setup.raw]}, scale "
+          f"{result.setup.factor:.4f}; "
           f"timed phase {result.phase[1] - result.phase[0]:.3f} s; run {ended - started:.1f} s")
     for name, (value, unit) in result.extras.items():
         print(f"{args.workload} {name} {value:.6g} {unit}")
     for name, value in end_to_end.items():
-        print(f"{args.workload} end_to_end {name} {value:.6g} {END_TO_END[name]}")
+        print(f"{args.workload} end_to_end {name} {value:.6g} {end_to_end_units[name]}")
     if args.trace:
         layers = layer_metrics(
-            tracer, result, threading.main_thread().ident, workloads.SETUP_REPEATS
+            per_layer_units, tracer, result, threading.main_thread().ident,
+            workloads.SETUP_REPEATS,
         )
         for name, value in layers.items():
-            print(f"{args.workload} layer {name} {value:.6g} {PER_LAYER[name]}")
-        metrics = {name: {"value": float(v), "unit": PER_LAYER[name]} for name, v in layers.items()}
+            print(f"{args.workload} layer {name} {value:.6g} {per_layer_units[name]}")
+        metrics = {name: {"value": float(v), "unit": per_layer_units[name]}
+                   for name, v in layers.items()}
     else:
-        metrics = {name: {"value": float(v), "unit": END_TO_END[name]}
+        metrics = {name: {"value": float(v), "unit": end_to_end_units[name]}
                    for name, v in end_to_end.items()}
     print(result_line(correct, result.attempted, result.failed, metrics))
     return 0 if correct else 1

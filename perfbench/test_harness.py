@@ -5,7 +5,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import shutil
@@ -17,15 +16,18 @@ from types import SimpleNamespace
 import pytest
 
 from harness import (
+    REFERENCE_PROBE_S,
     BenchError,
+    HostSpeed,
     OpenLoop,
     Outcome,
     Request,
     percentile,
     pin_environment,
+    reference_probe,
     summarise_stream,
 )
-from tracing import Span, Tracer, self_times
+from tracing import Span, Tracer, counting_memo_hits, self_times
 from workloads import check_reads, same_top_k
 
 HERE = Path(__file__).resolve().parent
@@ -85,6 +87,25 @@ def test_wrapped_method_records_a_span_and_uninstalls():
     assert len(tracer.spans) == 1
 
 
+def test_memo_hits_are_calls_that_did_not_grow_the_memo():
+    class Estimator:
+        def __init__(self):
+            self.memo = {}
+
+        def power(self, key):
+            return self.memo.setdefault(key, len(self.memo))
+
+    tracer = Tracer()
+    Estimator.power = counting_memo_hits(Estimator.power, "memo", tracer.count, "est.power")
+    first = Estimator()
+    for key in ("a", "b", "a", "a"):
+        first.power(key)
+    del first
+    Estimator().power("a")  # a fresh memo misses, whatever id the instance gets
+    assert tracer.counted("setup", "est.power_calls") == 5
+    assert tracer.counted("setup", "est.power_hits") == 2
+
+
 # ----------------------------------------------------------------- percentile
 def test_percentile_needs_ten_samples_beyond():
     assert percentile(list(range(1000)), 0.99) == pytest.approx(989.01)
@@ -93,6 +114,28 @@ def test_percentile_needs_ten_samples_beyond():
     assert percentile(list(range(20)), 0.5) == pytest.approx(9.5)
     with pytest.raises(BenchError):
         percentile(list(range(19)), 0.5)
+
+
+# ----------------------------------------------------------------- host speed
+def test_host_speed_scales_each_interval_by_the_probes_around_it():
+    fast, slow = REFERENCE_PROBE_S, 2.0 * REFERENCE_PROBE_S
+    probes = iter([fast, fast, 9.0] + [slow, 0.0, slow] + [slow] * 3)  # bursts keep medians
+    speed = HostSpeed(probe=lambda: next(probes), burst=3)
+    for _ in range(3):
+        speed.measure()
+    # the host ran at the reference speed, then slowed to half of it
+    factors = speed.factors(2)
+    assert factors == pytest.approx([1.0 / 1.5, 0.5])
+    # twice the time at half the speed reads as the same scaled time
+    assert 2.0 * factors[1] == pytest.approx(1.0)
+    assert speed.probe_ms() == pytest.approx(slow * 1e3)
+    assert speed.factor() == pytest.approx(0.5)  # the median burst, for long intervals
+    with pytest.raises(BenchError):
+        speed.factors(3)
+
+
+def test_reference_probe_takes_measurable_time():
+    assert 0.0 < reference_probe() < 5.0
 
 
 # ------------------------------------------------------------ due-time clock
@@ -217,17 +260,21 @@ def test_wrong_top_k_answer_fails_the_run():
 
 def test_near_tie_order_noise_is_not_a_wrong_answer():
     expected = [("b1", 0.9), ("b2", 0.5), ("b3", 0.5)]
-    assert same_top_k([("b1", 0.9), ("b3", 0.5), ("b2", 0.5 + 1e-15)], expected)
-    assert same_top_k([("b1", 0.9), ("b2", 0.5), ("b4", 0.5)], expected)  # ties the k-th
-    assert not same_top_k([("b1", 0.9), ("b2", 0.5), ("b4", 0.6)], expected)
-    assert not same_top_k(expected[:2], expected)
+    true_score = {"b4": 0.5, "b5": 0.3}.__getitem__
+    assert same_top_k([("b1", 0.9), ("b3", 0.5), ("b2", 0.5 + 1e-15)], expected, true_score)
+    # a name outside the recomputed list passes only when it truly ties the k-th
+    assert same_top_k([("b1", 0.9), ("b2", 0.5), ("b4", 0.5)], expected, true_score)
+    assert not same_top_k([("b1", 0.9), ("b2", 0.5), ("b5", 0.5)], expected, true_score)
+    assert not same_top_k([("b1", 0.9), ("b2", 0.5), ("b4", 0.6)], expected, true_score)
+    assert not same_top_k([("b1", 0.9), ("b2", 0.5), ("b2", 0.5)], expected, true_score)
+    assert not same_top_k(expected[:2], expected, true_score)
 
 
-def test_benchmark_json_names_every_printed_metric():
-    import run
-    import workloads
-
-    spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())
-    assert {m["name"]: m["unit"] for m in spec["end_to_end"]} == run.END_TO_END
-    assert {m["name"]: m["unit"] for m in spec["per_layer"]} == run.PER_LAYER
-    assert [w["name"] for w in spec["workloads"]] == list(workloads.WORKLOADS)
+def test_misindexed_tail_entry_fails_the_run():
+    right = [("b1", 0.9), ("b2", 0.5)]
+    checker = FakeChecker({"a": right}, {("a", "b3"): 0.1})
+    outcomes = [
+        served("topk", ("a", 2), [("b1", 0.9), ("b3", 0.5)]),  # b3 truly scores 0.1
+        served("topk", ("a", 2), [("b1", 0.9), ("b1", 0.9)]),  # repeated name
+    ]
+    assert check_reads(outcomes, range(len(outcomes)), checker) == {0, 1}

@@ -176,6 +176,22 @@ def span_cost(repeats: int = 20000) -> float:
     return (time.perf_counter() - start) / repeats
 
 
+def counting_memo_hits(method, memo: str, count, name: str):
+    """``method`` counting ``<name>_calls``, and ``<name>_hits``: the calls
+    that did not grow the instance's memo dict ``memo``."""
+
+    @functools.wraps(method)
+    def counted(self, *args, **kwargs):
+        before = len(getattr(self, memo))
+        value = method(self, *args, **kwargs)
+        count(f"{name}_calls")
+        if len(getattr(self, memo)) == before:
+            count(f"{name}_hits")
+        return value
+
+    return counted
+
+
 def _import_all_repro() -> None:
     """Import every ``repro`` module so later name bindings can be found."""
     import pkgutil
@@ -227,23 +243,11 @@ def install(tracer: Tracer) -> None:
         after=lambda args, groups: count("active.partition_groups", len(set(groups.values()))),
     )
 
-    # edge_power runs per alignment-graph edge: count only, no span.  A hit
-    # is a call whose key the same estimator has already seen, which is
-    # exactly the growth of its memo.
-    edge_power = InferencePowerEstimator.__dict__["edge_power"]
-    seen: set = set()
-
-    @functools.wraps(edge_power)
-    def counted_edge_power(self, edge, zero_relation_difference=False):
-        key = (id(self), edge.source, edge.relation, edge.target, zero_relation_difference)
-        count("inference.edge_power_calls")
-        if key in seen:
-            count("inference.edge_power_hits")
-        else:
-            seen.add(key)
-        return edge_power(self, edge, zero_relation_difference)
-
-    tracer.patch(InferencePowerEstimator, "edge_power", counted_edge_power)
+    # edge_power runs per alignment-graph edge: count only, no span
+    tracer.patch(InferencePowerEstimator, "edge_power", counting_memo_hits(
+        InferencePowerEstimator.__dict__["edge_power"], "_edge_power_cache", count,
+        "inference.edge_power",
+    ))
 
     def count_answers(args, answers):
         count("active.labels", len(answers))
