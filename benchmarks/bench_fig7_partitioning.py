@@ -2,19 +2,22 @@
 
 Compares Algorithm 1 (greedy selection on exact reachable sets) against
 Algorithm 2 (graph-partitioning-based selection) for several values of the
-partition threshold ρ, reporting wall-clock time and the relative expected
-overall inference power of the selected batch.  The paper's shape: smaller ρ
-runs faster at a modest cost in inference power.
+partition threshold ρ.  For each ρ it records the wall-clock of one batch
+selection, its ratio to Algorithm 1's wall-clock, the number of groups the
+partitioning produced, and the relative expected overall inference power of
+the selected batch.  Every run must return ``BATCH_SIZE`` distinct pairs with
+non-zero power; the timings are recorded, not gated, because a single-shot
+sub-second ratio is too noisy to gate.
 
 Writes ``BENCH_fig7.json`` via the shared conftest harness (headline: greedy
-wall time, best partition speedup, worst relative power), so the selection
-runtime's trajectory is tracked across PRs like every other benchmark.
+wall time and worst relative power), so the selection runtime's trajectory is
+tracked across PRs like every other benchmark.
 """
 
 import time
 
 from conftest import BENCH_DATASETS, fitted_daakg, print_table, record_bench
-from repro.active.partition import PartitionSelectionConfig, partition_select
+from repro.active.partition import PartitionSelectionConfig, partition_pool, partition_select
 from repro.active.selection import GreedySelectionConfig, expected_overall_power, greedy_select
 from repro.alignment.calibration import AlignmentCalibrator
 from repro.kg.elements import ElementKind
@@ -59,13 +62,14 @@ def test_fig7_partitioning(benchmark):
             power_threshold=estimator.config.power_threshold, rng=0,
         )
         entries.append({"rho": 1.0, "algorithm": "greedy", "seconds": greedy_time,
-                        "relative_power": 1.0})
+                        "relative_power": 1.0, "batch": greedy_batch})
         for rho in RHO_VALUES[1:]:
+            partition_config = PartitionSelectionConfig(rho=rho)
             start = time.perf_counter()
             batch = partition_select(
                 candidates, probabilities, graph, estimator,
                 selection_config=selection_config,
-                partition_config=PartitionSelectionConfig(rho=rho),
+                partition_config=partition_config,
                 rng=0,
             )
             elapsed = time.perf_counter() - start
@@ -74,18 +78,23 @@ def test_fig7_partitioning(benchmark):
                 power_threshold=estimator.config.power_threshold, rng=0,
             )
             relative = power / greedy_power if greedy_power > 0 else 1.0
+            groups = len(set(partition_pool(graph, estimator, partition_config).values()))
             entries.append({"rho": rho, "algorithm": "partition", "seconds": elapsed,
-                            "relative_power": relative})
+                            "seconds_vs_greedy": elapsed / greedy_time, "groups": groups,
+                            "relative_power": relative, "batch": batch})
         return entries
 
     entries = benchmark.pedantic(run, rounds=1, iterations=1)
+    batches = [e.pop("batch") for e in entries]
     print_table(
         f"Figure 7: selection algorithms ({BENCH_DATASETS[0]}, TransE, B={BATCH_SIZE})",
-        ["Algorithm", "Time", "Relative inference power"],
+        ["Algorithm", "Time", "Time / greedy", "Groups", "Relative inference power"],
         [
             [
                 f"{e['algorithm']} (rho={e['rho']:.2f})",
                 f"{e['seconds']:.2f}s",
+                f"{e.get('seconds_vs_greedy', 1.0):.2f}",
+                str(e.get("groups", "-")),
                 f"{e['relative_power']:.3f}",
             ]
             for e in entries
@@ -114,5 +123,6 @@ def test_fig7_partitioning(benchmark):
             ],
         },
     )
-    relatives = [e["relative_power"] for e in partition_entries]
-    assert all(r >= 0.0 for r in relatives)
+    for entry, batch in zip(entries, batches):
+        assert len(set(batch)) == BATCH_SIZE, entry
+    assert all(e["relative_power"] > 0.0 for e in partition_entries)

@@ -8,15 +8,28 @@ group; the estimated inference power is then computed on the much smaller
 quotient graph (partitions as super-nodes), and the greedy selection of
 Algorithm 1 runs with that estimate.  Theorem 6.2 gives the resulting
 ``ρ^μ (1 − 1/e)`` approximation guarantee.
+
+Everything runs on the alignment graph's id arrays.  Per-pair inner and outer
+power and per-relation split power are ``np.bincount`` sums over edges in CSR
+order, which add in the same sequence as a loop over each group's members and
+their out-edges would, so group labels do not depend on floating-point
+reassociation.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro import obs
 from repro.active.selection import GreedySelectionConfig, greedy_select
-from repro.inference.alignment_graph import AlignmentGraph
+from repro.inference.alignment_graph import (
+    AlignmentGraph,
+    PairValues,
+    csr_index,
+    expand_ranges,
+)
 from repro.inference.pairs import ElementPair
 from repro.inference.power import InferencePowerEstimator
 from repro.kg.elements import ElementKind
@@ -44,95 +57,179 @@ def partition_pool(
     graph: AlignmentGraph,
     estimator: InferencePowerEstimator,
     config: PartitionSelectionConfig | None = None,
-) -> dict[ElementPair, int]:
+) -> PairValues:
     """Split entity pairs into groups following Algorithm 2's refinement loop.
 
-    Returns a mapping from entity pair to partition id.  Pairs with no edges
-    keep partition 0.
+    Returns ``{entity pair: partition id}``; its ``data`` array holds the
+    label of every entity id.  Pairs with no edges keep partition 0.
     """
     config = config or PartitionSelectionConfig()
-    edge_power: dict[tuple[ElementPair, ElementPair], float] = {}
-    edge_relation: dict[tuple[ElementPair, ElementPair], ElementPair] = {}
-    for edge in graph.edges:
-        power = estimator.edge_power(edge)
-        key = (edge.source, edge.target)
-        if power > edge_power.get(key, 0.0):
-            edge_power[key] = power
-            edge_relation[key] = edge.relation
+    with obs.span("active.partition.refine", pairs=len(graph.entity_pairs)):
+        labels = _refine(graph, estimator.edge_powers(), config)
+    num_groups = int(labels.max()) + 1 if labels.size else 1
+    logger.debug("partitioned %d entity pairs into %d groups", labels.size, num_groups)
+    return PairValues(graph, np.arange(labels.size), labels)
 
-    partition_of: dict[ElementPair, int] = {pair: 0 for pair in graph.entity_pairs}
-    num_partitions = 1
-    changed = True
-    while changed and num_partitions < config.max_partitions:
-        changed = False
-        members: dict[int, list[ElementPair]] = defaultdict(list)
-        for pair, pid in partition_of.items():
-            members[pid].append(pair)
-        for pid, pairs in list(members.items()):
-            if len(pairs) <= 1:
+
+def _refine(
+    graph: AlignmentGraph, power: np.ndarray, config: PartitionSelectionConfig
+) -> np.ndarray:
+    """Partition labels per entity id.
+
+    Each round examines the groups created or shrunk by the previous round,
+    in the order of their first member; a group that was examined and left
+    whole gives the same answer every later round, so it is not revisited.
+    """
+    num_pairs = len(graph.entity_pairs)
+    labels = np.zeros(num_pairs, dtype=np.int64)
+    if num_pairs == 0:
+        return labels
+    source, relation, target = graph.edges.T
+    # parallel edges between one source and target all count with the
+    # strongest power among them
+    links, parallel = np.unique(source * num_pairs + target, return_inverse=True)
+    strongest = np.zeros(links.size)
+    np.maximum.at(strongest, parallel, power)
+    order = graph.out_edges
+    source, relation, target = source[order], relation[order], target[order]
+    power = strongest[parallel][order]
+
+    num_groups = 1
+    pending = [0]
+    while pending and num_groups < config.max_partitions:
+        first_member = np.full(num_groups, num_pairs)
+        np.minimum.at(first_member, labels, np.arange(num_pairs))
+        pending.sort(key=lambda group: first_member[group])
+        examined = np.zeros(num_groups, dtype=bool)
+        examined[pending] = True
+        edges = np.flatnonzero(examined[labels[source]])
+        group = labels[source[edges]]
+        inner = group == labels[target[edges]]
+        weights = power[edges]
+        inner_power = np.bincount(source[edges], np.where(inner, weights, 0.0), num_pairs)
+        outer_power = np.bincount(source[edges], np.where(inner, 0.0, weights), num_pairs)
+        total = inner_power + outer_power
+        ratio = np.ones(num_pairs)
+        np.divide(outer_power, total, out=ratio, where=total > 0)
+        worst = np.ones(num_groups)
+        np.minimum.at(worst, labels, ratio)
+        size = np.bincount(labels, minlength=num_groups)
+        # intra-group edges, grouped by group with CSR order kept inside
+        inner_edges = edges[inner]
+        inner_edges = inner_edges[np.argsort(group[inner], kind="stable")]
+        inner_group = labels[source[inner_edges]]
+
+        split: list[int] = []
+        for g in pending:
+            if size[g] <= 1 or worst[g] >= config.rho:
                 continue
-            pair_set = set(pairs)
-            # find the minimum outer-power ratio over members of this partition
-            worst_ratio = 1.0
-            for pair in pairs:
-                inner = outer = 0.0
-                for edge in graph.out_edges.get(pair, []):
-                    power = edge_power.get((edge.source, edge.target), 0.0)
-                    if edge.target in pair_set:
-                        inner += power
-                    else:
-                        outer += power
-                total = inner + outer
-                if total > 0:
-                    worst_ratio = min(worst_ratio, outer / total)
-            if worst_ratio >= config.rho:
+            lo, hi = np.searchsorted(inner_group, [g, g + 1])
+            if lo == hi:
                 continue
-            # split on the relation pair carrying the most intra-partition power
-            relation_power: dict[ElementPair, float] = defaultdict(float)
-            for pair in pairs:
-                for edge in graph.out_edges.get(pair, []):
-                    if edge.target in pair_set:
-                        relation_power[edge.relation] += edge_power.get(
-                            (edge.source, edge.target), 0.0
-                        )
-            if not relation_power:
+            chosen = inner_edges[lo:hi]
+            # split on the relation pair carrying the most intra-group power;
+            # ties go to the relation met first
+            _, slot = np.unique(relation[chosen], return_inverse=True)
+            relation_power = np.bincount(slot, power[chosen])
+            first_best = np.argmax(relation_power[slot] == relation_power.max())
+            moved = np.unique(source[chosen[slot == slot[first_best]]])
+            if moved.size == size[g]:
                 continue
-            split_relation = max(relation_power.items(), key=lambda item: item[1])[0]
-            moved = {
-                edge.source
-                for pair in pairs
-                for edge in graph.out_edges.get(pair, [])
-                if edge.relation == split_relation and edge.target in pair_set
-            }
-            if not moved or len(moved) == len(pairs):
-                continue
-            for pair in moved:
-                partition_of[pair] = num_partitions
-            num_partitions += 1
-            changed = True
-            if num_partitions >= config.max_partitions:
+            labels[moved] = num_groups
+            split += [g, num_groups]
+            num_groups += 1
+            if num_groups >= config.max_partitions:
                 break
-    logger.debug("partitioned %d entity pairs into %d groups", len(partition_of), num_partitions)
-    return partition_of
+        pending = split
+    return labels
 
 
-def _quotient_reach(
-    graph: AlignmentGraph,
-    estimator: InferencePowerEstimator,
-    partition_of: dict[ElementPair, int],
-    max_hops: int,
-) -> dict[int, dict[int, float]]:
-    """Maximum edge power between partitions (the quotient graph)."""
-    quotient: dict[int, dict[int, float]] = defaultdict(dict)
-    for edge in graph.edges:
-        src = partition_of.get(edge.source)
-        dst = partition_of.get(edge.target)
-        if src is None or dst is None or src == dst:
-            continue
-        power = estimator.edge_power(edge)
-        if power > quotient[src].get(dst, 0.0):
-            quotient[src][dst] = power
-    return quotient
+class _QuotientReach:
+    """Algorithm 2's estimated reach over the quotient graph of a partition.
+
+    A candidate's first hop follows its actual edges; further hops move
+    between groups along the strongest inter-group edge, attenuating
+    multiplicatively.  Every member of a reached group inherits the group's
+    power; schema pairs keep their exact (cheap) gradient-based reach.
+    Groups are listed in the order they are first reached, visiting a
+    group's neighbours in the order their first edge was built.
+    """
+
+    def __init__(
+        self, graph: AlignmentGraph, estimator: InferencePowerEstimator, labels: np.ndarray
+    ) -> None:
+        self.graph = graph
+        self.estimator = estimator
+        power = estimator.edge_powers()
+        num_groups = int(labels.max()) + 1 if labels.size else 1
+        source, _, target = graph.edges.T
+        left, right = labels[source], labels[target]
+        cross = np.flatnonzero(left != right)
+        # quotient edges: strongest power per (group, group), ordered by
+        # source group and then by the first edge between the two
+        link, first, slot = np.unique(
+            left[cross] * num_groups + right[cross], return_index=True, return_inverse=True
+        )
+        strongest = np.zeros(link.size)
+        np.maximum.at(strongest, slot, power[cross])
+        link_source = link // num_groups
+        order = np.lexsort((cross[first], link_source))
+        self.quotient_ptr, _ = csr_index(link_source, num_groups)
+        self.quotient_target = (link % num_groups)[order]
+        self.quotient_power = strongest[order]
+        self.member_ptr, self.members = csr_index(labels, num_groups)
+        self.num_groups = num_groups
+        self.target_groups = labels[target].tolist()
+        self.power = power.tolist()
+
+    def _group_power(self, candidate: int) -> tuple[np.ndarray, np.ndarray]:
+        """Reached groups in first-reached order, with their powers."""
+        graph = self.graph
+        reached: dict[int, float] = {}
+        for edge in graph.out_edges[graph.out_ptr[candidate] : graph.out_ptr[candidate + 1]].tolist():
+            group, power = self.target_groups[edge], self.power[edge]
+            if power > reached.get(group, 0.0):
+                reached[group] = power
+        order = list(reached)
+        value = np.zeros(self.num_groups)
+        value[order] = list(reached.values())
+        frontier = np.array(order, dtype=np.int64)
+        min_power = self.estimator.config.min_power
+        ptr = self.quotient_ptr
+        for _ in range(self.estimator.config.max_hops - 1):
+            row, link = expand_ranges(ptr[frontier], ptr[frontier + 1] - ptr[frontier])
+            reach = self.quotient_target[link]
+            offered = value[frontier][row] * self.quotient_power[link]
+            improves = (offered > value[reach]) & (offered > min_power)
+            if not improves.any():
+                break
+            reach, offered = reach[improves], offered[improves]
+            groups, first = np.unique(reach, return_index=True)
+            groups = groups[np.argsort(first)]
+            order.extend(groups[value[groups] == 0.0].tolist())
+            np.maximum.at(value, reach, offered)
+            frontier = groups
+        groups = np.array(order, dtype=np.int64)
+        return groups, value[groups]
+
+    def __call__(self, candidate: ElementPair) -> PairValues:
+        if candidate.kind is not ElementKind.ENTITY:
+            return self.estimator.reachable_power(candidate)
+        graph = self.graph
+        index = graph.pair_id(candidate)
+        if index is None:
+            return PairValues(graph, np.empty(0, dtype=np.int64), np.empty(0))
+        groups, values = self._group_power(index)
+        ptr = self.member_ptr
+        row, position = expand_ranges(ptr[groups], ptr[groups + 1] - ptr[groups])
+        ids = self.members[position]
+        keep = ids != index
+        schema_ids, schema_powers = self.estimator.schema_power(index)
+        return PairValues(
+            graph,
+            np.concatenate([ids[keep], schema_ids]),
+            np.concatenate([values[row][keep], schema_powers]),
+        )
 
 
 def partition_select(
@@ -153,46 +250,6 @@ def partition_select(
     selection_config = selection_config or GreedySelectionConfig()
     partition_config = partition_config or PartitionSelectionConfig()
     partition_of = partition_pool(graph, estimator, partition_config)
-    quotient = _quotient_reach(graph, estimator, partition_of, estimator.config.max_hops)
-    members: dict[int, list[ElementPair]] = defaultdict(list)
-    for pair, pid in partition_of.items():
-        members[pid].append(pair)
-
-    def estimated_reach(candidate: ElementPair) -> dict[ElementPair, float]:
-        if candidate.kind is not ElementKind.ENTITY:
-            return estimator.reachable_power(candidate)
-        # first hop: actual edges out of the candidate
-        partition_power: dict[int, float] = {}
-        for edge in graph.out_edges.get(candidate, []):
-            pid = partition_of.get(edge.target)
-            if pid is None:
-                continue
-            power = estimator.edge_power(edge)
-            if power > partition_power.get(pid, 0.0):
-                partition_power[pid] = power
-        # further hops on the quotient graph (multiplicative attenuation)
-        frontier = dict(partition_power)
-        for _ in range(estimator.config.max_hops - 1):
-            next_frontier: dict[int, float] = {}
-            for pid, power in frontier.items():
-                for neighbor, edge_power in quotient.get(pid, {}).items():
-                    value = power * edge_power
-                    if value > partition_power.get(neighbor, 0.0) and value > estimator.config.min_power:
-                        partition_power[neighbor] = value
-                        next_frontier[neighbor] = value
-            if not next_frontier:
-                break
-            frontier = next_frontier
-        reach: dict[ElementPair, float] = {}
-        for pid, power in partition_power.items():
-            for member in members.get(pid, []):
-                if member != candidate:
-                    reach[member] = power
-        # schema pairs are cheap to reach exactly
-        for target, value in estimator.entity_to_class_power(candidate).items():
-            reach[target] = max(reach.get(target, 0.0), value)
-        for target, value in estimator.entity_to_relation_power(candidate).items():
-            reach[target] = max(reach.get(target, 0.0), value)
-        return reach
-
-    return greedy_select(candidates, probabilities, estimated_reach, selection_config, rng)
+    with obs.span("active.partition.quotient"):
+        reach = _QuotientReach(graph, estimator, partition_of.data)
+    return greedy_select(candidates, probabilities, reach, selection_config, rng)

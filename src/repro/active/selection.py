@@ -10,10 +10,14 @@ and sub-modular (Theorem 6.1), greedy selection keeps the
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+import numpy as np
 
+from repro import obs
+from repro.inference.alignment_graph import PairValues
 from repro.inference.pairs import ElementPair
 from repro.utils.logging import get_logger
 from repro.utils.rng import RandomState, ensure_rng
@@ -61,6 +65,10 @@ def greedy_select(
     reach:
         Function returning ``I(q' | q)`` for the pairs each candidate can infer
         (typically ``InferencePowerEstimator.reachable_power``).
+
+    Candidates are ranked by probability (descending, input order among
+    equals); among equal gains the lower rank wins.  Each candidate's reach is
+    evaluated once, in rank order.
     """
     config = config or GreedySelectionConfig()
     rng = ensure_rng(rng)
@@ -71,57 +79,89 @@ def greedy_select(
     if config.candidate_limit is not None and len(ranked) > config.candidate_limit:
         ranked = ranked[: config.candidate_limit]
 
-    # Pre-compute each candidate's reachable set, thresholded at kappa.
-    reachable: dict[ElementPair, dict[ElementPair, float]] = {}
-    for candidate in ranked:
-        powers = {
-            target: value
-            for target, value in reach(candidate).items()
-            if value > config.power_threshold
-        }
-        reachable[candidate] = powers
+    with obs.span("active.greedy.reach", candidates=len(ranked)):
+        reachable, width = _thresholded_reach(ranked, reach, config.power_threshold)
+    with obs.span("active.greedy.loop"):
+        picks = _lazy_greedy(
+            [probabilities.get(q, 0.0) for q in ranked], reachable, width, config, rng
+        )
+    logger.debug("greedy selection picked %d pairs", len(picks))
+    return [ranked[i] for i in picks]
 
-    # Monte-Carlo state: for each sample, the current best power per inferable pair.
-    current_power: list[dict[ElementPair, float]] = [dict() for _ in range(config.num_samples)]
-    selected: list[ElementPair] = []
-    remaining = set(ranked)
 
-    def gain(candidate: ElementPair) -> float:
-        probability = probabilities.get(candidate, 0.0)
-        powers = reachable[candidate]
+def _thresholded_reach(
+    ranked: list[ElementPair], reach: ReachFunction, threshold: float
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
+    """Each candidate's reach above ``threshold`` as ``(target ids, powers)``.
+
+    Targets keep the reach mapping's order.  Reaches that share one
+    alignment graph keep its pair ids; any other mapping has its targets
+    numbered on first sight.  Returns the arrays and the id-space width.
+    """
+    results = [reach(candidate) for candidate in ranked]
+    graph = getattr(results[0], "graph", None)
+    if all(isinstance(r, PairValues) and r.graph is graph for r in results):
+        reachable = []
+        for result in results:
+            keep = result.data > threshold
+            reachable.append((result.ids[keep], result.data[keep]))
+        return reachable, len(graph.all_pairs)
+    index: dict[ElementPair, int] = {}
+    reachable = []
+    for result in results:
+        kept = [(target, value) for target, value in result.items() if value > threshold]
+        ids = [index.setdefault(target, len(index)) for target, _ in kept]
+        reachable.append(
+            (np.array(ids, dtype=np.int64), np.array([v for _, v in kept], dtype=np.float64))
+        )
+    return reachable, len(index)
+
+
+def _lazy_greedy(
+    probabilities: list[float],
+    reachable: list[tuple[np.ndarray, np.ndarray]],
+    width: int,
+    config: GreedySelectionConfig,
+    rng: np.random.Generator,
+) -> list[int]:
+    """Greedy picks (as ranks) by lazy evaluation (CELF, Leskovec et al. 2007).
+
+    The Monte-Carlo state is an ``(S, width)`` array of the best power each
+    sample has reached per target.  A gain only falls as picks raise that
+    state, so a gain computed in an earlier round bounds the current one: the
+    heap, keyed by ``(-gain, rank)``, re-evaluates only candidates that reach
+    its top with a stale gain, and pops the same argmax as a full rescan.
+    Gains add their terms in sample-then-target order, one at a time.
+    """
+    num_samples = config.num_samples
+    best = np.zeros((num_samples, width))
+
+    def gain(rank: int) -> float:
+        probability = probabilities[rank]
+        ids, values = reachable[rank]
         # The base gain keeps the objective strictly increasing so that ties
         # are broken by probability, mirroring the uncertainty fallback.
-        if not powers:
+        if not ids.size:
             return probability * config.base_gain
-        total = 0.0
-        for sample in current_power:
-            for target, value in powers.items():
-                best = sample.get(target, 0.0)
-                if value > best:
-                    total += value - best
-        return probability * (total / config.num_samples + config.base_gain)
+        current = best[:, ids]
+        terms = np.where(values > current, values - current, 0.0)
+        total = float(np.cumsum(terms)[-1])
+        return probability * (total / num_samples + config.base_gain)
 
-    batch_size = min(config.batch_size, len(ranked))
-    for _ in range(batch_size):
-        best_candidate = None
-        best_gain = -1.0
-        for candidate in remaining:
-            g = gain(candidate)
-            if g > best_gain:
-                best_gain = g
-                best_candidate = candidate
-        if best_candidate is None:
-            break
-        selected.append(best_candidate)
-        remaining.discard(best_candidate)
-        probability = probabilities.get(best_candidate, 0.0)
-        for sample in current_power:
-            if rng.random() < probability:
-                for target, value in reachable[best_candidate].items():
-                    if value > sample.get(target, 0.0):
-                        sample[target] = value
-    logger.debug("greedy selection picked %d pairs", len(selected))
-    return selected
+    heap = [(-gain(rank), rank, 0) for rank in range(len(probabilities))]
+    heapq.heapify(heap)
+    picks: list[int] = []
+    for round_index in range(min(config.batch_size, len(probabilities))):
+        while heap[0][2] != round_index:
+            rank = heap[0][1]
+            heapq.heapreplace(heap, (-gain(rank), rank, round_index))
+        rank = heapq.heappop(heap)[1]
+        picks.append(rank)
+        ids, values = reachable[rank]
+        for sample in range(num_samples):
+            if rng.random() < probabilities[rank] and ids.size:
+                best[sample, ids] = np.maximum(best[sample, ids], values)
+    return picks
 
 
 def expected_overall_power(

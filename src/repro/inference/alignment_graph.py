@@ -7,66 +7,166 @@ pool.  Because the KGs are augmented with inverse relations, each structural
 connection appears in both directions, which is what the path-based inference
 power needs.
 
-The graph also records two auxiliary incidence structures used by the
-gradient-based inference power: which entity pairs instantiate which class
-pairs (via type triples), and which entity pairs are endpoints of edges
-labelled by each relation pair.
+The graph also records which entity pairs instantiate which class pairs (via
+type triples), used by the gradient-based inference power.
+
+**Layout.**  Every pool pair has an integer id.  Entity pairs take ids
+``0 .. n_entity - 1`` in sorted ``(left, right)`` order — the order
+``ElementPair`` sorts in, so comparing ids breaks heap ties exactly as
+comparing pairs would — relation pairs follow at :attr:`relation_offset` and
+class pairs at :attr:`class_offset`, each in sorted order.  Edges are rows
+``(source entity id, relation pair index, target entity id)`` of
+:attr:`edges`, numbered in build order: sources in the iteration order of the
+pool set, then KG1's and KG2's adjacency order.  That numbering fixes the
+order in which the estimator first touches edge powers, and with it the order
+in which sampled tail solves draw from the shared RNG.  ``out_ptr`` /
+``out_edges`` index edge ids by source (CSR, build order within a source),
+``relation_ptr`` / ``relation_edges`` by relation pair, and ``class_ptr`` /
+``class_ids`` list each entity pair's class-pair indexes in type-triple order.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
 
+import numpy as np
+
+from repro import obs
 from repro.inference.pairs import ElementPair, class_pair, entity_pair, relation_pair
 from repro.kg.graph import KnowledgeGraph
 
 
-@dataclass(frozen=True)
-class AlignmentEdge:
-    """A directed edge of the alignment graph."""
-
-    source: ElementPair
-    relation: ElementPair
-    target: ElementPair
-
-
-@dataclass
+@dataclass(eq=False)
 class AlignmentGraph:
-    """Adjacency view over the element-pair pool."""
+    """CSR arrays over the element-pair pool."""
 
-    entity_pairs: list[ElementPair] = field(default_factory=list)
-    relation_pairs: list[ElementPair] = field(default_factory=list)
-    class_pairs: list[ElementPair] = field(default_factory=list)
-    edges: list[AlignmentEdge] = field(default_factory=list)
-    out_edges: dict[ElementPair, list[AlignmentEdge]] = field(
-        default_factory=lambda: defaultdict(list)
-    )
-    in_edges: dict[ElementPair, list[AlignmentEdge]] = field(
-        default_factory=lambda: defaultdict(list)
-    )
-    edges_by_relation_pair: dict[ElementPair, list[AlignmentEdge]] = field(
-        default_factory=lambda: defaultdict(list)
-    )
-    class_pair_members: dict[ElementPair, list[ElementPair]] = field(
-        default_factory=lambda: defaultdict(list)
-    )
-    classes_of_entity_pair: dict[ElementPair, list[ElementPair]] = field(
-        default_factory=lambda: defaultdict(list)
-    )
+    entity_pairs: list[ElementPair]
+    relation_pairs: list[ElementPair]
+    class_pairs: list[ElementPair]
+    edges: np.ndarray
+    out_ptr: np.ndarray
+    out_edges: np.ndarray
+    relation_ptr: np.ndarray
+    relation_edges: np.ndarray
+    class_ptr: np.ndarray
+    class_ids: np.ndarray
 
-    @property
+    @cached_property
     def all_pairs(self) -> list[ElementPair]:
+        """Every pool pair, indexed by its global id."""
         return self.entity_pairs + self.relation_pairs + self.class_pairs
 
-    def neighbors(self, pair: ElementPair) -> set[ElementPair]:
-        """Element pairs adjacent to ``pair`` through alignment-graph edges."""
-        result = {edge.target for edge in self.out_edges.get(pair, [])}
-        result |= {edge.source for edge in self.in_edges.get(pair, [])}
-        return result
+    @cached_property
+    def _ids(self) -> dict[ElementPair, int]:
+        return {pair: index for index, pair in enumerate(self.all_pairs)}
+
+    @property
+    def relation_offset(self) -> int:
+        return len(self.entity_pairs)
+
+    @property
+    def class_offset(self) -> int:
+        return len(self.entity_pairs) + len(self.relation_pairs)
+
+    def pair_id(self, pair: ElementPair) -> int | None:
+        """Global id of ``pair``, or ``None`` when it is not in the pool."""
+        return self._ids.get(pair)
+
+    def edge_pairs(self, edge: int) -> tuple[ElementPair, ElementPair, ElementPair]:
+        """``(source, relation, target)`` pairs of one edge id."""
+        source, relation, target = self.edges[edge].tolist()
+        return self.entity_pairs[source], self.relation_pairs[relation], self.entity_pairs[target]
 
     def num_edges(self) -> int:
         return len(self.edges)
+
+
+class PairValues(Mapping):
+    """A read-only ``{pair: value}`` mapping held as parallel arrays.
+
+    ``ids`` are global pair ids of ``graph`` and ``data`` the values, in the
+    mapping's iteration order; array-aware callers read them directly instead
+    of building ``ElementPair`` keys.
+    """
+
+    __slots__ = ("graph", "ids", "data", "_positions")
+
+    def __init__(self, graph: AlignmentGraph, ids: np.ndarray, data: np.ndarray) -> None:
+        self.graph = graph
+        self.ids = ids
+        self.data = data
+        self._positions: dict[int, int] | None = None
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        pairs = self.graph.all_pairs
+        return (pairs[index] for index in self.ids.tolist())
+
+    def __getitem__(self, pair: ElementPair):
+        if self._positions is None:
+            self._positions = {index: pos for pos, index in enumerate(self.ids.tolist())}
+        position = self._positions.get(self.graph.pair_id(pair))
+        if position is None:
+            raise KeyError(pair)
+        return self.data[position].item()
+
+    def items(self):
+        return zip(iter(self), self.data.tolist())
+
+    def values(self):
+        return self.data.tolist()
+
+
+def csr_index(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(ptr, order)`` grouping row indexes by key, input order kept within a key."""
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=size), out=ptr[1:])
+    return ptr, np.argsort(keys, kind="stable")
+
+
+def _pair_lookup(pairs: list[tuple[int, int]], width: int):
+    """``lookup(lefts, rights)``: index of each pair in the sorted ``pairs``, or
+    ``-1`` outside them (``width`` bounds the right-hand indexes).  Memory
+    stays linear in the pool, unlike a dense ``left × right`` table."""
+    sides = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    keys = sides[:, 0] * width + sides[:, 1]
+
+    def lookup(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        query = lefts * width + rights
+        if not keys.size:
+            return np.full(query.shape, -1, dtype=np.int64)
+        position = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+        return np.where(keys[position] == query, position, -1)
+
+    return lookup
+
+
+def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, position)`` over the concatenated ranges ``starts[i] + 0 .. counts[i] - 1``."""
+    row = np.repeat(np.arange(len(counts)), counts)
+    return row, starts[row] + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _join(
+    lefts: np.ndarray,
+    rights: np.ndarray,
+    ptr_1: np.ndarray,
+    ptr_2: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cross products of two CSR rows per ``(left, right)``, row-major.
+
+    Returns ``(row, position_1, position_2)``: the input row of each product
+    and the positions it combines within the two CSR arrays, in the order of
+    the nested loop ``for row: for item_1 in row_1: for item_2 in row_2``.
+    """
+    height = ptr_1[lefts + 1] - ptr_1[lefts]
+    width = ptr_2[rights + 1] - ptr_2[rights]
+    row, offset = expand_ranges(np.zeros(len(lefts), dtype=np.int64), height * width)
+    return row, ptr_1[lefts[row]] + offset // width[row], ptr_2[rights[row]] + offset % width[row]
 
 
 def build_alignment_graph(
@@ -82,60 +182,60 @@ def build_alignment_graph(
     ``relation_pool`` / ``class_pool`` default to the full cross products, as
     in the paper (schemas are small enough to keep every pair).
     """
+    with obs.span("inference.graph.build", pairs=len(entity_pool)):
+        return _build(kg1, kg2, entity_pool, relation_pool, class_pool)
+
+
+def _build(kg1, kg2, entity_pool, relation_pool, class_pool) -> AlignmentGraph:
     if relation_pool is None:
-        relation_pool = {
+        relation_pool = [
             (r1, r2) for r1 in range(kg1.num_relations) for r2 in range(kg2.num_relations)
-        }
+        ]
     if class_pool is None:
-        class_pool = {
-            (c1, c2) for c1 in range(kg1.num_classes) for c2 in range(kg2.num_classes)
-        }
+        class_pool = [(c1, c2) for c1 in range(kg1.num_classes) for c2 in range(kg2.num_classes)]
+    entity_keys = sorted(entity_pool)
+    relation_keys = sorted(relation_pool)
+    class_keys = sorted(class_pool)
+    num_entities = len(entity_keys)
+    entity_id = _pair_lookup(entity_keys, kg2.num_entities)
+    relation_id = _pair_lookup(relation_keys, kg2.num_relations)
+    class_id = _pair_lookup(class_keys, kg2.num_classes)
 
-    graph = AlignmentGraph(
-        entity_pairs=[entity_pair(a, b) for a, b in sorted(entity_pool)],
-        relation_pairs=[relation_pair(a, b) for a, b in sorted(relation_pool)],
-        class_pairs=[class_pair(a, b) for a, b in sorted(class_pool)],
-    )
-    entity_pool_set = set(entity_pool)
-    relation_pool_set = set(relation_pool)
-
-    # entity-pair edges: join the out-edges of both sides
-    kg2_out: dict[int, list[tuple[int, int]]] = {
-        e: kg2.out_edges(e) for e in range(kg2.num_entities)
-    }
-    for left, right in entity_pool_set:
-        source = entity_pair(left, right)
-        left_edges = kg1.out_edges(left)
-        right_edges = kg2_out.get(right, [])
-        if not left_edges or not right_edges:
-            continue
-        for r1, t1 in left_edges:
-            for r2, t2 in right_edges:
-                if (r1, r2) not in relation_pool_set:
-                    continue
-                if (t1, t2) not in entity_pool_set:
-                    continue
-                edge = AlignmentEdge(source, relation_pair(r1, r2), entity_pair(t1, t2))
-                graph.edges.append(edge)
-                graph.out_edges[source].append(edge)
-                graph.in_edges[edge.target].append(edge)
-                graph.edges_by_relation_pair[edge.relation].append(edge)
+    # entity-pair edges: join both sides' out-edges, sources in pool-set order
+    triples_1, triples_2 = kg1.triple_array, kg2.triple_array
+    out_ptr_1, out_order_1 = csr_index(triples_1[:, 0], kg1.num_entities)
+    out_ptr_2, out_order_2 = csr_index(triples_2[:, 0], kg2.num_entities)
+    sources = np.asarray(list(set(entity_pool)), dtype=np.int64).reshape(-1, 2)
+    row, pos_1, pos_2 = _join(sources[:, 0], sources[:, 1], out_ptr_1, out_ptr_2)
+    step_1 = triples_1[out_order_1[pos_1]]
+    step_2 = triples_2[out_order_2[pos_2]]
+    relation = relation_id(step_1[:, 1], step_2[:, 1])
+    target = entity_id(step_1[:, 2], step_2[:, 2])
+    keep = (relation >= 0) & (target >= 0)
+    source = entity_id(sources[:, 0], sources[:, 1])[row[keep]]
+    edges = np.stack([source, relation[keep], target[keep]], axis=1)
+    out_ptr, out_edges = csr_index(edges[:, 0], num_entities)
+    relation_ptr, relation_edges = csr_index(edges[:, 1], len(relation_keys))
 
     # class-pair membership links (for gradient-based inference power)
-    class_pool_set = set(class_pool)
-    classes_of_1: dict[int, list[int]] = {
-        e: kg1.classes_of(e) for e in range(kg1.num_entities)
-    }
-    classes_of_2: dict[int, list[int]] = {
-        e: kg2.classes_of(e) for e in range(kg2.num_entities)
-    }
-    for left, right in entity_pool_set:
-        e_pair = entity_pair(left, right)
-        for c1 in classes_of_1.get(left, []):
-            for c2 in classes_of_2.get(right, []):
-                if (c1, c2) not in class_pool_set:
-                    continue
-                c_pair = class_pair(c1, c2)
-                graph.class_pair_members[c_pair].append(e_pair)
-                graph.classes_of_entity_pair[e_pair].append(c_pair)
-    return graph
+    types_1, types_2 = kg1.type_array, kg2.type_array
+    type_ptr_1, type_order_1 = csr_index(types_1[:, 0], kg1.num_entities)
+    type_ptr_2, type_order_2 = csr_index(types_2[:, 0], kg2.num_entities)
+    members = np.asarray(entity_keys, dtype=np.int64).reshape(-1, 2)
+    row, pos_1, pos_2 = _join(members[:, 0], members[:, 1], type_ptr_1, type_ptr_2)
+    linked = class_id(types_1[type_order_1[pos_1], 1], types_2[type_order_2[pos_2], 1])
+    keep = linked >= 0
+    class_ptr, _ = csr_index(row[keep], num_entities)
+
+    return AlignmentGraph(
+        entity_pairs=[entity_pair(a, b) for a, b in entity_keys],
+        relation_pairs=[relation_pair(a, b) for a, b in relation_keys],
+        class_pairs=[class_pair(a, b) for a, b in class_keys],
+        edges=edges,
+        out_ptr=out_ptr,
+        out_edges=out_edges,
+        relation_ptr=relation_ptr,
+        relation_edges=relation_edges,
+        class_ptr=class_ptr,
+        class_ids=linked[keep],
+    )

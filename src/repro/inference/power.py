@@ -16,6 +16,11 @@ estimates — the inference power ``I = 1/(1 + D)``.
 
 Gradient-based power for class and relation pairs (Eqs. 21–22) is computed in
 closed form through the mean-embedding channel of the schema similarities.
+
+Edges and pairs are addressed by the graph's integer ids.  Edge powers are
+filled lazily, one edge at a time, in the order callers first touch them:
+sampled tail solves (RotatE, CompGCN) draw from the shared RNG, so that order
+is part of the result.
 """
 
 from __future__ import annotations
@@ -26,10 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.alignment.model import JointAlignmentModel
-from repro.inference.alignment_graph import AlignmentEdge, AlignmentGraph
+from repro.inference.alignment_graph import AlignmentGraph, PairValues
 from repro.inference.pairs import ElementPair
 from repro.kg.elements import ElementKind
 from repro.utils.rng import RandomState, ensure_rng
+
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_VALUES = np.empty(0, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,16 @@ def _cosine_gradient(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return grad_a, grad_b
 
 
+def _arrays(powers: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, values)`` of an ``{id: value}`` dict, in insertion order."""
+    if not powers:
+        return _NO_IDS, _NO_VALUES
+    return (
+        np.fromiter(powers.keys(), dtype=np.int64, count=len(powers)),
+        np.fromiter(powers.values(), dtype=np.float64, count=len(powers)),
+    )
+
+
 class InferencePowerEstimator:
     """Estimates ``I(q' | q)`` and aggregate inference power over a pool."""
 
@@ -84,8 +102,19 @@ class InferencePowerEstimator:
         self._map_entity = model.map_entity.data
         self._tail_cache_1: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
         self._tail_cache_2: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
-        self._edge_power_cache: dict[tuple, float] = {}
-        self._source_power_cache: dict[ElementPair, dict[ElementPair, float]] = {}
+        # (edge id, zero_relation_difference) -> power; grows by one entry per
+        # newly computed power
+        self._edge_power_cache: dict[tuple[int, bool], float] = {}
+        self._all_edge_powers: np.ndarray | None = None
+        self._path_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._schema_gradients: dict[tuple[ElementKind, int], tuple | None] = {}
+        # Python lists: the per-edge loops below index them without boxing
+        self._edges = graph.edges.tolist()
+        self._targets = graph.edges[:, 2].tolist()
+        self._out_ptr = graph.out_ptr.tolist()
+        self._out_edges = graph.out_edges.tolist()
+        self._entity_sides = [(p.left, p.right) for p in graph.entity_pairs]
+        self._relation_sides = [(p.left, p.right) for p in graph.relation_pairs]
 
     # ----------------------------------------------------------- edge costs
     def _tail_solution(self, side: int, head_idx: int, relation_idx: int) -> tuple[np.ndarray, float]:
@@ -116,151 +145,201 @@ class InferencePowerEstimator:
         cache[key] = result
         return result
 
-    def edge_cost(self, edge: AlignmentEdge, zero_relation_difference: bool = False) -> float:
-        """The bound ``||A_ent·r̃ − r̃'|| + d + d'`` for one alignment-graph edge.
+    def edge_cost(self, edge: int, zero_relation_difference: bool = False) -> float:
+        """The bound ``||A_ent·r̃ − r̃'|| + d + d'`` for one alignment-graph edge id.
 
         ``zero_relation_difference`` implements Eq. 20: when the relation pair
         itself is labelled as a match, the relation difference term vanishes.
         """
-        mapped_translation_1, bound_1 = self._tail_solution(1, edge.source.left, edge.relation.left)
-        translation_2, bound_2 = self._tail_solution(2, edge.source.right, edge.relation.right)
+        source, relation, _ = self._edges[edge]
+        left, right = self._entity_sides[source]
+        relation_left, relation_right = self._relation_sides[relation]
+        mapped_translation_1, bound_1 = self._tail_solution(1, left, relation_left)
+        translation_2, bound_2 = self._tail_solution(2, right, relation_right)
         if zero_relation_difference:
             relation_difference = 0.0
         else:
             relation_difference = float(np.linalg.norm(mapped_translation_1 - translation_2))
         return relation_difference + bound_1 + bound_2
 
-    def edge_power(self, edge: AlignmentEdge, zero_relation_difference: bool = False) -> float:
-        """``I(target | source)`` through one edge: ``1 / (1 + cost)``."""
-        key = (edge.source, edge.relation, edge.target, zero_relation_difference)
+    def edge_power(self, edge: int, zero_relation_difference: bool = False) -> float:
+        """``I(target | source)`` through one edge id: ``1 / (1 + cost)``."""
+        key = (edge, zero_relation_difference)
         if key not in self._edge_power_cache:
             cost = self.edge_cost(edge, zero_relation_difference)
             self._edge_power_cache[key] = 1.0 / (1.0 + cost)
         return self._edge_power_cache[key]
 
+    def edge_powers(self) -> np.ndarray:
+        """Every edge's power (relation difference kept), indexed by edge id.
+
+        Missing powers are computed in edge-id order; the array is built once
+        and shared, so treat it as read-only.
+        """
+        if self._all_edge_powers is None:
+            edge_power = self.edge_power
+            count = len(self._edges)
+            self._all_edge_powers = np.fromiter(
+                (edge_power(edge) for edge in range(count)), dtype=np.float64, count=count
+            )
+        return self._all_edge_powers
+
     # --------------------------------------------------- entity → entity pairs
-    def entity_path_power(self, source: ElementPair) -> dict[ElementPair, float]:
-        """Best-path inference power from an entity pair to reachable entity pairs.
+    def _path_power(self, source: int) -> tuple[np.ndarray, np.ndarray]:
+        """Best-path power from entity id ``source``: ``(entity ids, powers)``.
 
         Depth-limited Dijkstra over additive edge costs (≤ ``max_hops`` hops);
-        results below ``min_power`` are dropped.
+        pairs are listed in discovery order and results below ``min_power``
+        are dropped.
         """
-        if source.kind is not ElementKind.ENTITY:
-            raise ValueError("entity_path_power expects an entity pair")
-        if source in self._source_power_cache:
-            return self._source_power_cache[source]
-        best_cost: dict[ElementPair, float] = {source: 0.0}
-        heap: list[tuple[float, int, ElementPair]] = [(0.0, 0, source)]
+        cached = self._path_cache.get(source)
+        if cached is not None:
+            return cached
+        best_cost: dict[int, float] = {source: 0.0}
+        heap: list[tuple[float, int, int]] = [(0.0, 0, source)]
         max_cost = (1.0 / max(self.config.min_power, 1e-6)) - 1.0
+        max_hops = self.config.max_hops
+        out_ptr, out_edges, targets = self._out_ptr, self._out_edges, self._targets
+        edge_power = self.edge_power
+        inf = float("inf")
         while heap:
             cost, hops, node = heapq.heappop(heap)
-            if cost > best_cost.get(node, float("inf")):
+            if cost > best_cost.get(node, inf) or hops >= max_hops:
                 continue
-            if hops >= self.config.max_hops:
-                continue
-            for edge in self.graph.out_edges.get(node, []):
-                new_cost = cost + (1.0 / self.edge_power(edge) - 1.0)
+            for edge in out_edges[out_ptr[node] : out_ptr[node + 1]]:
+                new_cost = cost + (1.0 / edge_power(edge) - 1.0)
                 if new_cost > max_cost:
                     continue
-                if new_cost < best_cost.get(edge.target, float("inf")):
-                    best_cost[edge.target] = new_cost
-                    heapq.heappush(heap, (new_cost, hops + 1, edge.target))
-        powers = {
-            node: 1.0 / (1.0 + cost)
-            for node, cost in best_cost.items()
-            if node != source and 1.0 / (1.0 + cost) >= self.config.min_power
-        }
-        self._source_power_cache[source] = powers
-        return powers
+                target = targets[edge]
+                if new_cost < best_cost.get(target, inf):
+                    best_cost[target] = new_cost
+                    heapq.heappush(heap, (new_cost, hops + 1, target))
+        ids, costs = _arrays(best_cost)
+        powers = 1.0 / (1.0 + costs)
+        keep = (ids != source) & (powers >= self.config.min_power)
+        result = (ids[keep], powers[keep])
+        self._path_cache[source] = result
+        return result
+
+    def entity_path_power(self, source: ElementPair) -> PairValues:
+        """Best-path inference power from an entity pair to reachable entity pairs."""
+        if source.kind is not ElementKind.ENTITY:
+            raise ValueError("entity_path_power expects an entity pair")
+        index = self.graph.pair_id(source)
+        if index is None:
+            return PairValues(self.graph, _NO_IDS, _NO_VALUES)
+        return PairValues(self.graph, *self._path_power(index))
 
     # -------------------------------------------------- relation → entity pairs
-    def relation_to_entity_power(self, source: ElementPair) -> dict[ElementPair, float]:
+    def relation_to_entity_power(self, source: ElementPair) -> PairValues:
         """Eq. 20: power of a relation pair over entity pairs reachable through it."""
         if source.kind is not ElementKind.RELATION:
             raise ValueError("relation_to_entity_power expects a relation pair")
-        powers: dict[ElementPair, float] = {}
-        for edge in self.graph.edges_by_relation_pair.get(source, []):
+        index = self.graph.pair_id(source)
+        if index is None:
+            return PairValues(self.graph, _NO_IDS, _NO_VALUES)
+        relation = index - self.graph.relation_offset
+        ptr = self.graph.relation_ptr
+        powers: dict[int, float] = {}
+        for edge in self.graph.relation_edges[ptr[relation] : ptr[relation + 1]].tolist():
             power = self.edge_power(edge, zero_relation_difference=True)
             if power < self.config.min_power:
                 continue
-            if power > powers.get(edge.target, 0.0):
-                powers[edge.target] = power
-        return powers
+            target = self._targets[edge]
+            if power > powers.get(target, 0.0):
+                powers[target] = power
+        return PairValues(self.graph, *_arrays(powers))
 
-    # ------------------------------------------------------ entity → class pairs
-    def entity_to_class_power(self, source: ElementPair) -> dict[ElementPair, float]:
-        """Eq. 21: gradient of the class similarity with respect to the entity pair."""
-        if source.kind is not ElementKind.ENTITY:
-            raise ValueError("entity_to_class_power expects an entity pair")
-        powers: dict[ElementPair, float] = {}
+    # ------------------------------------------------ entity → schema pairs
+    def _schema_gradient(self, kind: ElementKind, index: int) -> tuple | None:
+        """Per schema pair: ``(A_ent·∇_a, ∇_b, weight sum 1, weight sum 2)`` of
+        the mean-embedding cosine, or ``None`` when a side has no weight."""
+        key = (kind, index)
+        if key in self._schema_gradients:
+            return self._schema_gradients[key]
+        snap = self._snap
+        if kind is ElementKind.CLASS:
+            pair = self.graph.class_pairs[index]
+            left_members = self.model.kg1.entities_of_class(pair.left)
+            right_members = self.model.kg2.entities_of_class(pair.right)
+            weight_sum_1 = float(np.sum(snap.weights_1[left_members])) if left_members else 0.0
+            weight_sum_2 = float(np.sum(snap.weights_2[right_members])) if right_members else 0.0
+            means_1, means_2 = snap.mean_classes_1, snap.mean_classes_2
+        else:
+            pair = self.graph.relation_pairs[index]
+            triples_1 = self.model.kg1.triples_of_relation(pair.left)
+            triples_2 = self.model.kg2.triples_of_relation(pair.right)
+            weight_sum_1 = weight_sum_2 = 0.0
+            if triples_1.size and triples_2.size:
+                weight_sum_1 = float(
+                    np.sum(np.minimum(snap.weights_1[triples_1[:, 0]], snap.weights_1[triples_1[:, 2]]))
+                )
+                weight_sum_2 = float(
+                    np.sum(np.minimum(snap.weights_2[triples_2[:, 0]], snap.weights_2[triples_2[:, 2]]))
+                )
+            means_1, means_2 = snap.mean_relations_1, snap.mean_relations_2
+        gradient = None
+        if weight_sum_1 >= 1e-9 and weight_sum_2 >= 1e-9:
+            grad_a, grad_b = _cosine_gradient(self._map_entity.T @ means_1[pair.left], means_2[pair.right])
+            gradient = (self._map_entity @ grad_a, grad_b, weight_sum_1, weight_sum_2)
+        self._schema_gradients[key] = gradient
+        return gradient
+
+    def schema_power(self, source: int) -> tuple[np.ndarray, np.ndarray]:
+        """Eqs. 21–22 for entity id ``source``: ``(global pair ids, powers)``.
+
+        Class pairs come first, in type-triple order; relation pairs follow in
+        the order of the source's out-edges.
+        """
         if not self.model.use_mean_embeddings:
-            return powers
-        for c_pair in self.graph.classes_of_entity_pair.get(source, []):
-            left_members = self.model.kg1.entities_of_class(c_pair.left)
-            right_members = self.model.kg2.entities_of_class(c_pair.right)
-            weight_sum_1 = float(np.sum(self._snap.weights_1[left_members])) if left_members else 0.0
-            weight_sum_2 = float(np.sum(self._snap.weights_2[right_members])) if right_members else 0.0
-            if weight_sum_1 < 1e-9 or weight_sum_2 < 1e-9:
+            return _NO_IDS, _NO_VALUES
+        graph, snap, min_power = self.graph, self._snap, self.config.min_power
+        weights_1, weights_2 = snap.weights_1, snap.weights_2
+        left, right = self._entity_sides[source]
+        powers: dict[int, float] = {}
+        for index in graph.class_ids[graph.class_ptr[source] : graph.class_ptr[source + 1]].tolist():
+            gradient = self._schema_gradient(ElementKind.CLASS, index)
+            if gradient is None:
                 continue
-            a = self._map_entity.T @ self._snap.mean_classes_1[c_pair.left]
-            b = self._snap.mean_classes_2[c_pair.right]
-            grad_a, grad_b = _cosine_gradient(a, b)
-            grad_left = (self._snap.weights_1[source.left] / weight_sum_1) * (self._map_entity @ grad_a)
-            grad_right = (self._snap.weights_2[source.right] / weight_sum_2) * grad_b
+            mapped_a, grad_b, weight_sum_1, weight_sum_2 = gradient
+            grad_left = (weights_1[left] / weight_sum_1) * mapped_a
+            grad_right = (weights_2[right] / weight_sum_2) * grad_b
             power = float(np.sqrt(np.sum(grad_left**2) + np.sum(grad_right**2)))
-            if power >= self.config.min_power:
-                powers[c_pair] = min(power, 1.0)
-        return powers
-
-    # --------------------------------------------------- entity → relation pairs
-    def entity_to_relation_power(self, source: ElementPair) -> dict[ElementPair, float]:
-        """Eq. 22: gradient of the relation similarity via edges incident to the pair."""
-        if source.kind is not ElementKind.ENTITY:
-            raise ValueError("entity_to_relation_power expects an entity pair")
-        powers: dict[ElementPair, float] = {}
-        if not self.model.use_mean_embeddings:
-            return powers
-        for edge in self.graph.out_edges.get(source, []):
-            r_pair = edge.relation
-            triples_1 = self.model.kg1.triples_of_relation(r_pair.left)
-            triples_2 = self.model.kg2.triples_of_relation(r_pair.right)
-            if triples_1.size == 0 or triples_2.size == 0:
+            if power >= min_power:
+                powers[graph.class_offset + index] = min(power, 1.0)
+        for edge in self._out_edges[self._out_ptr[source] : self._out_ptr[source + 1]]:
+            _, relation, target = self._edges[edge]
+            gradient = self._schema_gradient(ElementKind.RELATION, relation)
+            if gradient is None:
                 continue
-            weight_sum_1 = float(
-                np.sum(np.minimum(self._snap.weights_1[triples_1[:, 0]], self._snap.weights_1[triples_1[:, 2]]))
-            )
-            weight_sum_2 = float(
-                np.sum(np.minimum(self._snap.weights_2[triples_2[:, 0]], self._snap.weights_2[triples_2[:, 2]]))
-            )
-            if weight_sum_1 < 1e-9 or weight_sum_2 < 1e-9:
-                continue
-            a = self._map_entity.T @ self._snap.mean_relations_1[r_pair.left]
-            b = self._snap.mean_relations_2[r_pair.right]
-            grad_a, grad_b = _cosine_gradient(a, b)
-            weight_left = min(self._snap.weights_1[edge.source.left], self._snap.weights_1[edge.target.left])
-            weight_right = min(self._snap.weights_2[edge.source.right], self._snap.weights_2[edge.target.right])
-            grad_left = (weight_left / weight_sum_1) * (self._map_entity @ grad_a)
+            mapped_a, grad_b, weight_sum_1, weight_sum_2 = gradient
+            target_left, target_right = self._entity_sides[target]
+            weight_left = min(weights_1[left], weights_1[target_left])
+            weight_right = min(weights_2[right], weights_2[target_right])
+            grad_left = (weight_left / weight_sum_1) * mapped_a
             grad_right = (weight_right / weight_sum_2) * grad_b
             power = float(np.sqrt(np.sum(grad_left**2) + np.sum(grad_right**2)))
-            if power >= self.config.min_power:
-                if power > powers.get(r_pair, 0.0):
-                    powers[r_pair] = min(power, 1.0)
-        return powers
+            key = graph.relation_offset + relation
+            if power >= min_power and power > powers.get(key, 0.0):
+                powers[key] = min(power, 1.0)
+        return _arrays(powers)
 
     # --------------------------------------------------------------- aggregates
-    def reachable_power(self, source: ElementPair) -> dict[ElementPair, float]:
+    def reachable_power(self, source: ElementPair) -> PairValues:
         """``I(q' | q)`` for every pair ``q'`` the source can influence."""
-        if source.kind is ElementKind.ENTITY:
-            powers = dict(self.entity_path_power(source))
-            for target, value in self.entity_to_class_power(source).items():
-                powers[target] = max(powers.get(target, 0.0), value)
-            for target, value in self.entity_to_relation_power(source).items():
-                powers[target] = max(powers.get(target, 0.0), value)
-            return powers
+        index = self.graph.pair_id(source)
+        if index is None or source.kind is ElementKind.CLASS:
+            # Class pairs do not propagate inference power in the paper's model.
+            return PairValues(self.graph, _NO_IDS, _NO_VALUES)
         if source.kind is ElementKind.RELATION:
             return self.relation_to_entity_power(source)
-        # Class pairs do not propagate inference power in the paper's model.
-        return {}
+        path_ids, path_powers = self._path_power(index)
+        schema_ids, schema_powers = self.schema_power(index)
+        return PairValues(
+            self.graph,
+            np.concatenate([path_ids, schema_ids]),
+            np.concatenate([path_powers, schema_powers]),
+        )
 
     def power_to_pool(self, source: ElementPair) -> float:
         """``I(P | q)`` of Eq. 23 for a singleton labelled set ``{q}``."""

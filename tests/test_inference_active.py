@@ -56,20 +56,24 @@ class TestAlignmentGraph:
         assert len(graph.entity_pairs) == len(entity_pool)
         assert graph.num_edges() > 0
         # every edge endpoint is in the pool
-        for edge in graph.edges:
-            assert (edge.source.left, edge.source.right) in entity_pool
-            assert (edge.target.left, edge.target.right) in entity_pool
+        for edge in range(graph.num_edges()):
+            source, _, target = graph.edge_pairs(edge)
+            assert (source.left, source.right) in entity_pool
+            assert (target.left, target.right) in entity_pool
 
     def test_class_membership_links(self, tiny_pair):
         entity_pool = {tuple(row) for row in tiny_pair.entity_match_ids().tolist()}
         graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, entity_pool)
-        assert len(graph.class_pair_members) > 0
+        assert len(graph.class_ids) > 0
+        assert graph.class_ptr[-1] == len(graph.class_ids)
 
     def test_neighbors_symmetric_closure(self, tiny_pair):
         entity_pool = {tuple(row) for row in tiny_pair.entity_match_ids().tolist()}
         graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, entity_pool)
-        for edge in graph.edges[:10]:
-            assert edge.target in graph.neighbors(edge.source)
+        # the out-edge index lists every edge exactly once, under its source
+        assert sorted(graph.out_edges.tolist()) == list(range(graph.num_edges()))
+        for edge, (source, _, _) in enumerate(graph.edges[:10].tolist()):
+            assert edge in graph.out_edges[graph.out_ptr[source] : graph.out_ptr[source + 1]]
 
     def test_empty_pool_gives_empty_graph(self, tiny_pair):
         graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, set())
@@ -80,32 +84,34 @@ class TestInferencePower:
     def test_edge_power_in_unit_interval(self, inference_setup):
         _, _, graph, estimator = inference_setup
         assert graph.num_edges() > 0
-        for edge in graph.edges[:20]:
+        for edge in range(20):
             power = estimator.edge_power(edge)
             assert 0.0 < power <= 1.0
 
     def test_zeroing_relation_difference_never_decreases_power(self, inference_setup):
         _, _, graph, estimator = inference_setup
-        for edge in graph.edges[:20]:
+        for edge in range(20):
             assert estimator.edge_power(edge, True) >= estimator.edge_power(edge) - 1e-12
 
     def test_path_power_reaches_neighbors(self, inference_setup):
         _, _, graph, estimator = inference_setup
-        source = next(pair for pair in graph.entity_pairs if graph.out_edges.get(pair))
+        source = graph.entity_pairs[int(graph.edges[0, 0])]
         powers = estimator.entity_path_power(source)
         assert powers
         assert all(0.0 < value <= 1.0 for value in powers.values())
 
     def test_reachable_power_entity_includes_schema_pairs(self, inference_setup):
         _, _, graph, estimator = inference_setup
-        source = next(pair for pair in graph.entity_pairs if graph.out_edges.get(pair))
+        source = graph.entity_pairs[int(graph.edges[0, 0])]
         reach = estimator.reachable_power(source)
         kinds = {pair.kind for pair in reach}
         assert ElementKind.ENTITY in kinds
 
     def test_relation_pair_power(self, inference_setup):
         _, _, graph, estimator = inference_setup
-        relation_pairs_with_edges = [p for p in graph.relation_pairs if graph.edges_by_relation_pair.get(p)]
+        relation_pairs_with_edges = [
+            p for i, p in enumerate(graph.relation_pairs) if graph.relation_ptr[i + 1] > graph.relation_ptr[i]
+        ]
         assert relation_pairs_with_edges
         powers = estimator.relation_to_entity_power(relation_pairs_with_edges[0])
         assert all(value <= 1.0 for value in powers.values())
@@ -215,6 +221,25 @@ class TestSelection:
         batch = greedy_select([a, b, c], probabilities, lambda q: reach[q],
                               GreedySelectionConfig(batch_size=2, num_samples=32), rng=0)
         assert c in batch
+
+    def test_gain_adds_terms_one_at_a_time(self):
+        # A's gain is the left-to-right sum of its powers, which equals B's
+        # single power exactly, so A wins the tie on rank.  A pairwise sum of
+        # A's powers comes out smaller and would hand the pick to B.
+        powers = np.random.default_rng(2).uniform(0.001, 0.05, 20).tolist()
+        in_order = 0.0
+        for value in powers:
+            in_order += value
+        assert float(np.sum(powers)) < in_order
+        a, b = entity_pair(0, 0), entity_pair(1, 1)
+        reach = {
+            a: {entity_pair(100 + i, 100 + i): value for i, value in enumerate(powers)},
+            b: {entity_pair(99, 99): in_order},
+        }
+        batch = greedy_select([a, b], {a: 0.5, b: 0.5}, lambda q: reach[q],
+                              GreedySelectionConfig(batch_size=1, num_samples=1,
+                                                    power_threshold=0.0), rng=0)
+        assert batch == [a]
 
     def test_expected_overall_power_nonnegative(self):
         pairs = [entity_pair(0, 0)]
