@@ -42,10 +42,10 @@ import numpy as np
 from conftest import BENCH_DATASETS, fitted_daakg, print_table, record_bench
 from repro.updates import KGDelta
 from repro.serving import (
-    AlignmentService,
     BackpressureError,
     FrontendConfig,
     ServingFrontend,
+    serve,
 )
 from repro.serving.service import ServingSnapshot
 
@@ -98,7 +98,7 @@ def test_serving_throughput(benchmark, tmp_path):
     save_seconds = time.perf_counter() - save_start
 
     load_start = time.perf_counter()
-    service = AlignmentService.from_checkpoint(checkpoint, max_batch=64, cache_size=0)
+    service = serve(checkpoint, max_batch=64, cache_size=0)
     load_seconds = time.perf_counter() - load_start
 
     kg1, kg2 = pipeline.kg1, pipeline.kg2
@@ -314,7 +314,7 @@ def test_serving_frontend_under_load(benchmark):
     rng = np.random.default_rng(1)
 
     def run() -> dict:
-        service = AlignmentService.from_pipeline(pipeline, max_batch=64, cache_size=0)
+        service = serve(pipeline, max_batch=64, cache_size=0)
 
         # -------- single-thread closed-loop baseline (direct calls)
         base_uris = [
@@ -393,9 +393,7 @@ def test_serving_frontend_under_load(benchmark):
             sweep.append(point)
 
         # -------- hot-swap + fold-in under a sustained closed-loop storm
-        storm_service = AlignmentService.from_pipeline(
-            pipeline, max_batch=64, cache_size=4096
-        )
+        storm_service = serve(pipeline, max_batch=64, cache_size=4096)
         storm_frontend = ServingFrontend(
             storm_service,
             FrontendConfig(num_workers=workers, max_queue_depth=4096, default_deadline_ms=25),

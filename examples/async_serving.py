@@ -27,10 +27,10 @@ from repro import DAAKG, DAAKGConfig, KGDelta, make_benchmark
 from repro.alignment.trainer import AlignmentTrainingConfig
 from repro.embedding.trainer import EmbeddingTrainingConfig
 from repro.serving import (
-    AlignmentService,
     BackpressureError,
     FrontendConfig,
     ServingFrontend,
+    serve,
 )
 from repro.utils.logging import enable_console_logging
 
@@ -59,7 +59,7 @@ def fit_pipeline() -> DAAKG:
 def main() -> None:
     enable_console_logging()
     pipeline = fit_pipeline()
-    service = AlignmentService.from_pipeline(pipeline, max_batch=64, cache_size=2048)
+    service = serve(pipeline, max_batch=64, cache_size=2048)
     kg1, kg2 = pipeline.kg1, pipeline.kg2
 
     # ------------------------------------------------ 1. storm through the

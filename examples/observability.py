@@ -28,7 +28,7 @@ from repro.active.loop import ActiveLearningConfig
 from repro.active.pool import PoolConfig
 from repro.alignment.trainer import AlignmentTrainingConfig
 from repro.embedding.trainer import EmbeddingTrainingConfig
-from repro.serving import AlignmentService
+from repro.serving import serve
 from repro.utils.logging import enable_console_logging
 
 
@@ -92,7 +92,7 @@ def main() -> None:
     print(f"artifacts written to {workdir}")
 
     # 4. Serving telemetry comes from the service's own always-on registry.
-    service = AlignmentService.from_campaign(campaign)
+    service = serve(campaign)
     uris = list(campaign.dataset.kg1.entities[:25])
     service.top_k_alignments(uris, k=5)
     service.top_k_alignments(uris, k=5)  # second pass hits the LRU

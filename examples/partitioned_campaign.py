@@ -26,7 +26,7 @@ from repro.active.loop import ActiveLearningConfig
 from repro.active.pool import PoolConfig
 from repro.alignment.trainer import AlignmentTrainingConfig
 from repro.embedding.trainer import EmbeddingTrainingConfig
-from repro.serving import AlignmentService
+from repro.serving import serve
 from repro.utils.logging import enable_console_logging
 
 
@@ -82,7 +82,7 @@ def main() -> None:
     print("merged entity scores:", scores["entity"].as_dict())
 
     # 5. Serve the merged state; hot-swap after further training.
-    service = AlignmentService.from_campaign(resumed)
+    service = serve(resumed)
     queries = pair.kg1.entities[:3]
     for uri, answers in zip(queries, service.top_k_alignments(queries, k=3)):
         print(f"  top-3 for {uri}: {answers}")

@@ -23,7 +23,7 @@ from repro.active.loop import ActiveLearningConfig, ActiveLearningLoop
 from repro.active.pool import PoolConfig
 from repro.alignment.trainer import AlignmentTrainingConfig
 from repro.embedding.trainer import EmbeddingTrainingConfig
-from repro.serving import AlignmentService
+from repro.serving import serve
 from repro.utils.logging import enable_console_logging
 
 
@@ -67,7 +67,7 @@ def main() -> None:
           f"final entity F1 = {records[-1].entity_scores.f1:.3f}")
 
     # 4. Serve alignment queries from the frozen checkpoint.
-    service = AlignmentService.from_checkpoint(fitted_ckpt)
+    service = serve(fitted_ckpt)
     queries = list(daakg.kg1.entities[:3])
     for uri, ranked in zip(queries, service.top_k_alignments(queries, k=3)):
         best = ", ".join(f"{name} ({score:.3f})" for name, score in ranked)

@@ -82,7 +82,6 @@ class KGEmbeddingModel(Module):
         self.kg = kg
         self.dim = dim
         self.rng = ensure_rng(rng)
-        self.forward_session = True
         self.forward_count = 0
         self._outputs_cache: ForwardOutputs | None = None
 
@@ -98,14 +97,11 @@ class KGEmbeddingModel(Module):
         step, ``renormalize`` or ``load_state_dict`` intervenes, every caller
         receives the *same* retained tensors and their gathers share one
         autograd graph.  A forward first taken under ``no_grad`` is replaced
-        by a differentiable one when a training-mode consumer asks.  Setting
-        ``forward_session = False`` restores the legacy one-forward-per-call
-        behaviour (used by parity tests and benchmarks).
+        by a differentiable one when a training-mode consumer asks.
         """
         cached = self._outputs_cache
         if (
-            self.forward_session
-            and cached is not None
+            cached is not None
             and cached.version == self.parameter_token()
             and (cached.differentiable or not is_grad_enabled())
         ):
@@ -118,8 +114,7 @@ class KGEmbeddingModel(Module):
         self.forward_count += 1
         obs.counter("embedding.forward.computed").inc()
         entry = ForwardOutputs(entities, relations, self.parameter_token())
-        if self.forward_session:
-            self._outputs_cache = entry
+        self._outputs_cache = entry
         return entry
 
     def invalidate_outputs(self) -> None:

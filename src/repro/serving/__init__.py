@@ -1,10 +1,12 @@
 """Online serving of alignment queries from frozen pipeline snapshots.
 
-:class:`AlignmentService` loads a checkpoint (or wraps a fitted pipeline) and
-answers ``top_k_alignments`` / ``score_pairs`` queries from the cached
-similarity matrices, with request micro-batching, a state-token-keyed LRU
-result cache, atomic hot-swap to newer checkpoints, and incremental fold-in
-of new entities without recomputing the full similarity state.
+:class:`AlignmentService` answers ``top_k_alignments`` / ``score_pairs``
+queries from a frozen :class:`ServingSnapshot` of the similarity matrices,
+with request micro-batching, a state-token-keyed LRU result cache, atomic
+hot-swap to newer checkpoints, and all-or-nothing fold-in of new entities
+(:meth:`AlignmentService.apply_delta`) without recomputing the full
+similarity state.  Every snapshot carries one fold context per trained
+embedding space: a pipeline is a one-piece campaign.
 
 :class:`ServingFrontend` puts a concurrent dispatcher in front of a service:
 a bounded admission queue with typed load-shedding

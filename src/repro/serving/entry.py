@@ -5,13 +5,11 @@ whatever the rest of the stack produces — a fitted :class:`~repro.core.daakg.D
 pipeline, a :class:`~repro.active.campaign.PartitionedCampaign`, a prebuilt
 :class:`~repro.serving.service.ServingSnapshot`, or a path to a pipeline
 checkpoint or saved campaign directory — resolves it through the same
-``_snapshot_from_source`` dispatch the service constructors use, and returns
-either a bare :class:`AlignmentService` or a started
-:class:`~repro.serving.frontend.ServingFrontend` around it.
-
-The ``AlignmentService.from_pipeline`` / ``from_campaign`` /
-``from_checkpoint`` constructors remain as delegating aliases for callers
-that know their source kind and want the narrower signature.
+``_snapshot_from_source`` dispatch :meth:`AlignmentService.hot_swap` uses,
+and returns either a bare :class:`AlignmentService` or a started
+:class:`~repro.serving.frontend.ServingFrontend` around it.  Whatever the
+source, the snapshot has one shape: a pipeline is served as a one-piece
+campaign.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ Design points:
   snapshot reference is read once per call (readers fan out over the frozen
   state without any global lock), while the mutable extras — the LRU result
   cache, the pending micro-batch queue and the stats counters — each take
-  their own fine-grained lock.  ``hot_swap`` / ``fold_in`` serialise their
-  read-modify-write of the snapshot reference behind a swap lock.
+  their own fine-grained lock.  ``hot_swap`` / ``apply_delta`` serialise
+  their read-modify-write of the snapshot reference behind a swap lock.
 * **Incremental fold-in** — a new entity arriving with its triples gets an
   output-space embedding optimised against the frozen model (a few gradient
   steps on only the new row, via ``score_np_grad_head`` /
@@ -36,15 +36,15 @@ Design points:
   as one new row/column — an ``O(n·d)`` update instead of the ``O(n₁·n₂·d)``
   full similarity recompute.  Folded-in columns carry the embedding channel
   only (no structural propagation), matching how a cold entity would score
-  before the next full training round.  Merged campaign snapshots fold in
-  too: each piece's frozen model travels with the snapshot as a
-  :class:`_PieceFoldContext`, the new entity is optimised against the single
-  piece that owns all of its neighbours, and its similarity row/column is
-  scattered into the global merged view (zero outside the owning piece —
-  exactly the cut semantics of the partitioner).  The preferred ingestion
-  surface is :meth:`AlignmentService.apply_delta` on a pure-growth
-  :class:`~repro.updates.delta.KGDelta`; ``fold_in(name, triples, side)`` is
-  a deprecated single-entity wrapper around it.
+  before the next full training round.  Every snapshot carries one
+  :class:`_PieceFoldContext` per trained embedding space: a pipeline is a
+  one-piece campaign whose context maps local to global ids by identity,
+  and a merged campaign carries one context per piece.  The new entity is
+  optimised against the single piece that owns all of its neighbours, and
+  its similarity row/column is scattered into the global view (zero outside
+  the owning piece — exactly the cut semantics of the partitioner).  The
+  ingestion surface is :meth:`AlignmentService.apply_delta` on a
+  pure-growth :class:`~repro.updates.delta.KGDelta`, applied all or nothing.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ import itertools
 import os
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -70,6 +69,7 @@ from repro.utils.math import l2_normalize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with core
     from repro.active.campaign import PartitionedCampaign
+    from repro.alignment.model import JointAlignmentModel
     from repro.core.daakg import DAAKG
     from repro.embedding.base import KGEmbeddingModel
     from repro.serving.frontend import ServingFrontend
@@ -91,14 +91,15 @@ _TOKEN_COUNTER = itertools.count()
 
 @dataclass(frozen=True, eq=False)
 class _PieceFoldContext:
-    """One campaign piece's frozen fold-in state inside a merged snapshot.
+    """One trained embedding space's frozen fold-in state inside a snapshot.
 
-    Carries exactly what a single-pipeline snapshot carries for fold-in —
-    the piece's working vocabularies, output-space matrices and frozen
-    models — plus the local→global id maps (``rows_global``/``cols_global``)
-    that place the piece's rows and columns inside the merged similarity
-    view.  Immutable like the snapshot itself: a fold-in builds a *replaced*
-    context with the new entity appended, never mutates one in place.
+    Carries the piece's working vocabularies, output-space matrices and
+    frozen models, plus the local→global id maps (``rows_global`` /
+    ``cols_global``) that place the piece's rows and columns inside the
+    snapshot's similarity view.  A pipeline snapshot has exactly one context
+    whose maps are the identity.  Immutable like the snapshot itself: a
+    fold-in builds a *replaced* context with the new entity appended, never
+    mutates one in place.
     """
 
     index: int
@@ -115,68 +116,28 @@ class _PieceFoldContext:
     norm_out_2: np.ndarray  # unit rows of entity_out_2
     model_1: "KGEmbeddingModel"
     model_2: "KGEmbeddingModel"
-    rows_global: np.ndarray  # global merged row id of each local side-1 row
-    cols_global: np.ndarray  # global merged col id of each local side-2 row
-
-
-@dataclass(frozen=True)
-class ServingSnapshot:
-    """One immutable serving state: matrices, vocabularies, fold-in support."""
-
-    token: str
-    entity_names_1: tuple[str, ...]
-    entity_names_2: tuple[str, ...]
-    entity_index_1: dict[str, int]
-    entity_index_2: dict[str, int]
-    relation_index_1: dict[str, int]
-    relation_index_2: dict[str, int]
-    similarity: dict[ElementKind, SimilarityView]
-    map_entity: np.ndarray
-    entity_out_1: np.ndarray
-    entity_out_2: np.ndarray
-    relation_out_1: np.ndarray
-    relation_out_2: np.ndarray
-    norm_mapped_1: np.ndarray  # unit rows of entity_out_1 @ map_entity
-    norm_out_2: np.ndarray  # unit rows of entity_out_2
-    model_1: "KGEmbeddingModel"
-    model_2: "KGEmbeddingModel"
-    calibrator: AlignmentCalibrator
-    fold_count: int = 0
-    # False only for degraded snapshots that genuinely carry no frozen model
-    # state to optimise a new entity against (neither per-side models nor
-    # per-piece fold contexts) — fold-in is refused instead of silently
-    # computing garbage.  Pipeline snapshots carry ``model_1``/``model_2``;
-    # merged campaign snapshots carry one ``_PieceFoldContext`` per piece.
-    fold_in_supported: bool = True
-    # Per-piece fold contexts of a merged campaign snapshot; ``None`` for
-    # single-pipeline snapshots (which fold against ``model_1``/``model_2``).
-    pieces: "tuple[_PieceFoldContext, ...] | None" = None
+    rows_global: np.ndarray  # global row id of each local side-1 row
+    cols_global: np.ndarray  # global col id of each local side-2 row
 
     @classmethod
-    def from_pipeline(cls, daakg: "DAAKG", token: str | None = None) -> "ServingSnapshot":
-        """Freeze a fitted pipeline's current similarity state for serving."""
-        model = daakg.model
-        engine = model.similarity
-        similarity = engine.export_state()
-        snap = engine.snapshot
-        if token is None:
-            token = f"mem-{next(_TOKEN_COUNTER)}-{engine.backend_name}-" + "-".join(
-                str(v) for v in engine.state_token()
-            )
-        else:
-            token = f"{token}-{engine.backend_name}"
+    def freeze(
+        cls,
+        index: int,
+        model: "JointAlignmentModel",
+        rows_global: np.ndarray,
+        cols_global: np.ndarray,
+    ) -> "_PieceFoldContext":
+        """Copy ``model``'s current fold-in state into a frozen context."""
+        snap = model.similarity.snapshot
         entity_out_1 = snap.entity_matrix_1.copy()
         entity_out_2 = snap.entity_matrix_2.copy()
         map_entity = model.map_entity.data.copy()
         return cls(
-            token=token,
-            entity_names_1=tuple(model.kg1.entities),
-            entity_names_2=tuple(model.kg2.entities),
+            index=index,
             entity_index_1=dict(model.kg1.entity_index),
             entity_index_2=dict(model.kg2.entity_index),
             relation_index_1=dict(model.kg1.relation_index),
             relation_index_2=dict(model.kg2.relation_index),
-            similarity=similarity,
             map_entity=map_entity,
             entity_out_1=entity_out_1,
             entity_out_2=entity_out_2,
@@ -186,7 +147,69 @@ class ServingSnapshot:
             norm_out_2=l2_normalize(entity_out_2),
             model_1=model.model1,
             model_2=model.model2,
+            rows_global=rows_global,
+            cols_global=cols_global,
+        )
+
+
+@dataclass(frozen=True)
+class ServingSnapshot:
+    """One immutable serving state: matrices, vocabularies, fold contexts.
+
+    ``pieces`` holds one :class:`_PieceFoldContext` per trained embedding
+    space — one with identity maps for a pipeline, one per piece for a
+    merged campaign — and may not be empty.
+    """
+
+    token: str
+    entity_names_1: tuple[str, ...]
+    entity_names_2: tuple[str, ...]
+    entity_index_1: dict[str, int]
+    entity_index_2: dict[str, int]
+    relation_index_1: dict[str, int]
+    relation_index_2: dict[str, int]
+    similarity: dict[ElementKind, SimilarityView]
+    calibrator: AlignmentCalibrator
+    pieces: tuple[_PieceFoldContext, ...]
+    fold_count: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.pieces:
+            raise ValueError("a ServingSnapshot needs at least one fold context")
+
+    @classmethod
+    def from_pipeline(cls, daakg: "DAAKG", token: str | None = None) -> "ServingSnapshot":
+        """Freeze a fitted pipeline's current similarity state for serving.
+
+        The pipeline is served as a one-piece campaign: one fold context
+        whose local→global maps are the identity.
+        """
+        model = daakg.model
+        engine = model.similarity
+        similarity = engine.export_state()
+        if token is None:
+            token = f"mem-{next(_TOKEN_COUNTER)}-{engine.backend_name}-" + "-".join(
+                str(v) for v in engine.state_token()
+            )
+        else:
+            token = f"{token}-{engine.backend_name}"
+        context = _PieceFoldContext.freeze(
+            0,
+            model,
+            rows_global=np.arange(model.kg1.num_entities, dtype=np.int64),
+            cols_global=np.arange(model.kg2.num_entities, dtype=np.int64),
+        )
+        return cls(
+            token=token,
+            entity_names_1=tuple(model.kg1.entities),
+            entity_names_2=tuple(model.kg2.entities),
+            entity_index_1=dict(model.kg1.entity_index),
+            entity_index_2=dict(model.kg2.entity_index),
+            relation_index_1=dict(model.kg1.relation_index),
+            relation_index_2=dict(model.kg2.relation_index),
+            similarity=similarity,
             calibrator=AlignmentCalibrator(daakg.config.calibration),
+            pieces=(context,),
         )
 
     @classmethod
@@ -195,14 +218,11 @@ class ServingSnapshot:
 
         The snapshot serves ``top_k_alignments`` / ``score_pairs`` /
         ``pair_probabilities`` from the merged streamed views over the
-        original pair's vocabularies.  Fold-in is supported through the
-        per-piece fold contexts (``pieces``): a new entity is optimised
-        against the frozen model of the single piece that owns all of its
-        neighbours and scattered into the merged view at that piece's
-        global ids.  A campaign with unfinished pieces (never run, or
-        pieces that failed on their executor) raises
-        ``CampaignExecutionError`` here instead of serving a partial merge;
-        ``campaign.run()`` re-executes exactly the unfinished pieces.
+        original pair's vocabularies, with one fold context per piece.  A
+        campaign with unfinished pieces (never run, or pieces that failed on
+        their executor) raises ``CampaignExecutionError`` here instead of
+        serving a partial merge; ``campaign.run()`` re-executes exactly the
+        unfinished pieces.
         """
         from repro.active.campaign import _augmented_kgs  # circular at module level
 
@@ -217,30 +237,14 @@ class ServingSnapshot:
         contexts = []
         for index in range(campaign.num_partitions):
             model = campaign.pipeline(index).model
-            snap = model.similarity.snapshot
-            entity_out_1 = snap.entity_matrix_1.copy()
-            entity_out_2 = snap.entity_matrix_2.copy()
-            map_entity = model.map_entity.data.copy()
+            # piece working names are a subset of the global working names
+            # (augmentation only appends), so name lookup is the robust
+            # local→global map even across inverse-relation and
+            # class-pseudo-entity augmentation
             contexts.append(
-                _PieceFoldContext(
-                    index=index,
-                    entity_index_1=dict(model.kg1.entity_index),
-                    entity_index_2=dict(model.kg2.entity_index),
-                    relation_index_1=dict(model.kg1.relation_index),
-                    relation_index_2=dict(model.kg2.relation_index),
-                    map_entity=map_entity,
-                    entity_out_1=entity_out_1,
-                    entity_out_2=entity_out_2,
-                    relation_out_1=snap.relation_matrix_1.copy(),
-                    relation_out_2=snap.relation_matrix_2.copy(),
-                    norm_mapped_1=l2_normalize(entity_out_1 @ map_entity),
-                    norm_out_2=l2_normalize(entity_out_2),
-                    model_1=model.model1,
-                    model_2=model.model2,
-                    # piece working names are a subset of the global working
-                    # names (augmentation only appends), so name lookup is the
-                    # robust local→global map even across inverse-relation and
-                    # class-pseudo-entity augmentation
+                _PieceFoldContext.freeze(
+                    index,
+                    model,
                     rows_global=np.array(
                         [kg1.entity_index[name] for name in model.kg1.entities],
                         dtype=np.int64,
@@ -251,7 +255,6 @@ class ServingSnapshot:
                     ),
                 )
             )
-        empty = np.empty((0, 0))
         return cls(
             token=token,
             entity_names_1=tuple(kg1.entities),
@@ -261,15 +264,6 @@ class ServingSnapshot:
             relation_index_1=dict(kg1.relation_index),
             relation_index_2=dict(kg2.relation_index),
             similarity=merged.export_state(),
-            map_entity=empty,
-            entity_out_1=empty,
-            entity_out_2=empty,
-            relation_out_1=empty,
-            relation_out_2=empty,
-            norm_mapped_1=empty,
-            norm_out_2=empty,
-            model_1=None,
-            model_2=None,
             calibrator=AlignmentCalibrator(campaign.config.calibration),
             pieces=tuple(contexts),
         )
@@ -280,13 +274,14 @@ def _snapshot_from_source(
 ) -> ServingSnapshot:
     """Resolve any serving source to one frozen :class:`ServingSnapshot`.
 
-    The single dispatch point behind :func:`repro.serving.serve`, the
-    ``AlignmentService.from_*`` constructors and :meth:`AlignmentService.hot_swap`:
+    The single dispatch point behind :func:`repro.serving.serve` and
+    :meth:`AlignmentService.hot_swap`:
 
     * a :class:`ServingSnapshot` passes through unchanged,
-    * a fitted :class:`~repro.core.daakg.DAAKG` freezes via ``from_pipeline``,
+    * a fitted :class:`~repro.core.daakg.DAAKG` freezes via ``from_pipeline``
+      (a one-piece snapshot),
     * a :class:`~repro.active.campaign.PartitionedCampaign` freezes its
-      merged state via ``from_campaign``,
+      merged state via ``from_campaign`` (one fold context per piece),
     * a path is a saved campaign directory (recognised by its manifest file)
       or a pipeline checkpoint — checkpoint tokens are content hashes, so
       cached results can never leak across checkpoints.
@@ -310,6 +305,37 @@ def _snapshot_from_source(
     checkpoint = load_checkpoint(path)
     token = "ckpt-" + checkpoint.manifest["arrays"]["sha256"][:16]
     return ServingSnapshot.from_pipeline(restore_pipeline(checkpoint), token=token)
+
+
+def _bucket_triples(
+    new_names: Sequence[str], triples: Sequence[tuple[str, str, str]], side: int
+) -> list[tuple[str, list[tuple[str, str, str]]]]:
+    """Assign each added triple of one side to the added entity it places.
+
+    Returns ``(entity, triples)`` in fold order.  A triple between two added
+    entities belongs to the later one: by fold order its partner already
+    exists.  Raises :class:`ServingError` for a triple that names existing
+    entities only, or an added entity left without any triple.
+    """
+    order = {entity: i for i, entity in enumerate(new_names)}
+    buckets: dict[str, list[tuple[str, str, str]]] = {entity: [] for entity in new_names}
+    for triple in triples:
+        head, _, tail = triple
+        owners = [endpoint for endpoint in (head, tail) if endpoint in order]
+        if not owners:
+            raise ServingError(
+                f"added triple {triple!r} must connect an added entity: it names "
+                f"existing side-{side} entities only; serving fold-in cannot update "
+                "frozen rows — use PartitionedCampaign.apply_update() then hot_swap()"
+            )
+        buckets[max(owners, key=order.__getitem__)].append(triple)
+    for entity, placed in buckets.items():
+        if not placed:
+            raise ServingError(
+                f"added entity {entity!r} arrives with no side-{side} triples; "
+                "fold-in needs at least one triple to place it"
+            )
+    return list(buckets.items())
 
 
 @dataclass
@@ -386,7 +412,7 @@ class ServiceStats:
 
 
 class AlignmentService:
-    """Read-optimised alignment queries over a frozen pipeline snapshot."""
+    """Read-optimised alignment queries over a frozen serving snapshot."""
 
     def __init__(
         self,
@@ -407,7 +433,7 @@ class AlignmentService:
         # Fine-grained synchronization: queries read the snapshot reference
         # once and fan out lock-free over the frozen arrays; only the mutable
         # extras take a lock, each its own so readers never contend across
-        # concerns.  The swap lock serialises hot_swap/fold_in — the only
+        # concerns.  The swap lock serialises hot_swap/apply_delta — the only
         # read-modify-write of the snapshot reference.
         self._cache_lock = threading.Lock()
         self._pending_lock = threading.Lock()
@@ -434,32 +460,6 @@ class AlignmentService:
         self._flush_counter = self.obs.counter("service.flushes.total")
         self._swap_counter = self.obs.counter("service.hot_swaps.total")
         self._fold_counter = self.obs.counter("service.fold_ins.total")
-
-    # ------------------------------------------------------------ constructors
-    #
-    # All three are thin delegating aliases of ``_snapshot_from_source`` —
-    # :func:`repro.serving.serve` is the unified entry point; these stay for
-    # callers that know their source kind and want the narrower signature.
-    @classmethod
-    def from_pipeline(cls, daakg: "DAAKG", **kwargs) -> "AlignmentService":
-        """Serve directly from a fitted in-memory pipeline."""
-        return cls(_snapshot_from_source(daakg), **kwargs)
-
-    @classmethod
-    def from_campaign(cls, campaign, **kwargs) -> "AlignmentService":
-        """Serve a partition-parallel campaign's merged similarity state."""
-        return cls(_snapshot_from_source(campaign), **kwargs)
-
-    @classmethod
-    def from_checkpoint(cls, path: str | os.PathLike, **kwargs) -> "AlignmentService":
-        """Serve a checkpoint: ``DAAKG.save`` output or a saved campaign dir.
-
-        A pipeline checkpoint's state token is its content hash, so results
-        cached against one checkpoint can never leak into another; a campaign
-        directory (recognised by its manifest) is loaded and its merged
-        state served.
-        """
-        return cls(_snapshot_from_source(path), **kwargs)
 
     # ----------------------------------------------------------------- lookups
     @property
@@ -699,11 +699,16 @@ class AlignmentService:
         Serving can absorb *growth* only: added entities, each arriving with
         the triples that place it.  Every added triple must involve at least
         one added entity (triples between two added entities are folded with
-        the later one, when its partner already exists); each entity is
-        folded through the same gradient refinement as a single
-        :meth:`fold_in`, and all folds of one delta are applied under one
-        swap lock — a concurrent reader observes the delta atomically per
-        entity, never a half-written snapshot.
+        the later one, when its partner already exists).  Each entity gets
+        an output-space embedding refined against the frozen model of the
+        piece that owns its neighbours, and is appended to the similarity
+        view as one new row (side 1) or column (side 2).
+
+        The delta is applied all or nothing: the triples of both sides are
+        validated and bucketed before anything is folded, every fold builds
+        on a local snapshot, and the service publishes that snapshot once
+        at the end.  A delta that fails anywhere leaves the served state,
+        its token and the fold counters untouched.
 
         Everything else a delta can carry — triple removals, gold-link
         additions or retractions, triples between *existing* entities —
@@ -722,132 +727,46 @@ class AlignmentService:
                 "triples); triple removals and gold-link changes need a retrain "
                 "— use PartitionedCampaign.apply_update() then hot_swap()"
             )
-        self._check_fold_in_supported()
+        plan = [
+            (side, entity, triples)
+            for side in (1, 2)
+            for entity, triples in _bucket_triples(
+                delta.entities(side), delta.triples(side), side
+            )
+        ]
         reports: list[FoldInReport] = []
         with self._swap_lock:
-            for side in (1, 2):
-                new_names = delta.added_entities_1 if side == 1 else delta.added_entities_2
-                side_triples = delta.added_triples_1 if side == 1 else delta.added_triples_2
-                order = {entity: i for i, entity in enumerate(new_names)}
-                buckets: dict[str, list[tuple[str, str, str]]] = {
-                    entity: [] for entity in new_names
-                }
-                for triple in side_triples:
-                    head, _, tail = triple
-                    owners = [endpoint for endpoint in (head, tail) if endpoint in order]
-                    if not owners:
-                        raise ServingError(
-                            f"added triple {triple!r} must connect an added entity: "
-                            f"it names existing side-{side} "
-                            "entities only; serving fold-in cannot update frozen "
-                            "rows — use PartitionedCampaign.apply_update() then "
-                            "hot_swap()"
-                        )
-                    # a triple between two added entities belongs to the later
-                    # one: by fold order its partner already exists
-                    owner = max(owners, key=order.__getitem__)
-                    buckets[owner].append(triple)
-                for entity in new_names:
-                    if not buckets[entity]:
-                        raise ServingError(
-                            f"added entity {entity!r} arrives with no side-{side} "
-                            "triples; fold-in needs at least one to place it"
-                        )
-                    start = time.perf_counter()
-                    reports.append(
-                        self._fold_in_locked(entity, buckets[entity], side, steps, lr, start)
+            # the read-modify-write of the snapshot reference can neither be
+            # lost nor observed half-applied: queries keep reading whichever
+            # snapshot is current until the single assignment below
+            state = self._state
+            for side, name, triples in plan:
+                start = time.perf_counter()
+                state = self._fold(state, name, triples, side, steps, lr)
+                names = state.entity_names_1 if side == 1 else state.entity_names_2
+                reports.append(
+                    FoldInReport(
+                        name=name,
+                        side=side,
+                        index=len(names) - 1,
+                        num_triples=len(triples),
+                        seconds=time.perf_counter() - start,
+                        token=state.token,
                     )
+                )
+            self._state = state
+        self.stats.bump("folds", len(reports))
+        self._fold_counter.inc(len(reports))
+        for report in reports:
+            logger.info(
+                "folded in %s on side %d (%d triples, %.2f ms)",
+                report.name, report.side, report.num_triples, report.seconds * 1e3,
+            )
         return reports
 
-    def fold_in(
-        self,
-        name: str,
-        triples: Sequence[tuple[str, str, str]],
-        side: int = 2,
-        steps: int = 15,
-        lr: float = 0.1,
-    ) -> FoldInReport:
-        """Add one new entity to the serving state without a full recompute.
-
-        .. deprecated::
-            ``fold_in(name, triples, side)`` is a thin wrapper over a
-            single-entity delta; build a
-            :meth:`KGDelta.single_entity <repro.updates.delta.KGDelta.single_entity>`
-            (or any pure-growth delta) and call :meth:`apply_delta` instead.
-
-        ``triples`` are ``(head, relation, tail)`` name triples in which
-        ``name`` appears as head or tail and every other element already
-        exists on ``side``.  The new entity's output-space embedding starts
-        from the translational estimate implied by its neighbours and is
-        refined by ``steps`` gradient steps of the frozen model's ``f_er`` —
-        only the new row moves.  It is then appended to the cached similarity
-        matrix as one new column (``side=2``) or row (``side=1``), and the
-        whole updated state replaces the old one atomically.
-        """
-        warnings.warn(
-            "AlignmentService.fold_in(name, triples, side) is deprecated; build "
-            "a KGDelta (e.g. KGDelta.single_entity) and call apply_delta()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if side not in (1, 2):
-            raise ValueError("side must be 1 or 2")
-        self._check_fold_in_supported()
-        if not triples:
-            raise ServingError(f"fold-in of {name!r} needs at least one triple")
-        from repro.updates.delta import KGDelta  # circular at module level
-
-        reports = self.apply_delta(
-            KGDelta.single_entity(name, triples, side=side), steps=steps, lr=lr
-        )
-        return reports[0]
-
-    def _check_fold_in_supported(self) -> None:
-        if not self._state.fold_in_supported:
-            raise ServingError(
-                "fold-in is not supported on this snapshot: it carries neither "
-                "frozen per-side models nor per-piece fold contexts to optimise "
-                "a new entity against; hot-swap a snapshot built from a "
-                "pipeline, campaign or checkpoint instead"
-            )
-
-    def _fold_in_locked(
-        self,
-        name: str,
-        triples: Sequence[tuple[str, str, str]],
-        side: int,
-        steps: int,
-        lr: float,
-        start: float,
-    ) -> FoldInReport:
-        # caller holds the swap lock: the read-modify-write of the snapshot
-        # reference can neither be lost nor observed half-applied (queries
-        # keep reading whichever snapshot is current)
-        state = self._state
-        if state.pieces is not None:
-            new_state = self._fold_into_merged(state, name, triples, side, steps, lr)
-        else:
-            new_state = self._fold_into_pipeline(state, name, triples, side, steps, lr)
-        self._state = new_state
-        self.stats.bump("folds")
-        self._fold_counter.inc()
-        index = self.num_entities(side) - 1
-        report = FoldInReport(
-            name=name,
-            side=side,
-            index=index,
-            num_triples=len(triples),
-            seconds=time.perf_counter() - start,
-            token=new_state.token,
-        )
-        logger.info(
-            "folded in %s on side %d (%d triples, %.2f ms)",
-            name, side, len(triples), report.seconds * 1e3,
-        )
-        return report
-
-    def _fold_into_pipeline(
-        self,
+    @classmethod
+    def _fold(
+        cls,
         state: ServingSnapshot,
         name: str,
         triples: Sequence[tuple[str, str, str]],
@@ -855,42 +774,17 @@ class AlignmentService:
         steps: int,
         lr: float,
     ) -> ServingSnapshot:
-        entity_index = state.entity_index_1 if side == 1 else state.entity_index_2
-        if name in entity_index:
-            raise ServingError(f"entity {name!r} already exists on side {side}")
-        vector = self._solve_fold_vector(
-            name,
-            triples,
-            side,
-            entity_index=entity_index,
-            relation_index=state.relation_index_1 if side == 1 else state.relation_index_2,
-            entity_out=state.entity_out_1 if side == 1 else state.entity_out_2,
-            relation_out=state.relation_out_1 if side == 1 else state.relation_out_2,
-            model=state.model_1 if side == 1 else state.model_2,
-            steps=steps,
-            lr=lr,
-        )
-        return self._append_entity(state, side, name, vector)
+        """A new snapshot with ``name`` folded into the piece owning its neighbours.
 
-    def _fold_into_merged(
-        self,
-        state: ServingSnapshot,
-        name: str,
-        triples: Sequence[tuple[str, str, str]],
-        side: int,
-        steps: int,
-        lr: float,
-    ) -> ServingSnapshot:
-        """Fold ``name`` into the piece owning all of its neighbours.
-
-        Partitions train independent embedding spaces, so the new entity can
+        Pieces train independent embedding spaces, so the new entity can
         only be optimised inside one of them: the (first) piece whose
         side-``side`` vocabulary contains every neighbour entity and every
         relation of ``triples``.  Its similarity row/column is scattered into
-        the merged view at the piece's global ids and left zero elsewhere —
-        the same no-cross-piece-evidence semantics the partition cut gives
-        trained entities.  A delta whose neighbours span several pieces has
-        no such owner and must go through the campaign retrain path.
+        the view at the piece's global ids and left zero elsewhere — the
+        same no-cross-piece-evidence semantics the partition cut gives
+        trained entities.  A pipeline's single piece owns every known
+        entity and relation.  A delta whose neighbours span several pieces
+        has no such owner and must go through the campaign retrain path.
         """
         global_index = state.entity_index_1 if side == 1 else state.entity_index_2
         if name in global_index:
@@ -908,20 +802,15 @@ class AlignmentService:
                     f"fold-in triple {(head, relation, tail)!r} must connect "
                     f"{name!r} to an existing side-{side} entity"
                 )
-        context = None
-        position = -1
-        for candidate_position, candidate in enumerate(state.pieces):
-            entity_index = candidate.entity_index_1 if side == 1 else candidate.entity_index_2
-            relation_index = (
-                candidate.relation_index_1 if side == 1 else candidate.relation_index_2
+        for position, candidate in enumerate(state.pieces):
+            entity_index, relation_index = (
+                (candidate.entity_index_1, candidate.relation_index_1)
+                if side == 1
+                else (candidate.entity_index_2, candidate.relation_index_2)
             )
-            if all(n in entity_index for n in neighbours) and all(
-                r in relation_index for r in relations
-            ):
-                context = candidate
-                position = candidate_position
+            if neighbours <= entity_index.keys() and relations <= relation_index.keys():
                 break
-        if context is None:
+        else:
             for neighbour in neighbours:
                 if neighbour not in global_index:
                     raise ServingError(f"unknown KG{side} entity {neighbour!r}")
@@ -937,37 +826,27 @@ class AlignmentService:
                 "through PartitionedCampaign.apply_update() and hot_swap() the "
                 "retrained campaign instead"
             )
-        vector = self._solve_fold_vector(
-            name,
-            triples,
-            side,
-            entity_index=context.entity_index_1 if side == 1 else context.entity_index_2,
-            relation_index=(
-                context.relation_index_1 if side == 1 else context.relation_index_2
-            ),
-            entity_out=context.entity_out_1 if side == 1 else context.entity_out_2,
-            relation_out=context.relation_out_1 if side == 1 else context.relation_out_2,
-            model=context.model_1 if side == 1 else context.model_2,
-            steps=steps,
-            lr=lr,
-        )
-        return self._append_entity_merged(state, position, side, name, vector)
+        vector = cls._solve_fold_vector(name, triples, side, state.pieces[position], steps, lr)
+        return cls._append_to_piece(state, position, side, name, vector)
 
     @staticmethod
     def _solve_fold_vector(
         name: str,
         triples: Sequence[tuple[str, str, str]],
         side: int,
-        *,
-        entity_index: dict[str, int],
-        relation_index: dict[str, int],
-        entity_out: np.ndarray,
-        relation_out: np.ndarray,
-        model: "KGEmbeddingModel",
+        context: _PieceFoldContext,
         steps: int,
         lr: float,
     ) -> np.ndarray:
-        """The new entity's output-space embedding, refined against ``model``."""
+        """The new entity's output-space embedding, refined against the piece's model."""
+        if side == 1:
+            entity_index, relation_index = context.entity_index_1, context.relation_index_1
+            entity_out, relation_out = context.entity_out_1, context.relation_out_1
+            model = context.model_1
+        else:
+            entity_index, relation_index = context.entity_index_2, context.relation_index_2
+            entity_out, relation_out = context.entity_out_2, context.relation_out_2
+            model = context.model_2
         head_role: list[tuple[np.ndarray, np.ndarray]] = []  # (r_vec, tail_vec)
         tail_role: list[tuple[np.ndarray, np.ndarray]] = []  # (head_vec, r_vec)
         estimates: list[np.ndarray] = []
@@ -1010,67 +889,25 @@ class AlignmentService:
         return vector
 
     @staticmethod
-    def _append_entity(
-        state: ServingSnapshot, side: int, name: str, vector: np.ndarray
-    ) -> ServingSnapshot:
-        """A new snapshot with ``vector`` appended on ``side`` (O(n·d) work).
-
-        The explicitly-computed similarity row/column (embedding channel
-        only — a cold entity has no structural evidence before the next full
-        training round) is appended through the view, so dense views grow
-        their matrix while streamed views collect it in a small tail shard.
-        """
-        similarity = dict(state.similarity)
-        entity_view = similarity[ElementKind.ENTITY]
-        token = f"{state.token}+fold{state.fold_count + 1}"
-        if side == 2:
-            unit = l2_normalize(vector)
-            column = state.norm_mapped_1 @ unit
-            similarity[ElementKind.ENTITY] = entity_view.append_col(column)
-            index = dict(state.entity_index_2)
-            index[name] = len(state.entity_names_2)
-            return replace(
-                state,
-                token=token,
-                fold_count=state.fold_count + 1,
-                similarity=similarity,
-                entity_names_2=state.entity_names_2 + (name,),
-                entity_index_2=index,
-                entity_out_2=np.concatenate([state.entity_out_2, vector[None, :]]),
-                norm_out_2=np.concatenate([state.norm_out_2, unit[None, :]]),
-            )
-        mapped_unit = l2_normalize(vector @ state.map_entity)
-        row = state.norm_out_2 @ mapped_unit
-        similarity[ElementKind.ENTITY] = entity_view.append_row(row)
-        index = dict(state.entity_index_1)
-        index[name] = len(state.entity_names_1)
-        return replace(
-            state,
-            token=token,
-            fold_count=state.fold_count + 1,
-            similarity=similarity,
-            entity_names_1=state.entity_names_1 + (name,),
-            entity_index_1=index,
-            entity_out_1=np.concatenate([state.entity_out_1, vector[None, :]]),
-            norm_mapped_1=np.concatenate([state.norm_mapped_1, mapped_unit[None, :]]),
-        )
-
-    @staticmethod
-    def _append_entity_merged(
+    def _append_to_piece(
         state: ServingSnapshot,
         position: int,
         side: int,
         name: str,
         vector: np.ndarray,
     ) -> ServingSnapshot:
-        """A new merged snapshot with ``vector`` folded into one piece.
+        """A new snapshot with ``vector`` folded into one piece (O(n·d) work).
 
-        The appended similarity row/column is non-zero only at the owning
-        piece's global ids (embedding channel of that piece's frozen space);
-        every other piece contributes zero — a folded entity has no
-        cross-piece evidence, exactly like a trained entity across the cut.
-        Both the global snapshot and the owning piece's context grow by one
-        entity, so later folds can neighbour on this one.
+        The appended similarity row/column is the embedding channel of the
+        owning piece's frozen space at that piece's global ids — a cold
+        entity has no structural evidence before the next full training
+        round.  Every other piece contributes zero: a folded entity has no
+        cross-piece evidence, exactly like a trained entity across the cut
+        (a pipeline's identity-mapped piece covers the whole view).  The row
+        or column is appended through the view, so dense views grow their
+        matrix while streamed views collect it in a small tail shard.  Both
+        the snapshot and the owning piece's context grow by one entity, so
+        later folds can neighbour on this one.
         """
         similarity = dict(state.similarity)
         entity_view = similarity[ElementKind.ENTITY]

@@ -132,7 +132,7 @@ class KGDelta:
     def single_entity(
         cls, name: str, triples: Iterable[Sequence[str]], side: int = 2
     ) -> "KGDelta":
-        """The legacy ``fold_in`` payload: one new entity plus its triples."""
+        """A delta that adds one new entity with the triples that place it."""
         if side not in (1, 2):
             raise DeltaError(f"side must be 1 or 2, got {side}")
         triples = _as_triples(triples, "triples")

@@ -36,7 +36,8 @@ from repro.runtime import (
     stream_threshold_candidates,
     stream_topk,
 )
-from repro.serving import AlignmentService
+from repro.serving import serve
+from repro.updates import KGDelta
 from repro.utils.math import cosine_similarity_matrix, safe_l2_normalize, top_k_rows
 
 ATOL = 1e-12
@@ -419,7 +420,7 @@ class TestServingParity:
                     model.similarity = original
                 else:
                     model.similarity = forced_engine(model, name)
-                services[name] = AlignmentService.from_pipeline(fitted_pipeline)
+                services[name] = serve(fitted_pipeline)
         finally:
             model.similarity = original
         return services["dense"], services["sharded"]
@@ -451,8 +452,9 @@ class TestServingParity:
             ("folded:parity", kg2.relations[r], kg2.entities[t])
             for r, t in kg2.out_edges(victim)[:6]
         ]
-        dense.fold_in("folded:parity", triples)
-        sharded.fold_in("folded:parity", triples)
+        delta = KGDelta.single_entity("folded:parity", triples)
+        dense.apply_delta(delta)
+        sharded.apply_delta(delta)
         probes = [(fitted_pipeline.kg1.entities[i], "folded:parity") for i in range(5)]
         np.testing.assert_allclose(
             sharded.score_pairs(probes), dense.score_pairs(probes), rtol=0, atol=ATOL

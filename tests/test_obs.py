@@ -33,7 +33,7 @@ from repro.embedding.trainer import EmbeddingTrainingConfig
 from repro.inference.power import InferencePowerConfig
 from repro.obs.registry import MetricsRegistry, quantile_from_buckets, render_prometheus
 from repro.runtime.executor import POISON_ENV
-from repro.serving import AlignmentService
+from repro.serving import serve
 
 
 @pytest.fixture()
@@ -285,7 +285,7 @@ def test_failure_names_piece_backend_and_elapsed(enabled_obs, monkeypatch):
 
 # ------------------------------------------------------------------- serving
 def test_service_metrics_reports_requests_and_latency(fitted_pipeline):
-    service = AlignmentService.from_pipeline(fitted_pipeline)
+    service = serve(fitted_pipeline)
     uris = list(fitted_pipeline.kg1.entities[:3])
     service.top_k_alignments(uris, k=4)
     service.top_k_alignments(uris, k=4)  # cache hits

@@ -20,6 +20,7 @@ import pytest
 from repro import (
     DAAKG,
     DAAKGConfig,
+    KGDelta,
     PartitionConfig,
     PartitionedCampaign,
     make_benchmark,
@@ -39,7 +40,7 @@ from repro.kg.partition import (
     resolve_partition_count,
     resolve_partition_workers,
 )
-from repro.serving import AlignmentService
+from repro.serving import serve
 from repro.serving.service import ServingError
 
 SCALE = 0.25
@@ -325,7 +326,7 @@ def test_campaign_checkpoint_before_run(campaign_config, tmp_path):
 
 # ------------------------------------------------------------------ serving
 def test_serving_merged_state(multi_campaign):
-    service = AlignmentService.from_campaign(multi_campaign)
+    service = serve(multi_campaign)
     merged = multi_campaign.merged_state()
     matrix = merged.matrix(ElementKind.ENTITY)
     pair = multi_campaign.dataset
@@ -337,16 +338,17 @@ def test_serving_merged_state(multi_campaign):
         assert matrix[row, pair.kg2.entity_id(best_name)] == pytest.approx(best_value)
     scores = service.score_pairs([(uris[0], pair.kg2.entities[0])])
     assert scores[0] == pytest.approx(matrix[0, 0])
-    # merged snapshots carry per-piece fold contexts and accept fold-in now;
-    # an unknown neighbour is still refused (through the deprecation shim)
-    assert service._state.fold_in_supported
-    with pytest.warns(DeprecationWarning, match="apply_delta"):
-        with pytest.raises(ServingError):
-            service.fold_in("brand-new", [("brand-new", "r", "no-such-entity")])
+    # merged snapshots carry one fold context per piece; an unknown
+    # neighbour is still refused
+    assert len(service._state.pieces) == multi_campaign.num_partitions
+    with pytest.raises(ServingError):
+        service.apply_delta(
+            KGDelta.single_entity("brand-new", [("brand-new", "r", "no-such-entity")])
+        )
 
 
 def test_serving_hot_swap_campaign(multi_campaign, single_partition_campaign):
-    service = AlignmentService.from_campaign(single_partition_campaign)
+    service = serve(single_partition_campaign)
     before = service.state_token
     after = service.hot_swap(multi_campaign)
     assert after != before

@@ -7,13 +7,18 @@ import threading
 import numpy as np
 import pytest
 
+from repro.alignment import SimilarityEngine
 from repro.kg.elements import ElementKind
-from repro.serving import AlignmentService, ServingError
+from repro.runtime import create_backend
+from repro.runtime.ann import AnnParams
+from repro.serving import ServingError, serve
+from repro.updates import KGDelta
+from repro.utils.math import l2_normalize
 
 
 @pytest.fixture(scope="module")
 def service(fitted_pipeline):
-    return AlignmentService.from_pipeline(fitted_pipeline)
+    return serve(fitted_pipeline)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +79,7 @@ def test_unknown_uri_raises(service):
 
 # -------------------------------------------------------------------- caching
 def test_lru_cache_hits_on_repeat(fitted_pipeline):
-    service = AlignmentService.from_pipeline(fitted_pipeline)
+    service = serve(fitted_pipeline)
     uris = list(fitted_pipeline.kg1.entities[:3])
     service.top_k_alignments(uris, k=4)
     assert service.stats.cache_hits == 0
@@ -84,7 +89,7 @@ def test_lru_cache_hits_on_repeat(fitted_pipeline):
 
 
 def test_cache_eviction_respects_capacity(fitted_pipeline):
-    service = AlignmentService.from_pipeline(fitted_pipeline, cache_size=2)
+    service = serve(fitted_pipeline, cache_size=2)
     uris = list(fitted_pipeline.kg1.entities[:5])
     service.top_k_alignments(uris, k=3)
     assert len(service._cache) == 2
@@ -92,7 +97,7 @@ def test_cache_eviction_respects_capacity(fitted_pipeline):
 
 # ------------------------------------------------------------- micro-batching
 def test_microbatching_resolves_on_flush(fitted_pipeline, entity_matrix, value_tol):
-    service = AlignmentService.from_pipeline(fitted_pipeline, max_batch=100)
+    service = serve(fitted_pipeline, max_batch=100)
     uri = fitted_pipeline.kg1.entities[0]
     ticket_top = service.enqueue_top_k(uri, k=3)
     ticket_score = service.enqueue_score(uri, fitted_pipeline.kg2.entities[1])
@@ -105,7 +110,7 @@ def test_microbatching_resolves_on_flush(fitted_pipeline, entity_matrix, value_t
 
 
 def test_microbatching_auto_flushes_at_max_batch(fitted_pipeline):
-    service = AlignmentService.from_pipeline(fitted_pipeline, max_batch=2)
+    service = serve(fitted_pipeline, max_batch=2)
     t1 = service.enqueue_top_k(fitted_pipeline.kg1.entities[0], k=2)
     assert not t1.ready
     t2 = service.enqueue_top_k(fitted_pipeline.kg1.entities[1], k=2)
@@ -113,7 +118,7 @@ def test_microbatching_auto_flushes_at_max_batch(fitted_pipeline):
 
 
 def test_bad_query_fails_only_its_own_ticket(fitted_pipeline):
-    service = AlignmentService.from_pipeline(fitted_pipeline, max_batch=100)
+    service = serve(fitted_pipeline, max_batch=100)
     good = service.enqueue_top_k(fitted_pipeline.kg1.entities[0], k=2)
     bad = service.enqueue_top_k("no-such-entity", k=2)
     also_good = service.enqueue_score(
@@ -128,13 +133,13 @@ def test_bad_query_fails_only_its_own_ticket(fitted_pipeline):
 
 
 def test_in_memory_tokens_are_unique_per_snapshot(fitted_pipeline):
-    a = AlignmentService.from_pipeline(fitted_pipeline)
-    b = AlignmentService.from_pipeline(fitted_pipeline)
+    a = serve(fitted_pipeline)
+    b = serve(fitted_pipeline)
     assert a.state_token != b.state_token  # same pipeline, distinct snapshots
 
 
 def test_ticket_result_flushes_lazily(fitted_pipeline):
-    service = AlignmentService.from_pipeline(fitted_pipeline, max_batch=100)
+    service = serve(fitted_pipeline, max_batch=100)
     ticket = service.enqueue_top_k(fitted_pipeline.kg1.entities[2], k=2)
     value = ticket.result()
     assert ticket.ready
@@ -143,7 +148,7 @@ def test_ticket_result_flushes_lazily(fitted_pipeline):
 
 # ------------------------------------------------------------------- hot swap
 def test_hot_swap_from_checkpoint(fitted_pipeline, tmp_path, value_tol):
-    service = AlignmentService.from_pipeline(fitted_pipeline)
+    service = serve(fitted_pipeline)
     token_before = service.state_token
     fitted_pipeline.save(tmp_path / "snap")
     token_after = service.hot_swap(tmp_path / "snap")
@@ -159,6 +164,12 @@ def test_hot_swap_from_checkpoint(fitted_pipeline, tmp_path, value_tol):
 
 
 # -------------------------------------------------------------------- fold-in
+def _fold(service, name, triples, side=2):
+    """Fold one entity in through a single-entity delta; its one report."""
+    (report,) = service.apply_delta(KGDelta.single_entity(name, triples, side=side))
+    return report
+
+
 def _clone_triples(kg, victim: int, new_name: str, limit: int = 6):
     triples = [
         (new_name, kg.relations[r], kg.entities[t]) for r, t in kg.out_edges(victim)[:limit]
@@ -170,12 +181,12 @@ def _clone_triples(kg, victim: int, new_name: str, limit: int = 6):
 
 
 def test_fold_in_appends_column_and_scores_like_clone(fitted_pipeline, entity_matrix, value_tol):
-    service = AlignmentService.from_pipeline(fitted_pipeline)
+    service = serve(fitted_pipeline)
     kg2 = fitted_pipeline.kg2
     victim = max(range(kg2.num_entities), key=kg2.entity_degree)
     token_before = service.state_token
     n_before = service.num_entities(2)
-    report = service.fold_in("folded:new", _clone_triples(kg2, victim, "folded:new"))
+    report = _fold(service, "folded:new", _clone_triples(kg2, victim, "folded:new"))
     assert service.num_entities(2) == n_before + 1
     assert report.index == n_before
     assert service.state_token != token_before
@@ -193,10 +204,10 @@ def test_fold_in_appends_column_and_scores_like_clone(fitted_pipeline, entity_ma
 
 
 def test_fold_in_side_1_appends_row(fitted_pipeline):
-    service = AlignmentService.from_pipeline(fitted_pipeline)
+    service = serve(fitted_pipeline)
     kg1 = fitted_pipeline.kg1
     victim = max(range(kg1.num_entities), key=kg1.entity_degree)
-    service.fold_in("folded:left", _clone_triples(kg1, victim, "folded:left"), side=1)
+    _fold(service, "folded:left", _clone_triples(kg1, victim, "folded:left"), side=1)
     ranked = service.top_k_alignments(["folded:left"], k=3)[0]
     assert len(ranked) == 3
     assert all(np.isfinite(score) for _, score in ranked)
@@ -204,15 +215,100 @@ def test_fold_in_side_1_appends_row(fitted_pipeline):
 
 def test_fold_in_cache_isolation(fitted_pipeline):
     # results cached before a fold-in must not be served for the new state
-    service = AlignmentService.from_pipeline(fitted_pipeline)
+    service = serve(fitted_pipeline)
     kg2 = fitted_pipeline.kg2
     uri = fitted_pipeline.kg1.entities[0]
     service.top_k_alignments([uri], k=2)
     victim = max(range(kg2.num_entities), key=kg2.entity_degree)
-    service.fold_in("folded:iso", _clone_triples(kg2, victim, "folded:iso"))
+    _fold(service, "folded:iso", _clone_triples(kg2, victim, "folded:iso"))
     hits_before = service.stats.cache_hits
     service.top_k_alignments([uri], k=2)
     assert service.stats.cache_hits == hits_before  # token changed → cache miss
+
+
+def test_pipeline_snapshot_is_one_identity_piece(fitted_pipeline):
+    state = serve(fitted_pipeline)._state
+    (context,) = state.pieces
+    assert context.rows_global.dtype == context.cols_global.dtype == np.int64
+    np.testing.assert_array_equal(context.rows_global, np.arange(len(state.entity_names_1)))
+    np.testing.assert_array_equal(context.cols_global, np.arange(len(state.entity_names_2)))
+    assert context.entity_index_1 == state.entity_index_1
+    assert context.entity_index_2 == state.entity_index_2
+    assert context.relation_index_1 == state.relation_index_1
+    assert context.relation_index_2 == state.relation_index_2
+
+
+@pytest.fixture(params=["dense", "sharded", "ann"])
+def pinned_service(request, fitted_pipeline):
+    """A service frozen from the fitted state with its engine pinned to one backend."""
+    model = fitted_pipeline.model
+    original = model.similarity
+    engine = SimilarityEngine(model)
+    # index even this small vocabulary, so the ann leg serves a real AnnView
+    engine.ann_params = AnnParams(min_index_cols=1)
+    engine.backend = create_backend(engine, request.param)
+    model.similarity = engine
+    try:
+        service = serve(fitted_pipeline)
+    finally:
+        model.similarity = original
+    assert service._state.similarity[ElementKind.ENTITY].backend_kind == request.param
+    return service
+
+
+def test_folds_match_context_oracle(pinned_service, fitted_pipeline):
+    """Folded rows/columns are exactly the owning context's embedding channel."""
+    service = pinned_service
+    kg1, kg2 = fitted_pipeline.kg1, fitted_pipeline.kg2
+    victim_1 = max(range(kg1.num_entities), key=kg1.entity_degree)
+    _fold(service, "oracle:left", _clone_triples(kg1, victim_1, "oracle:left"), side=1)
+    state = service._state
+    (context,) = state.pieces
+    vector = context.entity_out_1[-1]
+    expected_row = context.norm_out_2 @ l2_normalize(vector @ context.map_entity)
+    view = state.similarity[ElementKind.ENTITY]
+    row = view.rows(np.array([state.entity_index_1["oracle:left"]]))[0]
+    assert row.tobytes() == expected_row.tobytes()
+
+    victim_2 = max(range(kg2.num_entities), key=kg2.entity_degree)
+    _fold(service, "oracle:right", _clone_triples(kg2, victim_2, "oracle:right"))
+    state = service._state
+    (context,) = state.pieces
+    vector = context.entity_out_2[-1]
+    expected_col = context.norm_mapped_1 @ l2_normalize(vector)
+    view = state.similarity[ElementKind.ENTITY]
+    col = view.cols(np.array([state.entity_index_2["oracle:right"]]))[:, 0]
+    assert col.tobytes() == expected_col.tobytes()
+
+
+def test_apply_delta_is_all_or_nothing(fitted_pipeline):
+    service = serve(fitted_pipeline)
+    kg1, kg2 = fitted_pipeline.kg1, fitted_pipeline.kg2
+    victim = max(range(kg1.num_entities), key=kg1.entity_degree)
+    left = ("atomic:left",)
+    left_triples = tuple(_clone_triples(kg1, victim, "atomic:left"))
+    anchor = kg2.entities[0]
+    token = service.state_token
+    sizes = (service.num_entities(1), service.num_entities(2))
+    bad_fold = KGDelta(
+        added_entities_1=left,
+        added_triples_1=left_triples,
+        added_entities_2=("atomic:right",),
+        added_triples_2=(("atomic:right", "no-such-relation", anchor),),
+    )
+    bad_bucket = KGDelta(
+        added_entities_1=left, added_triples_1=left_triples, added_entities_2=("atomic:orphan",)
+    )
+    for delta, message in ((bad_fold, "unknown side-2 relation"), (bad_bucket, "no side-2 triples")):
+        with pytest.raises(ServingError, match=message):
+            service.apply_delta(delta)
+        # the valid side-1 entity was not published either
+        assert (service.num_entities(1), service.num_entities(2)) == sizes
+        assert service.state_token == token
+        assert service.stats.folds == 0
+        assert service.metrics()["fold_ins"] == 0
+        with pytest.raises(ServingError, match="unknown KG1 entity"):
+            service.score_pairs([("atomic:left", anchor)])
 
 
 # ---------------------------------------------------------------- threading
@@ -224,7 +320,7 @@ def test_concurrent_queries_keep_exact_counters(fitted_pipeline):
     per-counter lock exists to prevent), and the LRU cache must respect its
     capacity under concurrent eviction.
     """
-    service = AlignmentService.from_pipeline(fitted_pipeline, cache_size=16)
+    service = serve(fitted_pipeline, cache_size=16)
     kg1, kg2 = fitted_pipeline.kg1, fitted_pipeline.kg2
     uris = list(kg1.entities)
     threads, errors = [], []
@@ -253,14 +349,14 @@ def test_concurrent_queries_keep_exact_counters(fitted_pipeline):
 
 
 def test_fold_in_rejects_bad_input(fitted_pipeline):
-    service = AlignmentService.from_pipeline(fitted_pipeline)
+    service = serve(fitted_pipeline)
     kg2 = fitted_pipeline.kg2
     existing = kg2.entities[0]
     with pytest.raises(ServingError, match="at least one triple"):
-        service.fold_in("x", [])
+        _fold(service, "x", [])
     with pytest.raises(ServingError, match="already exists"):
-        service.fold_in(existing, [("a", kg2.relations[0], existing)])
+        _fold(service, existing, [("a", kg2.relations[0], existing)])
     with pytest.raises(ServingError, match="unknown side-2 relation"):
-        service.fold_in("x", [("x", "no-such-relation", existing)])
+        _fold(service, "x", [("x", "no-such-relation", existing)])
     with pytest.raises(ServingError, match="must connect"):
-        service.fold_in("x", [("ghost", kg2.relations[0], "phantom")])
+        _fold(service, "x", [("ghost", kg2.relations[0], "phantom")])

@@ -15,12 +15,14 @@ from repro.serving import (
     ServingError,
     ServingFrontend,
     resolve_frontend_config,
+    serve,
 )
+from repro.updates import KGDelta
 
 
 def make_service(fitted_pipeline, **kwargs) -> AlignmentService:
     kwargs.setdefault("max_batch", 64)
-    return AlignmentService.from_pipeline(fitted_pipeline, **kwargs)
+    return serve(fitted_pipeline, **kwargs)
 
 
 # ------------------------------------------------------------------- config
@@ -256,7 +258,7 @@ def test_hot_swap_and_fold_in_under_sustained_storm(fitted_pipeline):
             ("storm:new", kg2.relations[r], kg2.entities[t])
             for r, t in kg2.out_edges(victim)[:6]
         ]
-        report = service.fold_in("storm:new", triples)
+        (report,) = service.apply_delta(KGDelta.single_entity("storm:new", triples))
         tokens.add(report.token)
         time.sleep(0.15)
         stop.set()

@@ -319,8 +319,8 @@ def test_warm_start_transplants_rows_by_name(tmp_path):
 
 # ------------------------------------------------------------------ serving
 def test_serving_apply_delta_merged_snapshot(trained_campaign):
-    service = AlignmentService.from_campaign(trained_campaign)
-    assert service._state.fold_in_supported  # merged snapshots support fold-in
+    service = serve(trained_campaign)
+    assert len(service._state.pieces) == trained_campaign.num_partitions
     pair = trained_campaign.dataset
     anchor = trained_campaign.partition.pieces[0].pair.kg2.entities[0]
     owner_piece = piece_of(trained_campaign, anchor, side=2)
@@ -355,7 +355,7 @@ def test_serving_apply_delta_merged_snapshot(trained_campaign):
 
 
 def test_serving_apply_delta_refuses_non_growth(trained_campaign):
-    service = AlignmentService.from_campaign(trained_campaign)
+    service = serve(trained_campaign)
     pair = trained_campaign.dataset
     victim = pair.kg1.triples[0].as_tuple()
     with pytest.raises(ServingError, match="retrain"):
@@ -373,7 +373,7 @@ def test_serving_apply_delta_refuses_non_growth(trained_campaign):
 
 
 def test_serving_fold_spanning_pieces_is_refused(trained_campaign):
-    service = AlignmentService.from_campaign(trained_campaign)
+    service = serve(trained_campaign)
     pieces = trained_campaign.partition.pieces
     a = pieces[0].pair.kg2.entities[0]
     b = pieces[1].pair.kg2.entities[0]
@@ -387,35 +387,27 @@ def test_serving_fold_spanning_pieces_is_refused(trained_campaign):
         )
 
 
-def test_fold_in_legacy_shim_warns_and_delegates(trained_campaign):
-    service = AlignmentService.from_campaign(trained_campaign)
+def test_single_entity_delta_folds_and_rejects(trained_campaign):
+    service = serve(trained_campaign)
     anchor = trained_campaign.partition.pieces[0].pair.kg2.entities[1]
     relation = trained_campaign.dataset.kg2.relations[0]
-    with pytest.warns(DeprecationWarning, match="apply_delta"):
-        report = service.fold_in("lw2:legacy", [("lw2:legacy", relation, anchor)])
-    assert report.name == "lw2:legacy"
-    assert report.side == 2
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="side"):
-            service.fold_in("x", [("x", relation, anchor)], side=3)
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ServingError, match="at least one triple"):
-            service.fold_in("x", [])
-
-
-def test_fold_in_unsupported_state_raises(trained_campaign):
-    service = AlignmentService.from_campaign(trained_campaign)
-    # a genuinely degraded snapshot: neither per-side models nor piece
-    # contexts — e.g. a foreign snapshot that shipped matrices only
-    service.hot_swap(
-        dc_replace(
-            service._state, model_1=None, model_2=None, pieces=None,
-            fold_in_supported=False,
-        )
+    (report,) = service.apply_delta(
+        KGDelta.single_entity("lw2:single", [("lw2:single", relation, anchor)])
     )
-    with pytest.raises(ServingError, match="not supported"):
-        service.apply_delta(KGDelta.single_entity("x", [("x", "r", "y")]))
-    assert not service._state.fold_in_supported
+    assert report.name == "lw2:single"
+    assert report.side == 2
+    with pytest.raises(DeltaError, match="side"):
+        KGDelta.single_entity("x", [("x", relation, anchor)], side=3)
+    with pytest.raises(ServingError, match="at least one triple"):
+        service.apply_delta(KGDelta.single_entity("x", []))
+
+
+def test_snapshot_without_pieces_raises(trained_campaign):
+    # every snapshot folds against at least one piece context: a snapshot
+    # that ships matrices only cannot be built
+    state = serve(trained_campaign)._state
+    with pytest.raises(ValueError, match="at least one fold context"):
+        dc_replace(state, pieces=())
 
 
 # ------------------------------------------------------------- serve() entry
