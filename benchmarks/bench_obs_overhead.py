@@ -4,11 +4,15 @@
 steps, similarity cache, ANN index, executor pieces, serving requests), so
 its cost is measured and gated here:
 
-* **enabled** — two full DAAKG fits interleaved (obs off / obs on, several
-  repeats each, min-of-N to shed scheduler noise) must stay within a 3%
-  overhead budget.  The ratio itself is machine-noisy, so the *gating*
-  headline is the boolean ``overhead_within_budget`` (flips fail the
-  regression wall); the raw ratio is recorded for trend-watching.
+* **enabled** — full DAAKG fits run in off/on *pairs* after one untimed
+  warm-up fit.  Each pair yields one on/off ratio, and pairs alternate
+  their order (off→on, then on→off) so drift within a pair (thermal,
+  cache residency, a neighbour's burst) biases neither arm.  The median
+  pair ratio must stay within a 3% overhead budget.  Comparing min-of-N
+  arms instead let one lucky run on either side swing the ratio 0.75–1.08
+  between identical runs on a 2-vCPU host.  The *gating* headline is the
+  boolean ``overhead_within_budget`` (flips fail the regression wall); the
+  ratio is recorded for trend-watching.
 * **disabled** — the no-op fast path is validated structurally (every
   accessor returns the module-level singleton, so there is zero allocation
   per call) and its per-call cost is recorded in nanoseconds.  ``_ns``
@@ -17,6 +21,7 @@ its cost is measured and gated here:
 Emits ``BENCH_obs.json`` via the shared ``record_bench`` hook.
 """
 
+import statistics
 import time
 import timeit
 
@@ -25,7 +30,7 @@ from conftest import BENCH_DATASETS, bench_pair, print_table, quick_config, reco
 import repro.obs as obs
 from repro import DAAKG
 
-REPEATS = 3
+PAIRS = 8
 OVERHEAD_BUDGET = 1.03
 NOOP_CALLS = 100_000
 
@@ -55,12 +60,13 @@ def test_obs_overhead(benchmark):
     dataset = BENCH_DATASETS[0]
 
     def run() -> dict:
-        # Interleave off/on repeats so drift (thermal, cache residency)
-        # hits both arms equally; min-of-N is the standard noise floor.
+        _fit_seconds(dataset, enabled=False)  # warm-up: no timed fit runs cold
         off_times, on_times = [], []
-        for _ in range(REPEATS):
-            off_times.append(_fit_seconds(dataset, enabled=False))
-            on_times.append(_fit_seconds(dataset, enabled=True))
+        for pair in range(PAIRS):
+            order = (False, True) if pair % 2 == 0 else (True, False)
+            seconds = {enabled: _fit_seconds(dataset, enabled) for enabled in order}
+            off_times.append(seconds[False])
+            on_times.append(seconds[True])
 
         # Disabled fast path: accessors must return the shared no-op
         # singletons (zero allocation), and each call should cost tens of
@@ -77,8 +83,7 @@ def test_obs_overhead(benchmark):
             number=NOOP_CALLS,
         )
         return {
-            "off_seconds": min(off_times),
-            "on_seconds": min(on_times),
+            "pair_ratios": [on / max(off, 1e-12) for off, on in zip(off_times, on_times)],
             "off_all": off_times,
             "on_all": on_times,
             "noop_identity": noop_identity,
@@ -87,13 +92,15 @@ def test_obs_overhead(benchmark):
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    ratio = result["on_seconds"] / max(result["off_seconds"], 1e-12)
+    ratio = statistics.median(result["pair_ratios"])
     within_budget = ratio < OVERHEAD_BUDGET
 
+    off_median = statistics.median(result["off_all"])
+    on_median = statistics.median(result["on_all"])
     rows = [
-        ["fit, obs disabled (min of %d)" % REPEATS, f"{result['off_seconds']:.3f} s"],
-        ["fit, obs enabled (min of %d)" % REPEATS, f"{result['on_seconds']:.3f} s"],
-        ["enabled overhead", f"{(ratio - 1) * 100:+.2f}%"],
+        ["fit, obs disabled (median of %d)" % PAIRS, f"{off_median:.3f} s"],
+        ["fit, obs enabled (median of %d)" % PAIRS, f"{on_median:.3f} s"],
+        ["enabled overhead (median pair)", f"{(ratio - 1) * 100:+.2f}%"],
         ["within %.0f%% budget" % ((OVERHEAD_BUDGET - 1) * 100), str(within_budget)],
         ["no-op accessor returns singleton", str(result["noop_identity"])],
         ["no-op counter call", f"{result['noop_call_ns']:.1f} ns"],
@@ -114,13 +121,14 @@ def test_obs_overhead(benchmark):
         detail={
             "fit_seconds_disabled": [round(t, 4) for t in result["off_all"]],
             "fit_seconds_enabled": [round(t, 4) for t in result["on_all"]],
-            "repeats": REPEATS,
+            "pair_ratios": [round(r, 4) for r in result["pair_ratios"]],
+            "pairs": PAIRS,
             "budget_ratio": OVERHEAD_BUDGET,
         },
     )
 
     assert result["noop_identity"], "disabled obs accessors must return no-op singletons"
     assert within_budget, (
-        f"obs instrumentation costs {(ratio - 1) * 100:.2f}% on a full fit "
+        f"obs instrumentation costs {(ratio - 1) * 100:.2f}% on a full fit (median pair) "
         f"(budget {(OVERHEAD_BUDGET - 1) * 100:.0f}%)"
     )

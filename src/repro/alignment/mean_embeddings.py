@@ -57,17 +57,21 @@ def mean_relation_embeddings(
     """
     dim = entity_matrix.shape[1] if entity_matrix.size else model.dim
     result = np.zeros((kg.num_relations, dim))
-    for r in range(kg.num_relations):
-        triples = kg.triples_of_relation(r)
-        if triples.size == 0:
+    triples = kg.triple_array
+    if triples.size == 0:
+        return result
+    heads, tails = triples[:, 0], triples[:, 2]
+    # one row-batched call for every triple, then a per-relation reduce over
+    # the relation's triples in their original order
+    all_locals = model.local_relation_embedding(entity_matrix[heads], entity_matrix[tails])
+    all_weights = np.minimum(weights[heads], weights[tails])
+    order = np.argsort(triples[:, 1], kind="stable")
+    bounds = np.cumsum(np.bincount(triples[:, 1], minlength=kg.num_relations))
+    for r, rows in enumerate(np.split(order, bounds[:-1])):
+        if rows.size == 0:
             continue
-        locals_ = np.stack(
-            [
-                model.local_relation_embedding(entity_matrix[h], entity_matrix[t])
-                for h, _, t in triples
-            ]
-        )
-        w = np.minimum(weights[triples[:, 0]], weights[triples[:, 2]])
+        locals_ = all_locals[rows]
+        w = all_weights[rows]
         total = w.sum()
         if total < 1e-9:
             result[r] = locals_.mean(axis=0)

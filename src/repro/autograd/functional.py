@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, as_tensor
+from repro.autograd.tensor import Tensor, _scatter_add_rows, as_tensor
 
 
 def scatter_rows(source: Tensor, indices: np.ndarray, num_rows: int) -> Tensor:
@@ -23,8 +23,7 @@ def scatter_rows(source: Tensor, indices: np.ndarray, num_rows: int) -> Tensor:
     ``indices == i``.  This is the aggregation step of the CompGCN layer.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    out_data = np.zeros((num_rows, source.data.shape[1]), dtype=np.float64)
-    np.add.at(out_data, indices, source.data)
+    out_data = _scatter_add_rows((num_rows, source.data.shape[1]), indices, source.data)
 
     def backward(grad: np.ndarray) -> None:
         if source.requires_grad:

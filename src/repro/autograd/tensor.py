@@ -13,6 +13,7 @@ test-suite checks every op against central finite differences.
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from typing import Callable, Sequence, Union
 
@@ -43,31 +44,31 @@ def is_grad_enabled() -> bool:
     return getattr(_grad_state, "enabled", True)
 
 
-def _scatter_add_rows(template: np.ndarray, indices: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Zeros shaped like ``template`` with ``grad`` rows added at ``indices``.
+def _scatter_add_rows(shape: tuple[int, ...], indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A new float64 array of ``shape`` holding ``rows`` summed at row ``indices``.
 
-    Bit-exact with ``np.add.at(zeros, indices, grad)`` but several times
-    faster on the embedding-gradient workloads that dominate training: each
-    column is accumulated by ``np.bincount``, whose tight C loop adds
-    contributions sequentially in occurrence order — the same association
-    order ``np.add.at`` uses — without the buffered fancy-indexing overhead.
-    (The previous sort + ``np.add.reduceat`` grouping was *not* bit-exact:
-    reduceat's reduction order is unspecified for groups of three or more.)
+    ``rows`` has shape ``indices.shape + shape[1:]``; duplicate indices
+    accumulate and negative ones count from the end.  The result is
+    byte-identical to ``np.add.at(np.zeros(shape), indices, rows)`` but far
+    cheaper: the whole scatter is ONE ``np.bincount`` over the flattened keys
+    ``row * width + column``.  bincount adds its weights sequentially in
+    occurrence order, so every output element sums its contributions in the
+    same order ``np.add.at`` does.  (Sort + ``np.add.reduceat`` grouping is
+    *not* bit-exact: reduceat's reduction order is unspecified for groups of
+    three or more.)
     """
-    full = np.zeros_like(template)
-    if indices.size == 0:
-        return full
-    grad = np.asarray(grad, dtype=np.float64)
-    # normalise negative indices so -1 and len-1 accumulate into the same row
-    indices = np.where(indices < 0, indices + template.shape[0], indices)
-    num_rows = template.shape[0]
-    flat_full = full.reshape(num_rows, -1)
-    flat_grad = np.ascontiguousarray(grad.reshape(indices.shape[0], -1))
-    for column in range(flat_full.shape[1]):
-        flat_full[:, column] = np.bincount(
-            indices, weights=flat_grad[:, column], minlength=num_rows
-        )
-    return full
+    num_rows = shape[0]
+    width = math.prod(shape[1:])
+    flat_indices = indices.reshape(-1)
+    if flat_indices.size == 0:  # bincount would return int64 zeros here
+        return np.zeros(shape)
+    flat_indices = np.where(flat_indices < 0, flat_indices + num_rows, flat_indices)
+    keys = (flat_indices[:, None] * width + np.arange(width)).reshape(-1)
+    weights = np.asarray(rows, dtype=np.float64).reshape(-1)
+    summed = np.bincount(keys, weights=weights, minlength=num_rows * width)
+    if summed.size != num_rows * width:
+        raise IndexError(f"row index out of bounds for {num_rows} rows")
+    return summed.reshape(shape)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -85,7 +86,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """A NumPy array with an optional gradient and autograd history."""
+    """A NumPy array with an optional gradient and autograd history.
+
+    Gradient buffers are immutable by convention: no code writes into a
+    ``.grad`` array in place.  Accumulation rebinds (``grad = grad + g``),
+    optimisers only read, and the backward closures build new arrays or
+    views of their upstream gradient.  That lets a first accumulate adopt
+    the incoming array without a defensive copy, even when it is shared
+    (``x + y`` hands both parents the same upstream array) or is a
+    read-only broadcast view.  The one array that arrives from outside the
+    graph, a caller's ``backward(grad)`` seed, is copied once on entry.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
     __array_priority__ = 100  # make numpy defer to Tensor for mixed ops
@@ -151,7 +162,7 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad  # adopted, not copied: see the class docstring
         else:
             self.grad = self.grad + grad
 
@@ -163,6 +174,8 @@ class Tensor:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar outputs")
             grad = np.ones_like(self.data)
+        else:
+            grad = np.array(grad, dtype=np.float64)  # never alias the caller's seed
         # Topological order of the graph reachable from self.
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -457,12 +470,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if indices.ndim == 1:
-                    full = _scatter_add_rows(self.data, indices, grad)
-                else:
-                    full = np.zeros_like(self.data)
-                    np.add.at(full, indices, grad)
-                self._accumulate(full)
+                self._accumulate(_scatter_add_rows(self.data.shape, indices, grad))
 
         return Tensor._make(out_data, (self,), backward)
 

@@ -261,6 +261,8 @@ class KGEmbeddingModel(Module):
         per-coordinate rotation.  The result lives in the same space as
         :meth:`entity_output`, so mean relation embeddings can be mapped with
         the entity mapping matrix ``A_ent`` as the paper prescribes.
+        ``head`` and ``tail`` may also be ``(n, d)`` row blocks, one triple
+        per row; overrides must keep that row-batched contract.
         """
         return tail - head
 

@@ -105,12 +105,12 @@ class RotatE(KGEmbeddingModel):
         the head/tail magnitudes like a translational difference so that
         weighted averages remain meaningful.
         """
-        h = head[: self.half] + 1j * head[self.half :]
-        t = tail[: self.half] + 1j * tail[self.half :]
+        h = head[..., : self.half] + 1j * head[..., self.half :]
+        t = tail[..., : self.half] + 1j * tail[..., self.half :]
         safe_h = np.where(np.abs(h) < 1e-9, 1e-9, h)
         rotation = t / safe_h
         rotation = rotation / np.maximum(np.abs(rotation), 1e-9)
-        return np.concatenate([rotation.real, rotation.imag])
+        return np.concatenate([rotation.real, rotation.imag], axis=-1)
 
     # -------------------------------------------------------------- bookkeeping
     def renormalize(self) -> None:

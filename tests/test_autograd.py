@@ -135,17 +135,36 @@ class TestTupleAxisReductions:
         finite_difference_check(lambda a: (a[[1, 1, 0]] * 2.0).sum(), (3,))
 
     def test_getitem_integer_array_matches_add_at_bitwise(self):
-        # the grouped fast path must be bit-identical to the generic backward
+        # every row scatter (gather_rows backward for any index shape, and the
+        # scatter_rows forward) must be byte-identical to np.add.at
         rng = np.random.default_rng(0)
-        data = rng.normal(size=(6, 3))
-        index = np.array([5, 0, 2, 2, -1, 0, 5, 2])
-        upstream = rng.normal(size=(index.size, 3))
-        fast = Tensor(data, requires_grad=True)
-        out = fast[index]
-        out.backward(upstream)
-        reference = np.zeros_like(data)
-        np.add.at(reference, index, upstream)
-        np.testing.assert_array_equal(fast.grad, reference)
+        cases = [
+            ((6, 3), np.array([5, 0, 2, 2, -1, 0, 5, 2])),  # duplicates + negative
+            ((6,), np.array([1, -6, 0, 5, 1, -1])),  # 1-D table
+            ((6, 3), np.array([], dtype=np.int64)),  # empty indices
+            ((6, 3), np.array([[0, 5, -1], [2, 2, 0]])),  # 2-D index -> 3-D row block
+            ((5, 2, 3), np.array([4, -1, 0, 4, 2])),  # 3-D table rows
+            ((40, 8), rng.integers(-40, 40, size=300)),
+        ]
+        for table_shape, index in cases:
+            data = rng.normal(size=table_shape)
+            upstream = rng.normal(size=index.shape + table_shape[1:])
+            reference = np.zeros_like(data)
+            np.add.at(reference, index, upstream)
+
+            fast = Tensor(data, requires_grad=True)
+            out = fast[index] if index.ndim == 1 else fast.gather_rows(index)
+            out.backward(upstream)
+            assert fast.grad.dtype == reference.dtype and fast.grad.shape == reference.shape
+            assert fast.grad.tobytes() == reference.tobytes(), (table_shape, index)
+
+            if len(table_shape) == 2 and index.ndim == 1:
+                scattered = F.scatter_rows(Tensor(upstream), index, table_shape[0])
+                assert scattered.data.tobytes() == reference.tobytes(), (table_shape, index)
+
+    def test_scatter_rows_rejects_out_of_range_rows(self):
+        with pytest.raises(IndexError):
+            F.scatter_rows(Tensor(np.ones((2, 3))), np.array([0, 3]), 3)
 
     def test_getitem_tuple_and_mask_still_supported(self):
         finite_difference_check(lambda a: (a[:, 1] ** 2).sum(), (4, 3))
