@@ -1,7 +1,7 @@
 """Observability overhead benchmark: instrumentation must be nearly free.
 
 ``repro.obs`` instruments the hot paths of the whole pipeline (trainer
-steps, similarity cache, ANN index, executor pieces, serving requests), so
+steps, similarity cache, executor pieces, serving requests), so
 its cost is measured and gated here:
 
 * **enabled** — full DAAKG fits run in off/on *pairs* after one untimed

@@ -4,7 +4,7 @@ Enables ``repro.obs``, runs a small partition-parallel campaign on the
 process executor, and shows everything the instrumentation produced:
 
 1. the merged metrics snapshot — trainer step timings, similarity cache
-   hits, ANN builds and per-piece executor lifecycle, folded across the
+   hits and per-piece executor lifecycle, folded across the
    worker-process boundary exactly (fixed-bucket histograms sum per slot),
 2. the Prometheus text exposition a scraper would collect,
 3. the span trace (nested spans with monotonic durations) as JSONL,

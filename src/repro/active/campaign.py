@@ -6,8 +6,8 @@ The monolithic pipeline runs all of it single-process over the entire pair;
 :class:`PartitionedCampaign` instead cuts the pair into ρ-bounded
 cross-linked sub-pairs (:func:`repro.kg.partition.partition_pair`), hands
 one self-contained :class:`~repro.runtime.executor.PieceSpec` per partition
-to a :class:`~repro.runtime.executor.CampaignExecutor` (serial, thread or
-GIL-breaking process backend — all running the same
+to a :class:`~repro.runtime.executor.CampaignExecutor` (serial or
+GIL-breaking process backend — both running the same
 :func:`~repro.runtime.executor.run_piece_spec`), folds each piece's result
 checkpoint back bit-exactly, and merges the per-partition similarity states
 into one global :class:`~repro.runtime.merge.MergedSimilarityState` that
@@ -193,7 +193,7 @@ class PartitionedCampaign:
 
     The campaign itself only *orchestrates*: it cuts the pair, derives one
     self-contained :class:`PieceSpec` per partition, hands the specs to a
-    :class:`CampaignExecutor` backend (serial / thread / process — selected
+    :class:`CampaignExecutor` backend (serial / process — selected
     via ``partition.executor``, overridable with ``REPRO_CAMPAIGN_EXECUTOR``)
     and folds the per-piece result checkpoints back in.  All training runs
     inside :func:`repro.runtime.executor.run_piece_spec`, whichever backend

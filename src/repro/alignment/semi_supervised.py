@@ -105,9 +105,8 @@ def mine_potential_matches_from_engine(
     Only the entries above ``τ`` are ever held in memory (the mined candidate
     set), never the full matrix.  Candidates come from the backend's
     threshold scan (:meth:`SimilarityEngine.threshold_candidates`) in global
-    row-major order — the same order ``np.where`` yields on a dense matrix,
-    and exact on every backend including ANN — and ``resolve_conflicts``
-    sorts stably, so the result is identical to
+    row-major order — the same order ``np.where`` yields on a dense matrix —
+    and ``resolve_conflicts`` sorts stably, so the result is identical to
     :func:`mine_potential_matches` on the materialised matrix, ties included.
     """
     num_rows, num_cols = engine.shape(kind)

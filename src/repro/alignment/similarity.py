@@ -60,7 +60,6 @@ import repro.obs as obs
 from repro.autograd.tensor import no_grad
 from repro.kg.elements import ElementKind
 from repro.nn.optim import parameter_version
-from repro.runtime.ann import resolve_ann_params
 from repro.runtime.backends import (
     TopKTable,
     create_backend,
@@ -112,11 +111,9 @@ class SimilarityEngine:
     One engine is created per :class:`JointAlignmentModel` (available as
     ``model.similarity``); the trainer, the active loop, pool building,
     evaluation, serving exports and the inference-power estimator all read
-    through it.  The backend (``dense``, ``sharded`` or ``ann``) is chosen by
-    the ``backend`` argument, overridable globally through the
-    ``REPRO_SIMILARITY_BACKEND`` environment variable; ``ann`` additionally
-    reads its knobs from ``ann`` (:class:`~repro.runtime.ann.AnnParams`) and
-    the ``REPRO_SIMILARITY_ANN_*`` overrides.
+    through it.  The backend (``dense`` or ``sharded``) is chosen by the
+    ``backend`` argument, overridable globally through the
+    ``REPRO_SIMILARITY_BACKEND`` environment variable.
     """
 
     def __init__(
@@ -125,15 +122,12 @@ class SimilarityEngine:
         block_size: int = DEFAULT_BLOCK_SIZE,
         backend: str | None = None,
         workers: int | None = None,
-        ann=None,
     ) -> None:
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
         self.model = model
         self.block_size = block_size
         self.workers = resolve_workers(workers)
-        # resolved before backend creation: AnnBackend reads it in __init__
-        self.ann_params = resolve_ann_params(ann)
         self.backend = create_backend(self, resolve_backend_name(backend))
         self._matrices: dict[object, tuple[tuple[int, ...], np.ndarray]] = {}
         self._channels: dict[object, tuple[tuple[int, ...], CosineChannels]] = {}
@@ -299,23 +293,9 @@ class SimilarityEngine:
     def threshold_candidates(
         self, kind: ElementKind, threshold: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All ``(rows, cols, values)`` with value ≥ threshold, row-major.
-
-        Exact on every backend: the ANN backend prunes with per-list covering
-        radii, which cannot drop a qualifying pair.
-        """
+        """All ``(rows, cols, values)`` with value ≥ threshold, row-major."""
         self.model.snapshot
         return self.backend.threshold_candidates(kind, threshold)
-
-    def mutual_top_n_pairs(
-        self, left_factors: np.ndarray, right_factors: np.ndarray, n: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Mutually-top-``n`` cosine pairs between two raw factor sets.
-
-        The pool builder's candidate filter; the ANN backend accelerates it
-        with ephemeral per-direction indexes on large factor sets.
-        """
-        return self.backend.mutual_top_n_pairs(left_factors, right_factors, n)
 
     def top_k_table(self, kind: ElementKind, k: int) -> TopKTable:
         """Top-``k`` counterpart indices *and values*, both directions, cached."""

@@ -21,10 +21,10 @@ import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-# Grad mode is *thread-local*: the partition-parallel campaign runtime trains
-# independent models on a worker pool, and a ``no_grad`` block in one worker
-# must never switch off graph recording in another (a plain module global did
-# exactly that).  Single-threaded behaviour is unchanged.
+# Grad mode is *thread-local*: a ``no_grad`` block on one thread (a serving
+# worker, a similarity read) must never switch off graph recording for a
+# model training on another thread (a plain module global did exactly that).
+# Single-threaded behaviour is unchanged.
 _grad_state = threading.local()
 
 

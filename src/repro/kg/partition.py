@@ -68,7 +68,7 @@ CAMPAIGN_EXECUTOR_ENV = "REPRO_CAMPAIGN_EXECUTOR"
 
 #: Valid values of ``PartitionConfig.executor``; the concrete backends live
 #: in :mod:`repro.runtime.executor`, ``"auto"`` resolves there per machine.
-EXECUTOR_CHOICES = ("auto", "serial", "thread", "process")
+EXECUTOR_CHOICES = ("auto", "serial", "process")
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,9 @@ class PartitionConfig:
     ``workers`` — worker-pool width of the campaign runtime (results are
     deterministic for any value, same contract as ``ShardedBackend``);
     ``executor`` — which campaign executor runs the pieces (``"serial"``,
-    ``"thread"``, ``"process"``, or ``"auto"`` to pick the process backend
-    whenever >1 worker is requested and >1 core is available — the thread
-    pool cannot scale the GIL-bound training loops).  The executor never
-    changes results, only wall-clock.
+    ``"process"``, or ``"auto"`` to pick the process backend whenever >1
+    worker is requested and >1 core is available, serial otherwise).  The
+    executor never changes results, only wall-clock.
     """
 
     num_partitions: int = 1

@@ -17,9 +17,9 @@ from repro.nn.module import Parameter
 # Monotonic counter bumped whenever an optimiser mutates parameters.  Caches
 # of quantities derived from parameters (e.g. the SimilarityEngine's matrices)
 # key their entries on this value: unchanged counter ⇒ identical parameters.
-# The bump is lock-protected: the partition-parallel campaign runtime steps
-# several optimisers from a thread pool, and a lost increment (two mutations
-# sharing one version) would let a stale similarity cache be served as fresh.
+# The bump is lock-protected: if optimisers ever step from several threads, a
+# lost increment (two mutations sharing one version) would let a stale
+# similarity cache be served as fresh.
 _parameter_version = 0
 _parameter_version_lock = threading.Lock()
 

@@ -1,7 +1,7 @@
 """``repro.obs`` — metrics, tracing and profiling for the whole pipeline.
 
 One observability facade instruments every layer (trainer steps, similarity
-caches, ANN index builds, executor pieces, served queries) without touching
+caches, executor pieces, served queries) without touching
 values or RNG streams — observation only, bit-exactness is preserved by
 construction.
 

@@ -55,7 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with active
 
 logger = get_logger(__name__)
 
-CAMPAIGN_FORMAT_VERSION = 1
+# Version 2: the embedded DAAKGConfig dropped its ``ann_*`` keys.
+CAMPAIGN_FORMAT_VERSION = 2
 CAMPAIGN_MANIFEST_FILE = "campaign.json"
 CAMPAIGN_DATASET_FILE = "dataset.npz"
 

@@ -1,22 +1,12 @@
 """The similarity runtime: pluggable backends, streaming kernels, serving views.
 
-See :mod:`repro.runtime.backends` for the backend protocol (dense / sharded /
-ann), :mod:`repro.runtime.streaming` for the factored-cosine streaming
-kernels, :mod:`repro.runtime.ann` for the IVF-indexed sub-linear retrieval
-backend, :mod:`repro.runtime.views` for the frozen serving views, and
-:mod:`repro.runtime.executor` for the campaign executors (serial / thread /
-process piece execution behind one picklable piece runner).
+See :mod:`repro.runtime.backends` for the backend protocol (dense /
+sharded), :mod:`repro.runtime.streaming` for the factored-cosine streaming
+kernels, :mod:`repro.runtime.views` for the frozen serving views, and
+:mod:`repro.runtime.executor` for the campaign executors (serial / process
+piece execution behind one picklable piece runner).
 """
 
-from repro.runtime.ann import (
-    AnnBackend,
-    AnnParams,
-    AnnSearcher,
-    ChannelIVFIndex,
-    build_channel_index,
-    resolve_ann_params,
-    topk_recall,
-)
 from repro.runtime.backends import (
     BACKEND_ENV,
     BACKEND_NAMES,
@@ -33,9 +23,7 @@ from repro.runtime.streaming import (
     CosineChannels,
     canonical_topk,
     collect_threshold_candidates,
-    mutual_pairs_from_topn,
     mutual_top_n,
-    rerank_pairs_topk,
     stream_row_col_max,
     stream_row_max,
     stream_threshold_candidates,
@@ -48,23 +36,17 @@ from repro.runtime.executor import (
     PieceSpec,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     create_executor,
     effective_executor_name,
     run_piece_spec,
 )
 from repro.runtime.merge import MergedSimilarityState, scatter_channels
-from repro.runtime.views import AnnView, DenseView, SimilarityView, StreamedView
+from repro.runtime.views import DenseView, SimilarityView, StreamedView
 
 __all__ = [
-    "AnnBackend",
-    "AnnParams",
-    "AnnSearcher",
-    "AnnView",
     "BACKEND_ENV",
     "BACKEND_NAMES",
     "CampaignExecutor",
-    "ChannelIVFIndex",
     "ChannelPair",
     "CosineChannels",
     "DenseBackend",
@@ -75,8 +57,6 @@ __all__ = [
     "PieceSpec",
     "ProcessExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
-    "build_channel_index",
     "scatter_channels",
     "ShardedBackend",
     "SimilarityBackend",
@@ -88,10 +68,7 @@ __all__ = [
     "create_backend",
     "create_executor",
     "effective_executor_name",
-    "mutual_pairs_from_topn",
     "mutual_top_n",
-    "rerank_pairs_topk",
-    "resolve_ann_params",
     "resolve_backend_name",
     "resolve_workers",
     "run_piece_spec",
@@ -99,5 +76,4 @@ __all__ = [
     "stream_row_max",
     "stream_threshold_candidates",
     "stream_topk",
-    "topk_recall",
 ]

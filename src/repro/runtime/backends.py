@@ -1,4 +1,4 @@
-"""Pluggable similarity backends: dense (cached N×M), sharded, and ANN.
+"""Pluggable similarity backends: dense (cached N×M) and sharded.
 
 The :class:`~repro.alignment.similarity.SimilarityEngine` delegates every
 query to one of two backends behind a common, *narrow* surface — ``rows``,
@@ -17,11 +17,6 @@ needs to know whether the full matrix exists:
   query path.  Row shards may be fanned out over a thread pool — results are
   deterministic for any worker count because each row's merge happens
   entirely within its own shard.
-* :class:`~repro.runtime.ann.AnnBackend` — sub-linear candidate retrieval:
-  one inverted-list index per cosine channel over the column factors, exact
-  re-rank of the candidate union (returned scores are bit-identical to exact
-  pair scores; only recall depends on the ``nprobe`` knob), exact streamed
-  fallback below its indexing threshold.
 
 Backend selection: ``DAAKGConfig.similarity_backend`` chooses per pipeline,
 and the ``REPRO_SIMILARITY_BACKEND`` environment variable overrides it
@@ -42,7 +37,6 @@ from repro.runtime.streaming import (
     CosineChannels,
     _as_blocks,
     collect_threshold_candidates,
-    mutual_top_n,
     stream_row_col_max,
     stream_row_max,
     stream_threshold_candidates,
@@ -55,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with similarity.py
     from repro.alignment.similarity import SimilarityEngine
     from repro.kg.elements import ElementKind
 
-BACKEND_NAMES = ("dense", "sharded", "ann")
+BACKEND_NAMES = ("dense", "sharded")
 BACKEND_ENV = "REPRO_SIMILARITY_BACKEND"
 WORKERS_ENV = "REPRO_SIMILARITY_WORKERS"
 
@@ -142,14 +136,6 @@ class SimilarityBackend:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All ``(rows, cols, values)`` with value ≥ threshold, row-major."""
         return collect_threshold_candidates(self.stream_blocks(kind), threshold)
-
-    def mutual_top_n_pairs(
-        self, left_factors: np.ndarray, right_factors: np.ndarray, n: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Mutually-top-``n`` cosine pairs between two raw factor sets."""
-        return mutual_top_n(
-            left_factors, right_factors, n, self.engine.block_size, self.engine.workers
-        )
 
     def view(self, kind: "ElementKind") -> SimilarityView:
         """A frozen, appendable serving view of the current similarity."""
@@ -335,9 +321,6 @@ class StreamedChannelQueries:
             self._channels(kind), threshold, self._block, self._workers
         )
 
-    def mutual_top_n_pairs(self, left_factors, right_factors, n):
-        return mutual_top_n(left_factors, right_factors, n, self._block, self._workers)
-
 
 class ShardedBackend(StreamedChannelQueries, SimilarityBackend):
     """Streaming tiles + running top-k; never materialises N×M on query paths.
@@ -374,8 +357,4 @@ def create_backend(engine: "SimilarityEngine", name: str) -> SimilarityBackend:
         return DenseBackend(engine)
     if name == "sharded":
         return ShardedBackend(engine)
-    if name == "ann":
-        from repro.runtime.ann import AnnBackend  # lazy: ann imports this module
-
-        return AnnBackend(engine)
     raise ValueError(f"unknown similarity backend {name!r}; expected one of {BACKEND_NAMES}")

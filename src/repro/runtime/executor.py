@@ -1,4 +1,4 @@
-"""Campaign executors: serial / thread / process piece execution.
+"""Campaign executors: serial / process piece execution.
 
 :class:`~repro.active.campaign.PartitionedCampaign` cuts a pair into
 independent pieces; *this* module decides **where each piece's pipeline
@@ -8,8 +8,8 @@ actually runs**.  The contract has three parts:
    picklable function taking a self-contained :class:`PieceSpec` — the
    piece's dataset arrays (or a standard per-piece checkpoint to resume
    from), its config as JSON, its strategy name, and the directory to write
-   its result checkpoint into.  The serial, thread and process executors all
-   call *the same function*; the process backend merely calls it in a worker
+   its result checkpoint into.  The serial and process executors both call
+   *the same function*; the process backend merely calls it in a worker
    process.  A piece's result is always a standard
    :mod:`repro.persistence.checkpoint` directory, which the campaign folds
    back with the ordinary bit-exact restore path — so results can never
@@ -19,10 +19,9 @@ actually runs**.  The contract has three parts:
    pure function of ``(piece dataset, piece config)``: the per-piece seed is
    derived from ``(campaign seed, partition index)`` before the spec is
    built, checkpoint restore is bit-exact, and pieces share no mutable state
-   (in-process backends rely on the thread-local grad mode and the
-   lock-protected parameter version; the process backend shares nothing at
-   all).  Serial, thread and process runs of the same campaign produce
-   byte-identical merged payloads for any worker count.
+   (the process backend shares nothing at all).  Serial and process runs of
+   the same campaign produce byte-identical merged payloads for any worker
+   count.
 
 3. **Crashes are per-piece, resumable failures.**  The runner converts any
    exception into a failed :class:`PieceOutcome` (and the process executor
@@ -32,14 +31,16 @@ actually runs**.  The contract has three parts:
    only the failed pieces, and a campaign checkpoint taken in between stays
    loadable.
 
-Why a process backend at all: the training loops are GIL-bound pure-numpy
-Python, so a thread pool cannot scale them — ``BENCH_partition.json``
-measured 1 thread *beating* 4 (9.95s vs 12.13s).  Worker processes follow
-the rank/world-size idiom of distributed inference (each rank computes its
-shard and saves a per-rank artifact; the merge step folds artifacts in rank
-order): a piece's ``index`` is its rank, the result checkpoint is its
-per-rank artifact, and :class:`~repro.runtime.merge.MergedSimilarityState`
-is the barrier-free fold.  Shipping specs to *remote* ranks instead of local
+Why processes and not threads: the training loops are GIL-bound pure-numpy
+Python, so a thread pool cannot scale them — the last ``BENCH_partition.json``
+run that swept one measured serial *beating* four threads (18.66 s vs
+22.55 s on a 1-core host), and the thread backend was retired.  Worker
+processes follow the rank/world-size idiom of distributed inference (each
+rank computes its shard and saves a per-rank artifact; the merge step folds
+artifacts in rank order): a piece's ``index`` is its rank, the result
+checkpoint is its per-rank artifact, and
+:class:`~repro.runtime.merge.MergedSimilarityState` is the barrier-free
+fold.  Shipping specs to *remote* ranks instead of local
 processes is the designed next step — nothing in a spec assumes a shared
 process, only a shared filesystem for its directories.
 
@@ -57,7 +58,7 @@ import json
 import os
 import time
 import traceback
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
@@ -74,7 +75,7 @@ logger = get_logger(__name__)
 
 #: Concrete executor names (the ``"auto"`` config value resolves to one of
 #: these through :func:`effective_executor_name`).
-EXECUTOR_NAMES = ("serial", "thread", "process")
+EXECUTOR_NAMES = ("serial", "process")
 
 #: Fault-injection hook for crash-recovery tests: a comma-separated list of
 #: piece indices whose runner raises instead of running — in whichever
@@ -88,12 +89,10 @@ def effective_executor_name(
     """Resolve a configured executor name (possibly ``"auto"``) to a concrete one.
 
     ``"auto"`` picks ``"process"`` when the campaign can actually use it —
-    more than one piece, more than one worker, and more than one core —
-    because the GIL-bound training loops gain nothing from threads.  With a
-    single worker or a single piece there is nothing to parallelise
-    (``"serial"``); on a single core the thread pool at least overlaps the
-    occasional GIL-releasing numpy kernel without paying process spawn and
-    checkpoint-transfer overhead (``"thread"``).
+    more than one piece, more than one worker, and more than one core — and
+    ``"serial"`` otherwise: with a single worker, a single piece or a single
+    core there is nothing to parallelise, and process spawn plus checkpoint
+    transfer would only add overhead.
     """
     if name != "auto":
         if name not in EXECUTOR_NAMES:
@@ -105,7 +104,7 @@ def effective_executor_name(
     if workers <= 1 or num_partitions <= 1:
         return "serial"
     cores = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    return "process" if cores > 1 else "thread"
+    return "process" if cores > 1 else "serial"
 
 
 # ---------------------------------------------------------------------- specs
@@ -345,25 +344,6 @@ class SerialExecutor:
 
 
 @dataclass
-class ThreadExecutor:
-    """The historical backend: a thread pool over the same runner.
-
-    Threads only overlap where numpy releases the GIL, so this backend is
-    mostly useful on a single core or for IO-dominated pieces; it exists so
-    the executor sweep can measure exactly what the process backend buys.
-    """
-
-    workers: int = 2
-    name: str = field(default="thread", init=False)
-
-    def execute(self, specs: Sequence[PieceSpec]) -> list[PieceOutcome]:
-        if len(specs) <= 1 or self.workers <= 1:
-            return [run_piece_spec(spec) for spec in specs]
-        with ThreadPoolExecutor(max_workers=min(self.workers, len(specs))) as pool:
-            return list(pool.map(run_piece_spec, specs))
-
-
-@dataclass
 class ProcessExecutor:
     """Worker processes — the backend that actually breaks the GIL.
 
@@ -406,8 +386,6 @@ def create_executor(name: str, workers: int = 1) -> CampaignExecutor:
     """Instantiate a concrete executor backend by name."""
     if name == "serial":
         return SerialExecutor()
-    if name == "thread":
-        return ThreadExecutor(workers=max(1, workers))
     if name == "process":
         return ProcessExecutor(workers=max(1, workers))
     raise ValueError(

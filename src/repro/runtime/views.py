@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.streaming import CosineChannels, _as_blocks, canonical_topk
+from repro.runtime.streaming import CosineChannels, _as_blocks
 from repro.utils.math import top_k_rows
 
 
@@ -215,84 +215,12 @@ class StreamedView(SimilarityView):
         return StreamedView(self.channels, self.block_size, tail_rows, self.tail_cols)
 
 
-class AnnView(StreamedView):
-    """A streamed view whose core top-k queries go through an ANN searcher.
 
-    ``core_search`` is a frozen :class:`~repro.runtime.ann.AnnSearcher`
-    captured at export time — a pure function of the frozen channels, index
-    set and calibrated probe width — so the view keeps the immutability
-    contract even while the live backend rebuilds its indexes.  Fold-in
-    stays exact by construction: appended tail columns are merged into every
-    core row's ANN result through the canonical top-k merge, and appended
-    tail rows (dense, full width) are scanned exactly; slab/``gather``
-    queries are inherited from :class:`StreamedView` unchanged.
+class AnnView(SimilarityView):
+    """Name-only remnant of the retired ANN backend's view; nothing builds it.
+
+    ``perfbench/tracing.py`` imports this class and wraps its own
+    ``top_k_for_rows``, so the name stays until that tracer line goes.
     """
 
-    backend_kind = "ann"
-
-    def __init__(
-        self,
-        channels: CosineChannels,
-        block_size: int,
-        core_search,
-        tail_rows: np.ndarray | None = None,
-        tail_cols: np.ndarray | None = None,
-    ) -> None:
-        super().__init__(channels, block_size, tail_rows, tail_cols)
-        self.core_search = core_search
-
-    def top_k_for_rows(self, indices, k):
-        indices = np.asarray(indices, dtype=np.int64)
-        k = min(k, self.num_cols)
-        out_idx = np.empty((indices.shape[0], k), dtype=np.int64)
-        out_val = np.empty((indices.shape[0], k))
-        core_mask = indices < self._core_rows
-        if np.any(core_mask):
-            core_idx = indices[core_mask]
-            core_pos = np.nonzero(core_mask)[0]
-            found_idx, found_val = self.core_search.top_k(
-                core_idx, min(k, self._core_cols)
-            )
-            num_tail = self.tail_cols.shape[1]
-            if num_tail:
-                tail_val = self.tail_cols[core_idx]
-                tail_idx = np.broadcast_to(
-                    self._core_cols + np.arange(num_tail, dtype=np.int64),
-                    tail_val.shape,
-                )
-                merged_val, merged_idx = canonical_topk(
-                    np.concatenate([found_val, tail_val], axis=1),
-                    np.concatenate([found_idx, tail_idx], axis=1),
-                    k,
-                )
-            else:
-                merged_val, merged_idx = found_val[:, :k], found_idx[:, :k]
-            out_idx[core_pos] = merged_idx
-            out_val[core_pos] = merged_val
-        if not np.all(core_mask):
-            tail = self.tail_rows[indices[~core_mask] - self._core_rows]
-            tail_pos = np.nonzero(~core_mask)[0]
-            top = top_k_rows(tail, k)
-            out_idx[tail_pos] = top
-            out_val[tail_pos] = tail[np.arange(tail.shape[0])[:, None], top]
-        return out_idx, out_val
-
-    def append_col(self, column):
-        appended = super().append_col(column)
-        return AnnView(
-            self.channels,
-            self.block_size,
-            self.core_search,
-            appended.tail_rows,
-            appended.tail_cols,
-        )
-
-    def append_row(self, row):
-        appended = super().append_row(row)
-        return AnnView(
-            self.channels,
-            self.block_size,
-            self.core_search,
-            appended.tail_rows,
-            appended.tail_cols,
-        )
+    top_k_for_rows = SimilarityView.top_k_for_rows

@@ -113,7 +113,7 @@ class FrontendConfig:
 def resolve_frontend_config(configured: FrontendConfig | None = None) -> FrontendConfig:
     """Effective dispatcher knobs: env overrides first, then config, then defaults.
 
-    Mirrors ``resolve_ann_params`` / ``resolve_backend_name`` — each
+    Mirrors ``resolve_backend_name`` / ``resolve_workers`` — each
     ``REPRO_SERVING_*`` variable wins over the configured value, field by
     field (``REPRO_SERVING_MAX_BATCH=0`` means "inherit the service's").
     """

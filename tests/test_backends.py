@@ -239,9 +239,13 @@ class TestBackendSelection:
         monkeypatch.delenv("REPRO_SIMILARITY_BACKEND")
         assert resolve_backend_name("dense") == "dense"
         assert resolve_backend_name(None) == "dense"
-        assert resolve_backend_name("ann") == "ann"
-        with pytest.raises(ValueError):
-            resolve_backend_name("faiss")
+        for retired in ("faiss", "ann"):  # "ann" is a retired backend
+            with pytest.raises(ValueError):
+                resolve_backend_name(retired)
+            monkeypatch.setenv("REPRO_SIMILARITY_BACKEND", retired)
+            with pytest.raises(ValueError):
+                resolve_backend_name("dense")
+            monkeypatch.delenv("REPRO_SIMILARITY_BACKEND")
 
     def test_workers_resolution(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIMILARITY_WORKERS", "3")
@@ -254,8 +258,9 @@ class TestBackendSelection:
     def test_config_validates_backend(self):
         config = DAAKGConfig(similarity_backend="sharded", similarity_workers=2)
         assert config.similarity_backend == "sharded"
-        with pytest.raises(ValueError):
-            DAAKGConfig(similarity_backend="faiss")
+        for retired in ("faiss", "ann"):
+            with pytest.raises(ValueError):
+                DAAKGConfig(similarity_backend=retired)
         with pytest.raises(ValueError):
             DAAKGConfig(similarity_workers=0)
         # round-trips through the JSON form (checkpoint manifests)

@@ -6,7 +6,7 @@ The load-bearing guarantees:
   concrete backend from (workers, pieces, cores) only;
 * a :class:`PieceSpec` is a self-contained, picklable work unit, and the
   runtime knobs that shape it survive ``DAAKGConfig`` JSON round-trips;
-* serial, thread and process backends produce **byte-identical** campaigns
+* serial and process backends produce **byte-identical** campaigns
   (merged top-k digests, eval scores, record sequences);
 * a crashing piece is a resumable per-piece failure: the campaign checkpoint
   stays loadable and resume re-runs *only* the failed piece, converging to
@@ -36,7 +36,6 @@ from repro.runtime.executor import (
     PieceSpec,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     create_executor,
     effective_executor_name,
 )
@@ -125,7 +124,7 @@ def serial_payload(serial_campaign) -> str:
 # ---------------------------------------------------------------- resolution
 def test_effective_executor_name_resolution():
     # explicit names pass through untouched, whatever the machine looks like
-    for name in ("serial", "thread", "process"):
+    for name in ("serial", "process"):
         assert effective_executor_name(name, workers=1, num_partitions=1) == name
     # auto: nothing to parallelise -> serial
     assert effective_executor_name("auto", workers=1, num_partitions=4, cpu_count=8) == "serial"
@@ -133,7 +132,7 @@ def test_effective_executor_name_resolution():
     # auto: real parallelism available -> process breaks the GIL
     assert effective_executor_name("auto", workers=4, num_partitions=4, cpu_count=8) == "process"
     # auto: single core -> processes only add spawn overhead
-    assert effective_executor_name("auto", workers=4, num_partitions=4, cpu_count=1) == "thread"
+    assert effective_executor_name("auto", workers=4, num_partitions=4, cpu_count=1) == "serial"
     with pytest.raises(ValueError, match="unknown campaign executor"):
         effective_executor_name("greenlet", workers=1, num_partitions=1)
 
@@ -141,9 +140,9 @@ def test_effective_executor_name_resolution():
 def test_campaign_executor_env_override(monkeypatch):
     monkeypatch.delenv(CAMPAIGN_EXECUTOR_ENV, raising=False)
     assert resolve_campaign_executor() == "auto"
-    assert resolve_campaign_executor("thread") == "thread"
+    assert resolve_campaign_executor("serial") == "serial"
     monkeypatch.setenv(CAMPAIGN_EXECUTOR_ENV, "process")
-    assert resolve_campaign_executor("thread") == "process"
+    assert resolve_campaign_executor("serial") == "process"
     # resolution stops at the *name*: auto resolves per machine later
     monkeypatch.setenv(CAMPAIGN_EXECUTOR_ENV, "auto")
     assert resolve_campaign_executor("process") == "auto"
@@ -153,14 +152,13 @@ def test_campaign_executor_env_override(monkeypatch):
 
 
 def test_partition_config_rejects_unknown_executor():
-    with pytest.raises(ValueError, match="executor"):
-        PartitionConfig(executor="hyperdrive")
+    for name in ("hyperdrive", "thread"):  # "thread" is a retired backend
+        with pytest.raises(ValueError, match="executor"):
+            PartitionConfig(executor=name)
 
 
 def test_create_executor_backends():
     assert isinstance(create_executor("serial"), SerialExecutor)
-    thread = create_executor("thread", workers=3)
-    assert isinstance(thread, ThreadExecutor) and thread.workers == 3
     process = create_executor("process", workers=2)
     assert isinstance(process, ProcessExecutor) and process.workers == 2
     with pytest.raises(ValueError, match="unknown campaign executor"):
@@ -223,7 +221,7 @@ def test_piece_seeds_flow_into_specs(tmp_path):
 
 
 # ----------------------------------------------------------- backend parity
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("executor", ["process"])
 def test_backend_parity_byte_identical(executor, serial_payload):
     campaign = make_campaign(executor)
     result = campaign.run()

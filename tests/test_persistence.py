@@ -56,7 +56,7 @@ def test_pair_codec_round_trip(tiny_pair):
 # --------------------------------------------------------------- format / errors
 def test_checkpoint_files_and_manifest(checkpoint_dir, fitted_pipeline):
     manifest = json.loads((checkpoint_dir / "manifest.json").read_text())
-    assert manifest["format_version"] == 1
+    assert manifest["format_version"] == 2
     assert manifest["fitted"] is True
     assert manifest["config"] == fitted_pipeline.config.to_dict()
     assert manifest["arrays"]["sha256"]
@@ -82,13 +82,15 @@ def test_load_corrupt_arrays_fails(checkpoint_dir, tmp_path):
 def test_unsupported_format_version_fails(checkpoint_dir, tmp_path):
     import shutil
 
-    future = tmp_path / "future"
-    shutil.copytree(checkpoint_dir, future)
-    manifest = json.loads((future / "manifest.json").read_text())
-    manifest["format_version"] = 999
-    (future / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(CheckpointError, match="format version"):
-        load_checkpoint(future)
+    # 1 predates the retired ``ann_*`` config keys; 999 is from the future
+    for version in (1, 999):
+        future = tmp_path / f"v{version}"
+        shutil.copytree(checkpoint_dir, future)
+        manifest = json.loads((future / "manifest.json").read_text())
+        manifest["format_version"] = version
+        (future / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="format version"):
+            load_checkpoint(future)
 
 
 # ------------------------------------------------------------------- round trip

@@ -10,7 +10,6 @@ import pytest
 from repro.alignment import SimilarityEngine
 from repro.kg.elements import ElementKind
 from repro.runtime import create_backend
-from repro.runtime.ann import AnnParams
 from repro.serving import ServingError, serve
 from repro.updates import KGDelta
 from repro.utils.math import l2_normalize
@@ -238,14 +237,12 @@ def test_pipeline_snapshot_is_one_identity_piece(fitted_pipeline):
     assert context.relation_index_2 == state.relation_index_2
 
 
-@pytest.fixture(params=["dense", "sharded", "ann"])
+@pytest.fixture(params=["dense", "sharded"])
 def pinned_service(request, fitted_pipeline):
     """A service frozen from the fitted state with its engine pinned to one backend."""
     model = fitted_pipeline.model
     original = model.similarity
     engine = SimilarityEngine(model)
-    # index even this small vocabulary, so the ann leg serves a real AnnView
-    engine.ann_params = AnnParams(min_index_cols=1)
     engine.backend = create_backend(engine, request.param)
     model.similarity = engine
     try:
