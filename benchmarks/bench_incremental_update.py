@@ -101,7 +101,7 @@ def build_campaign(pair) -> PartitionedCampaign:
         strategy="uncertainty",
         active_config=loop_config(),
         partition=partition_knobs(),
-        resolve_env=False,  # the comparison must not be resharded from outside
+        resolve_env=False,  # the comparison must not switch executors from outside
     )
 
 

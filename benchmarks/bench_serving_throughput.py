@@ -264,7 +264,6 @@ def _open_loop_point(service, kg1, workers, target_rate, multiplier, seconds):
             max_queue_depth=OPEN_LOOP_QUEUE_DEPTH,
             default_deadline_ms=OPEN_LOOP_DEADLINE_MS,
         ),
-        resolve_env=False,
     )
     rng = np.random.default_rng(int(multiplier * 1000))
     num_bins = int(seconds / OPEN_LOOP_BIN_SECONDS)
@@ -334,7 +333,6 @@ def test_serving_frontend_under_load(benchmark):
         frontend = ServingFrontend(
             service,
             FrontendConfig(num_workers=workers, max_queue_depth=4096, default_deadline_ms=50),
-            resolve_env=False,
         )
         counts: list[int] = []
         with frontend:
@@ -397,7 +395,6 @@ def test_serving_frontend_under_load(benchmark):
         storm_frontend = ServingFrontend(
             storm_service,
             FrontendConfig(num_workers=workers, max_queue_depth=4096, default_deadline_ms=25),
-            resolve_env=False,
         )
         errors: list[Exception] = []
         latencies: list[float] = []

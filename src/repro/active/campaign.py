@@ -29,11 +29,10 @@ process dying) becomes a *failed* piece, not a corrupted campaign —
 :class:`CampaignExecutionError`; checkpoints taken afterwards stay loadable
 and the next ``run()`` re-executes only the unfinished pieces.
 
-Configuration: ``DAAKGConfig.partition`` carries the knobs;
-``REPRO_PARTITION_COUNT`` / ``REPRO_PARTITION_WORKERS`` /
-``REPRO_PARTITION_RHO`` / ``REPRO_CAMPAIGN_EXECUTOR`` override them per
-process (environment wins), which is how CI sweeps partition/worker counts
-and executor backends without touching configs.
+Configuration: ``DAAKGConfig.partition`` carries the knobs.  Only the
+executor backend can be overridden per process, by
+``REPRO_CAMPAIGN_EXECUTOR`` (environment wins), which is how CI runs every
+campaign on the process executor without touching configs.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from repro.kg.partition import (
     KGPairPartition,
     PartitionConfig,
     partition_pair,
-    resolve_partition_config,
+    resolve_campaign_executor,
 )
 import repro.obs as obs
 from repro.runtime.executor import (
@@ -206,8 +205,8 @@ class PartitionedCampaign:
     config:
         The pipeline configuration shared by every partition; its
         ``partition`` field supplies the partitioning knobs unless
-        ``partition`` is given explicitly.  Environment overrides
-        (``REPRO_PARTITION_*``) are applied on top either way.
+        ``partition`` is given explicitly.  ``REPRO_CAMPAIGN_EXECUTOR``
+        overrides its executor either way, unless ``resolve_env=False``.
     strategy:
         Registry name of the selection strategy (each partition gets its own
         instance).
@@ -233,10 +232,13 @@ class PartitionedCampaign:
         self.strategy = strategy
         self.active_config = active_config
         configured = partition if partition is not None else self.config.partition
-        # ``resolve_env=False`` is the campaign-restore path: a checkpoint's
-        # partitioning must never be resharded by this process's environment.
+        # ``resolve_env=False`` is the campaign-restore path: a restored
+        # campaign keeps the executor its saved partition config names,
+        # whatever this process's environment says.
         self.partition_config = (
-            resolve_partition_config(configured) if resolve_env else configured
+            replace(configured, executor=resolve_campaign_executor(configured.executor))
+            if resolve_env
+            else configured
         )
         # ``partition_state`` is the incremental-restore path: a partition
         # whose piece pairs were evolved by deltas cannot be reproduced by

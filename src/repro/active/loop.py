@@ -37,7 +37,11 @@ _KINDS = (ElementKind.ENTITY, ElementKind.RELATION, ElementKind.CLASS)
 
 @dataclass(frozen=True)
 class ActiveLearningConfig:
-    """Budget and refresh settings of the active loop."""
+    """Budget settings of the active loop.
+
+    The pool is built once, from the model as it stands before the first
+    batch, and reused by every later batch.
+    """
 
     batch_size: int = 50
     num_batches: int = 5
@@ -45,7 +49,6 @@ class ActiveLearningConfig:
     pool: PoolConfig = PoolConfig()
     inference: InferencePowerConfig = InferencePowerConfig()
     calibration: CalibrationConfig = CalibrationConfig()
-    rebuild_pool_each_batch: bool = False
 
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.num_batches < 1:
@@ -105,7 +108,7 @@ class ActiveLearningLoop:
         return self._next_batch
 
     def pool(self) -> ElementPairPool:
-        if self._pool is None or self.config.rebuild_pool_each_batch:
+        if self._pool is None:
             self._pool = build_pool(self.model, self.config.pool)
         return self._pool
 

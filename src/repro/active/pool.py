@@ -27,8 +27,6 @@ class PoolConfig:
     """Parameters of pool generation."""
 
     top_n: int = 200
-    include_relation_pairs: bool = True
-    include_class_pairs: bool = True
 
     def __post_init__(self) -> None:
         if self.top_n < 1:
@@ -167,14 +165,8 @@ def build_pool(model: JointAlignmentModel, config: PoolConfig | None = None) -> 
         )
     entity_pairs = [entity_pair(int(a), int(b)) for a, b in zip(lefts, rights)]
 
-    relation_pairs = (
-        [relation_pair(a, b) for a in range(kg1.num_relations) for b in range(kg2.num_relations)]
-        if config.include_relation_pairs
-        else []
-    )
-    class_pairs = (
-        [class_pair(a, b) for a in range(kg1.num_classes) for b in range(kg2.num_classes)]
-        if config.include_class_pairs
-        else []
-    )
+    relation_pairs = [
+        relation_pair(a, b) for a in range(kg1.num_relations) for b in range(kg2.num_relations)
+    ]
+    class_pairs = [class_pair(a, b) for a in range(kg1.num_classes) for b in range(kg2.num_classes)]
     return ElementPairPool(tuple(entity_pairs), tuple(relation_pairs), tuple(class_pairs))

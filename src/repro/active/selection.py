@@ -27,6 +27,11 @@ logger = get_logger(__name__)
 # A "reach function" maps a candidate pair to {inferable pair: inference power}.
 ReachFunction = Callable[[ElementPair], Mapping[ElementPair, float]]
 
+#: Added to every candidate's expected gain, so the objective stays strictly
+#: increasing and ties are broken by probability, as in the uncertainty
+#: fallback.
+BASE_GAIN = 1e-3
+
 
 @dataclass(frozen=True)
 class GreedySelectionConfig:
@@ -36,7 +41,6 @@ class GreedySelectionConfig:
     power_threshold: float = 0.8
     num_samples: int = 8
     candidate_limit: int | None = 2000
-    base_gain: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -139,14 +143,12 @@ def _lazy_greedy(
     def gain(rank: int) -> float:
         probability = probabilities[rank]
         ids, values = reachable[rank]
-        # The base gain keeps the objective strictly increasing so that ties
-        # are broken by probability, mirroring the uncertainty fallback.
         if not ids.size:
-            return probability * config.base_gain
+            return probability * BASE_GAIN
         current = best[:, ids]
         terms = np.where(values > current, values - current, 0.0)
         total = float(np.cumsum(terms)[-1])
-        return probability * (total / num_samples + config.base_gain)
+        return probability * (total / num_samples + BASE_GAIN)
 
     heap = [(-gain(rank), rank, 0) for rank in range(len(probabilities))]
     heapq.heapify(heap)

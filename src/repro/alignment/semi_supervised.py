@@ -100,25 +100,20 @@ def mine_potential_matches_from_engine(
     exclude_right: set[int] | None = None,
     max_candidates: int | None = None,
 ) -> list[PotentialMatch]:
-    """Backend-agnostic mining: threshold scan over *streamed* similarity tiles.
+    """Backend-agnostic mining over the engine's threshold scan.
 
     Only the entries above ``τ`` are ever held in memory (the mined candidate
-    set), never the full matrix.  Candidates come from the backend's
-    threshold scan (:meth:`SimilarityEngine.threshold_candidates`) in global
-    row-major order — the same order ``np.where`` yields on a dense matrix —
-    and ``resolve_conflicts`` sorts stably, so the result is identical to
-    :func:`mine_potential_matches` on the materialised matrix, ties included.
+    set), never a second copy of the matrix.  Candidates come from the
+    backend's threshold scan (:meth:`SimilarityEngine.threshold_candidates`:
+    ``np.nonzero`` on the dense backend's cached matrix, streamed tiles on the
+    sharded one) in global row-major order — the same order ``np.where``
+    yields on a dense matrix — and ``resolve_conflicts`` sorts stably, so the
+    result is identical to :func:`mine_potential_matches` on the materialised
+    matrix, ties included.
     """
     num_rows, num_cols = engine.shape(kind)
     if num_rows == 0 or num_cols == 0:
         return []
-    if engine.backend_name == "dense":
-        # the cached matrix exists anyway: one np.where yields the candidates
-        # already row-major, skipping the per-tile scan and the lexsort
-        return mine_potential_matches(
-            engine.matrix(kind), threshold, exclude, exclude_left, exclude_right,
-            max_candidates,
-        )
     rows, cols, values = engine.threshold_candidates(kind, threshold)
     return _filter_and_resolve(
         rows, cols, values, exclude, exclude_left, exclude_right, max_candidates

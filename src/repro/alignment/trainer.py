@@ -39,6 +39,15 @@ logger = get_logger(__name__)
 
 _KINDS = (ElementKind.ENTITY, ElementKind.RELATION, ElementKind.CLASS)
 
+#: Focal exponent γ of the fine-tuning loss (Sect. 7.1).
+FOCAL_GAMMA = 2.0
+#: Labelled non-matches are pushed below this similarity.
+NON_MATCH_MARGIN = 0.3
+#: Margin of the continued embedding batches (as ``O_er``).
+EMBEDDING_MARGIN = 1.0
+#: At most this many potential matches are mined per element kind per round.
+SEMI_MAX_PER_KIND = 500
+
 
 @dataclass(frozen=True)
 class AlignmentTrainingConfig:
@@ -50,12 +59,8 @@ class AlignmentTrainingConfig:
     num_negatives: int = 5
     semi_supervised: bool = True
     semi_threshold: float = 0.7
-    semi_max_per_kind: int = 500
-    focal_gamma: float = 2.0
-    non_match_margin: float = 0.3
     embedding_batches_per_round: int = 2
     embedding_batch_size: int = 256
-    embedding_margin: float = 1.0
     align_relations_via_entity_map: bool = True
     hard_negative_fraction: float = 0.5
     hard_negative_pool: int = 10
@@ -66,8 +71,6 @@ class AlignmentTrainingConfig:
             raise ValueError("rounds and epochs_per_round must be positive")
         if not 0.0 < self.semi_threshold <= 1.0:
             raise ValueError("semi_threshold must be in (0, 1]")
-        if self.focal_gamma < 0:
-            raise ValueError("focal_gamma must be non-negative")
         if not 0.0 <= self.hard_negative_fraction <= 1.0:
             raise ValueError("hard_negative_fraction must be in [0, 1]")
 
@@ -266,13 +269,13 @@ class JointAlignmentTrainer:
         pos_scores = self.model.pair_similarity(kind, positives)
         neg_scores = self.model.pair_similarity(kind, negatives)
         if focal:
-            return F.focal_pairwise_softmax_loss(pos_scores, neg_scores, self.config.focal_gamma)
+            return F.focal_pairwise_softmax_loss(pos_scores, neg_scores, FOCAL_GAMMA)
         return F.pairwise_softmax_loss(pos_scores, neg_scores)
 
     def _non_match_loss(self, kind: ElementKind, non_matches: np.ndarray):
-        """Hinge loss pushing labelled non-matches below ``non_match_margin``."""
+        """Hinge loss pushing labelled non-matches below :data:`NON_MATCH_MARGIN`."""
         scores = self.model.pair_similarity(kind, non_matches)
-        return (scores - self.config.non_match_margin).clamp_min(0.0).mean()
+        return (scores - NON_MATCH_MARGIN).clamp_min(0.0).mean()
 
     def _entity_anchor_loss(self):
         """L2 anchor loss ``||A_ent e − e'||²`` on labelled and mined entity matches.
@@ -335,7 +338,7 @@ class JointAlignmentTrainer:
             negatives = sampler.corrupt_tails(batch, 1)
             pos = emb_model.triple_scores(batch)
             neg = emb_model.triple_scores(negatives)
-            losses.append(F.margin_ranking_loss(pos, neg, self.config.embedding_margin))
+            losses.append(F.margin_ranking_loss(pos, neg, EMBEDDING_MARGIN))
         if not losses:
             return None
         total = losses[0]
@@ -442,7 +445,7 @@ class JointAlignmentTrainer:
                 exclude=labelled,
                 exclude_left=matched_left,
                 exclude_right=matched_right,
-                max_candidates=self.config.semi_max_per_kind,
+                max_candidates=SEMI_MAX_PER_KIND,
             )
 
     # ------------------------------------------------------------------ train

@@ -4,13 +4,17 @@ Defaults follow Sect. 7.1 of the paper where they survive the down-scaling of
 the datasets (see DESIGN.md §4): similarity threshold τ, inference-power
 threshold κ, partition threshold ρ, focal γ and calibration temperatures keep
 the paper's values; embedding dimensions and epoch counts are scaled to the
-NumPy substrate.
+NumPy substrate.  Values no caller varies are not fields here but module
+constants next to the code that reads them: focal γ, the loss margins and the
+semi-supervised mining cap in :mod:`repro.embedding.trainer` and
+:mod:`repro.alignment.trainer`, the greedy base gain in
+:mod:`repro.active.selection`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Type, TypeVar, get_type_hints
 
 from repro.alignment.calibration import CalibrationConfig
@@ -68,7 +72,6 @@ class DAAKGConfig:
     base_model: str = "compgcn"
     entity_dim: int = 32
     class_dim: int = 8
-    share_gnn_weights: bool = True
     pretrain: EmbeddingTrainingConfig = EmbeddingTrainingConfig(epochs=8)
     alignment: AlignmentTrainingConfig = AlignmentTrainingConfig(
         rounds=5, epochs_per_round=30, learning_rate=0.03, num_negatives=10,
@@ -84,11 +87,9 @@ class DAAKGConfig:
     similarity_backend: str = "dense"
     similarity_workers: int = 1
     # Campaign partitioning: how PartitionedCampaign cuts the pair into
-    # rho-bounded cross-linked sub-pairs and how wide its worker pool is.
-    # The REPRO_PARTITION_COUNT / REPRO_PARTITION_WORKERS /
-    # REPRO_PARTITION_RHO / REPRO_CAMPAIGN_EXECUTOR environment variables
-    # override these per process (see repro.kg.partition);
-    # num_partitions=1 keeps the monolithic path.
+    # rho-bounded cross-linked sub-pairs and how wide its worker pool is;
+    # num_partitions=1 keeps the monolithic path.  Only the executor has an
+    # environment override, REPRO_CAMPAIGN_EXECUTOR (see repro.kg.partition).
     partition: PartitionConfig = PartitionConfig()
     # Ablation switches (Table 5)
     use_class_embeddings: bool = True

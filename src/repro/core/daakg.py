@@ -128,7 +128,8 @@ class DAAKG:
         self.embedding_model_1 = create_embedding_model(
             model_name, kg1, dim=config.entity_dim, rng=rng1
         )
-        if model_name == "compgcn" and config.share_gnn_weights:
+        # the two CompGCN encoders always share their GNN weights
+        if model_name == "compgcn":
             self.embedding_model_2 = CompGCN(
                 kg2,
                 dim=config.entity_dim,

@@ -25,24 +25,27 @@ from repro.utils.rng import RandomState, ensure_rng
 
 logger = get_logger(__name__)
 
+#: Margins of the entity-relation loss ``O_er`` (Eq. 1) and the entity-class
+#: loss ``O_ec`` (Eq. 3).
+MARGIN_ER = 1.0
+MARGIN_EC = 0.5
+
 
 @dataclass(frozen=True)
 class EmbeddingTrainingConfig:
-    """Hyper-parameters of per-KG embedding training."""
+    """Hyper-parameters of per-KG embedding training.
+
+    Entity embeddings are renormalised after every epoch's ``O_er`` pass.
+    """
 
     epochs: int = 30
     batch_size: int = 512
     learning_rate: float = 0.05
-    margin_er: float = 1.0
-    margin_ec: float = 0.5
     num_negatives: int = 2
-    renormalize: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
-        if self.margin_er < 0 or self.margin_ec < 0:
-            raise ValueError("margins must be non-negative")
 
 
 @dataclass
@@ -92,7 +95,7 @@ class KGEmbeddingTrainer:
         positives = np.repeat(batch, self.config.num_negatives, axis=0)
         pos_scores = self.model.triple_scores(positives)
         neg_scores = self.model.triple_scores(negatives)
-        return F.margin_ranking_loss(pos_scores, neg_scores, self.config.margin_er)
+        return F.margin_ranking_loss(pos_scores, neg_scores, MARGIN_ER)
 
     def _ec_batch_loss(self, batch: np.ndarray):
         assert self.class_scorer is not None
@@ -102,7 +105,7 @@ class KGEmbeddingTrainer:
         neg_emb = self.model.entity_output(negatives[:, 0])
         pos_scores = self.class_scorer.scores(pos_emb, positives[:, 1])
         neg_scores = self.class_scorer.scores(neg_emb, negatives[:, 1])
-        return F.margin_ranking_loss(pos_scores, neg_scores, self.config.margin_ec)
+        return F.margin_ranking_loss(pos_scores, neg_scores, MARGIN_EC)
 
     # ------------------------------------------------------------------- train
     def train(self) -> TrainingHistory:
@@ -123,8 +126,7 @@ class KGEmbeddingTrainer:
                     loss.backward()
                     self.optimizer.step()
                     er_losses.append(loss.item())
-                if self.config.renormalize:
-                    self.model.renormalize()
+                self.model.renormalize()
             if has_types:
                 order = self.rng.permutation(types.shape[0])
                 for start in range(0, len(order), self.config.batch_size):

@@ -15,10 +15,6 @@ from repro.kg.partition import (
     PartitionPiece,
     partition_pair,
     resolve_campaign_executor,
-    resolve_partition_config,
-    resolve_partition_count,
-    resolve_partition_rho,
-    resolve_partition_workers,
 )
 from repro.kg.sampling import NegativeSampler
 from repro.kg.statistics import KGStatistics, compute_statistics, relation_functionality
@@ -41,9 +37,5 @@ __all__ = [
     "partition_pair",
     "relation_functionality",
     "resolve_campaign_executor",
-    "resolve_partition_config",
-    "resolve_partition_count",
-    "resolve_partition_rho",
-    "resolve_partition_workers",
     "save_openea_directory",
 ]

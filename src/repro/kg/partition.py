@@ -37,11 +37,12 @@ the sub-KGs keep the original order, and ``num_partitions=1`` returns the
 *original* pair object so a single-partition campaign is bit-exact with the
 monolithic pipeline.
 
-Environment overrides (``REPRO_PARTITION_COUNT`` / ``REPRO_PARTITION_WORKERS``
-/ ``REPRO_PARTITION_RHO`` / ``REPRO_CAMPAIGN_EXECUTOR``) mirror the
-similarity backend's ``REPRO_SIMILARITY_*`` convention: the environment wins
-over the configured value, which is how CI sweeps worker counts and executor
-backends without touching any config.
+The partitioning itself is set by :class:`PartitionConfig` alone.  The one
+environment override, ``REPRO_CAMPAIGN_EXECUTOR``, picks the executor backend
+(:func:`resolve_campaign_executor`); like the similarity backend's
+``REPRO_SIMILARITY_*`` it wins over the configured value, which is how CI
+runs the suite on the process executor without touching any config.  The
+executor never changes results.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
 
-PARTITION_COUNT_ENV = "REPRO_PARTITION_COUNT"
-PARTITION_WORKERS_ENV = "REPRO_PARTITION_WORKERS"
-PARTITION_RHO_ENV = "REPRO_PARTITION_RHO"
 CAMPAIGN_EXECUTOR_ENV = "REPRO_CAMPAIGN_EXECUTOR"
 
 #: Valid values of ``PartitionConfig.executor``; the concrete backends live
@@ -114,36 +112,6 @@ class PartitionConfig:
             )
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    return int(raw) if raw else fallback
-
-
-def resolve_partition_count(configured: int | None = None) -> int:
-    """Effective partition count: env override first, then config, then 1."""
-    count = _env_int(PARTITION_COUNT_ENV, configured if configured is not None else 1)
-    if count < 1:
-        raise ValueError("partition count must be >= 1")
-    return count
-
-
-def resolve_partition_workers(configured: int | None = None) -> int:
-    """Effective campaign worker count: env override first, then config, then 1."""
-    workers = _env_int(PARTITION_WORKERS_ENV, configured if configured is not None else 1)
-    if workers < 1:
-        raise ValueError("partition workers must be >= 1")
-    return workers
-
-
-def resolve_partition_rho(configured: float | None = None) -> float:
-    """Effective ρ threshold: env override first, then config, then 0.9."""
-    raw = os.environ.get(PARTITION_RHO_ENV, "").strip()
-    rho = float(raw) if raw else (configured if configured is not None else 0.9)
-    if not 0.0 < rho <= 1.0:
-        raise ValueError("partition rho must be in (0, 1]")
-    return rho
-
-
 def resolve_campaign_executor(configured: str | None = None) -> str:
     """Effective executor selection: env override first, then config, then auto.
 
@@ -159,19 +127,6 @@ def resolve_campaign_executor(configured: str | None = None) -> str:
             f"got {executor!r}"
         )
     return executor
-
-
-def resolve_partition_config(configured: "PartitionConfig | None" = None) -> "PartitionConfig":
-    """``configured`` with every ``REPRO_PARTITION_*`` override applied."""
-    base = configured or PartitionConfig()
-    return PartitionConfig(
-        num_partitions=resolve_partition_count(base.num_partitions),
-        rho=resolve_partition_rho(base.rho),
-        max_refine_passes=base.max_refine_passes,
-        balance_slack=base.balance_slack,
-        workers=resolve_partition_workers(base.workers),
-        executor=resolve_campaign_executor(base.executor),
-    )
 
 
 @dataclass

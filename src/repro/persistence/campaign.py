@@ -17,12 +17,10 @@ resume (partitioning and per-piece seeds are pure functions of the saved
 dataset and configuration).
 
 ``load_campaign`` restores the campaign with the partitioning **saved in the
-manifest** — environment overrides (``REPRO_PARTITION_COUNT`` …,
-``REPRO_CAMPAIGN_EXECUTOR``) are deliberately *not* re-applied, because
-resharding a half-finished campaign would silently orphan its per-partition
-checkpoints.  The manifest also records the *resolved* executor name
-(``"executor"``) that ran the campaign, alongside the configured value kept
-inside ``partition_config``, so resumed runs re-use the same backend.
+manifest**, executor included: ``REPRO_CAMPAIGN_EXECUTOR`` is deliberately
+*not* re-applied, so resumed runs re-use the same backend.  The manifest also
+records the *resolved* executor name (``"executor"``) that ran the campaign,
+alongside the configured value kept inside ``partition_config``.
 """
 
 from __future__ import annotations
@@ -55,8 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with active
 
 logger = get_logger(__name__)
 
-# Version 2: the embedded DAAKGConfig dropped its ``ann_*`` keys.
-CAMPAIGN_FORMAT_VERSION = 2
+# Version 2: the embedded DAAKGConfig dropped its ``ann_*`` keys.  Version 3:
+# the embedded configs dropped the settings that became constants (see
+# ``FORMAT_VERSION`` in repro.persistence.checkpoint).
+CAMPAIGN_FORMAT_VERSION = 3
 CAMPAIGN_MANIFEST_FILE = "campaign.json"
 CAMPAIGN_DATASET_FILE = "dataset.npz"
 

@@ -57,9 +57,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with core/active
 
 logger = get_logger(__name__)
 
-# Version 2 dropped the ``ann_*`` DAAKGConfig keys; version-1 checkpoints fail
-# the version check instead of the config's unknown-key check.
-FORMAT_VERSION = 2
+# Version 2 dropped the ``ann_*`` DAAKGConfig keys; version 3 dropped the
+# settings that became constants (``share_gnn_weights``, the trainers'
+# margins, ``focal_gamma``, ``semi_max_per_kind``, ``renormalize``, the pool's
+# ``include_*_pairs``, the loop's ``rebuild_pool_each_batch`` and the greedy
+# ``base_gain``).  Older checkpoints fail the version check instead of the
+# config's unknown-key check.
+FORMAT_VERSION = 3
 ARRAYS_FILE = "arrays.npz"
 MANIFEST_FILE = "manifest.json"
 

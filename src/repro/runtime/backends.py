@@ -2,10 +2,9 @@
 
 The :class:`~repro.alignment.similarity.SimilarityEngine` delegates every
 query to one of two backends behind a common, *narrow* surface — ``rows``,
-``cols``, ``stream_blocks``, ``top_k_table``, ``row_max``/``col_max``,
-``view`` (a frozen serving export) — so none of the five consuming subsystems
-(evaluation, pool building, semi-supervised mining, calibration, serving)
-needs to know whether the full matrix exists:
+``cols``, ``stream_blocks``, ``threshold_candidates``, ``top_k_table``,
+``row_max``/``col_max``, ``view`` (a frozen serving export) — so evaluation,
+semi-supervised mining and serving answer the same way on either backend:
 
 * :class:`DenseBackend` — the historical path: the full matrix is computed
   once per version token, cached, and every query is an array slice.  This
@@ -17,6 +16,22 @@ needs to know whether the full matrix exists:
   query path.  Row shards may be fanned out over a thread pool — results are
   deterministic for any worker count because each row's merge happens
   entirely within its own shard.
+
+Four consumers still branch on ``backend_name == "dense"``, each because the
+streamed answer is not bit-identical to the historical dense one, or because
+the dense path gets a matrix for free.  Figures are from the D-W benchmark
+fit (999×689 entities):
+
+* ``JointAlignmentModel`` (snapshot build) computes the entity similarity for
+  the dangling-entity weights anyway and seeds the dense cache with it.
+* ``AlignmentCalibrator.pair_probabilities_from_engine``: the streamed
+  softmax differs from the dense one in the last ulp (up to 2.8e-16 on the
+  entity pairs of a ``top_n=50`` pool).
+* ``build_pool``: the streamed mutual top-N keeps a different pair at ties
+  on the top-N boundary (23 of 1,312 pairs at ``top_n=10``, 133 of 13,699
+  at ``top_n=50``).
+* ``DAAKG.predict_matches``: the streamed greedy matching returns the same
+  set, but orders tied relation scores differently.
 
 Backend selection: ``DAAKGConfig.similarity_backend`` chooses per pipeline,
 and the ``REPRO_SIMILARITY_BACKEND`` environment variable overrides it

@@ -48,8 +48,7 @@ Executor selection: ``PartitionConfig.executor`` (``"auto"`` picks the
 process backend when the campaign has more than one piece, more than one
 worker and more than one core), overridden per process by the
 ``REPRO_CAMPAIGN_EXECUTOR`` environment variable (see
-:mod:`repro.kg.partition` for the resolution rules shared with the other
-``REPRO_PARTITION_*`` knobs).
+:func:`repro.kg.partition.resolve_campaign_executor`).
 """
 
 from __future__ import annotations

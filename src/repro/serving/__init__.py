@@ -20,12 +20,7 @@ snapshot or a checkpoint path and get back a service (or a started frontend).
 """
 
 from repro.serving.entry import serve
-from repro.serving.frontend import (
-    BackpressureError,
-    FrontendConfig,
-    ServingFrontend,
-    resolve_frontend_config,
-)
+from repro.serving.frontend import BackpressureError, FrontendConfig, ServingFrontend
 from repro.serving.service import (
     AlignmentService,
     FoldInReport,
@@ -45,6 +40,5 @@ __all__ = [
     "ServingFrontend",
     "ServingSnapshot",
     "Ticket",
-    "resolve_frontend_config",
     "serve",
 ]

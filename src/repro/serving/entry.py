@@ -44,7 +44,7 @@ def serve(
     frontend:
         ``None``/``False`` (default) returns the bare
         :class:`AlignmentService`.  ``True`` wraps it in a
-        :class:`ServingFrontend` with environment-resolved defaults; a
+        :class:`ServingFrontend` with the default :class:`FrontendConfig`; a
         :class:`FrontendConfig` wraps it with that exact configuration.
         The frontend is **started** before it is returned — callers own its
         lifecycle and should ``stop()`` it (its ``service`` attribute holds

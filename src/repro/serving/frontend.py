@@ -43,23 +43,16 @@ without forcing an event loop onto every caller.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.obs.registry import DEFAULT_BATCH_BUCKETS, DEFAULT_LATENCY_BUCKETS
 from repro.serving.service import AlignmentService, ServingError, Ticket
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
-
-WORKERS_ENV = "REPRO_SERVING_WORKERS"
-QUEUE_DEPTH_ENV = "REPRO_SERVING_QUEUE_DEPTH"
-MAX_BATCH_ENV = "REPRO_SERVING_MAX_BATCH"
-DEADLINE_MS_ENV = "REPRO_SERVING_DEADLINE_MS"
-
 
 class BackpressureError(ServingError):
     """Typed admission rejection: the queue is at its depth limit.
@@ -76,19 +69,9 @@ class BackpressureError(ServingError):
         self.limit = limit
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    return int(raw) if raw else fallback
-
-
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    return float(raw) if raw else fallback
-
-
 @dataclass(frozen=True)
 class FrontendConfig:
-    """Dispatcher knobs; ``REPRO_SERVING_*`` environment overrides win.
+    """Dispatcher knobs.
 
     ``max_batch=None`` inherits the service's own ``max_batch`` so the
     dispatcher never silently changes the service's batching contract.
@@ -110,24 +93,6 @@ class FrontendConfig:
             raise ValueError("default_deadline_ms must be > 0")
 
 
-def resolve_frontend_config(configured: FrontendConfig | None = None) -> FrontendConfig:
-    """Effective dispatcher knobs: env overrides first, then config, then defaults.
-
-    Mirrors ``resolve_backend_name`` / ``resolve_workers`` — each
-    ``REPRO_SERVING_*`` variable wins over the configured value, field by
-    field (``REPRO_SERVING_MAX_BATCH=0`` means "inherit the service's").
-    """
-    base = configured if configured is not None else FrontendConfig()
-    max_batch = _env_int(MAX_BATCH_ENV, 0) or base.max_batch
-    return replace(
-        base,
-        num_workers=_env_int(WORKERS_ENV, base.num_workers),
-        max_queue_depth=_env_int(QUEUE_DEPTH_ENV, base.max_queue_depth),
-        max_batch=max_batch,
-        default_deadline_ms=_env_float(DEADLINE_MS_ENV, base.default_deadline_ms),
-    )
-
-
 class ServingFrontend:
     """A thread-pool dispatcher in front of one :class:`AlignmentService`.
 
@@ -143,6 +108,9 @@ class ServingFrontend:
     dispatcher: ``service.enqueue_top_k`` / ``enqueue_score`` route here, and
     ``Ticket.result()`` waits for a worker instead of flushing the whole
     queue on the caller's thread.
+
+    ``resolve_env`` is accepted and ignored (``perfbench/`` passes it); the
+    configuration is ``config`` alone.
     """
 
     def __init__(
@@ -152,9 +120,7 @@ class ServingFrontend:
         resolve_env: bool = True,
     ) -> None:
         self.service = service
-        self.config = resolve_frontend_config(config) if resolve_env else (
-            config or FrontendConfig()
-        )
+        self.config = config or FrontendConfig()
         self.max_batch = self.config.max_batch or service.max_batch
         self._queue: deque[Ticket] = deque()
         self._lock = threading.Lock()

@@ -27,6 +27,8 @@ from repro.inference.power import InferencePowerConfig, _cosine_gradient
 from repro.kg.elements import ElementKind
 from repro.utils.rng import ensure_rng
 
+BASE_GAIN = 1e-3
+
 
 @dataclass(frozen=True)
 class AlignmentEdge:
@@ -268,14 +270,14 @@ def greedy_select(candidates, probabilities, reach, config=None, rng=None):
         probability = probabilities.get(candidate, 0.0)
         powers = reachable[candidate]
         if not powers:
-            return probability * config.base_gain
+            return probability * BASE_GAIN
         total = 0.0
         for sample in current_power:
             for target, value in powers.items():
                 best = sample.get(target, 0.0)
                 if value > best:
                     total += value - best
-        return probability * (total / config.num_samples + config.base_gain)
+        return probability * (total / config.num_samples + BASE_GAIN)
 
     for _ in range(min(config.batch_size, len(ranked))):
         best_candidate = None

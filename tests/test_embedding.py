@@ -175,5 +175,3 @@ class TestTrainer:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EmbeddingTrainingConfig(epochs=0)
-        with pytest.raises(ValueError):
-            EmbeddingTrainingConfig(margin_er=-1)

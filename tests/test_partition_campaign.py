@@ -34,12 +34,7 @@ from repro.alignment.trainer import AlignmentTrainingConfig
 from repro.embedding.trainer import EmbeddingTrainingConfig
 from repro.inference.power import InferencePowerConfig
 from repro.kg.elements import ElementKind
-from repro.kg.partition import (
-    partition_pair,
-    resolve_partition_config,
-    resolve_partition_count,
-    resolve_partition_workers,
-)
+from repro.kg.partition import partition_pair
 from repro.serving import serve
 from repro.serving.service import ServingError
 
@@ -142,20 +137,6 @@ def test_single_partition_is_the_original_pair():
     assert np.array_equal(
         partition.pieces[0].entity_ids_1, np.arange(pair.kg1.num_entities)
     )
-
-
-def test_partition_env_overrides(monkeypatch):
-    monkeypatch.setenv("REPRO_PARTITION_COUNT", "5")
-    monkeypatch.setenv("REPRO_PARTITION_WORKERS", "3")
-    monkeypatch.setenv("REPRO_PARTITION_RHO", "0.8")
-    assert resolve_partition_count(2) == 5
-    assert resolve_partition_workers(1) == 3
-    resolved = resolve_partition_config(PartitionConfig(num_partitions=2, rho=0.95))
-    assert resolved.num_partitions == 5
-    assert resolved.workers == 3
-    assert resolved.rho == 0.8
-    monkeypatch.delenv("REPRO_PARTITION_COUNT")
-    assert resolve_partition_count(2) == 2
 
 
 def test_piece_seed_contract():
@@ -322,6 +303,33 @@ def test_campaign_checkpoint_before_run(campaign_config, tmp_path):
     restored = PartitionedCampaign.load(path)
     assert restored.num_partitions == 2
     assert all(p is None for p in restored.pipelines)
+
+
+def test_unsupported_campaign_format_version_fails(campaign_config, tmp_path):
+    import json
+    import shutil
+
+    from repro.persistence import CheckpointError
+
+    campaign = PartitionedCampaign(
+        campaign_pair(),
+        campaign_config,
+        strategy="uncertainty",
+        partition=PartitionConfig(num_partitions=2),
+    )
+    path = tmp_path / "campaign"
+    campaign.save(path)
+    assert json.loads((path / "campaign.json").read_text())["format_version"] == 3
+    # 1 predates the retired ``ann_*`` config keys, 2 the settings that became
+    # constants; 999 is from the future
+    for version in (1, 2, 999):
+        other = tmp_path / f"v{version}"
+        shutil.copytree(path, other)
+        manifest = json.loads((other / "campaign.json").read_text())
+        manifest["format_version"] = version
+        (other / "campaign.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="format version"):
+            PartitionedCampaign.load(other)
 
 
 # ------------------------------------------------------------------ serving

@@ -14,7 +14,6 @@ from repro.serving import (
     FrontendConfig,
     ServingError,
     ServingFrontend,
-    resolve_frontend_config,
     serve,
 )
 from repro.updates import KGDelta
@@ -37,27 +36,10 @@ def test_frontend_config_validation():
         FrontendConfig(default_deadline_ms=0)
 
 
-def test_frontend_env_overrides(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVING_WORKERS", "7")
-    monkeypatch.setenv("REPRO_SERVING_QUEUE_DEPTH", "99")
-    monkeypatch.setenv("REPRO_SERVING_MAX_BATCH", "17")
-    monkeypatch.setenv("REPRO_SERVING_DEADLINE_MS", "12.5")
-    resolved = resolve_frontend_config(FrontendConfig(num_workers=1, max_queue_depth=5))
-    assert resolved.num_workers == 7
-    assert resolved.max_queue_depth == 99
-    assert resolved.max_batch == 17
-    assert resolved.default_deadline_ms == 12.5
-    monkeypatch.delenv("REPRO_SERVING_WORKERS")
-    partial = resolve_frontend_config(FrontendConfig(num_workers=3))
-    assert partial.num_workers == 3  # env unset -> configured value survives
-
-
 # ----------------------------------------------------------------- dispatch
 def test_submit_resolves_via_worker_pool(fitted_pipeline):
     service = make_service(fitted_pipeline, cache_size=0)
-    frontend = ServingFrontend(
-        service, FrontendConfig(num_workers=2, default_deadline_ms=50), resolve_env=False
-    )
+    frontend = ServingFrontend(service, FrontendConfig(num_workers=2, default_deadline_ms=50))
     uris = list(fitted_pipeline.kg1.entities[:6])
     expected_topk = service.top_k_alignments(uris, k=3)
     pair = (uris[0], fitted_pipeline.kg2.entities[1])
@@ -76,9 +58,7 @@ def test_submit_resolves_via_worker_pool(fitted_pipeline):
 
 def test_enqueue_routes_through_dispatcher_and_back(fitted_pipeline):
     service = make_service(fitted_pipeline, cache_size=0)
-    frontend = ServingFrontend(
-        service, FrontendConfig(num_workers=1, default_deadline_ms=20), resolve_env=False
-    )
+    frontend = ServingFrontend(service, FrontendConfig(num_workers=1, default_deadline_ms=20))
     uri = fitted_pipeline.kg1.entities[0]
     with frontend:
         ticket = service.enqueue_top_k(uri, k=2)
@@ -99,8 +79,8 @@ def test_enqueue_routes_through_dispatcher_and_back(fitted_pipeline):
 
 def test_double_attach_rejected(fitted_pipeline):
     service = make_service(fitted_pipeline)
-    first = ServingFrontend(service, resolve_env=False).start()
-    second = ServingFrontend(service, resolve_env=False)
+    first = ServingFrontend(service).start()
+    second = ServingFrontend(service)
     try:
         with pytest.raises(ServingError, match="already attached"):
             second.start()
@@ -114,7 +94,6 @@ def test_backpressure_sheds_with_typed_error_then_drains(fitted_pipeline):
     frontend = ServingFrontend(
         service,
         FrontendConfig(num_workers=1, max_queue_depth=8, default_deadline_ms=50),
-        resolve_env=False,
     )
     # not started: the queue cannot drain, so admission fills deterministically
     uris = list(fitted_pipeline.kg1.entities)
@@ -142,7 +121,6 @@ def test_overload_burst_sheds_and_recovers(fitted_pipeline):
     frontend = ServingFrontend(
         service,
         FrontendConfig(num_workers=1, max_queue_depth=32, default_deadline_ms=200),
-        resolve_env=False,
     )
     uris = list(fitted_pipeline.kg1.entities)
     admitted, shed = [], 0
@@ -162,7 +140,7 @@ def test_overload_burst_sheds_and_recovers(fitted_pipeline):
 
 def test_stop_without_drain_fails_queued_tickets(fitted_pipeline):
     service = make_service(fitted_pipeline)
-    frontend = ServingFrontend(service, FrontendConfig(num_workers=1), resolve_env=False)
+    frontend = ServingFrontend(service, FrontendConfig(num_workers=1))
     ticket = frontend.submit_top_k(fitted_pipeline.kg1.entities[0], k=2)
     frontend.stop(drain=False)
     with pytest.raises(ServingError, match="stopped before resolving"):
@@ -172,9 +150,7 @@ def test_stop_without_drain_fails_queued_tickets(fitted_pipeline):
 # ------------------------------------------------------- deadline semantics
 def test_lone_request_flushes_at_half_deadline(fitted_pipeline):
     service = make_service(fitted_pipeline, cache_size=0)
-    frontend = ServingFrontend(
-        service, FrontendConfig(num_workers=1, default_deadline_ms=5000), resolve_env=False
-    )
+    frontend = ServingFrontend(service, FrontendConfig(num_workers=1, default_deadline_ms=5000))
     with frontend:
         submitted = time.perf_counter()
         ticket = frontend.submit_top_k(
@@ -192,9 +168,7 @@ def test_lone_request_flushes_at_half_deadline(fitted_pipeline):
 
 def test_full_batch_flushes_without_waiting_for_deadline(fitted_pipeline):
     service = make_service(fitted_pipeline, cache_size=0, max_batch=8)
-    frontend = ServingFrontend(
-        service, FrontendConfig(num_workers=1), resolve_env=False
-    )
+    frontend = ServingFrontend(service, FrontendConfig(num_workers=1))
     uris = list(fitted_pipeline.kg1.entities[:8])
     with frontend:
         start = time.perf_counter()
@@ -212,7 +186,6 @@ def test_hot_swap_and_fold_in_under_sustained_storm(fitted_pipeline):
     frontend = ServingFrontend(
         service,
         FrontendConfig(num_workers=2, max_queue_depth=4096, default_deadline_ms=25),
-        resolve_env=False,
     )
     kg1, kg2 = fitted_pipeline.kg1, fitted_pipeline.kg2
     uris = list(kg1.entities)
