@@ -1,11 +1,14 @@
 """The active alignment loop (Figure 2, right-hand side).
 
-Each iteration: build the selection state (pool, calibrated probabilities,
-optionally the alignment graph and inference-power estimator), ask the
-strategy for a batch, label it with the oracle, fine-tune the joint alignment
-model on the new labels (focal loss), and record progressive evaluation
-scores.  The loop stops when the labelling budget (number of batches) runs
-out, as in the paper.
+Each iteration: build the selection state (calibrated probabilities and,
+for strategies that need it, an inference-power estimator over the alignment
+graph), ask the strategy for a batch, label it with the oracle, fine-tune the
+joint alignment model on the new labels (focal loss), and record progressive
+evaluation scores.  The pool and its alignment graph depend only on the model
+before the first batch and on the two KGs, so both are built once and kept
+for the whole loop; the estimator is rebuilt per batch because fine-tuning
+changes the model it reads.  The loop stops when the labelling budget (number
+of batches) runs out, as in the paper.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from repro.active.strategies import SelectionState, SelectionStrategy
 from repro.alignment.calibration import AlignmentCalibrator, CalibrationConfig
 from repro.alignment.evaluation import AlignmentScores, evaluate_alignment_from_engine
 from repro.alignment.trainer import JointAlignmentTrainer
-from repro.inference.alignment_graph import build_alignment_graph
+from repro.inference.alignment_graph import AlignmentGraph, graph_from_pool
 from repro.inference.pairs import ElementPair
 from repro.inference.power import InferencePowerConfig, InferencePowerEstimator
 from repro.kg.elements import ElementKind
@@ -40,7 +43,8 @@ class ActiveLearningConfig:
     """Budget settings of the active loop.
 
     The pool is built once, from the model as it stands before the first
-    batch, and reused by every later batch.
+    batch, and reused by every later batch.  So is its alignment graph, built
+    on the first batch whose strategy needs inference power.
     """
 
     batch_size: int = 50
@@ -91,6 +95,7 @@ class ActiveLearningLoop:
         self.rng = ensure_rng(seed)
         self.calibrator = AlignmentCalibrator(self.config.calibration)
         self._pool: ElementPairPool | None = None
+        self._graph: tuple[ElementPairPool, AlignmentGraph] | None = None
         self.records: list[ActiveLearningRecord] = []
         # Campaign persistence: ``daakg`` is the owning pipeline facade
         # (attached by ``DAAKG.active_learning``), which checkpointing needs
@@ -111,6 +116,14 @@ class ActiveLearningLoop:
         if self._pool is None:
             self._pool = build_pool(self.model, self.config.pool)
         return self._pool
+
+    def graph(self) -> AlignmentGraph:
+        """The alignment graph of :meth:`pool`, built on first use and kept
+        for as long as the loop keeps that pool object."""
+        pool = self.pool()
+        if self._graph is None or self._graph[0] is not pool:
+            self._graph = (pool, graph_from_pool(self.model.kg1, self.model.kg2, pool))
+        return self._graph[1]
 
     def _probability_lookup(self, pool: ElementPairPool) -> dict[ElementPair, float]:
         """Calibrated probability per pool pair, read through the engine.
@@ -158,13 +171,7 @@ class ActiveLearningLoop:
         graph = None
         estimator = None
         if self.strategy.requires_inference:
-            graph = build_alignment_graph(
-                self.model.kg1,
-                self.model.kg2,
-                pool.entity_pair_set(),
-                {(p.left, p.right) for p in pool.relation_pairs},
-                {(p.left, p.right) for p in pool.class_pairs},
-            )
+            graph = self.graph()
             estimator = InferencePowerEstimator(
                 self.model, graph, self.config.inference, rng=self.rng
             )

@@ -184,9 +184,9 @@ class _QuotientReach:
 
     def _group_power(self, candidate: int) -> tuple[np.ndarray, np.ndarray]:
         """Reached groups in first-reached order, with their powers."""
-        graph = self.graph
+        out_ptr, out_edges = self.graph.out_ptr_list, self.graph.out_edge_list
         reached: dict[int, float] = {}
-        for edge in graph.out_edges[graph.out_ptr[candidate] : graph.out_ptr[candidate + 1]].tolist():
+        for edge in out_edges[out_ptr[candidate] : out_ptr[candidate + 1]]:
             group, power = self.target_groups[edge], self.power[edge]
             if power > reached.get(group, 0.0):
                 reached[group] = power

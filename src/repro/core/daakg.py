@@ -34,7 +34,7 @@ from repro.alignment.trainer import JointAlignmentTrainer
 from repro.core.config import DAAKGConfig
 from repro.embedding import CompGCN, EntityClassScorer, create_embedding_model
 from repro.embedding.trainer import KGEmbeddingTrainer
-from repro.inference.alignment_graph import AlignmentGraph, build_alignment_graph
+from repro.inference.alignment_graph import AlignmentGraph, graph_from_pool
 from repro.inference.power import InferencePowerEstimator
 from repro.kg.elements import ElementKind, Triple
 from repro.kg.graph import KnowledgeGraph
@@ -289,14 +289,9 @@ class DAAKG:
         self, pool: ElementPairPool | None = None
     ) -> tuple[AlignmentGraph, InferencePowerEstimator]:
         """The alignment graph and inference power estimator for a pool."""
-        pool = pool or self.build_pool()
-        graph = build_alignment_graph(
-            self.kg1,
-            self.kg2,
-            pool.entity_pair_set(),
-            {(p.left, p.right) for p in pool.relation_pairs},
-            {(p.left, p.right) for p in pool.class_pairs},
-        )
+        if pool is None:
+            pool = self.build_pool()
+        graph = graph_from_pool(self.kg1, self.kg2, pool)
         estimator = InferencePowerEstimator(self.model, graph, self.config.inference, rng=self.rng)
         return graph, estimator
 

@@ -19,10 +19,20 @@ class pairs at :attr:`class_offset`, each in sorted order.  Edges are rows
 :attr:`edges`, numbered in build order: sources in the iteration order of the
 pool set, then KG1's and KG2's adjacency order.  That numbering fixes the
 order in which the estimator first touches edge powers, and with it the order
-in which sampled tail solves draw from the shared RNG.  ``out_ptr`` /
+in which sampled tail solves draw from the shared RNG.  It is the same on
+every build from the same pool, a resumed one included: the set is rebuilt
+from the pool's immutable pair tuple in the same insertion order, and hashes
+of int tuples do not depend on ``PYTHONHASHSEED``.  ``out_ptr`` /
 ``out_edges`` index edge ids by source (CSR, build order within a source),
 ``relation_ptr`` / ``relation_edges`` by relation pair, and ``class_ptr`` /
 ``class_ids`` list each entity pair's class-pair indexes in type-triple order.
+
+The graph depends only on the pool and the two KGs, so an active loop builds
+it once per pool (:func:`graph_from_pool`) and every batch's estimator shares
+it.  Those estimators walk edges one at a time in Python, so the graph also
+keeps read-only list views of the arrays they index, built on first use:
+:attr:`edge_list`, :attr:`target_list`, :attr:`out_ptr_list`,
+:attr:`out_edge_list`, :attr:`entity_sides` and :attr:`relation_sides`.
 """
 
 from __future__ import annotations
@@ -30,12 +40,16 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import obs
 from repro.inference.pairs import ElementPair, class_pair, entity_pair, relation_pair
 from repro.kg.graph import KnowledgeGraph
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle with active/
+    from repro.active.pool import ElementPairPool
 
 
 @dataclass(eq=False)
@@ -61,6 +75,32 @@ class AlignmentGraph:
     @cached_property
     def _ids(self) -> dict[ElementPair, int]:
         return {pair: index for index, pair in enumerate(self.all_pairs)}
+
+    # Python lists of the arrays the estimator indexes per edge (no boxing);
+    # shared by every estimator over this graph, so treat them as read-only.
+    @cached_property
+    def edge_list(self) -> list[list[int]]:
+        return self.edges.tolist()
+
+    @cached_property
+    def target_list(self) -> list[int]:
+        return self.edges[:, 2].tolist()
+
+    @cached_property
+    def out_ptr_list(self) -> list[int]:
+        return self.out_ptr.tolist()
+
+    @cached_property
+    def out_edge_list(self) -> list[int]:
+        return self.out_edges.tolist()
+
+    @cached_property
+    def entity_sides(self) -> list[tuple[int, int]]:
+        return [(p.left, p.right) for p in self.entity_pairs]
+
+    @cached_property
+    def relation_sides(self) -> list[tuple[int, int]]:
+        return [(p.left, p.right) for p in self.relation_pairs]
 
     @property
     def relation_offset(self) -> int:
@@ -145,6 +185,15 @@ def _pair_lookup(pairs: list[tuple[int, int]], width: int):
     return lookup
 
 
+def _table_lookup(pairs: list[tuple[int, int]], height: int, width: int):
+    """``lookup(lefts, rights)`` as :func:`_pair_lookup`, through a dense
+    ``height × width`` table: for schema pairs, whose count the schemas bound."""
+    sides = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    table = np.full((height, width), -1, dtype=np.int64)
+    table[sides[:, 0], sides[:, 1]] = np.arange(len(sides))
+    return lambda lefts, rights: table[lefts, rights]
+
+
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(row, position)`` over the concatenated ranges ``starts[i] + 0 .. counts[i] - 1``."""
     row = np.repeat(np.arange(len(counts)), counts)
@@ -186,6 +235,19 @@ def build_alignment_graph(
         return _build(kg1, kg2, entity_pool, relation_pool, class_pool)
 
 
+def graph_from_pool(
+    kg1: KnowledgeGraph, kg2: KnowledgeGraph, pool: "ElementPairPool"
+) -> AlignmentGraph:
+    """The alignment graph of an element pair pool."""
+    return build_alignment_graph(
+        kg1,
+        kg2,
+        pool.entity_pair_set(),
+        {(p.left, p.right) for p in pool.relation_pairs},
+        {(p.left, p.right) for p in pool.class_pairs},
+    )
+
+
 def _build(kg1, kg2, entity_pool, relation_pool, class_pool) -> AlignmentGraph:
     if relation_pool is None:
         relation_pool = [
@@ -198,8 +260,8 @@ def _build(kg1, kg2, entity_pool, relation_pool, class_pool) -> AlignmentGraph:
     class_keys = sorted(class_pool)
     num_entities = len(entity_keys)
     entity_id = _pair_lookup(entity_keys, kg2.num_entities)
-    relation_id = _pair_lookup(relation_keys, kg2.num_relations)
-    class_id = _pair_lookup(class_keys, kg2.num_classes)
+    relation_id = _table_lookup(relation_keys, kg1.num_relations, kg2.num_relations)
+    class_id = _table_lookup(class_keys, kg1.num_classes, kg2.num_classes)
 
     # entity-pair edges: join both sides' out-edges, sources in pool-set order
     triples_1, triples_2 = kg1.triple_array, kg2.triple_array

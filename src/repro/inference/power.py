@@ -108,13 +108,15 @@ class InferencePowerEstimator:
         self._all_edge_powers: np.ndarray | None = None
         self._path_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._schema_gradients: dict[tuple[ElementKind, int], tuple | None] = {}
-        # Python lists: the per-edge loops below index them without boxing
-        self._edges = graph.edges.tolist()
-        self._targets = graph.edges[:, 2].tolist()
-        self._out_ptr = graph.out_ptr.tolist()
-        self._out_edges = graph.out_edges.tolist()
-        self._entity_sides = [(p.left, p.right) for p in graph.entity_pairs]
-        self._relation_sides = [(p.left, p.right) for p in graph.relation_pairs]
+        # The graph's shared list views: the per-edge loops below index them
+        # without boxing.  Everything above depends on the model, so it stays
+        # per estimator.
+        self._edges = graph.edge_list
+        self._targets = graph.target_list
+        self._out_ptr = graph.out_ptr_list
+        self._out_edges = graph.out_edge_list
+        self._entity_sides = graph.entity_sides
+        self._relation_sides = graph.relation_sides
 
     # ----------------------------------------------------------- edge costs
     def _tail_solution(self, side: int, head_idx: int, relation_idx: int) -> tuple[np.ndarray, float]:

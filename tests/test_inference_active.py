@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import DAAKG
 from repro.active import (
     ActiveLearningConfig,
     ElementPairPool,
@@ -19,15 +20,30 @@ from repro.active import (
     STRATEGY_REGISTRY,
 )
 from repro.active.selection import expected_overall_power
+from repro.active.strategies import DAAKGStrategy, UncertaintyStrategy
 from repro.inference import (
     ElementPair,
     InferencePowerConfig,
     InferencePowerEstimator,
     build_alignment_graph,
 )
+from repro.inference import alignment_graph
 from repro.inference.pairs import class_pair, entity_pair, relation_pair
 from repro.inference.power import inference_accuracy
 from repro.kg.elements import ElementKind
+
+
+@pytest.fixture(scope="module")
+def pipeline_checkpoint(fitted_pipeline, tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "fitted"
+    fitted_pipeline.save(path)
+    return path
+
+
+@pytest.fixture
+def pipeline_copy(pipeline_checkpoint):
+    """A fresh copy of the fitted session pipeline that a loop may fine-tune."""
+    return DAAKG.load(pipeline_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +94,25 @@ class TestAlignmentGraph:
     def test_empty_pool_gives_empty_graph(self, tiny_pair):
         graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, set())
         assert graph.num_edges() == 0
+
+    def test_estimator_keeps_an_empty_pool(self, fitted_pipeline):
+        # an empty pool is falsy (it has a length) but must not be replaced
+        # by a freshly built one
+        graph, _ = fitted_pipeline.build_inference_estimator(ElementPairPool())
+        assert len(graph.entity_pairs) == 0
+        assert graph.num_edges() == 0
+
+    def test_list_views_match_arrays(self, inference_setup):
+        _, _, graph, estimator = inference_setup
+        assert graph.edge_list == graph.edges.tolist()
+        assert graph.target_list == graph.edges[:, 2].tolist()
+        assert graph.out_ptr_list == graph.out_ptr.tolist()
+        assert graph.out_edge_list == graph.out_edges.tolist()
+        assert graph.entity_sides == [(p.left, p.right) for p in graph.entity_pairs]
+        assert graph.relation_sides == [(p.left, p.right) for p in graph.relation_pairs]
+        # a second estimator over the same graph shares the views
+        other = InferencePowerEstimator(estimator.model, graph, estimator.config)
+        assert other._edges is estimator._edges is graph.edge_list
 
 
 class TestInferencePower:
@@ -325,6 +360,45 @@ class TestActiveLoop:
         assert records[0].labels_used == 10
         for record in records:
             assert 0.0 <= record.entity_scores.hits_at_1 <= 1.0
+
+    @pytest.mark.parametrize(
+        "strategy, builds",
+        [
+            (DAAKGStrategy(algorithm="greedy"), 1),
+            (DAAKGStrategy(algorithm="partition"), 1),
+            (UncertaintyStrategy(), 0),
+        ],
+        ids=["greedy", "partition", "uncertainty"],
+    )
+    def test_loop_builds_graph_once_per_pool(
+        self, pipeline_copy, monkeypatch, strategy, builds
+    ):
+        calls = []
+        build = alignment_graph.build_alignment_graph
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(alignment_graph, "build_alignment_graph", counted)
+        loop = pipeline_copy.active_learning(
+            strategy,
+            ActiveLearningConfig(
+                batch_size=10, num_batches=3, fine_tune_epochs=2,
+                pool=PoolConfig(top_n=10),
+                inference=InferencePowerConfig(max_hops=2, power_threshold=0.5),
+            ),
+        )
+        assert len(loop.run()) == 3
+        assert len(calls) == builds
+        if builds:
+            # a different pool object (as a resume sets) gets its own graph
+            graph = loop.graph()
+            pool = loop.pool()
+            loop._pool = ElementPairPool(pool.entity_pairs, pool.relation_pairs, pool.class_pairs)
+            assert loop.graph() is not graph
+            assert loop.graph().edges.tolist() == graph.edges.tolist()
+            assert len(calls) == 2
 
     def test_loop_config_validation(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import pytest
 from repro import DAAKG, DAAKGConfig
 from repro.active.loop import ActiveLearningConfig, ActiveLearningLoop
 from repro.active.pool import PoolConfig
+from repro.active.strategies import DAAKGStrategy
 from repro.core.config import config_from_dict, config_to_dict
 from repro.inference.power import InferencePowerConfig
 from repro.kg.elements import ElementKind
@@ -144,7 +145,12 @@ def _comparable(record) -> dict:
     return data
 
 
-@pytest.mark.parametrize("strategy", ["uncertainty", "daakg"])
+@pytest.mark.parametrize(
+    "strategy",
+    # a resumed loop builds its alignment graph fresh, while the uninterrupted
+    # one reuses the graph it built on its first batch
+    ["uncertainty", "daakg", pytest.param(DAAKGStrategy(algorithm="partition"), id="partition")],
+)
 def test_resumed_campaign_matches_uninterrupted(checkpoint_dir, tmp_path, strategy):
     uninterrupted = DAAKG.load(checkpoint_dir).active_learning(strategy, LOOP_CONFIG)
     expected = uninterrupted.run()
