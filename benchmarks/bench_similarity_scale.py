@@ -57,7 +57,7 @@ TOP_K = 10
 MINE_THRESHOLD = 0.8
 
 
-def build_engine(pair, backend: str, workers: int = 1) -> SimilarityEngine:
+def build_engine(pair, backend: str) -> SimilarityEngine:
     """An untrained joint model with its engine pinned to ``backend``.
 
     Training is irrelevant to the memory profile of the similarity runtime,
@@ -74,7 +74,6 @@ def build_engine(pair, backend: str, workers: int = 1) -> SimilarityEngine:
     block = SHARDED_BLOCK if backend == "sharded" else DENSE_BLOCK
     engine = SimilarityEngine(model, block_size=block)
     engine.backend = create_backend(engine, backend)
-    engine.workers = workers  # direct assignment: REPRO_SIMILARITY_WORKERS must not leak in
     model.similarity = engine
     model.set_landmarks(pair.entity_match_ids()[:LANDMARK_BUDGET])
     return engine
@@ -199,21 +198,3 @@ def test_bench_similarity_scale(scale_results):
         f"dense {worst_dense}MB at scale 4"
     )
 
-
-def test_bench_multi_worker_topk():
-    """Multi-worker sharded top-k: identical tables, recorded wall times."""
-    pair = make_large_world_pair(BASE_ENTITIES, seed=1)
-    serial = build_engine(pair, "sharded", workers=1)
-    parallel = build_engine(pair, "sharded", workers=4)
-    start = time.perf_counter()
-    table_serial = serial.top_k_table(ElementKind.ENTITY, TOP_K)
-    serial_s = time.perf_counter() - start
-    start = time.perf_counter()
-    table_parallel = parallel.top_k_table(ElementKind.ENTITY, TOP_K)
-    parallel_s = time.perf_counter() - start
-    assert np.array_equal(table_serial.left_indices, table_parallel.left_indices)
-    assert np.array_equal(table_serial.left_values, table_parallel.left_values)
-    record_bench(
-        "scale",
-        headline={"topk_workers1_s": round(serial_s, 3), "topk_workers4_s": round(parallel_s, 3)},
-    )

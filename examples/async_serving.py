@@ -59,7 +59,7 @@ def fit_pipeline() -> DAAKG:
 def main() -> None:
     enable_console_logging()
     pipeline = fit_pipeline()
-    service = serve(pipeline, max_batch=64, cache_size=2048)
+    service = serve(pipeline, cache_size=2048)
     kg1, kg2 = pipeline.kg1, pipeline.kg2
 
     # ------------------------------------------------ 1. storm through the

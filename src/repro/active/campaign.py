@@ -708,12 +708,7 @@ class PartitionedCampaign:
                         self._ids(right_names, right_index),
                     )
                 )
-        merged = MergedSimilarityState.from_contributions(
-            contributions,
-            shapes,
-            block_size=block_size,
-            workers=self.partition_config.workers,
-        )
+        merged = MergedSimilarityState.from_contributions(contributions, shapes, block_size)
         # token read after building: channel construction may lazily refresh
         # a piece snapshot, which bumps that piece's version
         self._merged = (self._state_fingerprint(), merged)

@@ -160,9 +160,7 @@ def build_pool(model: JointAlignmentModel, config: PoolConfig | None = None) -> 
             in_right_top[top_for_right, np.arange(kg2.num_entities)[:, None]] = True
         lefts, rights = np.nonzero(in_left_top & in_right_top)
     else:
-        lefts, rights = mutual_top_n(
-            signatures_1, signatures_2, config.top_n, engine.block_size, engine.workers
-        )
+        lefts, rights = mutual_top_n(signatures_1, signatures_2, config.top_n, engine.block_size)
     entity_pairs = [entity_pair(int(a), int(b)) for a, b in zip(lefts, rights)]
 
     relation_pairs = [

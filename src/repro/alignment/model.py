@@ -75,7 +75,6 @@ class JointAlignmentModel(Module):
         propagation_hops: int = 3,
         propagation_alpha: float = 0.6,
         similarity_backend: str | None = None,
-        similarity_workers: int | None = None,
         rng: RandomState = None,
     ) -> None:
         if model1.dim != model2.dim:
@@ -104,9 +103,7 @@ class JointAlignmentModel(Module):
         self._structural_factors: tuple[np.ndarray, np.ndarray] | None = None
         self._snapshot_version = 0
         self._landmark_version = 0
-        self.similarity = SimilarityEngine(
-            self, backend=similarity_backend, workers=similarity_workers
-        )
+        self.similarity = SimilarityEngine(self, backend=similarity_backend)
 
         entity_dim = model1.dim
         relation_dim = model1.relation_matrix().shape[1] if self.kg1.num_relations else entity_dim
@@ -222,8 +219,7 @@ class JointAlignmentModel(Module):
             return np.zeros(e1.shape[0]), np.zeros(e2.shape[0])
         pairs, clip = self.entity_channel_factors(e1, e2)
         channels = CosineChannels(pairs, clip_at_zero=clip)
-        engine = self.similarity
-        w1, w2 = stream_row_col_max(channels, engine.block_size, engine.workers)
+        w1, w2 = stream_row_col_max(channels, self.similarity.block_size)
         return np.clip(w1, 0.0, 1.0), np.clip(w2, 0.0, 1.0)
 
     @property

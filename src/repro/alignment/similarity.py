@@ -60,12 +60,7 @@ import repro.obs as obs
 from repro.autograd.tensor import no_grad
 from repro.kg.elements import ElementKind
 from repro.nn.optim import parameter_version
-from repro.runtime.backends import (
-    TopKTable,
-    create_backend,
-    resolve_backend_name,
-    resolve_workers,
-)
+from repro.runtime.backends import TopKTable, create_backend, resolve_backend_name
 from repro.runtime.streaming import ChannelPair, CosineChannels
 from repro.runtime.views import SimilarityView
 from repro.utils.math import cosine_similarity_matrix, safe_l2_normalize
@@ -121,13 +116,11 @@ class SimilarityEngine:
         model: "JointAlignmentModel",
         block_size: int = DEFAULT_BLOCK_SIZE,
         backend: str | None = None,
-        workers: int | None = None,
     ) -> None:
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
         self.model = model
         self.block_size = block_size
-        self.workers = resolve_workers(workers)
         self.backend = create_backend(self, resolve_backend_name(backend))
         self._matrices: dict[object, tuple[tuple[int, ...], np.ndarray]] = {}
         self._channels: dict[object, tuple[tuple[int, ...], CosineChannels]] = {}

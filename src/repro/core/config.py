@@ -81,11 +81,10 @@ class DAAKGConfig:
     inference: InferencePowerConfig = InferencePowerConfig()
     pool: PoolConfig = PoolConfig()
     # Similarity runtime: "dense" caches full N×M matrices, "sharded" streams
-    # cosine tiles with running top-k and never materialises N×M.  The
-    # REPRO_SIMILARITY_BACKEND / REPRO_SIMILARITY_WORKERS environment
-    # variables override these per process (see repro.runtime.backends).
+    # cosine tiles row shard by row shard with running top-k and never
+    # materialises N×M.  The REPRO_SIMILARITY_BACKEND environment variable
+    # overrides it per process (see repro.runtime.backends).
     similarity_backend: str = "dense"
-    similarity_workers: int = 1
     # Campaign partitioning: how PartitionedCampaign cuts the pair into
     # rho-bounded cross-linked sub-pairs and how wide its worker pool is;
     # num_partitions=1 keeps the monolithic path.  Only the executor has an
@@ -105,8 +104,6 @@ class DAAKGConfig:
             raise ValueError("embedding dimensions must be positive")
         if self.similarity_backend.lower() not in ("dense", "sharded"):
             raise ValueError("similarity_backend must be 'dense' or 'sharded'")
-        if self.similarity_workers < 1:
-            raise ValueError("similarity_workers must be >= 1")
 
     # -------------------------------------------------------- serialisation
     def to_dict(self) -> dict:

@@ -24,12 +24,9 @@ from repro.active.oracle import Oracle
 from repro.active.pool import ElementPairPool, build_pool
 from repro.active.strategies import SelectionStrategy, create_strategy
 from repro.alignment.calibration import AlignmentCalibrator
-from repro.alignment.evaluation import (
-    AlignmentScores,
-    evaluate_alignment_from_engine,
-    greedy_match,
-)
+from repro.alignment.evaluation import AlignmentScores, evaluate_alignment_from_engine
 from repro.alignment.model import JointAlignmentModel
+from repro.alignment.semi_supervised import resolve_conflicts
 from repro.alignment.trainer import JointAlignmentTrainer
 from repro.core.config import DAAKGConfig
 from repro.embedding import CompGCN, EntityClassScorer, create_embedding_model
@@ -161,7 +158,6 @@ class DAAKG:
             use_mean_embeddings=config.use_mean_embeddings,
             use_structural_channel=config.use_structural_channel,
             similarity_backend=config.similarity_backend,
-            similarity_workers=config.similarity_workers,
             rng=self.rng,
         )
         alignment_config = replace(
@@ -240,41 +236,22 @@ class DAAKG:
     def predict_matches(self, kind: ElementKind, threshold: float = 0.5) -> list[tuple[str, str]]:
         """One-to-one predicted matches above ``threshold``, as element names.
 
-        On the sharded backend the candidates above ``threshold`` are
-        collected from streamed tiles and matched greedily without ever
-        materialising the full matrix.
+        Greedy one-to-one matching over the backend's above-threshold
+        candidates, with the same tie-sensitive contract as mining: the
+        row-major threshold scan feeds ``resolve_conflicts`` (stable sort by
+        descending score), so there is exactly one implementation of each
+        half.  The sharded backend collects the candidates from streamed
+        tiles without ever materialising the full matrix.
         """
-        engine = self.model.similarity
-        if engine.backend_name == "dense":
-            matrix = self.model.similarity_matrix(kind)
-            matches = greedy_match(matrix, threshold=threshold)
-        else:
-            matches = self._greedy_match_streamed(kind, threshold)
+        rows, cols, values = self.model.similarity.threshold_candidates(kind, threshold)
+        resolved = resolve_conflicts(list(zip(rows.tolist(), cols.tolist(), values.tolist())))
         if kind is ElementKind.ENTITY:
             left_names, right_names = self.kg1.entities, self.kg2.entities
         elif kind is ElementKind.RELATION:
             left_names, right_names = self.kg1.relations, self.kg2.relations
         else:
             left_names, right_names = self.kg1.classes, self.kg2.classes
-        return [(left_names[i], right_names[j]) for i, j in matches]
-
-    def _greedy_match_streamed(self, kind: ElementKind, threshold: float) -> list[tuple[int, int]]:
-        """Greedy one-to-one matching over streamed above-threshold candidates.
-
-        Same tie-sensitive greedy contract as mining: candidates come from
-        the backend's row-major threshold scan and go through
-        ``resolve_conflicts`` (stable sort by descending score), so there is
-        exactly one implementation of each half.
-        """
-        from repro.alignment.semi_supervised import resolve_conflicts
-
-        engine = self.model.similarity
-        num_rows, num_cols = engine.shape(kind)
-        if num_rows == 0 or num_cols == 0:
-            return []
-        rows, cols, values = engine.threshold_candidates(kind, threshold)
-        resolved = resolve_conflicts(list(zip(rows.tolist(), cols.tolist(), values.tolist())))
-        return [(left, right) for left, right, _ in resolved]
+        return [(left_names[i], right_names[j]) for i, j, _ in resolved]
 
     def match_probabilities(self, kind: ElementKind) -> np.ndarray:
         """Calibrated match probabilities (Eq. 12) for all pairs of one kind."""

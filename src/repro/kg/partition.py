@@ -40,7 +40,7 @@ monolithic pipeline.
 The partitioning itself is set by :class:`PartitionConfig` alone.  The one
 environment override, ``REPRO_CAMPAIGN_EXECUTOR``, picks the executor backend
 (:func:`resolve_campaign_executor`); like the similarity backend's
-``REPRO_SIMILARITY_*`` it wins over the configured value, which is how CI
+``REPRO_SIMILARITY_BACKEND`` it wins over the configured value, which is how CI
 runs the suite on the process executor without touching any config.  The
 executor never changes results.
 """
@@ -79,8 +79,8 @@ class PartitionConfig:
     ``max_refine_passes`` — bound on the ρ-refinement sweeps;
     ``balance_slack`` — a partition may exceed the ideal ``anchors/partitions``
     size by at most this fraction during refinement;
-    ``workers`` — worker-pool width of the campaign runtime (results are
-    deterministic for any value, same contract as ``ShardedBackend``);
+    ``workers`` — process-pool width of the campaign executor (results are
+    deterministic for any value);
     ``executor`` — which campaign executor runs the pieces (``"serial"``,
     ``"process"``, or ``"auto"`` to pick the process backend whenever >1
     worker is requested and >1 core is available, serial otherwise).  The

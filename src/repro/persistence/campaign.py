@@ -54,9 +54,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with active
 logger = get_logger(__name__)
 
 # Version 2: the embedded DAAKGConfig dropped its ``ann_*`` keys.  Version 3:
-# the embedded configs dropped the settings that became constants (see
-# ``FORMAT_VERSION`` in repro.persistence.checkpoint).
-CAMPAIGN_FORMAT_VERSION = 3
+# the embedded configs dropped the settings that became constants.  Version 4:
+# ``similarity_workers`` went (see ``FORMAT_VERSION`` in
+# repro.persistence.checkpoint).
+CAMPAIGN_FORMAT_VERSION = 4
 CAMPAIGN_MANIFEST_FILE = "campaign.json"
 CAMPAIGN_DATASET_FILE = "dataset.npz"
 

@@ -61,9 +61,9 @@ logger = get_logger(__name__)
 # settings that became constants (``share_gnn_weights``, the trainers'
 # margins, ``focal_gamma``, ``semi_max_per_kind``, ``renormalize``, the pool's
 # ``include_*_pairs``, the loop's ``rebuild_pool_each_batch`` and the greedy
-# ``base_gain``).  Older checkpoints fail the version check instead of the
-# config's unknown-key check.
-FORMAT_VERSION = 3
+# ``base_gain``); version 4 dropped ``similarity_workers``.  Older checkpoints
+# fail the version check instead of the config's unknown-key check.
+FORMAT_VERSION = 4
 ARRAYS_FILE = "arrays.npz"
 MANIFEST_FILE = "manifest.json"
 

@@ -16,7 +16,6 @@ from repro.runtime.backends import (
     TopKTable,
     create_backend,
     resolve_backend_name,
-    resolve_workers,
 )
 from repro.runtime.streaming import (
     ChannelPair,
@@ -70,7 +69,6 @@ __all__ = [
     "effective_executor_name",
     "mutual_top_n",
     "resolve_backend_name",
-    "resolve_workers",
     "run_piece_spec",
     "stream_row_col_max",
     "stream_row_max",

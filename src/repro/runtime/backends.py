@@ -13,11 +13,10 @@ semi-supervised mining and serving answer the same way on either backend:
   row-block × column-block cosine tiles produced on the fly from the engine's
   channel factors, with per-row running top-k merges.  Peak memory is
   ``O(block² + N·k)``; the ``N × M`` matrix is never materialised on any
-  query path.  Row shards may be fanned out over a thread pool — results are
-  deterministic for any worker count because each row's merge happens
-  entirely within its own shard.
+  query path.  Row shards are swept one after another, and each row's merge
+  happens entirely within its own shard.
 
-Four consumers still branch on ``backend_name == "dense"``, each because the
+Three consumers still branch on ``backend_name == "dense"``, each because the
 streamed answer is not bit-identical to the historical dense one, or because
 the dense path gets a matrix for free.  Figures are from the D-W benchmark
 fit (999×689 entities):
@@ -30,14 +29,11 @@ fit (999×689 entities):
 * ``build_pool``: the streamed mutual top-N keeps a different pair at ties
   on the top-N boundary (23 of 1,312 pairs at ``top_n=10``, 133 of 13,699
   at ``top_n=50``).
-* ``DAAKG.predict_matches``: the streamed greedy matching returns the same
-  set, but orders tied relation scores differently.
 
 Backend selection: ``DAAKGConfig.similarity_backend`` chooses per pipeline,
 and the ``REPRO_SIMILARITY_BACKEND`` environment variable overrides it
 globally (that is how CI runs the whole tier-1 suite against the sharded
-runtime without touching any test).  ``REPRO_SIMILARITY_WORKERS`` likewise
-overrides the worker count.
+runtime without touching any test).
 """
 
 from __future__ import annotations
@@ -66,7 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with similarity.py
 
 BACKEND_NAMES = ("dense", "sharded")
 BACKEND_ENV = "REPRO_SIMILARITY_BACKEND"
-WORKERS_ENV = "REPRO_SIMILARITY_WORKERS"
 
 
 def resolve_backend_name(configured: str | None = None) -> str:
@@ -75,15 +70,6 @@ def resolve_backend_name(configured: str | None = None) -> str:
     if name not in BACKEND_NAMES:
         raise ValueError(f"unknown similarity backend {name!r}; expected one of {BACKEND_NAMES}")
     return name
-
-
-def resolve_workers(configured: int | None = None) -> int:
-    """The effective worker count: env override first, then config, then 1."""
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    workers = int(env) if env else (configured if configured is not None else 1)
-    if workers < 1:
-        raise ValueError("similarity workers must be >= 1")
-    return workers
 
 
 @dataclass(frozen=True)
@@ -230,8 +216,8 @@ class DenseBackend(SimilarityBackend):
 class StreamedChannelQueries:
     """Streamed query surface over factored cosine channels (shared mixin).
 
-    Everything is expressed through three accessors — ``_channels(kind)``,
-    ``_block``, ``_workers`` — so the sharded backend (live engine state) and
+    Everything is expressed through two accessors — ``_channels(kind)`` and
+    ``_block`` — so the sharded backend (live engine state) and
     the campaign merge layer's frozen :class:`~repro.runtime.merge.
     MergedSimilarityState` answer queries through the *same* code; a fix to
     the streamed kernels' call sites lands in both automatically.
@@ -242,10 +228,6 @@ class StreamedChannelQueries:
 
     @property
     def _block(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def _workers(self) -> int:
         raise NotImplementedError
 
     def _channels_cache_token(self, kind: "ElementKind"):
@@ -316,25 +298,21 @@ class StreamedChannelQueries:
 
     def top_k_table(self, kind, k: int) -> TopKTable:
         channels = self._channels(kind)
-        left_idx, left_val = stream_topk(channels, k, self._block, self._workers)
-        right_idx, right_val = stream_topk(
-            self._transposed_channels(kind), k, self._block, self._workers
-        )
+        left_idx, left_val = stream_topk(channels, k, self._block)
+        right_idx, right_val = stream_topk(self._transposed_channels(kind), k, self._block)
         return TopKTable(left_idx, left_val, right_idx, right_val)
 
     def row_max(self, kind) -> np.ndarray:
-        return stream_row_max(self._channels(kind), self._block, self._workers)
+        return stream_row_max(self._channels(kind), self._block)
 
     def col_max(self, kind) -> np.ndarray:
-        return stream_row_max(self._transposed_channels(kind), self._block, self._workers)
+        return stream_row_max(self._transposed_channels(kind), self._block)
 
     def row_col_max(self, kind) -> tuple[np.ndarray, np.ndarray]:
-        return stream_row_col_max(self._channels(kind), self._block, self._workers)
+        return stream_row_col_max(self._channels(kind), self._block)
 
     def threshold_candidates(self, kind, threshold):
-        return stream_threshold_candidates(
-            self._channels(kind), threshold, self._block, self._workers
-        )
+        return stream_threshold_candidates(self._channels(kind), threshold, self._block)
 
 
 class ShardedBackend(StreamedChannelQueries, SimilarityBackend):
@@ -353,10 +331,6 @@ class ShardedBackend(StreamedChannelQueries, SimilarityBackend):
     @property
     def _block(self) -> int:
         return self.engine.block_size
-
-    @property
-    def _workers(self) -> int:
-        return self.engine.workers
 
     def _channels_cache_token(self, kind: "ElementKind"):
         return self.engine._token_for(kind)

@@ -116,15 +116,11 @@ class MergedSimilarityState(StreamedChannelQueries):
         self,
         channels: dict[ElementKind, CosineChannels],
         block_size: int,
-        workers: int = 1,
     ) -> None:
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         self._merged_channels = dict(channels)
         self.block_size = block_size
-        self.workers = workers
         self._top_k: dict[tuple[ElementKind, int], TopKTable] = {}
 
     @classmethod
@@ -135,7 +131,6 @@ class MergedSimilarityState(StreamedChannelQueries):
         ],
         shapes: dict[ElementKind, tuple[int, int]],
         block_size: int,
-        workers: int = 1,
     ) -> "MergedSimilarityState":
         """Merge per-piece ``(channels, row_ids, col_ids)`` lists per kind."""
         merged = {
@@ -144,7 +139,7 @@ class MergedSimilarityState(StreamedChannelQueries):
             else CosineChannels([], shape=shapes[kind])
             for kind in _KINDS
         }
-        return cls(merged, block_size=block_size, workers=workers)
+        return cls(merged, block_size=block_size)
 
     # ------------------------------------------------------- mixin accessors
     def _channels(self, kind: ElementKind) -> CosineChannels:
@@ -153,10 +148,6 @@ class MergedSimilarityState(StreamedChannelQueries):
     @property
     def _block(self) -> int:
         return self.block_size
-
-    @property
-    def _workers(self) -> int:
-        return self.workers
 
     # -------------------------------------------------------------- geometry
     def shape(self, kind: ElementKind) -> tuple[int, int]:

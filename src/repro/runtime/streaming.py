@@ -13,11 +13,10 @@ This module hosts the backend-agnostic kernels:
 * :class:`CosineChannels` — a similarity matrix *described* by its channel
   factors; knows how to produce arbitrary tiles.
 * :func:`stream_topk` — per-row running top-``k`` over column blocks with a
-  canonical merge (value descending, column index ascending), optionally
-  parallelised over row shards.  Row shards are independent, so the merge
-  order — and therefore the result — is deterministic for any worker count.
+  canonical merge (value descending, column index ascending), swept one row
+  shard at a time so peak memory stays ``O(block² + rows·k)``.
 * :func:`stream_row_max` — streamed per-row maximum (exact: ``max`` is
-  order-independent, so worker count cannot change the result).
+  order-independent).
 * :func:`mutual_top_n` — the pool's mutual top-N filter from two streamed
   top-N passes plus a vectorised membership check; peak memory is
   ``O(block² + (N + M)·n)`` instead of the dense ``O(N·M)`` boolean masks.
@@ -33,7 +32,6 @@ ties only occur between structurally identical rows).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,25 +223,15 @@ def _shard_topk(channels: CosineChannels, rows, k: int, block: int) -> tuple[np.
     return best_v, best_i
 
 
-def _map_row_shards(fn, n_rows: int, block: int, workers: int) -> list:
-    shards = list(_as_blocks(n_rows, block))
-    if workers <= 1 or len(shards) <= 1:
-        return [fn(shard) for shard in shards]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, shards))
-
-
 def stream_topk(
     channels: CosineChannels,
     k: int,
     block: int = DEFAULT_STREAM_BLOCK,
-    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row top-``k`` ``(indices, values)`` without materialising the matrix.
 
-    Peak memory is ``O(block² + rows·k)``.  Rows are sharded over workers;
-    each row's result is computed entirely within its shard, so the output is
-    identical for every worker count.
+    Peak memory is ``O(block² + rows·k)``: rows are swept one shard at a
+    time, and each row's result is computed entirely within its shard.
     """
     n_rows, n_cols = channels.shape
     k = min(k, n_cols)
@@ -252,59 +240,46 @@ def stream_topk(
             np.empty((n_rows, max(k, 0)), dtype=np.int64),
             np.empty((n_rows, max(k, 0)), dtype=float),
         )
-    parts = _map_row_shards(lambda rs: _shard_topk(channels, rs, k, block), n_rows, block, workers)
+    parts = [_shard_topk(channels, rs, k, block) for rs in _as_blocks(n_rows, block)]
     values = np.concatenate([p[0] for p in parts], axis=0)
     indices = np.concatenate([p[1] for p in parts], axis=0)
     return indices, values
 
 
-def stream_row_max(
-    channels: CosineChannels, block: int = DEFAULT_STREAM_BLOCK, workers: int = 1
-) -> np.ndarray:
+def stream_row_max(channels: CosineChannels, block: int = DEFAULT_STREAM_BLOCK) -> np.ndarray:
     """Per-row maximum, streamed (exact — ``max`` is order-independent)."""
     n_rows, n_cols = channels.shape
     if n_rows == 0 or n_cols == 0:
         return np.zeros(n_rows)
-
-    def shard(rs: slice) -> np.ndarray:
-        best = np.full(_selection_length(rs, n_rows), -np.inf)
+    best = np.full(n_rows, -np.inf)
+    for rs in _as_blocks(n_rows, block):
         for cs in _as_blocks(n_cols, block):
-            np.maximum(best, channels.tile(rs, cs).max(axis=1), out=best)
-        return best
-
-    return np.concatenate(_map_row_shards(shard, n_rows, block, workers))
+            np.maximum(best[rs], channels.tile(rs, cs).max(axis=1), out=best[rs])
+    return best
 
 
 def stream_row_col_max(
-    channels: CosineChannels, block: int = DEFAULT_STREAM_BLOCK, workers: int = 1
+    channels: CosineChannels, block: int = DEFAULT_STREAM_BLOCK
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row *and* per-column maxima from one fused tile sweep.
 
     Tiles are the expensive part of every streamed kernel; when a consumer
     needs both directions (dangling-entity weights, pool evidence weights)
     this computes each tile once instead of twice.  ``max`` is exact and
-    order-independent, so per-shard column partials reduce deterministically
-    for any worker count and the result equals two separate sweeps
+    order-independent, so the result equals two separate sweeps,
     bit-for-bit.
     """
     n_rows, n_cols = channels.shape
     if n_rows == 0 or n_cols == 0:
         return np.zeros(n_rows), np.zeros(n_cols)
-
-    def shard(rs: slice):
-        row_best = np.full(_selection_length(rs, n_rows), -np.inf)
-        col_best = np.full(n_cols, -np.inf)
+    row_max = np.full(n_rows, -np.inf)
+    col_max = np.full(n_cols, -np.inf)
+    for rs in _as_blocks(n_rows, block):
         for cs in _as_blocks(n_cols, block):
             tile = channels.tile(rs, cs)
-            np.maximum(row_best, tile.max(axis=1), out=row_best)
-            np.maximum(col_best[cs], tile.max(axis=0), out=col_best[cs])
-        return row_best, col_best
-
-    parts = _map_row_shards(shard, n_rows, block, workers)
-    col_max = parts[0][1]
-    for _, col_part in parts[1:]:
-        np.maximum(col_max, col_part, out=col_max)
-    return np.concatenate([p[0] for p in parts]), col_max
+            np.maximum(row_max[rs], tile.max(axis=1), out=row_max[rs])
+            np.maximum(col_max[cs], tile.max(axis=0), out=col_max[cs])
+    return row_max, col_max
 
 
 def collect_threshold_candidates(
@@ -341,13 +316,12 @@ def stream_threshold_candidates(
     channels: CosineChannels,
     threshold: float,
     block: int = DEFAULT_STREAM_BLOCK,
-    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All ``(row, col, value)`` entries with value ≥ threshold, row-major order.
 
     Streams :func:`collect_threshold_candidates` over row shards; shard
     results are concatenated in shard order, preserving global row-major
-    order for any worker count.
+    order.
     """
     n_rows, n_cols = channels.shape
 
@@ -360,7 +334,7 @@ def stream_threshold_candidates(
     if n_rows == 0 or n_cols == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, np.empty(0, dtype=float)
-    parts = _map_row_shards(shard, n_rows, block, workers)
+    parts = [shard(rs) for rs in _as_blocks(n_rows, block)]
     return (
         np.concatenate([p[0] for p in parts]),
         np.concatenate([p[1] for p in parts]),
@@ -374,7 +348,6 @@ def mutual_top_n(
     right_factors: np.ndarray,
     n: int,
     block: int = DEFAULT_STREAM_BLOCK,
-    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mutually top-``n`` cosine pairs of two raw factor matrices.
 
@@ -388,8 +361,8 @@ def mutual_top_n(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     channels = CosineChannels([ChannelPair.from_raw(left_factors, right_factors)])
-    top_left, _ = stream_topk(channels, n, block, workers)
-    top_right, _ = stream_topk(channels.transpose(), n, block, workers)
+    top_left, _ = stream_topk(channels, n, block)
+    top_right, _ = stream_topk(channels.transpose(), n, block)
     # membership: is i among column j's top rows?  Sort each top_right row
     # once, then binary-search every candidate, in bounded blocks.
     sorted_right = np.sort(top_right, axis=1)

@@ -30,7 +30,6 @@ def serve(
     source: "str | os.PathLike | DAAKG | PartitionedCampaign | ServingSnapshot",
     *,
     frontend: "bool | FrontendConfig | None" = None,
-    max_batch: int = 64,
     cache_size: int = 4096,
 ) -> "AlignmentService | ServingFrontend":
     """Serve ``source``, whatever kind of alignment artefact it is.
@@ -49,12 +48,10 @@ def serve(
         The frontend is **started** before it is returned — callers own its
         lifecycle and should ``stop()`` it (its ``service`` attribute holds
         the underlying service).
-    max_batch, cache_size:
+    cache_size:
         Forwarded to :class:`AlignmentService`.
     """
-    service = AlignmentService(
-        _snapshot_from_source(source), max_batch=max_batch, cache_size=cache_size
-    )
+    service = AlignmentService(_snapshot_from_source(source), cache_size=cache_size)
     if frontend is None or frontend is False:
         return service
     config = frontend if isinstance(frontend, FrontendConfig) else None

@@ -1,10 +1,11 @@
 """Concurrent serving front end: admission control + deadline-aware batching.
 
-:class:`AlignmentService` answers ~40k qps of micro-batched queries, but only
-on one caller-driven thread: batches flush when *a caller* crosses
-``max_batch`` or calls ``Ticket.result()``.  :class:`ServingFrontend` puts a
-thread-pool dispatcher in front of the service so many concurrent callers
-share the batching win without driving it themselves:
+:class:`AlignmentService` answers a *list* of queries with one vectorised
+gather, so batching pays — but concurrent callers each hold one query.
+:class:`ServingFrontend` is the one batcher in :mod:`repro.serving`: a
+thread-pool dispatcher in front of the service that gathers single queries
+from many callers into those list calls, so they share the batching win
+without coordinating:
 
 * **Bounded admission queue with explicit backpressure** — ``submit_*``
   appends to a deque whose depth is capped at
@@ -49,10 +50,60 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.obs.registry import DEFAULT_BATCH_BUCKETS, DEFAULT_LATENCY_BUCKETS
-from repro.serving.service import AlignmentService, ServingError, Ticket
+from repro.serving.service import AlignmentService, ServingError
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
+
+
+@dataclass
+class Ticket:
+    """One admitted query; ``result()`` waits for a worker to resolve it.
+
+    Carries the dispatcher that owns it, its deadline and its submit /
+    complete timestamps.  Waiting never resolves anything on the caller's
+    thread, so one slow caller can never steal the batch.
+    """
+
+    op: str
+    args: tuple
+    dispatcher: "ServingFrontend"
+    ready: bool = False
+    value: object = None
+    error: Exception | None = None
+    deadline_s: float = 0.0
+    submitted_at: float = 0.0
+    completed_at: float = 0.0
+
+    def result(self, timeout: float | None = None):
+        if not self.ready:
+            self.dispatcher.wait(self, timeout)
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+def _resolve_group(tickets: list[Ticket], answer_batch) -> None:
+    """Answer ``tickets`` with one batch call; a bad query fails only its own.
+
+    On a :class:`ServingError` (e.g. an unknown URI) the group falls back to
+    per-ticket resolution, so the offender's ticket carries the error and the
+    rest still get their answers.
+    """
+    try:
+        answers = answer_batch(tickets)
+    except ServingError:
+        for ticket in tickets:
+            try:
+                ticket.value = answer_batch([ticket])[0]
+            except ServingError as exc:
+                ticket.error = exc
+            ticket.ready = True
+        return
+    for ticket, answer in zip(tickets, answers):
+        ticket.value = answer
+        ticket.ready = True
+
 
 class BackpressureError(ServingError):
     """Typed admission rejection: the queue is at its depth limit.
@@ -71,15 +122,11 @@ class BackpressureError(ServingError):
 
 @dataclass(frozen=True)
 class FrontendConfig:
-    """Dispatcher knobs.
-
-    ``max_batch=None`` inherits the service's own ``max_batch`` so the
-    dispatcher never silently changes the service's batching contract.
-    """
+    """Dispatcher knobs."""
 
     num_workers: int = 2
     max_queue_depth: int = 1024
-    max_batch: int | None = None
+    max_batch: int = 64
     default_deadline_ms: float = 25.0
 
     def __post_init__(self) -> None:
@@ -87,8 +134,8 @@ class FrontendConfig:
             raise ValueError("num_workers must be >= 1")
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
-        if self.max_batch is not None and self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1 (or None to inherit)")
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
         if self.default_deadline_ms <= 0:
             raise ValueError("default_deadline_ms must be > 0")
 
@@ -104,11 +151,6 @@ class ServingFrontend:
             ...
             ticket.result()                  # waits on the flush loop
 
-    While started, the frontend is attached to the service as its
-    dispatcher: ``service.enqueue_top_k`` / ``enqueue_score`` route here, and
-    ``Ticket.result()`` waits for a worker instead of flushing the whole
-    queue on the caller's thread.
-
     ``resolve_env`` is accepted and ignored (``perfbench/`` passes it); the
     configuration is ``config`` alone.
     """
@@ -121,7 +163,6 @@ class ServingFrontend:
     ) -> None:
         self.service = service
         self.config = config or FrontendConfig()
-        self.max_batch = self.config.max_batch or service.max_batch
         self._queue: deque[Ticket] = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
@@ -150,10 +191,9 @@ class ServingFrontend:
 
     # ---------------------------------------------------------------- lifecycle
     def start(self) -> "ServingFrontend":
-        """Attach to the service and launch the worker pool (idempotent)."""
+        """Launch the worker pool (idempotent)."""
         if self._workers:
             return self
-        self.service.attach_dispatcher(self)
         self._stop = False
         for index in range(self.config.num_workers):
             worker = threading.Thread(
@@ -163,12 +203,12 @@ class ServingFrontend:
             self._workers.append(worker)
         logger.info(
             "serving frontend started: %d workers, queue depth %d, batch %d",
-            self.config.num_workers, self.config.max_queue_depth, self.max_batch,
+            self.config.num_workers, self.config.max_queue_depth, self.config.max_batch,
         )
         return self
 
     def stop(self, drain: bool = True, timeout: float | None = 30.0) -> None:
-        """Detach and stop the workers; ``drain`` answers queued work first.
+        """Stop the workers; ``drain`` answers queued work first.
 
         With ``drain=False`` every still-queued ticket fails with a
         :class:`ServingError` — a stopped frontend never strands a waiter.
@@ -183,7 +223,6 @@ class ServingFrontend:
         for worker in self._workers:
             worker.join(timeout=timeout)
         self._workers = []
-        self.service.detach_dispatcher(self)
         if leftovers:
             error = ServingError("serving frontend stopped before resolving this ticket")
             for ticket in leftovers:
@@ -217,7 +256,13 @@ class ServingFrontend:
 
     # ------------------------------------------------------------------ submit
     def submit_top_k(self, uri: str, k: int = 10, deadline_ms: float | None = None) -> Ticket:
-        """Admit one top-k query; sheds with :class:`BackpressureError` when full."""
+        """Admit one top-k query; sheds with :class:`BackpressureError` when full.
+
+        ``k < 1`` raises :class:`ValueError` here, so a bad request never
+        joins (and fails) a batch.
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
         return self._submit("topk", (uri, k), deadline_ms)
 
     def submit_score(
@@ -226,24 +271,13 @@ class ServingFrontend:
         """Admit one pair-score query; sheds with :class:`BackpressureError` when full."""
         return self._submit("score", (left, right), deadline_ms)
 
-    def submit(self, op: str, args: tuple, deadline_ms: float | None = None) -> Ticket:
-        """The service's ``enqueue_*`` entry point while attached."""
-        return self._submit(op, args, deadline_ms)
-
     def _submit(self, op: str, args: tuple, deadline_ms: float | None) -> Ticket:
         deadline_s = (
             deadline_ms if deadline_ms is not None else self.config.default_deadline_ms
         ) / 1e3
         if deadline_s <= 0:
             raise ValueError("deadline_ms must be > 0")
-        ticket = Ticket(
-            self.service,
-            op,
-            args,
-            dispatcher=self,
-            deadline_s=deadline_s,
-            submitted_at=time.perf_counter(),
-        )
+        ticket = Ticket(op, args, self, deadline_s=deadline_s, submitted_at=time.perf_counter())
         with self._not_empty:
             depth = len(self._queue)
             if depth >= self.config.max_queue_depth:
@@ -293,7 +327,8 @@ class ServingFrontend:
         queue = self._queue
         if not queue:
             return None, None
-        if len(queue) >= self.max_batch:
+        max_batch = self.config.max_batch
+        if len(queue) >= max_batch:
             reason = "full"
         elif self._draining:
             reason = "drain"
@@ -304,7 +339,7 @@ class ServingFrontend:
             reason = "deadline"
         else:
             return None, None
-        size = min(len(queue), self.max_batch)
+        size = min(len(queue), max_batch)
         return [queue.popleft() for _ in range(size)], reason
 
     def _wait_timeout_locked(self) -> float | None:
@@ -330,12 +365,12 @@ class ServingFrontend:
                 score_tickets.append(ticket)
         try:
             for k, tickets in by_k.items():
-                service._resolve_group(
+                _resolve_group(
                     tickets,
                     lambda ts, k=k: service.top_k_alignments([t.args[0] for t in ts], k),
                 )
             if score_tickets:
-                service._resolve_group(
+                _resolve_group(
                     score_tickets,
                     lambda ts: [float(v) for v in service.score_pairs([t.args for t in ts])],
                 )

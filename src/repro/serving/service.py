@@ -16,18 +16,16 @@ Design points:
   checkpoint's content hash, extended per fold-in).  The LRU result cache
   keys on it, so stale results can never be served after a swap or fold-in
   without any explicit invalidation.
-* **Micro-batching** — ``enqueue_*`` queues single queries; ``flush`` (called
-  automatically when ``max_batch`` queries are pending, or lazily by
-  ``Ticket.result``) answers all pending queries of each shape with one
-  vectorised gather instead of per-query matrix rows.  When a
-  :class:`~repro.serving.frontend.ServingFrontend` dispatcher is attached,
-  enqueued tickets route to its flush loop instead, and ``Ticket.result``
-  *waits* rather than stealing the whole batch onto the caller's thread.
+* **Batched queries** — ``top_k_alignments`` and ``score_pairs`` take a
+  list and answer it with one vectorised gather instead of per-query matrix
+  rows.  A single-threaded caller batches by passing the list itself;
+  concurrent single queries are batched by the
+  :class:`~repro.serving.frontend.ServingFrontend` dispatcher, the one
+  batcher in this package.
 * **Thread safety** — the query path is safe for concurrent callers: the
   snapshot reference is read once per call (readers fan out over the frozen
   state without any global lock), while the mutable extras — the LRU result
-  cache, the pending micro-batch queue and the stats counters — each take
-  their own fine-grained lock.  ``hot_swap`` / ``apply_delta`` serialise
+  cache and the stats counters — each take their own fine-grained lock.  ``hot_swap`` / ``apply_delta`` serialise
   their read-modify-write of the snapshot reference behind a swap lock.
 * **Incremental fold-in** — a new entity arriving with its triples gets an
   output-space embedding optimised against the frozen model (a few gradient
@@ -72,7 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with core
     from repro.alignment.model import JointAlignmentModel
     from repro.core.daakg import DAAKG
     from repro.embedding.base import KGEmbeddingModel
-    from repro.serving.frontend import ServingFrontend
     from repro.updates.delta import KGDelta
 
 logger = get_logger(__name__)
@@ -339,39 +336,6 @@ def _bucket_triples(
 
 
 @dataclass
-class Ticket:
-    """A pending micro-batched query; ``result()`` flushes if still queued.
-
-    Under a :class:`~repro.serving.frontend.ServingFrontend` dispatcher the
-    ticket carries the dispatcher reference plus its deadline and submit /
-    complete timestamps; ``result()`` then *waits* for the flush loop to
-    resolve it instead of flushing the whole queue on the caller's thread —
-    one slow caller can never steal the batch.
-    """
-
-    service: "AlignmentService"
-    op: str
-    args: tuple
-    ready: bool = False
-    value: object = None
-    error: Exception | None = None
-    dispatcher: "ServingFrontend | None" = None
-    deadline_s: float = 0.0
-    submitted_at: float = 0.0
-    completed_at: float = 0.0
-
-    def result(self, timeout: float | None = None):
-        if not self.ready:
-            if self.dispatcher is not None:
-                self.dispatcher.wait(self, timeout)
-            else:
-                self.service.flush()
-        if self.error is not None:
-            raise self.error
-        return self.value
-
-
-@dataclass
 class FoldInReport:
     """What one incremental fold-in did, and what it cost."""
 
@@ -389,7 +353,6 @@ class ServiceStats:
 
     queries: int = 0
     cache_hits: int = 0
-    flushes: int = 0
     folds: int = 0
     swaps: int = 0
     _lock: threading.Lock = field(
@@ -405,7 +368,6 @@ class ServiceStats:
         return {
             "queries": self.queries,
             "cache_hits": self.cache_hits,
-            "flushes": self.flushes,
             "folds": self.folds,
             "swaps": self.swaps,
         }
@@ -414,21 +376,12 @@ class ServiceStats:
 class AlignmentService:
     """Read-optimised alignment queries over a frozen serving snapshot."""
 
-    def __init__(
-        self,
-        state: ServingSnapshot,
-        max_batch: int = 64,
-        cache_size: int = 4096,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+    def __init__(self, state: ServingSnapshot, cache_size: int = 4096) -> None:
         if cache_size < 0:
             raise ValueError("cache_size must be >= 0")
         self._state = state
-        self.max_batch = max_batch
         self.cache_size = cache_size
         self._cache: OrderedDict[tuple, object] = OrderedDict()
-        self._pending: list[Ticket] = []
         self.stats = ServiceStats()
         # Fine-grained synchronization: queries read the snapshot reference
         # once and fan out lock-free over the frozen arrays; only the mutable
@@ -436,9 +389,7 @@ class AlignmentService:
         # concerns.  The swap lock serialises hot_swap/apply_delta — the only
         # read-modify-write of the snapshot reference.
         self._cache_lock = threading.Lock()
-        self._pending_lock = threading.Lock()
         self._swap_lock = threading.Lock()
-        self._dispatcher: "ServingFrontend | None" = None
         # Service-local metrics registry: always on (independent of the
         # global repro.obs gate — a serving process wants its own telemetry
         # regardless), exported through :meth:`metrics`.  Instrument handles
@@ -455,9 +406,6 @@ class AlignmentService:
         }
         self._cache_hit_counter = self.obs.counter("service.cache.hits")
         self._cache_miss_counter = self.obs.counter("service.cache.misses")
-        self._queue_gauge = self.obs.gauge("service.queue.depth")
-        self._batch_gauge = self.obs.gauge("service.flush.batch_size")
-        self._flush_counter = self.obs.counter("service.flushes.total")
         self._swap_counter = self.obs.counter("service.hot_swaps.total")
         self._fold_counter = self.obs.counter("service.fold_ins.total")
 
@@ -574,97 +522,6 @@ class AlignmentService:
         self._lat_hist.observe(time.perf_counter() - start)
         return probabilities
 
-    # ----------------------------------------------------------- micro-batches
-    def enqueue_top_k(self, uri: str, k: int = 10) -> Ticket:
-        """Queue one top-k query; resolved at the next :meth:`flush`."""
-        return self._enqueue("topk", (uri, k))
-
-    def enqueue_score(self, left: str, right: str) -> Ticket:
-        """Queue one pair-score query; resolved at the next :meth:`flush`."""
-        return self._enqueue("score", (left, right))
-
-    def _enqueue(self, op: str, args: tuple) -> Ticket:
-        # note: the queue-depth gauge is sampled at flush()/metrics() time,
-        # not here — a per-ticket gauge write would tax the hottest path for
-        # a value scrapers only ever observe at collection instants
-        dispatcher = self._dispatcher
-        if dispatcher is not None:
-            return dispatcher.submit(op, args)
-        ticket = Ticket(self, op, args)
-        with self._pending_lock:
-            self._pending.append(ticket)
-            should_flush = len(self._pending) >= self.max_batch
-        if should_flush:
-            self.flush()
-        return ticket
-
-    # --------------------------------------------------------- dispatcher hook
-    def attach_dispatcher(self, dispatcher: "ServingFrontend") -> None:
-        """Route subsequent ``enqueue_*`` tickets through ``dispatcher``.
-
-        Called by :meth:`ServingFrontend.start`; only one dispatcher may be
-        attached at a time.  Detaching restores the caller-driven flush.
-        """
-        if self._dispatcher is not None and self._dispatcher is not dispatcher:
-            raise ServingError("a dispatcher is already attached to this service")
-        self._dispatcher = dispatcher
-
-    def detach_dispatcher(self, dispatcher: "ServingFrontend") -> None:
-        if self._dispatcher is dispatcher:
-            self._dispatcher = None
-
-    def flush(self) -> int:
-        """Answer every pending query, grouped into vectorised batches.
-
-        Returns the number of tickets resolved.  Queries of the same shape
-        (same ``k`` for top-k; all pair scores) share one matrix gather.  A
-        bad query (e.g. an unknown URI) fails only its own ticket —
-        ``Ticket.result`` re-raises its error — never the rest of the batch:
-        on a group failure the group falls back to per-ticket resolution.
-        """
-        with self._pending_lock:
-            pending, self._pending = self._pending, []
-        self._queue_gauge.set(0)
-        if not pending:
-            return 0
-        self.stats.bump("flushes")
-        self._flush_counter.inc()
-        self._batch_gauge.set(len(pending))
-        by_k: dict[int, list[Ticket]] = {}
-        score_tickets: list[Ticket] = []
-        for ticket in pending:
-            if ticket.op == "topk":
-                by_k.setdefault(ticket.args[1], []).append(ticket)
-            else:
-                score_tickets.append(ticket)
-        for k, tickets in by_k.items():
-            self._resolve_group(
-                tickets, lambda ts: self.top_k_alignments([t.args[0] for t in ts], k)
-            )
-        if score_tickets:
-            self._resolve_group(
-                score_tickets,
-                lambda ts: [float(v) for v in self.score_pairs([t.args for t in ts])],
-            )
-        return len(pending)
-
-    @staticmethod
-    def _resolve_group(tickets: list[Ticket], answer_batch) -> None:
-        try:
-            answers = answer_batch(tickets)
-        except ServingError:
-            # isolate the offender: re-run one ticket at a time
-            for ticket in tickets:
-                try:
-                    ticket.value = answer_batch([ticket])[0]
-                except ServingError as exc:
-                    ticket.error = exc
-                ticket.ready = True
-            return
-        for ticket, answer in zip(tickets, answers):
-            ticket.value = answer
-            ticket.ready = True
-
     # -------------------------------------------------------------- hot swap
     def hot_swap(
         self,
@@ -677,11 +534,9 @@ class AlignmentService:
         partition-parallel campaign (whose *merged* similarity state is
         served) or a prebuilt snapshot.  The new snapshot is fully built
         *before* the single reference assignment, so concurrent readers
-        observe either the old or the new state, never a mixture; pending
-        micro-batch tickets are flushed against the old state first.
-        Returns the new state token.
+        observe either the old or the new state, never a mixture.  Returns
+        the new state token.
         """
-        self.flush()
         state = _snapshot_from_source(source)
         with self._swap_lock:
             self._state = state
@@ -1004,7 +859,6 @@ class AlignmentService:
         cost O(buckets) to compute.  ``snapshot`` carries the raw instrument
         state for exporters that want the full registry.
         """
-        self._queue_gauge.set(len(self._pending))
         requests = sum(counter.value for counter in self._req_counters.values())
         elapsed = max(time.perf_counter() - self._created, 1e-9)
         lookups = self._cache_hit_counter.value + self._cache_miss_counter.value
@@ -1014,8 +868,6 @@ class AlignmentService:
             "p50_latency_ms": self._lat_hist.quantile(0.5) * 1e3,
             "p99_latency_ms": self._lat_hist.quantile(0.99) * 1e3,
             "cache_hit_ratio": self._cache_hit_counter.value / lookups if lookups else 0.0,
-            "queue_depth": len(self._pending),
-            "flushes": self.stats.flushes,
             "hot_swaps": self.stats.swaps,
             "fold_ins": self.stats.folds,
             "uptime_seconds": elapsed,

@@ -30,7 +30,6 @@ from repro.runtime import (
     canonical_topk,
     mutual_top_n,
     resolve_backend_name,
-    resolve_workers,
     stream_row_col_max,
     stream_row_max,
     stream_threshold_candidates,
@@ -77,13 +76,6 @@ class TestStreamingKernels:
         rows = np.arange(matrix.shape[0])[:, None]
         np.testing.assert_allclose(val, matrix[rows, expected], rtol=0, atol=ATOL)
 
-    def test_stream_topk_deterministic_across_workers(self):
-        channels = random_channels(seed=3, n=200, m=90)
-        one = stream_topk(channels, 7, block=32, workers=1)
-        many = stream_topk(channels, 7, block=32, workers=4)
-        assert np.array_equal(one[0], many[0])
-        assert np.array_equal(one[1], many[1])
-
     def test_canonical_topk_breaks_ties_by_index(self):
         values = np.array([[1.0, 2.0, 2.0, 0.5, 2.0]])
         indices = np.array([[40, 30, 10, 0, 20]])
@@ -96,14 +88,14 @@ class TestStreamingKernels:
         matrix = dense_of(channels)
         assert np.array_equal(stream_row_max(channels, block=11), matrix.max(axis=1))
         assert np.array_equal(
-            stream_row_max(channels.transpose(), block=11, workers=3), matrix.max(axis=0)
+            stream_row_max(channels.transpose(), block=11), matrix.max(axis=0)
         )
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_stream_row_col_max_fused(self, workers):
-        channels = random_channels(seed=6)
+    @pytest.mark.parametrize("num_channels", [1, 3])
+    def test_stream_row_col_max_fused(self, num_channels):
+        channels = random_channels(seed=6, num_channels=num_channels)
         matrix = dense_of(channels)
-        row_max, col_max = stream_row_col_max(channels, block=11, workers=workers)
+        row_max, col_max = stream_row_col_max(channels, block=11)
         assert np.array_equal(row_max, matrix.max(axis=1))
         assert np.array_equal(col_max, matrix.max(axis=0))
 
@@ -247,22 +239,12 @@ class TestBackendSelection:
                 resolve_backend_name("dense")
             monkeypatch.delenv("REPRO_SIMILARITY_BACKEND")
 
-    def test_workers_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIMILARITY_WORKERS", "3")
-        assert resolve_workers(1) == 3
-        monkeypatch.delenv("REPRO_SIMILARITY_WORKERS")
-        assert resolve_workers(None) == 1
-        with pytest.raises(ValueError):
-            resolve_workers(0)
-
     def test_config_validates_backend(self):
-        config = DAAKGConfig(similarity_backend="sharded", similarity_workers=2)
+        config = DAAKGConfig(similarity_backend="sharded")
         assert config.similarity_backend == "sharded"
         for retired in ("faiss", "ann"):
             with pytest.raises(ValueError):
                 DAAKGConfig(similarity_backend=retired)
-        with pytest.raises(ValueError):
-            DAAKGConfig(similarity_workers=0)
         # round-trips through the JSON form (checkpoint manifests)
         assert DAAKGConfig.from_json(config.to_json()).similarity_backend == "sharded"
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import DAAKG, DAAKGConfig, ElementKind
+from repro.alignment import greedy_match
 from repro.baselines import (
     BASELINE_REGISTRY,
     LexicalMatcher,
@@ -78,6 +79,20 @@ class TestDAAKGPipeline:
         for left, right in predicted:
             assert left in fitted_pipeline.kg1.relation_index
             assert right in fitted_pipeline.kg2.relation_index
+
+    @pytest.mark.parametrize("kind", list(ElementKind))
+    def test_predict_matches_equals_greedy_match(self, fitted_pipeline, kind):
+        # the threshold scan + conflict resolution path picks the same set
+        # the evaluation's full-matrix greedy matching does
+        names = {
+            ElementKind.ENTITY: (fitted_pipeline.kg1.entities, fitted_pipeline.kg2.entities),
+            ElementKind.RELATION: (fitted_pipeline.kg1.relations, fitted_pipeline.kg2.relations),
+            ElementKind.CLASS: (fitted_pipeline.kg1.classes, fitted_pipeline.kg2.classes),
+        }[kind]
+        matrix = fitted_pipeline.model.similarity_matrix(kind)
+        expected = {(names[0][i], names[1][j]) for i, j in greedy_match(matrix, 0.3)}
+        assert expected
+        assert set(fitted_pipeline.predict_matches(kind, threshold=0.3)) == expected
 
     def test_match_probabilities_are_probabilities(self, fitted_pipeline):
         probabilities = fitted_pipeline.match_probabilities(ElementKind.ENTITY)

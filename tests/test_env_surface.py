@@ -21,7 +21,6 @@ ENV_NAMES = {
     "REPRO_OBS",
     "REPRO_OBS_DIR",
     "REPRO_SIMILARITY_BACKEND",
-    "REPRO_SIMILARITY_WORKERS",
 }
 _ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
 

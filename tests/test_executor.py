@@ -172,7 +172,6 @@ def test_config_json_roundtrip_preserves_runtime_knobs():
         **{
             **{f: getattr(config, f) for f in config.__dataclass_fields__},
             "similarity_backend": "sharded",
-            "similarity_workers": 3,
         }
     )
     restored = DAAKGConfig.from_json(config.to_json())
@@ -181,7 +180,6 @@ def test_config_json_roundtrip_preserves_runtime_knobs():
     assert restored.partition.num_partitions == 2
     assert restored.partition.workers == 2
     assert restored.similarity_backend == "sharded"
-    assert restored.similarity_workers == 3
 
 
 def test_piece_spec_pickle_roundtrip(tmp_path):

@@ -296,7 +296,6 @@ def test_service_metrics_reports_requests_and_latency(fitted_pipeline):
     assert metrics["qps"] > 0
     assert metrics["p99_latency_ms"] >= metrics["p50_latency_ms"] > 0
     assert 0.0 < metrics["cache_hit_ratio"] < 1.0
-    assert metrics["queue_depth"] == 0
     assert metrics["hot_swaps"] == 0
 
     snap = metrics["snapshot"]
@@ -306,8 +305,3 @@ def test_service_metrics_reports_requests_and_latency(fitted_pipeline):
     # the service registry is its own (always-on, independent of the global
     # gate): nothing above leaked into the process-global scope
     assert "service.requests.total" not in str(obs.snapshot()["counters"])
-    service.enqueue_top_k(uris[0], k=2)
-    assert service.metrics()["queue_depth"] == 1
-    service.flush()
-    assert service.metrics()["queue_depth"] == 0
-    assert service.metrics()["flushes"] == 1

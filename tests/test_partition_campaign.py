@@ -319,10 +319,10 @@ def test_unsupported_campaign_format_version_fails(campaign_config, tmp_path):
     )
     path = tmp_path / "campaign"
     campaign.save(path)
-    assert json.loads((path / "campaign.json").read_text())["format_version"] == 3
+    assert json.loads((path / "campaign.json").read_text())["format_version"] == 4
     # 1 predates the retired ``ann_*`` config keys, 2 the settings that became
-    # constants; 999 is from the future
-    for version in (1, 2, 999):
+    # constants, 3 the retired ``similarity_workers``; 999 is from the future
+    for version in (1, 2, 3, 999):
         other = tmp_path / f"v{version}"
         shutil.copytree(path, other)
         manifest = json.loads((other / "campaign.json").read_text())

@@ -10,7 +10,7 @@ import pytest
 from repro.alignment import SimilarityEngine
 from repro.kg.elements import ElementKind
 from repro.runtime import create_backend
-from repro.serving import ServingError, serve
+from repro.serving import FrontendConfig, ServingError, ServingFrontend, serve
 from repro.updates import KGDelta
 from repro.utils.math import l2_normalize
 
@@ -94,55 +94,29 @@ def test_cache_eviction_respects_capacity(fitted_pipeline):
     assert len(service._cache) == 2
 
 
-# ------------------------------------------------------------- micro-batching
-def test_microbatching_resolves_on_flush(fitted_pipeline, entity_matrix, value_tol):
-    service = serve(fitted_pipeline, max_batch=100)
-    uri = fitted_pipeline.kg1.entities[0]
-    ticket_top = service.enqueue_top_k(uri, k=3)
-    ticket_score = service.enqueue_score(uri, fitted_pipeline.kg2.entities[1])
-    assert not ticket_top.ready and not ticket_score.ready
-    resolved = service.flush()
-    assert resolved == 2
-    assert ticket_top.ready and ticket_score.ready
-    assert ticket_top.value == service.top_k_alignments([uri], k=3)[0]
-    assert ticket_score.value == pytest.approx(entity_matrix[0, 1], abs=value_tol)
-
-
-def test_microbatching_auto_flushes_at_max_batch(fitted_pipeline):
-    service = serve(fitted_pipeline, max_batch=2)
-    t1 = service.enqueue_top_k(fitted_pipeline.kg1.entities[0], k=2)
-    assert not t1.ready
-    t2 = service.enqueue_top_k(fitted_pipeline.kg1.entities[1], k=2)
-    assert t1.ready and t2.ready  # second enqueue crossed the batch threshold
-
-
+# ------------------------------------------------------------------ batching
 def test_bad_query_fails_only_its_own_ticket(fitted_pipeline):
-    service = serve(fitted_pipeline, max_batch=100)
-    good = service.enqueue_top_k(fitted_pipeline.kg1.entities[0], k=2)
-    bad = service.enqueue_top_k("no-such-entity", k=2)
-    also_good = service.enqueue_score(
+    service = serve(fitted_pipeline)
+    frontend = ServingFrontend(service, FrontendConfig(num_workers=1, max_batch=3))
+    good_uri = fitted_pipeline.kg1.entities[0]
+    # not started: all three wait in the queue and leave it as one full batch
+    good = frontend.submit_top_k(good_uri, k=2)
+    bad = frontend.submit_top_k("no-such-entity", k=2)
+    also_good = frontend.submit_score(
         fitted_pipeline.kg1.entities[1], fitted_pipeline.kg2.entities[1]
     )
-    service.flush()
-    assert good.ready and bad.ready and also_good.ready
-    assert good.result() == service.top_k_alignments([fitted_pipeline.kg1.entities[0]], k=2)[0]
-    assert np.isfinite(also_good.result())
-    with pytest.raises(ServingError, match="unknown KG1 entity"):
-        bad.result()
+    with frontend:
+        assert good.result(timeout=5) == service.top_k_alignments([good_uri], k=2)[0]
+        assert np.isfinite(also_good.result(timeout=5))
+        with pytest.raises(ServingError, match="unknown KG1 entity"):
+            bad.result(timeout=5)
+    assert frontend.stats()["dispatched_batches"] == 1
 
 
 def test_in_memory_tokens_are_unique_per_snapshot(fitted_pipeline):
     a = serve(fitted_pipeline)
     b = serve(fitted_pipeline)
     assert a.state_token != b.state_token  # same pipeline, distinct snapshots
-
-
-def test_ticket_result_flushes_lazily(fitted_pipeline):
-    service = serve(fitted_pipeline, max_batch=100)
-    ticket = service.enqueue_top_k(fitted_pipeline.kg1.entities[2], k=2)
-    value = ticket.result()
-    assert ticket.ready
-    assert value == service.top_k_alignments([fitted_pipeline.kg1.entities[2]], k=2)[0]
 
 
 # ------------------------------------------------------------------- hot swap

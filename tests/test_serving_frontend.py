@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.serving import (
-    AlignmentService,
     BackpressureError,
     FrontendConfig,
     ServingError,
@@ -17,11 +16,6 @@ from repro.serving import (
     serve,
 )
 from repro.updates import KGDelta
-
-
-def make_service(fitted_pipeline, **kwargs) -> AlignmentService:
-    kwargs.setdefault("max_batch", 64)
-    return serve(fitted_pipeline, **kwargs)
 
 
 # ------------------------------------------------------------------- config
@@ -38,7 +32,7 @@ def test_frontend_config_validation():
 
 # ----------------------------------------------------------------- dispatch
 def test_submit_resolves_via_worker_pool(fitted_pipeline):
-    service = make_service(fitted_pipeline, cache_size=0)
+    service = serve(fitted_pipeline, cache_size=0)
     frontend = ServingFrontend(service, FrontendConfig(num_workers=2, default_deadline_ms=50))
     uris = list(fitted_pipeline.kg1.entities[:6])
     expected_topk = service.top_k_alignments(uris, k=3)
@@ -56,41 +50,26 @@ def test_submit_resolves_via_worker_pool(fitted_pipeline):
     assert stats["dispatched_batches"] >= 1
 
 
-def test_enqueue_routes_through_dispatcher_and_back(fitted_pipeline):
-    service = make_service(fitted_pipeline, cache_size=0)
-    frontend = ServingFrontend(service, FrontendConfig(num_workers=1, default_deadline_ms=20))
-    uri = fitted_pipeline.kg1.entities[0]
+def test_bad_k_rejected_at_admission(fitted_pipeline):
+    service = serve(fitted_pipeline, cache_size=0)
+    frontend = ServingFrontend(service, FrontendConfig(num_workers=1, max_batch=2))
+    e1, e2 = fitted_pipeline.kg1.entities[:2]
+    f0 = fitted_pipeline.kg2.entities[0]
+    # not started: whatever is admitted waits in the queue for one batch
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        frontend.submit_top_k(e1, k=0)
+    top = frontend.submit_top_k(e2, k=2)
+    score = frontend.submit_score(e1, f0)
     with frontend:
-        ticket = service.enqueue_top_k(uri, k=2)
-        assert ticket.dispatcher is frontend
-        assert not service._pending  # routed to the dispatcher, not the local queue
-        value = ticket.result(timeout=5)
-        assert value == service.top_k_alignments([uri], k=2)[0]
-        # the caller's result() waited on the flush loop — the service-side
-        # caller-driven flush path was never taken
-        assert service.stats.flushes == 0
-    # detached again: the legacy caller-driven path is restored
-    legacy = service.enqueue_top_k(uri, k=2)
-    assert legacy.dispatcher is None
-    assert service._pending
-    assert legacy.result() == value
-    assert service.stats.flushes == 1
-
-
-def test_double_attach_rejected(fitted_pipeline):
-    service = make_service(fitted_pipeline)
-    first = ServingFrontend(service).start()
-    second = ServingFrontend(service)
-    try:
-        with pytest.raises(ServingError, match="already attached"):
-            second.start()
-    finally:
-        first.stop()
+        assert top.result(timeout=5) == service.top_k_alignments([e2], k=2)[0]
+        expected = float(service.score_pairs([(e1, f0)])[0])
+        assert score.result(timeout=5) == pytest.approx(expected)
+    assert frontend.stats()["submitted_total"] == 2
 
 
 # ------------------------------------------------------------- backpressure
 def test_backpressure_sheds_with_typed_error_then_drains(fitted_pipeline):
-    service = make_service(fitted_pipeline, cache_size=0)
+    service = serve(fitted_pipeline, cache_size=0)
     frontend = ServingFrontend(
         service,
         FrontendConfig(num_workers=1, max_queue_depth=8, default_deadline_ms=50),
@@ -117,10 +96,10 @@ def test_backpressure_sheds_with_typed_error_then_drains(fitted_pipeline):
 
 
 def test_overload_burst_sheds_and_recovers(fitted_pipeline):
-    service = make_service(fitted_pipeline, cache_size=0, max_batch=16)
+    service = serve(fitted_pipeline, cache_size=0)
     frontend = ServingFrontend(
         service,
-        FrontendConfig(num_workers=1, max_queue_depth=32, default_deadline_ms=200),
+        FrontendConfig(num_workers=1, max_queue_depth=32, max_batch=16, default_deadline_ms=200),
     )
     uris = list(fitted_pipeline.kg1.entities)
     admitted, shed = [], 0
@@ -139,7 +118,7 @@ def test_overload_burst_sheds_and_recovers(fitted_pipeline):
 
 
 def test_stop_without_drain_fails_queued_tickets(fitted_pipeline):
-    service = make_service(fitted_pipeline)
+    service = serve(fitted_pipeline)
     frontend = ServingFrontend(service, FrontendConfig(num_workers=1))
     ticket = frontend.submit_top_k(fitted_pipeline.kg1.entities[0], k=2)
     frontend.stop(drain=False)
@@ -149,7 +128,7 @@ def test_stop_without_drain_fails_queued_tickets(fitted_pipeline):
 
 # ------------------------------------------------------- deadline semantics
 def test_lone_request_flushes_at_half_deadline(fitted_pipeline):
-    service = make_service(fitted_pipeline, cache_size=0)
+    service = serve(fitted_pipeline, cache_size=0)
     frontend = ServingFrontend(service, FrontendConfig(num_workers=1, default_deadline_ms=5000))
     with frontend:
         submitted = time.perf_counter()
@@ -167,8 +146,8 @@ def test_lone_request_flushes_at_half_deadline(fitted_pipeline):
 
 
 def test_full_batch_flushes_without_waiting_for_deadline(fitted_pipeline):
-    service = make_service(fitted_pipeline, cache_size=0, max_batch=8)
-    frontend = ServingFrontend(service, FrontendConfig(num_workers=1))
+    service = serve(fitted_pipeline, cache_size=0)
+    frontend = ServingFrontend(service, FrontendConfig(num_workers=1, max_batch=8))
     uris = list(fitted_pipeline.kg1.entities[:8])
     with frontend:
         start = time.perf_counter()
@@ -182,7 +161,7 @@ def test_full_batch_flushes_without_waiting_for_deadline(fitted_pipeline):
 
 # ------------------------------------------------------- hot-swap under load
 def test_hot_swap_and_fold_in_under_sustained_storm(fitted_pipeline):
-    service = make_service(fitted_pipeline, cache_size=4096)
+    service = serve(fitted_pipeline, cache_size=4096)
     frontend = ServingFrontend(
         service,
         FrontendConfig(num_workers=2, max_queue_depth=4096, default_deadline_ms=25),
