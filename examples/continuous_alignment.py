@@ -2,12 +2,13 @@
 
 The end-to-end incremental-update path over a drifting knowledge-graph pair:
 
-1. train a partition-parallel alignment campaign and serve it,
+1. train a partition-parallel alignment campaign, save it and serve it,
 2. describe KG drift as an immutable :class:`repro.KGDelta`,
 3. ``PartitionedCampaign.apply_update`` routes the delta through the
    partition membership, warm-starts *only the touched pieces* from their
-   checkpoints and re-merges,
-4. ``AlignmentService.hot_swap`` publishes the refreshed state atomically —
+   checkpoints and re-merges; the updated campaign is saved over the first
+   checkpoint and loaded back (restore adopts the saved pieces),
+4. ``AlignmentService.hot_swap`` publishes the loaded campaign atomically —
    in-flight queries finish on the snapshot they started with,
 5. a pure serving-layer ``apply_delta`` folds one more entity in without any
    retraining at all.
@@ -17,6 +18,10 @@ Run with::
     python examples/continuous_alignment.py
 """
 
+import tempfile
+
+import numpy as np
+
 from repro import DAAKGConfig, KGDelta, PartitionConfig, PartitionedCampaign, serve
 from repro.active.loop import ActiveLearningConfig
 from repro.active.pool import PoolConfig
@@ -24,6 +29,7 @@ from repro.alignment.trainer import AlignmentTrainingConfig
 from repro.datasets import make_large_world_pair
 from repro.embedding.trainer import EmbeddingTrainingConfig
 from repro.inference.power import InferencePowerConfig
+from repro.kg.elements import ElementKind
 from repro.kg.pair import SplitRatios
 from repro.utils.logging import enable_console_logging
 
@@ -83,10 +89,15 @@ def drift_delta(campaign: PartitionedCampaign) -> KGDelta:
 
 def main() -> None:
     enable_console_logging()
+    with tempfile.TemporaryDirectory(prefix="continuous-alignment-") as checkpoint:
+        run(checkpoint)
 
-    # 1. Train the campaign and put a service in front of the merged state.
+
+def run(checkpoint: str) -> None:
+    # 1. Train the campaign, checkpoint it and serve the merged state.
     campaign = build_campaign()
     campaign.run()
+    campaign.save(checkpoint)
     service = serve(campaign)
     shape = f"{service.num_entities(1)}x{service.num_entities(2)}"
     print(f"Serving {shape} entities, token {service.state_token}")
@@ -99,9 +110,18 @@ def main() -> None:
     print(f"Piece statuses after the warm retrain: {statuses}")
     print(f"Routing took {report.route_seconds * 1e3:.1f} ms, update {report.seconds:.1f} s")
 
-    # 4. Publish the refreshed campaign without dropping a request.
+    # The updated campaign replaces the first checkpoint in the same directory
+    # and loads back with the evolved pieces it was saved with.
+    campaign.save(checkpoint)
+    loaded = PartitionedCampaign.load(checkpoint)
+    live_top = campaign.merged_state().top_k(ElementKind.ENTITY, 5)
+    loaded_top = loaded.merged_state().top_k(ElementKind.ENTITY, 5)
+    assert all(np.array_equal(a, b) for a, b in zip(live_top, loaded_top))
+    print("Reloaded the updated campaign: its merged top-5 equals the live one's")
+
+    # 4. Publish the loaded campaign without dropping a request.
     before = service.state_token
-    after = service.hot_swap(campaign)
+    after = service.hot_swap(loaded)
     ranked = service.top_k_alignments(["lw1:fresh"], k=3)[0]
     best = ", ".join(f"{name} ({score:.3f})" for name, score in ranked)
     print(f"Hot-swapped {before} -> {after}; lw1:fresh now answers: {best}")

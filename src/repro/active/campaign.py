@@ -170,23 +170,6 @@ class CampaignExecutionError(RuntimeError):
         )
 
 
-def _augmented_kgs(
-    pair: AlignedKGPair, config: "DAAKGConfig"
-) -> tuple[KnowledgeGraph, KnowledgeGraph]:
-    """The working-space KGs a ``DAAKG`` built on ``pair`` would train over.
-
-    Delegates to :func:`repro.core.daakg.augment_working_kgs` — the same
-    function ``DAAKG._build_models`` uses — so the merge layer's global index
-    spaces can never drift from the pipelines' model vocabularies.  Original
-    element indices are preserved (augmentation only appends), so gold id
-    arrays computed on ``pair`` stay valid in the working space.
-    """
-    from repro.core.daakg import augment_working_kgs  # circular at module level
-
-    kg1, kg2, _ = augment_working_kgs(pair, config)
-    return kg1, kg2
-
-
 class PartitionedCampaign:
     """Orchestrates per-partition DAAKG campaigns and merges their states.
 
@@ -240,18 +223,14 @@ class PartitionedCampaign:
             if resolve_env
             else configured
         )
-        # ``partition_state`` is the incremental-restore path: a partition
-        # whose piece pairs were evolved by deltas cannot be reproduced by
-        # re-running the partitioner, so the restored pieces are adopted
-        # as-is instead.
+        # ``partition_state`` is the restore path: a checkpoint's saved
+        # pieces are adopted as they are (deltas may have evolved them away
+        # from anything the partitioner would build), never re-partitioned.
         self.partition: KGPairPartition = (
             partition_state
             if partition_state is not None
             else partition_pair(pair, self.partition_config)
         )
-        # True once a delta has evolved the pieces away from what the
-        # partitioner would build (persistence switches restore paths on it)
-        self.incremental = partition_state is not None
         # touched pieces stash their pre-update pipelines here until the
         # retrain consumes them as warm starts
         self._warm: dict[int, "DAAKG"] = {}
@@ -267,6 +246,8 @@ class PartitionedCampaign:
         # per-piece obs payloads ({"snapshot", "events"}) from the most
         # recent run() — populated only while repro.obs is enabled
         self.piece_obs: dict[int, dict] = {}
+        # working-space KGs of ``self.dataset``, keyed on its identity
+        self._working: tuple[AlignedKGPair, tuple[KnowledgeGraph, KnowledgeGraph]] | None = None
 
     # ------------------------------------------------------------------ build
     @property
@@ -557,55 +538,18 @@ class PartitionedCampaign:
                 # the identity piece *is* the dataset (bit-exact monolithic
                 # contract), so it adopts the updated pair object directly
                 piece.pair = new_dataset
-                piece.entity_ids_1 = np.arange(new_dataset.kg1.num_entities, dtype=np.int64)
-                piece.entity_ids_2 = np.arange(new_dataset.kg2.num_entities, dtype=np.int64)
-                piece.relation_ids_1 = np.arange(new_dataset.kg1.num_relations, dtype=np.int64)
-                piece.relation_ids_2 = np.arange(new_dataset.kg2.num_relations, dtype=np.int64)
             else:
                 piece_delta = routing.piece_deltas.get(index)
                 if piece_delta is not None:
-                    old_pair = piece.pair
-                    piece.pair = old_pair.apply_delta(piece_delta)
-                    # append-only vocabulary: extend the local→global maps
-                    # for exactly the appended names (existing ids stay valid
-                    # because the global vocabularies are append-only too)
-                    for side in (1, 2):
-                        old_kg = old_pair.kg1 if side == 1 else old_pair.kg2
-                        new_kg = piece.pair.kg1 if side == 1 else piece.pair.kg2
-                        global_kg = new_dataset.kg1 if side == 1 else new_dataset.kg2
-                        for attr, old_names, new_names, index_map in (
-                            (
-                                f"entity_ids_{side}",
-                                old_kg.entities,
-                                new_kg.entities,
-                                global_kg.entity_index,
-                            ),
-                            (
-                                f"relation_ids_{side}",
-                                old_kg.relations,
-                                new_kg.relations,
-                                global_kg.relation_index,
-                            ),
-                        ):
-                            appended = new_names[len(old_names):]
-                            if appended:
-                                ids = np.array(
-                                    [index_map[name] for name in appended], dtype=np.int64
-                                )
-                                setattr(
-                                    piece, attr, np.concatenate([getattr(piece, attr), ids])
-                                )
+                    piece.pair = piece.pair.apply_delta(piece_delta)
             if self.pipelines[index] is not None and self.pipelines[index].is_fitted:
                 self._warm[index] = self.pipelines[index]
             self.pipelines[index] = None
             self.loops[index] = None
             self._piece_arrays.pop(index, None)
         self.dataset = new_dataset
-        self.partition.source = new_dataset
         self.partition.invalidate_membership()
         self._merged = None
-        if self.num_partitions > 1:
-            self.incremental = True
         route_seconds = time.perf_counter() - start
         logger.info(
             "delta routed to pieces %s (%d untouched); warm-start retraining",
@@ -628,8 +572,26 @@ class PartitionedCampaign:
         )
 
     # ------------------------------------------------------------------ merge
+    def working_kgs(self) -> tuple[KnowledgeGraph, KnowledgeGraph]:
+        """The working-space KGs a ``DAAKG`` built on the dataset trains over.
+
+        Built by :func:`repro.core.daakg.augment_working_kgs` — the same
+        function ``DAAKG._build_models`` uses — so the merged and served
+        index spaces can never drift from the pipelines' model vocabularies.
+        Original element indices are preserved (augmentation only appends),
+        so gold id arrays computed on the dataset stay valid in the working
+        space.  Cached on the identity of ``self.dataset``: an update
+        replaces the dataset, which invalidates it.
+        """
+        if self._working is None or self._working[0] is not self.dataset:
+            from repro.core.daakg import augment_working_kgs  # circular at module level
+
+            kg1, kg2, _ = augment_working_kgs(self.dataset, self.config)
+            self._working = (self.dataset, (kg1, kg2))
+        return self._working[1]
+
     def _working_index(self) -> dict[ElementKind, tuple[dict[str, int], dict[str, int]]]:
-        kg1, kg2 = _augmented_kgs(self.dataset, self.config)
+        kg1, kg2 = self.working_kgs()
         return {
             ElementKind.ENTITY: (kg1.entity_index, kg2.entity_index),
             ElementKind.RELATION: (kg1.relation_index, kg2.relation_index),

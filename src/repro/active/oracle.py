@@ -38,6 +38,3 @@ class Oracle:
     def gold_set(self, kind: ElementKind) -> set[tuple[int, int]]:
         """The gold matches of one element kind (used by evaluation code)."""
         return self._gold[kind]
-
-    def num_matches(self, kind: ElementKind) -> int:
-        return len(self._gold[kind])

@@ -21,7 +21,6 @@ from repro.inference.pairs import ElementPair
 from repro.inference.power import InferencePowerEstimator
 from repro.kg.elements import ElementKind
 from repro.kg.statistics import entity_pagerank
-from repro.utils.rng import ensure_rng
 
 
 @dataclass

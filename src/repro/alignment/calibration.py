@@ -114,12 +114,6 @@ class AlignmentCalibrator:
         row, col = self.directional_probabilities(similarity_matrix, kind)
         return np.minimum(row, col)
 
-    def pair_probability(
-        self, similarity_matrix: np.ndarray, kind: ElementKind, i: int, j: int
-    ) -> float:
-        """Probability of a single pair; prefer :meth:`probability_matrix` in loops."""
-        return float(self.probability_matrix(similarity_matrix, kind)[i, j])
-
     def pair_probabilities(
         self,
         similarity_matrix: np.ndarray,

@@ -117,10 +117,6 @@ class KGEmbeddingModel(Module):
         self._outputs_cache = entry
         return entry
 
-    def invalidate_outputs(self) -> None:
-        """Drop the cached forward (bumping the parameter version also works)."""
-        self._outputs_cache = None
-
     # --------------------------------------------------------------- training
     def triple_scores(self, triples: np.ndarray) -> Tensor:
         """Differentiable plausibility scores ``f_er`` for an ``(n, 3)`` index array.

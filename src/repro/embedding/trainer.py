@@ -55,14 +55,6 @@ class TrainingHistory:
     er_loss: list[float] = field(default_factory=list)
     ec_loss: list[float] = field(default_factory=list)
 
-    @property
-    def final_er_loss(self) -> float:
-        return self.er_loss[-1] if self.er_loss else float("nan")
-
-    @property
-    def final_ec_loss(self) -> float:
-        return self.ec_loss[-1] if self.ec_loss else float("nan")
-
 
 class KGEmbeddingTrainer:
     """Trains an embedding model (and optional class scorer) on one KG."""

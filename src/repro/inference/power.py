@@ -343,13 +343,6 @@ class InferencePowerEstimator:
             np.concatenate([path_powers, schema_powers]),
         )
 
-    def power_to_pool(self, source: ElementPair) -> float:
-        """``I(P | q)`` of Eq. 23 for a singleton labelled set ``{q}``."""
-        threshold = self.config.power_threshold
-        return float(
-            sum(value for value in self.reachable_power(source).values() if value > threshold)
-        )
-
     def power_from_labelled(self, labelled: list[ElementPair]) -> dict[ElementPair, float]:
         """``I(q' | L+) = max_{q ∈ L+} I(q' | q)`` for every reachable pair."""
         combined: dict[ElementPair, float] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -196,12 +196,6 @@ class KnowledgeGraph:
         rels = {r for r, _ in self.out_edges(entity)}
         rels |= {r for r, _ in self.in_edges(entity)}
         return rels
-
-    def iter_triples(self) -> Iterator[Triple]:
-        return iter(self.triples)
-
-    def iter_type_triples(self) -> Iterator[TypeTriple]:
-        return iter(self.type_triples)
 
     # ------------------------------------------------------------ derivations
     def with_inverse_relations(self) -> "KnowledgeGraph":

@@ -57,9 +57,6 @@ class GoldAlignment:
     def counterpart_of_right(self, name: str) -> str | None:
         return self._right.get(name)
 
-    def as_set(self) -> set[tuple[str, str]]:
-        return set(self.pairs)
-
 
 @dataclass
 class AlignedKGPair:

@@ -52,7 +52,7 @@ import heapq
 import math
 import os
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,16 +131,14 @@ def resolve_campaign_executor(configured: str | None = None) -> str:
 
 @dataclass
 class PartitionPiece:
-    """One sub-pair plus its local→global index maps (original pair's spaces)."""
+    """One sub-pair of the campaign; its pair is the whole description.
+
+    Sub-KG vocabularies keep the original order.  The merge, serving and
+    routing layers map a piece's elements into the campaign's spaces by name.
+    """
 
     index: int
     pair: AlignedKGPair
-    entity_ids_1: np.ndarray
-    entity_ids_2: np.ndarray
-    relation_ids_1: np.ndarray
-    relation_ids_2: np.ndarray
-    class_ids_1: np.ndarray
-    class_ids_2: np.ndarray
 
     def summary(self) -> dict[str, int]:
         return {
@@ -154,14 +152,16 @@ class PartitionPiece:
 
 @dataclass
 class KGPairPartition:
-    """The result of :func:`partition_pair`: pieces plus cut statistics."""
+    """The result of :func:`partition_pair`: pieces plus cut statistics.
 
-    source: AlignedKGPair
-    config: PartitionConfig
+    The pieces are the partition: a campaign restored from a checkpoint
+    adopts its saved pieces as they are, and incremental updates replace
+    piece pairs in place.
+    """
+
     pieces: list[PartitionPiece]
     cut_weight_fraction: float = 0.0
     rho_satisfied_fraction: float = 1.0
-    anchor_partition: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     @property
     def num_partitions(self) -> int:
@@ -204,10 +204,9 @@ class KGPairPartition:
     def membership_digest(self) -> str:
         """Order-sensitive digest of every piece's entity membership.
 
-        Persisted in campaign manifests and used to detect when a saved
-        campaign's pieces no longer describe the partition that would be
-        (or was incrementally) built — the guard behind both checkpoint
-        compatibility checks and delta routing.
+        Persisted in campaign manifests and recomputed over the restored
+        pieces on load, so a checkpoint whose pieces no longer describe the
+        partition that was saved is refused instead of resumed.
         """
         digest = hashlib.sha256()
         for piece in self.pieces:
@@ -414,20 +413,6 @@ def _restrict_alignment(
     return GoldAlignment(alignment.kind, pairs)
 
 
-def _identity_piece(pair: AlignedKGPair) -> PartitionPiece:
-    """The single-partition piece: the original pair itself, identity maps."""
-    return PartitionPiece(
-        index=0,
-        pair=pair,
-        entity_ids_1=np.arange(pair.kg1.num_entities, dtype=np.int64),
-        entity_ids_2=np.arange(pair.kg2.num_entities, dtype=np.int64),
-        relation_ids_1=np.arange(pair.kg1.num_relations, dtype=np.int64),
-        relation_ids_2=np.arange(pair.kg2.num_relations, dtype=np.int64),
-        class_ids_1=np.arange(pair.kg1.num_classes, dtype=np.int64),
-        class_ids_2=np.arange(pair.kg2.num_classes, dtype=np.int64),
-    )
-
-
 def _build_piece(
     index: int,
     pair: AlignedKGPair,
@@ -467,20 +452,7 @@ def _build_piece(
             if a in left_entities and b in right_entities
         ],
     )
-    return PartitionPiece(
-        index=index,
-        pair=sub_pair,
-        entity_ids_1=np.array([pair.kg1.entity_id(e) for e in kg1.entities], dtype=np.int64),
-        entity_ids_2=np.array([pair.kg2.entity_id(e) for e in kg2.entities], dtype=np.int64),
-        relation_ids_1=np.array(
-            [pair.kg1.relation_id(r) for r in kg1.relations], dtype=np.int64
-        ),
-        relation_ids_2=np.array(
-            [pair.kg2.relation_id(r) for r in kg2.relations], dtype=np.int64
-        ),
-        class_ids_1=np.array([pair.kg1.class_id(c) for c in kg1.classes], dtype=np.int64),
-        class_ids_2=np.array([pair.kg2.class_id(c) for c in kg2.classes], dtype=np.int64),
-    )
+    return PartitionPiece(index=index, pair=sub_pair)
 
 
 # ---------------------------------------------------------------- entry point
@@ -505,12 +477,7 @@ def partition_pair(
                 len(anchors),
                 config.num_partitions,
             )
-        return KGPairPartition(
-            source=pair,
-            config=config,
-            pieces=[_identity_piece(pair)],
-            anchor_partition=np.zeros(len(anchors), dtype=np.int64),
-        )
+        return KGPairPartition(pieces=[PartitionPiece(0, pair)])
 
     num_anchors = len(anchors)
     anchor_of_1 = np.full(pair.kg1.num_entities, -1, dtype=np.int64)
@@ -568,12 +535,9 @@ def partition_pair(
         pieces.append(_build_piece(pid, pair, entities_1, entities_2))
 
     result = KGPairPartition(
-        source=pair,
-        config=config,
         pieces=pieces,
         cut_weight_fraction=cut_weight / total_weight if total_weight else 0.0,
         rho_satisfied_fraction=satisfied / with_edges if with_edges else 1.0,
-        anchor_partition=partition,
     )
     logger.info(
         "partitioned %s into %d pieces (cut fraction %.3f, rho-satisfied %.3f)",

@@ -24,7 +24,6 @@ from repro.serving.frontend import BackpressureError, FrontendConfig, ServingFro
 from repro.serving.service import (
     AlignmentService,
     FoldInReport,
-    ServiceStats,
     ServingError,
     ServingSnapshot,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "BackpressureError",
     "FoldInReport",
     "FrontendConfig",
-    "ServiceStats",
     "ServingError",
     "ServingFrontend",
     "ServingSnapshot",

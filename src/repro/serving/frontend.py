@@ -25,7 +25,7 @@ without coordinating:
 * **Lock-free snapshot fan-out** — workers call the service's query methods
   directly; each call reads the frozen-snapshot reference once and runs on
   immutable arrays, so concurrent batches never contend on serving state
-  (only the service's fine-grained cache/stats locks are ever taken).  This
+  (only the service's fine-grained cache/counter locks are ever taken).  This
   is what makes hot-swap under load safe: an in-flight batch finishes against
   the snapshot it started with while the next batch sees the new one.
 * **Telemetry through the existing registry** — all series publish into

@@ -25,8 +25,9 @@ Design points:
 * **Thread safety** — the query path is safe for concurrent callers: the
   snapshot reference is read once per call (readers fan out over the frozen
   state without any global lock), while the mutable extras — the LRU result
-  cache and the stats counters — each take their own fine-grained lock.  ``hot_swap`` / ``apply_delta`` serialise
-  their read-modify-write of the snapshot reference behind a swap lock.
+  cache and each counter of the service's metrics registry — take their own
+  fine-grained lock.  ``hot_swap`` / ``apply_delta`` serialise their
+  read-modify-write of the snapshot reference behind a swap lock.
 * **Incremental fold-in** — a new entity arriving with its triples gets an
   output-space embedding optimised against the frozen model (a few gradient
   steps on only the new row, via ``score_np_grad_head`` /
@@ -52,7 +53,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -221,10 +222,8 @@ class ServingSnapshot:
         serving a partial merge; ``campaign.run()`` re-executes exactly the
         unfinished pieces.
         """
-        from repro.active.campaign import _augmented_kgs  # circular at module level
-
         merged = campaign.merged_state()
-        kg1, kg2 = _augmented_kgs(campaign.dataset, campaign.config)
+        kg1, kg2 = campaign.working_kgs()
         if token is None:
             token = (
                 f"mem-{next(_TOKEN_COUNTER)}-merged-{campaign.num_partitions}p"
@@ -347,32 +346,6 @@ class FoldInReport:
     token: str
 
 
-@dataclass
-class ServiceStats:
-    """Monotonic counters for throughput accounting (lock-exact under threads)."""
-
-    queries: int = 0
-    cache_hits: int = 0
-    folds: int = 0
-    swaps: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        """Increment one counter atomically (``+=`` alone is not, under threads)."""
-        with self._lock:
-            setattr(self, name, getattr(self, name) + amount)
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "queries": self.queries,
-            "cache_hits": self.cache_hits,
-            "folds": self.folds,
-            "swaps": self.swaps,
-        }
-
-
 class AlignmentService:
     """Read-optimised alignment queries over a frozen serving snapshot."""
 
@@ -382,7 +355,6 @@ class AlignmentService:
         self._state = state
         self.cache_size = cache_size
         self._cache: OrderedDict[tuple, object] = OrderedDict()
-        self.stats = ServiceStats()
         # Fine-grained synchronization: queries read the snapshot reference
         # once and fan out lock-free over the frozen arrays; only the mutable
         # extras take a lock, each its own so readers never contend across
@@ -404,6 +376,7 @@ class AlignmentService:
             method: self.obs.counter("service.requests.total", method=method)
             for method in ("top_k", "score_pairs", "pair_probabilities")
         }
+        self._query_counter = self.obs.counter("service.queries.total")
         self._cache_hit_counter = self.obs.counter("service.cache.hits")
         self._cache_miss_counter = self.obs.counter("service.cache.misses")
         self._swap_counter = self.obs.counter("service.hot_swaps.total")
@@ -440,7 +413,7 @@ class AlignmentService:
         state = self._state
         if k < 1:
             raise ValueError("k must be >= 1")
-        self.stats.bump("queries", len(uris))
+        self._query_counter.inc(len(uris))
         use_cache = self.cache_size > 0
         results: list[list[tuple[str, float]] | None] = [None] * len(uris)
         miss_rows: list[int] = []
@@ -474,7 +447,7 @@ class AlignmentService:
         """Similarity scores for ``(kg1 uri, kg2 uri)`` pairs, as one array."""
         start = time.perf_counter()
         state = self._state
-        self.stats.bump("queries", len(pairs))
+        self._query_counter.inc(len(pairs))
         use_cache = self.cache_size > 0
         scores = np.empty(len(pairs), dtype=float)
         miss_lefts: list[int] = []
@@ -509,7 +482,7 @@ class AlignmentService:
         """Calibrated match probabilities (Eq. 12) for entity URI pairs."""
         start = time.perf_counter()
         state = self._state
-        self.stats.bump("queries", len(pairs))
+        self._query_counter.inc(len(pairs))
         if not pairs:
             return np.zeros(0, dtype=float)
         lefts = np.asarray([self._entity_id(state, 1, a) for a, _ in pairs], dtype=np.int64)
@@ -540,7 +513,6 @@ class AlignmentService:
         state = _snapshot_from_source(source)
         with self._swap_lock:
             self._state = state
-        self.stats.bump("swaps")
         self._swap_counter.inc()
         logger.info("hot-swapped serving state to %s", state.token)
         return state.token
@@ -610,7 +582,6 @@ class AlignmentService:
                     )
                 )
             self._state = state
-        self.stats.bump("folds", len(reports))
         self._fold_counter.inc(len(reports))
         for report in reports:
             logger.info(
@@ -834,7 +805,6 @@ class AlignmentService:
             if value is not None:
                 self._cache.move_to_end(key)
         if value is not None:
-            self.stats.bump("cache_hits")
             self._cache_hit_counter.inc()
         else:
             self._cache_miss_counter.inc()
@@ -868,8 +838,8 @@ class AlignmentService:
             "p50_latency_ms": self._lat_hist.quantile(0.5) * 1e3,
             "p99_latency_ms": self._lat_hist.quantile(0.99) * 1e3,
             "cache_hit_ratio": self._cache_hit_counter.value / lookups if lookups else 0.0,
-            "hot_swaps": self.stats.swaps,
-            "fold_ins": self.stats.folds,
+            "hot_swaps": int(self._swap_counter.value),
+            "fold_ins": int(self._fold_counter.value),
             "uptime_seconds": elapsed,
             "snapshot": self.obs.snapshot(),
         }

@@ -114,17 +114,16 @@ def test_partitioner_covers_everything_once():
     assert len(set(seen_1)) == len(seen_1)
     assert sorted(seen_2) == sorted(pair.kg2.entities)
     assert matches == len(pair.entity_alignment)  # no gold match is ever cut
-    # id maps point back at the original vocabularies, in original order
+    # piece vocabularies keep the original vocabularies' order
     for piece in partition.pieces:
-        names = [pair.kg1.entities[i] for i in piece.entity_ids_1]
-        assert names == piece.pair.kg1.entities
+        ids = [pair.kg1.entity_id(name) for name in piece.pair.kg1.entities]
+        assert ids == sorted(ids)
 
 
 def test_partitioner_is_deterministic():
     pair = campaign_pair()
     a = partition_pair(pair, PartitionConfig(num_partitions=4))
     b = partition_pair(pair, PartitionConfig(num_partitions=4))
-    assert np.array_equal(a.anchor_partition, b.anchor_partition)
     for pa, pb in zip(a.pieces, b.pieces):
         assert pa.pair.kg1.entities == pb.pair.kg1.entities
         assert pa.pair.kg2.entities == pb.pair.kg2.entities
@@ -134,9 +133,6 @@ def test_single_partition_is_the_original_pair():
     pair = campaign_pair()
     partition = partition_pair(pair, PartitionConfig(num_partitions=1))
     assert partition.pieces[0].pair is pair
-    assert np.array_equal(
-        partition.pieces[0].entity_ids_1, np.arange(pair.kg1.num_entities)
-    )
 
 
 def test_piece_seed_contract():
@@ -303,6 +299,36 @@ def test_campaign_checkpoint_before_run(campaign_config, tmp_path):
     restored = PartitionedCampaign.load(path)
     assert restored.num_partitions == 2
     assert all(p is None for p in restored.pipelines)
+    for saved, loaded in zip(campaign.partition.pieces, restored.partition.pieces):
+        assert loaded.pair.kg1.entities == saved.pair.kg1.entities
+        assert loaded.pair.kg2.entities == saved.pair.kg2.entities
+        assert loaded.pair.entity_alignment.pairs == saved.pair.entity_alignment.pairs
+
+
+def test_campaign_load_adopts_saved_pieces(campaign_config, loop_config, tmp_path, monkeypatch):
+    """Restore never re-runs the partitioner: saved and pending pieces are adopted."""
+    import repro.active.campaign as campaign_module
+
+    campaign = PartitionedCampaign(
+        campaign_pair(),
+        campaign_config,
+        strategy="uncertainty",
+        active_config=loop_config,
+        partition=PartitionConfig(num_partitions=2),
+    )
+    campaign.pipeline(0).fit()  # piece 0 is saved, piece 1 stays pending
+    path = tmp_path / "campaign"
+    campaign.save(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_campaign must not re-partition the dataset")
+
+    monkeypatch.setattr(campaign_module, "partition_pair", refuse)
+    restored = PartitionedCampaign.load(path)
+    assert restored.pipelines[0] is not None and restored.pipelines[1] is None
+    for saved, loaded in zip(campaign.partition.pieces, restored.partition.pieces):
+        assert loaded.pair.kg1.entities == saved.pair.kg1.entities
+        assert loaded.pair.kg2.entities == saved.pair.kg2.entities
 
 
 def test_unsupported_campaign_format_version_fails(campaign_config, tmp_path):
@@ -319,10 +345,11 @@ def test_unsupported_campaign_format_version_fails(campaign_config, tmp_path):
     )
     path = tmp_path / "campaign"
     campaign.save(path)
-    assert json.loads((path / "campaign.json").read_text())["format_version"] == 4
+    assert json.loads((path / "campaign.json").read_text())["format_version"] == 5
     # 1 predates the retired ``ann_*`` config keys, 2 the settings that became
-    # constants, 3 the retired ``similarity_workers``; 999 is from the future
-    for version in (1, 2, 3, 999):
+    # constants, 3 the retired ``similarity_workers``, 4 the per-generation
+    # dataset file and always-written pending sidecars; 999 is from the future
+    for version in (1, 2, 3, 4, 999):
         other = tmp_path / f"v{version}"
         shutil.copytree(path, other)
         manifest = json.loads((other / "campaign.json").read_text())

@@ -81,9 +81,9 @@ def test_lru_cache_hits_on_repeat(fitted_pipeline):
     service = serve(fitted_pipeline)
     uris = list(fitted_pipeline.kg1.entities[:3])
     service.top_k_alignments(uris, k=4)
-    assert service.stats.cache_hits == 0
+    assert service.obs.counter("service.cache.hits").value == 0
     first = service.top_k_alignments(uris, k=4)
-    assert service.stats.cache_hits == 3
+    assert service.obs.counter("service.cache.hits").value == 3
     assert first == service.top_k_alignments(uris, k=4)
 
 
@@ -127,7 +127,7 @@ def test_hot_swap_from_checkpoint(fitted_pipeline, tmp_path, value_tol):
     token_after = service.hot_swap(tmp_path / "snap")
     assert token_after == service.state_token != token_before
     assert token_after.startswith("ckpt-")
-    assert service.stats.swaps == 1
+    assert service.metrics()["hot_swaps"] == 1
     # the swapped state serves the same frozen matrices
     uri = fitted_pipeline.kg1.entities[0]
     matrix = fitted_pipeline.model.entity_similarity_matrix()
@@ -163,7 +163,7 @@ def test_fold_in_appends_column_and_scores_like_clone(fitted_pipeline, entity_ma
     assert service.num_entities(2) == n_before + 1
     assert report.index == n_before
     assert service.state_token != token_before
-    assert service.stats.folds == 1
+    assert service.metrics()["fold_ins"] == 1
     # the clone of the best-matched entity should itself score well for the
     # same KG1 partner (embedding channel only, so not identical)
     partner = int(np.argmax(entity_matrix[:, victim]))
@@ -194,9 +194,10 @@ def test_fold_in_cache_isolation(fitted_pipeline):
     service.top_k_alignments([uri], k=2)
     victim = max(range(kg2.num_entities), key=kg2.entity_degree)
     _fold(service, "folded:iso", _clone_triples(kg2, victim, "folded:iso"))
-    hits_before = service.stats.cache_hits
+    hits = service.obs.counter("service.cache.hits")
+    hits_before = hits.value
     service.top_k_alignments([uri], k=2)
-    assert service.stats.cache_hits == hits_before  # token changed → cache miss
+    assert hits.value == hits_before  # token changed → cache miss
 
 
 def test_pipeline_snapshot_is_one_identity_piece(fitted_pipeline):
@@ -276,7 +277,6 @@ def test_apply_delta_is_all_or_nothing(fitted_pipeline):
         # the valid side-1 entity was not published either
         assert (service.num_entities(1), service.num_entities(2)) == sizes
         assert service.state_token == token
-        assert service.stats.folds == 0
         assert service.metrics()["fold_ins"] == 0
         with pytest.raises(ServingError, match="unknown KG1 entity"):
             service.score_pairs([("atomic:left", anchor)])
@@ -286,7 +286,7 @@ def test_apply_delta_is_all_or_nothing(fitted_pipeline):
 def test_concurrent_queries_keep_exact_counters(fitted_pipeline):
     """Hammer the direct query API from many threads.
 
-    The stats counters are lock-exact, so the totals must come out *equal*
+    The registry counters are lock-exact, so the totals must come out *equal*
     (not approximately equal — a lost ``+=`` update is exactly the bug the
     per-counter lock exists to prevent), and the LRU cache must respect its
     capacity under concurrent eviction.
@@ -315,7 +315,7 @@ def test_concurrent_queries_keep_exact_counters(fitted_pipeline):
         thread.join()
     assert errors == []
     # 6 threads x 40 rounds x (8 top-k uris + 1 score pair), counted exactly
-    assert service.stats.queries == 6 * rounds * (batch + 1)
+    assert service.obs.counter("service.queries.total").value == 6 * rounds * (batch + 1)
     assert len(service._cache) <= 16
 
 

@@ -221,7 +221,8 @@ def test_hot_swap_and_fold_in_under_sustained_storm(fitted_pipeline):
     # zero request errors across the storm, swaps and fold-in
     assert errors == []
     assert resolved[0] > 0
-    assert service.stats.swaps == 2 and service.stats.folds == 1
+    metrics = service.metrics()
+    assert metrics["hot_swaps"] == 2 and metrics["fold_ins"] == 1
     # no cross-token cache leaks: every cached entry is keyed by a token the
     # service actually served — and post-storm queries serve the *current*
     # (folded) state, matching a fresh computation

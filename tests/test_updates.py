@@ -237,7 +237,6 @@ def test_apply_update_retrains_exactly_touched_piece(trained_campaign):
     for index, status in statuses.items():
         if index != touched_piece:
             assert status == "skipped"  # untouched pieces were not retrained
-    assert campaign.incremental
     assert "lw1:new" in campaign.dataset.kg1.entity_index
     # the updated campaign still merges, evaluates and serves the new entity
     after = campaign.evaluate()["entity"].hits_at_1
@@ -269,7 +268,6 @@ def test_resumed_incremental_campaign_byte_identical(tmp_path):
     interrupted.apply_update(d1)
     interrupted.save(str(tmp_path / "mid-update"))
     resumed = PartitionedCampaign.load(str(tmp_path / "mid-update"))
-    assert resumed.incremental
     resumed.apply_update(d2)
 
     a = straight.merged_state().matrix(ElementKind.ENTITY)
@@ -278,6 +276,32 @@ def test_resumed_incremental_campaign_byte_identical(tmp_path):
     assert np.array_equal(a, b)  # byte-identical, not merely close
     for left, right in zip(straight.loops, resumed.loops):
         assert [r.selected for r in left.records] == [r.selected for r in right.records]
+
+
+def test_crashed_resave_keeps_previous_checkpoint_loadable(tmp_path, monkeypatch):
+    """A re-save that dies mid-way leaves the previous generation intact."""
+    import repro.persistence.campaign as campaign_persistence
+
+    campaign = make_campaign()
+    campaign.run()
+    path = tmp_path / "campaign"
+    campaign.save(path)
+    saved_records = [[r.selected for r in loop.records] for loop in campaign.loops]
+    saved_entities = list(campaign.dataset.kg1.entities)
+    pair = campaign.dataset
+    campaign.apply_update(growth_delta(pair, pair.kg1.entities[1], pair.kg2.entities[1]))
+
+    def crash(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(campaign_persistence, "save_checkpoint", crash)
+    with pytest.raises(OSError, match="disk full"):
+        campaign.save(path)
+    monkeypatch.undo()
+
+    restored = PartitionedCampaign.load(path)
+    assert restored.dataset.kg1.entities == saved_entities
+    assert [[r.selected for r in loop.records] for loop in restored.loops] == saved_records
 
 
 # --------------------------------------------------------------- warm start
