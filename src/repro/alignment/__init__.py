@@ -33,13 +33,12 @@ from repro.alignment.evaluation import (
     mean_reciprocal_rank,
     precision_recall_f1,
 )
-from repro.alignment.similarity import SimilarityEngine, blocked_cosine_similarity
+from repro.alignment.similarity import SimilarityEngine
 from repro.alignment.trainer import AlignmentTrainingConfig, JointAlignmentTrainer
 
 __all__ = [
     "AlignmentCalibrator",
     "SimilarityEngine",
-    "blocked_cosine_similarity",
     "AlignmentScores",
     "AlignmentTrainingConfig",
     "CalibrationConfig",

@@ -32,14 +32,15 @@ from repro.alignment.mean_embeddings import (
     mean_relation_embeddings,
 )
 from repro.alignment.propagation import StructuralPropagation
-from repro.alignment.similarity import SimilarityEngine, blocked_cosine_similarity
+from repro.alignment.similarity import SimilarityEngine
 from repro.embedding.base import KGEmbeddingModel
 from repro.embedding.entity_class import EntityClassScorer
 from repro.kg.elements import ElementKind
 from repro.kg.pair import AlignedKGPair
 from repro.nn.init import identity_with_noise
 from repro.nn.module import Module, Parameter
-from repro.utils.math import cosine_similarity_matrix
+from repro.runtime.backends import assemble_matrix
+from repro.runtime.streaming import ChannelPair, CosineChannels, stream_row_col_max
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -99,7 +100,6 @@ class JointAlignmentModel(Module):
             else None
         )
         self._landmarks = np.empty((0, 2), dtype=np.int64)
-        self._structural_similarity: np.ndarray | None = None
         self._structural_factors: tuple[np.ndarray, np.ndarray] | None = None
         self._snapshot_version = 0
         self._landmark_version = 0
@@ -125,30 +125,25 @@ class JointAlignmentModel(Module):
         The four matrix reads below are served by one cached forward per
         model (``KGEmbeddingModel.outputs``, not four separate forwards).
 
-        On the dense backend the entity similarity computed here for the
-        dangling-entity weights seeds the engine's cache; on the sharded
-        backend the weights are instead *streamed* (per-row / per-column
-        maxima over cosine tiles), so no ``N × M`` matrix is materialised.
+        The dangling-entity weights come from the entity channels
+        (:meth:`entity_channel_factors`), built once here for both backends.
+        On the dense backend the channels are assembled into the entity
+        matrix, which then seeds the engine's cache; on the sharded backend
+        the weights are instead *streamed* (per-row / per-column maxima over
+        cosine tiles), so no ``N × M`` matrix is materialised.
         """
         with no_grad():
             e1 = self.model1.entity_matrix()
             e2 = self.model2.entity_matrix()
             r1 = self.model1.relation_matrix()
             r2 = self.model2.relation_matrix()
+            channels = self.entity_channel_factors(e1, e2)
             if self.similarity.backend_name == "dense":
-                mapped = e1 @ self.map_entity.data
-                embedding_channel = blocked_cosine_similarity(
-                    mapped, e2, self.similarity.block_size
-                )
-                structural = self.structural_similarity_matrix()
-                if structural is not None:
-                    sim = np.maximum(embedding_channel, structural)
-                else:
-                    sim = embedding_channel
+                sim = assemble_matrix(channels, self.similarity.block_size)
                 w1, w2 = entity_weights(sim)
             else:
-                embedding_channel = sim = None
-                w1, w2 = self._streamed_entity_weights(e1, e2)
+                sim = None
+                w1, w2 = self._streamed_entity_weights(channels)
             mean_rel1 = mean_relation_embeddings(self.kg1, self.model1, e1, w1)
             mean_rel2 = mean_relation_embeddings(self.kg2, self.model2, e2, w2)
             mean_cls1 = mean_class_embeddings(self.kg1, e1, w1)
@@ -167,32 +162,25 @@ class JointAlignmentModel(Module):
         )
         self._snapshot_version += 1
         if sim is not None:
-            # The entity similarity just computed for the weights is exactly
+            # The entity similarity just assembled for the weights is exactly
             # what entity_similarity_matrix() would rebuild — seed the engine.
-            self.similarity.seed_entity_cache(embedding_channel, sim)
+            self.similarity.seed_entity_cache(sim)
         return self._snapshot
 
-    def entity_channel_factors(
-        self, e1: np.ndarray, e2: np.ndarray
-    ) -> tuple[list, bool]:
-        """The entity similarity as cosine channel factors: ``(pairs, clip)``.
+    def entity_channel_factors(self, e1: np.ndarray, e2: np.ndarray) -> CosineChannels:
+        """The entity similarity as cosine channel factors.
 
-        Single definition of how the combined entity similarity decomposes
-        into factored cosines — the mapped embedding channel plus (when the
-        structural channel is enabled) the propagation features, with
-        ``clip=True`` standing in for the all-zero structural matrix before
-        any landmarks exist.  Both the engine's channel cache
-        (:meth:`SimilarityEngine.channels`) and the streamed entity weights
-        below build from here, so the similarity every sharded query serves
-        and the similarity the dangling-entity weights are computed from can
-        never drift apart.
+        The single definition of the entity similarity on both backends: the
+        mapped embedding channel plus (when the structural channel is
+        enabled) the propagation features, with ``clip_at_zero`` standing in
+        for the all-zero structural channel before any landmarks exist.  The
+        engine's channel cache (:meth:`SimilarityEngine.channels`), which the
+        dense backend assembles and the sharded backend streams, and the
+        dangling-entity weights of :meth:`refresh_statistics` all build from
+        here, so the similarity every query serves and the similarity the
+        weights are computed from can never drift apart.
         """
-        from repro.runtime.streaming import ChannelPair
-        from repro.utils.math import safe_l2_normalize
-
-        pairs = [
-            ChannelPair(safe_l2_normalize(e1 @ self.map_entity.data), safe_l2_normalize(e2))
-        ]
+        pairs = [ChannelPair.from_raw(e1 @ self.map_entity.data, e2)]
         clip = False
         factors = self.structural_factors()
         if factors is not None:
@@ -201,24 +189,21 @@ class JointAlignmentModel(Module):
                 clip = True
             else:
                 pairs.append(ChannelPair.from_raw(p1, p2))
-        return pairs, clip
+        return CosineChannels(pairs, clip_at_zero=clip)
 
     def _streamed_entity_weights(
-        self, e1: np.ndarray, e2: np.ndarray
+        self, channels: CosineChannels
     ) -> tuple[np.ndarray, np.ndarray]:
         """Dangling-entity weights from streamed tile maxima (Eq. 6).
 
-        Builds the entity channel factors locally (the engine's channel cache
-        keys on the snapshot version, which is mid-update here) and streams
-        per-row / per-column maxima; ``max`` is order-independent, so the
-        result matches the dense path exactly up to tile rounding.
+        Streams per-row / per-column maxima of the entity channels (built by
+        the caller: the engine's channel cache keys on the snapshot version,
+        which is mid-update here); ``max`` is order-independent, so the result
+        matches the dense path exactly.
         """
-        from repro.runtime.streaming import CosineChannels, stream_row_col_max
-
-        if e1.shape[0] == 0 or e2.shape[0] == 0:
-            return np.zeros(e1.shape[0]), np.zeros(e2.shape[0])
-        pairs, clip = self.entity_channel_factors(e1, e2)
-        channels = CosineChannels(pairs, clip_at_zero=clip)
+        num_rows, num_cols = channels.shape
+        if num_rows == 0 or num_cols == 0:
+            return np.zeros(num_rows), np.zeros(num_cols)
         w1, w2 = stream_row_col_max(channels, self.similarity.block_size)
         return np.clip(w1, 0.0, 1.0), np.clip(w2, 0.0, 1.0)
 
@@ -290,23 +275,23 @@ class JointAlignmentModel(Module):
         """Update the landmark set feeding the structural propagation channel.
 
         Called by the trainer with the union of labelled entity matches and
-        mined potential matches whenever statistics are refreshed; the channel
-        is recomputed lazily by :meth:`entity_similarity_matrix`.
+        mined potential matches whenever statistics are refreshed; the
+        propagation is recomputed lazily the next time the entity channels
+        are built (:meth:`structural_factors`).
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if np.array_equal(pairs, self._landmarks):
             return  # unchanged landmarks must not invalidate cached matrices
         self._landmarks = pairs
-        self._structural_similarity = None
         self._structural_factors = None
         self._landmark_version += 1
 
     def structural_factors(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Propagated landmark features ``(p1, p2)`` (None if channel disabled).
 
-        The structural channel is the cosine of these factors, which is what
-        lets the sharded backend stream it tile by tile instead of holding
-        the full ``|E1| × |E2|`` propagation matrix.
+        The structural channel is the cosine of these factors; it enters the
+        entity similarity only through :meth:`entity_channel_factors`, so no
+        ``|E1| × |E2|`` propagation matrix is ever held on its own.
         """
         if self._propagation is None:
             return None
@@ -314,27 +299,11 @@ class JointAlignmentModel(Module):
             self._structural_factors = self._propagation.propagate(self._landmarks)
         return self._structural_factors
 
-    def structural_similarity_matrix(self) -> np.ndarray | None:
-        """The propagation channel for the current landmarks (None if disabled)."""
-        if self._propagation is None:
-            return None
-        if self._structural_similarity is None:
-            p1, p2 = self.structural_factors()
-            if p1.shape[1] == 0:
-                # no landmarks: the channel is all zeros and never dominates
-                # the embedding channel before any labels exist
-                self._structural_similarity = np.zeros(
-                    (self.kg1.num_entities, self.kg2.num_entities)
-                )
-            else:
-                self._structural_similarity = cosine_similarity_matrix(p1, p2)
-        return self._structural_similarity
-
     # ------------------------------------------------------ similarity matrices
     # All full-matrix computation lives in the SimilarityEngine, which caches
     # results behind the (parameter_version, state_version) token; these
-    # wrappers keep the historical API.  Returned matrices are shared cache
-    # entries — treat them as read-only.
+    # accessors read its matrices by kind.  Returned matrices are shared
+    # cache entries — treat them as read-only.
     @property
     def snapshot_version(self) -> int:
         """Bumped by ``refresh_statistics``; part of every engine cache token."""
@@ -350,10 +319,6 @@ class JointAlignmentModel(Module):
     def state_version(self) -> tuple[int, int]:
         """Combined (snapshot, landmark) version of the non-parameter state."""
         return (self._snapshot_version, self._landmark_version)
-
-    def embedding_entity_similarity_matrix(self) -> np.ndarray:
-        """The embedding channel only: ``cos(A_ent · e, e')`` for all pairs."""
-        return self.similarity.embedding_entity_matrix()
 
     def entity_similarity_matrix(self) -> np.ndarray:
         """Full ``|E1| × |E2|`` similarity matrix (NumPy, no gradients).

@@ -23,7 +23,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.kg.graph import KnowledgeGraph
-from repro.utils.math import cosine_similarity_matrix
 
 
 def normalized_adjacency(kg: KnowledgeGraph) -> sp.csr_matrix:
@@ -44,7 +43,11 @@ def normalized_adjacency(kg: KnowledgeGraph) -> sp.csr_matrix:
 
 
 class StructuralPropagation:
-    """Computes the landmark-propagation similarity between two KGs."""
+    """Computes the propagated landmark features of two KGs.
+
+    The structural channel is the cosine of these features; the joint
+    alignment model folds it into the entity channel factors.
+    """
 
     def __init__(
         self,
@@ -83,14 +86,3 @@ class StructuralPropagation:
             p1 = self.alpha * (self._adj1 @ p1) + x1
             p2 = self.alpha * (self._adj2 @ p2) + x2
         return p1, p2
-
-    def similarity_matrix(self, landmarks: np.ndarray) -> np.ndarray:
-        """Cosine similarity of propagated landmark features, ``(|E1|, |E2|)``.
-
-        With no landmarks the channel is all zeros, i.e. it never dominates the
-        embedding channel before any labels exist.
-        """
-        p1, p2 = self.propagate(landmarks)
-        if p1.shape[1] == 0:
-            return np.zeros((self.kg1.num_entities, self.kg2.num_entities))
-        return cosine_similarity_matrix(p1, p2)

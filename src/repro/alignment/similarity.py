@@ -4,15 +4,17 @@ Every hot path of the active alignment loop — hard-negative mining,
 semi-supervised mining, calibrated probability lookups, pool building and
 progressive evaluation — reads element similarities through this engine.  The
 engine owns the *versioning* contract (below) and delegates the actual
-computation to a pluggable backend (:mod:`repro.runtime.backends`):
+computation to a pluggable backend (:mod:`repro.runtime.backends`).  Each
+similarity has exactly one definition, its *channel factors*
+(:meth:`channels`), and both backends read it:
 
-* the **dense** backend (default) caches the full ``|X1| × |X2|`` matrix per
-  version token and answers every query with a slice — bit-exact with the
-  historical code path;
+* the **dense** backend (default) assembles the channels tile by tile into
+  the full ``|X1| × |X2|`` matrix, caches it per version token and answers
+  every query with a slice;
 * the **sharded** backend streams row-block × column-block cosine tiles from
-  the similarity's *channel factors* (:meth:`channels`) and keeps per-row
-  running top-k state, so the full matrix is never materialised on any query
-  path and peak memory stays ``O(block² + N·k)``.
+  the channels and keeps per-row running top-k state, so the full matrix is
+  never materialised on any query path and peak memory stays
+  ``O(block² + N·k)``.
 
 Consumers therefore use the narrow query surface — :meth:`top_k` /
 :meth:`top_k_table`, :meth:`rows` / :meth:`cols`, :meth:`stream_blocks`,
@@ -47,7 +49,7 @@ Between two bumps the engine serves the same objects over and over (treat
 returned arrays as read-only); within one optimiser step a matrix or top-k
 table is computed at most once, no matter how many call sites ask for it.
 On the dense backend, ``refresh_statistics`` additionally *seeds* the entity
-cache with the matrix it computes internally for the dangling-entity weights.
+matrix cache with the matrix it assembles for the dangling-entity weights.
 """
 
 from __future__ import annotations
@@ -63,41 +65,14 @@ from repro.nn.optim import parameter_version
 from repro.runtime.backends import TopKTable, create_backend, resolve_backend_name
 from repro.runtime.streaming import ChannelPair, CosineChannels
 from repro.runtime.views import SimilarityView
-from repro.utils.math import cosine_similarity_matrix, safe_l2_normalize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with model.py
     from repro.alignment.model import AlignmentSnapshot, JointAlignmentModel
 
 DEFAULT_BLOCK_SIZE = 4096
 
-# Cache key for the embedding-only entity channel (no structural max).
-_ENTITY_EMBEDDING_CHANNEL = "entity_embedding_channel"
 # Cache-key namespace for channel factor sets.
 _CHANNELS = "channels"
-
-
-def blocked_cosine_similarity(
-    a: np.ndarray, b: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE
-) -> np.ndarray:
-    """Pairwise cosine similarities between rows of ``a`` and ``b``, in blocks.
-
-    Delegates to :func:`repro.utils.math.cosine_similarity_matrix` when one
-    block suffices; otherwise computes the ``(len(a), len(b))`` product
-    ``block_size`` rows at a time, bounding the working set for large
-    vocabularies.  Zero-norm rows are guarded: they contribute exactly-zero
-    similarity instead of a division blow-up
-    (:func:`repro.utils.math.safe_l2_normalize`), so a degenerate embedding
-    row can never emit NaNs that poison top-k tables or calibration.
-    """
-    if np.asarray(a).shape[0] <= block_size:
-        return cosine_similarity_matrix(a, b)
-    a_n = safe_l2_normalize(np.asarray(a, dtype=float))
-    b_n = safe_l2_normalize(np.asarray(b, dtype=float))
-    out = np.empty((a_n.shape[0], b_n.shape[0]))
-    for start in range(0, a_n.shape[0], block_size):
-        stop = min(start + block_size, a_n.shape[0])
-        out[start:stop] = a_n[start:stop] @ b_n.T
-    return out
 
 
 class SimilarityEngine:
@@ -126,7 +101,6 @@ class SimilarityEngine:
         self._channels: dict[object, tuple[tuple[int, ...], CosineChannels]] = {}
         self._top_k: dict[tuple[ElementKind, int], tuple[tuple[int, ...], TopKTable]] = {}
         self.compute_counts: dict[ElementKind, int] = {kind: 0 for kind in ElementKind}
-        self.hit_counts: dict[ElementKind, int] = {kind: 0 for kind in ElementKind}
 
     @property
     def backend_name(self) -> str:
@@ -141,9 +115,9 @@ class SimilarityEngine:
     def _token_for(self, key: object) -> tuple[int, ...]:
         """The version token ``key`` depends on.
 
-        Only the combined entity similarity reads the structural channel, so
-        only it is keyed on the landmark version; relation/class matrices and
-        the embedding-only entity channel survive landmark updates.
+        Only the entity similarity reads the structural channel, so only its
+        matrix and channels are keyed on the landmark version; the relation
+        and class similarities survive landmark updates.
         """
         if key is ElementKind.ENTITY or key == (_CHANNELS, ElementKind.ENTITY):
             return self.state_token()
@@ -195,7 +169,6 @@ class SimilarityEngine:
         """
         cached = self._cached(kind)
         if cached is not None:
-            self.hit_counts[kind] += 1
             obs.counter("similarity.cache.hits", kind=kind.value, cache="matrix").inc()
             return cached
         # Materialise the snapshot first: a lazy refresh_statistics seeds the
@@ -204,7 +177,6 @@ class SimilarityEngine:
         self.model.snapshot
         cached = self._cached(kind)
         if cached is not None:
-            self.hit_counts[kind] += 1
             obs.counter("similarity.cache.hits", kind=kind.value, cache="matrix").inc()
             return cached
         obs.counter("similarity.cache.misses", kind=kind.value, cache="matrix").inc()
@@ -217,25 +189,13 @@ class SimilarityEngine:
         obs.counter("similarity.cache.rebuilds", kind=kind.value, cache="matrix").inc()
         return matrix
 
-    def _dense_matrix(self, kind: ElementKind) -> np.ndarray:
-        """The dense backend's compute primitive (historical, bit-exact path)."""
-        if kind is ElementKind.ENTITY:
-            return self._entity_matrix()
-        if kind is ElementKind.RELATION:
-            return self._relation_matrix()
-        return self._class_matrix()
+    def seed_entity_cache(self, combined: np.ndarray) -> None:
+        """Seed the entity matrix cache from ``refresh_statistics``'s computation.
 
-    def seed_entity_cache(self, embedding_channel: np.ndarray, combined: np.ndarray) -> None:
-        """Seed both entity caches from ``refresh_statistics``'s computation.
-
-        The dense path of ``refresh_statistics`` already computes the entity
+        The dense path of ``refresh_statistics`` already assembles the entity
         similarity for the dangling-entity weights; storing it here means the
         following round of mining and evaluation gets cache hits for free.
         """
-        self._matrices[_ENTITY_EMBEDDING_CHANNEL] = (
-            self._token_for(_ENTITY_EMBEDDING_CHANNEL),
-            embedding_channel,
-        )
         self._matrices[ElementKind.ENTITY] = (self._token_for(ElementKind.ENTITY), combined)
 
     # ---------------------------------------------------------------- queries
@@ -324,8 +284,8 @@ class SimilarityEngine:
     def channels(self, kind: ElementKind) -> CosineChannels:
         """``kind``'s similarity as max-of-factored-cosines (cached per token).
 
-        This is the sharded backend's compute substrate: every channel of
-        every similarity in this model is a cosine of factor matrices — the
+        The single definition of every similarity, and the compute substrate
+        of both backends: every channel is a cosine of factor matrices — the
         mapped embedding channel, the structural propagation features, the
         mean-embedding channels — so arbitrary tiles can be produced without
         materialising anything ``N × M``.
@@ -351,11 +311,8 @@ class SimilarityEngine:
         with no_grad():
             if kind is ElementKind.ENTITY:
                 # single source of truth for the entity decomposition —
-                # shared with the model's streamed dangling-entity weights
-                pairs, clip = model.entity_channel_factors(
-                    snap.entity_matrix_1, snap.entity_matrix_2
-                )
-                return CosineChannels(pairs, shape=self.shape(kind), clip_at_zero=clip)
+                # shared with the model's dangling-entity weights
+                return model.entity_channel_factors(snap.entity_matrix_1, snap.entity_matrix_2)
             if kind is ElementKind.RELATION:
                 pairs = [
                     ChannelPair.from_raw(
@@ -432,79 +389,3 @@ class SimilarityEngine:
                 ),
             )
         return len(grouped)
-
-    # ------------------------------------------------- dense matrix assembly
-    def embedding_entity_matrix(self) -> np.ndarray:
-        """The embedding channel only: ``cos(A_ent · e, e')`` for all pairs."""
-        cached = self._cached(_ENTITY_EMBEDDING_CHANNEL)
-        if cached is not None:
-            return cached
-        model = self.model
-        snap = model.snapshot  # may lazily refresh and seed this very cache
-        cached = self._cached(_ENTITY_EMBEDDING_CHANNEL)
-        if cached is not None:
-            return cached
-        with no_grad():
-            mapped = snap.entity_matrix_1 @ model.map_entity.data
-            matrix = blocked_cosine_similarity(mapped, snap.entity_matrix_2, self.block_size)
-        self._matrices[_ENTITY_EMBEDDING_CHANNEL] = (
-            self._token_for(_ENTITY_EMBEDDING_CHANNEL),
-            matrix,
-        )
-        return matrix
-
-    def _entity_matrix(self) -> np.ndarray:
-        embedding_channel = self.embedding_entity_matrix()
-        structural = self.model.structural_similarity_matrix()
-        if structural is None:
-            return embedding_channel
-        return np.maximum(embedding_channel, structural)
-
-    def _relation_matrix(self) -> np.ndarray:
-        model = self.model
-        snap = model.snapshot
-        with no_grad():
-            direct = blocked_cosine_similarity(
-                snap.relation_matrix_1 @ model.map_relation.data,
-                snap.relation_matrix_2,
-                self.block_size,
-            )
-            if not model.use_mean_embeddings:
-                return direct
-            mean_sim = blocked_cosine_similarity(
-                snap.mean_relations_1 @ model.map_entity.data,
-                snap.mean_relations_2,
-                self.block_size,
-            )
-            return np.maximum(direct, mean_sim)
-
-    def _class_matrix(self) -> np.ndarray:
-        model = self.model
-        if model.kg1.num_classes == 0 or model.kg2.num_classes == 0:
-            return np.zeros((model.kg1.num_classes, model.kg2.num_classes))
-        snap = model.snapshot
-        with no_grad():
-            channels: list[np.ndarray] = []
-            if model.use_class_embeddings:
-                c1 = model.class_scorer1.all_class_embeddings().numpy()
-                c2 = model.class_scorer2.all_class_embeddings().numpy()
-                channels.append(
-                    blocked_cosine_similarity(c1 @ model.map_class.data, c2, self.block_size)
-                )
-            elif model.class_entity_maps is not None:
-                map1, map2 = model.class_entity_maps
-                e1 = snap.entity_matrix_1[map1] @ model.map_entity.data
-                e2 = snap.entity_matrix_2[map2]
-                channels.append(blocked_cosine_similarity(e1, e2, self.block_size))
-            if model.use_mean_embeddings:
-                channels.append(
-                    blocked_cosine_similarity(
-                        snap.mean_classes_1 @ model.map_entity.data,
-                        snap.mean_classes_2,
-                        self.block_size,
-                    )
-                )
-            result = channels[0]
-            for channel in channels[1:]:
-                result = np.maximum(result, channel)
-            return result

@@ -32,20 +32,6 @@ def scatter_rows(source: Tensor, indices: np.ndarray, num_rows: int) -> Tensor:
     return Tensor._make(out_data, (source,), backward)
 
 
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors into a 2-D tensor (differentiable)."""
-    parents = tuple(as_tensor(t) for t in tensors)
-    out_data = np.stack([p.data for p in parents], axis=0)
-
-    def backward(grad: np.ndarray) -> None:
-        g = np.asarray(grad)
-        for i, p in enumerate(parents):
-            if p.requires_grad:
-                p._accumulate(g[i])
-
-    return Tensor._make(out_data, parents, backward)
-
-
 def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis`` (differentiable)."""
     parents = tuple(as_tensor(t) for t in tensors)
@@ -91,22 +77,10 @@ def row_norms(x: Tensor, eps: float = 1e-12) -> Tensor:
     return ((x * x).sum(axis=1) + eps) ** 0.5
 
 
-def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Rows of ``x`` scaled to unit norm."""
-    norms = row_norms(x, eps=eps)
-    return x / norms.reshape(-1, 1)
-
-
 def cosine_similarity_rows(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
     """Cosine similarity between corresponding rows of ``a`` and ``b``."""
     dot = (a * b).sum(axis=1)
     return dot / (row_norms(a, eps) * row_norms(b, eps))
-
-
-def cosine_similarity_vec(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
-    """Cosine similarity between two 1-D tensors (scalar output)."""
-    dot = (a * b).sum()
-    return dot / ((a.norm() * b.norm()) + eps)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -379,25 +379,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def relu(self) -> "Tensor":
-        mask = (self.data > 0).astype(np.float64)
-        out_data = self.data * mask
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * mask)
-
-        return Tensor._make(out_data, (self,), backward)
-
     def abs(self) -> "Tensor":
         sign = np.sign(self.data)
         out_data = np.abs(self.data)

@@ -6,9 +6,10 @@ query to one of two backends behind a common, *narrow* surface — ``rows``,
 ``row_max``/``col_max``, ``view`` (a frozen serving export) — so evaluation,
 semi-supervised mining and serving answer the same way on either backend:
 
-* :class:`DenseBackend` — the historical path: the full matrix is computed
-  once per version token, cached, and every query is an array slice.  This
-  path is kept *bit-exact* with the pre-backend code and remains the default.
+* :class:`DenseBackend` — the cached assembly of the channels: the engine's
+  channel factors are assembled tile by tile into the full matrix once per
+  version token (:func:`assemble_matrix`), and every query is an array
+  slice.  It remains the default.
 * :class:`ShardedBackend` — streaming: every query is answered from
   row-block × column-block cosine tiles produced on the fly from the engine's
   channel factors, with per-row running top-k merges.  Peak memory is
@@ -16,12 +17,15 @@ semi-supervised mining and serving answer the same way on either backend:
   query path.  Row shards are swept one after another, and each row's merge
   happens entirely within its own shard.
 
-Three consumers still branch on ``backend_name == "dense"``, each because the
-streamed answer is not bit-identical to the historical dense one, or because
-the dense path gets a matrix for free.  Figures are from the D-W benchmark
+Both backends read the same channel factors
+(:meth:`~repro.alignment.similarity.SimilarityEngine.channels`), so at the
+same block size their matrices are bit-identical.  Three consumers still
+branch on ``backend_name == "dense"``, each because the streamed answer is
+not bit-identical to the answer a dense matrix slice gives, or because the
+dense path gets a matrix for free.  Figures are from the D-W benchmark
 fit (999×689 entities):
 
-* ``JointAlignmentModel`` (snapshot build) computes the entity similarity for
+* ``JointAlignmentModel`` (snapshot build) assembles the entity matrix for
   the dangling-entity weights anyway and seeds the dense cache with it.
 * ``AlignmentCalibrator.pair_probabilities_from_engine``: the streamed
   softmax differs from the dense one in the last ulp (up to 2.8e-16 on the
@@ -62,6 +66,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with similarity.py
 
 BACKEND_NAMES = ("dense", "sharded")
 BACKEND_ENV = "REPRO_SIMILARITY_BACKEND"
+
+
+def assemble_matrix(channels: CosineChannels, block: int) -> np.ndarray:
+    """The full matrix of ``channels``, assembled from ``block``-sized tiles.
+
+    A matrix that fits one tile is that tile itself (no copy); larger ones
+    are written tile by tile into one ``N × M`` array.
+    """
+    if channels.num_rows <= block and channels.num_cols <= block:
+        return channels.tile(slice(None), slice(None))
+    out = np.empty(channels.shape)
+    for rs in _as_blocks(channels.num_rows, block):
+        for cs in _as_blocks(channels.num_cols, block):
+            out[rs, cs] = channels.tile(rs, cs)
+    return out
 
 
 def resolve_backend_name(configured: str | None = None) -> str:
@@ -144,12 +163,12 @@ class SimilarityBackend:
 
 
 class DenseBackend(SimilarityBackend):
-    """Today's cached full-matrix path; every query is a slice (bit-exact)."""
+    """The channels assembled into a cached full matrix; every query is a slice."""
 
     name = "dense"
 
     def compute_full(self, kind: "ElementKind") -> np.ndarray:
-        return self.engine._dense_matrix(kind)
+        return assemble_matrix(self.engine.channels(kind), self.engine.block_size)
 
     def matrix(self, kind: "ElementKind") -> np.ndarray:
         """The engine's *cached* full matrix (one compute per version token)."""
@@ -256,11 +275,7 @@ class StreamedChannelQueries:
         return transposed
 
     def compute_full(self, kind) -> np.ndarray:
-        channels = self._channels(kind)
-        out = np.empty(channels.shape)
-        for rs, cs, tile in self.stream_blocks(kind):
-            out[rs, cs] = tile
-        return out
+        return assemble_matrix(self._channels(kind), self._block)
 
     def rows(self, kind, indices) -> np.ndarray:
         channels = self._channels(kind)

@@ -25,6 +25,7 @@ from repro.alignment import (
 from repro.alignment.propagation import StructuralPropagation, normalized_adjacency
 from repro.embedding import EntityClassScorer, TransE
 from repro.kg.elements import ElementKind
+from repro.utils.math import cosine_similarity_matrix
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +222,7 @@ class TestPropagation:
     def test_propagation_similarity_favours_gold_matches(self, tiny_pair):
         propagation = StructuralPropagation(tiny_pair.kg1, tiny_pair.kg2, hops=2)
         landmarks = tiny_pair.entity_match_ids(tiny_pair.train_entity_pairs)
-        sim = propagation.similarity_matrix(landmarks)
+        sim = cosine_similarity_matrix(*propagation.propagate(landmarks))
         assert sim.shape == (tiny_pair.kg1.num_entities, tiny_pair.kg2.num_entities)
         gold = tiny_pair.entity_match_ids()
         on_gold = np.mean([sim[i, j] for i, j in gold])
@@ -229,8 +230,10 @@ class TestPropagation:
 
     def test_no_landmarks_gives_zero_channel(self, tiny_pair):
         propagation = StructuralPropagation(tiny_pair.kg1, tiny_pair.kg2)
-        sim = propagation.similarity_matrix(np.empty((0, 2)))
-        assert np.allclose(sim, 0.0)
+        p1, p2 = propagation.propagate(np.empty((0, 2)))
+        assert p1.shape == (tiny_pair.kg1.num_entities, 0)
+        assert p2.shape == (tiny_pair.kg2.num_entities, 0)
+        assert np.allclose(cosine_similarity_matrix(p1, p2), 0.0)
 
     def test_config_validation(self, tiny_pair):
         with pytest.raises(ValueError):
@@ -263,17 +266,20 @@ class TestJointAlignmentModel:
     def test_structural_channel_only_after_landmarks(self, joint_setup):
         _, model = joint_setup
         model.set_landmarks(np.empty((0, 2)))
-        structural = model.structural_similarity_matrix()
+        structural = cosine_similarity_matrix(*model.structural_factors())
         assert np.allclose(structural, 0.0)
         model.set_landmarks(np.array([[0, 0]]))
-        assert model.structural_similarity_matrix().max() > 0
+        assert cosine_similarity_matrix(*model.structural_factors()).max() > 0
 
     def test_entity_similarity_is_max_of_channels(self, joint_setup):
         _, model = joint_setup
         model.set_landmarks(np.array([[0, 0], [1, 1]]))
         combined = model.entity_similarity_matrix()
-        embedding = model.embedding_entity_similarity_matrix()
-        structural = model.structural_similarity_matrix()
+        snap = model.snapshot
+        embedding = cosine_similarity_matrix(
+            snap.entity_matrix_1 @ model.map_entity.data, snap.entity_matrix_2
+        )
+        structural = cosine_similarity_matrix(*model.structural_factors())
         assert np.allclose(combined, np.maximum(embedding, structural))
 
     def test_entity_weights_from_snapshot(self, joint_setup):

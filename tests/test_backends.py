@@ -4,9 +4,12 @@ The contract under test: for the *same* model state, the sharded backend
 serves the same top-k indices, the same ranks and therefore the same
 ``evaluate()`` metrics as the dense backend — including after landmark
 updates and serving fold-ins — while never materialising the full matrix on
-its query paths.  Raw values may differ from the dense matrix in the last
-ulp (tiled BLAS reductions round differently), so index/metric comparisons
-are exact and value comparisons use ``atol=1e-12``.
+its query paths.  Both backends assemble the same channel factors, so at one
+block size their matrices and dangling-entity weights are bit-equal
+(``TestBitExactParity``).  Raw values may differ in the last ulp only between
+*different* block sizes (tiled BLAS reductions round differently), so the
+cross-block-size comparisons keep index/metric checks exact and compare
+values with ``atol=1e-12``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import pytest
 
 from repro.alignment import (
     SimilarityEngine,
-    blocked_cosine_similarity,
     evaluate_alignment,
     evaluate_alignment_from_engine,
     mine_potential_matches,
@@ -35,6 +37,7 @@ from repro.runtime import (
     stream_threshold_candidates,
     stream_topk,
 )
+from repro.runtime.backends import assemble_matrix
 from repro.serving import serve
 from repro.updates import KGDelta
 from repro.utils.math import cosine_similarity_matrix, safe_l2_normalize, top_k_rows
@@ -205,8 +208,9 @@ class TestZeroNormGuard:
         a[5] = 1e-14  # sub-eps norm: x / eps used to leak garbage similarities
         b = rng.normal(size=(6, 4))
         b[2] = 0.0
-        for block in (2, 4096):  # 4096 covers the single-block delegation path
-            sim = blocked_cosine_similarity(a, b, block_size=block)
+        channels = CosineChannels([ChannelPair.from_raw(a, b)])
+        for block in (2, 4096):  # 4096 covers the single-tile path
+            sim = assemble_matrix(channels, block)
             assert np.all(np.isfinite(sim))
             np.testing.assert_array_equal(sim[3], np.zeros(6))
             np.testing.assert_array_equal(sim[5], np.zeros(6))
@@ -391,6 +395,39 @@ class TestBackendParity:
             assert d == s
         finally:
             model.set_landmarks(previous)
+
+
+class TestBitExactParity:
+    """At one block size both backends assemble the same channels: bit-equal."""
+
+    @pytest.fixture(scope="class", params=["full", "class_embeddings", "mean_embeddings"])
+    def model(self, request, small_benchmark, fast_config):
+        from repro import DAAKG
+
+        return DAAKG(small_benchmark, fast_config.with_ablation(request.param)).model
+
+    @pytest.mark.parametrize("block_size", [64, 4096])
+    def test_matrices_and_weights_bit_equal(self, model, block_size):
+        dense = forced_engine(model, "dense", block_size)
+        sharded = forced_engine(model, "sharded", block_size)
+        landmarks = model.pair.entity_match_ids(model.pair.train_entity_pairs)
+        original = model.similarity
+        try:
+            # before landmarks (all-zero structural channel), then after
+            for update in (np.empty((0, 2)), landmarks[:20]):
+                model.set_landmarks(update)
+                seen = {}
+                for engine in (dense, sharded):
+                    # read right after the refresh, so dense serves its seed
+                    model.similarity = engine
+                    snap = model.refresh_statistics()
+                    seen[engine.backend_name] = [snap.weights_1, snap.weights_2] + [
+                        engine.matrix(kind) for kind in KINDS
+                    ]
+                for d, s in zip(seen["dense"], seen["sharded"]):
+                    assert np.array_equal(d, s)
+        finally:
+            model.similarity = original
 
 
 # ------------------------------------------------------------ serving parity

@@ -14,7 +14,6 @@ from repro.alignment import (
     JointAlignmentModel,
     JointAlignmentTrainer,
     SimilarityEngine,
-    blocked_cosine_similarity,
 )
 from repro.alignment.trainer import LabelStore
 from repro.active.pool import ElementPairPool, PoolConfig, build_pool
@@ -23,6 +22,8 @@ from repro.inference.pairs import entity_pair, relation_pair
 from repro.kg.elements import ElementKind
 from repro.kg.pair import AlignedKGPair
 from repro.nn.optim import SGD, bump_parameter_version
+from repro.runtime import ChannelPair, CosineChannels
+from repro.runtime.backends import assemble_matrix
 from repro.utils.math import cosine_similarity_matrix, top_k_rows
 
 
@@ -44,10 +45,12 @@ class TestBlockedCosine:
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(23, 5)), rng.normal(size=(17, 5))
         expected = cosine_similarity_matrix(a, b)
-        assert np.allclose(blocked_cosine_similarity(a, b, block_size=4096), expected)
+        channels = CosineChannels([ChannelPair.from_raw(a, b)])
+        # one tile is exactly the reference product
+        assert np.array_equal(assemble_matrix(channels, 4096), expected)
         # forcing several blocks must not change the result
-        assert np.allclose(blocked_cosine_similarity(a, b, block_size=7), expected)
-        assert np.allclose(blocked_cosine_similarity(a, b, block_size=1), expected)
+        assert np.allclose(assemble_matrix(channels, 7), expected)
+        assert np.allclose(assemble_matrix(channels, 1), expected)
 
 
 class TestTopKRows:
@@ -74,7 +77,6 @@ class TestEngineCaching:
         second = engine.matrix(ElementKind.ENTITY)
         assert second is first  # identical object, no recomputation
         assert engine.compute_counts == computes
-        assert engine.hit_counts[ElementKind.ENTITY] >= 1
 
     def test_optimizer_step_invalidates(self, fresh_model):
         engine = fresh_model.similarity
