@@ -18,8 +18,6 @@ from repro.alignment.model import JointAlignmentModel
 from repro.inference.pairs import ElementPair, class_pair, entity_pair, relation_pair
 from repro.kg.elements import ElementKind
 from repro.kg.graph import KnowledgeGraph
-from repro.runtime.streaming import mutual_top_n
-from repro.utils.math import cosine_similarity_matrix, top_k_rows
 
 
 @dataclass(frozen=True)
@@ -127,11 +125,12 @@ def build_pool(model: JointAlignmentModel, config: PoolConfig | None = None) -> 
     """Build the element pair pool from the current joint alignment model.
 
     Schema-evidence weights (Eq. 25) are per-row / per-column similarity
-    maxima read through the engine, and the mutual top-N entity filter runs
-    on the schema signatures: dense boolean masks on the dense backend
-    (historical, bit-exact path), two streamed top-N passes plus a
-    ``searchsorted`` membership check on the sharded backend — so pool
-    construction never materialises an ``N × M`` array there either.
+    maxima read through the engine, and the backend runs the mutual top-N
+    entity filter on the schema signatures (``mutual_top_n``): dense boolean
+    masks on the dense backend (historical, bit-exact path), two streamed
+    top-N passes plus a ``searchsorted`` membership check on the sharded
+    backend — so pool construction never materialises an ``N × M`` array
+    there either.
     """
     config = config or PoolConfig()
     kg1, kg2 = model.kg1, model.kg2
@@ -146,21 +145,7 @@ def build_pool(model: JointAlignmentModel, config: PoolConfig | None = None) -> 
     signatures_2 = schema_signatures(
         kg2, rel_weights_2, cls_weights_2, snap.mean_relations_2, snap.mean_classes_2
     )
-    if engine.backend_name == "dense":
-        similarity = cosine_similarity_matrix(signatures_1, signatures_2)
-        # Mutual top-N filter, vectorized: a pair survives when each side
-        # ranks the other, i.e. both boolean membership masks are set.
-        top_for_left = top_k_rows(similarity, config.top_n)
-        top_for_right = top_k_rows(similarity.T, config.top_n)
-        in_left_top = np.zeros(similarity.shape, dtype=bool)
-        if top_for_left.size:
-            in_left_top[np.arange(kg1.num_entities)[:, None], top_for_left] = True
-        in_right_top = np.zeros(similarity.shape, dtype=bool)
-        if top_for_right.size:
-            in_right_top[top_for_right, np.arange(kg2.num_entities)[:, None]] = True
-        lefts, rights = np.nonzero(in_left_top & in_right_top)
-    else:
-        lefts, rights = mutual_top_n(signatures_1, signatures_2, config.top_n, engine.block_size)
+    lefts, rights = engine.backend.mutual_top_n(signatures_1, signatures_2, config.top_n)
     entity_pairs = [entity_pair(int(a), int(b)) for a, b in zip(lefts, rights)]
 
     relation_pairs = [

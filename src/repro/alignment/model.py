@@ -27,7 +27,6 @@ import numpy as np
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor, no_grad
 from repro.alignment.mean_embeddings import (
-    entity_weights,
     mean_class_embeddings,
     mean_relation_embeddings,
 )
@@ -39,8 +38,7 @@ from repro.kg.elements import ElementKind
 from repro.kg.pair import AlignedKGPair
 from repro.nn.init import identity_with_noise
 from repro.nn.module import Module, Parameter
-from repro.runtime.backends import assemble_matrix
-from repro.runtime.streaming import ChannelPair, CosineChannels, stream_row_col_max
+from repro.runtime.streaming import ChannelPair, CosineChannels
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -126,24 +124,21 @@ class JointAlignmentModel(Module):
         model (``KGEmbeddingModel.outputs``, not four separate forwards).
 
         The dangling-entity weights come from the entity channels
-        (:meth:`entity_channel_factors`), built once here for both backends.
-        On the dense backend the channels are assembled into the entity
-        matrix, which then seeds the engine's cache; on the sharded backend
-        the weights are instead *streamed* (per-row / per-column maxima over
-        cosine tiles), so no ``N × M`` matrix is materialised.
+        (:meth:`entity_channel_factors`), built once here and handed to the
+        backend (``entity_weights``): dense assembles them into the entity
+        matrix and seeds the engine's cache with it, sharded streams the
+        per-row / per-column maxima, so no ``N × M`` matrix is materialised.
+        The snapshot version is bumped first, so the dense seed is keyed on
+        the token that holds after this refresh.
         """
+        self._snapshot_version += 1
         with no_grad():
             e1 = self.model1.entity_matrix()
             e2 = self.model2.entity_matrix()
             r1 = self.model1.relation_matrix()
             r2 = self.model2.relation_matrix()
             channels = self.entity_channel_factors(e1, e2)
-            if self.similarity.backend_name == "dense":
-                sim = assemble_matrix(channels, self.similarity.block_size)
-                w1, w2 = entity_weights(sim)
-            else:
-                sim = None
-                w1, w2 = self._streamed_entity_weights(channels)
+            w1, w2 = self.similarity.backend.entity_weights(channels)
             mean_rel1 = mean_relation_embeddings(self.kg1, self.model1, e1, w1)
             mean_rel2 = mean_relation_embeddings(self.kg2, self.model2, e2, w2)
             mean_cls1 = mean_class_embeddings(self.kg1, e1, w1)
@@ -160,11 +155,6 @@ class JointAlignmentModel(Module):
             mean_classes_1=mean_cls1,
             mean_classes_2=mean_cls2,
         )
-        self._snapshot_version += 1
-        if sim is not None:
-            # The entity similarity just assembled for the weights is exactly
-            # what entity_similarity_matrix() would rebuild — seed the engine.
-            self.similarity.seed_entity_cache(sim)
         return self._snapshot
 
     def entity_channel_factors(self, e1: np.ndarray, e2: np.ndarray) -> CosineChannels:
@@ -190,22 +180,6 @@ class JointAlignmentModel(Module):
             else:
                 pairs.append(ChannelPair.from_raw(p1, p2))
         return CosineChannels(pairs, clip_at_zero=clip)
-
-    def _streamed_entity_weights(
-        self, channels: CosineChannels
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Dangling-entity weights from streamed tile maxima (Eq. 6).
-
-        Streams per-row / per-column maxima of the entity channels (built by
-        the caller: the engine's channel cache keys on the snapshot version,
-        which is mid-update here); ``max`` is order-independent, so the result
-        matches the dense path exactly.
-        """
-        num_rows, num_cols = channels.shape
-        if num_rows == 0 or num_cols == 0:
-            return np.zeros(num_rows), np.zeros(num_cols)
-        w1, w2 = stream_row_col_max(channels, self.similarity.block_size)
-        return np.clip(w1, 0.0, 1.0), np.clip(w2, 0.0, 1.0)
 
     @property
     def snapshot(self) -> AlignmentSnapshot:

@@ -17,13 +17,14 @@ similarity has exactly one definition, its *channel factors*
   ``O(block² + N·k)``.
 
 Consumers therefore use the narrow query surface — :meth:`top_k` /
-:meth:`top_k_table`, :meth:`rows` / :meth:`cols`, :meth:`stream_blocks`,
-:meth:`row_max` / :meth:`col_max`, :meth:`export_state` — rather than
-:meth:`matrix`.  ``matrix`` remains as a legacy escape hatch: on the dense
+:meth:`top_k_table`, :meth:`rows`, :meth:`row_col_max`,
+:meth:`threshold_candidates`, :meth:`pair_probabilities`,
+:meth:`export_state` — rather than :meth:`matrix`.  ``matrix`` is the
+accessor for the baselines and tests that read a whole matrix: on the dense
 backend it is the cached matrix; on the sharded backend it *assembles* the
 matrix by streaming (and caches it per token), which is fine for small
-schema-level matrices and debugging but defeats the memory bound, so no
-production query path calls it.
+schema-level matrices but defeats the memory bound, so no production query
+path calls it.
 
 Caching / versioning contract
 -----------------------------
@@ -54,7 +55,7 @@ matrix cache with the matrix it assembles for the dangling-entity weights.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -163,9 +164,10 @@ class SimilarityEngine:
     def matrix(self, kind: ElementKind) -> np.ndarray:
         """The full similarity matrix of ``kind`` (cached; treat as read-only).
 
-        Legacy escape hatch: on the sharded backend this *assembles* the full
-        matrix by streaming, so production query paths use the narrow surface
-        (``top_k`` / ``rows`` / ``stream_blocks`` / ``row_max``) instead.
+        The accessor for baselines and tests that read a whole matrix: on the
+        sharded backend this *assembles* the full matrix by streaming, so
+        production query paths use the narrow surface (``top_k`` / ``rows`` /
+        ``row_col_max``) instead.
         """
         cached = self._cached(kind)
         if cached is not None:
@@ -192,9 +194,10 @@ class SimilarityEngine:
     def seed_entity_cache(self, combined: np.ndarray) -> None:
         """Seed the entity matrix cache from ``refresh_statistics``'s computation.
 
-        The dense path of ``refresh_statistics`` already assembles the entity
-        similarity for the dangling-entity weights; storing it here means the
-        following round of mining and evaluation gets cache hits for free.
+        The dense backend's ``entity_weights`` (called by
+        ``refresh_statistics``) already assembles the entity similarity for
+        the dangling-entity weights; storing it here means the following
+        round of mining and evaluation gets cache hits for free.
         """
         self._matrices[ElementKind.ENTITY] = (self._token_for(ElementKind.ENTITY), combined)
 
@@ -204,42 +207,9 @@ class SimilarityEngine:
         self.model.snapshot
         return self.backend.rows(kind, indices)
 
-    def cols(self, kind: ElementKind, indices: np.ndarray) -> np.ndarray:
-        """Full-height similarity slab of the selected columns."""
-        self.model.snapshot
-        return self.backend.cols(kind, indices)
-
-    def iter_rows_blocks(
-        self, kind: ElementKind, indices: np.ndarray
-    ) -> Iterator[tuple[slice, np.ndarray]]:
-        """Column-block tiles ``(col_slice, tile)`` of the selected rows."""
-        self.model.snapshot
-        return self.backend.iter_rows_blocks(kind, indices)
-
-    def iter_cols_blocks(
-        self, kind: ElementKind, indices: np.ndarray
-    ) -> Iterator[tuple[slice, np.ndarray]]:
-        """Row-block tiles ``(row_slice, tile)`` of the selected columns."""
-        self.model.snapshot
-        return self.backend.iter_cols_blocks(kind, indices)
-
-    def stream_blocks(self, kind: ElementKind) -> Iterator[tuple[slice, slice, np.ndarray]]:
-        """All ``(row_slice, col_slice, tile)`` tiles of ``kind``'s similarity."""
-        self.model.snapshot
-        return self.backend.stream_blocks(kind)
-
-    def row_max(self, kind: ElementKind) -> np.ndarray:
-        """Per-row maximum similarity (zeros when the counterpart side is empty)."""
-        self.model.snapshot
-        return self.backend.row_max(kind)
-
-    def col_max(self, kind: ElementKind) -> np.ndarray:
-        """Per-column maximum similarity (zeros when the counterpart side is empty)."""
-        self.model.snapshot
-        return self.backend.col_max(kind)
-
     def row_col_max(self, kind: ElementKind) -> tuple[np.ndarray, np.ndarray]:
-        """Both directions at once — one fused tile sweep on streaming backends."""
+        """Per-row and per-column maximum similarity (zeros when the counterpart
+        side is empty) — one fused tile sweep on streaming backends."""
         self.model.snapshot
         return self.backend.row_col_max(kind)
 
@@ -249,6 +219,13 @@ class SimilarityEngine:
         """All ``(rows, cols, values)`` with value ≥ threshold, row-major."""
         self.model.snapshot
         return self.backend.threshold_candidates(kind, threshold)
+
+    def pair_probabilities(
+        self, kind: ElementKind, lefts: np.ndarray, rights: np.ndarray, temperature: float
+    ) -> np.ndarray:
+        """Calibrated probabilities (Eqs. 11–12) of index pairs at ``temperature``."""
+        self.model.snapshot
+        return self.backend.pair_probabilities(kind, lefts, rights, temperature)
 
     def top_k_table(self, kind: ElementKind, k: int) -> TopKTable:
         """Top-``k`` counterpart indices *and values*, both directions, cached."""

@@ -23,6 +23,7 @@ from repro.embedding.trainer import EmbeddingTrainingConfig
 from repro.inference.power import InferencePowerConfig
 from repro.kg.partition import PartitionConfig
 from repro.active.pool import PoolConfig
+from repro.runtime.backends import BACKEND_NAMES
 
 C = TypeVar("C")
 
@@ -102,8 +103,8 @@ class DAAKGConfig:
             raise ValueError("base_model must be one of transe, rotate, compgcn")
         if self.entity_dim <= 0 or self.class_dim <= 0:
             raise ValueError("embedding dimensions must be positive")
-        if self.similarity_backend.lower() not in ("dense", "sharded"):
-            raise ValueError("similarity_backend must be 'dense' or 'sharded'")
+        if self.similarity_backend.lower() not in BACKEND_NAMES:
+            raise ValueError(f"similarity_backend must be one of {BACKEND_NAMES}")
 
     # -------------------------------------------------------- serialisation
     def to_dict(self) -> dict:

@@ -21,10 +21,8 @@ from repro.runtime.streaming import (
     ChannelPair,
     CosineChannels,
     canonical_topk,
-    collect_threshold_candidates,
     mutual_top_n,
     stream_row_col_max,
-    stream_row_max,
     stream_threshold_candidates,
     stream_topk,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "StreamedView",
     "TopKTable",
     "canonical_topk",
-    "collect_threshold_candidates",
     "create_backend",
     "create_executor",
     "effective_executor_name",
@@ -71,7 +68,6 @@ __all__ = [
     "resolve_backend_name",
     "run_piece_spec",
     "stream_row_col_max",
-    "stream_row_max",
     "stream_threshold_candidates",
     "stream_topk",
 ]

@@ -28,8 +28,8 @@ Semantics of the merged similarity:
   is precisely what makes partition-parallel campaigns sound.
 
 The class duck-types the narrow engine query surface that every downstream
-consumer reads (``shape`` / ``rows`` / ``cols`` / ``iter_*_blocks`` /
-``stream_blocks`` / ``top_k`` / ``row_max`` / ``export_state``), so
+consumer reads (``shape`` / ``rows`` / ``top_k`` / ``row_col_max`` /
+``threshold_candidates`` / ``pair_probabilities`` / ``export_state``), so
 :func:`~repro.alignment.evaluation.evaluate_alignment_from_engine`,
 :func:`~repro.alignment.semi_supervised.mine_potential_matches_from_engine`
 and the calibrator's streamed probability paths work on a merged state
@@ -102,8 +102,8 @@ class MergedSimilarityState(StreamedChannelQueries):
     """A frozen, streamed similarity state over the original pair's indexes.
 
     Built by :meth:`from_contributions` (one entry per partition and element
-    kind).  The whole streamed query surface (``rows`` / ``cols`` /
-    ``iter_*_blocks`` / ``stream_blocks`` / ``row_max`` …) is inherited from
+    kind).  The whole streamed query surface (``rows`` / ``top_k_table`` /
+    ``row_col_max`` / ``pair_probabilities`` …) is inherited from
     :class:`~repro.runtime.backends.StreamedChannelQueries` — the same code
     the sharded backend runs — parameterised by the merged channel factors.
     Top-k tables are cached per ``(kind, k)``; the state is immutable, so the

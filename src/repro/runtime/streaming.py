@@ -15,8 +15,8 @@ This module hosts the backend-agnostic kernels:
 * :func:`stream_topk` — per-row running top-``k`` over column blocks with a
   canonical merge (value descending, column index ascending), swept one row
   shard at a time so peak memory stays ``O(block² + rows·k)``.
-* :func:`stream_row_max` — streamed per-row maximum (exact: ``max`` is
-  order-independent).
+* :func:`stream_row_col_max` — streamed per-row and per-column maxima from
+  one tile sweep (exact: ``max`` is order-independent).
 * :func:`mutual_top_n` — the pool's mutual top-N filter from two streamed
   top-N passes plus a vectorised membership check; peak memory is
   ``O(block² + (N + M)·n)`` instead of the dense ``O(N·M)`` boolean masks.
@@ -246,18 +246,6 @@ def stream_topk(
     return indices, values
 
 
-def stream_row_max(channels: CosineChannels, block: int = DEFAULT_STREAM_BLOCK) -> np.ndarray:
-    """Per-row maximum, streamed (exact — ``max`` is order-independent)."""
-    n_rows, n_cols = channels.shape
-    if n_rows == 0 or n_cols == 0:
-        return np.zeros(n_rows)
-    best = np.full(n_rows, -np.inf)
-    for rs in _as_blocks(n_rows, block):
-        for cs in _as_blocks(n_cols, block):
-            np.maximum(best[rs], channels.tile(rs, cs).max(axis=1), out=best[rs])
-    return best
-
-
 def stream_row_col_max(
     channels: CosineChannels, block: int = DEFAULT_STREAM_BLOCK
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -288,12 +276,11 @@ def collect_threshold_candidates(
     """``(rows, cols, values)`` with value ≥ threshold from tile triples.
 
     ``tiles`` yields ``(row_slice, col_slice, tile)`` covering disjoint
-    regions (any backend's ``stream_blocks``, or one shard's column sweep).
+    regions (one row shard's column sweep).
     The result is sorted row-major (row ascending, then column ascending) —
     the order ``np.where`` yields on the dense matrix — so downstream
     greedy/conflict resolution behaves identically to the dense path even
-    under score ties.  This is the single implementation of the threshold
-    scan; semi-supervised mining and streamed greedy matching both use it.
+    under score ties.
     """
     rows_parts, cols_parts, vals_parts = [], [], []
     for rs, cs, tile in tiles:

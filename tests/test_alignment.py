@@ -25,7 +25,7 @@ from repro.alignment import (
 from repro.alignment.propagation import StructuralPropagation, normalized_adjacency
 from repro.embedding import EntityClassScorer, TransE
 from repro.kg.elements import ElementKind
-from repro.utils.math import cosine_similarity_matrix
+from repro.utils.math import cosine_similarity_matrix, softmax
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +139,9 @@ class TestCalibration:
     def test_min_of_both_directions(self):
         sim = np.array([[0.9, 0.9], [0.1, 0.1]])
         calibrator = AlignmentCalibrator()
-        row, col = calibrator.directional_probabilities(sim, ElementKind.RELATION)
+        temperature = calibrator.config.temperature(ElementKind.RELATION)
+        row = softmax(sim, axis=1, temperature=temperature)
+        col = softmax(sim, axis=0, temperature=temperature)
         combined = calibrator.probability_matrix(sim, ElementKind.RELATION)
         assert np.allclose(combined, np.minimum(row, col))
 

@@ -33,7 +33,6 @@ from repro.runtime import (
     mutual_top_n,
     resolve_backend_name,
     stream_row_col_max,
-    stream_row_max,
     stream_threshold_candidates,
     stream_topk,
 )
@@ -89,10 +88,10 @@ class TestStreamingKernels:
     def test_stream_row_max_exact(self):
         channels = random_channels(seed=5)
         matrix = dense_of(channels)
-        assert np.array_equal(stream_row_max(channels, block=11), matrix.max(axis=1))
-        assert np.array_equal(
-            stream_row_max(channels.transpose(), block=11), matrix.max(axis=0)
-        )
+        row_max, _ = stream_row_col_max(channels, block=11)
+        assert np.array_equal(row_max, matrix.max(axis=1))
+        transposed_row_max, _ = stream_row_col_max(channels.transpose(), block=11)
+        assert np.array_equal(transposed_row_max, matrix.max(axis=0))
 
     @pytest.mark.parametrize("num_channels", [1, 3])
     def test_stream_row_col_max_fused(self, num_channels):
@@ -175,7 +174,8 @@ class TestStreamingKernels:
         assert rows.size == 24  # the all-zero matrix passes a negative threshold
         idx, val = stream_topk(channels, 2, block=3)
         assert idx.shape == (6, 2) and np.array_equal(val, np.zeros((6, 2)))
-        assert np.array_equal(stream_row_max(channels, block=3), np.zeros(6))
+        row_max, col_max = stream_row_col_max(channels, block=3)
+        assert np.array_equal(row_max, np.zeros(6)) and np.array_equal(col_max, np.zeros(4))
 
     def test_topk_clamps_k_beyond_num_cols(self):
         channels = random_channels(seed=23, n=7, m=5)
@@ -323,15 +323,15 @@ class TestBackendParity:
         np.testing.assert_allclose(
             sharded.rows(kind, idx), dense.rows(kind, idx), rtol=0, atol=ATOL
         )
-        jdx = np.arange(0, num_cols, 3)
-        np.testing.assert_allclose(
-            sharded.cols(kind, jdx), dense.cols(kind, jdx), rtol=0, atol=ATOL
-        )
-        np.testing.assert_allclose(sharded.row_max(kind), dense.row_max(kind), rtol=0, atol=ATOL)
-        np.testing.assert_allclose(sharded.col_max(kind), dense.col_max(kind), rtol=0, atol=ATOL)
+        # the column direction: per-column maxima of both backends, and of
+        # the dense matrix itself
         s_row, s_col = sharded.row_col_max(kind)
-        np.testing.assert_array_equal(s_row, sharded.row_max(kind))
-        np.testing.assert_array_equal(s_col, sharded.col_max(kind))
+        d_row, d_col = dense.row_col_max(kind)
+        np.testing.assert_allclose(s_row, d_row, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(s_col, d_col, rtol=0, atol=ATOL)
+        matrix = dense.matrix(kind)
+        np.testing.assert_array_equal(d_row, matrix.max(axis=1))
+        np.testing.assert_array_equal(d_col, matrix.max(axis=0))
 
     def test_evaluate_metrics_identical(self, fitted_pipeline, engines):
         dense, sharded = engines
@@ -366,14 +366,15 @@ class TestBackendParity:
         np.testing.assert_allclose(s, d, rtol=0, atol=ATOL)
         # the dense engine path must be bit-exact with the historical
         # probability-matrix lookup the active loop used before the backends
-        # (the slab-based pair_probabilities can differ in the last ulp —
+        # (the slab-based probabilities can differ in the last ulp —
         # column-sliced reductions round differently)
         legacy = calibrator.probability_matrix(
             dense.matrix(ElementKind.ENTITY), ElementKind.ENTITY
         )[lefts, rights]
         np.testing.assert_array_equal(d, legacy)
-        slab_based = calibrator.pair_probabilities(
-            dense.matrix(ElementKind.ENTITY), ElementKind.ENTITY, lefts, rights
+        matrix = dense.matrix(ElementKind.ENTITY)
+        slab_based = calibrator.pair_probabilities_from_slabs(
+            matrix[lefts], matrix[:, rights], ElementKind.ENTITY, lefts, rights
         )
         np.testing.assert_allclose(slab_based, d, rtol=0, atol=ATOL)
 
