@@ -153,19 +153,44 @@ class JointAlignmentTrainer:
         self._sampler1 = NegativeSampler(model.kg1, seed=self.rng)
         self._sampler2 = NegativeSampler(model.kg2, seed=self.rng)
         self._semi: dict[ElementKind, list[PotentialMatch]] = {k: [] for k in _KINDS}
+        # index arrays of the label and mined-pair loss terms, built from the
+        # lists above on first use; cleared wherever those lists change
+        self._term_arrays: dict[tuple[str, ElementKind], np.ndarray | tuple[np.ndarray, ...]] = {}
         self._hard_candidates: tuple[np.ndarray, np.ndarray] | None = None
         self.loss_history: list[float] = []
 
     # ----------------------------------------------------------------- labels
     def add_matches(self, kind: ElementKind, pairs: np.ndarray | list[tuple[int, int]]) -> None:
+        self._term_arrays.clear()
         for left, right in np.asarray(pairs, dtype=np.int64).reshape(-1, 2):
             self.labels.add(kind, (int(left), int(right)), True)
 
     def add_non_matches(self, kind: ElementKind, pairs: np.ndarray | list[tuple[int, int]]) -> None:
+        self._term_arrays.clear()
         for left, right in np.asarray(pairs, dtype=np.int64).reshape(-1, 2):
             self.labels.add(kind, (int(left), int(right)), False)
 
     # ---------------------------------------------------------------- helpers
+    def _matched_pairs(self, kind: ElementKind) -> np.ndarray:
+        """Labelled matches then mined potential matches of ``kind``, ``(n, 2)``."""
+        key = ("matched", kind)
+        if key not in self._term_arrays:
+            pairs = list(self.labels.matches[kind])
+            pairs += [(m.left, m.right) for m in self._semi[kind]]
+            self._term_arrays[key] = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        return self._term_arrays[key]
+
+    def _mined_pairs(self, kind: ElementKind) -> tuple[np.ndarray, np.ndarray]:
+        """Mined potential matches of ``kind`` and their soft labels."""
+        key = ("mined", kind)
+        if key not in self._term_arrays:
+            mined = self._semi[kind]
+            self._term_arrays[key] = (
+                np.asarray([(m.left, m.right) for m in mined], dtype=np.int64),
+                np.asarray([m.soft_label for m in mined]),
+            )
+        return self._term_arrays[key]
+
     def _vocab_sizes(self, kind: ElementKind) -> tuple[int, int]:
         if kind is ElementKind.ENTITY:
             return self.model.kg1.num_entities, self.model.kg2.num_entities
@@ -285,11 +310,9 @@ class JointAlignmentTrainer:
         propagation (seed match + matched relation ⇒ neighbour match) needs
         that coincidence, so the anchors are pinned in L2 as MTransE does.
         """
-        pairs = list(self.labels.matches[ElementKind.ENTITY])
-        pairs += [(m.left, m.right) for m in self._semi[ElementKind.ENTITY]]
-        if not pairs:
+        array = self._matched_pairs(ElementKind.ENTITY)
+        if array.size == 0:
             return None
-        array = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         e1 = self.model.model1.entity_output(array[:, 0])
         e2 = self.model.model2.entity_output(array[:, 1])
         diff = (e1 @ self.model.map_entity) - e2
@@ -304,22 +327,18 @@ class JointAlignmentTrainer:
         applies that constraint to every labelled or mined relation match and
         is the structural bridge that lets seed entity matches generalise.
         """
-        pairs = list(self.labels.matches[ElementKind.RELATION])
-        pairs += [(m.left, m.right) for m in self._semi[ElementKind.RELATION]]
-        if not pairs:
+        array = self._matched_pairs(ElementKind.RELATION)
+        if array.size == 0:
             return None
-        array = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         r1 = self.model.model1.relation_output(array[:, 0])
         r2 = self.model.model2.relation_output(array[:, 1])
         sims = F.cosine_similarity_rows(r1 @ self.model.map_entity, r2)
         return (1.0 - sims).mean()
 
     def _semi_loss(self, kind: ElementKind):
-        mined = self._semi[kind]
-        if not mined:
+        pairs, soft_labels = self._mined_pairs(kind)
+        if pairs.size == 0:
             return None
-        pairs = np.asarray([(m.left, m.right) for m in mined], dtype=np.int64)
-        soft_labels = np.asarray([m.soft_label for m in mined])
         similarities = self.model.pair_similarity(kind, pairs)
         return F.soft_label_loss(similarities, soft_labels)
 
@@ -336,9 +355,7 @@ class JointAlignmentTrainer:
             idx = self.rng.integers(0, triples.shape[0], size=min(self.config.embedding_batch_size, triples.shape[0]))
             batch = triples[idx]
             negatives = sampler.corrupt_tails(batch, 1)
-            pos = emb_model.triple_scores(batch)
-            neg = emb_model.triple_scores(negatives)
-            losses.append(F.margin_ranking_loss(pos, neg, EMBEDDING_MARGIN))
+            losses.append(emb_model.margin_loss(batch, negatives, EMBEDDING_MARGIN))
         if not losses:
             return None
         total = losses[0]
@@ -416,6 +433,7 @@ class JointAlignmentTrainer:
             if self.config.semi_supervised:
                 self._refresh_semi_supervision()
                 self.model.set_landmarks(self._current_entity_landmarks())
+            self._term_arrays.clear()
 
     def _refresh_hard_candidates(self) -> None:
         """Cache each entity's most similar counterparts for hard negative mining."""

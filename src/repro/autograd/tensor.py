@@ -451,9 +451,20 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_scatter_add_rows(self.data.shape, indices, grad))
+                self._accumulate_rows(indices, grad)
 
         return Tensor._make(out_data, (self,), backward)
+
+    def _accumulate_rows(self, indices: np.ndarray, rows: np.ndarray) -> None:
+        """Accumulate ``rows`` summed at row ``indices``: the backward of one gather.
+
+        The fused loss nodes of :mod:`repro.autograd.functional` scatter into
+        their gathered tables through here too, so every row scatter of a
+        backward pass resolves ``_scatter_add_rows`` in this module, at call
+        time.
+        """
+        self._accumulate(_scatter_add_rows(self.data.shape, indices, rows))
+
 
 def as_tensor(value: ArrayLike | Tensor) -> Tensor:
     """Wrap ``value`` into a non-differentiable Tensor when needed."""

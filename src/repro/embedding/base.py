@@ -3,8 +3,15 @@
 Downstream components rely on three views of a model:
 
 * **training view** — :meth:`KGEmbeddingModel.triple_scores` gives
-  differentiable scores ``f_er`` for (possibly corrupted) triples, used with
-  the margin loss of Eq. 1;
+  differentiable scores ``f_er`` for (possibly corrupted) triples, and
+  :meth:`KGEmbeddingModel.margin_loss` the margin loss of Eq. 1 over them.
+  By default ``margin_loss`` composes ``triple_scores`` with
+  :func:`~repro.autograd.functional.margin_ranking_loss` (RotatE keeps that).
+  :class:`TranslationalModel` — TransE and CompGCN, whose decoder is
+  ``||h + r − t||`` — computes it as the single fused tape node
+  :func:`~repro.autograd.functional.translation_margin_loss`, which is
+  bit-exact with that composition: the same loss value and the same
+  gradients, bit for bit, in the same accumulation order;
 * **alignment view** — :meth:`entity_output` / :meth:`relation_output` give
   differentiable *output representations* (for GNN models these aggregate the
   neighbourhood), which the joint alignment model maps across KGs;
@@ -31,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import repro.obs as obs
+from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor, is_grad_enabled, no_grad
 from repro.kg.graph import KnowledgeGraph
 from repro.nn.module import Module
@@ -124,6 +132,17 @@ class KGEmbeddingModel(Module):
         Lower is better; observed triples should score close to 0.
         """
         raise NotImplementedError
+
+    def margin_loss(self, positives: np.ndarray, negatives: np.ndarray, margin: float) -> Tensor:
+        """Mean margin loss ``|margin + f_er(pos) − f_er(neg)|_+`` of Eq. 1.
+
+        ``positives`` and ``negatives`` are row-aligned ``(n, 3)`` index
+        arrays.  Subclasses with a fused node override this and must stay
+        bit-exact with the composition below.
+        """
+        return F.margin_ranking_loss(
+            self.triple_scores(positives), self.triple_scores(negatives), margin
+        )
 
     # -------------------------------------------------------------- alignment
     def entity_output(self, indices: np.ndarray) -> Tensor:
@@ -265,3 +284,42 @@ class KGEmbeddingModel(Module):
     # -------------------------------------------------------------- bookkeeping
     def renormalize(self) -> None:
         """Optional projection step after an optimiser update (no-op by default)."""
+
+
+class TranslationalModel(KGEmbeddingModel):
+    """A model decoded by ``f_er(h, r, t) = ||h + r − t||₂`` on its output space.
+
+    TransE and CompGCN share this decoder, so they share its scores, its
+    closed-form gradients and the fused margin-loss node.
+    """
+
+    def triple_scores(self, triples: np.ndarray) -> Tensor:
+        triples = np.asarray(triples, dtype=np.int64)
+        session = self.outputs()
+        h = session.entities.gather_rows(triples[:, 0])
+        r = session.relations.gather_rows(triples[:, 1])
+        t = session.entities.gather_rows(triples[:, 2])
+        return (h + r - t).norm(axis=1)
+
+    def margin_loss(self, positives: np.ndarray, negatives: np.ndarray, margin: float) -> Tensor:
+        session = self.outputs()
+        return F.translation_margin_loss(
+            session.entities, session.relations, positives, negatives, margin
+        )
+
+    def score_np(self, head: np.ndarray, relation_vec: np.ndarray, tail: np.ndarray) -> float:
+        return float(np.linalg.norm(head + relation_vec - tail))
+
+    def score_np_grad_tail(
+        self, head: np.ndarray, relation_vec: np.ndarray, tail: np.ndarray
+    ) -> np.ndarray:
+        diff = tail - (head + relation_vec)
+        norm = np.linalg.norm(diff)
+        if norm < 1e-12:
+            return np.zeros_like(tail)
+        return diff / norm
+
+    def score_np_grad_head(
+        self, head: np.ndarray, relation_vec: np.ndarray, tail: np.ndarray
+    ) -> np.ndarray:
+        return -self.score_np_grad_tail(head, relation_vec, tail)

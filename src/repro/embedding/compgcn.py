@@ -9,14 +9,15 @@ a linear map per layer.  This implementation keeps the parts DAAKG relies on:
 * separate weights for incoming edges, outgoing edges and self-loops,
 * per-layer relation transformation, tanh non-linearity, mean aggregation,
 * a translational decoder ``f_er(h, r, t) = ||h' + r' − t'||`` on the output
-  representations, so the same margin loss (Eq. 1) and the same inference-view
-  API as TransE/RotatE apply.
+  representations (:class:`~repro.embedding.base.TranslationalModel`, shared
+  with TransE), so the same fused margin loss (Eq. 1) and the same
+  inference-view API as TransE apply.
 
 The full forward pass computes representations for *all* entities at once (the
 graphs in this reproduction have a few thousand edges).  Message passing runs
 once per parameter version through the forward session of
 :class:`~repro.embedding.base.KGEmbeddingModel`: every consumer
-(``triple_scores``, ``entity_output``, the alignment losses, the similarity
+(``margin_loss``, ``entity_output``, the alignment losses, the similarity
 engine) gathers rows of the same retained graph, so gradients from all loss
 terms of an optimisation step flow into the base embeddings through a single
 message-passing backward instead of one rebuild per call.
@@ -28,13 +29,13 @@ import numpy as np
 
 from repro.autograd.functional import scatter_rows
 from repro.autograd.tensor import Tensor
-from repro.embedding.base import KGEmbeddingModel
+from repro.embedding.base import TranslationalModel
 from repro.kg.graph import KnowledgeGraph
 from repro.nn.layers import Embedding, Linear
 from repro.utils.rng import RandomState
 
 
-class CompGCN(KGEmbeddingModel):
+class CompGCN(TranslationalModel):
     """Composition-based multi-relational GCN with a translational decoder."""
 
     def __init__(
@@ -112,30 +113,3 @@ class CompGCN(KGEmbeddingModel):
                 x = self.w_self[layer](x).tanh()
             z = self.w_rel[layer](z)
         return x, z
-
-    # --------------------------------------------------------------- training
-    def triple_scores(self, triples: np.ndarray) -> Tensor:
-        triples = np.asarray(triples, dtype=np.int64)
-        session = self.outputs()
-        h = session.entities.gather_rows(triples[:, 0])
-        r = session.relations.gather_rows(triples[:, 1])
-        t = session.entities.gather_rows(triples[:, 2])
-        return (h + r - t).norm(axis=1)
-
-    # ---------------------------------------------------------- inference view
-    def score_np(self, head: np.ndarray, relation_vec: np.ndarray, tail: np.ndarray) -> float:
-        return float(np.linalg.norm(head + relation_vec - tail))
-
-    def score_np_grad_tail(
-        self, head: np.ndarray, relation_vec: np.ndarray, tail: np.ndarray
-    ) -> np.ndarray:
-        diff = tail - (head + relation_vec)
-        norm = np.linalg.norm(diff)
-        if norm < 1e-12:
-            return np.zeros_like(tail)
-        return diff / norm
-
-    def score_np_grad_head(
-        self, head: np.ndarray, relation_vec: np.ndarray, tail: np.ndarray
-    ) -> np.ndarray:
-        return -self.score_np_grad_tail(head, relation_vec, tail)

@@ -85,9 +85,7 @@ class KGEmbeddingTrainer:
     def _er_batch_loss(self, batch: np.ndarray):
         negatives = self.sampler.corrupt_tails(batch, self.config.num_negatives)
         positives = np.repeat(batch, self.config.num_negatives, axis=0)
-        pos_scores = self.model.triple_scores(positives)
-        neg_scores = self.model.triple_scores(negatives)
-        return F.margin_ranking_loss(pos_scores, neg_scores, MARGIN_ER)
+        return self.model.margin_loss(positives, negatives, MARGIN_ER)
 
     def _ec_batch_loss(self, batch: np.ndarray):
         assert self.class_scorer is not None

@@ -11,13 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.embedding.base import KGEmbeddingModel, TailSolution
+from repro.embedding.base import TailSolution, TranslationalModel
 from repro.kg.graph import KnowledgeGraph
 from repro.nn.layers import Embedding
 from repro.utils.rng import RandomState
 
 
-class TransE(KGEmbeddingModel):
+class TransE(TranslationalModel):
     """Translation model: ``h + r ≈ t``."""
 
     def __init__(self, kg: KnowledgeGraph, dim: int = 32, rng: RandomState = None) -> None:
@@ -33,33 +33,7 @@ class TransE(KGEmbeddingModel):
         parameters and the session is bit-identical to per-call lookups."""
         return self.entity_embeddings.all(), self.relation_embeddings.all()
 
-    # --------------------------------------------------------------- training
-    def triple_scores(self, triples: np.ndarray) -> Tensor:
-        triples = np.asarray(triples, dtype=np.int64)
-        session = self.outputs()
-        h = session.entities.gather_rows(triples[:, 0])
-        r = session.relations.gather_rows(triples[:, 1])
-        t = session.entities.gather_rows(triples[:, 2])
-        return (h + r - t).norm(axis=1)
-
     # ---------------------------------------------------------- inference view
-    def score_np(self, head: np.ndarray, relation_vec: np.ndarray, tail: np.ndarray) -> float:
-        return float(np.linalg.norm(head + relation_vec - tail))
-
-    def score_np_grad_tail(
-        self, head: np.ndarray, relation_vec: np.ndarray, tail: np.ndarray
-    ) -> np.ndarray:
-        diff = tail - (head + relation_vec)
-        norm = np.linalg.norm(diff)
-        if norm < 1e-12:
-            return np.zeros_like(tail)
-        return diff / norm
-
-    def score_np_grad_head(
-        self, head: np.ndarray, relation_vec: np.ndarray, tail: np.ndarray
-    ) -> np.ndarray:
-        return -self.score_np_grad_tail(head, relation_vec, tail)
-
     def solve_tail(
         self,
         head_embedding: np.ndarray,

@@ -359,6 +359,7 @@ def restore_pipeline(checkpoint: Checkpoint) -> "DAAKG":
             PotentialMatch(int(left), int(right), float(soft))
             for (left, right), soft in zip(mined_pairs, mined_soft)
         ]
+    trainer._term_arrays.clear()
     trainer.loss_history = list(manifest.get("loss_history", []))
 
     daakg.model.set_landmarks(checkpoint.arrays["landmarks"])

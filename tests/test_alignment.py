@@ -402,3 +402,50 @@ class TestLabelStoreArrayCache:
         store = LabelStore()
         assert store.match_array(ElementKind.ENTITY).shape == (0, 2)
         assert store.non_match_array(ElementKind.RELATION).shape == (0, 2)
+
+
+class TestLossTermArrayCache:
+    """The label and mined-pair index arrays are built once per refresh."""
+
+    def _trainer(self, pair):
+        m1, m2 = TransE(pair.kg1, dim=8, rng=6), TransE(pair.kg2, dim=8, rng=7)
+        model = JointAlignmentModel(pair, m1, m2, rng=6)
+        trainer = JointAlignmentTrainer(
+            model, AlignmentTrainingConfig(rounds=1, epochs_per_round=2, semi_threshold=0.1),
+            seed=0,
+        )
+        trainer.add_matches(ElementKind.ENTITY, pair.entity_match_ids(pair.train_entity_pairs))
+        trainer.add_matches(ElementKind.RELATION, [(0, 0)])
+        return trainer
+
+    @staticmethod
+    def _expected(trainer, kind):
+        pairs = list(trainer.labels.matches[kind])
+        pairs += [(m.left, m.right) for m in trainer._semi[kind]]
+        return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+    def test_arrays_reused_between_steps_and_rebuilt_on_change(self, joint_setup):
+        pair, _ = joint_setup
+        trainer = self._trainer(pair)
+        trainer.train()
+        assert any(trainer._semi[kind] for kind in trainer._semi)
+        cached = dict(trainer._term_arrays)
+        assert cached  # the last step built them
+        trainer._step()
+        assert all(trainer._term_arrays[key] is value for key, value in cached.items())
+        for kind in (ElementKind.ENTITY, ElementKind.RELATION):
+            assert np.array_equal(trainer._matched_pairs(kind), self._expected(trainer, kind))
+
+        trainer.add_matches(ElementKind.ENTITY, [(1, 2)])
+        assert not trainer._term_arrays
+        assert trainer._matched_pairs(ElementKind.ENTITY)[
+            len(trainer.labels.matches[ElementKind.ENTITY]) - 1
+        ].tolist() == [1, 2]
+
+        trainer._step()
+        trainer._refresh_round_state()
+        assert not trainer._term_arrays
+        for kind in trainer._semi:
+            pairs, soft = trainer._mined_pairs(kind)
+            assert pairs.tolist() == [[m.left, m.right] for m in trainer._semi[kind]]
+            assert soft.tolist() == [m.soft_label for m in trainer._semi[kind]]

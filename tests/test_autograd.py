@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import composed_losses as composed
 from repro.autograd import Tensor, functional as F, no_grad, tensor
 
 
-def finite_difference_check(fn, *shapes, seed=0, tol=1e-4):
-    """Compare analytic gradients of ``fn`` (scalar output) with central differences."""
+def finite_difference_check(fn, *shapes, seed=0, tol=1e-4, frozen=None):
+    """Compare analytic gradients of ``fn`` (scalar output) with central differences.
+
+    ``frozen``, when given, maps the base input arrays to the function that is
+    differenced instead of ``fn``: the one whose gradient ``fn`` computes when
+    it treats part of itself as a constant (the focal weights).
+    """
     rng = np.random.default_rng(seed)
     inputs = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
     out = fn(*inputs)
     out.backward()
+    reference = fn if frozen is None else frozen(*[x.data.copy() for x in inputs])
     eps = 1e-6
     for x in inputs:
         numeric = np.zeros_like(x.data)
@@ -21,13 +28,32 @@ def finite_difference_check(fn, *shapes, seed=0, tol=1e-4):
             idx = it.multi_index
             original = x.data[idx]
             x.data[idx] = original + eps
-            plus = fn(*inputs).item()
+            plus = reference(*inputs).item()
             x.data[idx] = original - eps
-            minus = fn(*inputs).item()
+            minus = reference(*inputs).item()
             x.data[idx] = original
             numeric[idx] = (plus - minus) / (2 * eps)
             it.iternext()
         assert np.max(np.abs(numeric - x.grad)) < tol
+
+
+# duplicate and negative rows: -1 aliases row 5 of a 6-row entity table
+_POSITIVES = np.array([[0, 1, 2], [0, 1, 2], [-1, 0, 3], [5, -3, 4]])
+_NEGATIVES = np.array([[0, 1, 4], [0, 1, 5], [-1, 0, 1], [5, 2, 2]])
+
+
+def _focal_with_frozen_weights(a0, b0, gamma=2.0):
+    """The focal loss with ``(1 - p)^gamma`` fixed at ``(a0, b0)``."""
+    stacked = np.stack([(a0 * a0).sum(axis=1), (b0 * b0).sum(axis=1)], axis=1)
+    p = np.exp(stacked[:, 0] - np.logaddexp(stacked[:, 0], stacked[:, 1]))
+    weights = Tensor((1.0 - p) ** gamma)
+
+    def loss(a, b):
+        scores = [(x * x).sum(axis=1).reshape(-1, 1) for x in (a, b)]
+        log_probs = composed.log_softmax(F.concatenate(scores, axis=1), axis=1)
+        return -(weights * log_probs[:, 0]).mean()
+
+    return loss
 
 
 GRADIENT_CASES = {
@@ -57,15 +83,24 @@ GRADIENT_CASES = {
     "concatenate": (lambda a, b: (F.concatenate([a, b], axis=1) ** 2).sum(), ((2, 3), (2, 2))),
     "maximum": (lambda a, b: F.maximum(a, b * 0.5).sum(), ((4, 2), (4, 2))),
     "cosine_rows": (lambda a, b: F.cosine_similarity_rows(a, b).sum(), ((4, 3), (4, 3))),
-    "softmax": (lambda a: (F.softmax(a, axis=1)[:, 0]).sum(), ((3, 4),)),
-    "log_softmax": (lambda a: F.log_softmax(a, axis=1)[:, 1].mean(), ((3, 4),)),
+    "softmax": (lambda a: (composed.softmax(a, axis=1)[:, 0]).sum(), ((3, 4),)),
+    "log_softmax": (lambda a: composed.log_softmax(a, axis=1)[:, 1].mean(), ((3, 4),)),
     "margin_loss": (
         lambda a, b: F.margin_ranking_loss(a.norm(axis=1), b.norm(axis=1), 0.5),
         ((4, 3), (4, 3)),
     ),
+    "translation_margin_loss": (
+        lambda e, r: F.translation_margin_loss(e, r, _POSITIVES, _NEGATIVES, 1.0),
+        ((6, 3), (4, 3)),
+    ),
     "pairwise_softmax_loss": (
         lambda a, b: F.pairwise_softmax_loss((a * a).sum(axis=1), (b * b).sum(axis=1)),
         ((4, 3), (4, 3)),
+    ),
+    "focal_pairwise_softmax_loss": (
+        lambda a, b: F.focal_pairwise_softmax_loss((a * a).sum(axis=1), (b * b).sum(axis=1)),
+        ((4, 3), (4, 3)),
+        _focal_with_frozen_weights,
     ),
     "soft_label_loss": (
         lambda a: F.soft_label_loss((a * a).sum(axis=1), np.array([0.5, 0.9, 0.1])),
@@ -76,8 +111,8 @@ GRADIENT_CASES = {
 
 @pytest.mark.parametrize("name", sorted(GRADIENT_CASES))
 def test_gradient_matches_finite_differences(name):
-    fn, shapes = GRADIENT_CASES[name]
-    finite_difference_check(fn, *shapes)
+    fn, shapes, *frozen = GRADIENT_CASES[name]
+    finite_difference_check(fn, *shapes, frozen=frozen[0] if frozen else None)
 
 
 class TestTupleAxisReductions:
@@ -230,7 +265,7 @@ class TestTensorBasics:
     @settings(max_examples=25, deadline=None)
     def test_softmax_output_rows_sum_to_one(self, values):
         x = tensor([values, values])
-        p = F.softmax(x, axis=1)
+        p = composed.softmax(x, axis=1)
         assert np.allclose(p.data.sum(axis=1), 1.0)
 
     @given(st.integers(2, 6), st.integers(2, 6))
@@ -259,3 +294,94 @@ class TestFocalLoss:
         focal = F.focal_pairwise_softmax_loss(pos, neg, gamma=0.0).item()
         plain = F.pairwise_softmax_loss(pos, neg).item()
         assert focal == pytest.approx(plain, rel=1e-6)
+
+
+class TestFusedNodesMatchComposition:
+    """Each fused loss node against its composed graph, byte for byte.
+
+    Both sides run on fresh leaves holding the same data (and, where a case
+    says so, the same gradient already accumulated); the forward value and
+    every leaf's gradient must have identical bytes.
+    """
+
+    @staticmethod
+    def _run(build, leaves, seed=None):
+        tensors = []
+        for data, requires_grad, held in leaves:
+            t = Tensor(data.copy(), requires_grad=requires_grad)
+            if held is not None:
+                t.grad = held.copy()
+            tensors.append(t)
+        out = build(*tensors)
+        out.backward(seed)
+        grads = [None if t.grad is None else t.grad.tobytes() for t in tensors]
+        return out.data.tobytes(), grads
+
+    def _assert_same(self, fused, composed_form, leaves, seed=None):
+        fused_out, fused_grads = self._run(fused, leaves, seed)
+        composed_out, composed_grads = self._run(composed_form, leaves, seed)
+        assert fused_out == composed_out
+        assert fused_grads == composed_grads
+        assert any(g is not None for g in fused_grads)
+
+    @pytest.mark.parametrize("relations_trainable", [True, False])
+    @pytest.mark.parametrize("margin", [0.3, 5.0])
+    def test_translation_margin_loss(self, relations_trainable, margin):
+        rng = np.random.default_rng(1)
+        leaves = [
+            # a leaf that already holds a gradient from an earlier backward
+            (rng.normal(size=(6, 5)), True, rng.normal(size=(6, 5))),
+            (rng.normal(size=(4, 5)), relations_trainable, None),
+        ]
+        self._assert_same(
+            lambda e, r: F.translation_margin_loss(e, r, _POSITIVES, _NEGATIVES, margin),
+            lambda e, r: composed.translation_margin_loss(e, r, _POSITIVES, _NEGATIVES, margin),
+            leaves,
+        )
+
+    @pytest.mark.parametrize("b_trainable", [True, False])
+    def test_cosine_similarity_rows(self, b_trainable):
+        rng = np.random.default_rng(2)
+        rows = np.array([3, -1, 0, 3, 2])  # duplicate and negative gathers
+        leaves = [
+            (rng.normal(size=(4, 6)), True, rng.normal(size=(4, 6))),
+            (rng.normal(size=(6, 6)), True, None),
+            # ``b_trainable=False`` is the constant mean-embedding side
+            (rng.normal(size=(5, 6)), b_trainable, None),
+        ]
+
+        def build(cosine):
+            return lambda table, mapping, b: cosine(table.gather_rows(rows) @ mapping, b)
+
+        seed = rng.normal(size=5)
+        self._assert_same(
+            build(F.cosine_similarity_rows), build(composed.cosine_similarity_rows), leaves, seed
+        )
+
+    @pytest.mark.parametrize("gamma", [None, 0.0, 2.0])
+    def test_pairwise_softmax_losses(self, gamma):
+        rng = np.random.default_rng(3)
+        pos_rows, neg_rows = np.array([0, 2, -1, 2]), np.array([1, 1, 0, -2])
+        leaves = [
+            (rng.normal(size=(4, 3)), True, rng.normal(size=(4, 3))),
+            (rng.normal(size=(4, 3)), True, None),
+        ]
+
+        def build(plain, focal):
+            def loss(left, right):
+                pos = composed.cosine_similarity_rows(left.gather_rows(pos_rows), right)
+                neg = composed.cosine_similarity_rows(left.gather_rows(neg_rows), right)
+                return plain(pos, neg) if gamma is None else focal(pos, neg, gamma)
+
+            return loss
+
+        self._assert_same(
+            build(F.pairwise_softmax_loss, F.focal_pairwise_softmax_loss),
+            build(composed.pairwise_softmax_loss, composed.focal_pairwise_softmax_loss),
+            leaves,
+        )
+
+    def test_softmax_loss_with_a_constant_side(self):
+        rng = np.random.default_rng(4)
+        leaves = [(rng.normal(size=5), True, None), (rng.normal(size=5), False, None)]
+        self._assert_same(F.pairwise_softmax_loss, composed.pairwise_softmax_loss, leaves)

@@ -9,7 +9,16 @@ implementation those replaced, patched in for one run:
   ``np.add.at`` otherwise (the ``scatter_rows`` forward was ``np.add.at``);
 * ``Tensor._accumulate`` copying the first gradient a leaf receives;
 * ``mean_relation_embeddings`` calling ``local_relation_embedding`` once per
-  triple.
+  triple;
+* the composed loss graphs of ``composed_losses`` in place of the fused loss
+  nodes: ``triple_scores`` plus the margin ranking loss for TransE and
+  CompGCN, the row cosine through row norms, and log-softmax plus ``[:, 0]``
+  for the plain and focal pairwise softmax losses.
+
+The fused nodes scatter into their gathered tables through
+``Tensor._accumulate_rows``, which looks ``_scatter_add_rows`` up in
+``repro.autograd.tensor`` at call time, so the scatter patch reaches them
+too; a test below pins that.
 
 Short TransE, RotatE and CompGCN fits (pretraining with a class scorer, joint
 alignment rounds, one focal fine-tune) must end with byte-identical
@@ -24,12 +33,15 @@ import importlib
 import numpy as np
 import pytest
 
+import composed_losses as composed
+
 import repro.alignment.model as alignment_model
 import repro.autograd.functional as functional
 from repro.alignment.model import JointAlignmentModel
 from repro.alignment.trainer import AlignmentTrainingConfig, JointAlignmentTrainer
 from repro.autograd import Tensor
 from repro.autograd.tensor import _unbroadcast
+from repro.embedding.base import TranslationalModel
 from repro.embedding.compgcn import CompGCN
 from repro.embedding.entity_class import EntityClassScorer
 from repro.embedding.rotate import RotatE
@@ -109,6 +121,11 @@ def use_oracle(monkeypatch):
         monkeypatch.setattr(
             alignment_model, "mean_relation_embeddings", _oracle_mean_relation_embeddings
         )
+        monkeypatch.setattr(TranslationalModel, "margin_loss", composed.margin_loss)
+        for name in (
+            "cosine_similarity_rows", "pairwise_softmax_loss", "focal_pairwise_softmax_loss"
+        ):
+            monkeypatch.setattr(functional, name, getattr(composed, name))
 
     return switch
 
@@ -211,3 +228,18 @@ def test_repeated_backward_over_retained_session_matches_oracle(
     fast = grads()
     use_oracle()
     assert fast == grads()
+
+
+def test_scatter_patch_reaches_the_fused_nodes(tiny_kg, monkeypatch):
+    """Every row scatter of a fused margin-loss backward runs the patched scatter."""
+    calls = []
+
+    def counting_scatter(shape, indices, rows):
+        calls.append(indices.shape[0])
+        return _oracle_gather_scatter(shape, indices, rows)
+
+    monkeypatch.setattr(tensor_module, "_scatter_add_rows", counting_scatter)
+    model = TransE(tiny_kg, dim=4, rng=3)
+    batch = tiny_kg.triple_array[:3]
+    model.margin_loss(batch, batch[::-1], 1.0).backward()
+    assert calls == [3] * 6  # pos.h, pos.r, pos.t, neg.h, neg.r, neg.t
