@@ -135,6 +135,12 @@ class LabelStore:
         )
 
 
+def _mined_arrays(mined: list[PotentialMatch]) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(n, 2)`` and soft labels ``(n,)`` of mined potential matches."""
+    pairs = np.asarray([(m.left, m.right) for m in mined], dtype=np.int64).reshape(-1, 2)
+    return pairs, np.asarray([m.soft_label for m in mined])
+
+
 class JointAlignmentTrainer:
     """Optimises a :class:`JointAlignmentModel` from labelled element pairs."""
 
@@ -153,43 +159,31 @@ class JointAlignmentTrainer:
         self._sampler1 = NegativeSampler(model.kg1, seed=self.rng)
         self._sampler2 = NegativeSampler(model.kg2, seed=self.rng)
         self._semi: dict[ElementKind, list[PotentialMatch]] = {k: [] for k in _KINDS}
-        # index arrays of the label and mined-pair loss terms, built from the
-        # lists above on first use; cleared wherever those lists change
-        self._term_arrays: dict[tuple[str, ElementKind], np.ndarray | tuple[np.ndarray, ...]] = {}
+        # ``_semi`` as index pairs ``(n, 2)`` and soft labels; set with it
+        self._semi_arrays: dict[ElementKind, tuple[np.ndarray, np.ndarray]] = {
+            k: _mined_arrays([]) for k in _KINDS
+        }
         self._hard_candidates: tuple[np.ndarray, np.ndarray] | None = None
         self.loss_history: list[float] = []
 
     # ----------------------------------------------------------------- labels
     def add_matches(self, kind: ElementKind, pairs: np.ndarray | list[tuple[int, int]]) -> None:
-        self._term_arrays.clear()
         for left, right in np.asarray(pairs, dtype=np.int64).reshape(-1, 2):
             self.labels.add(kind, (int(left), int(right)), True)
 
     def add_non_matches(self, kind: ElementKind, pairs: np.ndarray | list[tuple[int, int]]) -> None:
-        self._term_arrays.clear()
         for left, right in np.asarray(pairs, dtype=np.int64).reshape(-1, 2):
             self.labels.add(kind, (int(left), int(right)), False)
 
     # ---------------------------------------------------------------- helpers
+    def _set_mined(self, kind: ElementKind, mined: list[PotentialMatch]) -> None:
+        """Replace the mined potential matches of ``kind`` (Eq. 10's pairs)."""
+        self._semi[kind] = mined
+        self._semi_arrays[kind] = _mined_arrays(mined)
+
     def _matched_pairs(self, kind: ElementKind) -> np.ndarray:
         """Labelled matches then mined potential matches of ``kind``, ``(n, 2)``."""
-        key = ("matched", kind)
-        if key not in self._term_arrays:
-            pairs = list(self.labels.matches[kind])
-            pairs += [(m.left, m.right) for m in self._semi[kind]]
-            self._term_arrays[key] = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        return self._term_arrays[key]
-
-    def _mined_pairs(self, kind: ElementKind) -> tuple[np.ndarray, np.ndarray]:
-        """Mined potential matches of ``kind`` and their soft labels."""
-        key = ("mined", kind)
-        if key not in self._term_arrays:
-            mined = self._semi[kind]
-            self._term_arrays[key] = (
-                np.asarray([(m.left, m.right) for m in mined], dtype=np.int64),
-                np.asarray([m.soft_label for m in mined]),
-            )
-        return self._term_arrays[key]
+        return np.concatenate([self.labels.match_array(kind), self._semi_arrays[kind][0]])
 
     def _vocab_sizes(self, kind: ElementKind) -> tuple[int, int]:
         if kind is ElementKind.ENTITY:
@@ -336,7 +330,7 @@ class JointAlignmentTrainer:
         return (1.0 - sims).mean()
 
     def _semi_loss(self, kind: ElementKind):
-        pairs, soft_labels = self._mined_pairs(kind)
+        pairs, soft_labels = self._semi_arrays[kind]
         if pairs.size == 0:
             return None
         similarities = self.model.pair_similarity(kind, pairs)
@@ -414,11 +408,7 @@ class JointAlignmentTrainer:
     # ----------------------------------------------------------- semi mining
     def _current_entity_landmarks(self) -> np.ndarray:
         """Labelled entity matches plus mined potential matches, as index pairs."""
-        pairs = list(self.labels.matches[ElementKind.ENTITY])
-        pairs += [(m.left, m.right) for m in self._semi[ElementKind.ENTITY]]
-        if not pairs:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.asarray(sorted(set(pairs)), dtype=np.int64)
+        return np.unique(self._matched_pairs(ElementKind.ENTITY), axis=0)
 
     def _refresh_round_state(self) -> None:
         """Refresh landmarks, statistics, hard negatives and semi-supervision.
@@ -433,7 +423,6 @@ class JointAlignmentTrainer:
             if self.config.semi_supervised:
                 self._refresh_semi_supervision()
                 self.model.set_landmarks(self._current_entity_landmarks())
-            self._term_arrays.clear()
 
     def _refresh_hard_candidates(self) -> None:
         """Cache each entity's most similar counterparts for hard negative mining."""
@@ -456,7 +445,7 @@ class JointAlignmentTrainer:
             labelled = self.labels.labelled_pairs(kind)
             matched_left = {left for left, _ in self.labels.matches[kind]}
             matched_right = {right for _, right in self.labels.matches[kind]}
-            self._semi[kind] = mine_potential_matches_from_engine(
+            mined = mine_potential_matches_from_engine(
                 self.engine,
                 kind,
                 threshold=self.config.semi_threshold,
@@ -465,6 +454,7 @@ class JointAlignmentTrainer:
                 exclude_right=matched_right,
                 max_candidates=SEMI_MAX_PER_KIND,
             )
+            self._set_mined(kind, mined)
 
     # ------------------------------------------------------------------ train
     def train(self) -> list[float]:

@@ -355,11 +355,10 @@ def restore_pipeline(checkpoint: Checkpoint) -> "DAAKG":
             trainer.labels.add(kind, (int(left), int(right)), False)
         mined_pairs = checkpoint.arrays[f"semi/{kind.value}/pairs"]
         mined_soft = checkpoint.arrays[f"semi/{kind.value}/soft"]
-        trainer._semi[kind] = [
+        trainer._set_mined(kind, [
             PotentialMatch(int(left), int(right), float(soft))
             for (left, right), soft in zip(mined_pairs, mined_soft)
-        ]
-    trainer._term_arrays.clear()
+        ])
     trainer.loss_history = list(manifest.get("loss_history", []))
 
     daakg.model.set_landmarks(checkpoint.arrays["landmarks"])

@@ -4,8 +4,9 @@
 tape node each, with a hand-written backward that must be bit-exact with the
 graph of elementary ``Tensor`` ops it replaced.  This module keeps those
 graphs: the row cosine through row norms, log-softmax plus the ``[:, 0]``
-column pick, the softmax, and ``triple_scores`` plus the margin ranking loss
-for the ``||h + r − t||`` decoder.  ``tests/test_autograd.py`` compares each
+column pick, the softmax, and the ``||h + r − t||`` scores plus the margin
+ranking loss over raw tables.  A whole model's composed margin loss is the
+base-class default ``KGEmbeddingModel.margin_loss``, which stays in ``src/``.  ``tests/test_autograd.py`` compares each
 fused node with its composition byte for byte, and
 ``tests/test_autograd_parity.py`` patches these back in for a whole fit.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import Tensor
-from repro.autograd.functional import concatenate
+from repro.autograd.functional import concatenate, margin_ranking_loss
 
 
 def row_norms(x: Tensor, eps: float = 1e-12) -> Tensor:
@@ -58,10 +59,6 @@ def focal_pairwise_softmax_loss(pos_scores: Tensor, neg_scores: Tensor, gamma: f
     return -(weights * log_probs[:, 0]).mean()
 
 
-def margin_ranking_loss(positive: Tensor, negative: Tensor, margin: float) -> Tensor:
-    return (positive - negative + margin).clamp_min(0.0).mean()
-
-
 def translation_scores(entities: Tensor, relations: Tensor, triples: np.ndarray) -> Tensor:
     """``||h + r − t||`` of each ``(h, r, t)`` row, gathered from the two tables."""
     triples = np.asarray(triples, dtype=np.int64)
@@ -78,10 +75,3 @@ def translation_margin_loss(entities, relations, positives, negatives, margin) -
         margin,
     )
 
-
-def margin_loss(model, positives, negatives, margin) -> Tensor:
-    """``TranslationalModel.margin_loss`` as it was: two ``triple_scores`` graphs."""
-    session = model.outputs()
-    return translation_margin_loss(
-        session.entities, session.relations, positives, negatives, margin
-    )

@@ -405,7 +405,7 @@ class TestLabelStoreArrayCache:
 
 
 class TestLossTermArrayCache:
-    """The label and mined-pair index arrays are built once per refresh."""
+    """The label and mined-pair index arrays are built when those pairs change."""
 
     def _trainer(self, pair):
         m1, m2 = TransE(pair.kg1, dim=8, rng=6), TransE(pair.kg2, dim=8, rng=7)
@@ -419,33 +419,37 @@ class TestLossTermArrayCache:
         return trainer
 
     @staticmethod
-    def _expected(trainer, kind):
-        pairs = list(trainer.labels.matches[kind])
-        pairs += [(m.left, m.right) for m in trainer._semi[kind]]
-        return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    def _assert_in_step(trainer):
+        for kind in trainer._semi:
+            mined = trainer._semi[kind]
+            pairs, soft = trainer._semi_arrays[kind]
+            assert pairs.shape == (len(mined), 2)
+            assert pairs.tolist() == [[m.left, m.right] for m in mined]
+            assert soft.tolist() == [m.soft_label for m in mined]
+            expected = list(trainer.labels.matches[kind]) + [(m.left, m.right) for m in mined]
+            assert trainer._matched_pairs(kind).tolist() == [list(p) for p in expected]
+        entity = list(trainer.labels.matches[ElementKind.ENTITY])
+        entity += [(m.left, m.right) for m in trainer._semi[ElementKind.ENTITY]]
+        assert trainer._current_entity_landmarks().tolist() == [list(p) for p in sorted(set(entity))]
 
-    def test_arrays_reused_between_steps_and_rebuilt_on_change(self, joint_setup):
+    def test_arrays_follow_labels_and_mined_pairs(self, joint_setup):
         pair, _ = joint_setup
         trainer = self._trainer(pair)
+        assert trainer._current_entity_landmarks().shape[1] == 2
         trainer.train()
         assert any(trainer._semi[kind] for kind in trainer._semi)
-        cached = dict(trainer._term_arrays)
-        assert cached  # the last step built them
+        self._assert_in_step(trainer)
+
+        built = dict(trainer._semi_arrays)
         trainer._step()
-        assert all(trainer._term_arrays[key] is value for key, value in cached.items())
-        for kind in (ElementKind.ENTITY, ElementKind.RELATION):
-            assert np.array_equal(trainer._matched_pairs(kind), self._expected(trainer, kind))
+        assert all(trainer._semi_arrays[kind] is arrays for kind, arrays in built.items())
 
         trainer.add_matches(ElementKind.ENTITY, [(1, 2)])
-        assert not trainer._term_arrays
         assert trainer._matched_pairs(ElementKind.ENTITY)[
             len(trainer.labels.matches[ElementKind.ENTITY]) - 1
         ].tolist() == [1, 2]
+        self._assert_in_step(trainer)
 
         trainer._step()
         trainer._refresh_round_state()
-        assert not trainer._term_arrays
-        for kind in trainer._semi:
-            pairs, soft = trainer._mined_pairs(kind)
-            assert pairs.tolist() == [[m.left, m.right] for m in trainer._semi[kind]]
-            assert soft.tolist() == [m.soft_label for m in trainer._semi[kind]]
+        self._assert_in_step(trainer)

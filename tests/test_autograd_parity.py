@@ -10,10 +10,11 @@ implementation those replaced, patched in for one run:
 * ``Tensor._accumulate`` copying the first gradient a leaf receives;
 * ``mean_relation_embeddings`` calling ``local_relation_embedding`` once per
   triple;
-* the composed loss graphs of ``composed_losses`` in place of the fused loss
-  nodes: ``triple_scores`` plus the margin ranking loss for TransE and
-  CompGCN, the row cosine through row norms, and log-softmax plus ``[:, 0]``
-  for the plain and focal pairwise softmax losses.
+* the composed loss graphs in place of the fused loss nodes: the base-class
+  ``KGEmbeddingModel.margin_loss`` (two ``triple_scores`` plus the margin
+  ranking loss) for TransE and CompGCN, and from ``composed_losses`` the row
+  cosine through row norms and log-softmax plus ``[:, 0]`` for the plain and
+  focal pairwise softmax losses.
 
 The fused nodes scatter into their gathered tables through
 ``Tensor._accumulate_rows``, which looks ``_scatter_add_rows`` up in
@@ -41,7 +42,7 @@ from repro.alignment.model import JointAlignmentModel
 from repro.alignment.trainer import AlignmentTrainingConfig, JointAlignmentTrainer
 from repro.autograd import Tensor
 from repro.autograd.tensor import _unbroadcast
-from repro.embedding.base import TranslationalModel
+from repro.embedding.base import KGEmbeddingModel, TranslationalModel
 from repro.embedding.compgcn import CompGCN
 from repro.embedding.entity_class import EntityClassScorer
 from repro.embedding.rotate import RotatE
@@ -121,7 +122,7 @@ def use_oracle(monkeypatch):
         monkeypatch.setattr(
             alignment_model, "mean_relation_embeddings", _oracle_mean_relation_embeddings
         )
-        monkeypatch.setattr(TranslationalModel, "margin_loss", composed.margin_loss)
+        monkeypatch.setattr(TranslationalModel, "margin_loss", KGEmbeddingModel.margin_loss)
         for name in (
             "cosine_similarity_rows", "pairwise_softmax_loss", "focal_pairwise_softmax_loss"
         ):

@@ -4,7 +4,8 @@ The contract under test (``KGEmbeddingModel.outputs``):
 
 * within one optimisation step every consumer shares a single full forward
   per model (the acceptance criterion: 1 GNN forward per
-  ``JointAlignmentTrainer._step``, down from 8+ in legacy mode);
+  ``JointAlignmentTrainer._step``, down from one per consumer in legacy
+  mode);
 * any parameter mutation — optimiser step, ``renormalize``,
   ``load_state_dict`` — invalidates the cached forward;
 * caching never changes training: loss histories are bit-identical to the
@@ -85,18 +86,22 @@ class TestForwardCounts:
             assert m2.forward_count - before[1] == 1
 
     def test_legacy_mode_runs_many_forwards_per_step(self, tiny_pair):
-        """Without the session the same step issues 8+ forwards (the old cost).
+        """Without the session the same step issues one forward per consumer.
 
-        Each margin-loss batch reads the session once for its positives and
-        negatives together (the fused node), so the count is 8, not the 10
-        that two ``triple_scores`` reads per batch gave.
+        The step's consumers of ``model1`` on this trainer: the entity and the
+        relation match loss, each scoring its positive and its negative pairs
+        (4); the entity anchor (1); the relation-translation term (1); and
+        one margin loss per embedding batch, which reads positives and
+        negatives from a single forward (2, ``embedding_batches_per_round``).
+        There are no non-match labels and no pair clears the semi threshold,
+        so nothing else reads.
         """
         trainer = _make_trainer(tiny_pair, "compgcn", session=False)
         trainer._refresh_round_state()
         m1 = trainer.model.model1
         before = m1.forward_count
         trainer._step()
-        assert m1.forward_count - before >= 8
+        assert m1.forward_count - before == 8
 
     def test_embedding_trainer_shares_forward_within_batch(self, tiny_kg):
         model = CompGCN(tiny_kg, dim=8, rng=3)

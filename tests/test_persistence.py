@@ -119,6 +119,10 @@ def test_restored_state_matches(checkpoint_dir, fitted_pipeline):
     for kind in ElementKind:
         assert restored.trainer.labels.matches[kind] == fitted_pipeline.trainer.labels.matches[kind]
         assert restored.trainer._semi[kind] == fitted_pipeline.trainer._semi[kind]
+        for restored_array, fitted_array in zip(
+            restored.trainer._semi_arrays[kind], fitted_pipeline.trainer._semi_arrays[kind]
+        ):
+            np.testing.assert_array_equal(restored_array, fitted_array)
     # the shared RNG stream resumes at the same position (equal states imply
     # equal future draws, without perturbing the session fixture's stream)
     from repro.utils.rng import get_rng_state
