@@ -78,7 +78,6 @@ def campaign_config() -> DAAKGConfig:
         ),
         pool=PoolConfig(top_n=15),
         inference=InferencePowerConfig(max_hops=2, power_threshold=0.5),
-        similarity_backend="sharded",
         seed=0,
     )
 

@@ -14,7 +14,7 @@ The campaign runtime's claim is threefold:
 This benchmark pins all three with numbers on a community-structured
 shared-topology world pair (the regime ρ-bounded partitioning exists for):
 one monolithic campaign versus the partitioned campaign across an executor
-sweep — serial, process×2, process×4 — all on the sharded similarity
+sweep — serial, process×2, process×4 — all on the streamed similarity
 runtime.
 
 Assertions (always):
@@ -89,7 +89,6 @@ def campaign_config() -> DAAKGConfig:
             embedding_batches_per_round=3, embedding_batch_size=512,
         ),
         pool=PoolConfig(top_n=20),
-        similarity_backend="sharded",
         seed=0,
     )
 

@@ -59,7 +59,6 @@ def build_campaign() -> PartitionedCampaign:
         ),
         pool=PoolConfig(top_n=10),
         inference=InferencePowerConfig(max_hops=2, power_threshold=0.5),
-        similarity_backend="sharded",
         seed=0,
     )
     return PartitionedCampaign(

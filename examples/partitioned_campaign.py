@@ -49,7 +49,6 @@ def main() -> None:
             embedding_batch_size=256,
         ),
         pool=PoolConfig(top_n=20),
-        similarity_backend="sharded",
         seed=0,
     )
     campaign = PartitionedCampaign(

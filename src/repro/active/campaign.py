@@ -14,7 +14,7 @@ into one global :class:`~repro.runtime.merge.MergedSimilarityState` that
 answers ``top_k`` / ``evaluate`` / ``mine`` queries over the original index
 spaces without ever materialising the global matrix.
 
-Determinism contract (same as ``ShardedBackend``): results are identical
+Determinism contract: results are identical
 for **any** executor backend and **any** worker count.  Each partition's
 pipeline draws from its own RNG (seeded by ``(campaign seed, partition
 index)``), runs from a spec that shares no mutable state with its siblings,

@@ -130,10 +130,8 @@ class ActiveLearningLoop:
 
         Similarities come from the model's SimilarityEngine (cached between
         optimiser steps).  Probabilities are computed only for the pool's
-        pairs — row/column-sliced softmax on the dense backend (identical
-        values to the full probability matrix at a fraction of the work),
-        streamed tile softmax on the sharded backend (the full matrix never
-        exists).
+        pairs, by a streamed tile softmax over the rows and columns they
+        touch (the full probability matrix never exists).
         """
         engine = self.model.similarity
         lookup: dict[ElementPair, float] = {}

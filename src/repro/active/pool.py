@@ -18,6 +18,7 @@ from repro.alignment.model import JointAlignmentModel
 from repro.inference.pairs import ElementPair, class_pair, entity_pair, relation_pair
 from repro.kg.elements import ElementKind
 from repro.kg.graph import KnowledgeGraph
+from repro.runtime.streaming import mutual_top_n
 
 
 @dataclass(frozen=True)
@@ -125,12 +126,11 @@ def build_pool(model: JointAlignmentModel, config: PoolConfig | None = None) -> 
     """Build the element pair pool from the current joint alignment model.
 
     Schema-evidence weights (Eq. 25) are per-row / per-column similarity
-    maxima read through the engine, and the backend runs the mutual top-N
-    entity filter on the schema signatures (``mutual_top_n``): dense boolean
-    masks on the dense backend (historical, bit-exact path), two streamed
-    top-N passes plus a ``searchsorted`` membership check on the sharded
-    backend — so pool construction never materialises an ``N × M`` array
-    there either.
+    maxima read through the engine, and the mutual top-N entity filter on
+    the schema signatures is two streamed top-N passes plus a
+    ``searchsorted`` membership check
+    (:func:`~repro.runtime.streaming.mutual_top_n`), so pool construction
+    never materialises an ``N × M`` array.
     """
     config = config or PoolConfig()
     kg1, kg2 = model.kg1, model.kg2
@@ -145,7 +145,7 @@ def build_pool(model: JointAlignmentModel, config: PoolConfig | None = None) -> 
     signatures_2 = schema_signatures(
         kg2, rel_weights_2, cls_weights_2, snap.mean_relations_2, snap.mean_classes_2
     )
-    lefts, rights = engine.backend.mutual_top_n(signatures_1, signatures_2, config.top_n)
+    lefts, rights = mutual_top_n(signatures_1, signatures_2, config.top_n, engine.block_size)
     entity_pairs = [entity_pair(int(a), int(b)) for a, b in zip(lefts, rights)]
 
     relation_pairs = [

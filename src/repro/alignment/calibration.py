@@ -84,13 +84,12 @@ class AlignmentCalibrator:
         lefts: np.ndarray,
         rights: np.ndarray,
     ) -> np.ndarray:
-        """Pair probabilities read through a similarity engine (any backend).
+        """Pair probabilities read through a similarity engine or merged state.
 
-        The backend answers (``pair_probabilities``): on the dense backend
-        from slices of the cached matrix, bit-exact with
-        :meth:`probability_matrix`; on the streamed backends each direction
-        is normalised from tiles over only the rows/columns the requested
-        pairs touch, so peak memory is ``O(block²)``, never ``N × M``.
+        The engine answers (``pair_probabilities``): each direction is
+        normalised from tiles over only the rows/columns the requested pairs
+        touch, so peak memory is ``O(block²)``, never ``N × M``; values can
+        differ from :meth:`probability_matrix` in the last ulp.
         """
         lefts = np.asarray(lefts, dtype=np.int64)
         rights = np.asarray(rights, dtype=np.int64)

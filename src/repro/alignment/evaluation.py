@@ -131,17 +131,16 @@ def evaluate_alignment_from_engine(
 ) -> AlignmentScores:
     """All metrics for one alignment task, read through a similarity engine.
 
-    Backend-agnostic replacement for calling :func:`evaluate_alignment` on a
+    The engine's replacement for calling :func:`evaluate_alignment` on a
     full matrix: only the *gold-row slab* (``|test| × M`` — the paper's
     protocol restricts both the ranking and the greedy matching to rows with
     a gold counterpart) is ever gathered, never the ``N × M`` matrix.
     Ranking metrics come from per-pair greater/equal counts over that slab
-    in bounded column blocks — the same tie-aware ranks as the legacy path.
-    On the dense backend every read is a slice of the cached matrix, making
-    this bit-exact with the historical full-matrix evaluation.
+    in bounded column blocks — the same tie-aware ranks as the full-matrix
+    path, which this equals whenever the slab equals the matrix rows.
 
     Memory note: the greedy F1 protocol inherently needs the whole gold-row
-    slab at once, so evaluation peaks at ``O(|gold| · M)`` on both backends.
+    slab at once, so evaluation peaks at ``O(|gold| · M)``.
     When the gold set covers most rows of a very large pair, bound the
     evaluation budget (sample gold pairs) the way
     ``benchmarks/bench_similarity_scale.py`` does — streaming cannot remove
@@ -169,7 +168,7 @@ def evaluate_alignment_from_engine(
         equal += np.sum(pair_rows == targets[:, None], axis=1)
     ranks = greater + (equal - 1) / 2.0 + 1.0
     # accumulate exactly like hits_at_k / mean_reciprocal_rank do on the full
-    # matrix, so dense-backend results are bit-identical to the legacy path
+    # matrix, so equal slabs give bit-identical results
     h1 = int(np.sum(ranks <= 1)) / len(gold_pairs)
     h10 = int(np.sum(ranks <= 10)) / len(gold_pairs)
     total = 0.0

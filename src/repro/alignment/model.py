@@ -38,7 +38,7 @@ from repro.kg.elements import ElementKind
 from repro.kg.pair import AlignedKGPair
 from repro.nn.init import identity_with_noise
 from repro.nn.module import Module, Parameter
-from repro.runtime.streaming import ChannelPair, CosineChannels
+from repro.runtime.streaming import ChannelPair, CosineChannels, stream_row_col_max
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -73,7 +73,6 @@ class JointAlignmentModel(Module):
         use_structural_channel: bool = True,
         propagation_hops: int = 3,
         propagation_alpha: float = 0.6,
-        similarity_backend: str | None = None,
         rng: RandomState = None,
     ) -> None:
         if model1.dim != model2.dim:
@@ -101,7 +100,7 @@ class JointAlignmentModel(Module):
         self._structural_factors: tuple[np.ndarray, np.ndarray] | None = None
         self._snapshot_version = 0
         self._landmark_version = 0
-        self.similarity = SimilarityEngine(self, backend=similarity_backend)
+        self.similarity = SimilarityEngine(self)
 
         entity_dim = model1.dim
         relation_dim = model1.relation_matrix().shape[1] if self.kg1.num_relations else entity_dim
@@ -123,13 +122,13 @@ class JointAlignmentModel(Module):
         The four matrix reads below are served by one cached forward per
         model (``KGEmbeddingModel.outputs``, not four separate forwards).
 
-        The dangling-entity weights come from the entity channels
-        (:meth:`entity_channel_factors`), built once here and handed to the
-        backend (``entity_weights``): dense assembles them into the entity
-        matrix and seeds the engine's cache with it, sharded streams the
-        per-row / per-column maxima, so no ``N × M`` matrix is materialised.
-        The snapshot version is bumped first, so the dense seed is keyed on
-        the token that holds after this refresh.
+        The dangling-entity weights (Eq. 6) are the per-row / per-column
+        maxima of the entity channels, streamed in one tile sweep, so no
+        ``N × M`` matrix is materialised; ``max`` is order-independent, so
+        they equal the maxima of the assembled matrix exactly.  The snapshot
+        version is bumped first, so the engine caches these channels
+        (:meth:`SimilarityEngine.entity_channels`) under the token that holds
+        after this refresh, and that token's entity queries reuse them.
         """
         self._snapshot_version += 1
         with no_grad():
@@ -137,8 +136,11 @@ class JointAlignmentModel(Module):
             e2 = self.model2.entity_matrix()
             r1 = self.model1.relation_matrix()
             r2 = self.model2.relation_matrix()
-            channels = self.entity_channel_factors(e1, e2)
-            w1, w2 = self.similarity.backend.entity_weights(channels)
+            channels = self.similarity.entity_channels(e1, e2)
+            w1, w2 = (
+                np.clip(m, 0.0, 1.0)
+                for m in stream_row_col_max(channels, self.similarity.block_size)
+            )
             mean_rel1 = mean_relation_embeddings(self.kg1, self.model1, e1, w1)
             mean_rel2 = mean_relation_embeddings(self.kg2, self.model2, e2, w2)
             mean_cls1 = mean_class_embeddings(self.kg1, e1, w1)
@@ -160,15 +162,13 @@ class JointAlignmentModel(Module):
     def entity_channel_factors(self, e1: np.ndarray, e2: np.ndarray) -> CosineChannels:
         """The entity similarity as cosine channel factors.
 
-        The single definition of the entity similarity on both backends: the
-        mapped embedding channel plus (when the structural channel is
-        enabled) the propagation features, with ``clip_at_zero`` standing in
-        for the all-zero structural channel before any landmarks exist.  The
-        engine's channel cache (:meth:`SimilarityEngine.channels`), which the
-        dense backend assembles and the sharded backend streams, and the
-        dangling-entity weights of :meth:`refresh_statistics` all build from
-        here, so the similarity every query serves and the similarity the
-        weights are computed from can never drift apart.
+        The single definition of the entity similarity: the mapped embedding
+        channel plus (when the structural channel is enabled) the
+        propagation features, with ``clip_at_zero`` standing in for the
+        all-zero structural channel before any landmarks exist.  The
+        engine's entity channels (:meth:`SimilarityEngine.entity_channels`),
+        which every entity query and the dangling-entity weights of
+        :meth:`refresh_statistics` stream from, build from here.
         """
         pairs = [ChannelPair.from_raw(e1 @ self.map_entity.data, e2)]
         clip = False

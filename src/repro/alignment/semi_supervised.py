@@ -100,13 +100,12 @@ def mine_potential_matches_from_engine(
     exclude_right: set[int] | None = None,
     max_candidates: int | None = None,
 ) -> list[PotentialMatch]:
-    """Backend-agnostic mining over the engine's threshold scan.
+    """Mining over the engine's threshold scan.
 
     Only the entries above ``τ`` are ever held in memory (the mined candidate
     set), never a second copy of the matrix.  Candidates come from the
-    backend's threshold scan (:meth:`SimilarityEngine.threshold_candidates`:
-    ``np.nonzero`` on the dense backend's cached matrix, streamed tiles on the
-    sharded one) in global row-major order — the same order ``np.where``
+    engine's streamed threshold scan
+    (:meth:`SimilarityEngine.threshold_candidates`) in global row-major order — the same order ``np.where``
     yields on a dense matrix — and ``resolve_conflicts`` sorts stably, so the
     result is identical to :func:`mine_potential_matches` on the materialised
     matrix, ties included.

@@ -1,30 +1,24 @@
-"""The :class:`SimilarityEngine`: versioned similarity queries over a backend.
+"""The :class:`SimilarityEngine`: versioned, streamed similarity queries.
 
 Every hot path of the active alignment loop — hard-negative mining,
 semi-supervised mining, calibrated probability lookups, pool building and
 progressive evaluation — reads element similarities through this engine.  The
-engine owns the *versioning* contract (below) and delegates the actual
-computation to a pluggable backend (:mod:`repro.runtime.backends`).  Each
-similarity has exactly one definition, its *channel factors*
-(:meth:`channels`), and both backends read it:
-
-* the **dense** backend (default) assembles the channels tile by tile into
-  the full ``|X1| × |X2|`` matrix, caches it per version token and answers
-  every query with a slice;
-* the **sharded** backend streams row-block × column-block cosine tiles from
-  the channels and keeps per-row running top-k state, so the full matrix is
-  never materialised on any query path and peak memory stays
-  ``O(block² + N·k)``.
+engine owns the *versioning* contract (below) and answers every query from
+the similarity's one definition, its *channel factors* (:meth:`channels`),
+through the streamed query surface of :mod:`repro.runtime.backends`:
+row-block × column-block cosine tiles with per-row running top-k merges, so
+peak memory stays ``O(block² + N·k)``.  When a matrix fits one block, the
+channels of a version token keep their one full tile and every query of that
+token slices it instead of recomputing products.
 
 Consumers therefore use the narrow query surface — :meth:`top_k` /
 :meth:`top_k_table`, :meth:`rows`, :meth:`row_col_max`,
 :meth:`threshold_candidates`, :meth:`pair_probabilities`,
 :meth:`export_state` — rather than :meth:`matrix`.  ``matrix`` is the
-accessor for the baselines and tests that read a whole matrix: on the dense
-backend it is the cached matrix; on the sharded backend it *assembles* the
-matrix by streaming (and caches it per token), which is fine for small
-schema-level matrices but defeats the memory bound, so no production query
-path calls it.
+accessor for the baselines and tests that read a whole matrix: it
+*assembles* the matrix from the channels (and caches it per token), which is
+fine for small schema-level matrices but defeats the memory bound, so no
+production query path calls it.
 
 Caching / versioning contract
 -----------------------------
@@ -47,10 +41,9 @@ A cached matrix, channel set or top-k table is valid for a *version token*:
   relation/class similarities survive landmark updates untouched.
 
 Between two bumps the engine serves the same objects over and over (treat
-returned arrays as read-only); within one optimiser step a matrix or top-k
-table is computed at most once, no matter how many call sites ask for it.
-On the dense backend, ``refresh_statistics`` additionally *seeds* the entity
-matrix cache with the matrix it assembles for the dangling-entity weights.
+returned arrays as read-only); within one optimiser step a channel set, its
+kept tile or a top-k table is computed at most once, no matter how many call
+sites ask for it.
 """
 
 from __future__ import annotations
@@ -63,9 +56,9 @@ import repro.obs as obs
 from repro.autograd.tensor import no_grad
 from repro.kg.elements import ElementKind
 from repro.nn.optim import parameter_version
-from repro.runtime.backends import TopKTable, create_backend, resolve_backend_name
+from repro.runtime.backends import StreamedChannelQueries, TopKTable
 from repro.runtime.streaming import ChannelPair, CosineChannels
-from repro.runtime.views import SimilarityView
+from repro.runtime.views import SimilarityView, StreamedView
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with model.py
     from repro.alignment.model import AlignmentSnapshot, JointAlignmentModel
@@ -76,36 +69,27 @@ DEFAULT_BLOCK_SIZE = 4096
 _CHANNELS = "channels"
 
 
-class SimilarityEngine:
+class SimilarityEngine(StreamedChannelQueries):
     """Owns similarity state and top-k candidates for one alignment model.
 
     One engine is created per :class:`JointAlignmentModel` (available as
     ``model.similarity``); the trainer, the active loop, pool building,
     evaluation, serving exports and the inference-power estimator all read
-    through it.  The backend (``dense`` or ``sharded``) is chosen by the
-    ``backend`` argument, overridable globally through the
-    ``REPRO_SIMILARITY_BACKEND`` environment variable.
+    through it.  ``rows``, ``row_col_max``, ``threshold_candidates`` and
+    ``pair_probabilities`` are the streamed queries of
+    :class:`~repro.runtime.backends.StreamedChannelQueries` over
+    :meth:`channels`.
     """
 
-    def __init__(
-        self,
-        model: "JointAlignmentModel",
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        backend: str | None = None,
-    ) -> None:
+    def __init__(self, model: "JointAlignmentModel", block_size: int = DEFAULT_BLOCK_SIZE) -> None:
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
         self.model = model
         self.block_size = block_size
-        self.backend = create_backend(self, resolve_backend_name(backend))
         self._matrices: dict[object, tuple[tuple[int, ...], np.ndarray]] = {}
-        self._channels: dict[object, tuple[tuple[int, ...], CosineChannels]] = {}
+        self._channel_cache: dict[object, tuple[tuple[int, ...], CosineChannels]] = {}
         self._top_k: dict[tuple[ElementKind, int], tuple[tuple[int, ...], TopKTable]] = {}
         self.compute_counts: dict[ElementKind, int] = {kind: 0 for kind in ElementKind}
-
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name
 
     # ----------------------------------------------------------------- state
     def state_token(self) -> tuple[int, int, int]:
@@ -141,18 +125,19 @@ class SimilarityEngine:
     def invalidate(self) -> None:
         """Drop every cached matrix, channel set and top-k table."""
         self._matrices.clear()
-        self._channels.clear()
+        self._channel_cache.clear()
         self._top_k.clear()
 
     def export_state(self) -> dict[ElementKind, SimilarityView]:
         """Frozen serving views of all three similarities.
 
-        Dense views copy their matrix (the serving layer appends fold-in
-        rows/columns, which must never alias the engine's shared cache);
-        streamed views share the immutable channel factors and collect
-        fold-ins in small tail arrays.
+        The views share the immutable channel factors (and kept tile) and
+        collect fold-ins in small tail arrays of their own.
         """
-        return {kind: self.backend.view(kind) for kind in ElementKind}
+        return {
+            kind: StreamedView(self.channels(kind), block_size=self.block_size)
+            for kind in ElementKind
+        }
 
     # ----------------------------------------------------------------- cache
     def _cached(self, key: object) -> np.ndarray | None:
@@ -164,26 +149,18 @@ class SimilarityEngine:
     def matrix(self, kind: ElementKind) -> np.ndarray:
         """The full similarity matrix of ``kind`` (cached; treat as read-only).
 
-        The accessor for baselines and tests that read a whole matrix: on the
-        sharded backend this *assembles* the full matrix by streaming, so
-        production query paths use the narrow surface (``top_k`` / ``rows`` /
-        ``row_col_max``) instead.
+        The accessor for baselines and tests that read a whole matrix: it
+        *assembles* the full matrix from the channels, so production query
+        paths use the narrow surface (``top_k`` / ``rows`` / ``row_col_max``)
+        instead.
         """
-        cached = self._cached(kind)
-        if cached is not None:
-            obs.counter("similarity.cache.hits", kind=kind.value, cache="matrix").inc()
-            return cached
-        # Materialise the snapshot first: a lazy refresh_statistics seeds the
-        # entity cache (dense), turning this miss into a hit instead of a
-        # recompute.
-        self.model.snapshot
         cached = self._cached(kind)
         if cached is not None:
             obs.counter("similarity.cache.hits", kind=kind.value, cache="matrix").inc()
             return cached
         obs.counter("similarity.cache.misses", kind=kind.value, cache="matrix").inc()
         with obs.span("similarity.matrix.rebuild", kind=kind.value):
-            matrix = self.backend.compute_full(kind)
+            matrix = self.compute_full(kind)
         # Token is read *after* computing: the computation may lazily refresh
         # the snapshot, which bumps the model's snapshot version.
         self._matrices[kind] = (self._token_for(kind), matrix)
@@ -191,41 +168,13 @@ class SimilarityEngine:
         obs.counter("similarity.cache.rebuilds", kind=kind.value, cache="matrix").inc()
         return matrix
 
-    def seed_entity_cache(self, combined: np.ndarray) -> None:
-        """Seed the entity matrix cache from ``refresh_statistics``'s computation.
-
-        The dense backend's ``entity_weights`` (called by
-        ``refresh_statistics``) already assembles the entity similarity for
-        the dangling-entity weights; storing it here means the following
-        round of mining and evaluation gets cache hits for free.
-        """
-        self._matrices[ElementKind.ENTITY] = (self._token_for(ElementKind.ENTITY), combined)
-
     # ---------------------------------------------------------------- queries
-    def rows(self, kind: ElementKind, indices: np.ndarray) -> np.ndarray:
-        """Full-width similarity slab of the selected rows."""
-        self.model.snapshot
-        return self.backend.rows(kind, indices)
+    def _channels(self, kind: ElementKind) -> CosineChannels:
+        return self.channels(kind)
 
-    def row_col_max(self, kind: ElementKind) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row and per-column maximum similarity (zeros when the counterpart
-        side is empty) — one fused tile sweep on streaming backends."""
-        self.model.snapshot
-        return self.backend.row_col_max(kind)
-
-    def threshold_candidates(
-        self, kind: ElementKind, threshold: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All ``(rows, cols, values)`` with value ≥ threshold, row-major."""
-        self.model.snapshot
-        return self.backend.threshold_candidates(kind, threshold)
-
-    def pair_probabilities(
-        self, kind: ElementKind, lefts: np.ndarray, rights: np.ndarray, temperature: float
-    ) -> np.ndarray:
-        """Calibrated probabilities (Eqs. 11–12) of index pairs at ``temperature``."""
-        self.model.snapshot
-        return self.backend.pair_probabilities(kind, lefts, rights, temperature)
+    @property
+    def _block(self) -> int:
+        return self.block_size
 
     def top_k_table(self, kind: ElementKind, k: int) -> TopKTable:
         """Top-``k`` counterpart indices *and values*, both directions, cached."""
@@ -241,7 +190,7 @@ class SimilarityEngine:
             return entry[1]
         obs.counter("similarity.cache.misses", kind=kind.value, cache="top_k").inc()
         with obs.span("similarity.top_k.rebuild", kind=kind.value, k=k):
-            table = self.backend.top_k_table(kind, k)
+            table = super().top_k_table(kind, k)
         self._top_k[key] = (self._token_for(kind), table)
         obs.counter("similarity.cache.rebuilds", kind=kind.value, cache="top_k").inc()
         return table
@@ -262,34 +211,54 @@ class SimilarityEngine:
         """``kind``'s similarity as max-of-factored-cosines (cached per token).
 
         The single definition of every similarity, and the compute substrate
-        of both backends: every channel is a cosine of factor matrices — the
+        of every query: every channel is a cosine of factor matrices — the
         mapped embedding channel, the structural propagation features, the
         mean-embedding channels — so arbitrary tiles can be produced without
-        materialising anything ``N × M``.
+        materialising anything ``N × M``.  A similarity that fits one block
+        keeps its full tile with the channels, so the token's queries share
+        one product and the next bump drops it with them.
         """
         key = (_CHANNELS, kind)
-        entry = self._channels.get(key)
+        entry = self._channel_cache.get(key)
         if entry is not None and entry[0] == self._token_for(key):
             obs.counter("similarity.cache.hits", kind=kind.value, cache="channels").inc()
             return entry[1]
         snap = self.model.snapshot  # may bump the snapshot version: build after
-        entry = self._channels.get(key)
+        entry = self._channel_cache.get(key)
         if entry is not None and entry[0] == self._token_for(key):
             obs.counter("similarity.cache.hits", kind=kind.value, cache="channels").inc()
             return entry[1]
         obs.counter("similarity.cache.misses", kind=kind.value, cache="channels").inc()
-        channels = self._build_channels(kind, snap)
-        self._channels[key] = (self._token_for(key), channels)
+        if kind is ElementKind.ENTITY:
+            return self.entity_channels(snap.entity_matrix_1, snap.entity_matrix_2)
+        return self._keep(kind, self._build_channels(kind, snap))
+
+    def entity_channels(self, e1: np.ndarray, e2: np.ndarray) -> CosineChannels:
+        """The entity channels over the entity matrices ``e1`` / ``e2``, cached.
+
+        :meth:`JointAlignmentModel.refresh_statistics` streams the
+        dangling-entity weights from these, called with the matrices of the
+        snapshot it is building after it bumps the snapshot version: so they
+        are cached under the token that holds once the refresh ends, and the
+        entity queries of that token reuse them and their kept tile.
+        """
+        with no_grad():
+            # single source of truth for the entity decomposition
+            channels = self.model.entity_channel_factors(e1, e2)
+        return self._keep(ElementKind.ENTITY, channels)
+
+    def _keep(self, kind: ElementKind, channels: CosineChannels) -> CosineChannels:
+        """Keep ``channels``' tile and cache them under ``kind``'s current token."""
+        key = (_CHANNELS, kind)
+        channels.keep_tile(self.block_size)
+        self._channel_cache[key] = (self._token_for(key), channels)
         obs.counter("similarity.cache.rebuilds", kind=kind.value, cache="channels").inc()
         return channels
 
     def _build_channels(self, kind: ElementKind, snap: "AlignmentSnapshot") -> CosineChannels:
+        """The relation or class channels over ``snap``."""
         model = self.model
         with no_grad():
-            if kind is ElementKind.ENTITY:
-                # single source of truth for the entity decomposition —
-                # shared with the model's dangling-entity weights
-                return model.entity_channel_factors(snap.entity_matrix_1, snap.entity_matrix_2)
             if kind is ElementKind.RELATION:
                 pairs = [
                     ChannelPair.from_raw(

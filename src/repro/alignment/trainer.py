@@ -436,10 +436,9 @@ class JointAlignmentTrainer:
     def _refresh_semi_supervision(self) -> None:
         """Mine potential matches above ``τ`` for every element kind.
 
-        Mining reads *streamed* similarity tiles through the engine, so it
-        works identically on the dense backend (tiles are cache slices) and
-        the sharded backend (tiles are computed on the fly, the full matrix
-        never exists).
+        Mining reads *streamed* similarity tiles through the engine (slices
+        of the kept tile when the matrix fits one block), so the full matrix
+        never exists.
         """
         for kind in _KINDS:
             labelled = self.labels.labelled_pairs(kind)

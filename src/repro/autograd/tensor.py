@@ -136,10 +136,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """A new tensor sharing the data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -261,9 +257,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other_t), backward)
 
-    def __rtruediv__(self, other: ArrayLike | "Tensor") -> "Tensor":
-        return as_tensor(other) / self
-
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
@@ -334,22 +327,6 @@ class Tensor:
         sq = (self * self).sum(axis=axis, keepdims=keepdims)
         return (sq + eps) ** 0.5
 
-    def max(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            g = np.asarray(grad)
-            expanded = self.data.max(axis=axis, keepdims=True)
-            mask = (self.data == expanded).astype(np.float64)
-            mask = mask / np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-            self._accumulate(mask * g)
-
-        return Tensor._make(out_data, (self,), backward)
-
     # ---------------------------------------------------------- element-wise
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
@@ -379,16 +356,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        out_data = np.abs(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * sign)
-
-        return Tensor._make(out_data, (self,), backward)
-
     def clamp_min(self, minimum: float) -> "Tensor":
         """Hinge ``max(x, minimum)`` — used for margin losses ``|·|_+``."""
         mask = (self.data > minimum).astype(np.float64)
@@ -412,19 +379,6 @@ class Tensor:
                 self._accumulate(np.asarray(grad).reshape(original))
 
         return Tensor._make(out_data, (self,), backward)
-
-    def transpose(self) -> "Tensor":
-        out_data = self.data.T
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(np.asarray(grad).T)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
 
     def __getitem__(self, index) -> "Tensor":
         # 1-D integer-array indices are row lookups: delegate to gather_rows

@@ -23,7 +23,6 @@ from repro.embedding.trainer import EmbeddingTrainingConfig
 from repro.inference.power import InferencePowerConfig
 from repro.kg.partition import PartitionConfig
 from repro.active.pool import PoolConfig
-from repro.runtime.backends import BACKEND_NAMES
 
 C = TypeVar("C")
 
@@ -81,11 +80,10 @@ class DAAKGConfig:
     calibration: CalibrationConfig = CalibrationConfig()
     inference: InferencePowerConfig = InferencePowerConfig()
     pool: PoolConfig = PoolConfig()
-    # Similarity runtime: "dense" caches full N×M matrices, "sharded" streams
-    # cosine tiles row shard by row shard with running top-k and never
-    # materialises N×M.  The REPRO_SIMILARITY_BACKEND environment variable
-    # overrides it per process (see repro.runtime.backends).
-    similarity_backend: str = "dense"
+    # Name-only: the similarity runtime is always the streamed one, and
+    # "sharded" is the only accepted value.  Kept for the benchmark
+    # workloads that still pass it; goes with their next change.
+    similarity_backend: str = "sharded"
     # Campaign partitioning: how PartitionedCampaign cuts the pair into
     # rho-bounded cross-linked sub-pairs and how wide its worker pool is;
     # num_partitions=1 keeps the monolithic path.  Only the executor has an
@@ -103,8 +101,8 @@ class DAAKGConfig:
             raise ValueError("base_model must be one of transe, rotate, compgcn")
         if self.entity_dim <= 0 or self.class_dim <= 0:
             raise ValueError("embedding dimensions must be positive")
-        if self.similarity_backend.lower() not in BACKEND_NAMES:
-            raise ValueError(f"similarity_backend must be one of {BACKEND_NAMES}")
+        if self.similarity_backend != "sharded":
+            raise ValueError('similarity_backend accepts only "sharded"')
 
     # -------------------------------------------------------- serialisation
     def to_dict(self) -> dict:

@@ -157,7 +157,6 @@ class DAAKG:
             class_entity_maps=class_entity_maps,
             use_mean_embeddings=config.use_mean_embeddings,
             use_structural_channel=config.use_structural_channel,
-            similarity_backend=config.similarity_backend,
             rng=self.rng,
         )
         alignment_config = replace(
@@ -210,9 +209,7 @@ class DAAKG:
     def evaluate(self, test_only: bool = True) -> dict[str, AlignmentScores]:
         """H@k / MRR / precision / recall / F1 for entity, relation and class alignment.
 
-        Metrics are read through the similarity engine: on the dense backend
-        this slices the cached matrices (bit-exact with the historical
-        full-matrix evaluation); on the sharded backend ranking statistics
+        Metrics are read through the similarity engine: ranking statistics
         are streamed from cosine tiles and only the gold-row slab is ever
         gathered.
         """
@@ -236,12 +233,12 @@ class DAAKG:
     def predict_matches(self, kind: ElementKind, threshold: float = 0.5) -> list[tuple[str, str]]:
         """One-to-one predicted matches above ``threshold``, as element names.
 
-        Greedy one-to-one matching over the backend's above-threshold
+        Greedy one-to-one matching over the engine's above-threshold
         candidates, with the same tie-sensitive contract as mining: the
         row-major threshold scan feeds ``resolve_conflicts`` (stable sort by
         descending score), so there is exactly one implementation of each
-        half.  The sharded backend collects the candidates from streamed
-        tiles without ever materialising the full matrix.
+        half.  The engine collects the candidates from streamed tiles
+        without ever materialising the full matrix.
         """
         rows, cols, values = self.model.similarity.threshold_candidates(kind, threshold)
         resolved = resolve_conflicts(list(zip(rows.tolist(), cols.tolist(), values.tolist())))

@@ -194,7 +194,7 @@ def make_large_world_pair(
     entities.  This generator trades the class machinery away for fully
     vectorised triple sampling (skewed entity popularity, uniform relations),
     so pairs with tens of thousands of entities materialise in seconds — the
-    scenario class the sharded similarity backend exists for.  Both views
+    scenario class the streamed similarity queries exist for.  Both views
     share the topology *sample* (each draws its own edges over the same
     entity popularity law), every entity is gold-aligned to its counterpart,
     and the two vocabularies share no lexical overlap.

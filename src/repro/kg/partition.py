@@ -39,9 +39,9 @@ monolithic pipeline.
 
 The partitioning itself is set by :class:`PartitionConfig` alone.  The one
 environment override, ``REPRO_CAMPAIGN_EXECUTOR``, picks the executor backend
-(:func:`resolve_campaign_executor`); like the similarity backend's
-``REPRO_SIMILARITY_BACKEND`` it wins over the configured value, which is how CI
-runs the suite on the process executor without touching any config.  The
+(:func:`resolve_campaign_executor`); it wins over the configured value,
+which is how CI runs the suite on the process executor without touching any
+config.  The
 executor never changes results.
 """
 

@@ -73,7 +73,10 @@ logger = get_logger(__name__)
 # repro.persistence.checkpoint).  Version 5: the dataset file is named per
 # generation, every pending piece of a multi-piece campaign carries its pair,
 # and the ``incremental`` key went (restore always adopts the saved pieces).
-CAMPAIGN_FORMAT_VERSION = 5
+# Version 6: the piece checkpoints moved to checkpoint format 5 (no
+# ``similarity_backend`` in their manifests; the config accepts only
+# ``"sharded"``).
+CAMPAIGN_FORMAT_VERSION = 6
 CAMPAIGN_MANIFEST_FILE = "campaign.json"
 
 

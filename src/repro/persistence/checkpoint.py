@@ -61,9 +61,11 @@ logger = get_logger(__name__)
 # settings that became constants (``share_gnn_weights``, the trainers'
 # margins, ``focal_gamma``, ``semi_max_per_kind``, ``renormalize``, the pool's
 # ``include_*_pairs``, the loop's ``rebuild_pool_each_batch`` and the greedy
-# ``base_gain``); version 4 dropped ``similarity_workers``.  Older checkpoints
-# fail the version check instead of the config's unknown-key check.
-FORMAT_VERSION = 4
+# ``base_gain``); version 4 dropped ``similarity_workers``; version 5 dropped
+# the manifest's ``similarity_backend`` key, and the config's
+# ``similarity_backend`` accepts only ``"sharded"``.  Older checkpoints fail
+# the version check instead of the config's unknown-key or value check.
+FORMAT_VERSION = 5
 ARRAYS_FILE = "arrays.npz"
 MANIFEST_FILE = "manifest.json"
 
@@ -229,10 +231,9 @@ def save_checkpoint(path: str | os.PathLike, daakg: "DAAKG", loop: "ActiveLearni
     if snapshot is not None:
         for name in _SNAPSHOT_FIELDS:
             arrays[f"snapshot/{name}"] = getattr(snapshot, name)
-    # Similarity-backend state: the backend kind plus any top-k tables that
-    # are valid for the current version token.  On restore (which is
-    # bit-exact) the tables seed the engine's cache — the sharded backend's
-    # expensive streamed top-k passes resume for free.
+    # Similarity state: the top-k tables that are valid for the current
+    # version token.  On restore (which is bit-exact) the tables seed the
+    # engine's cache, so the streamed top-k passes resume for free.
     engine = daakg.model.similarity
     if snapshot is not None:
         for key, value in engine.export_top_k_arrays().items():
@@ -241,7 +242,6 @@ def save_checkpoint(path: str | os.PathLike, daakg: "DAAKG", loop: "ActiveLearni
     manifest: dict = {
         "format_version": FORMAT_VERSION,
         "kind": "daakg-checkpoint",
-        "similarity_backend": engine.backend_name,
         "config": config_to_dict(daakg.config),
         "fitted": daakg.is_fitted,
         "training_seconds": daakg.training_time.elapsed,
@@ -370,11 +370,9 @@ def restore_pipeline(checkpoint: Checkpoint) -> "DAAKG":
     daakg.model._landmark_version = int(manifest.get("landmark_version", 0))
     engine = daakg.model.similarity
     engine.invalidate()
-    # Re-seed saved top-k tables when the restored engine runs the same
-    # backend kind the checkpoint was written with (restoration is bit-exact,
-    # so the tables describe exactly the restored similarity state).
-    same_backend = manifest.get("similarity_backend") == engine.backend_name
-    if same_backend and manifest.get("has_snapshot"):
+    # Re-seed the saved top-k tables (restoration is bit-exact, so the
+    # tables describe exactly the restored similarity state).
+    if manifest.get("has_snapshot"):
         topk = checkpoint.section("topk")
         if topk:
             engine.seed_top_k_arrays(topk)

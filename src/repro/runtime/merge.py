@@ -6,7 +6,7 @@ module folds those per-partition states into a single
 :class:`MergedSimilarityState` over the *original* pair's index spaces —
 without ever materialising the global ``N × M`` matrix.
 
-The trick is the same factorisation the sharded backend streams from: every
+The trick is the same factorisation the similarity engine streams from: every
 per-partition similarity channel is a cosine of row-normalised factor
 matrices.  Scattering a piece's factors into global factor matrices that are
 zero outside the piece's rows/columns yields a **global cosine channel**
@@ -34,7 +34,7 @@ consumer reads (``shape`` / ``rows`` / ``top_k`` / ``row_col_max`` /
 :func:`~repro.alignment.semi_supervised.mine_potential_matches_from_engine`
 and the calibrator's streamed probability paths work on a merged state
 unchanged.  With a single identity partition the piece's channels are reused
-as-is, making every merged query bit-equal to the monolithic sharded path.
+as-is, making every merged query bit-equal to the monolithic engine's.
 """
 
 from __future__ import annotations
@@ -105,12 +105,10 @@ class MergedSimilarityState(StreamedChannelQueries):
     kind).  The whole streamed query surface (``rows`` / ``top_k_table`` /
     ``row_col_max`` / ``pair_probabilities`` …) is inherited from
     :class:`~repro.runtime.backends.StreamedChannelQueries` — the same code
-    the sharded backend runs — parameterised by the merged channel factors.
+    the similarity engine runs — parameterised by the merged channel factors.
     Top-k tables are cached per ``(kind, k)``; the state is immutable, so the
     cache never invalidates.
     """
-
-    backend_name = "merged"
 
     def __init__(
         self,

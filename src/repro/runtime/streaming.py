@@ -8,10 +8,12 @@ what makes a streaming runtime possible at all: any ``rows × cols`` tile of
 ``S`` can be produced from ``O((rows + cols) · d)`` factor state without ever
 materialising the ``N × M`` matrix.
 
-This module hosts the backend-agnostic kernels:
+This module hosts the kernels every similarity query runs on:
 
 * :class:`CosineChannels` — a similarity matrix *described* by its channel
-  factors; knows how to produce arbitrary tiles.
+  factors; knows how to produce arbitrary tiles.  A matrix that fits one
+  block can keep its one full tile (:meth:`CosineChannels.keep_tile`), so
+  repeated queries slice it instead of recomputing products.
 * :func:`stream_topk` — per-row running top-``k`` over column blocks with a
   canonical merge (value descending, column index ascending), swept one row
   shard at a time so peak memory stays ``O(block² + rows·k)``.
@@ -19,15 +21,15 @@ This module hosts the backend-agnostic kernels:
   one tile sweep (exact: ``max`` is order-independent).
 * :func:`mutual_top_n` — the pool's mutual top-N filter from two streamed
   top-N passes plus a vectorised membership check; peak memory is
-  ``O(block² + (N + M)·n)`` instead of the dense ``O(N·M)`` boolean masks.
+  ``O(block² + (N + M)·n)``, never two ``N × M`` boolean masks.
 
 Tie-breaking: selected candidates are always ordered canonically (*value
 descending, then column index ascending*); exact ties at a selection
 boundary are resolved the way ``np.argpartition`` partitions them —
-arbitrary but deterministic, exactly like the dense path's own
-``argpartition``.  The two paths therefore agree whenever the competing
-values are distinct, which holds for learned embeddings in practice (exact
-ties only occur between structurally identical rows).
+arbitrary but deterministic.  A full sort of the assembled matrix therefore
+agrees with the streamed selection whenever the competing values are
+distinct, which holds for learned embeddings in practice (exact ties only
+occur between structurally identical rows).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class CosineChannels:
     """A similarity matrix described as ``max`` over factored cosine channels.
 
     ``clip_at_zero`` adds an implicit all-zero channel — it reproduces the
-    dense path's ``np.maximum(embedding_channel, zeros)`` when the structural
+    similarity's ``np.maximum(embedding_channel, zeros)`` when the structural
     channel exists but has no landmarks yet.
 
     ``shape`` must be given explicitly when there are no channels (e.g. the
@@ -77,6 +79,7 @@ class CosineChannels:
         pairs: list[ChannelPair],
         shape: tuple[int, int] | None = None,
         clip_at_zero: bool = False,
+        kept: np.ndarray | None = None,
     ) -> None:
         if not pairs and shape is None:
             raise ValueError("CosineChannels without channels needs an explicit shape")
@@ -88,6 +91,24 @@ class CosineChannels:
         for pair in self.pairs:
             if (pair.left.shape[0], pair.right.shape[0]) != shape:
                 raise ValueError("all channels must share the similarity shape")
+        # the whole matrix, when :meth:`keep_tile` found it fits one block
+        self._kept = kept
+
+    def keep_tile(self, block: int) -> "CosineChannels":
+        """Compute the one full tile now and keep it, if the matrix fits one block.
+
+        Every later :meth:`tile`, :meth:`pair_values` and derived
+        (:meth:`transpose`, :meth:`select_rows`, :meth:`select_cols`) query
+        then slices the kept tile instead of recomputing products, so a
+        version token's queries share one product — the memory stays within
+        the ``O(block²)`` of a single streamed tile.  Larger matrices are left
+        to stream.  The tile is read-only: callers share it.
+        """
+        if self._kept is None and self.num_rows <= block and self.num_cols <= block:
+            kept = self.tile(slice(None), slice(None))
+            kept.flags.writeable = False
+            self._kept = kept
+        return self
 
     @property
     def num_rows(self) -> int:
@@ -103,6 +124,7 @@ class CosineChannels:
             [ChannelPair(p.right, p.left) for p in self.pairs],
             shape=(self.shape[1], self.shape[0]),
             clip_at_zero=self.clip_at_zero,
+            kept=None if self._kept is None else self._kept.T,
         )
 
     def select_rows(self, indices: np.ndarray) -> "CosineChannels":
@@ -118,6 +140,7 @@ class CosineChannels:
             [ChannelPair(p.left[indices], p.right) for p in self.pairs],
             shape=(indices.shape[0], self.shape[1]),
             clip_at_zero=self.clip_at_zero,
+            kept=None if self._kept is None else self._kept[indices],
         )
 
     def select_cols(self, indices: np.ndarray) -> "CosineChannels":
@@ -127,10 +150,13 @@ class CosineChannels:
             [ChannelPair(p.left, p.right[indices]) for p in self.pairs],
             shape=(self.shape[0], indices.shape[0]),
             clip_at_zero=self.clip_at_zero,
+            kept=None if self._kept is None else self._kept[:, indices],
         )
 
     def tile(self, rows, cols) -> np.ndarray:
         """The similarity tile at ``rows × cols`` (slices or index arrays)."""
+        if self._kept is not None:
+            return self._kept[rows][:, cols]
         n_rows = _selection_length(rows, self.num_rows)
         n_cols = _selection_length(cols, self.num_cols)
         if not self.pairs:
@@ -143,9 +169,11 @@ class CosineChannels:
         return out
 
     def pair_values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """``S[rows[i], cols[i]]`` for aligned index arrays (O(n·d), no tile)."""
+        """``S[rows[i], cols[i]]`` for aligned index arrays (O(n·d), or a kept-tile gather)."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
+        if self._kept is not None:
+            return self._kept[rows, cols]
         if not self.pairs:
             return np.zeros(rows.shape, dtype=float)
         out = np.einsum("ij,ij->i", self.pairs[0].left[rows], self.pairs[0].right[cols])
@@ -188,10 +216,10 @@ def _tile_topk(tile: np.ndarray, col_start: int, k: int) -> tuple[np.ndarray, np
     """Top-``k`` of one tile: argpartition to ``k``, then canonical ordering.
 
     ``argpartition`` keeps the per-row cost O(W + k log k) instead of the
-    O(W log W) of a full sort — this is the hot inner loop of the sharded
+    O(W log W) of a full sort — this is the hot inner loop of the streamed
     top-k pass.  Exact ties *at the selection boundary* are resolved the way
     argpartition happens to partition them (deterministic for a given tile,
-    like the dense path's own argpartition); among the selected candidates
+    like ``top_k_rows``'s own argpartition); among the selected candidates
     the ordering is canonical (value descending, index ascending).
     """
     k = min(k, tile.shape[1])
@@ -199,8 +227,11 @@ def _tile_topk(tile: np.ndarray, col_start: int, k: int) -> tuple[np.ndarray, np
     if k >= tile.shape[1]:
         picked = np.broadcast_to(np.arange(tile.shape[1]), tile.shape)
     else:
-        picked = np.argpartition(-tile, k - 1, axis=1)[:, :k]
-    return canonical_topk(tile[r, picked], (picked + col_start).astype(np.int64), k)
+        # ascending columns, so the stable value sort breaks ties by index
+        picked = np.sort(np.argpartition(-tile, k - 1, axis=1)[:, :k], axis=1)
+    values = tile[r, picked]
+    by_value = np.argsort(-values, axis=1, kind="stable")
+    return values[r, by_value], (picked[r, by_value] + col_start).astype(np.int64)
 
 
 def _shard_topk(channels: CosineChannels, rows, k: int, block: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,9 +309,9 @@ def collect_threshold_candidates(
     ``tiles`` yields ``(row_slice, col_slice, tile)`` covering disjoint
     regions (one row shard's column sweep).
     The result is sorted row-major (row ascending, then column ascending) —
-    the order ``np.where`` yields on the dense matrix — so downstream
-    greedy/conflict resolution behaves identically to the dense path even
-    under score ties.
+    the order ``np.where`` yields on the assembled matrix — so downstream
+    greedy/conflict resolution behaves identically to a full-matrix scan
+    even under score ties.
     """
     rows_parts, cols_parts, vals_parts = [], [], []
     for rs, cs, tile in tiles:
@@ -292,6 +323,8 @@ def collect_threshold_candidates(
     if not rows_parts:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, np.empty(0, dtype=float)
+    if len(rows_parts) == 1:  # one tile's ``np.where`` is already row-major
+        return rows_parts[0], cols_parts[0], vals_parts[0]
     r = np.concatenate(rows_parts)
     c = np.concatenate(cols_parts)
     v = np.concatenate(vals_parts)
@@ -341,13 +374,13 @@ def mutual_top_n(
     A pair ``(i, j)`` survives when ``j`` is among row ``i``'s top-``n``
     columns *and* ``i`` is among column ``j``'s top-``n`` rows — the pool
     filter of Sect. 6.1 — computed from two streamed top-``n`` passes and a
-    ``searchsorted`` membership check instead of two dense boolean masks.
+    ``searchsorted`` membership check instead of two ``N × M`` boolean masks.
     Returns ``(lefts, rights)`` sorted row-major like ``np.nonzero``.
     """
     if left_factors.shape[0] == 0 or right_factors.shape[0] == 0 or n < 1:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    channels = CosineChannels([ChannelPair.from_raw(left_factors, right_factors)])
+    channels = CosineChannels([ChannelPair.from_raw(left_factors, right_factors)]).keep_tile(block)
     top_left, _ = stream_topk(channels, n, block)
     top_right, _ = stream_topk(channels.transpose(), n, block)
     # membership: is i among column j's top rows?  Sort each top_right row

@@ -7,21 +7,21 @@ and supports the incremental fold-in by *returning a new view* with one row
 or column appended (views are immutable, matching the service's
 atomic-snapshot-swap design).
 
-* :class:`DenseView` wraps a full matrix; appends concatenate, queries slice.
-* :class:`StreamedView` wraps the sharded backend's
-  :class:`~repro.runtime.streaming.CosineChannels` plus two small *tail*
-  arrays holding everything folded in after the freeze: ``tail_cols`` are the
-  folded columns restricted to the core rows (``(R₀, c)``), ``tail_rows`` the
-  folded rows over the full current width (``(r, C₀ + c)``).  The logical
-  matrix is::
+:class:`StreamedView` wraps the engine's
+:class:`~repro.runtime.streaming.CosineChannels` plus two small *tail*
+arrays holding everything folded in after the freeze: ``tail_cols`` are the
+folded columns restricted to the core rows (``(R₀, c)``), ``tail_rows`` the
+folded rows over the full current width (``(r, C₀ + c)``).  The logical
+matrix is::
 
-      [ core (streamed)   tail_cols ]
-      [ tail_rows (dense, full width) ]
+    [ core (streamed)   tail_cols ]
+    [ tail_rows (dense, full width) ]
 
-  so serving memory stays ``O(N·d + folds·N)`` — the frozen ``N×M`` matrix is
-  never built.  Folded entries are *dense by construction* (the service
-  computes each appended row/column explicitly), which keeps fold-in values
-  identical between the two view kinds.
+so serving memory stays ``O(N·d + block² + folds·N)`` — the core is streamed
+from the channels, which hold at most their one kept tile
+(:meth:`~repro.runtime.streaming.CosineChannels.keep_tile`).  Folded entries
+are dense by construction: the service computes each appended row/column
+explicitly.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ from repro.utils.math import top_k_rows
 
 
 class SimilarityView:
-    """Query surface shared by both view kinds."""
-
-    backend_kind: str = "abstract"
+    """The serving query surface; :class:`StreamedView` is the one view kind."""
 
     @property
     def num_rows(self) -> int:
@@ -73,44 +71,8 @@ class SimilarityView:
         raise NotImplementedError
 
 
-class DenseView(SimilarityView):
-    """A full similarity matrix: queries are slices, appends concatenate."""
-
-    backend_kind = "dense"
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        self.matrix = matrix
-
-    @property
-    def num_rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def num_cols(self) -> int:
-        return self.matrix.shape[1]
-
-    def rows(self, indices):
-        return self.matrix[np.asarray(indices, dtype=np.int64)]
-
-    def cols(self, indices):
-        return self.matrix[:, np.asarray(indices, dtype=np.int64)]
-
-    def gather(self, lefts, rights):
-        return self.matrix[
-            np.asarray(lefts, dtype=np.int64), np.asarray(rights, dtype=np.int64)
-        ]
-
-    def append_col(self, column):
-        return DenseView(np.concatenate([self.matrix, np.asarray(column)[:, None]], axis=1))
-
-    def append_row(self, row):
-        return DenseView(np.concatenate([self.matrix, np.asarray(row)[None, :]], axis=0))
-
-
 class StreamedView(SimilarityView):
-    """Factored core + dense fold-in tails; never materialises the core matrix."""
-
-    backend_kind = "sharded"
+    """Factored core (streamed, or sliced from the kept tile) + dense fold-in tails."""
 
     def __init__(
         self,

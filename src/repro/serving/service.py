@@ -186,11 +186,9 @@ class ServingSnapshot:
         engine = model.similarity
         similarity = engine.export_state()
         if token is None:
-            token = f"mem-{next(_TOKEN_COUNTER)}-{engine.backend_name}-" + "-".join(
+            token = f"mem-{next(_TOKEN_COUNTER)}-" + "-".join(
                 str(v) for v in engine.state_token()
             )
-        else:
-            token = f"{token}-{engine.backend_name}"
         context = _PieceFoldContext.freeze(
             0,
             model,
@@ -730,8 +728,8 @@ class AlignmentService:
         round.  Every other piece contributes zero: a folded entity has no
         cross-piece evidence, exactly like a trained entity across the cut
         (a pipeline's identity-mapped piece covers the whole view).  The row
-        or column is appended through the view, so dense views grow their
-        matrix while streamed views collect it in a small tail shard.  Both
+        or column is appended through the view, which collects it in a small
+        tail shard.  Both
         the snapshot and the owning piece's context grow by one entity, so
         later folds can neighbour on this one.
         """

@@ -1,15 +1,16 @@
-"""Dense ↔ sharded backend parity, streaming kernels, and the zero-norm guard.
+"""Streamed engine queries against a NumPy oracle, kernels, and the zero-norm guard.
 
-The contract under test: for the *same* model state, the sharded backend
+The contract under test: for the *same* model state, the similarity engine
 serves the same top-k indices, the same ranks and therefore the same
-``evaluate()`` metrics as the dense backend — including after landmark
-updates and serving fold-ins — while never materialising the full matrix on
-its query paths.  Both backends assemble the same channel factors, so at one
-block size their matrices and dangling-entity weights are bit-equal
-(``TestBitExactParity``).  Raw values may differ in the last ulp only between
-*different* block sizes (tiled BLAS reductions round differently), so the
-cross-block-size comparisons keep index/metric checks exact and compare
-values with ``atol=1e-12``.
+``evaluate()`` metrics as the full-matrix functions applied to a NumPy
+oracle — the engine's channels assembled in one product each
+(:func:`dense_of`) — including after landmark updates and serving fold-ins,
+while never materialising the full matrix on its query paths.  Every check
+runs on two engines: one whose block covers the fitted pair (the channels
+keep their one full tile, so values are bit-equal to the oracle) and one
+with a small block (tiles are streamed; tiled BLAS reductions can round
+differently in the last ulp, so values are compared with ``atol=1e-12``
+while index and metric checks stay exact).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 
 from repro.alignment import (
     SimilarityEngine,
+    entity_weights,
     evaluate_alignment,
     evaluate_alignment_from_engine,
     mine_potential_matches,
@@ -31,7 +33,6 @@ from repro.runtime import (
     CosineChannels,
     canonical_topk,
     mutual_top_n,
-    resolve_backend_name,
     stream_row_col_max,
     stream_threshold_candidates,
     stream_topk,
@@ -227,179 +228,226 @@ class TestZeroNormGuard:
         np.testing.assert_array_equal(val[0], np.zeros(3))  # all-tied at exactly 0
 
 
-# -------------------------------------------------------- backend selection
-class TestBackendSelection:
-    def test_env_overrides_config(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIMILARITY_BACKEND", "sharded")
-        assert resolve_backend_name("dense") == "sharded"
-        monkeypatch.delenv("REPRO_SIMILARITY_BACKEND")
-        assert resolve_backend_name("dense") == "dense"
-        assert resolve_backend_name(None) == "dense"
-        for retired in ("faiss", "ann"):  # "ann" is a retired backend
-            with pytest.raises(ValueError):
-                resolve_backend_name(retired)
-            monkeypatch.setenv("REPRO_SIMILARITY_BACKEND", retired)
-            with pytest.raises(ValueError):
-                resolve_backend_name("dense")
-            monkeypatch.delenv("REPRO_SIMILARITY_BACKEND")
+# ------------------------------------------------------------ configuration
+def test_config_accepts_only_sharded():
+    config = DAAKGConfig()
+    assert config.similarity_backend == "sharded"
+    for retired in ("dense", "faiss", "ann"):
+        with pytest.raises(ValueError):
+            DAAKGConfig(similarity_backend=retired)
+    # round-trips through the JSON form (checkpoint manifests)
+    assert DAAKGConfig.from_json(config.to_json()).similarity_backend == "sharded"
 
-    def test_config_validates_backend(self):
-        config = DAAKGConfig(similarity_backend="sharded")
-        assert config.similarity_backend == "sharded"
-        for retired in ("faiss", "ann"):
-            with pytest.raises(ValueError):
-                DAAKGConfig(similarity_backend=retired)
-        # round-trips through the JSON form (checkpoint manifests)
-        assert DAAKGConfig.from_json(config.to_json()).similarity_backend == "sharded"
+
+# ------------------------------------------------------------- kept tile
+class TestKeptTile:
+    def test_kept_tile_answers_like_the_factors(self):
+        channels = random_channels(seed=31)
+        kept = random_channels(seed=31).keep_tile(64)
+        assert kept._kept is not None and not kept._kept.flags.writeable
+        rows, cols = np.array([4, 0, 4, 40]), np.array([3, 42, 7])
+        for got, expected in (
+            (kept.tile(slice(2, 9), cols), channels.tile(slice(2, 9), cols)),
+            (kept.tile(rows, cols), channels.tile(rows, cols)),
+            (kept.select_rows(rows).tile(slice(None), slice(None)), channels.tile(rows, slice(None))),
+            (kept.select_cols(cols).tile(slice(None), slice(None)), channels.tile(slice(None), cols)),
+            (kept.transpose().tile(cols, rows), channels.tile(rows, cols).T),
+            (kept.pair_values(rows[:3], cols), channels.pair_values(rows[:3], cols)),
+        ):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=ATOL)
+
+    def test_no_tile_kept_beyond_one_block(self):
+        channels = random_channels(seed=37).keep_tile(16)  # 57 x 43 > 16
+        assert channels._kept is None
+        matrix = dense_of(channels)
+        np.testing.assert_allclose(assemble_matrix(channels, 16), matrix, rtol=0, atol=ATOL)
+
+
+def count_products(monkeypatch) -> list[int]:
+    """Count :meth:`CosineChannels.tile` calls that multiply factors.
+
+    A call on channels without a kept tile computes products; a call on
+    channels with one only slices it.
+    """
+    products = [0]
+    original = CosineChannels.tile
+
+    def counting(self, rows, cols):
+        if self._kept is None:
+            products[0] += 1
+        return original(self, rows, cols)
+
+    monkeypatch.setattr(CosineChannels, "tile", counting)
+    return products
+
+
+def test_one_block_engine_reads_the_kept_tile(monkeypatch, small_benchmark, fast_config):
+    from repro import DAAKG
+    from repro.nn.optim import SGD
+
+    model = DAAKG(small_benchmark, fast_config).model
+    engine = model.similarity
+    kind = ElementKind.ENTITY
+    num_rows, num_cols = engine.shape(kind)
+    assert max(num_rows, num_cols) <= engine.block_size
+    products = count_products(monkeypatch)
+    model.snapshot  # the refresh streams its weights from the kept tile
+    channels = engine.channels(kind)
+    assert products[0] == 1  # the one full tile, kept
+    lefts = np.arange(0, num_rows, 3)
+    rights = np.arange(lefts.shape[0]) % num_cols
+    rows = engine.rows(kind, lefts)
+    probabilities = engine.pair_probabilities(kind, lefts, rights, 0.1)
+    table = engine.top_k_table(kind, 5)
+    candidates = engine.threshold_candidates(kind, 0.5)
+    assert products[0] == 1  # every query sliced the kept tile
+    oracle = dense_of(channels)
+    np.testing.assert_array_equal(rows, oracle[lefts])
+    assert np.all((probabilities > 0) & (probabilities <= 1))
+    np.testing.assert_array_equal(table.left_values[:, 0], oracle.max(axis=1))
+    assert np.array_equal(candidates[0], np.nonzero(oracle >= 0.5)[0])
+
+    # an optimiser step moves the token: the channels and their tile go
+    optimizer = SGD(model.parameters(), lr=0.1)
+    for p in optimizer.parameters:
+        p.grad = np.ones_like(p.data)
+    optimizer.step()
+    engine.rows(kind, lefts)
+    rebuilt = engine.channels(kind)
+    assert rebuilt is not channels and rebuilt._kept is not channels._kept
+    assert not np.allclose(rebuilt._kept, channels._kept)
+    assert products[0] == 2  # one new tile for the new token
 
 
 # ------------------------------------------------------ fitted-model parity
-def forced_engine(model, name: str, block_size: int = 64) -> SimilarityEngine:
-    """An engine pinned to ``name`` regardless of REPRO_SIMILARITY_BACKEND."""
-    from repro.runtime import create_backend
-
-    engine = SimilarityEngine(model, block_size=block_size)
-    engine.backend = create_backend(engine, name)
-    return engine
-
-
 @pytest.fixture(scope="module")
 def engines(fitted_pipeline):
-    """The fitted model's engine plus a fresh engine on the *other* backend."""
+    """The fitted model's one-block engine plus a fresh small-block engine."""
     model = fitted_pipeline.model
-    own = model.similarity
-    other_name = "sharded" if own.backend_name == "dense" else "dense"
-    other = forced_engine(model, other_name)
-    dense = own if own.backend_name == "dense" else other
-    sharded = other if own.backend_name == "dense" else own
-    return dense, sharded
+    one_block = model.similarity
+    assert max(one_block.shape(ElementKind.ENTITY)) <= one_block.block_size
+    return one_block, SimilarityEngine(model, block_size=64)
+
+
+def oracle(engine: SimilarityEngine, kind: ElementKind) -> np.ndarray:
+    """The NumPy oracle: the engine's channels assembled in one product each."""
+    return dense_of(engine.channels(kind))
 
 
 KINDS = [ElementKind.ENTITY, ElementKind.RELATION, ElementKind.CLASS]
 
 
+def assert_same_topk(o_idx, o_val, e_idx, e_val):
+    """Equal top-k up to tie order.
+
+    ``top_k_rows``'s argpartition orders exact ties arbitrarily; the
+    streamed merge orders them by ascending index.  Canonicalising both
+    sides by (their own value desc, index asc) makes the comparison
+    order-insensitive for ties while still exact for distinct values.
+    """
+    np.testing.assert_allclose(e_val, o_val, rtol=0, atol=ATOL)
+    o_val_c, o_idx_c = canonical_topk(o_val, o_idx, o_idx.shape[1])
+    e_val_c, e_idx_c = canonical_topk(e_val, e_idx, e_idx.shape[1])
+    assert np.array_equal(o_idx_c, e_idx_c)
+    np.testing.assert_allclose(e_val_c, o_val_c, rtol=0, atol=ATOL)
+
+
+def oracle_top_k(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    idx = top_k_rows(matrix, k)
+    return idx, matrix[np.arange(matrix.shape[0])[:, None], idx]
+
+
 class TestBackendParity:
     @pytest.mark.parametrize("kind", KINDS)
     def test_full_matrix_parity(self, engines, kind):
-        dense, sharded = engines
+        one_block, streamed = engines
+        np.testing.assert_array_equal(one_block.matrix(kind), oracle(one_block, kind))
         np.testing.assert_allclose(
-            sharded.matrix(kind), dense.matrix(kind), rtol=0, atol=ATOL
+            streamed.matrix(kind), oracle(streamed, kind), rtol=0, atol=ATOL
         )
-
-    @staticmethod
-    def _assert_same_topk(d_idx, d_val, s_idx, s_val):
-        """Equal top-k up to tie order.
-
-        The dense path's argpartition orders exact ties arbitrarily; the
-        sharded merge orders them by ascending index.  Canonicalising both
-        sides by (their own value desc, index asc) makes the comparison
-        order-insensitive for ties while still exact for distinct values.
-        """
-        np.testing.assert_allclose(s_val, d_val, rtol=0, atol=ATOL)
-        d_val_c, d_idx_c = canonical_topk(d_val, d_idx, d_idx.shape[1])
-        s_val_c, s_idx_c = canonical_topk(s_val, s_idx, s_idx.shape[1])
-        assert np.array_equal(d_idx_c, s_idx_c)
-        np.testing.assert_allclose(s_val_c, d_val_c, rtol=0, atol=ATOL)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_top_k_indices_and_values(self, engines, kind):
-        dense, sharded = engines
         k = 10
-        dt = dense.top_k_table(kind, k)
-        st = sharded.top_k_table(kind, k)
-        self._assert_same_topk(dt.left_indices, dt.left_values, st.left_indices, st.left_values)
-        self._assert_same_topk(
-            dt.right_indices, dt.right_values, st.right_indices, st.right_values
-        )
+        for engine in engines:
+            matrix = oracle(engine, kind)
+            table = engine.top_k_table(kind, k)
+            assert_same_topk(*oracle_top_k(matrix, k), table.left_indices, table.left_values)
+            assert_same_topk(
+                *oracle_top_k(matrix.T, k), table.right_indices, table.right_values
+            )
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_rows_cols_row_max(self, engines, kind):
-        dense, sharded = engines
-        num_rows, num_cols = dense.shape(kind)
-        assert sharded.shape(kind) == (num_rows, num_cols)
+        one_block, streamed = engines
+        num_rows, num_cols = one_block.shape(kind)
+        assert streamed.shape(kind) == (num_rows, num_cols)
         if num_rows == 0 or num_cols == 0:
             pytest.skip("empty similarity")
         idx = np.arange(0, num_rows, 2)
-        np.testing.assert_allclose(
-            sharded.rows(kind, idx), dense.rows(kind, idx), rtol=0, atol=ATOL
-        )
-        # the column direction: per-column maxima of both backends, and of
-        # the dense matrix itself
-        s_row, s_col = sharded.row_col_max(kind)
-        d_row, d_col = dense.row_col_max(kind)
-        np.testing.assert_allclose(s_row, d_row, rtol=0, atol=ATOL)
-        np.testing.assert_allclose(s_col, d_col, rtol=0, atol=ATOL)
-        matrix = dense.matrix(kind)
-        np.testing.assert_array_equal(d_row, matrix.max(axis=1))
-        np.testing.assert_array_equal(d_col, matrix.max(axis=0))
+        matrix = oracle(one_block, kind)
+        np.testing.assert_array_equal(one_block.rows(kind, idx), matrix[idx])
+        np.testing.assert_allclose(streamed.rows(kind, idx), matrix[idx], rtol=0, atol=ATOL)
+        # both directions' maxima: exact on the kept tile, to an ulp streamed
+        row_max, col_max = one_block.row_col_max(kind)
+        np.testing.assert_array_equal(row_max, matrix.max(axis=1))
+        np.testing.assert_array_equal(col_max, matrix.max(axis=0))
+        row_max, col_max = streamed.row_col_max(kind)
+        np.testing.assert_allclose(row_max, matrix.max(axis=1), rtol=0, atol=ATOL)
+        np.testing.assert_allclose(col_max, matrix.max(axis=0), rtol=0, atol=ATOL)
 
     def test_evaluate_metrics_identical(self, fitted_pipeline, engines):
-        dense, sharded = engines
         gold = fitted_pipeline.pair.entity_match_ids(fitted_pipeline.pair.test_entity_pairs)
-        d = evaluate_alignment_from_engine(dense, ElementKind.ENTITY, gold)
-        s = evaluate_alignment_from_engine(sharded, ElementKind.ENTITY, gold)
-        assert d == s
-        # and the engine evaluation equals the legacy full-matrix evaluation
-        legacy = evaluate_alignment(dense.matrix(ElementKind.ENTITY), gold)
-        assert d == legacy
+        for engine in engines:
+            expected = evaluate_alignment(oracle(engine, ElementKind.ENTITY), gold)
+            assert evaluate_alignment_from_engine(engine, ElementKind.ENTITY, gold) == expected
 
     def test_mining_identical(self, engines):
-        dense, sharded = engines
-        d = mine_potential_matches_from_engine(dense, ElementKind.ENTITY, threshold=0.6)
-        s = mine_potential_matches_from_engine(sharded, ElementKind.ENTITY, threshold=0.6)
-        assert [(m.left, m.right) for m in d] == [(m.left, m.right) for m in s]
-        np.testing.assert_allclose(
-            [m.soft_label for m in s], [m.soft_label for m in d], rtol=0, atol=ATOL
-        )
-        legacy = mine_potential_matches(dense.matrix(ElementKind.ENTITY), threshold=0.6)
-        assert [(m.left, m.right) for m in legacy] == [(m.left, m.right) for m in d]
+        for engine in engines:
+            mined = mine_potential_matches_from_engine(engine, ElementKind.ENTITY, threshold=0.6)
+            expected = mine_potential_matches(oracle(engine, ElementKind.ENTITY), threshold=0.6)
+            assert [(m.left, m.right) for m in mined] == [(m.left, m.right) for m in expected]
+            np.testing.assert_allclose(
+                [m.soft_label for m in mined], [m.soft_label for m in expected], rtol=0, atol=ATOL
+            )
 
     def test_calibration_identical(self, fitted_pipeline, engines):
-        dense, sharded = engines
         rng = np.random.default_rng(0)
-        num_rows, num_cols = dense.shape(ElementKind.ENTITY)
+        num_rows, num_cols = engines[0].shape(ElementKind.ENTITY)
         lefts = rng.integers(0, num_rows, size=20)
         rights = rng.integers(0, num_cols, size=20)
         calibrator = fitted_pipeline.calibrator
-        d = calibrator.pair_probabilities_from_engine(dense, ElementKind.ENTITY, lefts, rights)
-        s = calibrator.pair_probabilities_from_engine(sharded, ElementKind.ENTITY, lefts, rights)
-        np.testing.assert_allclose(s, d, rtol=0, atol=ATOL)
-        # the dense engine path must be bit-exact with the historical
-        # probability-matrix lookup the active loop used before the backends
-        # (the slab-based probabilities can differ in the last ulp —
-        # column-sliced reductions round differently)
-        legacy = calibrator.probability_matrix(
-            dense.matrix(ElementKind.ENTITY), ElementKind.ENTITY
-        )[lefts, rights]
-        np.testing.assert_array_equal(d, legacy)
-        matrix = dense.matrix(ElementKind.ENTITY)
-        slab_based = calibrator.pair_probabilities_from_slabs(
-            matrix[lefts], matrix[:, rights], ElementKind.ENTITY, lefts, rights
-        )
-        np.testing.assert_allclose(slab_based, d, rtol=0, atol=ATOL)
+        for engine in engines:
+            matrix = oracle(engine, ElementKind.ENTITY)
+            expected = calibrator.probability_matrix(matrix, ElementKind.ENTITY)[lefts, rights]
+            got = calibrator.pair_probabilities_from_engine(
+                engine, ElementKind.ENTITY, lefts, rights
+            )
+            np.testing.assert_allclose(got, expected, rtol=0, atol=ATOL)
+            slab_based = calibrator.pair_probabilities_from_slabs(
+                matrix[lefts], matrix[:, rights], ElementKind.ENTITY, lefts, rights
+            )
+            np.testing.assert_allclose(slab_based, got, rtol=0, atol=ATOL)
 
     def test_parity_survives_landmark_update(self, fitted_pipeline, engines):
-        dense, sharded = engines
         model = fitted_pipeline.model
         previous = model._landmarks
         gold = fitted_pipeline.pair.entity_match_ids(fitted_pipeline.pair.test_entity_pairs)
         try:
             extended = np.unique(np.concatenate([previous, gold[:5]]), axis=0)
             model.set_landmarks(extended)
-            dt = dense.top_k_table(ElementKind.ENTITY, 5)
-            st = sharded.top_k_table(ElementKind.ENTITY, 5)
-            self._assert_same_topk(
-                dt.left_indices, dt.left_values, st.left_indices, st.left_values
-            )
-            d = evaluate_alignment_from_engine(dense, ElementKind.ENTITY, gold)
-            s = evaluate_alignment_from_engine(sharded, ElementKind.ENTITY, gold)
-            assert d == s
+            for engine in engines:
+                matrix = oracle(engine, ElementKind.ENTITY)
+                table = engine.top_k_table(ElementKind.ENTITY, 5)
+                assert_same_topk(*oracle_top_k(matrix, 5), table.left_indices, table.left_values)
+                expected = evaluate_alignment(matrix, gold)
+                assert evaluate_alignment_from_engine(engine, ElementKind.ENTITY, gold) == expected
         finally:
             model.set_landmarks(previous)
 
 
 class TestBitExactParity:
-    """At one block size both backends assemble the same channels: bit-equal."""
+    """The refresh's weights are the maxima of the matrix the engine serves."""
 
     @pytest.fixture(scope="class", params=["full", "class_embeddings", "mean_embeddings"])
     def model(self, request, small_benchmark, fast_config):
@@ -409,24 +457,26 @@ class TestBitExactParity:
 
     @pytest.mark.parametrize("block_size", [64, 4096])
     def test_matrices_and_weights_bit_equal(self, model, block_size):
-        dense = forced_engine(model, "dense", block_size)
-        sharded = forced_engine(model, "sharded", block_size)
+        engine = SimilarityEngine(model, block_size)
         landmarks = model.pair.entity_match_ids(model.pair.train_entity_pairs)
         original = model.similarity
         try:
+            model.similarity = engine
             # before landmarks (all-zero structural channel), then after
             for update in (np.empty((0, 2)), landmarks[:20]):
                 model.set_landmarks(update)
-                seen = {}
-                for engine in (dense, sharded):
-                    # read right after the refresh, so dense serves its seed
-                    model.similarity = engine
-                    snap = model.refresh_statistics()
-                    seen[engine.backend_name] = [snap.weights_1, snap.weights_2] + [
-                        engine.matrix(kind) for kind in KINDS
-                    ]
-                for d, s in zip(seen["dense"], seen["sharded"]):
-                    assert np.array_equal(d, s)
+                snap = model.refresh_statistics()
+                w1, w2 = entity_weights(engine.matrix(ElementKind.ENTITY))
+                assert np.array_equal(snap.weights_1, w1)
+                assert np.array_equal(snap.weights_2, w2)
+                for kind in KINDS:
+                    fits = max(engine.shape(kind)) <= block_size
+                    if fits:
+                        assert np.array_equal(engine.matrix(kind), oracle(engine, kind))
+                    else:
+                        np.testing.assert_allclose(
+                            engine.matrix(kind), oracle(engine, kind), rtol=0, atol=ATOL
+                        )
         finally:
             model.similarity = original
 
@@ -435,42 +485,43 @@ class TestBitExactParity:
 class TestServingParity:
     @pytest.fixture()
     def two_services(self, fitted_pipeline):
-        """One service per backend, frozen from the same fitted state."""
+        """A one-block and a streamed service, frozen from the same fitted state."""
         model = fitted_pipeline.model
         original = model.similarity
-        services = {}
+        one_block = serve(fitted_pipeline)
         try:
-            for name in ("dense", "sharded"):
-                if original.backend_name == name:
-                    model.similarity = original
-                else:
-                    model.similarity = forced_engine(model, name)
-                services[name] = serve(fitted_pipeline)
+            model.similarity = SimilarityEngine(model, block_size=64)
+            streamed = serve(fitted_pipeline)
         finally:
             model.similarity = original
-        return services["dense"], services["sharded"]
+        return one_block, streamed
 
     def test_queries_agree(self, fitted_pipeline, two_services):
-        dense, sharded = two_services
-        uris = list(fitted_pipeline.kg1.entities[:6])
-        for d_row, s_row in zip(dense.top_k_alignments(uris, k=5), sharded.top_k_alignments(uris, k=5)):
-            assert [name for name, _ in d_row] == [name for name, _ in s_row]
+        matrix = oracle(fitted_pipeline.model.similarity, ElementKind.ENTITY)
+        kg1, kg2 = fitted_pipeline.kg1, fitted_pipeline.kg2
+        uris = list(kg1.entities[:6])
+        top, values = oracle_top_k(matrix[:6], 5)
+        pairs = [(kg1.entities[i], kg2.entities[j]) for i, j in ((0, 0), (2, 5), (7, 1))]
+        ids = np.array([[0, 0], [2, 5], [7, 1]])
+        probabilities = fitted_pipeline.calibrator.probability_matrix(matrix, ElementKind.ENTITY)
+        for service in two_services:
+            for row, ranked in enumerate(service.top_k_alignments(uris, k=5)):
+                assert [name for name, _ in ranked] == [kg2.entities[j] for j in top[row]]
+                np.testing.assert_allclose(
+                    [v for _, v in ranked], values[row], rtol=0, atol=ATOL
+                )
             np.testing.assert_allclose(
-                [v for _, v in s_row], [v for _, v in d_row], rtol=0, atol=ATOL
+                service.score_pairs(pairs), matrix[ids[:, 0], ids[:, 1]], rtol=0, atol=ATOL
             )
-        pairs = [
-            (fitted_pipeline.kg1.entities[i], fitted_pipeline.kg2.entities[j])
-            for i, j in ((0, 0), (2, 5), (7, 1))
-        ]
-        np.testing.assert_allclose(
-            sharded.score_pairs(pairs), dense.score_pairs(pairs), rtol=0, atol=ATOL
-        )
-        np.testing.assert_allclose(
-            sharded.pair_probabilities(pairs), dense.pair_probabilities(pairs), rtol=0, atol=ATOL
-        )
+            np.testing.assert_allclose(
+                service.pair_probabilities(pairs),
+                probabilities[ids[:, 0], ids[:, 1]],
+                rtol=0,
+                atol=ATOL,
+            )
 
     def test_fold_in_agrees(self, fitted_pipeline, two_services):
-        dense, sharded = two_services
+        one_block, streamed = two_services
         kg2 = fitted_pipeline.kg2
         victim = max(range(kg2.num_entities), key=kg2.entity_degree)
         triples = [
@@ -478,37 +529,32 @@ class TestServingParity:
             for r, t in kg2.out_edges(victim)[:6]
         ]
         delta = KGDelta.single_entity("folded:parity", triples)
-        dense.apply_delta(delta)
-        sharded.apply_delta(delta)
+        one_block.apply_delta(delta)
+        streamed.apply_delta(delta)
         probes = [(fitted_pipeline.kg1.entities[i], "folded:parity") for i in range(5)]
         np.testing.assert_allclose(
-            sharded.score_pairs(probes), dense.score_pairs(probes), rtol=0, atol=ATOL
+            streamed.score_pairs(probes), one_block.score_pairs(probes), rtol=0, atol=ATOL
         )
         # the folded column participates identically in ranked queries: same
-        # rank and same score on both backends (deep ranks can contain exact
-        # ties whose order is backend-arbitrary, so compare the fold itself)
+        # rank and same score from the kept tile and from streamed tiles
+        # (deep ranks can contain exact ties whose order is arbitrary, so
+        # compare the fold itself)
         uris = [fitted_pipeline.kg1.entities[0]]
-        d_top = dense.top_k_alignments(uris, k=kg2.num_entities + 1)[0]
-        s_top = sharded.top_k_alignments(uris, k=kg2.num_entities + 1)[0]
-        d_rank = [name for name, _ in d_top].index("folded:parity")
+        o_top = one_block.top_k_alignments(uris, k=kg2.num_entities + 1)[0]
+        s_top = streamed.top_k_alignments(uris, k=kg2.num_entities + 1)[0]
+        o_rank = [name for name, _ in o_top].index("folded:parity")
         s_rank = [name for name, _ in s_top].index("folded:parity")
-        assert d_rank == s_rank
-        assert s_top[s_rank][1] == pytest.approx(d_top[d_rank][1], abs=ATOL)
+        assert o_rank == s_rank
+        assert s_top[s_rank][1] == pytest.approx(o_top[o_rank][1], abs=ATOL)
         np.testing.assert_allclose(
-            [v for _, v in s_top], [v for _, v in d_top], rtol=0, atol=ATOL
+            [v for _, v in s_top], [v for _, v in o_top], rtol=0, atol=ATOL
         )
-
-    def test_tokens_name_the_backend(self, two_services):
-        dense, sharded = two_services
-        assert "dense" in dense.state_token
-        assert "sharded" in sharded.state_token
-        assert dense.state_token != sharded.state_token
 
 
 # -------------------------------------------------------- checkpoint parity
 class TestBackendPersistence:
     @pytest.fixture(scope="class")
-    def sharded_pipeline(self, small_benchmark):
+    def pipeline(self, small_benchmark):
         from repro import DAAKG
         from repro.alignment.trainer import AlignmentTrainingConfig
         from repro.embedding.trainer import EmbeddingTrainingConfig
@@ -522,42 +568,34 @@ class TestBackendPersistence:
                 rounds=1, epochs_per_round=4, num_negatives=3,
                 embedding_batches_per_round=1, embedding_batch_size=128,
             ),
-            similarity_backend="sharded",
             seed=0,
         )
         return DAAKG(small_benchmark, config).fit()
 
-    def test_round_trip_preserves_metrics_and_seeds_topk(self, sharded_pipeline, tmp_path):
-        pipeline = sharded_pipeline
+    def test_round_trip_preserves_metrics_and_seeds_topk(self, pipeline, tmp_path):
         # populate a current-token top-k table so the checkpoint carries it
         table = pipeline.model.similarity.top_k_table(ElementKind.ENTITY, 5)
         before = {k: v.as_dict() for k, v in pipeline.evaluate().items()}
         pipeline.save(tmp_path / "ckpt")
 
-        from repro import DAAKG, load_checkpoint
+        from repro import DAAKG
 
-        manifest = load_checkpoint(tmp_path / "ckpt").manifest
         restored = DAAKG.load(tmp_path / "ckpt")
-        if restored.model.similarity.backend_name == manifest["similarity_backend"]:
-            # the saved table was re-seeded: identical arrays, no recompute
-            seeded = restored.model.similarity._top_k[(ElementKind.ENTITY, 5)][1]
-            assert np.array_equal(seeded.left_indices, table.left_indices)
-            np.testing.assert_array_equal(seeded.left_values, table.left_values)
+        # the saved table was re-seeded: identical arrays, no recompute
+        seeded = restored.model.similarity._top_k[(ElementKind.ENTITY, 5)][1]
+        assert np.array_equal(seeded.left_indices, table.left_indices)
+        np.testing.assert_array_equal(seeded.left_values, table.left_values)
         after = {k: v.as_dict() for k, v in restored.evaluate().items()}
         assert before == after
 
-    def test_manifest_records_backend(self, sharded_pipeline, tmp_path):
+    def test_manifest_carries_topk_without_backend(self, pipeline, tmp_path):
         # a freshly-computed table is current for the engine's token, so the
         # checkpoint carries it (fit-time tables are stale by the last step)
-        sharded_pipeline.model.similarity.top_k_table(ElementKind.ENTITY, 5)
-        sharded_pipeline.save(tmp_path / "ckpt")
+        pipeline.model.similarity.top_k_table(ElementKind.ENTITY, 5)
+        pipeline.save(tmp_path / "ckpt")
         from repro import load_checkpoint
 
         checkpoint = load_checkpoint(tmp_path / "ckpt")
-        # env override may force either backend at restore time; the manifest
-        # records what the checkpoint was written with
-        assert checkpoint.manifest["similarity_backend"] == (
-            sharded_pipeline.model.similarity.backend_name
-        )
+        assert "similarity_backend" not in checkpoint.manifest
         assert checkpoint.manifest["config"]["similarity_backend"] == "sharded"
         assert any(key.startswith("topk/") for key in checkpoint.arrays)

@@ -20,7 +20,6 @@ ENV_NAMES = {
     "REPRO_CAMPAIGN_POISON",
     "REPRO_OBS",
     "REPRO_OBS_DIR",
-    "REPRO_SIMILARITY_BACKEND",
 }
 _ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
 

@@ -59,7 +59,6 @@ def campaign_config() -> DAAKGConfig:
         ),
         pool=PoolConfig(top_n=20),
         inference=InferencePowerConfig(max_hops=2, power_threshold=0.5),
-        similarity_backend="sharded",
         seed=0,
     )
 
@@ -345,11 +344,12 @@ def test_unsupported_campaign_format_version_fails(campaign_config, tmp_path):
     )
     path = tmp_path / "campaign"
     campaign.save(path)
-    assert json.loads((path / "campaign.json").read_text())["format_version"] == 5
+    assert json.loads((path / "campaign.json").read_text())["format_version"] == 6
     # 1 predates the retired ``ann_*`` config keys, 2 the settings that became
     # constants, 3 the retired ``similarity_workers``, 4 the per-generation
-    # dataset file and always-written pending sidecars; 999 is from the future
-    for version in (1, 2, 3, 4, 999):
+    # dataset file and always-written pending sidecars, 5 the retired dense
+    # similarity backend; 999 is from the future
+    for version in (1, 2, 3, 4, 5, 999):
         other = tmp_path / f"v{version}"
         shutil.copytree(path, other)
         manifest = json.loads((other / "campaign.json").read_text())

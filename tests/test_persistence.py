@@ -57,7 +57,8 @@ def test_pair_codec_round_trip(tiny_pair):
 # --------------------------------------------------------------- format / errors
 def test_checkpoint_files_and_manifest(checkpoint_dir, fitted_pipeline):
     manifest = json.loads((checkpoint_dir / "manifest.json").read_text())
-    assert manifest["format_version"] == 4
+    assert manifest["format_version"] == 5
+    assert "similarity_backend" not in manifest
     assert manifest["fitted"] is True
     assert manifest["config"] == fitted_pipeline.config.to_dict()
     assert manifest["arrays"]["sha256"]
@@ -84,12 +85,17 @@ def test_unsupported_format_version_fails(checkpoint_dir, tmp_path):
     import shutil
 
     # 1 predates the retired ``ann_*`` config keys, 2 the settings that became
-    # constants, 3 the retired ``similarity_workers``; 999 is from the future
-    for version in (1, 2, 3, 999):
+    # constants, 3 the retired ``similarity_workers``, 4 the retired dense
+    # similarity backend; 999 is from the future
+    for version in (1, 2, 3, 4, 999):
         future = tmp_path / f"v{version}"
         shutil.copytree(checkpoint_dir, future)
         manifest = json.loads((future / "manifest.json").read_text())
         manifest["format_version"] = version
+        if version == 4:
+            # as written before: a backend name the config no longer accepts
+            manifest["similarity_backend"] = "dense"
+            manifest["config"]["similarity_backend"] = "dense"
         (future / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match="format version"):
             load_checkpoint(future)

@@ -7,9 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.alignment import SimilarityEngine
 from repro.kg.elements import ElementKind
-from repro.runtime import create_backend
 from repro.serving import FrontendConfig, ServingError, ServingFrontend, serve
 from repro.updates import KGDelta
 from repro.utils.math import l2_normalize
@@ -29,12 +27,13 @@ def entity_matrix(fitted_pipeline):
 def value_tol(fitted_pipeline) -> float:
     """Tolerance when comparing served values against the full matrix.
 
-    The dense backend serves slices of the very matrix being compared
-    against, so equality is exact.  The sharded backend recomputes each
-    served value from factored tiles, whose BLAS reductions can differ from
-    the materialised matrix in the last ulp.
+    The fitted pair fits one block, so the engine keeps its full tile and
+    serves slices of the very matrix being compared against: equality is
+    exact.
     """
-    return 0.0 if fitted_pipeline.model.similarity.backend_name == "dense" else 1e-12
+    engine = fitted_pipeline.model.similarity
+    assert max(engine.shape(ElementKind.ENTITY)) <= engine.block_size
+    return 0.0
 
 
 # ------------------------------------------------------------------- queries
@@ -212,25 +211,9 @@ def test_pipeline_snapshot_is_one_identity_piece(fitted_pipeline):
     assert context.relation_index_2 == state.relation_index_2
 
 
-@pytest.fixture(params=["dense", "sharded"])
-def pinned_service(request, fitted_pipeline):
-    """A service frozen from the fitted state with its engine pinned to one backend."""
-    model = fitted_pipeline.model
-    original = model.similarity
-    engine = SimilarityEngine(model)
-    engine.backend = create_backend(engine, request.param)
-    model.similarity = engine
-    try:
-        service = serve(fitted_pipeline)
-    finally:
-        model.similarity = original
-    assert service._state.similarity[ElementKind.ENTITY].backend_kind == request.param
-    return service
-
-
-def test_folds_match_context_oracle(pinned_service, fitted_pipeline):
+def test_folds_match_context_oracle(fitted_pipeline):
     """Folded rows/columns are exactly the owning context's embedding channel."""
-    service = pinned_service
+    service = serve(fitted_pipeline)
     kg1, kg2 = fitted_pipeline.kg1, fitted_pipeline.kg2
     victim_1 = max(range(kg1.num_entities), key=kg1.entity_degree)
     _fold(service, "oracle:left", _clone_triples(kg1, victim_1, "oracle:left"), side=1)

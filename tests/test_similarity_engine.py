@@ -126,19 +126,6 @@ class TestEngineCaching:
         full_t = np.argsort(-matrix.T, axis=1)[:, :3]
         assert np.allclose(matrix.T[rows_t, for_right], matrix.T[rows_t, full_t])
 
-    def test_refresh_statistics_seeds_entity_cache(self, fresh_model):
-        engine = fresh_model.similarity
-        if engine.backend_name != "dense":
-            pytest.skip("cache seeding is a dense-backend optimisation; the "
-                        "sharded backend streams the weights and never "
-                        "materialises the matrix refresh_statistics would seed")
-        fresh_model.refresh_statistics()
-        computes = engine.compute_counts[ElementKind.ENTITY]
-        # the matrix computed inside refresh_statistics is reused as-is
-        engine.matrix(ElementKind.ENTITY)
-        fresh_model.entity_similarity_matrix()
-        assert engine.compute_counts[ElementKind.ENTITY] == computes
-
     def test_no_recomputation_within_training_round(self, fresh_model):
         """The acceptance criterion: one optimiser step never recomputes a
         similarity matrix it already saw — the engine serves the cached one."""
@@ -166,8 +153,8 @@ class TestEngineCaching:
         # an optimiser step itself never triggers a similarity recomputation
         trainer._step()
         assert engine.compute_counts == computes_after_refresh
-        # refresh_statistics seeds the entity cache: one round of refresh plus
-        # mining costs at most one entity-matrix computation in total
+        # one round of refresh plus mining costs at most one entity-matrix
+        # computation in total
         entity_computes = engine.compute_counts[ElementKind.ENTITY]
         trainer._refresh_round_state()
         engine.matrix(ElementKind.ENTITY)

@@ -74,7 +74,6 @@ def small_config() -> DAAKGConfig:
         ),
         pool=PoolConfig(top_n=10),
         inference=InferencePowerConfig(max_hops=2, power_threshold=0.5),
-        similarity_backend="sharded",
         seed=0,
     )
 
