@@ -24,15 +24,11 @@ import numpy as np
 
 from repro import obs
 from repro.active.selection import GreedySelectionConfig, greedy_select
-from repro.inference.alignment_graph import (
-    AlignmentGraph,
-    PairValues,
-    csr_index,
-    expand_ranges,
-)
+from repro.inference.alignment_graph import AlignmentGraph, PairValues, expand_ranges
 from repro.inference.pairs import ElementPair
 from repro.inference.power import InferencePowerEstimator
 from repro.kg.elements import ElementKind
+from repro.kg.graph import csr_index
 from repro.utils.logging import get_logger
 from repro.utils.rng import RandomState
 

@@ -65,9 +65,7 @@ def mean_relation_embeddings(
     # the relation's triples in their original order
     all_locals = model.local_relation_embedding(entity_matrix[heads], entity_matrix[tails])
     all_weights = np.minimum(weights[heads], weights[tails])
-    order = np.argsort(triples[:, 1], kind="stable")
-    bounds = np.cumsum(np.bincount(triples[:, 1], minlength=kg.num_relations))
-    for r, rows in enumerate(np.split(order, bounds[:-1])):
+    for r, rows in enumerate(np.split(kg.relation_order, kg.relation_ptr[1:-1])):
         if rows.size == 0:
             continue
         locals_ = all_locals[rows]

@@ -17,12 +17,14 @@ comparing pairs would — relation pairs follow at :attr:`relation_offset` and
 class pairs at :attr:`class_offset`, each in sorted order.  Edges are rows
 ``(source entity id, relation pair index, target entity id)`` of
 :attr:`edges`, numbered in build order: sources in the iteration order of the
-pool set, then KG1's and KG2's adjacency order.  That numbering fixes the
-order in which the estimator first touches edge powers, and with it the order
-in which sampled tail solves draw from the shared RNG.  It is the same on
-every build from the same pool, a resumed one included: the set is rebuilt
-from the pool's immutable pair tuple in the same insertion order, and hashes
-of int tuples do not depend on ``PYTHONHASHSEED``.  ``out_ptr`` /
+pool set, then KG1's and KG2's adjacency order (the join reads each KG's
+``out_ptr``/``out_order`` and ``type_ptr``/``type_order`` indexes).  That
+numbering fixes the order in which the estimator first touches edge powers,
+and with it the order in which sampled tail solves draw from the shared RNG.
+It is the same on every build from the same pool, a resumed one included:
+the set is rebuilt from the pool's immutable pair tuple in the same
+insertion order, and hashes of int tuples do not depend on
+``PYTHONHASHSEED``.  ``out_ptr`` /
 ``out_edges`` index edge ids by source (CSR, build order within a source),
 ``relation_ptr`` / ``relation_edges`` by relation pair, and ``class_ptr`` /
 ``class_ids`` list each entity pair's class-pair indexes in type-triple order.
@@ -46,7 +48,7 @@ import numpy as np
 
 from repro import obs
 from repro.inference.pairs import ElementPair, class_pair, entity_pair, relation_pair
-from repro.kg.graph import KnowledgeGraph
+from repro.kg.graph import KnowledgeGraph, csr_index
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with active/
     from repro.active.pool import ElementPairPool
@@ -161,13 +163,6 @@ class PairValues(Mapping):
         return self.data.tolist()
 
 
-def csr_index(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(ptr, order)`` grouping row indexes by key, input order kept within a key."""
-    ptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=size), out=ptr[1:])
-    return ptr, np.argsort(keys, kind="stable")
-
-
 def _pair_lookup(pairs: list[tuple[int, int]], width: int):
     """``lookup(lefts, rights)``: index of each pair in the sorted ``pairs``, or
     ``-1`` outside them (``width`` bounds the right-hand indexes).  Memory
@@ -264,13 +259,10 @@ def _build(kg1, kg2, entity_pool, relation_pool, class_pool) -> AlignmentGraph:
     class_id = _table_lookup(class_keys, kg1.num_classes, kg2.num_classes)
 
     # entity-pair edges: join both sides' out-edges, sources in pool-set order
-    triples_1, triples_2 = kg1.triple_array, kg2.triple_array
-    out_ptr_1, out_order_1 = csr_index(triples_1[:, 0], kg1.num_entities)
-    out_ptr_2, out_order_2 = csr_index(triples_2[:, 0], kg2.num_entities)
     sources = np.asarray(list(set(entity_pool)), dtype=np.int64).reshape(-1, 2)
-    row, pos_1, pos_2 = _join(sources[:, 0], sources[:, 1], out_ptr_1, out_ptr_2)
-    step_1 = triples_1[out_order_1[pos_1]]
-    step_2 = triples_2[out_order_2[pos_2]]
+    row, pos_1, pos_2 = _join(sources[:, 0], sources[:, 1], kg1.out_ptr, kg2.out_ptr)
+    step_1 = kg1.triple_array[kg1.out_order[pos_1]]
+    step_2 = kg2.triple_array[kg2.out_order[pos_2]]
     relation = relation_id(step_1[:, 1], step_2[:, 1])
     target = entity_id(step_1[:, 2], step_2[:, 2])
     keep = (relation >= 0) & (target >= 0)
@@ -280,12 +272,11 @@ def _build(kg1, kg2, entity_pool, relation_pool, class_pool) -> AlignmentGraph:
     relation_ptr, relation_edges = csr_index(edges[:, 1], len(relation_keys))
 
     # class-pair membership links (for gradient-based inference power)
-    types_1, types_2 = kg1.type_array, kg2.type_array
-    type_ptr_1, type_order_1 = csr_index(types_1[:, 0], kg1.num_entities)
-    type_ptr_2, type_order_2 = csr_index(types_2[:, 0], kg2.num_entities)
     members = np.asarray(entity_keys, dtype=np.int64).reshape(-1, 2)
-    row, pos_1, pos_2 = _join(members[:, 0], members[:, 1], type_ptr_1, type_ptr_2)
-    linked = class_id(types_1[type_order_1[pos_1], 1], types_2[type_order_2[pos_2], 1])
+    row, pos_1, pos_2 = _join(members[:, 0], members[:, 1], kg1.type_ptr, kg2.type_ptr)
+    linked = class_id(
+        kg1.type_array[kg1.type_order[pos_1], 1], kg2.type_array[kg2.type_order[pos_2], 1]
+    )
     keep = linked >= 0
     class_ptr, _ = csr_index(row[keep], num_entities)
 

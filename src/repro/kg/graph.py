@@ -5,11 +5,21 @@ class vocabularies plus two triple stores (relation triples between entities,
 and type triples between entities and classes).  The class keeps dense integer
 indexes for all three vocabularies, because every downstream component
 (embedding models, alignment graph, pool generation) works on index arrays.
+
+**Indexes.**  Each KG builds, once at construction, five CSR indexes as
+``(ptr, order)`` pairs from :func:`csr_index`: rows of :attr:`triple_array` by
+head (``out_ptr``/``out_order``), by tail (``in_ptr``/``in_order``) and by
+relation (``relation_ptr``/``relation_order``), and rows of :attr:`type_array`
+by entity (``type_ptr``/``type_order``) and by class
+(``member_ptr``/``member_order``).  The sort is stable, so within a key the
+rows keep triple order.  The arrays are read-only, and the accessors
+(:meth:`out_edges`, :meth:`classes_of`, ...) return fresh lists, sets or
+arrays built from a slice, so no caller can change the KG through them.  An
+id outside the vocabulary reads as empty.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -20,6 +30,21 @@ from repro.kg.elements import INVERSE_SUFFIX, Triple, TypeTriple
 
 class KGError(ValueError):
     """Raised for malformed KG construction or lookups of unknown elements."""
+
+
+def csr_index(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(ptr, order)`` grouping row indexes by key, input order kept within a key."""
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=size), out=ptr[1:])
+    return ptr, np.argsort(keys, kind="stable")
+
+
+def _frozen_index(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`csr_index` with both arrays read-only."""
+    ptr, order = csr_index(keys, size)
+    ptr.setflags(write=False)
+    order.setflags(write=False)
+    return ptr, order
 
 
 @dataclass
@@ -74,44 +99,35 @@ class KnowledgeGraph:
                 raise KGError(f"type triple references unknown class: {tt}")
 
     def _build_adjacency(self) -> None:
-        # index arrays of shape (n_triples, 3): head idx, relation idx, tail idx
-        if self.triples:
-            self.triple_array = np.array(
-                [
-                    (
-                        self.entity_index[t.head],
-                        self.relation_index[t.relation],
-                        self.entity_index[t.tail],
-                    )
-                    for t in self.triples
-                ],
-                dtype=np.int64,
-            )
-        else:
-            self.triple_array = np.empty((0, 3), dtype=np.int64)
-        if self.type_triples:
-            self.type_array = np.array(
-                [
-                    (self.entity_index[tt.entity], self.class_index[tt.cls])
-                    for tt in self.type_triples
-                ],
-                dtype=np.int64,
-            )
-        else:
-            self.type_array = np.empty((0, 2), dtype=np.int64)
+        entity, relation, cls = self.entity_index, self.relation_index, self.class_index
+        triples, types = self.triples, self.type_triples
+        # index arrays of shape (n_triples, 3): head idx, relation idx, tail idx,
+        # built column by column and copied to row-major
+        self.triple_array = np.array(
+            [
+                [entity[t.head] for t in triples],
+                [relation[t.relation] for t in triples],
+                [entity[t.tail] for t in triples],
+            ],
+            dtype=np.int64,
+        ).T.copy()
+        self.type_array = np.array(
+            [[entity[tt.entity] for tt in types], [cls[tt.cls] for tt in types]], dtype=np.int64
+        ).T.copy()
+        n = self.num_entities
+        heads, relations, tails = self.triple_array.T
+        self.out_ptr, self.out_order = _frozen_index(heads, n)
+        self.in_ptr, self.in_order = _frozen_index(tails, n)
+        self.relation_ptr, self.relation_order = _frozen_index(relations, self.num_relations)
+        self.type_ptr, self.type_order = _frozen_index(self.type_array[:, 0], n)
+        self.member_ptr, self.member_order = _frozen_index(self.type_array[:, 1], self.num_classes)
 
-        self._out_edges: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        self._in_edges: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        self._relation_triples: dict[int, list[int]] = defaultdict(list)
-        for pos, (h, r, t) in enumerate(self.triple_array):
-            self._out_edges[int(h)].append((int(r), int(t)))
-            self._in_edges[int(t)].append((int(r), int(h)))
-            self._relation_triples[int(r)].append(pos)
-        self._entity_classes: dict[int, list[int]] = defaultdict(list)
-        self._class_entities: dict[int, list[int]] = defaultdict(list)
-        for e, c in self.type_array:
-            self._entity_classes[int(e)].append(int(c))
-            self._class_entities[int(c)].append(int(e))
+    @staticmethod
+    def _rows(ptr: np.ndarray, order: np.ndarray, key: int) -> np.ndarray:
+        """The rows ``order`` lists under ``key``; none for a key out of range."""
+        if not 0 <= key < len(ptr) - 1:
+            return order[:0]
+        return order[ptr[key] : ptr[key + 1]]
 
     # --------------------------------------------------------------- counting
     @property
@@ -160,41 +176,48 @@ class KnowledgeGraph:
         except KeyError as exc:
             raise KGError(f"unknown class {name!r} in KG {self.name!r}") from exc
 
+    def _out_triples(self, entity: int) -> np.ndarray:
+        return self.triple_array[self._rows(self.out_ptr, self.out_order, entity)]
+
+    def _in_triples(self, entity: int) -> np.ndarray:
+        return self.triple_array[self._rows(self.in_ptr, self.in_order, entity)]
+
     def out_edges(self, entity: int) -> list[tuple[int, int]]:
         """Outgoing ``(relation index, tail entity index)`` pairs of an entity."""
-        return self._out_edges.get(entity, [])
+        rows = self._out_triples(entity)
+        return list(zip(rows[:, 1].tolist(), rows[:, 2].tolist()))
 
     def in_edges(self, entity: int) -> list[tuple[int, int]]:
         """Incoming ``(relation index, head entity index)`` pairs of an entity."""
-        return self._in_edges.get(entity, [])
+        rows = self._in_triples(entity)
+        return list(zip(rows[:, 1].tolist(), rows[:, 0].tolist()))
 
     def neighbors(self, entity: int) -> set[int]:
         """Entity indexes adjacent to ``entity`` in either direction."""
-        out = {t for _, t in self.out_edges(entity)}
-        inc = {h for _, h in self.in_edges(entity)}
-        return out | inc
+        out = set(self._out_triples(entity)[:, 2].tolist())
+        return out | set(self._in_triples(entity)[:, 0].tolist())
 
     def entity_degree(self, entity: int) -> int:
-        return len(self.out_edges(entity)) + len(self.in_edges(entity))
+        if not 0 <= entity < self.num_entities:
+            return 0
+        out, inc = self.out_ptr, self.in_ptr
+        return int(out[entity + 1] - out[entity] + inc[entity + 1] - inc[entity])
 
     def classes_of(self, entity: int) -> list[int]:
         """Class indexes an entity belongs to (may be several: many-to-one)."""
-        return self._entity_classes.get(entity, [])
+        return self.type_array[self._rows(self.type_ptr, self.type_order, entity), 1].tolist()
 
     def entities_of_class(self, cls: int) -> list[int]:
-        return self._class_entities.get(cls, [])
+        return self.type_array[self._rows(self.member_ptr, self.member_order, cls), 0].tolist()
 
     def triples_of_relation(self, relation: int) -> np.ndarray:
         """Rows of :attr:`triple_array` that use the given relation index."""
-        rows = self._relation_triples.get(relation, [])
-        if not rows:
-            return np.empty((0, 3), dtype=np.int64)
-        return self.triple_array[rows]
+        return self.triple_array[self._rows(self.relation_ptr, self.relation_order, relation)]
 
     def relations_of_entity(self, entity: int) -> set[int]:
         """Relation indexes incident to ``entity`` (either direction)."""
-        rels = {r for r, _ in self.out_edges(entity)}
-        rels |= {r for r, _ in self.in_edges(entity)}
+        rels = set(self._out_triples(entity)[:, 1].tolist())
+        rels |= set(self._in_triples(entity)[:, 1].tolist())
         return rels
 
     # ------------------------------------------------------------ derivations
@@ -205,22 +228,29 @@ class KnowledgeGraph:
         that negative sampling only corrupts tails (Sect. 4.1, Eq. 1).
         Idempotent: inverse relations are not inverted again.
         """
+        triples = self.triple_array
+        forward = np.array([not r.endswith(INVERSE_SUFFIX) for r in self.relations], dtype=bool)
+        rows = np.flatnonzero(forward[triples[:, 1]])
+        heads, relations, tails = triples[rows].T
+        # inverse relations join the vocabulary in first-use order of their forward relation
         new_relations = list(self.relations)
-        rel_set = set(new_relations)
+        index = dict(self.relation_index)
+        inverse_of = np.zeros(self.num_relations, dtype=np.int64)
+        for r in relations[np.sort(np.unique(relations, return_index=True)[1])].tolist():
+            name = self.relations[r] + INVERSE_SUFFIX
+            if name not in index:
+                index[name] = len(new_relations)
+                new_relations.append(name)
+            inverse_of[r] = index[name]
+        # add the first copy of each reverse triple that is not already a triple;
+        # a triple's key is exact in int64 while entities² × relations < 2⁶³
+        width, n = len(new_relations), self.num_entities
+        keys = (tails * width + inverse_of[relations]) * n + heads
+        existing = (triples[:, 0] * width + triples[:, 1]) * n + triples[:, 2]
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        added = rows[first[~np.isin(keys[first], existing)]].tolist()
         new_triples = list(self.triples)
-        existing = {t.as_tuple() for t in self.triples}
-        for t in self.triples:
-            if t.relation.endswith(INVERSE_SUFFIX):
-                continue
-            inv = t.relation + INVERSE_SUFFIX
-            if inv not in rel_set:
-                rel_set.add(inv)
-                new_relations.append(inv)
-            reverse = Triple(t.tail, inv, t.head)
-            if reverse.as_tuple() in existing:
-                continue
-            existing.add(reverse.as_tuple())
-            new_triples.append(reverse)
+        new_triples.extend(self.triples[i].reversed(INVERSE_SUFFIX) for i in added)
         return KnowledgeGraph(
             name=self.name,
             entities=list(self.entities),

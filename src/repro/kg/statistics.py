@@ -45,8 +45,8 @@ class KGStatistics:
 
 def compute_statistics(kg: KnowledgeGraph) -> KGStatistics:
     """Compute :class:`KGStatistics` for ``kg``."""
-    degrees = [kg.entity_degree(i) for i in range(kg.num_entities)]
-    classes_per_entity = [len(kg.classes_of(i)) for i in range(kg.num_entities)]
+    degrees = np.diff(kg.out_ptr) + np.diff(kg.in_ptr)
+    classes_per_entity = np.diff(kg.type_ptr)
     relation_counts = Counter(t.relation for t in kg.triples)
     class_counts = Counter(tt.cls for tt in kg.type_triples)
     return KGStatistics(
@@ -55,9 +55,11 @@ def compute_statistics(kg: KnowledgeGraph) -> KGStatistics:
         num_classes=kg.num_classes,
         num_triples=kg.num_triples,
         num_type_triples=kg.num_type_triples,
-        mean_entity_degree=float(np.mean(degrees)) if degrees else 0.0,
-        max_entity_degree=int(max(degrees)) if degrees else 0,
-        mean_classes_per_entity=float(np.mean(classes_per_entity)) if classes_per_entity else 0.0,
+        mean_entity_degree=float(np.mean(degrees)) if degrees.size else 0.0,
+        max_entity_degree=int(degrees.max()) if degrees.size else 0,
+        mean_classes_per_entity=(
+            float(np.mean(classes_per_entity)) if classes_per_entity.size else 0.0
+        ),
         relation_counts=dict(relation_counts),
         class_counts=dict(class_counts),
     )
@@ -98,24 +100,30 @@ def inverse_relation_functionality(kg: KnowledgeGraph) -> dict[str, float]:
 def entity_pagerank(kg: KnowledgeGraph, damping: float = 0.85, iterations: int = 50) -> np.ndarray:
     """PageRank scores over the entity graph (used by the PageRank baseline).
 
-    Implemented directly with power iteration on the sparse adjacency lists so
-    the active-learning baselines do not need networkx at runtime.
+    Implemented directly with power iteration over the KG's out-edge index
+    so the active-learning baselines do not need networkx at runtime.  Every
+    score receives its additions in the order of a loop over the entities
+    and their out-edges in triple order: ``np.add.at`` adds a run of
+    entities' edge shares in that order, and each dangling entity spreads
+    its score uniformly between the runs it splits.
     """
     n = kg.num_entities
     if n == 0:
         return np.empty(0)
+    degree = np.diff(kg.out_ptr)
+    out_degree = np.maximum(degree, 1).astype(float)
+    tails = kg.triple_array[kg.out_order, 2]
+    ptr = kg.out_ptr.tolist()
+    dangling = np.flatnonzero(degree == 0).tolist()
     scores = np.full(n, 1.0 / n)
-    out_degree = np.array([max(len(kg.out_edges(i)), 1) for i in range(n)], dtype=float)
     for _ in range(iterations):
         new_scores = np.full(n, (1.0 - damping) / n)
-        for e in range(n):
-            share = damping * scores[e] / out_degree[e]
-            edges = kg.out_edges(e)
-            if not edges:
-                # dangling node: spread uniformly
-                new_scores += damping * scores[e] / n
-                continue
-            for _, t in edges:
-                new_scores[t] += share
+        share = np.repeat(damping * scores / out_degree, degree)
+        start = 0
+        for e in dangling:
+            np.add.at(new_scores, tails[ptr[start] : ptr[e]], share[ptr[start] : ptr[e]])
+            new_scores += damping * scores[e] / n
+            start = e + 1
+        np.add.at(new_scores, tails[ptr[start] :], share[ptr[start] :])
         scores = new_scores
     return scores
