@@ -7,7 +7,7 @@ that claim with numbers: the same query workload (top-k tables in both
 directions, evaluation over a fixed gold budget, semi-supervised threshold
 mining) runs on synthetic large-world pairs at scale factors 1 / 2 / 4, once
 through the engine and once on a reference that assembles the full matrix
-(:func:`~repro.runtime.backends.assemble_matrix`) and applies the
+(:func:`~repro.runtime.streaming.assemble_matrix`) and applies the
 full-matrix functions to it, tracking per-phase peak allocations with
 ``tracemalloc`` (which traces NumPy buffers).
 
@@ -49,7 +49,7 @@ from repro.alignment.model import JointAlignmentModel
 from repro.datasets import make_large_world_pair
 from repro.embedding import TransE
 from repro.kg.elements import ElementKind
-from repro.runtime.backends import assemble_matrix
+from repro.runtime.streaming import assemble_matrix
 from repro.utils.math import top_k_rows
 
 BASE_ENTITIES = 1408

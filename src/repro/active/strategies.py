@@ -121,9 +121,15 @@ class PageRankStrategy(SelectionStrategy):
         return self._top_by_score(state.unlabelled, scores, batch_size)
 
 
-def _entropy(probability: float) -> float:
-    p = min(max(probability, 1e-9), 1.0 - 1e-9)
-    return float(-p * np.log(p) - (1.0 - p) * np.log(1.0 - p))
+def _entropies(state: SelectionState) -> np.ndarray:
+    """Binary entropy of each unlabelled pair's match probability, in order."""
+    p = np.fromiter(
+        (state.probabilities.get(pair, 0.0) for pair in state.unlabelled),
+        dtype=float,
+        count=len(state.unlabelled),
+    )
+    p = np.clip(p, 1e-9, 1.0 - 1e-9)
+    return -p * np.log(p) - (1.0 - p) * np.log(1.0 - p)
 
 
 class UncertaintyStrategy(SelectionStrategy):
@@ -132,8 +138,7 @@ class UncertaintyStrategy(SelectionStrategy):
     name = "uncertainty"
 
     def select(self, state: SelectionState, batch_size: int) -> list[ElementPair]:
-        scores = [_entropy(state.probabilities.get(pair, 0.0)) for pair in state.unlabelled]
-        return self._top_by_score(state.unlabelled, scores, batch_size)
+        return self._top_by_score(state.unlabelled, _entropies(state), batch_size)
 
 
 class ActiveEAStrategy(SelectionStrategy):
@@ -149,7 +154,7 @@ class ActiveEAStrategy(SelectionStrategy):
 
     def select(self, state: SelectionState, batch_size: int) -> list[ElementPair]:
         kg1 = state.model.kg1
-        entropy = {pair: _entropy(state.probabilities.get(pair, 0.0)) for pair in state.unlabelled}
+        entropy = dict(zip(state.unlabelled, _entropies(state).tolist()))
         by_left: dict[int, list[ElementPair]] = {}
         for pair in state.unlabelled:
             if pair.kind is ElementKind.ENTITY:

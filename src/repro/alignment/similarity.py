@@ -3,27 +3,29 @@
 Every hot path of the active alignment loop — hard-negative mining,
 semi-supervised mining, calibrated probability lookups, pool building and
 progressive evaluation — reads element similarities through this engine.  The
-engine owns the *versioning* contract (below) and answers every query from
-the similarity's one definition, its *channel factors* (:meth:`channels`),
-through the streamed query surface of :mod:`repro.runtime.backends`:
-row-block × column-block cosine tiles with per-row running top-k merges, so
-peak memory stays ``O(block² + N·k)``.  When a matrix fits one block, the
-channels of a version token keep their one full tile and every query of that
-token slices it instead of recomputing products.
+engine owns the *versioning* contract (below) and the similarity's one
+definition, its *channel factors* (:meth:`SimilarityEngine.channels`).  Every
+query is inherited from
+:class:`~repro.runtime.merge.MergedSimilarityState`, the streamed query
+surface a merged campaign answers with too: row-block × column-block cosine
+tiles with per-row running top-k merges, so peak memory stays
+``O(block² + N·k)``.  When a matrix fits one block, the channels of a version
+token keep their one full tile and every query of that token slices it
+instead of recomputing products.
 
-Consumers therefore use the narrow query surface — :meth:`top_k` /
-:meth:`top_k_table`, :meth:`rows`, :meth:`row_col_max`,
-:meth:`threshold_candidates`, :meth:`pair_probabilities`,
-:meth:`export_state` — rather than :meth:`matrix`.  ``matrix`` is the
-accessor for the baselines and tests that read a whole matrix: it
-*assembles* the matrix from the channels (and caches it per token), which is
-fine for small schema-level matrices but defeats the memory bound, so no
-production query path calls it.
+Consumers therefore use the narrow query surface — ``top_k`` /
+``top_k_table``, ``rows``, ``row_col_max``, ``threshold_candidates``,
+``pair_probabilities``, ``export_state`` — rather than ``matrix``.
+``matrix`` is the accessor for the baselines and tests that read a whole
+matrix once: it *assembles* the matrix from the channels (a matrix that fits
+one block is the kept tile itself), which defeats the memory bound on large
+pairs, so no production query path calls it.
 
 Caching / versioning contract
 -----------------------------
 
-A cached matrix, channel set or top-k table is valid for a *version token*:
+A cached channel set (with its kept tile) or top-k table is valid for a
+*version token*:
 
 * ``parameter_version`` — the global counter in :mod:`repro.nn.optim`, bumped
   by every ``Adam.step`` / ``SGD.step`` (and by ``Module.load_state_dict``
@@ -56,40 +58,30 @@ import repro.obs as obs
 from repro.autograd.tensor import no_grad
 from repro.kg.elements import ElementKind
 from repro.nn.optim import parameter_version
-from repro.runtime.backends import StreamedChannelQueries, TopKTable
-from repro.runtime.streaming import ChannelPair, CosineChannels
-from repro.runtime.views import SimilarityView, StreamedView
+from repro.runtime.merge import MergedSimilarityState
+from repro.runtime.streaming import ChannelPair, CosineChannels, TopKTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with model.py
     from repro.alignment.model import AlignmentSnapshot, JointAlignmentModel
 
 DEFAULT_BLOCK_SIZE = 4096
 
-# Cache-key namespace for channel factor sets.
-_CHANNELS = "channels"
 
-
-class SimilarityEngine(StreamedChannelQueries):
+class SimilarityEngine(MergedSimilarityState):
     """Owns similarity state and top-k candidates for one alignment model.
 
     One engine is created per :class:`JointAlignmentModel` (available as
     ``model.similarity``); the trainer, the active loop, pool building,
     evaluation, serving exports and the inference-power estimator all read
-    through it.  ``rows``, ``row_col_max``, ``threshold_candidates`` and
-    ``pair_probabilities`` are the streamed queries of
-    :class:`~repro.runtime.backends.StreamedChannelQueries` over
-    :meth:`channels`.
+    through it.  It overrides only how channels are built (:meth:`channels`,
+    per version token) and which token keys the caches (:meth:`_token_for`);
+    every query is the inherited streamed surface.
     """
 
     def __init__(self, model: "JointAlignmentModel", block_size: int = DEFAULT_BLOCK_SIZE) -> None:
-        if block_size < 1:
-            raise ValueError("block_size must be >= 1")
+        super().__init__({}, block_size)
         self.model = model
-        self.block_size = block_size
-        self._matrices: dict[object, tuple[tuple[int, ...], np.ndarray]] = {}
-        self._channel_cache: dict[object, tuple[tuple[int, ...], CosineChannels]] = {}
-        self._top_k: dict[tuple[ElementKind, int], tuple[tuple[int, ...], TopKTable]] = {}
-        self.compute_counts: dict[ElementKind, int] = {kind: 0 for kind in ElementKind}
+        self._channel_cache: dict[ElementKind, tuple[tuple[int, ...], CosineChannels]] = {}
 
     # ----------------------------------------------------------------- state
     def state_token(self) -> tuple[int, int, int]:
@@ -97,14 +89,14 @@ class SimilarityEngine(StreamedChannelQueries):
         model = self.model
         return (parameter_version(), model.snapshot_version, model.landmark_version)
 
-    def _token_for(self, key: object) -> tuple[int, ...]:
-        """The version token ``key`` depends on.
+    def _token_for(self, kind: ElementKind) -> tuple[int, ...]:
+        """The version token ``kind``'s channels and top-k tables depend on.
 
-        Only the entity similarity reads the structural channel, so only its
-        matrix and channels are keyed on the landmark version; the relation
-        and class similarities survive landmark updates.
+        Only the entity similarity reads the structural channel, so only it
+        is keyed on the landmark version; the relation and class similarities
+        survive landmark updates.
         """
-        if key is ElementKind.ENTITY or key == (_CHANNELS, ElementKind.ENTITY):
+        if kind is ElementKind.ENTITY:
             return self.state_token()
         return (parameter_version(), self.model.snapshot_version)
 
@@ -113,98 +105,10 @@ class SimilarityEngine(StreamedChannelQueries):
         """The model's NumPy snapshot (single access point for consumers)."""
         return self.model.snapshot
 
-    def shape(self, kind: ElementKind) -> tuple[int, int]:
-        """The ``(|X1|, |X2|)`` shape of ``kind``'s similarity."""
-        model = self.model
-        if kind is ElementKind.ENTITY:
-            return (model.kg1.num_entities, model.kg2.num_entities)
-        if kind is ElementKind.RELATION:
-            return (model.kg1.num_relations, model.kg2.num_relations)
-        return (model.kg1.num_classes, model.kg2.num_classes)
-
     def invalidate(self) -> None:
-        """Drop every cached matrix, channel set and top-k table."""
-        self._matrices.clear()
+        """Drop every cached channel set and top-k table."""
         self._channel_cache.clear()
         self._top_k.clear()
-
-    def export_state(self) -> dict[ElementKind, SimilarityView]:
-        """Frozen serving views of all three similarities.
-
-        The views share the immutable channel factors (and kept tile) and
-        collect fold-ins in small tail arrays of their own.
-        """
-        return {
-            kind: StreamedView(self.channels(kind), block_size=self.block_size)
-            for kind in ElementKind
-        }
-
-    # ----------------------------------------------------------------- cache
-    def _cached(self, key: object) -> np.ndarray | None:
-        entry = self._matrices.get(key)
-        if entry is not None and entry[0] == self._token_for(key):
-            return entry[1]
-        return None
-
-    def matrix(self, kind: ElementKind) -> np.ndarray:
-        """The full similarity matrix of ``kind`` (cached; treat as read-only).
-
-        The accessor for baselines and tests that read a whole matrix: it
-        *assembles* the full matrix from the channels, so production query
-        paths use the narrow surface (``top_k`` / ``rows`` / ``row_col_max``)
-        instead.
-        """
-        cached = self._cached(kind)
-        if cached is not None:
-            obs.counter("similarity.cache.hits", kind=kind.value, cache="matrix").inc()
-            return cached
-        obs.counter("similarity.cache.misses", kind=kind.value, cache="matrix").inc()
-        with obs.span("similarity.matrix.rebuild", kind=kind.value):
-            matrix = self.compute_full(kind)
-        # Token is read *after* computing: the computation may lazily refresh
-        # the snapshot, which bumps the model's snapshot version.
-        self._matrices[kind] = (self._token_for(kind), matrix)
-        self.compute_counts[kind] += 1
-        obs.counter("similarity.cache.rebuilds", kind=kind.value, cache="matrix").inc()
-        return matrix
-
-    # ---------------------------------------------------------------- queries
-    def _channels(self, kind: ElementKind) -> CosineChannels:
-        return self.channels(kind)
-
-    @property
-    def _block(self) -> int:
-        return self.block_size
-
-    def top_k_table(self, kind: ElementKind, k: int) -> TopKTable:
-        """Top-``k`` counterpart indices *and values*, both directions, cached."""
-        key = (kind, k)
-        entry = self._top_k.get(key)
-        if entry is not None and entry[0] == self._token_for(kind):
-            obs.counter("similarity.cache.hits", kind=kind.value, cache="top_k").inc()
-            return entry[1]
-        self.model.snapshot
-        entry = self._top_k.get(key)
-        if entry is not None and entry[0] == self._token_for(kind):
-            obs.counter("similarity.cache.hits", kind=kind.value, cache="top_k").inc()
-            return entry[1]
-        obs.counter("similarity.cache.misses", kind=kind.value, cache="top_k").inc()
-        with obs.span("similarity.top_k.rebuild", kind=kind.value, k=k):
-            table = super().top_k_table(kind, k)
-        self._top_k[key] = (self._token_for(kind), table)
-        obs.counter("similarity.cache.rebuilds", kind=kind.value, cache="top_k").inc()
-        return table
-
-    def top_k(self, kind: ElementKind, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Top-``k`` counterpart indices per row and per column of ``kind``.
-
-        Returns ``(for_left, for_right)``: ``for_left[i]`` holds the ``k``
-        most similar KG2 elements of KG1 element ``i`` (descending), and
-        ``for_right[j]`` the ``k`` most similar KG1 elements of KG2 element
-        ``j``.  Cached under the same token as the underlying similarity.
-        """
-        table = self.top_k_table(kind, k)
-        return table.left_indices, table.right_indices
 
     # -------------------------------------------------------- channel factors
     def channels(self, kind: ElementKind) -> CosineChannels:
@@ -218,14 +122,13 @@ class SimilarityEngine(StreamedChannelQueries):
         keeps its full tile with the channels, so the token's queries share
         one product and the next bump drops it with them.
         """
-        key = (_CHANNELS, kind)
-        entry = self._channel_cache.get(key)
-        if entry is not None and entry[0] == self._token_for(key):
+        entry = self._channel_cache.get(kind)
+        if entry is not None and entry[0] == self._token_for(kind):
             obs.counter("similarity.cache.hits", kind=kind.value, cache="channels").inc()
             return entry[1]
         snap = self.model.snapshot  # may bump the snapshot version: build after
-        entry = self._channel_cache.get(key)
-        if entry is not None and entry[0] == self._token_for(key):
+        entry = self._channel_cache.get(kind)
+        if entry is not None and entry[0] == self._token_for(kind):
             obs.counter("similarity.cache.hits", kind=kind.value, cache="channels").inc()
             return entry[1]
         obs.counter("similarity.cache.misses", kind=kind.value, cache="channels").inc()
@@ -249,9 +152,8 @@ class SimilarityEngine(StreamedChannelQueries):
 
     def _keep(self, kind: ElementKind, channels: CosineChannels) -> CosineChannels:
         """Keep ``channels``' tile and cache them under ``kind``'s current token."""
-        key = (_CHANNELS, kind)
         channels.keep_tile(self.block_size)
-        self._channel_cache[key] = (self._token_for(key), channels)
+        self._channel_cache[kind] = (self._token_for(kind), channels)
         obs.counter("similarity.cache.rebuilds", kind=kind.value, cache="channels").inc()
         return channels
 
@@ -273,9 +175,10 @@ class SimilarityEngine(StreamedChannelQueries):
                             snap.mean_relations_2,
                         )
                     )
-                return CosineChannels(pairs, shape=self.shape(kind))
+                shape = (model.kg1.num_relations, model.kg2.num_relations)
+                return CosineChannels(pairs, shape=shape)
             # classes
-            shape = self.shape(kind)
+            shape = (model.kg1.num_classes, model.kg2.num_classes)
             if shape[0] == 0 or shape[1] == 0:
                 return CosineChannels([], shape=shape)
             pairs = []

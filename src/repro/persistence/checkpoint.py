@@ -264,7 +264,12 @@ def save_checkpoint(path: str | os.PathLike, daakg: "DAAKG", loop: "ActiveLearni
                 ("relation", pool.relation_pairs),
                 ("class", pool.class_pairs),
             ):
-                arrays[f"pool/{name}"] = _pairs_array([(p.left, p.right) for p in pairs])
+                arrays[f"pool/{name}"] = np.column_stack(
+                    [
+                        np.fromiter((p.left for p in pairs), np.int64, len(pairs)),
+                        np.fromiter((p.right for p in pairs), np.int64, len(pairs)),
+                    ]
+                )
         manifest["loop"] = {
             "config": config_to_dict(loop.config),
             "strategy": _strategy_spec(loop.strategy),
@@ -420,8 +425,8 @@ def restore_loop(
         builders = {"entity": entity_pair, "relation": relation_pair, "class": class_pair}
         pools = {
             name: tuple(
-                build(int(left), int(right))
-                for left, right in checkpoint.arrays[f"pool/{name}"]
+                build(left, right)
+                for left, right in checkpoint.arrays[f"pool/{name}"].tolist()
             )
             for name, build in builders.items()
         }

@@ -1,16 +1,18 @@
 """The similarity runtime: streamed queries, streaming kernels, serving views.
 
-See :mod:`repro.runtime.backends` for the streamed query surface the
-similarity engine answers with, :mod:`repro.runtime.streaming` for the
-factored-cosine streaming kernels, :mod:`repro.runtime.views` for the
-frozen serving views, and :mod:`repro.runtime.executor` for the campaign executors (serial / process
+See :mod:`repro.runtime.streaming` for the factored-cosine streaming kernels,
+:mod:`repro.runtime.merge` for :class:`MergedSimilarityState`, the one
+streamed query surface (the similarity engine subclasses it, a partitioned
+campaign's merge builds it from scattered piece channels),
+:mod:`repro.runtime.views` for the frozen serving view, and
+:mod:`repro.runtime.executor` for the campaign executors (serial / process
 piece execution behind one picklable piece runner).
 """
 
-from repro.runtime.backends import TopKTable
 from repro.runtime.streaming import (
     ChannelPair,
     CosineChannels,
+    TopKTable,
     canonical_topk,
     mutual_top_n,
     stream_row_col_max,
@@ -29,7 +31,7 @@ from repro.runtime.executor import (
     run_piece_spec,
 )
 from repro.runtime.merge import MergedSimilarityState, scatter_channels
-from repro.runtime.views import SimilarityView, StreamedView
+from repro.runtime.views import SimilarityView
 
 __all__ = [
     "CampaignExecutor",
@@ -43,7 +45,6 @@ __all__ = [
     "SerialExecutor",
     "scatter_channels",
     "SimilarityView",
-    "StreamedView",
     "TopKTable",
     "canonical_topk",
     "create_executor",

@@ -15,7 +15,7 @@ cross-block entries are exactly zero (disjoint supports ⇒ zero dot products).
 The merged state is therefore just a bigger
 :class:`~repro.runtime.streaming.CosineChannels` — ``max`` over all pieces'
 scattered channels — and every streaming kernel (``stream_topk``, threshold
-scans, :class:`~repro.runtime.views.StreamedView` with its fold-in tail
+scans, :class:`~repro.runtime.views.SimilarityView` with its fold-in tail
 shards) applies unchanged.
 
 Semantics of the merged similarity:
@@ -27,14 +27,16 @@ Semantics of the merged similarity:
   established (ρ-bounded) that cross-partition evidence is negligible, which
   is precisely what makes partition-parallel campaigns sound.
 
-The class duck-types the narrow engine query surface that every downstream
-consumer reads (``shape`` / ``rows`` / ``top_k`` / ``row_col_max`` /
-``threshold_candidates`` / ``pair_probabilities`` / ``export_state``), so
+:class:`MergedSimilarityState` owns the one streamed query surface (``shape``
+/ ``rows`` / ``top_k`` / ``row_col_max`` / ``threshold_candidates`` /
+``pair_probabilities`` / ``export_state``).  The similarity engine is a
+subclass whose channels are built per version token, so
 :func:`~repro.alignment.evaluation.evaluate_alignment_from_engine`,
 :func:`~repro.alignment.semi_supervised.mine_potential_matches_from_engine`
-and the calibrator's streamed probability paths work on a merged state
-unchanged.  With a single identity partition the piece's channels are reused
-as-is, making every merged query bit-equal to the monolithic engine's.
+and the calibrator's streamed probability paths run the same code on a merged
+state and on a live engine.  With a single identity partition the piece's
+channels are reused as-is, making every merged query bit-equal to the
+monolithic engine's.
 """
 
 from __future__ import annotations
@@ -43,12 +45,19 @@ from typing import Sequence
 
 import numpy as np
 
+import repro.obs as obs
 from repro.kg.elements import ElementKind
-from repro.runtime.backends import StreamedChannelQueries, TopKTable
-from repro.runtime.streaming import ChannelPair, CosineChannels
-from repro.runtime.views import SimilarityView, StreamedView
-
-_KINDS = (ElementKind.ENTITY, ElementKind.RELATION, ElementKind.CLASS)
+from repro.runtime.streaming import (
+    ChannelPair,
+    CosineChannels,
+    TopKTable,
+    _as_blocks,
+    assemble_matrix,
+    stream_row_col_max,
+    stream_threshold_candidates,
+    stream_topk,
+)
+from repro.runtime.views import SimilarityView
 
 
 def scatter_channels(
@@ -98,16 +107,23 @@ def scatter_channels(
     return CosineChannels(pairs, shape=shape, clip_at_zero=clip)
 
 
-class MergedSimilarityState(StreamedChannelQueries):
-    """A frozen, streamed similarity state over the original pair's indexes.
+class MergedSimilarityState:
+    """The streamed similarity query surface over per-kind channel factors.
 
-    Built by :meth:`from_contributions` (one entry per partition and element
-    kind).  The whole streamed query surface (``rows`` / ``top_k_table`` /
-    ``row_col_max`` / ``pair_probabilities`` …) is inherited from
-    :class:`~repro.runtime.backends.StreamedChannelQueries` — the same code
-    the similarity engine runs — parameterised by the merged channel factors.
-    Top-k tables are cached per ``(kind, k)``; the state is immutable, so the
-    cache never invalidates.
+    Every query reads :meth:`channels` and :attr:`block_size` and nothing
+    else, so the frozen merge built by :meth:`from_contributions` and the
+    live :class:`~repro.alignment.similarity.SimilarityEngine` (which
+    subclasses this and overrides only how channels are built and which
+    version token keys its caches) answer through the same code.
+
+    Queries stream row-block × column-block cosine tiles with per-row running
+    top-k merges, so peak memory is ``O(block² + N·k)`` and the ``N × M``
+    matrix is never materialised on a query path.  When a matrix fits one
+    block, channels that kept their full tile
+    (:meth:`~repro.runtime.streaming.CosineChannels.keep_tile`) answer every
+    query by slicing it.  Top-k tables are cached per ``(kind, k)`` under
+    :meth:`_token_for`; a merged state is immutable, so its token never
+    moves and its cache never invalidates.
     """
 
     def __init__(
@@ -117,9 +133,9 @@ class MergedSimilarityState(StreamedChannelQueries):
     ) -> None:
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
-        self._merged_channels = dict(channels)
+        self._by_kind = dict(channels)
         self.block_size = block_size
-        self._top_k: dict[tuple[ElementKind, int], TopKTable] = {}
+        self._top_k: dict[tuple[ElementKind, int], tuple[tuple[int, ...], TopKTable]] = {}
 
     @classmethod
     def from_contributions(
@@ -135,47 +151,159 @@ class MergedSimilarityState(StreamedChannelQueries):
             kind: scatter_channels(contributions.get(kind, []), shapes[kind])
             if contributions.get(kind)
             else CosineChannels([], shape=shapes[kind])
-            for kind in _KINDS
+            for kind in ElementKind
         }
         return cls(merged, block_size=block_size)
 
-    # ------------------------------------------------------- mixin accessors
-    def _channels(self, kind: ElementKind) -> CosineChannels:
-        return self._merged_channels[kind]
-
-    @property
-    def _block(self) -> int:
-        return self.block_size
-
-    # -------------------------------------------------------------- geometry
-    def shape(self, kind: ElementKind) -> tuple[int, int]:
-        return self._merged_channels[kind].shape
-
+    # ---------------------------------------------------------------- state
     def channels(self, kind: ElementKind) -> CosineChannels:
-        return self._merged_channels[kind]
+        """``kind``'s similarity as max-of-factored-cosines."""
+        return self._by_kind[kind]
 
-    # ------------------------------------------------- cached/derived queries
+    def _token_for(self, kind: ElementKind) -> tuple[int, ...]:
+        """The version token cached state of ``kind`` is valid for."""
+        return ()
+
+    def shape(self, kind: ElementKind) -> tuple[int, int]:
+        """The ``(|X1|, |X2|)`` shape of ``kind``'s similarity."""
+        return self.channels(kind).shape
+
+    def matrix(self, kind: ElementKind) -> np.ndarray:
+        """The whole matrix of ``kind``, assembled (treat as read-only).
+
+        For the baselines and tests that read a whole matrix; a matrix that
+        fits one block is its channels' kept tile.  Query paths use the
+        streamed surface below instead.
+        """
+        return assemble_matrix(self.channels(kind), self.block_size)
+
+    def export_state(self) -> dict[ElementKind, SimilarityView]:
+        """Frozen serving views of all three similarities.
+
+        The views share the immutable channel factors (and kept tile) and
+        collect fold-ins in small tail arrays of their own.
+        """
+        return {
+            kind: SimilarityView(self.channels(kind), block_size=self.block_size)
+            for kind in ElementKind
+        }
+
+    # -------------------------------------------------------------- queries
     def top_k_table(self, kind: ElementKind, k: int) -> TopKTable:
+        """Top-``k`` counterpart indices *and values*, both directions, cached."""
         key = (kind, k)
-        cached = self._top_k.get(key)
-        if cached is not None:
-            return cached
-        table = super().top_k_table(kind, k)
-        self._top_k[key] = table
+        entry = self._top_k.get(key)
+        if entry is None or entry[0] != self._token_for(kind):
+            # reading the channels may lazily refresh the engine's snapshot,
+            # which bumps its token: look the table up again afterwards
+            channels = self.channels(kind)
+            entry = self._top_k.get(key)
+        if entry is not None and entry[0] == self._token_for(kind):
+            obs.counter("similarity.cache.hits", kind=kind.value, cache="top_k").inc()
+            return entry[1]
+        obs.counter("similarity.cache.misses", kind=kind.value, cache="top_k").inc()
+        with obs.span("similarity.top_k.rebuild", kind=kind.value, k=k):
+            left_idx, left_val = stream_topk(channels, k, self.block_size)
+            right_idx, right_val = stream_topk(channels.transpose(), k, self.block_size)
+        table = TopKTable(left_idx, left_val, right_idx, right_val)
+        self._top_k[key] = (self._token_for(kind), table)
+        obs.counter("similarity.cache.rebuilds", kind=kind.value, cache="top_k").inc()
         return table
 
     def top_k(self, kind: ElementKind, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Top-``k`` counterpart indices per row and per column of ``kind``.
+
+        Returns ``(for_left, for_right)``: ``for_left[i]`` holds the ``k``
+        most similar KG2 elements of KG1 element ``i`` (descending), and
+        ``for_right[j]`` the ``k`` most similar KG1 elements of KG2 element
+        ``j``.
+        """
         table = self.top_k_table(kind, k)
         return table.left_indices, table.right_indices
 
-    def matrix(self, kind: ElementKind) -> np.ndarray:
-        """Assemble the full matrix by streaming (debugging / parity tests)."""
-        return self.compute_full(kind)
+    def rows(self, kind: ElementKind, indices) -> np.ndarray:
+        """Full-width similarity slab of the selected rows."""
+        selected = self.channels(kind).select_rows(np.asarray(indices, dtype=np.int64))
+        return assemble_matrix(selected, self.block_size)
 
-    # --------------------------------------------------------------- serving
-    def export_state(self) -> dict[ElementKind, SimilarityView]:
-        """Frozen serving views (streamed, fold-in tail shards available)."""
-        return {
-            kind: StreamedView(self._merged_channels[kind], block_size=self.block_size)
-            for kind in _KINDS
-        }
+    def iter_rows_blocks(self, kind: ElementKind, indices):
+        """Column-block tiles ``(col_slice, tile)`` of the selected rows."""
+        # gather the selected row factors once, then slice per column block
+        selected = self.channels(kind).select_rows(np.asarray(indices, dtype=np.int64))
+        for cs in _as_blocks(selected.num_cols, self.block_size):
+            yield cs, selected.tile(slice(None), cs)
+
+    def iter_cols_blocks(self, kind: ElementKind, indices):
+        """Row-block tiles ``(row_slice, tile)`` of the selected columns."""
+        selected = self.channels(kind).select_cols(np.asarray(indices, dtype=np.int64))
+        for rs in _as_blocks(selected.num_rows, self.block_size):
+            yield rs, selected.tile(rs, slice(None))
+
+    def row_col_max(self, kind: ElementKind) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row and per-column maxima (zeros when the other side is empty)."""
+        return stream_row_col_max(self.channels(kind), self.block_size)
+
+    def threshold_candidates(self, kind: ElementKind, threshold):
+        """All ``(rows, cols, values)`` with value ≥ threshold, row-major."""
+        return stream_threshold_candidates(self.channels(kind), threshold, self.block_size)
+
+    def pair_probabilities(
+        self, kind: ElementKind, lefts: np.ndarray, rights: np.ndarray, temperature: float
+    ) -> np.ndarray:
+        """Eq. 12 probabilities of index pairs, each direction from streamed tiles.
+
+        Only the rows/columns the requested pairs touch are normalised, in
+        row chunks of the block size — peak memory ``O(block²)``, never
+        ``N × M``.
+        """
+        row_dir = self._directional_probabilities(kind, lefts, rights, temperature, False)
+        col_dir = self._directional_probabilities(kind, rights, lefts, temperature, True)
+        return np.minimum(row_dir, col_dir)
+
+    def _directional_probabilities(
+        self,
+        kind: ElementKind,
+        axis_indices: np.ndarray,
+        other_indices: np.ndarray,
+        temperature: float,
+        transpose: bool,
+    ) -> np.ndarray:
+        """One softmax direction of Eq. 11 from streamed tiles.
+
+        ``axis_indices[i]`` names the row (or column, when ``transpose``) being
+        normalised and ``other_indices[i]`` the position whose probability is
+        requested.  The unique normalised rows are processed in chunks of the
+        block size, with one tile pass per chunk — an online softmax that
+        rescales the running exp-sums whenever a block raises a row's maximum
+        and gathers each pair's scaled logit — so peak memory is
+        ``O(block²)`` no matter how many rows the pool touches.  Over more
+        than one column block the reductions accumulate block-partial sums,
+        so results can differ from a softmax of the assembled matrix
+        (``AlignmentCalibrator.probability_matrix``) in the last ulp.
+        """
+        unique_axis, axis_pos = np.unique(axis_indices, return_inverse=True)
+        iter_blocks = self.iter_cols_blocks if transpose else self.iter_rows_blocks
+        chunk = self.block_size
+        probabilities = np.empty(axis_indices.shape[0])
+        for start in range(0, unique_axis.shape[0], chunk):
+            chunk_slice = slice(start, min(start + chunk, unique_axis.shape[0]))
+            chunk_rows = unique_axis[chunk_slice]
+            in_chunk = (axis_pos >= chunk_slice.start) & (axis_pos < chunk_slice.stop)
+            chunk_pos = axis_pos[in_chunk] - chunk_slice.start
+            chunk_other = other_indices[in_chunk]
+            maxima = np.full(chunk_rows.shape[0], -np.inf)
+            sums = np.zeros(chunk_rows.shape[0])
+            pair_logits = np.empty(chunk_other.shape[0])
+            for block_slice, tile in iter_blocks(kind, chunk_rows):
+                scaled = (tile.T if transpose else tile) / temperature
+                raised = np.maximum(maxima, scaled.max(axis=1))
+                rescale = np.exp(maxima - raised)
+                sums = sums * rescale + np.exp(scaled - raised[:, None]).sum(axis=1)
+                maxima = raised
+                in_block = (chunk_other >= block_slice.start) & (chunk_other < block_slice.stop)
+                if np.any(in_block):
+                    pair_logits[in_block] = scaled[
+                        chunk_pos[in_block], chunk_other[in_block] - block_slice.start
+                    ]
+            probabilities[in_chunk] = np.exp(pair_logits - maxima[chunk_pos]) / sums[chunk_pos]
+        return probabilities

@@ -14,6 +14,8 @@ This module hosts the kernels every similarity query runs on:
   factors; knows how to produce arbitrary tiles.  A matrix that fits one
   block can keep its one full tile (:meth:`CosineChannels.keep_tile`), so
   repeated queries slice it instead of recomputing products.
+* :func:`assemble_matrix` — the whole matrix, for the few readers that need
+  one (baselines, tests); a matrix that fits one block is its kept tile.
 * :func:`stream_topk` — per-row running top-``k`` over column blocks with a
   canonical merge (value descending, column index ascending), swept one row
   shard at a time so peak memory stays ``O(block² + rows·k)``.
@@ -190,7 +192,33 @@ def _selection_length(selection, full: int) -> int:
     return len(np.asarray(selection))
 
 
+def assemble_matrix(channels: CosineChannels, block: int) -> np.ndarray:
+    """The full matrix of ``channels``, assembled from ``block``-sized tiles.
+
+    A matrix that fits one tile is that tile itself (no copy; the kept tile
+    when there is one); larger ones are written tile by tile into one
+    ``N × M`` array.
+    """
+    if channels.num_rows <= block and channels.num_cols <= block:
+        return channels.tile(slice(None), slice(None))
+    out = np.empty(channels.shape)
+    for rs in _as_blocks(channels.num_rows, block):
+        for cs in _as_blocks(channels.num_cols, block):
+            out[rs, cs] = channels.tile(rs, cs)
+    return out
+
+
 # ------------------------------------------------------------------ top-k
+@dataclass(frozen=True)
+class TopKTable:
+    """Per-row and per-column top-k candidates with their similarity values."""
+
+    left_indices: np.ndarray  # (N, k) best KG2 columns per KG1 row, descending
+    left_values: np.ndarray
+    right_indices: np.ndarray  # (M, k) best KG1 rows per KG2 column, descending
+    right_values: np.ndarray
+
+
 def canonical_topk(values: np.ndarray, indices: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row top-``k`` of candidate (value, index) pairs, canonical order.
 

@@ -1,13 +1,14 @@
 """Frozen, appendable similarity views for the serving layer.
 
-``SimilarityEngine.export_state`` hands the :class:`AlignmentService` one
-view per element kind.  A view answers the four serving query shapes —
-``rows`` / ``cols`` slabs, aligned-pair ``gather``, and ``top_k_for_rows`` —
-and supports the incremental fold-in by *returning a new view* with one row
-or column appended (views are immutable, matching the service's
-atomic-snapshot-swap design).
+``export_state`` (of a similarity engine or a merged campaign state) hands
+the :class:`AlignmentService` one :class:`SimilarityView` per element kind.
+A view answers the four serving query shapes — ``rows`` / ``cols`` slabs,
+aligned-pair ``gather``, and ``top_k_for_rows`` — and supports the
+incremental fold-in by *returning a new view* with one row or column
+appended (views are immutable, matching the service's atomic-snapshot-swap
+design).
 
-:class:`StreamedView` wraps the engine's
+A view wraps the engine's
 :class:`~repro.runtime.streaming.CosineChannels` plus two small *tail*
 arrays holding everything folded in after the freeze: ``tail_cols`` are the
 folded columns restricted to the core rows (``(R₀, c)``), ``tail_rows`` the
@@ -33,45 +34,6 @@ from repro.utils.math import top_k_rows
 
 
 class SimilarityView:
-    """The serving query surface; :class:`StreamedView` is the one view kind."""
-
-    @property
-    def num_rows(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def num_cols(self) -> int:
-        raise NotImplementedError
-
-    def rows(self, indices: np.ndarray) -> np.ndarray:
-        """Full-width slab of the selected rows, ``(len(indices), num_cols)``."""
-        raise NotImplementedError
-
-    def cols(self, indices: np.ndarray) -> np.ndarray:
-        """Full-height slab of the selected columns, ``(num_rows, len(indices))``."""
-        raise NotImplementedError
-
-    def gather(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        """``S[lefts[i], rights[i]]`` for aligned index arrays."""
-        raise NotImplementedError
-
-    def top_k_for_rows(self, indices: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per selected row: top-``k`` column ``(indices, values)``, descending."""
-        slab = self.rows(indices)
-        k = min(k, slab.shape[1])
-        top = top_k_rows(slab, k)
-        return top, slab[np.arange(slab.shape[0])[:, None], top]
-
-    def append_col(self, column: np.ndarray) -> "SimilarityView":
-        """A new view with ``column`` (length ``num_rows``) appended on the right."""
-        raise NotImplementedError
-
-    def append_row(self, row: np.ndarray) -> "SimilarityView":
-        """A new view with ``row`` (length ``num_cols``) appended at the bottom."""
-        raise NotImplementedError
-
-
-class StreamedView(SimilarityView):
     """Factored core (streamed, or sliced from the kept tile) + dense fold-in tails."""
 
     def __init__(
@@ -107,7 +69,8 @@ class StreamedView(SimilarityView):
     def num_cols(self) -> int:
         return self._core_cols + self.tail_cols.shape[1]
 
-    def rows(self, indices):
+    def rows(self, indices: np.ndarray) -> np.ndarray:
+        """Full-width slab of the selected rows, ``(len(indices), num_cols)``."""
         indices = np.asarray(indices, dtype=np.int64)
         out = np.empty((indices.shape[0], self.num_cols))
         core_mask = indices < self._core_rows
@@ -121,7 +84,8 @@ class StreamedView(SimilarityView):
             out[~core_mask] = self.tail_rows[indices[~core_mask] - self._core_rows]
         return out
 
-    def cols(self, indices):
+    def cols(self, indices: np.ndarray) -> np.ndarray:
+        """Full-height slab of the selected columns, ``(num_rows, len(indices))``."""
         indices = np.asarray(indices, dtype=np.int64)
         out = np.empty((self.num_rows, indices.shape[0]))
         core_mask = indices < self._core_cols
@@ -138,7 +102,8 @@ class StreamedView(SimilarityView):
             out[self._core_rows :] = self.tail_rows[:, indices]
         return out
 
-    def gather(self, lefts, rights):
+    def gather(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        """``S[lefts[i], rights[i]]`` for aligned index arrays."""
         lefts = np.asarray(lefts, dtype=np.int64)
         rights = np.asarray(rights, dtype=np.int64)
         out = np.empty(lefts.shape[0])
@@ -157,7 +122,15 @@ class StreamedView(SimilarityView):
             ]
         return out
 
-    def append_col(self, column):
+    def top_k_for_rows(self, indices: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per selected row: top-``k`` column ``(indices, values)``, descending."""
+        slab = self.rows(indices)
+        k = min(k, slab.shape[1])
+        top = top_k_rows(slab, k)
+        return top, slab[np.arange(slab.shape[0])[:, None], top]
+
+    def append_col(self, column: np.ndarray) -> "SimilarityView":
+        """A new view with ``column`` (length ``num_rows``) appended on the right."""
         column = np.asarray(column, dtype=float)
         if column.shape[0] != self.num_rows:
             raise ValueError("appended column must cover every current row")
@@ -167,18 +140,18 @@ class StreamedView(SimilarityView):
         tail_rows = np.concatenate(
             [self.tail_rows, column[self._core_rows :, None]], axis=1
         )
-        return StreamedView(self.channels, self.block_size, tail_rows, tail_cols)
+        return SimilarityView(self.channels, self.block_size, tail_rows, tail_cols)
 
-    def append_row(self, row):
+    def append_row(self, row: np.ndarray) -> "SimilarityView":
+        """A new view with ``row`` (length ``num_cols``) appended at the bottom."""
         row = np.asarray(row, dtype=float)
         if row.shape[0] != self.num_cols:
             raise ValueError("appended row must cover every current column")
         tail_rows = np.concatenate([self.tail_rows, row[None, :]], axis=0)
-        return StreamedView(self.channels, self.block_size, tail_rows, self.tail_cols)
+        return SimilarityView(self.channels, self.block_size, tail_rows, self.tail_cols)
 
 
-
-class AnnView(SimilarityView):
+class AnnView:
     """Name-only remnant of the retired ANN backend's view; nothing builds it.
 
     ``perfbench/tracing.py`` imports this class and wraps its own

@@ -69,8 +69,10 @@ from repro.utils.math import l2_normalize
 if TYPE_CHECKING:  # pragma: no cover - import cycle with core
     from repro.active.campaign import PartitionedCampaign
     from repro.alignment.model import JointAlignmentModel
+    from repro.core.config import DAAKGConfig
     from repro.core.daakg import DAAKG
     from repro.embedding.base import KGEmbeddingModel
+    from repro.kg.graph import KnowledgeGraph
     from repro.updates.delta import KGDelta
 
 logger = get_logger(__name__)
@@ -183,30 +185,13 @@ class ServingSnapshot:
         whose local→global maps are the identity.
         """
         model = daakg.model
-        engine = model.similarity
-        similarity = engine.export_state()
+        # exporting may refresh the snapshot, which moves the state token
+        similarity = model.similarity.export_state()
         if token is None:
             token = f"mem-{next(_TOKEN_COUNTER)}-" + "-".join(
-                str(v) for v in engine.state_token()
+                str(v) for v in model.similarity.state_token()
             )
-        context = _PieceFoldContext.freeze(
-            0,
-            model,
-            rows_global=np.arange(model.kg1.num_entities, dtype=np.int64),
-            cols_global=np.arange(model.kg2.num_entities, dtype=np.int64),
-        )
-        return cls(
-            token=token,
-            entity_names_1=tuple(model.kg1.entities),
-            entity_names_2=tuple(model.kg2.entities),
-            entity_index_1=dict(model.kg1.entity_index),
-            entity_index_2=dict(model.kg2.entity_index),
-            relation_index_1=dict(model.kg1.relation_index),
-            relation_index_2=dict(model.kg2.relation_index),
-            similarity=similarity,
-            calibrator=AlignmentCalibrator(daakg.config.calibration),
-            pieces=(context,),
-        )
+        return cls._freeze(token, model.kg1, model.kg2, similarity, daakg.config, [model])
 
     @classmethod
     def from_campaign(cls, campaign, token: str | None = None) -> "ServingSnapshot":
@@ -220,7 +205,7 @@ class ServingSnapshot:
         serving a partial merge; ``campaign.run()`` re-executes exactly the
         unfinished pieces.
         """
-        merged = campaign.merged_state()
+        similarity = campaign.merged_state().export_state()
         kg1, kg2 = campaign.working_kgs()
         if token is None:
             token = (
@@ -228,27 +213,44 @@ class ServingSnapshot:
             )
         else:
             token = f"{token}-merged"
-        contexts = []
-        for index in range(campaign.num_partitions):
-            model = campaign.pipeline(index).model
-            # piece working names are a subset of the global working names
-            # (augmentation only appends), so name lookup is the robust
-            # local→global map even across inverse-relation and
-            # class-pseudo-entity augmentation
-            contexts.append(
-                _PieceFoldContext.freeze(
-                    index,
-                    model,
-                    rows_global=np.array(
-                        [kg1.entity_index[name] for name in model.kg1.entities],
-                        dtype=np.int64,
-                    ),
-                    cols_global=np.array(
-                        [kg2.entity_index[name] for name in model.kg2.entities],
-                        dtype=np.int64,
-                    ),
-                )
+        models = [campaign.pipeline(index).model for index in range(campaign.num_partitions)]
+        return cls._freeze(token, kg1, kg2, similarity, campaign.config, models)
+
+    @classmethod
+    def _freeze(
+        cls,
+        token: str,
+        kg1: "KnowledgeGraph",
+        kg2: "KnowledgeGraph",
+        similarity: dict[ElementKind, SimilarityView],
+        config: "DAAKGConfig",
+        models: "list[JointAlignmentModel]",
+    ) -> "ServingSnapshot":
+        """One snapshot serving ``similarity`` over ``kg1`` × ``kg2``.
+
+        ``models`` are the trained embedding spaces, one fold context each.
+        A model's working names are a subset of the global working names
+        (augmentation only appends), so name lookup is the robust local→global
+        map even across inverse-relation and class-pseudo-entity augmentation;
+        for a pipeline's own model it is the identity.
+        """
+        contexts = tuple(
+            _PieceFoldContext.freeze(
+                index,
+                model,
+                rows_global=np.fromiter(
+                    (kg1.entity_index[name] for name in model.kg1.entities),
+                    dtype=np.int64,
+                    count=model.kg1.num_entities,
+                ),
+                cols_global=np.fromiter(
+                    (kg2.entity_index[name] for name in model.kg2.entities),
+                    dtype=np.int64,
+                    count=model.kg2.num_entities,
+                ),
             )
+            for index, model in enumerate(models)
+        )
         return cls(
             token=token,
             entity_names_1=tuple(kg1.entities),
@@ -257,9 +259,9 @@ class ServingSnapshot:
             entity_index_2=dict(kg2.entity_index),
             relation_index_1=dict(kg1.relation_index),
             relation_index_2=dict(kg2.relation_index),
-            similarity=merged.export_state(),
-            calibrator=AlignmentCalibrator(campaign.config.calibration),
-            pieces=tuple(contexts),
+            similarity=similarity,
+            calibrator=AlignmentCalibrator(config.calibration),
+            pieces=contexts,
         )
 
 
@@ -481,14 +483,14 @@ class AlignmentService:
         start = time.perf_counter()
         state = self._state
         self._query_counter.inc(len(pairs))
-        if not pairs:
-            return np.zeros(0, dtype=float)
-        lefts = np.asarray([self._entity_id(state, 1, a) for a, _ in pairs], dtype=np.int64)
-        rights = np.asarray([self._entity_id(state, 2, b) for _, b in pairs], dtype=np.int64)
-        view = state.similarity[ElementKind.ENTITY]
-        probabilities = state.calibrator.pair_probabilities_from_slabs(
-            view.rows(lefts), view.cols(rights), ElementKind.ENTITY, lefts, rights
-        )
+        probabilities = np.zeros(0, dtype=float)
+        if pairs:
+            lefts = np.asarray([self._entity_id(state, 1, a) for a, _ in pairs], dtype=np.int64)
+            rights = np.asarray([self._entity_id(state, 2, b) for _, b in pairs], dtype=np.int64)
+            view = state.similarity[ElementKind.ENTITY]
+            probabilities = state.calibrator.pair_probabilities_from_slabs(
+                view.rows(lefts), view.cols(rights), ElementKind.ENTITY, lefts, rights
+            )
         self._req_counters["pair_probabilities"].inc()
         self._lat_hist.observe(time.perf_counter() - start)
         return probabilities

@@ -113,3 +113,24 @@ def fitted_pipeline(small_benchmark, fast_config) -> DAAKG:
     pipeline = DAAKG(small_benchmark, fast_config)
     pipeline.fit()
     return pipeline
+
+
+@pytest.fixture()
+def tile_products(monkeypatch) -> list[int]:
+    """Count :meth:`CosineChannels.tile` calls that multiply factors.
+
+    A call on channels without a kept tile computes products; a call on
+    channels with one only slices it.  Read the count as ``tile_products[0]``.
+    """
+    from repro.runtime.streaming import CosineChannels
+
+    products = [0]
+    original = CosineChannels.tile
+
+    def counting(self, rows, cols):
+        if self._kept is None:
+            products[0] += 1
+        return original(self, rows, cols)
+
+    monkeypatch.setattr(CosineChannels, "tile", counting)
+    return products

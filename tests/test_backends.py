@@ -37,7 +37,7 @@ from repro.runtime import (
     stream_threshold_candidates,
     stream_topk,
 )
-from repro.runtime.backends import assemble_matrix
+from repro.runtime.streaming import assemble_matrix
 from repro.serving import serve
 from repro.updates import KGDelta
 from repro.utils.math import cosine_similarity_matrix, safe_l2_normalize, top_k_rows
@@ -263,25 +263,7 @@ class TestKeptTile:
         np.testing.assert_allclose(assemble_matrix(channels, 16), matrix, rtol=0, atol=ATOL)
 
 
-def count_products(monkeypatch) -> list[int]:
-    """Count :meth:`CosineChannels.tile` calls that multiply factors.
-
-    A call on channels without a kept tile computes products; a call on
-    channels with one only slices it.
-    """
-    products = [0]
-    original = CosineChannels.tile
-
-    def counting(self, rows, cols):
-        if self._kept is None:
-            products[0] += 1
-        return original(self, rows, cols)
-
-    monkeypatch.setattr(CosineChannels, "tile", counting)
-    return products
-
-
-def test_one_block_engine_reads_the_kept_tile(monkeypatch, small_benchmark, fast_config):
+def test_one_block_engine_reads_the_kept_tile(tile_products, small_benchmark, fast_config):
     from repro import DAAKG
     from repro.nn.optim import SGD
 
@@ -290,7 +272,7 @@ def test_one_block_engine_reads_the_kept_tile(monkeypatch, small_benchmark, fast
     kind = ElementKind.ENTITY
     num_rows, num_cols = engine.shape(kind)
     assert max(num_rows, num_cols) <= engine.block_size
-    products = count_products(monkeypatch)
+    products = tile_products
     model.snapshot  # the refresh streams its weights from the kept tile
     channels = engine.channels(kind)
     assert products[0] == 1  # the one full tile, kept

@@ -344,6 +344,41 @@ class TestStrategies:
         assert all(pair in unlabelled for pair in batch)
 
 
+    def test_entropy_scores_equal_the_scalar_formula(self, fitted_pipeline):
+        """Array entropies are byte-equal to the scalar formula, so the
+        uncertainty-ranked batches stay the same."""
+        from repro.active.strategies import SelectionState, _entropies
+
+        def scalar_entropy(probability: float) -> float:
+            p = min(max(probability, 1e-9), 1.0 - 1e-9)
+            return float(-p * np.log(p) - (1.0 - p) * np.log(1.0 - p))
+
+        rng = np.random.default_rng(0)
+        values = np.concatenate(
+            [[0.0, 1.0, 1e-12, 1.0 - 1e-12, 0.5], rng.random(50_000), rng.random(2_000) ** 40]
+        )
+        pairs = [entity_pair(i, i) for i in range(values.size)]
+        probabilities = dict(zip(pairs, values.tolist()))
+        del probabilities[pairs[7]]  # a pair without a probability reads 0
+        state = SelectionState(
+            pool=None, unlabelled=pairs, probabilities=probabilities, model=None
+        )
+        expected = np.array([scalar_entropy(probabilities.get(p, 0.0)) for p in pairs])
+        assert _entropies(state).tobytes() == expected.tobytes()
+
+        pool = build_pool(fitted_pipeline.model, PoolConfig(top_n=10))
+        unlabelled = pool.all_pairs
+        state = SelectionState(
+            pool=pool, unlabelled=unlabelled,
+            probabilities=dict(zip(unlabelled, rng.random(len(unlabelled)).tolist())),
+            model=fitted_pipeline.model,
+        )
+        scores = [scalar_entropy(state.probabilities[p]) for p in unlabelled]
+        assert UncertaintyStrategy().select(state, 7) == UncertaintyStrategy._top_by_score(
+            unlabelled, scores, 7
+        )
+
+
 class TestActiveLoop:
     def test_loop_runs_and_improves_labels(self, fitted_pipeline):
         loop = fitted_pipeline.active_learning(

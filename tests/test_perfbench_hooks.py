@@ -17,11 +17,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.active.campaign import PartitionedCampaign
+from repro.active.loop import ActiveLearningConfig
 from repro.active.pool import PoolConfig
 from repro.alignment.calibration import AlignmentCalibrator
 from repro.inference.alignment_graph import graph_from_pool
 from repro.inference.power import InferencePowerEstimator
 from repro.kg.elements import ElementKind
+from repro.kg.partition import PartitionConfig
+from repro.serving import serve
+from repro.serving.service import ServingSnapshot
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -82,3 +87,32 @@ def test_install_wraps_every_hook_and_uninstall_restores(tracing, fitted_pipelin
     assert AlignmentCalibrator.__dict__["pair_probabilities_from_engine"] is originals["calibrate"]
     assert pool_module.build_pool is originals["pool"]
     assert InferencePowerEstimator.__dict__["edge_power"] is originals["edge_power"]
+
+
+def test_serving_hooks_record_their_spans(tracing, fitted_pipeline, small_benchmark, fast_config):
+    """The traced drift run reads the serving view, the service and the
+    campaign snapshot through these wrappers."""
+    campaign = PartitionedCampaign(
+        small_benchmark,
+        fast_config,
+        strategy="random",
+        active_config=ActiveLearningConfig(batch_size=1, num_batches=1, fine_tune_epochs=1),
+        partition=PartitionConfig(num_partitions=1, workers=1),
+    )
+    campaign.run()
+    service = serve(fitted_pipeline)
+    uris = list(fitted_pipeline.kg1.entities[:4])
+    expected = service.top_k_alignments(uris, k=3)
+
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        fresh = serve(fitted_pipeline)  # an empty result cache reaches the view
+        assert fresh.top_k_alignments(uris, k=3) == expected
+        ServingSnapshot.from_campaign(campaign)
+    finally:
+        tracer.uninstall()
+    names = [span.name for span in tracer.spans]
+    assert {"runtime.view_top_k", "serving.top_k", "serving.snapshot"} <= set(names)
+    assert names.count("runtime.view_top_k") == 1
+    assert tracer.counted(tracer.run, "serving.top_k_rows") == len(uris)

@@ -199,6 +199,16 @@ def test_resume_preserves_custom_strategy_configuration(checkpoint_dir, tmp_path
     assert resumed.strategy.partition_config == strategy.partition_config
 
 
+def test_restored_pool_equals_saved_pool(checkpoint_dir, tmp_path):
+    loop = DAAKG.load(checkpoint_dir).active_learning("uncertainty", LOOP_CONFIG)
+    saved = loop.pool()
+    assert len(saved.entity_pairs) and len(saved.relation_pairs)
+    loop.save(str(tmp_path / "campaign"))
+    restored = restore_loop(load_checkpoint(tmp_path / "campaign"))._pool
+    for field in ("entity_pairs", "relation_pairs", "class_pairs"):
+        assert getattr(restored, field) == getattr(saved, field)  # same pairs, same order
+
+
 def test_resume_requires_campaign_state(checkpoint_dir):
     with pytest.raises(CheckpointError, match="campaign"):
         restore_loop(load_checkpoint(checkpoint_dir))

@@ -75,6 +75,16 @@ def test_unknown_uri_raises(service):
         service.top_k_alignments(["definitely-not-an-entity"], k=3)
 
 
+def test_empty_requests_are_counted(fitted_pipeline):
+    service = serve(fitted_pipeline)
+    assert service.top_k_alignments([], k=3) == []
+    assert service.score_pairs([]).shape == (0,)
+    assert service.pair_probabilities([]).shape == (0,)
+    assert service.metrics()["requests_total"] == 3  # one per method
+    assert service.obs.counter("service.requests.total", method="pair_probabilities").value == 1
+    assert service._lat_hist.count == 3
+
+
 # -------------------------------------------------------------------- caching
 def test_lru_cache_hits_on_repeat(fitted_pipeline):
     service = serve(fitted_pipeline)

@@ -1,8 +1,9 @@
 """Tests for the SimilarityEngine: caching, invalidation, top-k and mining.
 
-The engine's contract (see ``repro/alignment/similarity.py``): a matrix is
-computed at most once per ``(parameter_version, state_version)`` token, every
-optimiser step invalidates it, ``top_k`` agrees with a full ``argsort``, and
+The engine's contract (see ``repro/alignment/similarity.py``): a kind's
+channels (and the one tile they keep) are computed at most once per
+``(parameter_version, state_version)`` token, every optimiser step
+invalidates them, ``top_k`` agrees with a full ``argsort``, and
 the vectorized hard-negative miner never returns a positive counterpart.
 """
 
@@ -23,7 +24,7 @@ from repro.kg.elements import ElementKind
 from repro.kg.pair import AlignedKGPair
 from repro.nn.optim import SGD, bump_parameter_version
 from repro.runtime import ChannelPair, CosineChannels
-from repro.runtime.backends import assemble_matrix
+from repro.runtime.streaming import assemble_matrix
 from repro.utils.math import cosine_similarity_matrix, top_k_rows
 
 
@@ -69,16 +70,38 @@ class TestTopKRows:
         assert top_k_rows(np.ones((2, 4)), 0).shape == (2, 0)
 
 
+@pytest.fixture()
+def rebuilds(monkeypatch) -> dict[ElementKind, int]:
+    """Channel-set rebuilds per kind; a one-block rebuild is one tile product."""
+    counts = {kind: 0 for kind in ElementKind}
+    original = SimilarityEngine._keep
+
+    def counting(self, kind, channels):
+        counts[kind] += 1
+        return original(self, kind, channels)
+
+    monkeypatch.setattr(SimilarityEngine, "_keep", counting)
+    return counts
+
+
 class TestEngineCaching:
-    def test_repeated_calls_hit_cache(self, fresh_model):
+    """Caching is the channels' kept tile: one product per version token.
+
+    ``fresh_model``'s similarities each fit one block, so every rebuild of a
+    kind's channels is exactly one tile product, and every read of that
+    token (``matrix`` included) slices the kept tile.
+    """
+
+    def test_repeated_calls_hit_cache(self, fresh_model, rebuilds, tile_products):
         engine = fresh_model.similarity
         first = engine.matrix(ElementKind.ENTITY)
-        computes = dict(engine.compute_counts)
+        assert rebuilds[ElementKind.ENTITY] == 1 and tile_products[0] == 1
         second = engine.matrix(ElementKind.ENTITY)
-        assert second is first  # identical object, no recomputation
-        assert engine.compute_counts == computes
+        kept = engine.channels(ElementKind.ENTITY)._kept
+        assert np.shares_memory(first, kept) and np.shares_memory(second, kept)
+        assert rebuilds[ElementKind.ENTITY] == 1 and tile_products[0] == 1  # no recompute
 
-    def test_optimizer_step_invalidates(self, fresh_model):
+    def test_optimizer_step_invalidates(self, fresh_model, rebuilds, tile_products):
         engine = fresh_model.similarity
         before = engine.matrix(ElementKind.ENTITY)
         optimizer = SGD(fresh_model.parameters(), lr=0.1)
@@ -87,31 +110,40 @@ class TestEngineCaching:
             p.grad = np.ones_like(p.data)
         optimizer.step()
         after = engine.matrix(ElementKind.ENTITY)
-        assert after is not before
+        assert not np.shares_memory(after, before)
         assert not np.allclose(after, before)
+        assert rebuilds[ElementKind.ENTITY] == 2 and tile_products[0] == 2
 
-    def test_bump_without_change_recomputes_equal_matrix(self, fresh_model):
+    def test_bump_without_change_recomputes_equal_matrix(self, fresh_model, rebuilds):
         engine = fresh_model.similarity
         before = engine.matrix(ElementKind.RELATION)
         bump_parameter_version()
         after = engine.matrix(ElementKind.RELATION)
-        assert after is not before
+        assert not np.shares_memory(after, before)
         assert np.allclose(after, before)
+        assert rebuilds[ElementKind.RELATION] == 2
 
-    def test_set_landmarks_invalidates_entity_matrix(self, fresh_model):
+    def test_set_landmarks_invalidates_entity_matrix(self, fresh_model, rebuilds):
         engine = fresh_model.similarity
         fresh_model.set_landmarks(np.empty((0, 2)))
         before = engine.matrix(ElementKind.ENTITY)
+        relation = engine.channels(ElementKind.RELATION)
+        entity_rebuilds = rebuilds[ElementKind.ENTITY]
         fresh_model.set_landmarks(np.array([[0, 0]]))
         after = engine.matrix(ElementKind.ENTITY)
-        assert after is not before
+        assert not np.shares_memory(after, before)
+        assert rebuilds[ElementKind.ENTITY] == entity_rebuilds + 1
+        # relation similarities do not read the structural channel
+        assert engine.channels(ElementKind.RELATION) is relation
 
-    def test_all_kinds_round_trip(self, fresh_model):
+    def test_all_kinds_round_trip(self, fresh_model, rebuilds, tile_products):
         engine = fresh_model.similarity
         for kind in ElementKind:
             matrix = engine.matrix(kind)
-            assert matrix is engine.matrix(kind)
-            assert matrix is fresh_model.similarity_matrix(kind)
+            assert np.array_equal(engine.matrix(kind), matrix)
+            assert np.array_equal(fresh_model.similarity_matrix(kind), matrix)
+        assert rebuilds == {kind: 1 for kind in ElementKind}
+        assert tile_products[0] == 3  # one kept tile per kind
 
     def test_top_k_is_cached_and_agrees_with_argsort(self, fresh_model):
         engine = fresh_model.similarity
@@ -126,9 +158,9 @@ class TestEngineCaching:
         full_t = np.argsort(-matrix.T, axis=1)[:, :3]
         assert np.allclose(matrix.T[rows_t, for_right], matrix.T[rows_t, full_t])
 
-    def test_no_recomputation_within_training_round(self, fresh_model):
-        """The acceptance criterion: one optimiser step never recomputes a
-        similarity matrix it already saw — the engine serves the cached one."""
+    def test_no_recomputation_within_training_round(self, fresh_model, rebuilds, tile_products):
+        """One optimiser step never recomputes a similarity it already saw:
+        every read between two bumps slices the token's kept tile."""
         trainer = JointAlignmentTrainer(
             fresh_model,
             AlignmentTrainingConfig(rounds=1, epochs_per_round=3, num_negatives=2),
@@ -140,32 +172,38 @@ class TestEngineCaching:
         )
         engine = trainer.engine
         trainer._refresh_round_state()
-        # settle: the trailing set_landmarks may invalidate the entity matrix
+        # settle: the trailing set_landmarks may invalidate the entity channels
         # (semi-mined landmarks changed the structural channel) exactly once
         for kind in ElementKind:
             engine.matrix(kind)
-        computes_after_refresh = dict(engine.compute_counts)
-        # between refreshes, reading every matrix many times costs nothing
+        after_refresh = dict(rebuilds), tile_products[0]
+        # between refreshes, reading every similarity many times costs nothing
         for _ in range(4):
             for kind in ElementKind:
                 engine.matrix(kind)
-        assert engine.compute_counts == computes_after_refresh
+                engine.top_k(kind, 2)
+                engine.row_col_max(kind)
+        assert (dict(rebuilds), tile_products[0]) == after_refresh
         # an optimiser step itself never triggers a similarity recomputation
         trainer._step()
-        assert engine.compute_counts == computes_after_refresh
-        # one round of refresh plus mining costs at most one entity-matrix
-        # computation in total
-        entity_computes = engine.compute_counts[ElementKind.ENTITY]
+        assert (dict(rebuilds), tile_products[0]) == after_refresh
+        # one round of refresh plus mining costs at most one entity-channel
+        # rebuild in total
+        entity_rebuilds = rebuilds[ElementKind.ENTITY]
         trainer._refresh_round_state()
         engine.matrix(ElementKind.ENTITY)
-        assert engine.compute_counts[ElementKind.ENTITY] <= entity_computes + 1
+        assert rebuilds[ElementKind.ENTITY] <= entity_rebuilds + 1
+        # every product the round took was a channel rebuild's kept tile
+        assert tile_products[0] == sum(rebuilds.values())
 
-    def test_invalidate_clears_caches(self, fresh_model):
+    def test_invalidate_clears_caches(self, fresh_model, rebuilds):
         engine = fresh_model.similarity
         engine.matrix(ElementKind.ENTITY)
         engine.top_k(ElementKind.ENTITY, 2)
         engine.invalidate()
-        assert engine._matrices == {} and engine._top_k == {}
+        assert engine._channel_cache == {} and engine._top_k == {}
+        engine.matrix(ElementKind.ENTITY)
+        assert rebuilds[ElementKind.ENTITY] == 2
 
     def test_block_size_validation(self, fresh_model):
         with pytest.raises(ValueError):
