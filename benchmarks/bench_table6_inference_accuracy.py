@@ -1,12 +1,17 @@
 """Table 6: accuracy of the inference power measurement.
 
-For each base embedding model, takes the labelled training matches, computes
-the element pairs whose inference power from those labels exceeds the
-threshold κ, and measures which fraction of them are true matches.  The
-paper's shape: the measurement is accurate (≳0.75), and TransE — whose tail
-bound is exact — is the most accurate, with the sampled-bound models behind.
+For each base embedding model and fit seed, takes the labelled training
+matches, computes the element pairs whose inference power from those labels
+exceeds the threshold κ, and records the inferred-set size beside the
+fraction of it that are true matches (its precision).  The paper's shape:
+the measurement is accurate (≳0.75).  The gate: TransE and RotatE infer
+something on every seed, at mean precision ≥ 0.75.  CompGCN's aggregated
+outputs do not carry the translation the edge cost rests on, so it infers
+nothing; its row is a strict expected failure until a non-translational
+cost exists.
 """
 
+import statistics
 import time
 
 import pytest
@@ -16,47 +21,80 @@ from repro.inference.pairs import ElementPair
 from repro.inference.power import inference_accuracy
 from repro.kg.elements import ElementKind
 
-MODELS = ["transe", "rotate", "compgcn"]
+SEEDS = (0, 1, 2)
+MIN_MEAN_PRECISION = 0.75
 
-_RESULTS: dict[str, float] = {}
+_RESULTS: dict[str, list[tuple[int, float | None]]] = {}
 
 
-def _accuracy(base_model: str) -> float:
+def _runs(base_model: str) -> list[tuple[int, float | None]]:
+    """``(inferred-set size, precision)`` per fit seed; precision is ``None``
+    when nothing is inferred."""
     if base_model in _RESULTS:
         return _RESULTS[base_model]
     start = time.perf_counter()
-    pipeline = fitted_daakg(BENCH_DATASETS[0], base_model)
-    pool = pipeline.build_pool()
-    graph, estimator = pipeline.build_inference_estimator(pool)
-    labelled = [
-        ElementPair(ElementKind.ENTITY, left, right)
-        for left, right in pipeline.trainer.labels.matches[ElementKind.ENTITY]
-    ]
-    gold = {
-        ElementKind.ENTITY: {tuple(r) for r in pipeline.pair.entity_match_ids().tolist()},
-        ElementKind.RELATION: {tuple(r) for r in pipeline.pair.relation_match_ids().tolist()},
-        ElementKind.CLASS: {tuple(r) for r in pipeline.pair.class_match_ids().tolist()},
-    }
-    _RESULTS[base_model] = inference_accuracy(estimator, labelled, gold)
+    runs = []
+    for seed in SEEDS:
+        pipeline = fitted_daakg(BENCH_DATASETS[0], base_model, seed=seed)
+        _, estimator = pipeline.build_inference_estimator()
+        labelled = [
+            ElementPair(ElementKind.ENTITY, left, right)
+            for left, right in pipeline.trainer.labels.matches[ElementKind.ENTITY]
+        ]
+        gold = {
+            ElementKind.ENTITY: {tuple(r) for r in pipeline.pair.entity_match_ids().tolist()},
+            ElementKind.RELATION: {tuple(r) for r in pipeline.pair.relation_match_ids().tolist()},
+            ElementKind.CLASS: {tuple(r) for r in pipeline.pair.class_match_ids().tolist()},
+        }
+        runs.append(inference_accuracy(estimator, labelled, gold))
+    _RESULTS[base_model] = runs
+    precisions = [precision for _, precision in runs]
+    mean = None if None in precisions else round(statistics.fmean(precisions), 4)
     record_bench(
         "table6",
         wall_time_seconds=time.perf_counter() - start,
-        headline={f"{base_model}:accuracy": round(_RESULTS[base_model], 4)},
+        headline={
+            f"{base_model}:mean_precision": mean,
+            f"{base_model}:min_inferred": min(inferred for inferred, _ in runs),
+        },
+        detail={
+            base_model: [
+                {
+                    "seed": seed,
+                    "inferred": inferred,
+                    "precision": None if precision is None else round(precision, 4),
+                }
+                for seed, (inferred, precision) in zip(SEEDS, runs)
+            ]
+        },
     )
-    return _RESULTS[base_model]
-
-
-@pytest.mark.parametrize("base_model", MODELS)
-def test_table6_inference_accuracy(benchmark, base_model):
-    accuracy = benchmark.pedantic(lambda: _accuracy(base_model), rounds=1, iterations=1)
     print_table(
-        f"Table 6: inference power accuracy ({BENCH_DATASETS[0]})",
-        ["Model", "Accuracy"],
-        [[base_model, f"{accuracy:.3f}"]],
+        f"Table 6: inference power accuracy ({BENCH_DATASETS[0]}, {base_model})",
+        ["Fit seed", "Inferred", "Precision"],
+        [
+            [seed, inferred, "—" if precision is None else f"{precision:.3f}"]
+            for seed, (inferred, precision) in zip(SEEDS, runs)
+        ],
     )
-    assert 0.0 <= accuracy <= 1.0
+    return runs
 
 
-def test_table6_transe_bound_is_competitive():
-    """TransE's exact bound should be at least as accurate as CompGCN's sampled bound."""
-    assert _accuracy("transe") >= _accuracy("compgcn") - 0.1
+@pytest.mark.parametrize(
+    "base_model",
+    [
+        "transe",
+        "rotate",
+        pytest.param(
+            "compgcn",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="infers nothing: CompGCN's outputs carry no translation for the edge cost",
+            ),
+        ),
+    ],
+)
+def test_table6_inference_accuracy(benchmark, base_model):
+    runs = benchmark.pedantic(lambda: _runs(base_model), rounds=1, iterations=1)
+    assert all(inferred > 0 for inferred, _ in runs), f"a seed inferred nothing: {runs}"
+    mean = statistics.fmean(precision for _, precision in runs)
+    assert mean >= MIN_MEAN_PRECISION, f"mean precision {mean:.3f}: {runs}"

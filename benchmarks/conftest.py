@@ -73,11 +73,13 @@ def quick_config(base_model: str = "transe", **overrides) -> DAAKGConfig:
     return config
 
 
-def fitted_daakg(dataset: str, base_model: str = "transe", ablation: str = "full") -> DAAKG:
-    """A fitted DAAKG pipeline (cached per dataset/model/ablation)."""
-    key = (dataset, base_model, ablation, BENCH_SCALE)
+def fitted_daakg(
+    dataset: str, base_model: str = "transe", ablation: str = "full", seed: int = 0
+) -> DAAKG:
+    """A fitted DAAKG pipeline (cached per dataset/model/ablation/fit seed)."""
+    key = (dataset, base_model, ablation, seed, BENCH_SCALE)
     if key not in _PIPELINE_CACHE:
-        config = quick_config(base_model).with_ablation(ablation)
+        config = quick_config(base_model, seed=seed).with_ablation(ablation)
         pipeline = DAAKG(bench_pair(dataset), config)
         pipeline.fit()
         _PIPELINE_CACHE[key] = pipeline

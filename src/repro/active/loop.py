@@ -170,9 +170,7 @@ class ActiveLearningLoop:
         estimator = None
         if self.strategy.requires_inference:
             graph = self.graph()
-            estimator = InferencePowerEstimator(
-                self.model, graph, self.config.inference, rng=self.rng
-            )
+            estimator = InferencePowerEstimator(self.model, graph, self.config.inference)
         return SelectionState(
             pool=pool,
             unlabelled=unlabelled,

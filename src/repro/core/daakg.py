@@ -266,7 +266,7 @@ class DAAKG:
         if pool is None:
             pool = self.build_pool()
         graph = graph_from_pool(self.kg1, self.kg2, pool)
-        estimator = InferencePowerEstimator(self.model, graph, self.config.inference, rng=self.rng)
+        estimator = InferencePowerEstimator(self.model, graph, self.config.inference)
         return graph, estimator
 
     def active_learning(

@@ -8,7 +8,7 @@ the :class:`~repro.embedding.base.KGEmbeddingModel` interface so the alignment
 and inference-power code is model-agnostic.
 """
 
-from repro.embedding.base import KGEmbeddingModel, TailSolution
+from repro.embedding.base import KGEmbeddingModel
 from repro.embedding.transe import TransE
 from repro.embedding.rotate import RotatE
 from repro.embedding.compgcn import CompGCN
@@ -38,7 +38,6 @@ __all__ = [
     "KGEmbeddingTrainer",
     "MODEL_REGISTRY",
     "RotatE",
-    "TailSolution",
     "TrainingHistory",
     "TransE",
     "create_embedding_model",

@@ -1,6 +1,6 @@
 """The shared interface of entity-relation embedding models.
 
-Downstream components rely on three views of a model:
+Downstream components rely on two views of a model:
 
 * **training view** — :meth:`KGEmbeddingModel.triple_scores` gives
   differentiable scores ``f_er`` for (possibly corrupted) triples, and
@@ -23,12 +23,7 @@ tensors are computed once per parameter version (the counter in
 ``load_state_dict``) and every consumer gathers slices of that one retained
 graph.  Within one optimisation step the many loss terms of joint training
 therefore share a single model forward, and ``loss.backward()`` accumulates
-through it once instead of re-running message passing per term;
-* **inference view** — :meth:`solve_tail` approximates the tail embedding that
-  a (head, relation) pair determines, together with an error bound ``d``
-  (Eq. 13/14).  TransE overrides this with the exact closed form (``d = 0``);
-  other models use the generic sampled gradient-descent solver, which is what
-  makes their bounds looser — the effect Table 6 measures.
+through it once instead of re-running message passing per term.
 """
 
 from __future__ import annotations
@@ -66,19 +61,6 @@ class ForwardOutputs:
         served to training-mode consumers.
         """
         return self.entities.requires_grad and self.relations.requires_grad
-
-
-@dataclass(frozen=True)
-class TailSolution:
-    """Result of solving ``f_er(h, r, t) = 0`` for the tail embedding.
-
-    ``translation`` is the difference vector ``r̃ = ẽ_t − e_h`` of Eq. 13 and
-    ``bound`` the radius ``d`` such that any optimum tail lies within
-    ``bound`` of ``e_h + translation``.
-    """
-
-    translation: np.ndarray
-    bound: float
 
 
 class KGEmbeddingModel(Module):
@@ -229,43 +211,6 @@ class KGEmbeddingModel(Module):
                 self.score_np(plus, relation_vec, tail) - self.score_np(minus, relation_vec, tail)
             ) / (2 * eps)
         return grad
-
-    def solve_tail(
-        self,
-        head_embedding: np.ndarray,
-        relation_vec: np.ndarray,
-        entity_matrix: np.ndarray,
-        num_samples: int = 4,
-        num_steps: int = 25,
-        step_size: float = 0.1,
-        rng: RandomState = None,
-    ) -> TailSolution:
-        """Approximate the tail embedding determined by ``(head, relation)``.
-
-        Generic sampled solver (Sect. 5.2): start from ``num_samples`` random
-        entity embeddings, run gradient descent on ``f_er(h, r, ·)``, average
-        the local optima into ``ẽ_t`` and report the largest distance from a
-        local optimum to ``ẽ_t`` as the bound ``d``.
-
-        ``entity_matrix`` is a cached copy of :meth:`entity_matrix` supplied by
-        the caller (the inference-power module snapshots it once per round).
-        """
-        rng = ensure_rng(self.rng if rng is None else rng)
-        solutions = []
-        for _ in range(max(1, num_samples)):
-            start = entity_matrix[int(rng.integers(0, entity_matrix.shape[0]))].copy()
-            current = start
-            for _ in range(num_steps):
-                grad = self.score_np_grad_tail(head_embedding, relation_vec, current)
-                norm = np.linalg.norm(grad)
-                if norm < 1e-9:
-                    break
-                current = current - step_size * grad
-            solutions.append(current)
-        stacked = np.stack(solutions, axis=0)
-        mean_tail = stacked.mean(axis=0)
-        bound = float(np.max(np.linalg.norm(stacked - mean_tail, axis=1))) if len(solutions) > 1 else 0.0
-        return TailSolution(translation=mean_tail - head_embedding, bound=bound)
 
     def local_relation_embedding(self, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
         """The relation representation that best explains ``(head, ?, tail)``.

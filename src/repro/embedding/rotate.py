@@ -4,11 +4,6 @@ Entity embeddings are complex vectors of ``dim/2`` coordinates stored as
 ``[real | imaginary]`` halves of a real vector of size ``dim``.  Each relation
 is a vector of phases; applying the relation rotates the head entity
 element-wise, and the score is ``||h ∘ r − t||``.
-
-For the inference view the model is *not* given the closed-form solution on
-purpose: the paper's bound estimation treats every non-translational model
-with the sampled solver, which is why RotatE's (and CompGCN's) inference-power
-accuracy in Table 6 trails TransE's.
 """
 
 from __future__ import annotations

@@ -1,17 +1,15 @@
 """TransE (Bordes et al., 2013): translation-based KG embedding.
 
 ``f_er(h, r, t) = ||h + r − t||₂``; observed triples should have near-zero
-scores.  TransE is the model for which the paper's embedding-difference bound
-is exact: given a head and a relation the optimum tail is ``h + r`` with no
-residual, i.e. ``r̃ = r`` and ``d = 0`` (Sect. 5.2).
+scores.  Given a head and a relation the optimum tail is ``h + r`` with no
+residual, the fit under which the inference-power edge cost reduces to the
+paper's ``||A_ent·r₁ − r₂||`` (Sect. 5.2).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.autograd.tensor import Tensor
-from repro.embedding.base import TailSolution, TranslationalModel
+from repro.embedding.base import TranslationalModel
 from repro.kg.graph import KnowledgeGraph
 from repro.nn.layers import Embedding
 from repro.utils.rng import RandomState
@@ -32,20 +30,6 @@ class TransE(TranslationalModel):
         the parameter tables themselves, so gathers parent directly on the
         parameters and the session is bit-identical to per-call lookups."""
         return self.entity_embeddings.all(), self.relation_embeddings.all()
-
-    # ---------------------------------------------------------- inference view
-    def solve_tail(
-        self,
-        head_embedding: np.ndarray,
-        relation_vec: np.ndarray,
-        entity_matrix: np.ndarray,
-        num_samples: int = 4,
-        num_steps: int = 25,
-        step_size: float = 0.1,
-        rng: RandomState = None,
-    ) -> TailSolution:
-        """Exact solution: the optimum tail is ``h + r``, so ``d = 0``."""
-        return TailSolution(translation=np.array(relation_vec, dtype=float, copy=True), bound=0.0)
 
     # -------------------------------------------------------------- bookkeeping
     def renormalize(self) -> None:

@@ -5,10 +5,10 @@ package builds the *alignment graph* (element pairs connected when their
 elements are connected in the respective KGs) and estimates how strongly a
 labelled element pair would let the model infer the labels of its neighbours:
 
-* entity pair → entity pair: embedding-difference bounds along paths
-  (Eqs. 13–19),
-* relation pair → entity pair: the same bound with the relation difference
-  zeroed (Eq. 20),
+* entity pair → entity pair: the displacement each edge's source label
+  implies, summed along paths (Eqs. 13–19),
+* relation pair → entity pair: full power on the targets of the pair's
+  edges, the relation difference zeroed (Eq. 20),
 * entity pair → class pair and entity pair → relation pair: gradient magnitude
   of the schema similarity (Eqs. 21–22),
 * overall inference power of a labelled set over the pool (Eq. 23).

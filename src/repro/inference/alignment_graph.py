@@ -18,12 +18,10 @@ class pairs at :attr:`class_offset`, each in sorted order.  Edges are rows
 ``(source entity id, relation pair index, target entity id)`` of
 :attr:`edges`, numbered in build order: sources in the iteration order of the
 pool set, then KG1's and KG2's adjacency order (the join reads each KG's
-``out_ptr``/``out_order`` and ``type_ptr``/``type_order`` indexes).  That
-numbering fixes the order in which the estimator first touches edge powers,
-and with it the order in which sampled tail solves draw from the shared RNG.
-It is the same on every build from the same pool, a resumed one included:
-the set is rebuilt from the pool's immutable pair tuple in the same
-insertion order, and hashes of int tuples do not depend on
+``out_ptr``/``out_order`` and ``type_ptr``/``type_order`` indexes).  The
+numbering is the same on every build from the same pool, a resumed one
+included: the set is rebuilt from the pool's immutable pair tuple in the
+same insertion order, and hashes of int tuples do not depend on
 ``PYTHONHASHSEED``.  ``out_ptr`` /
 ``out_edges`` index edge ids by source (CSR, build order within a source),
 ``relation_ptr`` / ``relation_edges`` by relation pair, and ``class_ptr`` /
@@ -34,7 +32,7 @@ it once per pool (:func:`graph_from_pool`) and every batch's estimator shares
 it.  Those estimators walk edges one at a time in Python, so the graph also
 keeps read-only list views of the arrays they index, built on first use:
 :attr:`edge_list`, :attr:`target_list`, :attr:`out_ptr_list`,
-:attr:`out_edge_list`, :attr:`entity_sides` and :attr:`relation_sides`.
+:attr:`out_edge_list` and :attr:`entity_sides`.
 """
 
 from __future__ import annotations
@@ -99,10 +97,6 @@ class AlignmentGraph:
     @cached_property
     def entity_sides(self) -> list[tuple[int, int]]:
         return [(p.left, p.right) for p in self.entity_pairs]
-
-    @cached_property
-    def relation_sides(self) -> list[tuple[int, int]]:
-        return [(p.left, p.right) for p in self.relation_pairs]
 
     @property
     def relation_offset(self) -> int:

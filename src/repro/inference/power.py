@@ -6,21 +6,25 @@ and mean embeddings) and on the alignment graph of the pool.
 
 Path-based power between entity pairs uses per-edge costs
 
-``cost(edge) = ||A_ent·r̃ − r̃'|| + d + d'``
+``disp(edge) = ||A_ent(t₁ − h₁) − (t₂ − h₂)||``
 
-where ``(r̃, d)`` come from each embedding model's tail solver (exact for
-TransE, sampled otherwise, Eqs. 13–14).  Path costs are accumulated additively
-along at most ``μ`` hops, which upper-bounds the paper's path difference
-``D`` (triangle inequality) and therefore lower-bounds — i.e. conservatively
-estimates — the inference power ``I = 1/(1 + D)``.
+for an edge ``(h₁, h₂) --(r₁, r₂)--> (t₁, t₂)``.  Labelling the source pair a
+match asserts ``A_ent·h₁ = h₂``, and then ``A_ent·t₁ − t₂`` equals the
+difference of the two displacements exactly.  When both triples fit their
+model exactly (``t = h + r`` on each side) the cost is the paper's
+``||A_ent·r₁ − r₂||``.  Along a path the displacements telescope, so the
+difference at the path's end is bounded by the sum of its edges' costs (the
+triangle inequality): additive path costs over at most ``μ`` hops
+upper-bound the paper's path difference ``D`` and therefore lower-bound —
+i.e. conservatively estimate — the inference power ``I = 1/(1 + D)``.
+Every edge's power is one array expression over the graph's edge array; no
+randomness is drawn, so results do not depend on the order in which callers
+read edges.
 
 Gradient-based power for class and relation pairs (Eqs. 21–22) is computed in
 closed form through the mean-embedding channel of the schema similarities.
 
-Edges and pairs are addressed by the graph's integer ids.  Edge powers are
-filled lazily, one edge at a time, in the order callers first touch them:
-sampled tail solves (RotatE, CompGCN) draw from the shared RNG, so that order
-is part of the result.
+Edges and pairs are addressed by the graph's integer ids.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from repro.alignment.model import JointAlignmentModel
 from repro.inference.alignment_graph import AlignmentGraph, PairValues
 from repro.inference.pairs import ElementPair
 from repro.kg.elements import ElementKind
-from repro.utils.rng import RandomState, ensure_rng
 
 _NO_IDS = np.empty(0, dtype=np.int64)
 _NO_VALUES = np.empty(0, dtype=np.float64)
@@ -46,8 +49,6 @@ class InferencePowerConfig:
 
     max_hops: int = 3
     power_threshold: float = 0.8
-    solver_samples: int = 3
-    solver_steps: int = 15
     min_power: float = 0.05
 
     def __post_init__(self) -> None:
@@ -87,12 +88,10 @@ class InferencePowerEstimator:
         model: JointAlignmentModel,
         graph: AlignmentGraph,
         config: InferencePowerConfig | None = None,
-        rng: RandomState = None,
     ) -> None:
         self.model = model
         self.graph = graph
         self.config = config or InferencePowerConfig()
-        self.rng = ensure_rng(rng)
         # Snapshot arrays are read through the model's SimilarityEngine (the
         # single access point for cached NumPy state) instead of being copied
         # field by field into the estimator; the snapshot itself is built from
@@ -100,12 +99,10 @@ class InferencePowerEstimator:
         # estimator never re-runs a model forward.
         self._snap = model.similarity.snapshot
         self._map_entity = model.map_entity.data
-        self._tail_cache_1: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
-        self._tail_cache_2: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
-        # (edge id, zero_relation_difference) -> power; grows by one entry per
-        # newly computed power
-        self._edge_power_cache: dict[tuple[int, bool], float] = {}
         self._all_edge_powers: np.ndarray | None = None
+        # list view of edge_powers() for the per-edge loops below, filled on
+        # first use
+        self._edge_power_cache: list[float] = []
         self._path_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._schema_gradients: dict[tuple[ElementKind, int], tuple | None] = {}
         # The graph's shared list views: the per-edge loops below index them
@@ -116,75 +113,34 @@ class InferencePowerEstimator:
         self._out_ptr = graph.out_ptr_list
         self._out_edges = graph.out_edge_list
         self._entity_sides = graph.entity_sides
-        self._relation_sides = graph.relation_sides
 
-    # ----------------------------------------------------------- edge costs
-    def _tail_solution(self, side: int, head_idx: int, relation_idx: int) -> tuple[np.ndarray, float]:
-        """``(translation, bound)`` of one tail solve; side-1 translations are
-        cached pre-mapped through ``A_ent`` so the per-edge cost below is a
-        plain vector subtraction instead of a matrix-vector product."""
-        cache = self._tail_cache_1 if side == 1 else self._tail_cache_2
-        key = (head_idx, relation_idx)
-        if key in cache:
-            return cache[key]
-        snap = self._snap
-        if side == 1:
-            model, entities, relations = self.model.model1, snap.entity_matrix_1, snap.relation_matrix_1
-        else:
-            model, entities, relations = self.model.model2, snap.entity_matrix_2, snap.relation_matrix_2
-        solution = model.solve_tail(
-            entities[head_idx],
-            relations[relation_idx],
-            entities,
-            num_samples=self.config.solver_samples,
-            num_steps=self.config.solver_steps,
-            rng=self.rng,
-        )
-        translation = solution.translation
-        if side == 1:
-            translation = self._map_entity.T @ translation
-        result = (translation, solution.bound)
-        cache[key] = result
-        return result
-
-    def edge_cost(self, edge: int, zero_relation_difference: bool = False) -> float:
-        """The bound ``||A_ent·r̃ − r̃'|| + d + d'`` for one alignment-graph edge id.
-
-        ``zero_relation_difference`` implements Eq. 20: when the relation pair
-        itself is labelled as a match, the relation difference term vanishes.
-        """
-        source, relation, _ = self._edges[edge]
-        left, right = self._entity_sides[source]
-        relation_left, relation_right = self._relation_sides[relation]
-        mapped_translation_1, bound_1 = self._tail_solution(1, left, relation_left)
-        translation_2, bound_2 = self._tail_solution(2, right, relation_right)
-        if zero_relation_difference:
-            relation_difference = 0.0
-        else:
-            relation_difference = float(np.linalg.norm(mapped_translation_1 - translation_2))
-        return relation_difference + bound_1 + bound_2
-
-    def edge_power(self, edge: int, zero_relation_difference: bool = False) -> float:
-        """``I(target | source)`` through one edge id: ``1 / (1 + cost)``."""
-        key = (edge, zero_relation_difference)
-        if key not in self._edge_power_cache:
-            cost = self.edge_cost(edge, zero_relation_difference)
-            self._edge_power_cache[key] = 1.0 / (1.0 + cost)
-        return self._edge_power_cache[key]
-
+    # ----------------------------------------------------------- edge powers
     def edge_powers(self) -> np.ndarray:
-        """Every edge's power (relation difference kept), indexed by edge id.
+        """Every edge's power ``1 / (1 + disp)``, indexed by edge id.
 
-        Missing powers are computed in edge-id order; the array is built once
-        and shared, so treat it as read-only.
+        Built once and shared, so treat it as read-only.
         """
         if self._all_edge_powers is None:
-            edge_power = self.edge_power
-            count = len(self._edges)
-            self._all_edge_powers = np.fromiter(
-                (edge_power(edge) for edge in range(count)), dtype=np.float64, count=count
+            snap = self._snap
+            mapped_1 = snap.entity_matrix_1 @ self._map_entity
+            entities_2 = snap.entity_matrix_2
+            sides = np.asarray(self._entity_sides, dtype=np.int64).reshape(-1, 2)
+            heads, tails = sides[self.graph.edges[:, 0]], sides[self.graph.edges[:, 2]]
+            displacement = (mapped_1[tails[:, 0]] - mapped_1[heads[:, 0]]) - (
+                entities_2[tails[:, 1]] - entities_2[heads[:, 1]]
             )
+            cost = np.sqrt(np.sum(displacement * displacement, axis=1))
+            self._all_edge_powers = 1.0 / (1.0 + cost)
         return self._all_edge_powers
+
+    def _edge_power_list(self) -> list[float]:
+        if not self._edge_power_cache:
+            self._edge_power_cache = self.edge_powers().tolist()
+        return self._edge_power_cache
+
+    def edge_power(self, edge: int) -> float:
+        """``I(target | source)`` through one edge id."""
+        return self._edge_power_list()[edge]
 
     # --------------------------------------------------- entity → entity pairs
     def _path_power(self, source: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,14 +158,14 @@ class InferencePowerEstimator:
         max_cost = (1.0 / max(self.config.min_power, 1e-6)) - 1.0
         max_hops = self.config.max_hops
         out_ptr, out_edges, targets = self._out_ptr, self._out_edges, self._targets
-        edge_power = self.edge_power
+        edge_power = self._edge_power_list()
         inf = float("inf")
         while heap:
             cost, hops, node = heapq.heappop(heap)
             if cost > best_cost.get(node, inf) or hops >= max_hops:
                 continue
             for edge in out_edges[out_ptr[node] : out_ptr[node + 1]]:
-                new_cost = cost + (1.0 / edge_power(edge) - 1.0)
+                new_cost = cost + (1.0 / edge_power[edge] - 1.0)
                 if new_cost > max_cost:
                     continue
                 target = targets[edge]
@@ -234,7 +190,12 @@ class InferencePowerEstimator:
 
     # -------------------------------------------------- relation → entity pairs
     def relation_to_entity_power(self, source: ElementPair) -> PairValues:
-        """Eq. 20: power of a relation pair over entity pairs reachable through it."""
+        """Eq. 20: power of a relation pair over entity pairs reachable through it.
+
+        A labelled relation pair zeroes the relation difference of its edges;
+        each distinct target of those edges gets power 1.0 (the value an
+        exact translational fit gives), in first-seen edge order.
+        """
         if source.kind is not ElementKind.RELATION:
             raise ValueError("relation_to_entity_power expects a relation pair")
         index = self.graph.pair_id(source)
@@ -242,15 +203,10 @@ class InferencePowerEstimator:
             return PairValues(self.graph, _NO_IDS, _NO_VALUES)
         relation = index - self.graph.relation_offset
         ptr = self.graph.relation_ptr
-        powers: dict[int, float] = {}
-        for edge in self.graph.relation_edges[ptr[relation] : ptr[relation + 1]].tolist():
-            power = self.edge_power(edge, zero_relation_difference=True)
-            if power < self.config.min_power:
-                continue
-            target = self._targets[edge]
-            if power > powers.get(target, 0.0):
-                powers[target] = power
-        return PairValues(self.graph, *_arrays(powers))
+        targets = self.graph.edges[self.graph.relation_edges[ptr[relation] : ptr[relation + 1]], 2]
+        _, first = np.unique(targets, return_index=True)
+        targets = targets[np.sort(first)]
+        return PairValues(self.graph, targets, np.ones(targets.size))
 
     # ------------------------------------------------ entity → schema pairs
     def _schema_gradient(self, kind: ElementKind, index: int) -> tuple | None:
@@ -373,10 +329,13 @@ def inference_accuracy(
     estimator: InferencePowerEstimator,
     labelled_matches: list[ElementPair],
     gold: dict[ElementKind, set[tuple[int, int]]],
-) -> float:
-    """The Table 6 metric: fraction of inferred element pairs that are true matches."""
+) -> tuple[int, float | None]:
+    """The Table 6 metric: ``(inferred-set size, fraction that are true matches)``.
+
+    An empty inferred set has no precision (``None``), not a precision of 0.
+    """
     inferred = estimator.inferred_pairs(labelled_matches)
     if not inferred:
-        return 0.0
+        return 0, None
     correct = sum(1 for pair, _ in inferred if (pair.left, pair.right) in gold.get(pair.kind, set()))
-    return correct / len(inferred)
+    return len(inferred), correct / len(inferred)

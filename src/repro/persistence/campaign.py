@@ -75,8 +75,9 @@ logger = get_logger(__name__)
 # and the ``incremental`` key went (restore always adopts the saved pieces).
 # Version 6: the piece checkpoints moved to checkpoint format 5 (no
 # ``similarity_backend`` in their manifests; the config accepts only
-# ``"sharded"``).
-CAMPAIGN_FORMAT_VERSION = 6
+# ``"sharded"``).  Version 7: the embedded configs dropped the inference
+# config's ``solver_samples`` and ``solver_steps`` (checkpoint format 6).
+CAMPAIGN_FORMAT_VERSION = 7
 CAMPAIGN_MANIFEST_FILE = "campaign.json"
 
 

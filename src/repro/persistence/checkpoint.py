@@ -63,9 +63,11 @@ logger = get_logger(__name__)
 # ``include_*_pairs``, the loop's ``rebuild_pool_each_batch`` and the greedy
 # ``base_gain``); version 4 dropped ``similarity_workers``; version 5 dropped
 # the manifest's ``similarity_backend`` key, and the config's
-# ``similarity_backend`` accepts only ``"sharded"``.  Older checkpoints fail
-# the version check instead of the config's unknown-key or value check.
-FORMAT_VERSION = 5
+# ``similarity_backend`` accepts only ``"sharded"``; version 6 dropped the
+# inference config's ``solver_samples`` and ``solver_steps``.  Older
+# checkpoints fail the version check instead of the config's unknown-key or
+# value check.
+FORMAT_VERSION = 6
 ARRAYS_FILE = "arrays.npz"
 MANIFEST_FILE = "manifest.json"
 

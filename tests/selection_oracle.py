@@ -4,12 +4,15 @@ This is the selection layer as it stood before it moved to integer ids and
 NumPy arrays: an alignment graph of ``AlignmentEdge`` objects and per-pair
 dicts, an estimator that walks them, Algorithm 2's refinement loop over
 ``ElementPair`` sets and a greedy loop that rescans every candidate per pick.
-The one deliberate difference from that code is the tie-break among equal
-gains in :func:`greedy_select`: the lowest rank (probability descending, then
-input order) wins, instead of whichever pair a ``set`` happened to yield
-first.  ``tests/test_selection_parity.py`` asserts that the array-native path
-in ``src/`` reproduces this module's edges, partition labels, batches and RNG
-state exactly.
+The estimator scores each edge by the displacement the source label implies,
+``||A_ent(t₁ − h₁) − (t₂ − h₂)||``, one edge at a time from per-entity dicts,
+and a relation pair gives each distinct target of its edges power 1.0 (Eq.
+20).  The one deliberate difference from the historical loops is the
+tie-break among equal gains in :func:`greedy_select`: the lowest rank
+(probability descending, then input order) wins, instead of whichever pair a
+``set`` happened to yield first.  ``tests/test_selection_parity.py`` asserts
+that the array-native path in ``src/`` reproduces this module's edges, edge
+powers, partition labels, batches and RNG state exactly.
 """
 
 from __future__ import annotations
@@ -92,55 +95,26 @@ def build_alignment_graph(kg1, kg2, entity_pool, relation_pool=None, class_pool=
 
 
 class InferencePowerEstimator:
-    def __init__(self, model, graph, config=None, rng=None) -> None:
+    def __init__(self, model, graph, config=None) -> None:
         self.model = model
         self.graph = graph
         self.config = config or InferencePowerConfig()
-        self.rng = ensure_rng(rng)
         self._snap = model.similarity.snapshot
         self._map_entity = model.map_entity.data
-        self._tail_cache_1 = {}
-        self._tail_cache_2 = {}
+        mapped_1 = self._snap.entity_matrix_1 @ self._map_entity
+        self._mapped_1 = dict(enumerate(mapped_1))
+        self._entities_2 = dict(enumerate(self._snap.entity_matrix_2))
         self._edge_power_cache = {}
         self._source_power_cache = {}
 
-    def _tail_solution(self, side, head_idx, relation_idx):
-        cache = self._tail_cache_1 if side == 1 else self._tail_cache_2
-        key = (head_idx, relation_idx)
-        if key in cache:
-            return cache[key]
-        snap = self._snap
-        if side == 1:
-            model, entities, relations = self.model.model1, snap.entity_matrix_1, snap.relation_matrix_1
-        else:
-            model, entities, relations = self.model.model2, snap.entity_matrix_2, snap.relation_matrix_2
-        solution = model.solve_tail(
-            entities[head_idx],
-            relations[relation_idx],
-            entities,
-            num_samples=self.config.solver_samples,
-            num_steps=self.config.solver_steps,
-            rng=self.rng,
-        )
-        translation = solution.translation
-        if side == 1:
-            translation = self._map_entity.T @ translation
-        cache[key] = (translation, solution.bound)
-        return cache[key]
-
-    def edge_cost(self, edge, zero_relation_difference=False):
-        mapped_1, bound_1 = self._tail_solution(1, edge.source.left, edge.relation.left)
-        translation_2, bound_2 = self._tail_solution(2, edge.source.right, edge.relation.right)
-        if zero_relation_difference:
-            relation_difference = 0.0
-        else:
-            relation_difference = float(np.linalg.norm(mapped_1 - translation_2))
-        return relation_difference + bound_1 + bound_2
-
-    def edge_power(self, edge, zero_relation_difference=False):
-        key = (edge.source, edge.relation, edge.target, zero_relation_difference)
+    def edge_power(self, edge):
+        key = (edge.source, edge.relation, edge.target)
         if key not in self._edge_power_cache:
-            cost = self.edge_cost(edge, zero_relation_difference)
+            head, tail = edge.source, edge.target
+            displacement = (self._mapped_1[tail.left] - self._mapped_1[head.left]) - (
+                self._entities_2[tail.right] - self._entities_2[head.right]
+            )
+            cost = float(np.sqrt(np.sum(displacement * displacement)))
             self._edge_power_cache[key] = 1.0 / (1.0 + cost)
         return self._edge_power_cache[key]
 
@@ -174,11 +148,7 @@ class InferencePowerEstimator:
     def relation_to_entity_power(self, source):
         powers = {}
         for edge in self.graph.edges_by_relation_pair.get(source, []):
-            power = self.edge_power(edge, zero_relation_difference=True)
-            if power < self.config.min_power:
-                continue
-            if power > powers.get(edge.target, 0.0):
-                powers[edge.target] = power
+            powers.setdefault(edge.target, 1.0)
         return powers
 
     def entity_to_class_power(self, source):

@@ -58,15 +58,6 @@ class TestModelInterface:
         matrix[0, 0] = 123.0
         assert models[name].entity_matrix()[0, 0] != 123.0
 
-    def test_score_np_zero_at_solution(self, models, name):
-        model = models[name]
-        entities = model.entity_matrix()
-        relations = model.relation_matrix()
-        solution = model.solve_tail(entities[0], relations[0], entities, rng=0)
-        predicted_tail = entities[0] + solution.translation
-        score = model.score_np(entities[0], relations[0], predicted_tail)
-        assert score <= solution.bound + 1.0
-
     def test_gradients_flow_through_triple_scores(self, models, train_kg, name):
         model = models[name]
         loss = model.triple_scores(train_kg.triple_array[:3]).sum()
@@ -75,14 +66,6 @@ class TestModelInterface:
 
 
 class TestTransESpecifics:
-    def test_solve_tail_is_exact(self, models):
-        model = models["transe"]
-        entities = model.entity_matrix()
-        relations = model.relation_matrix()
-        solution = model.solve_tail(entities[1], relations[2], entities)
-        assert solution.bound == 0.0
-        assert np.allclose(solution.translation, relations[2])
-
     def test_local_relation_embedding_is_difference(self, models):
         model = models["transe"]
         h, t = np.ones(8), np.full(8, 3.0)

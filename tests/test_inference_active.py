@@ -1,5 +1,7 @@
 """Tests for inference power measurement and batch active learning."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -109,7 +111,6 @@ class TestAlignmentGraph:
         assert graph.out_ptr_list == graph.out_ptr.tolist()
         assert graph.out_edge_list == graph.out_edges.tolist()
         assert graph.entity_sides == [(p.left, p.right) for p in graph.entity_pairs]
-        assert graph.relation_sides == [(p.left, p.right) for p in graph.relation_pairs]
         # a second estimator over the same graph shares the views
         other = InferencePowerEstimator(estimator.model, graph, estimator.config)
         assert other._edges is estimator._edges is graph.edge_list
@@ -123,10 +124,43 @@ class TestInferencePower:
             power = estimator.edge_power(edge)
             assert 0.0 < power <= 1.0
 
-    def test_zeroing_relation_difference_never_decreases_power(self, inference_setup):
+    def test_relation_pair_gives_each_target_full_power(self, inference_setup):
         _, _, graph, estimator = inference_setup
-        for edge in range(20):
-            assert estimator.edge_power(edge, True) >= estimator.edge_power(edge) - 1e-12
+        ptr = graph.relation_ptr
+        relation = int(np.argmax(np.diff(ptr)))
+        targets = graph.edges[graph.relation_edges[ptr[relation] : ptr[relation + 1]], 2].tolist()
+        assert len(set(targets)) > 1
+        powers = estimator.relation_to_entity_power(graph.relation_pairs[relation])
+        assert powers.ids.tolist() == list(dict.fromkeys(targets))
+        assert powers.data.tolist() == [1.0] * len(powers)
+
+    def test_exact_fits_reduce_displacement_to_relation_difference(self, inference_setup):
+        """With ``t = h + r`` on both sides, ``disp = ||A·r₁ − r₂||``."""
+        pipeline, _, graph, _ = inference_setup
+        snap = pipeline.model.similarity.snapshot
+        entities_1, entities_2 = snap.entity_matrix_1.copy(), snap.entity_matrix_2.copy()
+        sides = graph.entity_sides
+        edge = next(
+            edge
+            for edge, (h, _, t) in enumerate(graph.edge_list)
+            if sides[h][0] != sides[t][0] and sides[h][1] != sides[t][1]
+        )
+        source, relation, target = graph.edge_list[edge]
+        (h1, h2), (t1, t2) = sides[source], sides[target]
+        r1, r2 = graph.relation_pairs[relation].left, graph.relation_pairs[relation].right
+        relation_1, relation_2 = snap.relation_matrix_1[r1], snap.relation_matrix_2[r2]
+        entities_1[t1] = entities_1[h1] + relation_1
+        entities_2[t2] = entities_2[h2] + relation_2
+        mapping = pipeline.model.map_entity.data
+        model = SimpleNamespace(
+            similarity=SimpleNamespace(
+                snapshot=SimpleNamespace(entity_matrix_1=entities_1, entity_matrix_2=entities_2)
+            ),
+            map_entity=SimpleNamespace(data=mapping),
+        )
+        estimator = InferencePowerEstimator(model, graph, pipeline.config.inference)
+        expected = 1.0 / (1.0 + np.linalg.norm(relation_1 @ mapping - relation_2))
+        assert estimator.edge_power(edge) == pytest.approx(expected, rel=1e-9)
 
     def test_path_power_reaches_neighbors(self, inference_setup):
         _, _, graph, estimator = inference_setup
@@ -174,8 +208,12 @@ class TestInferencePower:
             ElementKind.RELATION: {tuple(r) for r in pipeline.pair.relation_match_ids().tolist()},
             ElementKind.CLASS: {tuple(r) for r in pipeline.pair.class_match_ids().tolist()},
         }
-        accuracy = inference_accuracy(estimator, labelled, gold)
-        assert 0.0 <= accuracy <= 1.0
+        inferred, precision = inference_accuracy(estimator, labelled, gold)
+        assert inferred == len(estimator.inferred_pairs(labelled))
+        if inferred:
+            assert 0.0 <= precision <= 1.0
+        else:
+            assert precision is None
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

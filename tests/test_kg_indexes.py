@@ -2,8 +2,9 @@
 
 ``dict_adjacency`` and ``loop_pagerank`` are the previous implementations,
 kept here as oracles: every accessor must return the same values in the same
-order (the selection RNG-order contract reads each KG's adjacency order), and
-PageRank must stay byte-identical.
+order (alignment-graph edge ids, and with them selection ties and partition
+splits, follow each KG's adjacency order), and PageRank must stay
+byte-identical.
 """
 
 from __future__ import annotations

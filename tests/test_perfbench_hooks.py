@@ -2,7 +2,7 @@
 
 ``perfbench/tracing.py`` wraps the public call of every layer by name
 (``AlignmentCalibrator.pair_probabilities_from_engine``, ``build_pool``,
-``InferencePowerEstimator.edge_power`` and its ``_edge_power_cache`` memo,
+``InferencePowerEstimator.edge_power`` and its ``_edge_power_cache`` list,
 ``AnnView.top_k_for_rows``, …).  A rename or a move in ``src/`` breaks
 ``perfbench/run.py --trace 1``; this test installs the wrappers on a
 :class:`Tracer`, checks they are live, and uninstalls them again.
@@ -72,11 +72,11 @@ def test_install_wraps_every_hook_and_uninstall_restores(tracing, fitted_pipelin
         names = {span.name for span in tracer.spans}
         assert {"active.pool", "alignment.calibrate"} <= names
 
-        # edge_power is counted through its memo dict, read by name per call
-        # (an estimator with its own generator leaves the pipeline's alone)
+        # edge_power is counted through its memo, read by name per call: the
+        # first call fills the list of every edge's power, the second hits it
         graph = graph_from_pool(model.kg1, model.kg2, pool)
         assert graph.num_edges() > 0
-        estimator = InferencePowerEstimator(model, graph, fitted_pipeline.config.inference, rng=0)
+        estimator = InferencePowerEstimator(model, graph, fitted_pipeline.config.inference)
         estimator.edge_power(0)
         estimator.edge_power(0)
         assert tracer.counted(tracer.run, "inference.edge_power_calls") == 2

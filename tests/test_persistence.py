@@ -57,7 +57,7 @@ def test_pair_codec_round_trip(tiny_pair):
 # --------------------------------------------------------------- format / errors
 def test_checkpoint_files_and_manifest(checkpoint_dir, fitted_pipeline):
     manifest = json.loads((checkpoint_dir / "manifest.json").read_text())
-    assert manifest["format_version"] == 5
+    assert manifest["format_version"] == 6
     assert "similarity_backend" not in manifest
     assert manifest["fitted"] is True
     assert manifest["config"] == fitted_pipeline.config.to_dict()
@@ -86,8 +86,9 @@ def test_unsupported_format_version_fails(checkpoint_dir, tmp_path):
 
     # 1 predates the retired ``ann_*`` config keys, 2 the settings that became
     # constants, 3 the retired ``similarity_workers``, 4 the retired dense
-    # similarity backend; 999 is from the future
-    for version in (1, 2, 3, 4, 999):
+    # similarity backend, 5 the retired tail-solver knobs; 999 is from the
+    # future
+    for version in (1, 2, 3, 4, 5, 999):
         future = tmp_path / f"v{version}"
         shutil.copytree(checkpoint_dir, future)
         manifest = json.loads((future / "manifest.json").read_text())
@@ -96,6 +97,9 @@ def test_unsupported_format_version_fails(checkpoint_dir, tmp_path):
             # as written before: a backend name the config no longer accepts
             manifest["similarity_backend"] = "dense"
             manifest["config"]["similarity_backend"] = "dense"
+        if version == 5:
+            # as written before: inference keys the config no longer has
+            manifest["config"]["inference"].update(solver_samples=3, solver_steps=15)
         (future / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match="format version"):
             load_checkpoint(future)

@@ -1,11 +1,10 @@
 """The array-native selection layer against the dict-based reference.
 
 ``selection_oracle`` holds the selection layer as it was before the move to
-integer ids and NumPy arrays (with a rank tie-break among equal gains).  For
-TransE (exact tail solves) and RotatE (sampled tail solves, which draw from
-the shared RNG) the two must agree exactly: the same edges in the same order,
-the same partition labels, the same batches and the same RNG state after
-selection.
+integer ids and NumPy arrays (with a rank tie-break among equal gains), with
+edge powers computed one edge at a time from dicts.  For TransE and RotatE
+the two must agree exactly: the same edges in the same order, the same
+partition labels, the same batches and the same RNG state after selection.
 """
 
 import os
@@ -44,10 +43,7 @@ def world(request):
             embedding_batches_per_round=1, embedding_batch_size=256,
         ),
         pool=PoolConfig(top_n=10),
-        # few, short tail solves: RotatE still draws from the RNG per solve
-        inference=InferencePowerConfig(
-            max_hops=2, power_threshold=0.5, solver_samples=2, solver_steps=4
-        ),
+        inference=InferencePowerConfig(max_hops=2, power_threshold=0.5),
         seed=0,
     )
     pipeline = DAAKG(pair, config).fit()
@@ -68,8 +64,8 @@ def world(request):
 def _estimator(world, side, seed=5):
     pipeline, _, _, graphs = world
     estimator_class = oracle.InferencePowerEstimator if side == "oracle" else InferencePowerEstimator
-    rng = np.random.default_rng(seed)
-    return estimator_class(pipeline.model, graphs[side], pipeline.config.inference, rng=rng), rng
+    estimator = estimator_class(pipeline.model, graphs[side], pipeline.config.inference)
+    return estimator, np.random.default_rng(seed)
 
 
 def test_edges_match_in_order(world):
@@ -78,6 +74,26 @@ def test_edges_match_in_order(world):
     graph = graphs["arrays"]
     assert expected
     assert [graph.edge_pairs(i) for i in range(graph.num_edges())] == expected
+
+
+def test_edge_powers_match(world):
+    graphs = world[3]
+    oracle_estimator, _ = _estimator(world, "oracle")
+    expected = [oracle_estimator.edge_power(edge) for edge in graphs["oracle"].edges]
+    estimator, _ = _estimator(world, "arrays")
+    assert estimator.edge_powers().tolist() == expected
+
+
+def test_powers_and_reaches_leave_the_loop_rng_alone(world):
+    pipeline, pool, _, _ = world
+    loop = pipeline.active_learning("daakg")
+    state = loop._build_state()
+    before = loop.rng.bit_generator.state
+    state.estimator.edge_powers()
+    for pair in pool.all_pairs:
+        state.estimator.reachable_power(pair)
+    partition_pool(state.graph, state.estimator)
+    assert loop.rng.bit_generator.state == before
 
 
 def test_greedy_batch_and_rng_match(world):
@@ -105,8 +121,7 @@ def test_partition_labels_batch_and_rng_match(world, rho, max_partitions):
         estimator, rng = _estimator(world, side)
         batch = select(pool.all_pairs, probabilities, graphs[side], estimator, SELECTION, config, rng=rng)
         results[side] = (batch, rng.random())
-        # every edge power is cached by now, so this repeats the labels the
-        # selection used without touching the RNG
+        # repeats the labels the selection used
         labels[side] = dict(partition(graphs[side], estimator, config).items())
     assert len(set(labels["arrays"].values())) > 1
     assert labels["arrays"] == labels["oracle"]
