@@ -16,6 +16,8 @@ tracked across PRs like every other benchmark.
 
 import time
 
+import numpy as np
+
 from conftest import BENCH_DATASETS, fitted_daakg, print_table, record_bench
 from repro.active.partition import PartitionSelectionConfig, partition_pool, partition_select
 from repro.active.selection import GreedySelectionConfig, expected_overall_power, greedy_select
@@ -31,7 +33,6 @@ def test_fig7_partitioning(benchmark):
     pool = pipeline.build_pool()
     graph, estimator = pipeline.build_inference_estimator(pool)
     calibrator = AlignmentCalibrator(pipeline.config.calibration)
-    probabilities = {}
     matrices = {
         ElementKind.ENTITY: calibrator.probability_matrix(
             pipeline.model.entity_similarity_matrix(), ElementKind.ENTITY
@@ -43,10 +44,11 @@ def test_fig7_partitioning(benchmark):
             pipeline.model.class_similarity_matrix(), ElementKind.CLASS
         ),
     }
-    for pair in pool.all_pairs:
-        matrix = matrices[pair.kind]
-        probabilities[pair] = float(matrix[pair.left, pair.right]) if matrix.size else 0.0
-    candidates = pool.all_pairs
+    probabilities = np.array([
+        float(matrices[pair.kind][pair.left, pair.right]) if matrices[pair.kind].size else 0.0
+        for pair in pool.all_pairs
+    ])
+    candidates = np.arange(len(pool))
     selection_config = GreedySelectionConfig(
         batch_size=BATCH_SIZE, power_threshold=estimator.config.power_threshold, candidate_limit=500
     )
@@ -124,5 +126,5 @@ def test_fig7_partitioning(benchmark):
         },
     )
     for entry, batch in zip(entries, batches):
-        assert len(set(batch)) == BATCH_SIZE, entry
+        assert len(set(batch.tolist())) == BATCH_SIZE, entry
     assert all(e["relative_power"] > 0.0 for e in partition_entries)

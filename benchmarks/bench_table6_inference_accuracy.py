@@ -14,10 +14,10 @@ cost exists.
 import statistics
 import time
 
+import numpy as np
 import pytest
 
 from conftest import BENCH_DATASETS, fitted_daakg, print_table, record_bench
-from repro.inference.pairs import ElementPair
 from repro.inference.power import inference_accuracy
 from repro.kg.elements import ElementKind
 
@@ -36,11 +36,11 @@ def _runs(base_model: str) -> list[tuple[int, float | None]]:
     runs = []
     for seed in SEEDS:
         pipeline = fitted_daakg(BENCH_DATASETS[0], base_model, seed=seed)
-        _, estimator = pipeline.build_inference_estimator()
-        labelled = [
-            ElementPair(ElementKind.ENTITY, left, right)
-            for left, right in pipeline.trainer.labels.matches[ElementKind.ENTITY]
-        ]
+        pool = pipeline.build_pool()
+        _, estimator = pipeline.build_inference_estimator(pool)
+        matches = np.array(pipeline.trainer.labels.matches[ElementKind.ENTITY]).reshape(-1, 2)
+        labelled = pool.pair_ids(ElementKind.ENTITY, matches[:, 0], matches[:, 1])
+        labelled = labelled[labelled >= 0]  # pairs outside the pool reach nothing
         gold = {
             ElementKind.ENTITY: {tuple(r) for r in pipeline.pair.entity_match_ids().tolist()},
             ElementKind.RELATION: {tuple(r) for r in pipeline.pair.relation_match_ids().tolist()},

@@ -7,8 +7,9 @@ joint alignment model on the new labels (focal loss), and record progressive
 evaluation scores.  The pool and its alignment graph depend only on the model
 before the first batch and on the two KGs, so both are built once and kept
 for the whole loop; the estimator is rebuilt per batch because fine-tuning
-changes the model it reads.  The loop stops when the labelling budget (number
-of batches) runs out, as in the paper.
+changes the model it reads.  Strategies pick pool ids; the loop turns them
+into ``ElementPair`` objects once, for the oracle and the record.  The loop
+stops when the labelling budget (number of batches) runs out, as in the paper.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ class ActiveLearningLoop:
             self._graph = (pool, graph_from_pool(self.model.kg1, self.model.kg2, pool))
         return self._graph[1]
 
-    def _probability_lookup(self, pool: ElementPairPool) -> dict[ElementPair, float]:
-        """Calibrated probability per pool pair, read through the engine.
+    def _probability_lookup(self, pool: ElementPairPool) -> np.ndarray:
+        """Calibrated probability of every pool pair, indexed by pool id.
 
         Similarities come from the model's SimilarityEngine (cached between
         optimiser steps).  Probabilities are computed only for the pool's
@@ -134,37 +135,24 @@ class ActiveLearningLoop:
         touch (the full probability matrix never exists).
         """
         engine = self.model.similarity
-        lookup: dict[ElementPair, float] = {}
-        groups = (
-            (ElementKind.ENTITY, pool.entity_pairs),
-            (ElementKind.RELATION, pool.relation_pairs),
-            (ElementKind.CLASS, pool.class_pairs),
-        )
-        for kind, pairs in groups:
-            if not pairs:
-                continue
-            num_rows, num_cols = engine.shape(kind)
-            if num_rows == 0 or num_cols == 0:
-                lookup.update((pair, 0.0) for pair in pairs)
-                continue
-            lefts = np.fromiter((p.left for p in pairs), dtype=np.int64, count=len(pairs))
-            rights = np.fromiter((p.right for p in pairs), dtype=np.int64, count=len(pairs))
-            probabilities = self.calibrator.pair_probabilities_from_engine(
-                engine, kind, lefts, rights
+        parts = []
+        for kind in _KINDS:
+            sides = pool.sides(kind)
+            parts.append(
+                self.calibrator.pair_probabilities_from_engine(
+                    engine, kind, sides[:, 0], sides[:, 1]
+                )
             )
-            lookup.update(zip(pairs, probabilities.tolist()))
-        return lookup
+        return np.concatenate(parts)
 
     def _build_state(self) -> SelectionState:
         pool = self.pool()
-        labelled = {
-            ElementKind.ENTITY: self.trainer.labels.labelled_pairs(ElementKind.ENTITY),
-            ElementKind.RELATION: self.trainer.labels.labelled_pairs(ElementKind.RELATION),
-            ElementKind.CLASS: self.trainer.labels.labelled_pairs(ElementKind.CLASS),
-        }
-        unlabelled = [
-            pair for pair in pool.all_pairs if (pair.left, pair.right) not in labelled[pair.kind]
-        ]
+        unlabelled = np.ones(len(pool), dtype=bool)
+        for kind in _KINDS:
+            labelled = self.trainer.labels.labelled_pairs(kind)
+            sides = np.array(list(labelled), dtype=np.int64).reshape(-1, 2)
+            ids = pool.pair_ids(kind, sides[:, 0], sides[:, 1])
+            unlabelled[ids[ids >= 0]] = False
         probabilities = self._probability_lookup(pool)
         graph = None
         estimator = None
@@ -173,7 +161,7 @@ class ActiveLearningLoop:
             estimator = InferencePowerEstimator(self.model, graph, self.config.inference)
         return SelectionState(
             pool=pool,
-            unlabelled=unlabelled,
+            candidates=np.flatnonzero(unlabelled),
             probabilities=probabilities,
             model=self.model,
             graph=graph,
@@ -248,7 +236,9 @@ class ActiveLearningLoop:
             with obs.span("active.batch", batch=batch_index):
                 state = self._build_state()
                 with obs.timer("active.select.seconds"):
-                    selected = self.strategy.select(state, self.config.batch_size)
+                    picks = self.strategy.select(state, self.config.batch_size)
+                pairs = state.pool.all_pairs
+                selected = [pairs[pick] for pick in np.asarray(picks).tolist()]
                 if not selected:
                     logger.info(
                         "strategy returned no pairs; stopping at batch %d", batch_index

@@ -25,9 +25,7 @@ import numpy as np
 from repro import obs
 from repro.active.selection import GreedySelectionConfig, greedy_select
 from repro.inference.alignment_graph import AlignmentGraph, PairValues, expand_ranges
-from repro.inference.pairs import ElementPair
 from repro.inference.power import InferencePowerEstimator
-from repro.kg.elements import ElementKind
 from repro.kg.graph import csr_index
 from repro.utils.logging import get_logger
 from repro.utils.rng import RandomState
@@ -56,15 +54,15 @@ def partition_pool(
 ) -> PairValues:
     """Split entity pairs into groups following Algorithm 2's refinement loop.
 
-    Returns ``{entity pair: partition id}``; its ``data`` array holds the
-    label of every entity id.  Pairs with no edges keep partition 0.
+    Returns the partition label (``data``) of every entity pair id (``ids``).
+    Pairs with no edges keep partition 0.
     """
     config = config or PartitionSelectionConfig()
-    with obs.span("active.partition.refine", pairs=len(graph.entity_pairs)):
+    with obs.span("active.partition.refine", pairs=graph.relation_offset):
         labels = _refine(graph, estimator.edge_powers(), config)
     num_groups = int(labels.max()) + 1 if labels.size else 1
     logger.debug("partitioned %d entity pairs into %d groups", labels.size, num_groups)
-    return PairValues(graph, np.arange(labels.size), labels)
+    return PairValues(np.arange(labels.size), labels)
 
 
 def _refine(
@@ -76,7 +74,7 @@ def _refine(
     in the order of their first member; a group that was examined and left
     whole gives the same answer every later round, so it is not revisited.
     """
-    num_pairs = len(graph.entity_pairs)
+    num_pairs = graph.relation_offset  # entity pairs hold the ids below it
     labels = np.zeros(num_pairs, dtype=np.int64)
     if num_pairs == 0:
         return labels
@@ -208,36 +206,33 @@ class _QuotientReach:
         groups = np.array(order, dtype=np.int64)
         return groups, value[groups]
 
-    def __call__(self, candidate: ElementPair) -> PairValues:
-        if candidate.kind is not ElementKind.ENTITY:
+    def __call__(self, candidate: int) -> PairValues:
+        if candidate >= self.graph.relation_offset:
             return self.estimator.reachable_power(candidate)
-        graph = self.graph
-        index = graph.pair_id(candidate)
-        if index is None:
-            return PairValues(graph, np.empty(0, dtype=np.int64), np.empty(0))
-        groups, values = self._group_power(index)
+        groups, values = self._group_power(candidate)
         ptr = self.member_ptr
         row, position = expand_ranges(ptr[groups], ptr[groups + 1] - ptr[groups])
         ids = self.members[position]
-        keep = ids != index
-        schema_ids, schema_powers = self.estimator.schema_power(index)
+        keep = ids != candidate
+        schema_ids, schema_powers = self.estimator.schema_power(candidate)
         return PairValues(
-            graph,
             np.concatenate([ids[keep], schema_ids]),
             np.concatenate([values[row][keep], schema_powers]),
         )
 
 
 def partition_select(
-    candidates: list[ElementPair],
-    probabilities: dict[ElementPair, float],
+    candidates: np.ndarray,
+    probabilities: np.ndarray,
     graph: AlignmentGraph,
     estimator: InferencePowerEstimator,
     selection_config: GreedySelectionConfig | None = None,
     partition_config: PartitionSelectionConfig | None = None,
     rng: RandomState = None,
-) -> list[ElementPair]:
+) -> np.ndarray:
     """Algorithm 2: partition the pool, then run the greedy selection on estimates.
+
+    Takes and returns pool ids, as :func:`~repro.active.selection.greedy_select`.
 
     The estimated reach of a candidate assigns each reachable partition the
     best path power on the quotient graph, and every member of that partition

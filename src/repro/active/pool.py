@@ -15,10 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.alignment.model import JointAlignmentModel
+from repro.inference.alignment_graph import _pair_lookup
 from repro.inference.pairs import ElementPair, class_pair, entity_pair, relation_pair
 from repro.kg.elements import ElementKind
 from repro.kg.graph import KnowledgeGraph
 from repro.runtime.streaming import mutual_top_n
+
+_KINDS = (ElementKind.ENTITY, ElementKind.RELATION, ElementKind.CLASS)
 
 
 @dataclass(frozen=True)
@@ -36,10 +39,12 @@ class PoolConfig:
 class ElementPairPool:
     """The candidate element pairs active learning may ask the oracle about.
 
-    Immutable: the pair sequences are normalised to tuples at construction, so
-    the membership sets built in ``__post_init__`` can never silently go stale
-    (mutating a pair list after construction used to desynchronise
-    ``__contains__`` and ``recall_of_matches`` from the lists).
+    Immutable: the pair sequences are normalised to tuples at construction,
+    and each kind's pairs must be distinct and sorted by ``(left, right)``.
+    A pool pair's id is its position in :attr:`all_pairs` — entity pairs,
+    then relation pairs, then class pairs — which is also its id in the
+    pool's alignment graph; selection works on these ids and the
+    ``ElementPair`` objects serve the oracle, the records and checkpoints.
     """
 
     entity_pairs: tuple[ElementPair, ...] = ()
@@ -54,19 +59,41 @@ class ElementPairPool:
         return len(self.entity_pairs) + len(self.relation_pairs) + len(self.class_pairs)
 
     def __contains__(self, pair: ElementPair) -> bool:
-        if pair.kind is ElementKind.ENTITY:
-            return pair in self._entity_set
-        if pair.kind is ElementKind.RELATION:
-            return pair in self._relation_set
-        return pair in self._class_set
+        return bool(self.pair_ids(pair.kind, [pair.left], [pair.right])[0] >= 0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entity_pairs", tuple(self.entity_pairs))
-        object.__setattr__(self, "relation_pairs", tuple(self.relation_pairs))
-        object.__setattr__(self, "class_pairs", tuple(self.class_pairs))
-        object.__setattr__(self, "_entity_set", frozenset(self.entity_pairs))
-        object.__setattr__(self, "_relation_set", frozenset(self.relation_pairs))
-        object.__setattr__(self, "_class_set", frozenset(self.class_pairs))
+        sides = {}
+        for kind, name in zip(_KINDS, ("entity_pairs", "relation_pairs", "class_pairs")):
+            pairs = tuple(getattr(self, name))
+            object.__setattr__(self, name, pairs)
+            side = np.array([(p.left, p.right) for p in pairs], dtype=np.int64).reshape(-1, 2)
+            keys = side[:, 0] * (side[:, 1].max(initial=0) + 1) + side[:, 1]
+            if np.any(np.diff(keys) <= 0):
+                raise ValueError(f"{name} must be distinct and sorted by (left, right)")
+            sides[kind] = side
+        object.__setattr__(self, "_sides", sides)
+
+    def sides(self, kind: ElementKind) -> np.ndarray:
+        """``(n, 2)`` array of the ``(left, right)`` indexes of one kind's pairs."""
+        return self._sides[kind]
+
+    def offset(self, kind: ElementKind) -> int:
+        """Id of the first pair of ``kind``."""
+        if kind is ElementKind.ENTITY:
+            return 0
+        if kind is ElementKind.RELATION:
+            return len(self.entity_pairs)
+        return len(self.entity_pairs) + len(self.relation_pairs)
+
+    def pair_ids(self, kind: ElementKind, lefts, rights) -> np.ndarray:
+        """Pool id of each ``(lefts[i], rights[i])`` pair of ``kind``; ``-1``
+        for a pair outside the pool."""
+        lefts = np.asarray(lefts, dtype=np.int64)
+        rights = np.asarray(rights, dtype=np.int64)
+        sides = self.sides(kind)
+        width = int(max(sides[:, 1].max(initial=-1), rights.max(initial=-1))) + 1
+        found = _pair_lookup(sides, width)(lefts, rights)
+        return np.where(found >= 0, found + self.offset(kind), -1)
 
     def entity_pair_set(self) -> set[tuple[int, int]]:
         return {(p.left, p.right) for p in self.entity_pairs}
@@ -75,7 +102,8 @@ class ElementPairPool:
         """Fraction of gold entity matches preserved by the pool (Figure 6)."""
         if not gold_pairs:
             return 0.0
-        kept = sum(1 for pair in gold_pairs if entity_pair(*pair) in self._entity_set)
+        lefts, rights = zip(*gold_pairs)
+        kept = int(np.count_nonzero(self.pair_ids(ElementKind.ENTITY, lefts, rights) >= 0))
         return kept / len(gold_pairs)
 
 

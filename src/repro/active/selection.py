@@ -6,26 +6,25 @@ approximated with Monte-Carlo samples of the match indicator vector drawn from
 the calibrated alignment probabilities; because the objective is increasing
 and sub-modular (Theorem 6.1), greedy selection keeps the
 ``(1 − 1/e)``-approximation guarantee up to the sampling error.
+
+Pairs are pool ids (positions in ``pool.all_pairs``); probabilities are one
+array indexed by pool id.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from repro import obs
 from repro.inference.alignment_graph import PairValues
-from repro.inference.pairs import ElementPair
 from repro.utils.logging import get_logger
 from repro.utils.rng import RandomState, ensure_rng
 
 logger = get_logger(__name__)
-
-# A "reach function" maps a candidate pair to {inferable pair: inference power}.
-ReachFunction = Callable[[ElementPair], Mapping[ElementPair, float]]
 
 #: Added to every candidate's expected gain, so the objective stays strictly
 #: increasing and ties are broken by probability, as in the uncertainty
@@ -52,73 +51,51 @@ class GreedySelectionConfig:
 
 
 def greedy_select(
-    candidates: list[ElementPair],
-    probabilities: dict[ElementPair, float],
-    reach: ReachFunction,
+    candidates: np.ndarray,
+    probabilities: np.ndarray,
+    reach: Callable[[int], PairValues],
     config: GreedySelectionConfig | None = None,
     rng: RandomState = None,
-) -> list[ElementPair]:
+) -> np.ndarray:
     """Select a batch maximising expected overall inference power (Algorithm 1).
 
     Parameters
     ----------
     candidates:
-        Unlabelled pool pairs eligible for selection.
+        Ids of the unlabelled pool pairs eligible for selection.
     probabilities:
-        Calibrated match probabilities ``Pr[y*(q) = 1]`` per pair (Eq. 12).
+        Calibrated match probability ``Pr[y*(q) = 1]`` of every pool pair,
+        indexed by id (Eq. 12).
     reach:
-        Function returning ``I(q' | q)`` for the pairs each candidate can infer
-        (typically ``InferencePowerEstimator.reachable_power``).
+        Function returning ``I(q' | q)`` for the pairs candidate ``q`` can
+        infer (typically ``InferencePowerEstimator.reachable_power``).
 
     Candidates are ranked by probability (descending, input order among
     equals); among equal gains the lower rank wins.  Each candidate's reach is
-    evaluated once, in rank order.
+    evaluated once, in rank order.  Returns the picked ids in pick order.
     """
     config = config or GreedySelectionConfig()
     rng = ensure_rng(rng)
-    if not candidates:
-        return []
+    candidates = np.asarray(candidates, dtype=np.int64)
+    if not candidates.size:
+        return candidates
 
-    ranked = sorted(candidates, key=lambda q: -probabilities.get(q, 0.0))
-    if config.candidate_limit is not None and len(ranked) > config.candidate_limit:
+    ranked = candidates[np.argsort(-probabilities[candidates], kind="stable")]
+    if config.candidate_limit is not None:
         ranked = ranked[: config.candidate_limit]
 
     with obs.span("active.greedy.reach", candidates=len(ranked)):
-        reachable, width = _thresholded_reach(ranked, reach, config.power_threshold)
+        reachable = []
+        for candidate in ranked.tolist():
+            result = reach(candidate)
+            keep = result.data > config.power_threshold
+            reachable.append((result.ids[keep], result.data[keep]))
     with obs.span("active.greedy.loop"):
         picks = _lazy_greedy(
-            [probabilities.get(q, 0.0) for q in ranked], reachable, width, config, rng
+            probabilities[ranked].tolist(), reachable, len(probabilities), config, rng
         )
     logger.debug("greedy selection picked %d pairs", len(picks))
-    return [ranked[i] for i in picks]
-
-
-def _thresholded_reach(
-    ranked: list[ElementPair], reach: ReachFunction, threshold: float
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
-    """Each candidate's reach above ``threshold`` as ``(target ids, powers)``.
-
-    Targets keep the reach mapping's order.  Reaches that share one
-    alignment graph keep its pair ids; any other mapping has its targets
-    numbered on first sight.  Returns the arrays and the id-space width.
-    """
-    results = [reach(candidate) for candidate in ranked]
-    graph = getattr(results[0], "graph", None)
-    if all(isinstance(r, PairValues) and r.graph is graph for r in results):
-        reachable = []
-        for result in results:
-            keep = result.data > threshold
-            reachable.append((result.ids[keep], result.data[keep]))
-        return reachable, len(graph.all_pairs)
-    index: dict[ElementPair, int] = {}
-    reachable = []
-    for result in results:
-        kept = [(target, value) for target, value in result.items() if value > threshold]
-        ids = [index.setdefault(target, len(index)) for target, _ in kept]
-        reachable.append(
-            (np.array(ids, dtype=np.int64), np.array([v for _, v in kept], dtype=np.float64))
-        )
-    return reachable, len(index)
+    return ranked[picks]
 
 
 def _lazy_greedy(
@@ -167,27 +144,28 @@ def _lazy_greedy(
 
 
 def expected_overall_power(
-    selected: list[ElementPair],
-    probabilities: dict[ElementPair, float],
-    reach: ReachFunction,
+    selected: np.ndarray,
+    probabilities: np.ndarray,
+    reach: Callable[[int], PairValues],
     power_threshold: float = 0.8,
     num_samples: int = 16,
     rng: RandomState = None,
 ) -> float:
-    """Monte-Carlo estimate of ``E[I(P | Q+)]`` for a selected batch (Eq. 27).
+    """Monte-Carlo estimate of ``E[I(P | Q+)]`` for a selected batch of ids (Eq. 27).
 
     Used by the Figure 7 benchmark to compare the quality of Algorithm 1 and
     Algorithm 2 solutions.
     """
     rng = ensure_rng(rng)
+    selected = [int(q) for q in selected]
     reachable = {q: reach(q) for q in selected}
     total = 0.0
     for _ in range(num_samples):
-        best: dict[ElementPair, float] = {}
+        best: dict[int, float] = {}
         for q in selected:
-            if rng.random() >= probabilities.get(q, 0.0):
+            if rng.random() >= probabilities[q]:
                 continue
-            for target, value in reachable[q].items():
+            for target, value in zip(reachable[q].ids.tolist(), reachable[q].data.tolist()):
                 if value > best.get(target, 0.0):
                     best[target] = value
         total += sum(value for value in best.values() if value > power_threshold)

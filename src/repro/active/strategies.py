@@ -7,8 +7,7 @@ PageRank, Uncertainty and an ActiveEA-style structural uncertainty strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,40 +16,54 @@ from repro.active.selection import GreedySelectionConfig, greedy_select
 from repro.active.partition import PartitionSelectionConfig, partition_select
 from repro.alignment.model import JointAlignmentModel
 from repro.inference.alignment_graph import AlignmentGraph
-from repro.inference.pairs import ElementPair
 from repro.inference.power import InferencePowerEstimator
 from repro.kg.elements import ElementKind
 from repro.kg.statistics import entity_pagerank
 
+_KINDS = (ElementKind.ENTITY, ElementKind.RELATION, ElementKind.CLASS)
+
 
 @dataclass
 class SelectionState:
-    """Everything a strategy may need to rank the unlabelled pool."""
+    """Everything a strategy may need to rank the unlabelled pool.
+
+    Pairs are pool ids: ``candidates`` lists the unlabelled ones in ascending
+    order, and ``probabilities`` holds the calibrated match probability of
+    every pool pair, indexed by id.
+    """
 
     pool: ElementPairPool
-    unlabelled: list[ElementPair]
-    probabilities: dict[ElementPair, float]
+    candidates: np.ndarray
+    probabilities: np.ndarray
     model: JointAlignmentModel
     graph: AlignmentGraph | None = None
     estimator: InferencePowerEstimator | None = None
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
+    def candidate_sides(self):
+        """``(kind, lefts, rights)`` of the candidates, kind by kind in id order."""
+        pool = self.pool
+        bounds = np.searchsorted(
+            self.candidates, [pool.offset(ElementKind.RELATION), pool.offset(ElementKind.CLASS)]
+        )
+        for kind, ids in zip(_KINDS, np.split(self.candidates, bounds)):
+            sides = pool.sides(kind)[ids - pool.offset(kind)]
+            yield kind, sides[:, 0], sides[:, 1]
+
 
 class SelectionStrategy:
-    """Base class: rank the unlabelled pool and return the best batch."""
+    """Base class: rank the unlabelled pool and return the ids of the best batch."""
 
     name = "base"
     requires_inference = False
 
-    def select(self, state: SelectionState, batch_size: int) -> list[ElementPair]:
+    def select(self, state: SelectionState, batch_size: int) -> np.ndarray:
         raise NotImplementedError
 
     @staticmethod
-    def _top_by_score(
-        pairs: Sequence[ElementPair], scores: Sequence[float], batch_size: int
-    ) -> list[ElementPair]:
+    def _top_by_score(ids: np.ndarray, scores: np.ndarray, batch_size: int) -> np.ndarray:
         order = np.argsort(-np.asarray(scores, dtype=float))
-        return [pairs[int(i)] for i in order[:batch_size]]
+        return ids[order[:batch_size]]
 
 
 class RandomStrategy(SelectionStrategy):
@@ -58,12 +71,12 @@ class RandomStrategy(SelectionStrategy):
 
     name = "random"
 
-    def select(self, state: SelectionState, batch_size: int) -> list[ElementPair]:
-        if not state.unlabelled:
-            return []
-        count = min(batch_size, len(state.unlabelled))
-        chosen = state.rng.choice(len(state.unlabelled), size=count, replace=False)
-        return [state.unlabelled[int(i)] for i in chosen]
+    def select(self, state: SelectionState, batch_size: int) -> np.ndarray:
+        if not state.candidates.size:
+            return state.candidates
+        count = min(batch_size, state.candidates.size)
+        chosen = state.rng.choice(state.candidates.size, size=count, replace=False)
+        return state.candidates[chosen]
 
 
 class DegreeStrategy(SelectionStrategy):
@@ -71,18 +84,20 @@ class DegreeStrategy(SelectionStrategy):
 
     name = "degree"
 
-    def select(self, state: SelectionState, batch_size: int) -> list[ElementPair]:
+    def select(self, state: SelectionState, batch_size: int) -> np.ndarray:
         kg1, kg2 = state.model.kg1, state.model.kg2
         scores = []
-        for pair in state.unlabelled:
-            if pair.kind is ElementKind.ENTITY:
-                score = kg1.entity_degree(pair.left) + kg2.entity_degree(pair.right)
-            elif pair.kind is ElementKind.RELATION:
-                score = len(kg1.triples_of_relation(pair.left)) + len(kg2.triples_of_relation(pair.right))
+        for kind, lefts, rights in state.candidate_sides():
+            if kind is ElementKind.ENTITY:
+                degree_1 = np.diff(kg1.out_ptr) + np.diff(kg1.in_ptr)
+                degree_2 = np.diff(kg2.out_ptr) + np.diff(kg2.in_ptr)
+                score = degree_1[lefts] + degree_2[rights]
+            elif kind is ElementKind.RELATION:
+                score = np.diff(kg1.relation_ptr)[lefts] + np.diff(kg2.relation_ptr)[rights]
             else:
-                score = len(kg1.entities_of_class(pair.left)) + len(kg2.entities_of_class(pair.right))
-            scores.append(float(score))
-        return self._top_by_score(state.unlabelled, scores, batch_size)
+                score = np.diff(kg1.member_ptr)[lefts] + np.diff(kg2.member_ptr)[rights]
+            scores.append(score.astype(float))
+        return self._top_by_score(state.candidates, np.concatenate(scores), batch_size)
 
 
 class PageRankStrategy(SelectionStrategy):
@@ -102,33 +117,26 @@ class PageRankStrategy(SelectionStrategy):
             )
         return self._cache[key]
 
-    def select(self, state: SelectionState, batch_size: int) -> list[ElementPair]:
+    def select(self, state: SelectionState, batch_size: int) -> np.ndarray:
         pr1, pr2 = self._scores(state)
         kg1, kg2 = state.model.kg1, state.model.kg2
         scores = []
-        for pair in state.unlabelled:
-            if pair.kind is ElementKind.ENTITY:
-                score = pr1[pair.left] + pr2[pair.right]
-            elif pair.kind is ElementKind.RELATION:
-                score = (len(kg1.triples_of_relation(pair.left)) + len(kg2.triples_of_relation(pair.right))) / max(
-                    kg1.num_triples + kg2.num_triples, 1
-                )
+        for kind, lefts, rights in state.candidate_sides():
+            if kind is ElementKind.ENTITY:
+                score = pr1[lefts] + pr2[rights]
+            elif kind is ElementKind.RELATION:
+                uses = np.diff(kg1.relation_ptr)[lefts] + np.diff(kg2.relation_ptr)[rights]
+                score = uses / max(kg1.num_triples + kg2.num_triples, 1)
             else:
-                score = (len(kg1.entities_of_class(pair.left)) + len(kg2.entities_of_class(pair.right))) / max(
-                    kg1.num_entities + kg2.num_entities, 1
-                )
-            scores.append(float(score))
-        return self._top_by_score(state.unlabelled, scores, batch_size)
+                members = np.diff(kg1.member_ptr)[lefts] + np.diff(kg2.member_ptr)[rights]
+                score = members / max(kg1.num_entities + kg2.num_entities, 1)
+            scores.append(score.astype(float))
+        return self._top_by_score(state.candidates, np.concatenate(scores), batch_size)
 
 
 def _entropies(state: SelectionState) -> np.ndarray:
-    """Binary entropy of each unlabelled pair's match probability, in order."""
-    p = np.fromiter(
-        (state.probabilities.get(pair, 0.0) for pair in state.unlabelled),
-        dtype=float,
-        count=len(state.unlabelled),
-    )
-    p = np.clip(p, 1e-9, 1.0 - 1e-9)
+    """Binary entropy of each candidate's match probability, in order."""
+    p = np.clip(state.probabilities[state.candidates], 1e-9, 1.0 - 1e-9)
     return -p * np.log(p) - (1.0 - p) * np.log(1.0 - p)
 
 
@@ -137,8 +145,8 @@ class UncertaintyStrategy(SelectionStrategy):
 
     name = "uncertainty"
 
-    def select(self, state: SelectionState, batch_size: int) -> list[ElementPair]:
-        return self._top_by_score(state.unlabelled, _entropies(state), batch_size)
+    def select(self, state: SelectionState, batch_size: int) -> np.ndarray:
+        return self._top_by_score(state.candidates, _entropies(state), batch_size)
 
 
 class ActiveEAStrategy(SelectionStrategy):
@@ -152,26 +160,20 @@ class ActiveEAStrategy(SelectionStrategy):
     name = "activeea"
     neighbour_weight = 0.5
 
-    def select(self, state: SelectionState, batch_size: int) -> list[ElementPair]:
+    def select(self, state: SelectionState, batch_size: int) -> np.ndarray:
         kg1 = state.model.kg1
-        entropy = dict(zip(state.unlabelled, _entropies(state).tolist()))
-        by_left: dict[int, list[ElementPair]] = {}
-        for pair in state.unlabelled:
-            if pair.kind is ElementKind.ENTITY:
-                by_left.setdefault(pair.left, []).append(pair)
-        scores = []
-        for pair in state.unlabelled:
-            score = entropy[pair]
-            if pair.kind is ElementKind.ENTITY:
-                neighbour_pairs = [
-                    q for n in kg1.neighbors(pair.left) for q in by_left.get(n, [])
-                ]
-                if neighbour_pairs:
-                    score += self.neighbour_weight * float(
-                        np.mean([entropy[q] for q in neighbour_pairs])
-                    )
-            scores.append(score)
-        return self._top_by_score(state.unlabelled, scores, batch_size)
+        entropy = _entropies(state)
+        scores = entropy.tolist()
+        # entity candidates hold the lowest ids, so they come first
+        lefts = next(state.candidate_sides())[1].tolist()
+        by_left: dict[int, list[float]] = {}
+        for left, value in zip(lefts, scores):
+            by_left.setdefault(left, []).append(value)
+        for position, left in enumerate(lefts):
+            neighbours = [value for n in kg1.neighbors(left) for value in by_left.get(n, [])]
+            if neighbours:
+                scores[position] += self.neighbour_weight * float(np.mean(neighbours))
+        return self._top_by_score(state.candidates, scores, batch_size)
 
 
 class DAAKGStrategy(SelectionStrategy):
@@ -192,15 +194,13 @@ class DAAKGStrategy(SelectionStrategy):
         self.selection_config = selection_config or GreedySelectionConfig()
         self.partition_config = partition_config or PartitionSelectionConfig()
 
-    def select(self, state: SelectionState, batch_size: int) -> list[ElementPair]:
+    def select(self, state: SelectionState, batch_size: int) -> np.ndarray:
         if state.estimator is None or state.graph is None:
             raise RuntimeError("DAAKGStrategy needs the alignment graph and power estimator")
-        from dataclasses import replace
-
         config = replace(self.selection_config, batch_size=batch_size)
         if self.algorithm == "partition":
             return partition_select(
-                state.unlabelled,
+                state.candidates,
                 state.probabilities,
                 state.graph,
                 state.estimator,
@@ -209,7 +209,7 @@ class DAAKGStrategy(SelectionStrategy):
                 rng=state.rng,
             )
         return greedy_select(
-            state.unlabelled,
+            state.candidates,
             state.probabilities,
             state.estimator.reachable_power,
             config,

@@ -84,7 +84,15 @@ def greedy_match(similarity_matrix: np.ndarray, threshold: float = 0.0) -> list[
     if similarity_matrix.size == 0:
         return []
     n_rows, n_cols = similarity_matrix.shape
-    flat_order = np.argsort(-similarity_matrix, axis=None)
+    # Equal similarities are taken in row-major order, as
+    # semi_supervised.resolve_conflicts takes them.  The default sort orders
+    # ties arbitrarily, so a second sort on (run of equal values, flat index)
+    # restores that order; it is several times faster than kind="stable".
+    values = -similarity_matrix.ravel()
+    flat_order = np.argsort(values)
+    ordered = values[flat_order]
+    run = np.cumsum(np.r_[True, ordered[1:] != ordered[:-1]])
+    flat_order = flat_order[np.argsort(run * values.size + flat_order)]
     used_rows = np.zeros(n_rows, dtype=bool)
     used_cols = np.zeros(n_cols, dtype=bool)
     matches: list[tuple[int, int]] = []
@@ -187,16 +195,15 @@ def evaluate_alignment(
     similarity_matrix: np.ndarray,
     gold_pairs: np.ndarray,
     match_threshold: float = 0.0,
-    restrict_rows_to_gold: bool = True,
 ) -> AlignmentScores:
     """Compute all metrics for one alignment task.
 
     ``gold_pairs`` is an ``(n, 2)`` index array.  Ranking metrics are computed
     over the gold left elements; set metrics compare the greedy matching
-    against the gold pairs.  When ``restrict_rows_to_gold`` is true the greedy
-    matching is restricted to rows that have a gold counterpart, which mirrors
-    the paper's protocol of evaluating on the test partition (other rows are
-    dangling by construction and would only add unmatched predictions).
+    against the gold pairs.  The greedy matching is restricted to rows that
+    have a gold counterpart, which mirrors the paper's protocol of evaluating
+    on the test partition (other rows are dangling by construction and would
+    only add unmatched predictions).
     """
     gold_pairs = np.asarray(gold_pairs, dtype=np.int64).reshape(-1, 2)
     if similarity_matrix.size == 0 or gold_pairs.size == 0:
@@ -205,13 +212,9 @@ def evaluate_alignment(
     h10 = hits_at_k(similarity_matrix, gold_pairs, 10)
     mrr = mean_reciprocal_rank(similarity_matrix, gold_pairs)
 
-    if restrict_rows_to_gold:
-        rows = np.unique(gold_pairs[:, 0])
-        sub_matrix = similarity_matrix[rows]
-        matches = greedy_match(sub_matrix, threshold=match_threshold)
-        predicted = [(int(rows[i]), int(j)) for i, j in matches]
-    else:
-        predicted = greedy_match(similarity_matrix, threshold=match_threshold)
+    rows = np.unique(gold_pairs[:, 0])
+    matches = greedy_match(similarity_matrix[rows], threshold=match_threshold)
+    predicted = [(int(rows[i]), int(j)) for i, j in matches]
     gold_set = {(int(a), int(b)) for a, b in gold_pairs}
     precision, recall, f1 = precision_recall_f1(predicted, gold_set)
     return AlignmentScores(h1, h10, mrr, precision, recall, f1)

@@ -10,34 +10,37 @@ power needs.
 The graph also records which entity pairs instantiate which class pairs (via
 type triples), used by the gradient-based inference power.
 
-**Layout.**  Every pool pair has an integer id.  Entity pairs take ids
-``0 .. n_entity - 1`` in sorted ``(left, right)`` order — the order
-``ElementPair`` sorts in, so comparing ids breaks heap ties exactly as
-comparing pairs would — relation pairs follow at :attr:`relation_offset` and
-class pairs at :attr:`class_offset`, each in sorted order.  Edges are rows
-``(source entity id, relation pair index, target entity id)`` of
-:attr:`edges`, numbered in build order: sources in the iteration order of the
-pool set, then KG1's and KG2's adjacency order (the join reads each KG's
-``out_ptr``/``out_order`` and ``type_ptr``/``type_order`` indexes).  The
-numbering is the same on every build from the same pool, a resumed one
-included: the set is rebuilt from the pool's immutable pair tuple in the
-same insertion order, and hashes of int tuples do not depend on
-``PYTHONHASHSEED``.  ``out_ptr`` /
-``out_edges`` index edge ids by source (CSR, build order within a source),
-``relation_ptr`` / ``relation_edges`` by relation pair, and ``class_ptr`` /
-``class_ids`` list each entity pair's class-pair indexes in type-triple order.
+**Layout.**  Every pool pair has an integer id, its position in the pool:
+entity pairs take ids ``0 .. n_entity - 1`` in sorted ``(left, right)``
+order — so comparing ids breaks heap ties exactly as comparing
+``ElementPair`` objects would — relation pairs follow at
+:attr:`relation_offset` and class pairs at :attr:`class_offset`, each in
+sorted order.  A pool built by :func:`~repro.active.pool.build_pool` lists
+its pairs in that order, so a graph built from it (:func:`graph_from_pool`)
+numbers pairs as ``pool.all_pairs`` does.  The graph keeps no pair objects:
+row ``i`` of :attr:`sides` holds the ``(left, right)`` element indexes of
+pair ``i``.  Edges are rows ``(source entity id, relation pair index, target
+entity id)`` of :attr:`edges`, numbered in build order: sources in the
+iteration order of the pool set, then KG1's and KG2's adjacency order (the
+join reads each KG's ``out_ptr``/``out_order`` and ``type_ptr``/
+``type_order`` indexes).  The numbering is the same on every build from the
+same pool, a resumed one included: the set is rebuilt from the pool's
+immutable pair tuple in the same insertion order, and hashes of int tuples
+do not depend on ``PYTHONHASHSEED``.  ``out_ptr`` / ``out_edges`` index edge
+ids by source (CSR, build order within a source), ``relation_ptr`` /
+``relation_edges`` by relation pair, and ``class_ptr`` / ``class_ids`` list
+each entity pair's class-pair indexes in type-triple order.
 
 The graph depends only on the pool and the two KGs, so an active loop builds
 it once per pool (:func:`graph_from_pool`) and every batch's estimator shares
 it.  Those estimators walk edges one at a time in Python, so the graph also
 keeps read-only list views of the arrays they index, built on first use:
 :attr:`edge_list`, :attr:`target_list`, :attr:`out_ptr_list`,
-:attr:`out_edge_list` and :attr:`entity_sides`.
+:attr:`out_edge_list` and :attr:`side_list`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -45,7 +48,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import obs
-from repro.inference.pairs import ElementPair, class_pair, entity_pair, relation_pair
+from repro.kg.elements import ElementKind
 from repro.kg.graph import KnowledgeGraph, csr_index
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with active/
@@ -54,11 +57,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with active/
 
 @dataclass(eq=False)
 class AlignmentGraph:
-    """CSR arrays over the element-pair pool."""
+    """CSR arrays over the element-pair pool, addressed by pair id."""
 
-    entity_pairs: list[ElementPair]
-    relation_pairs: list[ElementPair]
-    class_pairs: list[ElementPair]
+    sides: np.ndarray
+    relation_offset: int
+    class_offset: int
     edges: np.ndarray
     out_ptr: np.ndarray
     out_edges: np.ndarray
@@ -66,15 +69,6 @@ class AlignmentGraph:
     relation_edges: np.ndarray
     class_ptr: np.ndarray
     class_ids: np.ndarray
-
-    @cached_property
-    def all_pairs(self) -> list[ElementPair]:
-        """Every pool pair, indexed by its global id."""
-        return self.entity_pairs + self.relation_pairs + self.class_pairs
-
-    @cached_property
-    def _ids(self) -> dict[ElementPair, int]:
-        return {pair: index for index, pair in enumerate(self.all_pairs)}
 
     # Python lists of the arrays the estimator indexes per edge (no boxing);
     # shared by every estimator over this graph, so treat them as read-only.
@@ -95,72 +89,39 @@ class AlignmentGraph:
         return self.out_edges.tolist()
 
     @cached_property
-    def entity_sides(self) -> list[tuple[int, int]]:
-        return [(p.left, p.right) for p in self.entity_pairs]
+    def side_list(self) -> list[list[int]]:
+        return self.sides.tolist()
 
-    @property
-    def relation_offset(self) -> int:
-        return len(self.entity_pairs)
-
-    @property
-    def class_offset(self) -> int:
-        return len(self.entity_pairs) + len(self.relation_pairs)
-
-    def pair_id(self, pair: ElementPair) -> int | None:
-        """Global id of ``pair``, or ``None`` when it is not in the pool."""
-        return self._ids.get(pair)
-
-    def edge_pairs(self, edge: int) -> tuple[ElementPair, ElementPair, ElementPair]:
-        """``(source, relation, target)`` pairs of one edge id."""
-        source, relation, target = self.edges[edge].tolist()
-        return self.entity_pairs[source], self.relation_pairs[relation], self.entity_pairs[target]
+    def kind_of(self, pair: int) -> ElementKind:
+        """The kind of the pair with id ``pair``."""
+        if pair < self.relation_offset:
+            return ElementKind.ENTITY
+        if pair < self.class_offset:
+            return ElementKind.RELATION
+        return ElementKind.CLASS
 
     def num_edges(self) -> int:
         return len(self.edges)
 
 
-class PairValues(Mapping):
-    """A read-only ``{pair: value}`` mapping held as parallel arrays.
+class PairValues:
+    """One value per listed pool pair: pair ids ``ids`` and values ``data``."""
 
-    ``ids`` are global pair ids of ``graph`` and ``data`` the values, in the
-    mapping's iteration order; array-aware callers read them directly instead
-    of building ``ElementPair`` keys.
-    """
+    __slots__ = ("ids", "data")
 
-    __slots__ = ("graph", "ids", "data", "_positions")
-
-    def __init__(self, graph: AlignmentGraph, ids: np.ndarray, data: np.ndarray) -> None:
-        self.graph = graph
+    def __init__(self, ids: np.ndarray, data: np.ndarray) -> None:
         self.ids = ids
         self.data = data
-        self._positions: dict[int, int] | None = None
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self):
-        pairs = self.graph.all_pairs
-        return (pairs[index] for index in self.ids.tolist())
-
-    def __getitem__(self, pair: ElementPair):
-        if self._positions is None:
-            self._positions = {index: pos for pos, index in enumerate(self.ids.tolist())}
-        position = self._positions.get(self.graph.pair_id(pair))
-        if position is None:
-            raise KeyError(pair)
-        return self.data[position].item()
-
-    def items(self):
-        return zip(iter(self), self.data.tolist())
 
     def values(self):
         return self.data.tolist()
 
 
-def _pair_lookup(pairs: list[tuple[int, int]], width: int):
-    """``lookup(lefts, rights)``: index of each pair in the sorted ``pairs``, or
-    ``-1`` outside them (``width`` bounds the right-hand indexes).  Memory
-    stays linear in the pool, unlike a dense ``left × right`` table."""
+def _pair_lookup(pairs, width: int):
+    """``lookup(lefts, rights)``: index of each pair in the sorted ``pairs``
+    (tuples or an ``(n, 2)`` array), or ``-1`` outside them (``width`` bounds
+    the right-hand indexes).  Memory stays linear in the pool, unlike a dense
+    ``left × right`` table."""
     sides = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     keys = sides[:, 0] * width + sides[:, 1]
 
@@ -266,7 +227,8 @@ def _build(kg1, kg2, entity_pool, relation_pool, class_pool) -> AlignmentGraph:
     relation_ptr, relation_edges = csr_index(edges[:, 1], len(relation_keys))
 
     # class-pair membership links (for gradient-based inference power)
-    members = np.asarray(entity_keys, dtype=np.int64).reshape(-1, 2)
+    sides = np.asarray(entity_keys + relation_keys + class_keys, dtype=np.int64).reshape(-1, 2)
+    members = sides[:num_entities]
     row, pos_1, pos_2 = _join(members[:, 0], members[:, 1], kg1.type_ptr, kg2.type_ptr)
     linked = class_id(
         kg1.type_array[kg1.type_order[pos_1], 1], kg2.type_array[kg2.type_order[pos_2], 1]
@@ -275,9 +237,9 @@ def _build(kg1, kg2, entity_pool, relation_pool, class_pool) -> AlignmentGraph:
     class_ptr, _ = csr_index(row[keep], num_entities)
 
     return AlignmentGraph(
-        entity_pairs=[entity_pair(a, b) for a, b in entity_keys],
-        relation_pairs=[relation_pair(a, b) for a, b in relation_keys],
-        class_pairs=[class_pair(a, b) for a, b in class_keys],
+        sides=sides,
+        relation_offset=num_entities,
+        class_offset=num_entities + len(relation_keys),
         edges=edges,
         out_ptr=out_ptr,
         out_edges=out_edges,

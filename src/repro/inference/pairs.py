@@ -21,9 +21,6 @@ class ElementPair:
     left: int
     right: int
 
-    def key(self) -> tuple[str, int, int]:
-        return (self.kind.value, self.left, self.right)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.kind.value}({self.left},{self.right})"
 

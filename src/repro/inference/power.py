@@ -24,19 +24,20 @@ read edges.
 Gradient-based power for class and relation pairs (Eqs. 21–22) is computed in
 closed form through the mean-embedding channel of the schema similarities.
 
-Edges and pairs are addressed by the graph's integer ids.
+Edges and pairs are addressed by the graph's integer ids; a pair's id is its
+position in the pool (see :mod:`repro.inference.alignment_graph`).
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.alignment.model import JointAlignmentModel
 from repro.inference.alignment_graph import AlignmentGraph, PairValues
-from repro.inference.pairs import ElementPair
 from repro.kg.elements import ElementKind
 
 _NO_IDS = np.empty(0, dtype=np.int64)
@@ -112,7 +113,7 @@ class InferencePowerEstimator:
         self._targets = graph.target_list
         self._out_ptr = graph.out_ptr_list
         self._out_edges = graph.out_edge_list
-        self._entity_sides = graph.entity_sides
+        self._sides = graph.side_list
 
     # ----------------------------------------------------------- edge powers
     def edge_powers(self) -> np.ndarray:
@@ -124,7 +125,7 @@ class InferencePowerEstimator:
             snap = self._snap
             mapped_1 = snap.entity_matrix_1 @ self._map_entity
             entities_2 = snap.entity_matrix_2
-            sides = np.asarray(self._entity_sides, dtype=np.int64).reshape(-1, 2)
+            sides = self.graph.sides
             heads, tails = sides[self.graph.edges[:, 0]], sides[self.graph.edges[:, 2]]
             displacement = (mapped_1[tails[:, 0]] - mapped_1[heads[:, 0]]) - (
                 entities_2[tails[:, 1]] - entities_2[heads[:, 1]]
@@ -179,34 +180,28 @@ class InferencePowerEstimator:
         self._path_cache[source] = result
         return result
 
-    def entity_path_power(self, source: ElementPair) -> PairValues:
-        """Best-path inference power from an entity pair to reachable entity pairs."""
-        if source.kind is not ElementKind.ENTITY:
-            raise ValueError("entity_path_power expects an entity pair")
-        index = self.graph.pair_id(source)
-        if index is None:
-            return PairValues(self.graph, _NO_IDS, _NO_VALUES)
-        return PairValues(self.graph, *self._path_power(index))
+    def entity_path_power(self, source: int) -> PairValues:
+        """Best-path inference power from entity pair ``source`` to reachable entity pairs."""
+        if self.graph.kind_of(source) is not ElementKind.ENTITY:
+            raise ValueError("entity_path_power expects an entity pair id")
+        return PairValues(*self._path_power(source))
 
     # -------------------------------------------------- relation → entity pairs
-    def relation_to_entity_power(self, source: ElementPair) -> PairValues:
-        """Eq. 20: power of a relation pair over entity pairs reachable through it.
+    def relation_to_entity_power(self, source: int) -> PairValues:
+        """Eq. 20: power of relation pair ``source`` over entity pairs reachable through it.
 
         A labelled relation pair zeroes the relation difference of its edges;
         each distinct target of those edges gets power 1.0 (the value an
         exact translational fit gives), in first-seen edge order.
         """
-        if source.kind is not ElementKind.RELATION:
-            raise ValueError("relation_to_entity_power expects a relation pair")
-        index = self.graph.pair_id(source)
-        if index is None:
-            return PairValues(self.graph, _NO_IDS, _NO_VALUES)
-        relation = index - self.graph.relation_offset
+        if self.graph.kind_of(source) is not ElementKind.RELATION:
+            raise ValueError("relation_to_entity_power expects a relation pair id")
+        relation = source - self.graph.relation_offset
         ptr = self.graph.relation_ptr
         targets = self.graph.edges[self.graph.relation_edges[ptr[relation] : ptr[relation + 1]], 2]
         _, first = np.unique(targets, return_index=True)
         targets = targets[np.sort(first)]
-        return PairValues(self.graph, targets, np.ones(targets.size))
+        return PairValues(targets, np.ones(targets.size))
 
     # ------------------------------------------------ entity → schema pairs
     def _schema_gradient(self, kind: ElementKind, index: int) -> tuple | None:
@@ -217,16 +212,16 @@ class InferencePowerEstimator:
             return self._schema_gradients[key]
         snap = self._snap
         if kind is ElementKind.CLASS:
-            pair = self.graph.class_pairs[index]
-            left_members = self.model.kg1.entities_of_class(pair.left)
-            right_members = self.model.kg2.entities_of_class(pair.right)
+            left, right = self._sides[self.graph.class_offset + index]
+            left_members = self.model.kg1.entities_of_class(left)
+            right_members = self.model.kg2.entities_of_class(right)
             weight_sum_1 = float(np.sum(snap.weights_1[left_members])) if left_members else 0.0
             weight_sum_2 = float(np.sum(snap.weights_2[right_members])) if right_members else 0.0
             means_1, means_2 = snap.mean_classes_1, snap.mean_classes_2
         else:
-            pair = self.graph.relation_pairs[index]
-            triples_1 = self.model.kg1.triples_of_relation(pair.left)
-            triples_2 = self.model.kg2.triples_of_relation(pair.right)
+            left, right = self._sides[self.graph.relation_offset + index]
+            triples_1 = self.model.kg1.triples_of_relation(left)
+            triples_2 = self.model.kg2.triples_of_relation(right)
             weight_sum_1 = weight_sum_2 = 0.0
             if triples_1.size and triples_2.size:
                 weight_sum_1 = float(
@@ -238,7 +233,7 @@ class InferencePowerEstimator:
             means_1, means_2 = snap.mean_relations_1, snap.mean_relations_2
         gradient = None
         if weight_sum_1 >= 1e-9 and weight_sum_2 >= 1e-9:
-            grad_a, grad_b = _cosine_gradient(self._map_entity.T @ means_1[pair.left], means_2[pair.right])
+            grad_a, grad_b = _cosine_gradient(self._map_entity.T @ means_1[left], means_2[right])
             gradient = (self._map_entity @ grad_a, grad_b, weight_sum_1, weight_sum_2)
         self._schema_gradients[key] = gradient
         return gradient
@@ -253,7 +248,7 @@ class InferencePowerEstimator:
             return _NO_IDS, _NO_VALUES
         graph, snap, min_power = self.graph, self._snap, self.config.min_power
         weights_1, weights_2 = snap.weights_1, snap.weights_2
-        left, right = self._entity_sides[source]
+        left, right = self._sides[source]
         powers: dict[int, float] = {}
         for index in graph.class_ids[graph.class_ptr[source] : graph.class_ptr[source + 1]].tolist():
             gradient = self._schema_gradient(ElementKind.CLASS, index)
@@ -271,7 +266,7 @@ class InferencePowerEstimator:
             if gradient is None:
                 continue
             mapped_a, grad_b, weight_sum_1, weight_sum_2 = gradient
-            target_left, target_right = self._entity_sides[target]
+            target_left, target_right = self._sides[target]
             weight_left = min(weights_1[left], weights_1[target_left])
             weight_right = min(weights_2[right], weights_2[target_right])
             grad_left = (weight_left / weight_sum_1) * mapped_a
@@ -283,59 +278,65 @@ class InferencePowerEstimator:
         return _arrays(powers)
 
     # --------------------------------------------------------------- aggregates
-    def reachable_power(self, source: ElementPair) -> PairValues:
-        """``I(q' | q)`` for every pair ``q'`` the source can influence."""
-        index = self.graph.pair_id(source)
-        if index is None or source.kind is ElementKind.CLASS:
+    def reachable_power(self, source: int) -> PairValues:
+        """``I(q' | q)`` for every pair ``q'`` the pair with id ``source`` can influence."""
+        kind = self.graph.kind_of(source)
+        if kind is ElementKind.CLASS:
             # Class pairs do not propagate inference power in the paper's model.
-            return PairValues(self.graph, _NO_IDS, _NO_VALUES)
-        if source.kind is ElementKind.RELATION:
+            return PairValues(_NO_IDS, _NO_VALUES)
+        if kind is ElementKind.RELATION:
             return self.relation_to_entity_power(source)
-        path_ids, path_powers = self._path_power(index)
-        schema_ids, schema_powers = self.schema_power(index)
+        path_ids, path_powers = self._path_power(source)
+        schema_ids, schema_powers = self.schema_power(source)
         return PairValues(
-            self.graph,
             np.concatenate([path_ids, schema_ids]),
             np.concatenate([path_powers, schema_powers]),
         )
 
-    def power_from_labelled(self, labelled: list[ElementPair]) -> dict[ElementPair, float]:
-        """``I(q' | L+) = max_{q ∈ L+} I(q' | q)`` for every reachable pair."""
-        combined: dict[ElementPair, float] = {}
+    def power_from_labelled(self, labelled: Sequence[int]) -> PairValues:
+        """``I(q' | L+) = max_{q ∈ L+} I(q' | q)`` for every reachable pair, in
+        the order pairs are first reached."""
+        combined: dict[int, float] = {}
         for source in labelled:
-            for target, value in self.reachable_power(source).items():
+            reach = self.reachable_power(int(source))
+            for target, value in zip(reach.ids.tolist(), reach.data.tolist()):
                 if value > combined.get(target, 0.0):
                     combined[target] = value
-        return combined
+        return PairValues(*_arrays(combined))
 
-    def overall_power(self, labelled: list[ElementPair]) -> float:
+    def overall_power(self, labelled: Sequence[int]) -> float:
         """``I(P | L+)`` of Eq. 23."""
         threshold = self.config.power_threshold
         combined = self.power_from_labelled(labelled)
         return float(sum(value for value in combined.values() if value > threshold))
 
-    def inferred_pairs(self, labelled: list[ElementPair]) -> list[tuple[ElementPair, float]]:
-        """Unlabelled pairs whose inference power from ``L+`` exceeds the threshold."""
-        labelled_set = set(labelled)
+    def inferred_pairs(self, labelled: Sequence[int]) -> PairValues:
+        """Unlabelled pairs whose inference power from ``L+`` exceeds the
+        threshold, by descending power (ties in first-reached order)."""
         combined = self.power_from_labelled(labelled)
-        return [
-            (pair, value)
-            for pair, value in sorted(combined.items(), key=lambda item: -item[1])
-            if value > self.config.power_threshold and pair not in labelled_set
-        ]
+        order = np.argsort(-combined.data, kind="stable")
+        ids, values = combined.ids[order], combined.data[order]
+        keep = (values > self.config.power_threshold) & ~np.isin(
+            ids, np.asarray(labelled, dtype=np.int64)
+        )
+        return PairValues(ids[keep], values[keep])
 
 
 def inference_accuracy(
     estimator: InferencePowerEstimator,
-    labelled_matches: list[ElementPair],
+    labelled_matches: Sequence[int],
     gold: dict[ElementKind, set[tuple[int, int]]],
 ) -> tuple[int, float | None]:
     """The Table 6 metric: ``(inferred-set size, fraction that are true matches)``.
 
-    An empty inferred set has no precision (``None``), not a precision of 0.
+    ``labelled_matches`` are pool pair ids.  An empty inferred set has no
+    precision (``None``), not a precision of 0.
     """
-    inferred = estimator.inferred_pairs(labelled_matches)
+    inferred = estimator.inferred_pairs(labelled_matches).ids.tolist()
     if not inferred:
         return 0, None
-    correct = sum(1 for pair, _ in inferred if (pair.left, pair.right) in gold.get(pair.kind, set()))
+    graph, sides = estimator.graph, estimator.graph.side_list
+    correct = sum(
+        1 for pair in inferred if tuple(sides[pair]) in gold.get(graph.kind_of(pair), set())
+    )
     return len(inferred), correct / len(inferred)

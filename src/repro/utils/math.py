@@ -115,10 +115,3 @@ def top_k_rows(matrix: np.ndarray, k: int) -> np.ndarray:
     order = np.argsort(-matrix[rows, part], axis=1)
     return part[rows, order].astype(np.int64)
 
-
-def reciprocal_rank(scores: np.ndarray, true_index: int) -> float:
-    """Reciprocal rank of ``true_index`` when ranking ``scores`` descending."""
-    scores = np.asarray(scores, dtype=float)
-    target = scores[true_index]
-    rank = int(np.sum(scores > target)) + 1
-    return 1.0 / rank

@@ -3,7 +3,10 @@
 This is the selection layer as it stood before it moved to integer ids and
 NumPy arrays: an alignment graph of ``AlignmentEdge`` objects and per-pair
 dicts, an estimator that walks them, Algorithm 2's refinement loop over
-``ElementPair`` sets and a greedy loop that rescans every candidate per pick.
+``ElementPair`` sets, a greedy loop that rescans every candidate per pick, and
+the five non-inference strategies (random, degree, PageRank, uncertainty,
+ActiveEA) ranking a list of unlabelled ``ElementPair`` objects by a
+``{pair: probability}`` dict.
 The estimator scores each edge by the displacement the source label implies,
 ``||A_ent(t₁ − h₁) − (t₂ − h₂)||``, one edge at a time from per-entity dicts,
 and a relation pair gives each distinct target of its edges power 1.0 (Eq.
@@ -11,8 +14,8 @@ and a relation pair gives each distinct target of its edges power 1.0 (Eq.
 tie-break among equal gains in :func:`greedy_select`: the lowest rank
 (probability descending, then input order) wins, instead of whichever pair a
 ``set`` happened to yield first.  ``tests/test_selection_parity.py`` asserts
-that the array-native path in ``src/`` reproduces this module's edges, edge
-powers, partition labels, batches and RNG state exactly.
+that the array-native, pool-id path in ``src/`` reproduces this module's
+edges, edge powers, partition labels, batches and RNG state exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from repro.active.selection import GreedySelectionConfig
 from repro.inference.pairs import ElementPair, class_pair, entity_pair, relation_pair
 from repro.inference.power import InferencePowerConfig, _cosine_gradient
 from repro.kg.elements import ElementKind
+from repro.kg.statistics import entity_pagerank
 from repro.utils.rng import ensure_rng
 
 BASE_GAIN = 1e-3
@@ -390,3 +394,100 @@ def partition_select(
         return reach
 
     return greedy_select(candidates, probabilities, estimated_reach, selection_config, rng)
+
+
+# ------------------------------------------------------------------ strategies
+@dataclass
+class SelectionState:
+    pool: object
+    unlabelled: list
+    probabilities: dict
+    model: object
+    rng: np.random.Generator
+
+
+def _top_by_score(pairs, scores, batch_size):
+    order = np.argsort(-np.asarray(scores, dtype=float))
+    return [pairs[int(i)] for i in order[:batch_size]]
+
+
+def random_select(state, batch_size):
+    if not state.unlabelled:
+        return []
+    count = min(batch_size, len(state.unlabelled))
+    chosen = state.rng.choice(len(state.unlabelled), size=count, replace=False)
+    return [state.unlabelled[int(i)] for i in chosen]
+
+
+def degree_select(state, batch_size):
+    kg1, kg2 = state.model.kg1, state.model.kg2
+    scores = []
+    for pair in state.unlabelled:
+        if pair.kind is ElementKind.ENTITY:
+            score = kg1.entity_degree(pair.left) + kg2.entity_degree(pair.right)
+        elif pair.kind is ElementKind.RELATION:
+            score = len(kg1.triples_of_relation(pair.left)) + len(kg2.triples_of_relation(pair.right))
+        else:
+            score = len(kg1.entities_of_class(pair.left)) + len(kg2.entities_of_class(pair.right))
+        scores.append(float(score))
+    return _top_by_score(state.unlabelled, scores, batch_size)
+
+
+def pagerank_select(state, batch_size):
+    pr1, pr2 = entity_pagerank(state.model.kg1), entity_pagerank(state.model.kg2)
+    kg1, kg2 = state.model.kg1, state.model.kg2
+    scores = []
+    for pair in state.unlabelled:
+        if pair.kind is ElementKind.ENTITY:
+            score = pr1[pair.left] + pr2[pair.right]
+        elif pair.kind is ElementKind.RELATION:
+            score = (
+                len(kg1.triples_of_relation(pair.left)) + len(kg2.triples_of_relation(pair.right))
+            ) / max(kg1.num_triples + kg2.num_triples, 1)
+        else:
+            score = (
+                len(kg1.entities_of_class(pair.left)) + len(kg2.entities_of_class(pair.right))
+            ) / max(kg1.num_entities + kg2.num_entities, 1)
+        scores.append(float(score))
+    return _top_by_score(state.unlabelled, scores, batch_size)
+
+
+def _entropies(state):
+    p = np.fromiter(
+        (state.probabilities.get(pair, 0.0) for pair in state.unlabelled),
+        dtype=float,
+        count=len(state.unlabelled),
+    )
+    p = np.clip(p, 1e-9, 1.0 - 1e-9)
+    return -p * np.log(p) - (1.0 - p) * np.log(1.0 - p)
+
+
+def uncertainty_select(state, batch_size):
+    return _top_by_score(state.unlabelled, _entropies(state), batch_size)
+
+
+def activeea_select(state, batch_size, neighbour_weight=0.5):
+    kg1 = state.model.kg1
+    entropy = dict(zip(state.unlabelled, _entropies(state).tolist()))
+    by_left = {}
+    for pair in state.unlabelled:
+        if pair.kind is ElementKind.ENTITY:
+            by_left.setdefault(pair.left, []).append(pair)
+    scores = []
+    for pair in state.unlabelled:
+        score = entropy[pair]
+        if pair.kind is ElementKind.ENTITY:
+            neighbour_pairs = [q for n in kg1.neighbors(pair.left) for q in by_left.get(n, [])]
+            if neighbour_pairs:
+                score += neighbour_weight * float(np.mean([entropy[q] for q in neighbour_pairs]))
+        scores.append(score)
+    return _top_by_score(state.unlabelled, scores, batch_size)
+
+
+STRATEGIES = {
+    "random": random_select,
+    "degree": degree_select,
+    "pagerank": pagerank_select,
+    "uncertainty": uncertainty_select,
+    "activeea": activeea_select,
+}

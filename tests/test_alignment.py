@@ -75,6 +75,16 @@ class TestEvaluationMetrics:
         sim = np.array([[0.9, 0.1], [0.2, 0.3]])
         assert greedy_match(sim, threshold=0.5) == [(0, 0)]
 
+    def test_greedy_match_equals_resolve_conflicts_at_ties(self):
+        from repro.alignment.semi_supervised import resolve_conflicts
+
+        # rounding leaves many equal similarities; both matchers take equal
+        # ones in row-major order
+        sim = np.round(np.random.default_rng(0).random((60, 80)), 1)
+        candidates = [(i, j, sim[i, j]) for i in range(60) for j in range(80)]
+        expected = [(left, right) for left, right, _ in resolve_conflicts(candidates)]
+        assert greedy_match(sim) == expected
+
     def test_precision_recall_f1(self):
         predicted = [(0, 0), (1, 1), (2, 5)]
         gold = {(0, 0), (1, 1), (3, 3)}

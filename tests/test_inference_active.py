@@ -24,12 +24,12 @@ from repro.active import (
 from repro.active.selection import expected_overall_power
 from repro.active.strategies import DAAKGStrategy, UncertaintyStrategy
 from repro.inference import (
-    ElementPair,
     InferencePowerConfig,
     InferencePowerEstimator,
     build_alignment_graph,
 )
 from repro.inference import alignment_graph
+from repro.inference.alignment_graph import PairValues
 from repro.inference.pairs import class_pair, entity_pair, relation_pair
 from repro.inference.power import inference_accuracy
 from repro.kg.elements import ElementKind
@@ -46,6 +46,23 @@ def pipeline_checkpoint(fitted_pipeline, tmp_path_factory):
 def pipeline_copy(pipeline_checkpoint):
     """A fresh copy of the fitted session pipeline that a loop may fine-tune."""
     return DAAKG.load(pipeline_checkpoint)
+
+
+def _reach(table):
+    """A reach function over ``{id: {target id: power}}``."""
+
+    def reach(q):
+        powers = table.get(q, {})
+        return PairValues(np.array(list(powers), dtype=np.int64), np.array(list(powers.values())))
+
+    return reach
+
+
+def _labelled_ids(pipeline, pool, count=None):
+    """Pool ids of the pipeline's labelled entity matches that are in the pool."""
+    matches = np.array(pipeline.trainer.labels.matches[ElementKind.ENTITY][:count]).reshape(-1, 2)
+    ids = pool.pair_ids(ElementKind.ENTITY, matches[:, 0], matches[:, 1])
+    return ids[ids >= 0]
 
 
 @pytest.fixture(scope="module")
@@ -71,13 +88,13 @@ class TestAlignmentGraph:
     def test_build_graph_from_tiny_pair(self, tiny_pair):
         entity_pool = {tuple(row) for row in tiny_pair.entity_match_ids().tolist()}
         graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, entity_pool)
-        assert len(graph.entity_pairs) == len(entity_pool)
+        assert graph.relation_offset == len(entity_pool)
+        assert graph.sides[: graph.relation_offset].tolist() == [list(p) for p in sorted(entity_pool)]
         assert graph.num_edges() > 0
         # every edge endpoint is in the pool
-        for edge in range(graph.num_edges()):
-            source, _, target = graph.edge_pairs(edge)
-            assert (source.left, source.right) in entity_pool
-            assert (target.left, target.right) in entity_pool
+        for source, _, target in graph.edge_list:
+            assert tuple(graph.side_list[source]) in entity_pool
+            assert tuple(graph.side_list[target]) in entity_pool
 
     def test_class_membership_links(self, tiny_pair):
         entity_pool = {tuple(row) for row in tiny_pair.entity_match_ids().tolist()}
@@ -101,7 +118,7 @@ class TestAlignmentGraph:
         # an empty pool is falsy (it has a length) but must not be replaced
         # by a freshly built one
         graph, _ = fitted_pipeline.build_inference_estimator(ElementPairPool())
-        assert len(graph.entity_pairs) == 0
+        assert graph.relation_offset == 0
         assert graph.num_edges() == 0
 
     def test_list_views_match_arrays(self, inference_setup):
@@ -110,7 +127,7 @@ class TestAlignmentGraph:
         assert graph.target_list == graph.edges[:, 2].tolist()
         assert graph.out_ptr_list == graph.out_ptr.tolist()
         assert graph.out_edge_list == graph.out_edges.tolist()
-        assert graph.entity_sides == [(p.left, p.right) for p in graph.entity_pairs]
+        assert graph.side_list == graph.sides.tolist()
         # a second estimator over the same graph shares the views
         other = InferencePowerEstimator(estimator.model, graph, estimator.config)
         assert other._edges is estimator._edges is graph.edge_list
@@ -130,16 +147,16 @@ class TestInferencePower:
         relation = int(np.argmax(np.diff(ptr)))
         targets = graph.edges[graph.relation_edges[ptr[relation] : ptr[relation + 1]], 2].tolist()
         assert len(set(targets)) > 1
-        powers = estimator.relation_to_entity_power(graph.relation_pairs[relation])
+        powers = estimator.relation_to_entity_power(graph.relation_offset + relation)
         assert powers.ids.tolist() == list(dict.fromkeys(targets))
-        assert powers.data.tolist() == [1.0] * len(powers)
+        assert powers.values() == [1.0] * len(powers.ids)
 
     def test_exact_fits_reduce_displacement_to_relation_difference(self, inference_setup):
         """With ``t = h + r`` on both sides, ``disp = ||A·r₁ − r₂||``."""
         pipeline, _, graph, _ = inference_setup
         snap = pipeline.model.similarity.snapshot
         entities_1, entities_2 = snap.entity_matrix_1.copy(), snap.entity_matrix_2.copy()
-        sides = graph.entity_sides
+        sides = graph.side_list
         edge = next(
             edge
             for edge, (h, _, t) in enumerate(graph.edge_list)
@@ -147,7 +164,7 @@ class TestInferencePower:
         )
         source, relation, target = graph.edge_list[edge]
         (h1, h2), (t1, t2) = sides[source], sides[target]
-        r1, r2 = graph.relation_pairs[relation].left, graph.relation_pairs[relation].right
+        r1, r2 = sides[graph.relation_offset + relation]
         relation_1, relation_2 = snap.relation_matrix_1[r1], snap.relation_matrix_2[r2]
         entities_1[t1] = entities_1[h1] + relation_1
         entities_2[t2] = entities_2[h2] + relation_2
@@ -164,22 +181,24 @@ class TestInferencePower:
 
     def test_path_power_reaches_neighbors(self, inference_setup):
         _, _, graph, estimator = inference_setup
-        source = graph.entity_pairs[int(graph.edges[0, 0])]
-        powers = estimator.entity_path_power(source)
-        assert powers
+        powers = estimator.entity_path_power(int(graph.edges[0, 0]))
+        assert powers.ids.size
         assert all(0.0 < value <= 1.0 for value in powers.values())
+        with pytest.raises(ValueError):
+            estimator.entity_path_power(graph.relation_offset)
 
     def test_reachable_power_entity_includes_schema_pairs(self, inference_setup):
         _, _, graph, estimator = inference_setup
-        source = graph.entity_pairs[int(graph.edges[0, 0])]
-        reach = estimator.reachable_power(source)
-        kinds = {pair.kind for pair in reach}
+        reach = estimator.reachable_power(int(graph.edges[0, 0]))
+        kinds = {graph.kind_of(pair) for pair in reach.ids.tolist()}
         assert ElementKind.ENTITY in kinds
 
     def test_relation_pair_power(self, inference_setup):
         _, _, graph, estimator = inference_setup
         relation_pairs_with_edges = [
-            p for i, p in enumerate(graph.relation_pairs) if graph.relation_ptr[i + 1] > graph.relation_ptr[i]
+            graph.relation_offset + i
+            for i in range(len(graph.relation_ptr) - 1)
+            if graph.relation_ptr[i + 1] > graph.relation_ptr[i]
         ]
         assert relation_pairs_with_edges
         powers = estimator.relation_to_entity_power(relation_pairs_with_edges[0])
@@ -187,29 +206,23 @@ class TestInferencePower:
 
     def test_class_pair_has_no_outgoing_power(self, inference_setup):
         _, _, graph, estimator = inference_setup
-        assert estimator.reachable_power(graph.class_pairs[0]) == {}
+        assert estimator.reachable_power(graph.class_offset).ids.size == 0
 
     def test_overall_power_is_monotone_in_labels(self, inference_setup):
-        pipeline, _, graph, estimator = inference_setup
-        labelled = [
-            ElementPair(ElementKind.ENTITY, left, right)
-            for left, right in pipeline.trainer.labels.matches[ElementKind.ENTITY][:10]
-        ]
+        pipeline, pool, graph, estimator = inference_setup
+        labelled = _labelled_ids(pipeline, pool, 10)
         assert estimator.overall_power(labelled[:2]) <= estimator.overall_power(labelled) + 1e-9
 
     def test_inference_accuracy_bounds(self, inference_setup):
-        pipeline, _, _, estimator = inference_setup
-        labelled = [
-            ElementPair(ElementKind.ENTITY, left, right)
-            for left, right in pipeline.trainer.labels.matches[ElementKind.ENTITY]
-        ]
+        pipeline, pool, _, estimator = inference_setup
+        labelled = _labelled_ids(pipeline, pool)
         gold = {
             ElementKind.ENTITY: {tuple(r) for r in pipeline.pair.entity_match_ids().tolist()},
             ElementKind.RELATION: {tuple(r) for r in pipeline.pair.relation_match_ids().tolist()},
             ElementKind.CLASS: {tuple(r) for r in pipeline.pair.class_match_ids().tolist()},
         }
         inferred, precision = inference_accuracy(estimator, labelled, gold)
-        assert inferred == len(estimator.inferred_pairs(labelled))
+        assert inferred == len(estimator.inferred_pairs(labelled).ids)
         if inferred:
             assert 0.0 <= precision <= 1.0
         else:
@@ -242,6 +255,24 @@ class TestPool:
         assert len(pool) == len(pool.all_pairs)
         assert pool.entity_pairs[0] in pool
 
+    def test_pool_ids_are_positions(self, inference_setup):
+        _, pool, graph, _ = inference_setup
+        pairs = pool.all_pairs
+        assert graph.sides.tolist() == [[q.left, q.right] for q in pairs]
+        for kind in (ElementKind.ENTITY, ElementKind.RELATION, ElementKind.CLASS):
+            sides = pool.sides(kind)
+            ids = pool.pair_ids(kind, sides[:, 0], sides[:, 1])
+            assert [pairs[i] for i in ids.tolist()] == [q for q in pairs if q.kind is kind]
+            assert all(graph.kind_of(i) is kind for i in ids.tolist())
+        far = pool.sides(ElementKind.ENTITY)[:, 1].max() + 1
+        assert pool.pair_ids(ElementKind.ENTITY, [0], [far]).tolist() == [-1]
+
+    def test_pool_rejects_unsorted_pairs(self):
+        with pytest.raises(ValueError):
+            ElementPairPool((entity_pair(1, 0), entity_pair(0, 1)))
+        with pytest.raises(ValueError):
+            ElementPairPool((), (relation_pair(0, 1), relation_pair(0, 1)))
+
     def test_pool_config_validation(self):
         with pytest.raises(ValueError):
             PoolConfig(top_n=0)
@@ -264,36 +295,31 @@ class TestOracle:
 
 class TestSelection:
     def test_greedy_select_batch_size_and_uniqueness(self):
-        candidates = [entity_pair(i, i) for i in range(20)]
-        probabilities = {pair: 0.5 for pair in candidates}
-        def reach(q):
-            return {entity_pair(q.left + 100, q.right + 100): 0.9}
+        candidates = np.arange(20)
+        probabilities = np.full(120, 0.5)
+        reach = _reach({q: {q + 100: 0.9} for q in range(20)})
         batch = greedy_select(candidates, probabilities, reach,
                               GreedySelectionConfig(batch_size=5), rng=0)
         assert len(batch) == 5
-        assert len(set(batch)) == 5
+        assert len(set(batch.tolist())) == 5
 
     def test_greedy_prefers_high_probability_high_power(self):
-        strong = entity_pair(0, 0)
-        weak = entity_pair(1, 1)
-        probabilities = {strong: 0.9, weak: 0.1}
-        reach = {
-            strong: {entity_pair(10, 10): 0.95, entity_pair(11, 11): 0.95},
-            weak: {entity_pair(12, 12): 0.85},
-        }
-        batch = greedy_select([weak, strong], probabilities, lambda q: reach[q],
+        strong, weak = 0, 1
+        probabilities = np.zeros(20)
+        probabilities[[strong, weak]] = [0.9, 0.1]
+        reach = _reach({strong: {10: 0.95, 11: 0.95}, weak: {12: 0.85}})
+        batch = greedy_select(np.array([weak, strong]), probabilities, reach,
                               GreedySelectionConfig(batch_size=1), rng=0)
-        assert batch == [strong]
+        assert batch.tolist() == [strong]
 
     def test_greedy_avoids_redundant_coverage(self):
-        a, b, c = entity_pair(0, 0), entity_pair(1, 1), entity_pair(2, 2)
-        shared_target = entity_pair(10, 10)
-        other_target = entity_pair(20, 20)
-        probabilities = {a: 0.9, b: 0.9, c: 0.9}
-        reach = {a: {shared_target: 0.95}, b: {shared_target: 0.95}, c: {other_target: 0.9}}
-        batch = greedy_select([a, b, c], probabilities, lambda q: reach[q],
+        a, b, c = 0, 1, 2
+        shared_target, other_target = 10, 20
+        probabilities = np.full(30, 0.9)
+        reach = _reach({a: {shared_target: 0.95}, b: {shared_target: 0.95}, c: {other_target: 0.9}})
+        batch = greedy_select(np.array([a, b, c]), probabilities, reach,
                               GreedySelectionConfig(batch_size=2, num_samples=32), rng=0)
-        assert c in batch
+        assert c in batch.tolist()
 
     def test_gain_adds_terms_one_at_a_time(self):
         # A's gain is the left-to-right sum of its powers, which equals B's
@@ -304,24 +330,26 @@ class TestSelection:
         for value in powers:
             in_order += value
         assert float(np.sum(powers)) < in_order
-        a, b = entity_pair(0, 0), entity_pair(1, 1)
-        reach = {
-            a: {entity_pair(100 + i, 100 + i): value for i, value in enumerate(powers)},
-            b: {entity_pair(99, 99): in_order},
-        }
-        batch = greedy_select([a, b], {a: 0.5, b: 0.5}, lambda q: reach[q],
+        a, b = 0, 1
+        reach = _reach({
+            a: {100 + i: value for i, value in enumerate(powers)},
+            b: {99: in_order},
+        })
+        batch = greedy_select(np.array([a, b]), np.full(120, 0.5), reach,
                               GreedySelectionConfig(batch_size=1, num_samples=1,
                                                     power_threshold=0.0), rng=0)
-        assert batch == [a]
+        assert batch.tolist() == [a]
 
     def test_expected_overall_power_nonnegative(self):
-        pairs = [entity_pair(0, 0)]
-        value = expected_overall_power(pairs, {pairs[0]: 0.8},
-                                       lambda q: {entity_pair(5, 5): 0.9}, power_threshold=0.5)
+        probabilities = np.full(10, 0.8)
+        value = expected_overall_power(np.array([0]), probabilities, _reach({0: {5: 0.9}}),
+                                       power_threshold=0.5)
         assert value >= 0.0
 
     def test_empty_candidates(self):
-        assert greedy_select([], {}, lambda q: {}, GreedySelectionConfig(batch_size=3)) == []
+        batch = greedy_select(np.array([], dtype=np.int64), np.zeros(0), _reach({}),
+                              GreedySelectionConfig(batch_size=3))
+        assert batch.size == 0
 
     def test_selection_config_validation(self):
         with pytest.raises(ValueError):
@@ -332,12 +360,13 @@ class TestPartitioning:
     def test_partition_pool_assigns_every_entity_pair(self, inference_setup):
         _, _, graph, estimator = inference_setup
         partition_of = partition_pool(graph, estimator, PartitionSelectionConfig(rho=0.9))
-        assert set(partition_of) == set(graph.entity_pairs)
+        assert partition_of.ids.tolist() == list(range(graph.relation_offset))
+        assert len(partition_of.values()) == graph.relation_offset
 
     def test_partition_select_returns_batch(self, inference_setup):
         pipeline, pool, graph, estimator = inference_setup
-        candidates = pool.all_pairs[:200]
-        probabilities = {pair: 0.5 for pair in candidates}
+        candidates = np.arange(200)
+        probabilities = np.full(len(pool), 0.5)
         batch = partition_select(
             candidates, probabilities, graph, estimator,
             selection_config=GreedySelectionConfig(batch_size=5, candidate_limit=100),
@@ -370,16 +399,15 @@ class TestStrategies:
         from repro.active.strategies import SelectionState
 
         pool = build_pool(fitted_pipeline.model, PoolConfig(top_n=10))
-        unlabelled = pool.all_pairs
-        probabilities = {pair: 0.5 for pair in unlabelled}
+        candidates = np.arange(0, len(pool), 2)
         state = SelectionState(
-            pool=pool, unlabelled=unlabelled, probabilities=probabilities,
+            pool=pool, candidates=candidates, probabilities=np.full(len(pool), 0.5),
             model=fitted_pipeline.model, rng=np.random.default_rng(0),
         )
-        batch = create_strategy(name).select(state, 7)
+        batch = create_strategy(name).select(state, 7).tolist()
         assert len(batch) == 7
         assert len(set(batch)) == 7
-        assert all(pair in unlabelled for pair in batch)
+        assert set(batch) <= set(candidates.tolist())
 
 
     def test_entropy_scores_equal_the_scalar_formula(self, fitted_pipeline):
@@ -395,25 +423,21 @@ class TestStrategies:
         values = np.concatenate(
             [[0.0, 1.0, 1e-12, 1.0 - 1e-12, 0.5], rng.random(50_000), rng.random(2_000) ** 40]
         )
-        pairs = [entity_pair(i, i) for i in range(values.size)]
-        probabilities = dict(zip(pairs, values.tolist()))
-        del probabilities[pairs[7]]  # a pair without a probability reads 0
         state = SelectionState(
-            pool=None, unlabelled=pairs, probabilities=probabilities, model=None
+            pool=None, candidates=np.arange(values.size), probabilities=values, model=None
         )
-        expected = np.array([scalar_entropy(probabilities.get(p, 0.0)) for p in pairs])
+        expected = np.array([scalar_entropy(p) for p in values.tolist()])
         assert _entropies(state).tobytes() == expected.tobytes()
 
         pool = build_pool(fitted_pipeline.model, PoolConfig(top_n=10))
-        unlabelled = pool.all_pairs
+        candidates = np.arange(len(pool))
         state = SelectionState(
-            pool=pool, unlabelled=unlabelled,
-            probabilities=dict(zip(unlabelled, rng.random(len(unlabelled)).tolist())),
+            pool=pool, candidates=candidates, probabilities=rng.random(len(pool)),
             model=fitted_pipeline.model,
         )
-        scores = [scalar_entropy(state.probabilities[p]) for p in unlabelled]
-        assert UncertaintyStrategy().select(state, 7) == UncertaintyStrategy._top_by_score(
-            unlabelled, scores, 7
+        scores = [scalar_entropy(p) for p in state.probabilities.tolist()]
+        assert UncertaintyStrategy().select(state, 7).tolist() == (
+            UncertaintyStrategy._top_by_score(candidates, scores, 7).tolist()
         )
 
 

@@ -2,9 +2,12 @@
 
 ``selection_oracle`` holds the selection layer as it was before the move to
 integer ids and NumPy arrays (with a rank tie-break among equal gains), with
-edge powers computed one edge at a time from dicts.  For TransE and RotatE
-the two must agree exactly: the same edges in the same order, the same
-partition labels, the same batches and the same RNG state after selection.
+edge powers computed one edge at a time from dicts, and the five strategies
+that need no inference power as they were before they moved to pool ids.
+The array side addresses a pair by its position in ``pool.all_pairs``.  For
+TransE and RotatE the two must agree exactly: the same edges in the same
+order, the same partition labels, the same batches and the same RNG state
+after selection.
 """
 
 import os
@@ -20,6 +23,7 @@ from repro import DAAKG, DAAKGConfig, make_benchmark
 from repro.active.partition import PartitionSelectionConfig, partition_pool, partition_select
 from repro.active.pool import PoolConfig, build_pool
 from repro.active.selection import GreedySelectionConfig, greedy_select
+from repro.active.strategies import SelectionState, create_strategy
 from repro.alignment.trainer import AlignmentTrainingConfig
 from repro.embedding.trainer import EmbeddingTrainingConfig
 from repro.inference.alignment_graph import build_alignment_graph
@@ -50,6 +54,9 @@ def world(request):
     pool = build_pool(pipeline.model, config.pool)
     rng = np.random.default_rng(1)
     probabilities = {q: float(rng.random()) for q in pool.all_pairs}
+    # some pairs tie, so the strategies' tie-breaks are exercised
+    for q in pool.all_pairs[::7]:
+        probabilities[q] = 0.5
     pools = (
         pipeline.kg1,
         pipeline.kg2,
@@ -68,12 +75,25 @@ def _estimator(world, side, seed=5):
     return estimator, np.random.default_rng(seed)
 
 
+def _ids(pool, probabilities):
+    """The array side's inputs: every pool id, and probabilities by id."""
+    pairs = pool.all_pairs
+    return np.arange(len(pairs)), np.array([probabilities[q] for q in pairs])
+
+
 def test_edges_match_in_order(world):
-    graphs = world[3]
+    _, pool, _, graphs = world
     expected = [(e.source, e.relation, e.target) for e in graphs["oracle"].edges]
     graph = graphs["arrays"]
+    pairs = pool.all_pairs
     assert expected
-    assert [graph.edge_pairs(i) for i in range(graph.num_edges())] == expected
+    # the graph numbers pairs by their position in the pool
+    assert graph.sides.tolist() == [[q.left, q.right] for q in pairs]
+    edges = [
+        (pairs[source], pairs[graph.relation_offset + relation], pairs[target])
+        for source, relation, target in graph.edge_list
+    ]
+    assert edges == expected
 
 
 def test_edge_powers_match(world):
@@ -90,7 +110,7 @@ def test_powers_and_reaches_leave_the_loop_rng_alone(world):
     state = loop._build_state()
     before = loop.rng.bit_generator.state
     state.estimator.edge_powers()
-    for pair in pool.all_pairs:
+    for pair in range(len(pool)):
         state.estimator.reachable_power(pair)
     partition_pool(state.graph, state.estimator)
     assert loop.rng.bit_generator.state == before
@@ -98,11 +118,14 @@ def test_powers_and_reaches_leave_the_loop_rng_alone(world):
 
 def test_greedy_batch_and_rng_match(world):
     _, pool, probabilities, _ = world
+    pairs = pool.all_pairs
     results = {}
-    for side, select in (("oracle", oracle.greedy_select), ("arrays", greedy_select)):
-        estimator, rng = _estimator(world, side)
-        batch = select(pool.all_pairs, probabilities, estimator.reachable_power, SELECTION, rng=rng)
-        results[side] = (batch, rng.random())
+    estimator, rng = _estimator(world, "oracle")
+    batch = oracle.greedy_select(pairs, probabilities, estimator.reachable_power, SELECTION, rng=rng)
+    results["oracle"] = (batch, rng.random())
+    estimator, rng = _estimator(world, "arrays")
+    picks = greedy_select(*_ids(pool, probabilities), estimator.reachable_power, SELECTION, rng=rng)
+    results["arrays"] = ([pairs[i] for i in picks.tolist()], rng.random())
     assert len(results["arrays"][0]) == SELECTION.batch_size
     assert results["arrays"] == results["oracle"]
 
@@ -112,30 +135,60 @@ def test_greedy_batch_and_rng_match(world):
 def test_partition_labels_batch_and_rng_match(world, rho, max_partitions):
     _, pool, probabilities, graphs = world
     config = PartitionSelectionConfig(rho=rho, max_partitions=max_partitions)
-    sides = (
-        ("oracle", oracle.partition_select, oracle.partition_pool),
-        ("arrays", partition_select, partition_pool),
-    )
+    pairs = pool.all_pairs
     results, labels = {}, {}
-    for side, select, partition in sides:
-        estimator, rng = _estimator(world, side)
-        batch = select(pool.all_pairs, probabilities, graphs[side], estimator, SELECTION, config, rng=rng)
-        results[side] = (batch, rng.random())
-        # repeats the labels the selection used
-        labels[side] = dict(partition(graphs[side], estimator, config).items())
+    estimator, rng = _estimator(world, "oracle")
+    batch = oracle.partition_select(
+        pairs, probabilities, graphs["oracle"], estimator, SELECTION, config, rng=rng
+    )
+    results["oracle"] = (batch, rng.random())
+    # repeats the labels the selection used
+    labels["oracle"] = oracle.partition_pool(graphs["oracle"], estimator, config)
+    estimator, rng = _estimator(world, "arrays")
+    picks = partition_select(
+        *_ids(pool, probabilities), graphs["arrays"], estimator, SELECTION, config, rng=rng
+    )
+    results["arrays"] = ([pairs[i] for i in picks.tolist()], rng.random())
+    partition = partition_pool(graphs["arrays"], estimator, config)
+    labels["arrays"] = dict(zip([pairs[i] for i in partition.ids.tolist()], partition.values()))
     assert len(set(labels["arrays"].values())) > 1
     assert labels["arrays"] == labels["oracle"]
     assert len(results["arrays"][0]) == SELECTION.batch_size
     assert results["arrays"] == results["oracle"]
 
 
+@pytest.mark.parametrize("name", sorted(oracle.STRATEGIES))
+def test_strategy_batch_and_rng_match(world, name):
+    pipeline, pool, probabilities, _ = world
+    pairs = pool.all_pairs
+    labelled = set(pairs[::5])
+    unlabelled = [q for q in pairs if q not in labelled]
+    old = oracle.SelectionState(
+        pool, unlabelled, probabilities, pipeline.model, np.random.default_rng(3)
+    )
+    expected = oracle.STRATEGIES[name](old, 25)
+    ids, by_id = _ids(pool, probabilities)
+    state = SelectionState(
+        pool=pool,
+        candidates=np.array([i for i in ids.tolist() if pairs[i] not in labelled]),
+        probabilities=by_id,
+        model=pipeline.model,
+        rng=np.random.default_rng(3),
+    )
+    picks = create_strategy(name).select(state, 25)
+    assert len(expected) == 25
+    assert [pairs[i] for i in picks.tolist()] == expected
+    assert state.rng.bit_generator.state == old.rng.bit_generator.state
+
+
 _TIE_SCRIPT = """
+import numpy as np
 from repro.active.selection import GreedySelectionConfig, greedy_select
-from repro.inference.pairs import entity_pair
-candidates = [entity_pair(i, i) for i in range(40)]
-batch = greedy_select(candidates, {q: 0.5 for q in candidates}, lambda q: {},
+from repro.inference.alignment_graph import PairValues
+none = PairValues(np.empty(0, dtype=np.int64), np.empty(0))
+batch = greedy_select(np.arange(40), np.full(40, 0.5), lambda q: none,
                       GreedySelectionConfig(batch_size=3), rng=0)
-print(",".join(str(q.left) for q in batch))
+print(",".join(str(q) for q in batch.tolist()))
 """
 
 

@@ -20,7 +20,6 @@ from repro.utils import (
     stable_log,
     top_k_indices,
 )
-from repro.utils.math import reciprocal_rank
 from repro.utils.rng import get_rng_state, set_rng_state, spawn
 
 
@@ -91,12 +90,6 @@ class TestMath:
 
     def test_top_k_indices_zero_k(self):
         assert len(top_k_indices(np.array([1.0, 2.0]), 0)) == 0
-
-    def test_reciprocal_rank_best(self):
-        assert reciprocal_rank(np.array([0.2, 0.9, 0.5]), 1) == pytest.approx(1.0)
-
-    def test_reciprocal_rank_second(self):
-        assert reciprocal_rank(np.array([0.2, 0.9, 0.5]), 2) == pytest.approx(0.5)
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=20))
     def test_softmax_is_probability_distribution(self, values):
