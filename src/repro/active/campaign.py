@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.active.loop import ActiveLearningConfig, ActiveLearningLoop, ActiveLearningRecord
-from repro.alignment.evaluation import AlignmentScores, evaluate_alignment_from_engine
+from repro.alignment.evaluation import AlignmentScores, evaluate_pair
 from repro.alignment.similarity import DEFAULT_BLOCK_SIZE
 from repro.kg.elements import ElementKind
 from repro.kg.graph import KnowledgeGraph
@@ -684,22 +684,7 @@ class PartitionedCampaign:
         working space (augmentation only appends vocabulary), so this is
         directly comparable to ``DAAKG.evaluate`` on a monolithic run.
         """
-        merged = self.merged_state()
-        pair = self.dataset
-        entity_pairs = (
-            pair.entity_match_ids(pair.test_entity_pairs)
-            if test_only and pair.test_entity_pairs
-            else pair.entity_match_ids()
-        )
-        return {
-            "entity": evaluate_alignment_from_engine(merged, ElementKind.ENTITY, entity_pairs),
-            "relation": evaluate_alignment_from_engine(
-                merged, ElementKind.RELATION, pair.relation_match_ids()
-            ),
-            "class": evaluate_alignment_from_engine(
-                merged, ElementKind.CLASS, pair.class_match_ids()
-            ),
-        }
+        return evaluate_pair(self.merged_state(), self.dataset, test_only)
 
     # ------------------------------------------------------------ persistence
     def save(self, path: str) -> None:

@@ -24,7 +24,7 @@ from repro.active.oracle import Oracle
 from repro.active.pool import ElementPairPool, PoolConfig, build_pool
 from repro.active.strategies import SelectionState, SelectionStrategy
 from repro.alignment.calibration import AlignmentCalibrator, CalibrationConfig
-from repro.alignment.evaluation import AlignmentScores, evaluate_alignment_from_engine
+from repro.alignment.evaluation import AlignmentScores, evaluate_pair
 from repro.alignment.trainer import JointAlignmentTrainer
 from repro.inference.alignment_graph import AlignmentGraph, graph_from_pool
 from repro.inference.pairs import ElementPair
@@ -171,21 +171,13 @@ class ActiveLearningLoop:
 
     # ------------------------------------------------------------- evaluation
     def evaluate(self) -> tuple[AlignmentScores, AlignmentScores, AlignmentScores]:
-        """Scores on the unseen test entity matches and all schema matches.
+        """Entity, relation and class scores, as ``DAAKG.evaluate`` reads them.
 
-        Reads through the SimilarityEngine, so evaluation reuses any matrix
-        already computed since the last optimiser step.
+        Entities are scored on the test split (every gold match when the
+        split is empty), schema elements on all their gold matches.
         """
-        engine = self.model.similarity
-        test_ids = self.pair.entity_match_ids(self.pair.test_entity_pairs)
-        entity = evaluate_alignment_from_engine(engine, ElementKind.ENTITY, test_ids)
-        relation = evaluate_alignment_from_engine(
-            engine, ElementKind.RELATION, self.pair.relation_match_ids()
-        )
-        cls = evaluate_alignment_from_engine(
-            engine, ElementKind.CLASS, self.pair.class_match_ids()
-        )
-        return entity, relation, cls
+        scores = evaluate_pair(self.model.similarity, self.pair)
+        return scores["entity"], scores["relation"], scores["class"]
 
     # ------------------------------------------------------------ persistence
     def save(self, path: str) -> None:

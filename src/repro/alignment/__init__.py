@@ -8,7 +8,9 @@ alignment losses together with the underlying embedding models, mines
 semi-supervised potential matches, and fine-tunes on newly labelled pairs with
 a focal loss.  :mod:`repro.alignment.calibration` turns similarities into
 calibrated match probabilities, and :mod:`repro.alignment.evaluation` hosts the
-H@k / MRR / precision-recall-F1 metrics used by every experiment.
+H@k / MRR / precision-recall-F1 metrics used by every experiment and
+:func:`~repro.alignment.evaluation.greedy_match`, the one greedy one-to-one
+matcher that evaluation, mining and ``DAAKG.predict_matches`` share.
 """
 
 from repro.alignment.model import JointAlignmentModel
@@ -17,20 +19,16 @@ from repro.alignment.mean_embeddings import (
     mean_class_embeddings,
     mean_relation_embeddings,
 )
-from repro.alignment.semi_supervised import (
-    mine_potential_matches,
-    mine_potential_matches_from_engine,
-    resolve_conflicts,
-)
+from repro.alignment.semi_supervised import mine_potential_matches
 from repro.alignment.calibration import AlignmentCalibrator, CalibrationConfig
 from repro.alignment.evaluation import (
     AlignmentScores,
     evaluate_alignment,
     evaluate_alignment_from_engine,
+    evaluate_pair,
     f1_score,
+    gold_match_ids,
     greedy_match,
-    hits_at_k,
-    mean_reciprocal_rank,
     precision_recall_f1,
 )
 from repro.alignment.similarity import SimilarityEngine
@@ -47,14 +45,12 @@ __all__ = [
     "entity_weights",
     "evaluate_alignment",
     "evaluate_alignment_from_engine",
+    "evaluate_pair",
     "f1_score",
+    "gold_match_ids",
     "greedy_match",
-    "hits_at_k",
     "mean_class_embeddings",
-    "mean_reciprocal_rank",
     "mean_relation_embeddings",
     "mine_potential_matches",
-    "mine_potential_matches_from_engine",
     "precision_recall_f1",
-    "resolve_conflicts",
 ]

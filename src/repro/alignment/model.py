@@ -274,10 +274,10 @@ class JointAlignmentModel(Module):
         return self._structural_factors
 
     # ------------------------------------------------------ similarity matrices
-    # All full-matrix computation lives in the SimilarityEngine, which caches
-    # results behind the (parameter_version, state_version) token; these
-    # accessors read its matrices by kind.  Returned matrices are shared
-    # cache entries — treat them as read-only.
+    # All full-matrix computation lives in the SimilarityEngine, which keys
+    # its state on the (parameter, snapshot, landmark) version triple; these
+    # accessors read its matrices by kind.  A matrix that fits one block is a
+    # read-only view of the engine's kept tile.
     @property
     def snapshot_version(self) -> int:
         """Bumped by ``refresh_statistics``; part of every engine cache token."""
@@ -288,11 +288,6 @@ class JointAlignmentModel(Module):
         """Bumped by effective ``set_landmarks`` calls; only the entity matrix
         depends on it (through the structural propagation channel)."""
         return self._landmark_version
-
-    @property
-    def state_version(self) -> tuple[int, int]:
-        """Combined (snapshot, landmark) version of the non-parameter state."""
-        return (self._snapshot_version, self._landmark_version)
 
     def entity_similarity_matrix(self) -> np.ndarray:
         """Full ``|E1| × |E2|`` similarity matrix (NumPy, no gradients).

@@ -25,10 +25,7 @@ import numpy as np
 import repro.obs as obs
 from repro.autograd import functional as F
 from repro.alignment.model import JointAlignmentModel
-from repro.alignment.semi_supervised import (
-    PotentialMatch,
-    mine_potential_matches_from_engine,
-)
+from repro.alignment.semi_supervised import mine_potential_matches
 from repro.kg.elements import ElementKind
 from repro.kg.sampling import NegativeSampler, corrupt_match_pairs
 from repro.nn.optim import Adam
@@ -135,12 +132,6 @@ class LabelStore:
         )
 
 
-def _mined_arrays(mined: list[PotentialMatch]) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``(n, 2)`` and soft labels ``(n,)`` of mined potential matches."""
-    pairs = np.asarray([(m.left, m.right) for m in mined], dtype=np.int64).reshape(-1, 2)
-    return pairs, np.asarray([m.soft_label for m in mined])
-
-
 class JointAlignmentTrainer:
     """Optimises a :class:`JointAlignmentModel` from labelled element pairs."""
 
@@ -158,10 +149,10 @@ class JointAlignmentTrainer:
         self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
         self._sampler1 = NegativeSampler(model.kg1, seed=self.rng)
         self._sampler2 = NegativeSampler(model.kg2, seed=self.rng)
-        self._semi: dict[ElementKind, list[PotentialMatch]] = {k: [] for k in _KINDS}
-        # ``_semi`` as index pairs ``(n, 2)`` and soft labels; set with it
-        self._semi_arrays: dict[ElementKind, tuple[np.ndarray, np.ndarray]] = {
-            k: _mined_arrays([]) for k in _KINDS
+        # mined potential matches per kind (Eq. 10): index pairs ``(n, 2)``
+        # and soft labels ``(n,)``
+        self._mined: dict[ElementKind, tuple[np.ndarray, np.ndarray]] = {
+            k: (np.empty((0, 2), dtype=np.int64), np.empty(0)) for k in _KINDS
         }
         self._hard_candidates: tuple[np.ndarray, np.ndarray] | None = None
         self.loss_history: list[float] = []
@@ -176,14 +167,9 @@ class JointAlignmentTrainer:
             self.labels.add(kind, (int(left), int(right)), False)
 
     # ---------------------------------------------------------------- helpers
-    def _set_mined(self, kind: ElementKind, mined: list[PotentialMatch]) -> None:
-        """Replace the mined potential matches of ``kind`` (Eq. 10's pairs)."""
-        self._semi[kind] = mined
-        self._semi_arrays[kind] = _mined_arrays(mined)
-
     def _matched_pairs(self, kind: ElementKind) -> np.ndarray:
         """Labelled matches then mined potential matches of ``kind``, ``(n, 2)``."""
-        return np.concatenate([self.labels.match_array(kind), self._semi_arrays[kind][0]])
+        return np.concatenate([self.labels.match_array(kind), self._mined[kind][0]])
 
     def _vocab_sizes(self, kind: ElementKind) -> tuple[int, int]:
         if kind is ElementKind.ENTITY:
@@ -330,7 +316,7 @@ class JointAlignmentTrainer:
         return (1.0 - sims).mean()
 
     def _semi_loss(self, kind: ElementKind):
-        pairs, soft_labels = self._semi_arrays[kind]
+        pairs, soft_labels = self._mined[kind]
         if pairs.size == 0:
             return None
         similarities = self.model.pair_similarity(kind, pairs)
@@ -441,19 +427,14 @@ class JointAlignmentTrainer:
         never exists.
         """
         for kind in _KINDS:
-            labelled = self.labels.labelled_pairs(kind)
-            matched_left = {left for left, _ in self.labels.matches[kind]}
-            matched_right = {right for _, right in self.labels.matches[kind]}
-            mined = mine_potential_matches_from_engine(
+            self._mined[kind] = mine_potential_matches(
                 self.engine,
                 kind,
                 threshold=self.config.semi_threshold,
-                exclude=labelled,
-                exclude_left=matched_left,
-                exclude_right=matched_right,
+                matches=self.labels.match_array(kind),
+                non_matches=self.labels.non_match_array(kind),
                 max_candidates=SEMI_MAX_PER_KIND,
             )
-            self._set_mined(kind, mined)
 
     # ------------------------------------------------------------------ train
     def train(self) -> list[float]:

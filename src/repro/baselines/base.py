@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.alignment.evaluation import AlignmentScores, evaluate_alignment
+from repro.alignment.evaluation import AlignmentScores, evaluate_alignment, gold_match_ids
+from repro.kg.elements import ElementKind
 from repro.kg.pair import AlignedKGPair
 from repro.utils.timer import Timer
 
@@ -37,17 +38,12 @@ class AlignmentBaseline:
         """Same metric dictionary as :meth:`repro.core.DAAKG.evaluate`."""
         if self.pair is None:
             raise RuntimeError(f"{self.name} has not been fitted")
-        entity_pairs = (
-            self.pair.entity_match_ids(self.pair.test_entity_pairs)
-            if test_only and self.pair.test_entity_pairs
-            else self.pair.entity_match_ids()
-        )
+        matrices = {
+            ElementKind.ENTITY: self.entity_similarity_matrix,
+            ElementKind.RELATION: self.relation_similarity_matrix,
+            ElementKind.CLASS: self.class_similarity_matrix,
+        }
         return {
-            "entity": evaluate_alignment(self.entity_similarity_matrix(), entity_pairs),
-            "relation": evaluate_alignment(
-                self.relation_similarity_matrix(), self.pair.relation_match_ids()
-            ),
-            "class": evaluate_alignment(
-                self.class_similarity_matrix(), self.pair.class_match_ids()
-            ),
+            kind.value: evaluate_alignment(matrices[kind](), gold)
+            for kind, gold in gold_match_ids(self.pair, test_only).items()
         }

@@ -24,9 +24,8 @@ from repro.active.oracle import Oracle
 from repro.active.pool import ElementPairPool, build_pool
 from repro.active.strategies import SelectionStrategy, create_strategy
 from repro.alignment.calibration import AlignmentCalibrator
-from repro.alignment.evaluation import AlignmentScores, evaluate_alignment_from_engine
+from repro.alignment.evaluation import AlignmentScores, evaluate_pair, greedy_match
 from repro.alignment.model import JointAlignmentModel
-from repro.alignment.semi_supervised import resolve_conflicts
 from repro.alignment.trainer import JointAlignmentTrainer
 from repro.core.config import DAAKGConfig
 from repro.embedding import CompGCN, EntityClassScorer, create_embedding_model
@@ -209,46 +208,32 @@ class DAAKG:
     def evaluate(self, test_only: bool = True) -> dict[str, AlignmentScores]:
         """H@k / MRR / precision / recall / F1 for entity, relation and class alignment.
 
-        Metrics are read through the similarity engine: ranking statistics
-        are streamed from cosine tiles and only the gold-row slab is ever
-        gathered.
+        Metrics are read through the similarity engine, which gathers only
+        the gold-row slab; :func:`~repro.alignment.evaluation.gold_match_ids`
+        picks the gold matches.
         """
-        entity_pairs = (
-            self.pair.entity_match_ids(self.pair.test_entity_pairs)
-            if test_only and self.pair.test_entity_pairs
-            else self.pair.entity_match_ids()
-        )
-        engine = self.model.similarity
-        return {
-            "entity": evaluate_alignment_from_engine(engine, ElementKind.ENTITY, entity_pairs),
-            "relation": evaluate_alignment_from_engine(
-                engine, ElementKind.RELATION, self.pair.relation_match_ids()
-            ),
-            "class": evaluate_alignment_from_engine(
-                engine, ElementKind.CLASS, self.pair.class_match_ids()
-            ),
-        }
+        return evaluate_pair(self.model.similarity, self.pair, test_only)
 
     # -------------------------------------------------------------- prediction
     def predict_matches(self, kind: ElementKind, threshold: float = 0.5) -> list[tuple[str, str]]:
         """One-to-one predicted matches above ``threshold``, as element names.
 
-        Greedy one-to-one matching over the engine's above-threshold
-        candidates, with the same tie-sensitive contract as mining: the
-        row-major threshold scan feeds ``resolve_conflicts`` (stable sort by
-        descending score), so there is exactly one implementation of each
-        half.  The engine collects the candidates from streamed tiles
-        without ever materialising the full matrix.
+        The engine's row-major threshold scan (collected from streamed
+        tiles, never the full matrix) feeds
+        :func:`~repro.alignment.evaluation.greedy_match`, the matcher mining
+        and evaluation use; matches come in the order greedy takes them.
         """
-        rows, cols, values = self.model.similarity.threshold_candidates(kind, threshold)
-        resolved = resolve_conflicts(list(zip(rows.tolist(), cols.tolist(), values.tolist())))
+        engine = self.model.similarity
+        rows, cols, values = engine.threshold_candidates(kind, threshold)
+        taken = greedy_match(rows, cols, values, engine.shape(kind))
         if kind is ElementKind.ENTITY:
             left_names, right_names = self.kg1.entities, self.kg2.entities
         elif kind is ElementKind.RELATION:
             left_names, right_names = self.kg1.relations, self.kg2.relations
         else:
             left_names, right_names = self.kg1.classes, self.kg2.classes
-        return [(left_names[i], right_names[j]) for i, j, _ in resolved]
+        pairs = zip(rows[taken].tolist(), cols[taken].tolist())
+        return [(left_names[i], right_names[j]) for i, j in pairs]
 
     def match_probabilities(self, kind: ElementKind) -> np.ndarray:
         """Calibrated match probabilities (Eq. 12) for all pairs of one kind."""

@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.alignment.evaluation import AlignmentScores
 from repro.alignment.model import AlignmentSnapshot
-from repro.alignment.semi_supervised import PotentialMatch
 from repro.core.config import DAAKGConfig, config_from_dict, config_to_dict
 from repro.inference.pairs import ElementPair
 from repro.kg.elements import ElementKind
@@ -223,10 +222,8 @@ def save_checkpoint(path: str | os.PathLike, daakg: "DAAKG", loop: "ActiveLearni
     for kind in _KINDS:
         arrays[f"labels/{kind.value}/matches"] = _pairs_array(labels.matches[kind])
         arrays[f"labels/{kind.value}/non_matches"] = _pairs_array(labels.non_matches[kind])
-        mined = daakg.trainer._semi[kind]
-        arrays[f"semi/{kind.value}/pairs"] = _pairs_array([(m.left, m.right) for m in mined])
-        arrays[f"semi/{kind.value}/soft"] = np.asarray(
-            [m.soft_label for m in mined], dtype=np.float64
+        arrays[f"semi/{kind.value}/pairs"], arrays[f"semi/{kind.value}/soft"] = (
+            daakg.trainer._mined[kind]
         )
     arrays["landmarks"] = daakg.model._landmarks.copy()
     snapshot = daakg.model._snapshot
@@ -360,12 +357,10 @@ def restore_pipeline(checkpoint: Checkpoint) -> "DAAKG":
             trainer.labels.add(kind, (int(left), int(right)), True)
         for left, right in checkpoint.arrays[f"labels/{kind.value}/non_matches"]:
             trainer.labels.add(kind, (int(left), int(right)), False)
-        mined_pairs = checkpoint.arrays[f"semi/{kind.value}/pairs"]
-        mined_soft = checkpoint.arrays[f"semi/{kind.value}/soft"]
-        trainer._set_mined(kind, [
-            PotentialMatch(int(left), int(right), float(soft))
-            for (left, right), soft in zip(mined_pairs, mined_soft)
-        ])
+        trainer._mined[kind] = (
+            checkpoint.arrays[f"semi/{kind.value}/pairs"],
+            checkpoint.arrays[f"semi/{kind.value}/soft"],
+        )
     trainer.loss_history = list(manifest.get("loss_history", []))
 
     daakg.model.set_landmarks(checkpoint.arrays["landmarks"])

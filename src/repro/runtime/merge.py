@@ -32,7 +32,7 @@ Semantics of the merged similarity:
 ``pair_probabilities`` / ``export_state``).  The similarity engine is a
 subclass whose channels are built per version token, so
 :func:`~repro.alignment.evaluation.evaluate_alignment_from_engine`,
-:func:`~repro.alignment.semi_supervised.mine_potential_matches_from_engine`
+:func:`~repro.alignment.semi_supervised.mine_potential_matches`
 and the calibrator's streamed probability paths run the same code on a merged
 state and on a live engine.  With a single identity partition the piece's
 channels are reused as-is, making every merged query bit-equal to the

@@ -337,8 +337,9 @@ def collect_threshold_candidates(
     ``tiles`` yields ``(row_slice, col_slice, tile)`` covering disjoint
     regions (one row shard's column sweep).
     The result is sorted row-major (row ascending, then column ascending) —
-    the order ``np.where`` yields on the assembled matrix — so downstream
-    greedy/conflict resolution behaves identically to a full-matrix scan
+    the order ``np.nonzero`` yields on the assembled matrix — which is the
+    candidate order :func:`~repro.alignment.evaluation.greedy_match` takes,
+    so greedy matching of a streamed scan equals that of a full-matrix scan
     even under score ties.
     """
     rows_parts, cols_parts, vals_parts = [], [], []

@@ -14,18 +14,16 @@ from repro.alignment import (
     evaluate_alignment,
     f1_score,
     greedy_match,
-    hits_at_k,
     mean_class_embeddings,
-    mean_reciprocal_rank,
     mean_relation_embeddings,
     mine_potential_matches,
     precision_recall_f1,
-    resolve_conflicts,
 )
 from repro.alignment.propagation import StructuralPropagation, normalized_adjacency
 from repro.embedding import EntityClassScorer, TransE
 from repro.kg.elements import ElementKind
 from repro.utils.math import cosine_similarity_matrix, softmax
+from matching_oracle import greedy_walk, greedy_walk_matrix, mine_dense
 
 
 @pytest.fixture(scope="module")
@@ -46,44 +44,114 @@ def joint_setup(tiny_pair):
     return pair, model
 
 
+def match_matrix(matrix: np.ndarray, threshold: float = 0.0) -> list[tuple[int, int]]:
+    """:func:`greedy_match` over every entry of ``matrix`` at or above ``threshold``."""
+    rows, cols = np.nonzero(matrix >= threshold)
+    taken = greedy_match(rows, cols, matrix[rows, cols], matrix.shape)
+    return list(zip(rows[taken].tolist(), cols[taken].tolist()))
+
+
+class MatrixEngine:
+    """The two engine queries mining reads, answered from a full matrix."""
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.matrix = matrix
+
+    def shape(self, kind):
+        return self.matrix.shape
+
+    def threshold_candidates(self, kind, threshold):
+        rows, cols = np.nonzero(self.matrix >= threshold)
+        return rows, cols, self.matrix[rows, cols]
+
+
 class TestEvaluationMetrics:
+    # the ranking metrics are checked against the per-row rank loops of
+    # tests/matching_oracle.py on fitted models in
+    # test_backends.py::TestEngineParity::test_evaluate_metrics_identical
     def test_hits_at_k_perfect(self):
-        sim = np.eye(3)
-        gold = np.array([[0, 0], [1, 1], [2, 2]])
-        assert hits_at_k(sim, gold, 1) == 1.0
-        assert mean_reciprocal_rank(sim, gold) == 1.0
+        scores = evaluate_alignment(np.eye(3), np.array([[0, 0], [1, 1], [2, 2]]))
+        assert scores.hits_at_1 == 1.0
+        assert scores.mrr == 1.0
 
     def test_hits_at_k_partial(self):
         sim = np.array([[0.9, 0.1], [0.8, 0.2]])
-        gold = np.array([[0, 0], [1, 1]])
-        assert hits_at_k(sim, gold, 1) == 0.5
-        assert hits_at_k(sim, gold, 10) == 1.0
+        scores = evaluate_alignment(sim, np.array([[0, 0], [1, 1]]))
+        assert scores.hits_at_1 == 0.5
+        assert scores.hits_at_10 == 1.0
 
     def test_mrr_second_rank(self):
-        sim = np.array([[0.5, 0.9]])
-        gold = np.array([[0, 0]])
-        assert mean_reciprocal_rank(sim, gold) == pytest.approx(0.5)
+        scores = evaluate_alignment(np.array([[0.5, 0.9]]), np.array([[0, 0]]))
+        assert scores.mrr == pytest.approx(0.5)
+
+    def test_ties_take_the_mid_rank(self):
+        # a matcher that scores every candidate alike is not credited rank 1
+        scores = evaluate_alignment(np.full((2, 4), 0.5), np.array([[0, 0], [1, 1]]))
+        assert scores.hits_at_1 == 0.0
+        assert scores.mrr == pytest.approx(1 / 2.5)
 
     def test_greedy_match_is_one_to_one(self):
-        sim = np.array([[0.9, 0.8], [0.85, 0.1]])
-        matches = greedy_match(sim)
+        matches = match_matrix(np.array([[0.9, 0.8], [0.85, 0.1]]))
         assert len(matches) == 2
         assert len({i for i, _ in matches}) == 2
         assert len({j for _, j in matches}) == 2
 
     def test_greedy_match_respects_threshold(self):
         sim = np.array([[0.9, 0.1], [0.2, 0.3]])
-        assert greedy_match(sim, threshold=0.5) == [(0, 0)]
+        assert match_matrix(sim, threshold=0.5) == [(0, 0)]
 
-    def test_greedy_match_equals_resolve_conflicts_at_ties(self):
-        from repro.alignment.semi_supervised import resolve_conflicts
-
-        # rounding leaves many equal similarities; both matchers take equal
-        # ones in row-major order
+    def test_greedy_match_equals_walk_at_ties(self):
+        # rounding leaves many equal similarities; both take equal ones in
+        # row-major order
         sim = np.round(np.random.default_rng(0).random((60, 80)), 1)
-        candidates = [(i, j, sim[i, j]) for i in range(60) for j in range(80)]
-        expected = [(left, right) for left, right, _ in resolve_conflicts(candidates)]
-        assert greedy_match(sim) == expected
+        assert match_matrix(sim) == greedy_walk_matrix(sim)
+
+    def test_greedy_match_keeps_best(self):
+        rows, cols = np.array([0, 0, 1, 2]), np.array([0, 1, 1, 2])
+        taken = greedy_match(rows, cols, np.array([0.9, 0.8, 0.7, 0.5]), (3, 3))
+        assert taken.tolist() == [0, 2, 3]
+
+    @given(
+        st.integers(0, 12),
+        st.integers(0, 12),
+        st.integers(1, 4),
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_greedy_match_equals_walk_property(self, n, m, levels, threshold, seed):
+        # integer values make ties the rule; n or m of 0 or 1 covers the
+        # empty, 1×n and n×1 inputs
+        sim = np.random.default_rng(seed).integers(0, levels + 1, size=(n, m)).astype(float)
+        rows, cols = np.nonzero(sim >= threshold)
+        values = sim[rows, cols]
+        taken = greedy_match(rows, cols, values, sim.shape)
+        assert taken.dtype == np.int64
+        assert taken.tolist() == greedy_walk(rows, cols, values)
+
+    def test_greedy_match_walks_out_of_a_staircase(self):
+        # values fall along the path (0,0) (1,0) (1,1) (2,1) (2,2) …: each
+        # pair blocks the next, so a round takes one pair and the matcher
+        # walks the rest of its head; it must still equal the walk
+        n = 3000
+        rows = np.repeat(np.arange(n), 2)[1:]
+        cols = np.repeat(np.arange(n), 2)[:-1]
+        values = np.where(rows == cols, 2.0 * (n - rows), 2.0 * (n - cols) - 1)
+        taken = greedy_match(rows, cols, values, (n, n))
+        assert taken.tolist() == greedy_walk(rows, cols, values)
+        assert (rows[taken] == cols[taken]).all()
+
+    def test_greedy_match_past_the_first_head(self):
+        # more candidates than the first head holds and a row whose only
+        # candidate is the lowest value: later heads must finish the matching
+        rng = np.random.default_rng(1)
+        sim = rng.random((300, 400))
+        sim[7] = 0.0
+        sim[7, 5] = -1.0
+        rows, cols = np.nonzero(sim >= -1.0)
+        values = sim[rows, cols]
+        taken = greedy_match(rows, cols, values, sim.shape)
+        assert taken.tolist() == greedy_walk(rows, cols, values)
 
     def test_precision_recall_f1(self):
         predicted = [(0, 0), (1, 1), (2, 5)]
@@ -166,26 +234,36 @@ class TestCalibration:
 
 
 class TestSemiSupervision:
-    def test_resolve_conflicts_keeps_best(self):
-        kept = resolve_conflicts([(0, 0, 0.9), (0, 1, 0.8), (1, 1, 0.7), (2, 2, 0.5)])
-        assert {pair[:2] for pair in kept} == {(0, 0), (1, 1), (2, 2)}
-
     def test_mine_potential_matches_threshold_and_exclusions(self):
-        sim = np.array([[0.95, 0.2], [0.1, 0.92], [0.3, 0.91]])
-        mined = mine_potential_matches(sim, threshold=0.9)
-        pairs = {(m.left, m.right) for m in mined}
-        assert (0, 0) in pairs and (1, 1) in pairs
-        assert (2, 1) not in pairs  # conflict resolution keeps the better row
-        mined = mine_potential_matches(sim, threshold=0.9, exclude_left={0})
-        assert all(m.left != 0 for m in mined)
+        engine = MatrixEngine(np.array([[0.95, 0.2], [0.1, 0.92], [0.3, 0.91]]))
+        pairs, soft = mine_potential_matches(engine, ElementKind.ENTITY, threshold=0.9)
+        assert pairs.tolist() == [[0, 0], [1, 1]]  # (2, 1) loses to the better row
+        assert soft.tolist() == [0.95, 0.92]
+        pairs, _ = mine_potential_matches(engine, ElementKind.ENTITY, 0.9, matches=[(1, 0)])
+        assert pairs.tolist() == [[2, 1]]  # row 1 and column 0 are labelled
+        pairs, _ = mine_potential_matches(engine, ElementKind.ENTITY, 0.9, non_matches=[(1, 1)])
+        assert pairs.tolist() == [[0, 0], [2, 1]]
+
+    def test_mine_equals_dense_walk(self):
+        sim = np.round(np.random.default_rng(3).random((40, 30)), 1)
+        labels = {"matches": [(1, 2), (5, 5)], "non_matches": [(0, 0), (3, 7)]}
+        pairs, soft = mine_potential_matches(MatrixEngine(sim), ElementKind.ENTITY, 0.6, **labels)
+        expected_pairs, expected_soft = mine_dense(sim, 0.6, **labels)
+        np.testing.assert_array_equal(pairs, expected_pairs)
+        np.testing.assert_array_equal(soft, expected_soft)
 
     def test_mine_respects_max_candidates(self):
-        sim = np.full((5, 5), 0.95)
-        mined = mine_potential_matches(sim, threshold=0.9, max_candidates=2)
-        assert len(mined) == 2
+        engine = MatrixEngine(np.full((5, 5), 0.95))
+        pairs, soft = mine_potential_matches(
+            engine, ElementKind.ENTITY, threshold=0.9, max_candidates=2
+        )
+        assert pairs.tolist() == [[0, 0], [1, 1]]
+        assert soft.shape == (2,)
 
     def test_mine_empty_matrix(self):
-        assert mine_potential_matches(np.empty((0, 0)), 0.5) == []
+        pairs, soft = mine_potential_matches(MatrixEngine(np.empty((0, 0))), ElementKind.ENTITY, 0.5)
+        assert pairs.shape == (0, 2) and pairs.dtype == np.int64
+        assert soft.shape == (0,) and soft.dtype == np.float64
 
 
 class TestMeanEmbeddings:
@@ -430,16 +508,12 @@ class TestLossTermArrayCache:
 
     @staticmethod
     def _assert_in_step(trainer):
-        for kind in trainer._semi:
-            mined = trainer._semi[kind]
-            pairs, soft = trainer._semi_arrays[kind]
-            assert pairs.shape == (len(mined), 2)
-            assert pairs.tolist() == [[m.left, m.right] for m in mined]
-            assert soft.tolist() == [m.soft_label for m in mined]
-            expected = list(trainer.labels.matches[kind]) + [(m.left, m.right) for m in mined]
-            assert trainer._matched_pairs(kind).tolist() == [list(p) for p in expected]
+        for kind, (pairs, soft) in trainer._mined.items():
+            assert pairs.dtype == np.int64 and pairs.shape == (len(soft), 2)
+            expected = [list(p) for p in trainer.labels.matches[kind]] + pairs.tolist()
+            assert trainer._matched_pairs(kind).tolist() == expected
         entity = list(trainer.labels.matches[ElementKind.ENTITY])
-        entity += [(m.left, m.right) for m in trainer._semi[ElementKind.ENTITY]]
+        entity += [tuple(p) for p in trainer._mined[ElementKind.ENTITY][0].tolist()]
         assert trainer._current_entity_landmarks().tolist() == [list(p) for p in sorted(set(entity))]
 
     def test_arrays_follow_labels_and_mined_pairs(self, joint_setup):
@@ -447,12 +521,12 @@ class TestLossTermArrayCache:
         trainer = self._trainer(pair)
         assert trainer._current_entity_landmarks().shape[1] == 2
         trainer.train()
-        assert any(trainer._semi[kind] for kind in trainer._semi)
+        assert any(len(soft) for _, soft in trainer._mined.values())
         self._assert_in_step(trainer)
 
-        built = dict(trainer._semi_arrays)
+        built = dict(trainer._mined)
         trainer._step()
-        assert all(trainer._semi_arrays[kind] is arrays for kind, arrays in built.items())
+        assert all(trainer._mined[kind] is arrays for kind, arrays in built.items())
 
         trainer.add_matches(ElementKind.ENTITY, [(1, 2)])
         assert trainer._matched_pairs(ElementKind.ENTITY)[

@@ -24,7 +24,6 @@ from repro.alignment import (
     evaluate_alignment,
     evaluate_alignment_from_engine,
     mine_potential_matches,
-    mine_potential_matches_from_engine,
 )
 from repro.core.config import DAAKGConfig
 from repro.kg.elements import ElementKind
@@ -41,6 +40,7 @@ from repro.runtime.streaming import assemble_matrix
 from repro.serving import serve
 from repro.updates import KGDelta
 from repro.utils.math import cosine_similarity_matrix, safe_l2_normalize, top_k_rows
+from matching_oracle import evaluate_dense, mine_dense
 
 ATOL = 1e-12
 
@@ -379,19 +379,28 @@ class TestBackendParity:
         np.testing.assert_allclose(col_max, matrix.max(axis=0), rtol=0, atol=ATOL)
 
     def test_evaluate_metrics_identical(self, fitted_pipeline, engines):
+        # both entries against the per-row rank loops and the sequential walk
         gold = fitted_pipeline.pair.entity_match_ids(fitted_pipeline.pair.test_entity_pairs)
         for engine in engines:
-            expected = evaluate_alignment(oracle(engine, ElementKind.ENTITY), gold)
+            matrix = oracle(engine, ElementKind.ENTITY)
+            expected = evaluate_dense(matrix, gold)
+            assert evaluate_alignment(matrix, gold) == expected
             assert evaluate_alignment_from_engine(engine, ElementKind.ENTITY, gold) == expected
 
-    def test_mining_identical(self, engines):
+    def test_mining_identical(self, fitted_pipeline, engines):
+        labels = fitted_pipeline.trainer.labels
+        matches = labels.match_array(ElementKind.ENTITY)
         for engine in engines:
-            mined = mine_potential_matches_from_engine(engine, ElementKind.ENTITY, threshold=0.6)
-            expected = mine_potential_matches(oracle(engine, ElementKind.ENTITY), threshold=0.6)
-            assert [(m.left, m.right) for m in mined] == [(m.left, m.right) for m in expected]
-            np.testing.assert_allclose(
-                [m.soft_label for m in mined], [m.soft_label for m in expected], rtol=0, atol=ATOL
-            )
+            for kwargs in ({}, {"matches": matches[: len(matches) // 2]}):
+                pairs, soft = mine_potential_matches(
+                    engine, ElementKind.ENTITY, threshold=0.6, **kwargs
+                )
+                expected_pairs, expected_soft = mine_dense(
+                    oracle(engine, ElementKind.ENTITY), 0.6, **kwargs
+                )
+                assert len(pairs)
+                np.testing.assert_array_equal(pairs, expected_pairs)
+                np.testing.assert_allclose(soft, expected_soft, rtol=0, atol=ATOL)
 
     def test_calibration_identical(self, fitted_pipeline, engines):
         rng = np.random.default_rng(0)
@@ -422,7 +431,7 @@ class TestBackendParity:
                 matrix = oracle(engine, ElementKind.ENTITY)
                 table = engine.top_k_table(ElementKind.ENTITY, 5)
                 assert_same_topk(*oracle_top_k(matrix, 5), table.left_indices, table.left_values)
-                expected = evaluate_alignment(matrix, gold)
+                expected = evaluate_dense(matrix, gold)
                 assert evaluate_alignment_from_engine(engine, ElementKind.ENTITY, gold) == expected
         finally:
             model.set_landmarks(previous)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import DAAKG, DAAKGConfig, ElementKind
-from repro.alignment import greedy_match
 from repro.baselines import (
     BASELINE_REGISTRY,
     LexicalMatcher,
@@ -13,8 +12,13 @@ from repro.baselines import (
     ParisConfig,
     create_baseline,
 )
+from repro.alignment import gold_match_ids
+from repro.alignment.trainer import AlignmentTrainingConfig
 from repro.baselines.lexical import character_ngrams, ngram_jaccard
 from repro.core.daakg import _classes_as_entities
+from repro.datasets import make_benchmark
+from repro.embedding.trainer import EmbeddingTrainingConfig
+from matching_oracle import greedy_walk_matrix
 
 
 class TestDAAKGConfig:
@@ -82,17 +86,17 @@ class TestDAAKGPipeline:
 
     @pytest.mark.parametrize("kind", list(ElementKind))
     def test_predict_matches_equals_greedy_match(self, fitted_pipeline, kind):
-        # the threshold scan + conflict resolution path picks the same set
-        # the evaluation's full-matrix greedy matching does
+        # the threshold scan + greedy_match path picks the set the
+        # sequential walk picks over the full matrix
         names = {
             ElementKind.ENTITY: (fitted_pipeline.kg1.entities, fitted_pipeline.kg2.entities),
             ElementKind.RELATION: (fitted_pipeline.kg1.relations, fitted_pipeline.kg2.relations),
             ElementKind.CLASS: (fitted_pipeline.kg1.classes, fitted_pipeline.kg2.classes),
         }[kind]
         matrix = fitted_pipeline.model.similarity_matrix(kind)
-        expected = {(names[0][i], names[1][j]) for i, j in greedy_match(matrix, 0.3)}
+        expected = [(names[0][i], names[1][j]) for i, j in greedy_walk_matrix(matrix, 0.3)]
         assert expected
-        assert set(fitted_pipeline.predict_matches(kind, threshold=0.3)) == expected
+        assert fitted_pipeline.predict_matches(kind, threshold=0.3) == expected
 
     def test_match_probabilities_are_probabilities(self, fitted_pipeline):
         probabilities = fitted_pipeline.match_probabilities(ElementKind.ENTITY)
@@ -186,3 +190,42 @@ class TestEndToEndComparison:
         daakg_scores = fitted_pipeline.evaluate()
         assert daakg_scores["relation"].hits_at_1 >= lexical_scores["relation"].hits_at_1
         assert daakg_scores["entity"].hits_at_1 >= lexical_scores["entity"].hits_at_1
+
+
+class TestEmptyTestSplit:
+    """Every evaluator scores all gold entity matches when the test split is empty.
+
+    ``PartitionedCampaign.evaluate`` is covered by
+    ``test_partition_campaign.py::test_campaign_evaluates_every_match_without_split``.
+    """
+
+    @pytest.fixture(scope="class")
+    def split_less(self):
+        pair = make_benchmark("D-W", scale=0.1, seed=0)
+        pair.test_entity_pairs = []
+        config = DAAKGConfig(
+            base_model="transe", entity_dim=8,
+            pretrain=EmbeddingTrainingConfig(epochs=2),
+            alignment=AlignmentTrainingConfig(rounds=1, epochs_per_round=3), seed=0,
+        )
+        return DAAKG(pair, config).fit()
+
+    def test_gold_is_every_match(self, split_less):
+        gold = gold_match_ids(split_less.pair)
+        np.testing.assert_array_equal(
+            gold[ElementKind.ENTITY], split_less.pair.entity_match_ids()
+        )
+        np.testing.assert_array_equal(
+            gold[ElementKind.RELATION], split_less.pair.relation_match_ids()
+        )
+
+    def test_loop_scores_like_the_pipeline(self, split_less):
+        scores = split_less.evaluate()
+        assert scores["entity"].hits_at_1 > 0
+        assert split_less.evaluate(test_only=False) == scores
+        loop = split_less.active_learning("uncertainty")
+        assert loop.evaluate() == (scores["entity"], scores["relation"], scores["class"])
+
+    def test_baseline_scores_every_match(self, split_less):
+        baseline = LexicalMatcher().fit(split_less.pair)
+        assert baseline.evaluate() == baseline.evaluate(test_only=False)

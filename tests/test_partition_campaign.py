@@ -29,7 +29,7 @@ from repro.active.campaign import piece_seed
 from repro.active.loop import ActiveLearningConfig
 from repro.active.pool import PoolConfig
 from repro.alignment.evaluation import evaluate_alignment_from_engine
-from repro.alignment.semi_supervised import mine_potential_matches_from_engine
+from repro.alignment.semi_supervised import mine_potential_matches
 from repro.alignment.trainer import AlignmentTrainingConfig
 from repro.embedding.trainer import EmbeddingTrainingConfig
 from repro.inference.power import InferencePowerConfig
@@ -172,13 +172,23 @@ def test_merged_single_partition_evaluation_bit_equal(
     assert single_partition_campaign.evaluate() == monolithic.evaluate()
 
 
+def test_campaign_evaluates_every_match_without_split(single_partition_campaign, monkeypatch):
+    # the gold-set rule of DAAKG.evaluate (repro.alignment.gold_match_ids)
+    monkeypatch.setattr(single_partition_campaign.dataset, "test_entity_pairs", [])
+    scores = single_partition_campaign.evaluate()
+    assert scores == single_partition_campaign.evaluate(test_only=False)
+    assert scores["entity"].hits_at_1 > 0
+
+
 def test_merged_single_partition_mining_bit_equal(monolithic, single_partition_campaign):
     merged = single_partition_campaign.merged_state()
     engine = monolithic.model.similarity
     for kind, threshold in ((ElementKind.ENTITY, 0.8), (ElementKind.RELATION, 0.5)):
-        assert mine_potential_matches_from_engine(
-            merged, kind, threshold
-        ) == mine_potential_matches_from_engine(engine, kind, threshold)
+        for merged_array, engine_array in zip(
+            mine_potential_matches(merged, kind, threshold),
+            mine_potential_matches(engine, kind, threshold),
+        ):
+            np.testing.assert_array_equal(merged_array, engine_array)
 
 
 def test_merged_single_partition_matrix_bit_equal(monolithic, single_partition_campaign):

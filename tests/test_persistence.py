@@ -128,10 +128,10 @@ def test_restored_state_matches(checkpoint_dir, fitted_pipeline):
     # labels and mined matches
     for kind in ElementKind:
         assert restored.trainer.labels.matches[kind] == fitted_pipeline.trainer.labels.matches[kind]
-        assert restored.trainer._semi[kind] == fitted_pipeline.trainer._semi[kind]
         for restored_array, fitted_array in zip(
-            restored.trainer._semi_arrays[kind], fitted_pipeline.trainer._semi_arrays[kind]
+            restored.trainer._mined[kind], fitted_pipeline.trainer._mined[kind]
         ):
+            assert restored_array.dtype == fitted_array.dtype
             np.testing.assert_array_equal(restored_array, fitted_array)
     # the shared RNG stream resumes at the same position (equal states imply
     # equal future draws, without perturbing the session fixture's stream)

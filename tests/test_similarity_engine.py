@@ -2,7 +2,7 @@
 
 The engine's contract (see ``repro/alignment/similarity.py``): a kind's
 channels (and the one tile they keep) are computed at most once per
-``(parameter_version, state_version)`` token, every optimiser step
+``(parameter, snapshot, landmark)`` version token, every optimiser step
 invalidates them, ``top_k`` agrees with a full ``argsort``, and
 the vectorized hard-negative miner never returns a positive counterpart.
 """
