@@ -44,9 +44,10 @@ def test_fig7_partitioning(benchmark):
             pipeline.model.class_similarity_matrix(), ElementKind.CLASS
         ),
     }
-    probabilities = np.array([
-        float(matrices[pair.kind][pair.left, pair.right]) if matrices[pair.kind].size else 0.0
-        for pair in pool.all_pairs
+    sides = {kind: pool.sides(kind) for kind in ElementKind}
+    probabilities = np.concatenate([
+        matrices[kind][s[:, 0], s[:, 1]] if matrices[kind].size else np.zeros(len(s))
+        for kind, s in sides.items()
     ])
     candidates = np.arange(len(pool))
     selection_config = GreedySelectionConfig(

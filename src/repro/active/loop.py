@@ -7,9 +7,10 @@ joint alignment model on the new labels (focal loss), and record progressive
 evaluation scores.  The pool and its alignment graph depend only on the model
 before the first batch and on the two KGs, so both are built once and kept
 for the whole loop; the estimator is rebuilt per batch because fine-tuning
-changes the model it reads.  Strategies pick pool ids; the loop turns them
-into ``ElementPair`` objects once, for the oracle and the record.  The loop
-stops when the labelling budget (number of batches) runs out, as in the paper.
+changes the model it reads.  Strategies pick pool ids; the loop builds
+``ElementPair`` objects for the picked ids only, for the oracle and the
+record.  The loop stops when the labelling budget (number of batches) runs
+out, as in the paper.
 """
 
 from __future__ import annotations
@@ -229,8 +230,7 @@ class ActiveLearningLoop:
                 state = self._build_state()
                 with obs.timer("active.select.seconds"):
                     picks = self.strategy.select(state, self.config.batch_size)
-                pairs = state.pool.all_pairs
-                selected = [pairs[pick] for pick in np.asarray(picks).tolist()]
+                selected = [state.pool.pair(pick) for pick in np.asarray(picks).tolist()]
                 if not selected:
                     logger.info(
                         "strategy returned no pairs; stopping at batch %d", batch_index

@@ -84,9 +84,7 @@ def _refine(
     links, parallel = np.unique(source * num_pairs + target, return_inverse=True)
     strongest = np.zeros(links.size)
     np.maximum.at(strongest, parallel, power)
-    order = graph.out_edges
-    source, relation, target = source[order], relation[order], target[order]
-    power = strongest[parallel][order]
+    power = strongest[parallel]
 
     num_groups = 1
     pending = [0]
@@ -178,9 +176,9 @@ class _QuotientReach:
 
     def _group_power(self, candidate: int) -> tuple[np.ndarray, np.ndarray]:
         """Reached groups in first-reached order, with their powers."""
-        out_ptr, out_edges = self.graph.out_ptr_list, self.graph.out_edge_list
+        out_ptr = self.graph.out_ptr_list
         reached: dict[int, float] = {}
-        for edge in out_edges[out_ptr[candidate] : out_ptr[candidate + 1]]:
+        for edge in range(out_ptr[candidate], out_ptr[candidate + 1]):
             group, power = self.target_groups[edge], self.power[edge]
             if power > reached.get(group, 0.0):
                 reached[group] = power

@@ -1,8 +1,17 @@
 """Element pair pool generation (Sect. 6.1).
 
-Each entity gets a *schema signature* — the concatenation of its
-relation-evidence vector and class-evidence vector, where dangling relations
-and classes are down-weighted by their best alignment similarity (Eqs. 24–25).
+Each entity gets a *schema signature* (Eq. 24): the concatenation of its
+relation-evidence vector and its class-evidence vector.  Each is the mean of
+the entity's incident relations' (or classes') mean embeddings, weighted by
+their best alignment similarity, so dangling relations and classes count
+less (Eq. 25).  Every entity's evidence vector of one kind is one row of two
+sparse products over an entity × element incidence matrix: the incidence
+times the weighted mean embeddings, divided by the incidence times the
+weights.  Relation incidence lists each relation incident to the entity (in
+either direction) once, in index order; class incidence lists the entity's
+type triples in type-triple order, a repeated triple repeated.  Each row's
+sums run in that column order, so the class columns are not sorted.
+
 The pool keeps, for every entity, its top-N nearest neighbours by signature
 cosine similarity (mutually, i.e. a pair survives only if each side ranks the
 other), plus every relation pair and every class pair.
@@ -13,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.alignment.model import JointAlignmentModel
-from repro.inference.alignment_graph import _pair_lookup
-from repro.inference.pairs import ElementPair, class_pair, entity_pair, relation_pair
+from repro.inference.alignment_graph import _pair_lookup, cross_pairs, pair_array
+from repro.inference.pairs import ElementPair
 from repro.kg.elements import ElementKind
 from repro.kg.graph import KnowledgeGraph
 from repro.runtime.streaming import mutual_top_n
@@ -35,43 +45,25 @@ class PoolConfig:
             raise ValueError("top_n must be >= 1")
 
 
-@dataclass(frozen=True)
 class ElementPairPool:
     """The candidate element pairs active learning may ask the oracle about.
 
-    Immutable: the pair sequences are normalised to tuples at construction,
-    and each kind's pairs must be distinct and sorted by ``(left, right)``.
-    A pool pair's id is its position in :attr:`all_pairs` — entity pairs,
-    then relation pairs, then class pairs — which is also its id in the
-    pool's alignment graph; selection works on these ids and the
-    ``ElementPair`` objects serve the oracle, the records and checkpoints.
+    Holds one read-only ``(n, 2)`` int64 array of ``(left, right)`` element
+    indexes per kind (:meth:`sides`), distinct and sorted by
+    ``(left, right)``.  A pool pair's id is its position in the pool — entity
+    pairs, then relation pairs, then class pairs — which is also its id in
+    the pool's alignment graph.  Selection works on these ids; :meth:`pair`
+    builds the ``ElementPair`` the oracle and the records take.
     """
 
-    entity_pairs: tuple[ElementPair, ...] = ()
-    relation_pairs: tuple[ElementPair, ...] = ()
-    class_pairs: tuple[ElementPair, ...] = ()
-
-    @property
-    def all_pairs(self) -> list[ElementPair]:
-        return list(self.entity_pairs) + list(self.relation_pairs) + list(self.class_pairs)
+    def __init__(self, entity_sides=(), relation_sides=(), class_sides=()) -> None:
+        self._sides = {
+            kind: pair_array(sides)
+            for kind, sides in zip(_KINDS, (entity_sides, relation_sides, class_sides))
+        }
 
     def __len__(self) -> int:
-        return len(self.entity_pairs) + len(self.relation_pairs) + len(self.class_pairs)
-
-    def __contains__(self, pair: ElementPair) -> bool:
-        return bool(self.pair_ids(pair.kind, [pair.left], [pair.right])[0] >= 0)
-
-    def __post_init__(self) -> None:
-        sides = {}
-        for kind, name in zip(_KINDS, ("entity_pairs", "relation_pairs", "class_pairs")):
-            pairs = tuple(getattr(self, name))
-            object.__setattr__(self, name, pairs)
-            side = np.array([(p.left, p.right) for p in pairs], dtype=np.int64).reshape(-1, 2)
-            keys = side[:, 0] * (side[:, 1].max(initial=0) + 1) + side[:, 1]
-            if np.any(np.diff(keys) <= 0):
-                raise ValueError(f"{name} must be distinct and sorted by (left, right)")
-            sides[kind] = side
-        object.__setattr__(self, "_sides", sides)
+        return sum(len(sides) for sides in self._sides.values())
 
     def sides(self, kind: ElementKind) -> np.ndarray:
         """``(n, 2)`` array of the ``(left, right)`` indexes of one kind's pairs."""
@@ -79,11 +71,16 @@ class ElementPairPool:
 
     def offset(self, kind: ElementKind) -> int:
         """Id of the first pair of ``kind``."""
-        if kind is ElementKind.ENTITY:
-            return 0
-        if kind is ElementKind.RELATION:
-            return len(self.entity_pairs)
-        return len(self.entity_pairs) + len(self.relation_pairs)
+        return sum(len(self._sides[before]) for before in _KINDS[: _KINDS.index(kind)])
+
+    def pair(self, pair_id: int) -> ElementPair:
+        """The pair with id ``pair_id``."""
+        for kind in _KINDS:
+            index = pair_id - self.offset(kind)
+            if 0 <= index < len(self._sides[kind]):
+                left, right = self._sides[kind][index].tolist()
+                return ElementPair(kind, left, right)
+        raise IndexError(f"no pair with id {pair_id} in a pool of {len(self)}")
 
     def pair_ids(self, kind: ElementKind, lefts, rights) -> np.ndarray:
         """Pool id of each ``(lefts[i], rights[i])`` pair of ``kind``; ``-1``
@@ -95,9 +92,6 @@ class ElementPairPool:
         found = _pair_lookup(sides, width)(lefts, rights)
         return np.where(found >= 0, found + self.offset(kind), -1)
 
-    def entity_pair_set(self) -> set[tuple[int, int]]:
-        return {(p.left, p.right) for p in self.entity_pairs}
-
     def recall_of_matches(self, gold_pairs: set[tuple[int, int]]) -> float:
         """Fraction of gold entity matches preserved by the pool (Figure 6)."""
         if not gold_pairs:
@@ -107,22 +101,25 @@ class ElementPairPool:
         return kept / len(gold_pairs)
 
 
-def _evidence_vector(
-    kg: KnowledgeGraph,
-    entity: int,
-    weights: np.ndarray,
-    embeddings: np.ndarray,
-    incident: list[int],
+def _evidence(
+    incidence: sp.csr_matrix, weights: np.ndarray, embeddings: np.ndarray
 ) -> np.ndarray:
-    """Weighted average of evidence embeddings incident to one entity."""
-    dim = embeddings.shape[1] if embeddings.size else 0
-    if not incident or dim == 0:
-        return np.zeros(dim)
-    w = weights[incident]
-    total = w.sum()
-    if total < 1e-9:
-        return embeddings[incident].mean(axis=0)
-    return (embeddings[incident] * w[:, None]).sum(axis=0) / total
+    """Per row of ``incidence``: the ``weights``-weighted mean of the
+    ``embeddings`` rows it lists; the plain mean when the weights sum below
+    ``1e-9``, and zeros for a row that lists none."""
+    counts = np.diff(incidence.indptr)
+    totals = incidence @ weights
+    plain = totals < 1e-9
+    sums = np.where(
+        plain[:, None], incidence @ embeddings, incidence @ (weights[:, None] * embeddings)
+    )
+    divisor = np.where(plain, counts, totals)[:, None]
+    return np.divide(sums, divisor, out=np.zeros_like(sums), where=counts[:, None] > 0)
+
+
+def _incidence(ptr: np.ndarray, columns: np.ndarray, width: int) -> sp.csr_matrix:
+    """0/1 matrix whose row ``i`` lists ``columns[ptr[i]:ptr[i + 1]]``, in that order."""
+    return sp.csr_matrix((np.ones(columns.size), columns, ptr), shape=(len(ptr) - 1, width))
 
 
 def schema_signatures(
@@ -138,16 +135,16 @@ def schema_signatures(
     similarities of each relation / class (Eq. 25); ``mean_relations`` /
     ``mean_classes`` are the weighted mean embeddings (Eqs. 7 and 9).
     """
-    rel_dim = mean_relations.shape[1] if mean_relations.size else 0
-    cls_dim = mean_classes.shape[1] if mean_classes.size else 0
-    signatures = np.zeros((kg.num_entities, rel_dim + cls_dim))
-    for e in range(kg.num_entities):
-        incident_relations = sorted(kg.relations_of_entity(e))
-        incident_classes = kg.classes_of(e)
-        rel_part = _evidence_vector(kg, e, relation_weights, mean_relations, incident_relations)
-        cls_part = _evidence_vector(kg, e, class_weights, mean_classes, incident_classes)
-        signatures[e] = np.concatenate([rel_part, cls_part])
-    return signatures
+    heads, relations, tails = kg.triple_array.T
+    width = kg.num_relations
+    # one sorted key per (entity, relation incident to it in either direction)
+    keys = np.unique(np.concatenate([heads, tails]) * width + np.concatenate([relations] * 2))
+    ptr = np.searchsorted(keys, np.arange(kg.num_entities + 1) * width)
+    relation_incidence = _incidence(ptr, keys % width, width)
+    relation_part = _evidence(relation_incidence, relation_weights, mean_relations)
+    class_incidence = _incidence(kg.type_ptr, kg.type_array[kg.type_order, 1], kg.num_classes)
+    class_part = _evidence(class_incidence, class_weights, mean_classes)
+    return np.concatenate([relation_part, class_part], axis=1)
 
 
 def build_pool(model: JointAlignmentModel, config: PoolConfig | None = None) -> ElementPairPool:
@@ -174,10 +171,8 @@ def build_pool(model: JointAlignmentModel, config: PoolConfig | None = None) -> 
         kg2, rel_weights_2, cls_weights_2, snap.mean_relations_2, snap.mean_classes_2
     )
     lefts, rights = mutual_top_n(signatures_1, signatures_2, config.top_n, engine.block_size)
-    entity_pairs = [entity_pair(int(a), int(b)) for a, b in zip(lefts, rights)]
-
-    relation_pairs = [
-        relation_pair(a, b) for a in range(kg1.num_relations) for b in range(kg2.num_relations)
-    ]
-    class_pairs = [class_pair(a, b) for a in range(kg1.num_classes) for b in range(kg2.num_classes)]
-    return ElementPairPool(tuple(entity_pairs), tuple(relation_pairs), tuple(class_pairs))
+    return ElementPairPool(
+        np.stack([lefts, rights], axis=1),
+        cross_pairs(kg1.num_relations, kg2.num_relations),
+        cross_pairs(kg1.num_classes, kg2.num_classes),
+    )

@@ -7,8 +7,8 @@ the calibrated alignment probabilities; because the objective is increasing
 and sub-modular (Theorem 6.1), greedy selection keeps the
 ``(1 − 1/e)``-approximation guarantee up to the sampling error.
 
-Pairs are pool ids (positions in ``pool.all_pairs``); probabilities are one
-array indexed by pool id.
+Pairs are pool ids (positions in the pool, entity pairs first); probabilities
+are one array indexed by pool id.
 """
 
 from __future__ import annotations

@@ -15,28 +15,26 @@ entity pairs take ids ``0 .. n_entity - 1`` in sorted ``(left, right)``
 order — so comparing ids breaks heap ties exactly as comparing
 ``ElementPair`` objects would — relation pairs follow at
 :attr:`relation_offset` and class pairs at :attr:`class_offset`, each in
-sorted order.  A pool built by :func:`~repro.active.pool.build_pool` lists
-its pairs in that order, so a graph built from it (:func:`graph_from_pool`)
-numbers pairs as ``pool.all_pairs`` does.  The graph keeps no pair objects:
-row ``i`` of :attr:`sides` holds the ``(left, right)`` element indexes of
-pair ``i``.  Edges are rows ``(source entity id, relation pair index, target
-entity id)`` of :attr:`edges`, numbered in build order: sources in the
-iteration order of the pool set, then KG1's and KG2's adjacency order (the
-join reads each KG's ``out_ptr``/``out_order`` and ``type_ptr``/
-``type_order`` indexes).  The numbering is the same on every build from the
-same pool, a resumed one included: the set is rebuilt from the pool's
-immutable pair tuple in the same insertion order, and hashes of int tuples
-do not depend on ``PYTHONHASHSEED``.  ``out_ptr`` / ``out_edges`` index edge
-ids by source (CSR, build order within a source), ``relation_ptr`` /
-``relation_edges`` by relation pair, and ``class_ptr`` / ``class_ids`` list
-each entity pair's class-pair indexes in type-triple order.
+sorted order.  The builder takes each kind's pairs as the sorted ``(n, 2)``
+side arrays a pool holds (:meth:`~repro.active.pool.ElementPairPool.sides`),
+so a graph built from a pool (:func:`graph_from_pool`) numbers pairs as the
+pool does.  The graph keeps no pair objects: row ``i`` of :attr:`sides` holds
+the ``(left, right)`` element indexes of pair ``i``.  Edges are rows
+``(source entity id, relation pair index, target entity id)`` of
+:attr:`edges`, numbered by source id and, within a source, in KG1's and then
+KG2's adjacency order (the join reads each KG's ``out_ptr``/``out_order`` and
+``type_ptr``/``type_order`` indexes).  Edge ids therefore follow pair ids, and
+``out_ptr`` delimits each source's edges as a contiguous id range.
+``relation_ptr`` / ``relation_edges`` index edge ids by relation pair, and
+``class_ptr`` / ``class_ids`` list each entity pair's class-pair indexes in
+type-triple order.
 
 The graph depends only on the pool and the two KGs, so an active loop builds
 it once per pool (:func:`graph_from_pool`) and every batch's estimator shares
 it.  Those estimators walk edges one at a time in Python, so the graph also
 keeps read-only list views of the arrays they index, built on first use:
-:attr:`edge_list`, :attr:`target_list`, :attr:`out_ptr_list`,
-:attr:`out_edge_list` and :attr:`side_list`.
+:attr:`edge_list`, :attr:`target_list`, :attr:`out_ptr_list` and
+:attr:`side_list`.
 """
 
 from __future__ import annotations
@@ -64,7 +62,6 @@ class AlignmentGraph:
     class_offset: int
     edges: np.ndarray
     out_ptr: np.ndarray
-    out_edges: np.ndarray
     relation_ptr: np.ndarray
     relation_edges: np.ndarray
     class_ptr: np.ndarray
@@ -83,10 +80,6 @@ class AlignmentGraph:
     @cached_property
     def out_ptr_list(self) -> list[int]:
         return self.out_ptr.tolist()
-
-    @cached_property
-    def out_edge_list(self) -> list[int]:
-        return self.out_edges.tolist()
 
     @cached_property
     def side_list(self) -> list[list[int]]:
@@ -117,12 +110,27 @@ class PairValues:
         return self.data.tolist()
 
 
-def _pair_lookup(pairs, width: int):
-    """``lookup(lefts, rights)``: index of each pair in the sorted ``pairs``
-    (tuples or an ``(n, 2)`` array), or ``-1`` outside them (``width`` bounds
-    the right-hand indexes).  Memory stays linear in the pool, unlike a dense
+def pair_array(pairs) -> np.ndarray:
+    """``pairs`` as a read-only ``(n, 2)`` int64 copy; raises ``ValueError``
+    unless they are distinct and sorted by ``(left, right)``."""
+    sides = np.array(pairs, dtype=np.int64, order="C").reshape(-1, 2)
+    keys = sides[:, 0] * (sides[:, 1].max(initial=0) + 1) + sides[:, 1]
+    if np.any(np.diff(keys) <= 0):
+        raise ValueError("pairs must be distinct and sorted by (left, right)")
+    sides.setflags(write=False)
+    return sides
+
+
+def cross_pairs(height: int, width: int) -> np.ndarray:
+    """Every ``(left, right)`` pair of ``range(height) × range(width)``, sorted."""
+    return np.indices((height, width)).reshape(2, -1).T.copy()
+
+
+def _pair_lookup(sides: np.ndarray, width: int):
+    """``lookup(lefts, rights)``: index of each pair in the sorted ``(n, 2)``
+    array ``sides``, or ``-1`` outside them (``width`` bounds the right-hand
+    indexes).  Memory stays linear in the pool, unlike a dense
     ``left × right`` table."""
-    sides = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     keys = sides[:, 0] * width + sides[:, 1]
 
     def lookup(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
@@ -133,15 +141,6 @@ def _pair_lookup(pairs, width: int):
         return np.where(keys[position] == query, position, -1)
 
     return lookup
-
-
-def _table_lookup(pairs: list[tuple[int, int]], height: int, width: int):
-    """``lookup(lefts, rights)`` as :func:`_pair_lookup`, through a dense
-    ``height × width`` table: for schema pairs, whose count the schemas bound."""
-    sides = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    table = np.full((height, width), -1, dtype=np.int64)
-    table[sides[:, 0], sides[:, 1]] = np.arange(len(sides))
-    return lambda lefts, rights: table[lefts, rights]
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,65 +170,56 @@ def _join(
 def build_alignment_graph(
     kg1: KnowledgeGraph,
     kg2: KnowledgeGraph,
-    entity_pool: set[tuple[int, int]],
-    relation_pool: set[tuple[int, int]] | None = None,
-    class_pool: set[tuple[int, int]] | None = None,
+    entity_sides,
+    relation_sides=None,
+    class_sides=None,
 ) -> AlignmentGraph:
     """Construct the alignment graph restricted to the pool.
 
-    ``entity_pool`` is a set of (kg1 entity idx, kg2 entity idx) candidates;
-    ``relation_pool`` / ``class_pool`` default to the full cross products, as
-    in the paper (schemas are small enough to keep every pair).
+    Each argument lists one kind's ``(kg1 index, kg2 index)`` pairs as an
+    ``(n, 2)`` array, distinct and sorted, as
+    :meth:`~repro.active.pool.ElementPairPool.sides` returns them;
+    ``relation_sides`` / ``class_sides`` default to the full cross products,
+    as in the paper (schemas are small enough to keep every pair).
     """
-    with obs.span("inference.graph.build", pairs=len(entity_pool)):
-        return _build(kg1, kg2, entity_pool, relation_pool, class_pool)
+    with obs.span("inference.graph.build", pairs=len(entity_sides)):
+        return _build(kg1, kg2, entity_sides, relation_sides, class_sides)
 
 
 def graph_from_pool(
     kg1: KnowledgeGraph, kg2: KnowledgeGraph, pool: "ElementPairPool"
 ) -> AlignmentGraph:
     """The alignment graph of an element pair pool."""
-    return build_alignment_graph(
-        kg1,
-        kg2,
-        pool.entity_pair_set(),
-        {(p.left, p.right) for p in pool.relation_pairs},
-        {(p.left, p.right) for p in pool.class_pairs},
+    return build_alignment_graph(kg1, kg2, *(pool.sides(kind) for kind in ElementKind))
+
+
+def _build(kg1, kg2, entity_sides, relation_sides, class_sides) -> AlignmentGraph:
+    if relation_sides is None:
+        relation_sides = cross_pairs(kg1.num_relations, kg2.num_relations)
+    if class_sides is None:
+        class_sides = cross_pairs(kg1.num_classes, kg2.num_classes)
+    entity_sides, relation_sides, class_sides = (
+        pair_array(sides) for sides in (entity_sides, relation_sides, class_sides)
     )
+    num_entities = len(entity_sides)
+    entity_id = _pair_lookup(entity_sides, kg2.num_entities)
+    relation_id = _pair_lookup(relation_sides, kg2.num_relations)
+    class_id = _pair_lookup(class_sides, kg2.num_classes)
+    lefts, rights = entity_sides[:, 0], entity_sides[:, 1]
 
-
-def _build(kg1, kg2, entity_pool, relation_pool, class_pool) -> AlignmentGraph:
-    if relation_pool is None:
-        relation_pool = [
-            (r1, r2) for r1 in range(kg1.num_relations) for r2 in range(kg2.num_relations)
-        ]
-    if class_pool is None:
-        class_pool = [(c1, c2) for c1 in range(kg1.num_classes) for c2 in range(kg2.num_classes)]
-    entity_keys = sorted(entity_pool)
-    relation_keys = sorted(relation_pool)
-    class_keys = sorted(class_pool)
-    num_entities = len(entity_keys)
-    entity_id = _pair_lookup(entity_keys, kg2.num_entities)
-    relation_id = _table_lookup(relation_keys, kg1.num_relations, kg2.num_relations)
-    class_id = _table_lookup(class_keys, kg1.num_classes, kg2.num_classes)
-
-    # entity-pair edges: join both sides' out-edges, sources in pool-set order
-    sources = np.asarray(list(set(entity_pool)), dtype=np.int64).reshape(-1, 2)
-    row, pos_1, pos_2 = _join(sources[:, 0], sources[:, 1], kg1.out_ptr, kg2.out_ptr)
-    step_1 = kg1.triple_array[kg1.out_order[pos_1]]
-    step_2 = kg2.triple_array[kg2.out_order[pos_2]]
-    relation = relation_id(step_1[:, 1], step_2[:, 1])
-    target = entity_id(step_1[:, 2], step_2[:, 2])
-    keep = (relation >= 0) & (target >= 0)
-    source = entity_id(sources[:, 0], sources[:, 1])[row[keep]]
-    edges = np.stack([source, relation[keep], target[keep]], axis=1)
-    out_ptr, out_edges = csr_index(edges[:, 0], num_entities)
-    relation_ptr, relation_edges = csr_index(edges[:, 1], len(relation_keys))
+    # entity-pair edges: join both sides' out-edges, sources in id order
+    row, pos_1, pos_2 = _join(lefts, rights, kg1.out_ptr, kg2.out_ptr)
+    out_1, out_2 = kg1.triple_array[kg1.out_order], kg2.triple_array[kg2.out_order]
+    target = entity_id(out_1[pos_1, 2], out_2[pos_2, 2])
+    found = np.flatnonzero(target >= 0)  # few products reach a pool pair
+    relation = relation_id(out_1[pos_1[found], 1], out_2[pos_2[found], 1])
+    keep = relation >= 0
+    edges = np.stack([row[found[keep]], relation[keep], target[found[keep]]], axis=1)
+    out_ptr, _ = csr_index(edges[:, 0], num_entities)
+    relation_ptr, relation_edges = csr_index(edges[:, 1], len(relation_sides))
 
     # class-pair membership links (for gradient-based inference power)
-    sides = np.asarray(entity_keys + relation_keys + class_keys, dtype=np.int64).reshape(-1, 2)
-    members = sides[:num_entities]
-    row, pos_1, pos_2 = _join(members[:, 0], members[:, 1], kg1.type_ptr, kg2.type_ptr)
+    row, pos_1, pos_2 = _join(lefts, rights, kg1.type_ptr, kg2.type_ptr)
     linked = class_id(
         kg1.type_array[kg1.type_order[pos_1], 1], kg2.type_array[kg2.type_order[pos_2], 1]
     )
@@ -237,12 +227,11 @@ def _build(kg1, kg2, entity_pool, relation_pool, class_pool) -> AlignmentGraph:
     class_ptr, _ = csr_index(row[keep], num_entities)
 
     return AlignmentGraph(
-        sides=sides,
+        sides=np.concatenate([entity_sides, relation_sides, class_sides]),
         relation_offset=num_entities,
-        class_offset=num_entities + len(relation_keys),
+        class_offset=num_entities + len(relation_sides),
         edges=edges,
         out_ptr=out_ptr,
-        out_edges=out_edges,
         relation_ptr=relation_ptr,
         relation_edges=relation_edges,
         class_ptr=class_ptr,

@@ -112,7 +112,6 @@ class InferencePowerEstimator:
         self._edges = graph.edge_list
         self._targets = graph.target_list
         self._out_ptr = graph.out_ptr_list
-        self._out_edges = graph.out_edge_list
         self._sides = graph.side_list
 
     # ----------------------------------------------------------- edge powers
@@ -158,14 +157,14 @@ class InferencePowerEstimator:
         heap: list[tuple[float, int, int]] = [(0.0, 0, source)]
         max_cost = (1.0 / max(self.config.min_power, 1e-6)) - 1.0
         max_hops = self.config.max_hops
-        out_ptr, out_edges, targets = self._out_ptr, self._out_edges, self._targets
+        out_ptr, targets = self._out_ptr, self._targets
         edge_power = self._edge_power_list()
         inf = float("inf")
         while heap:
             cost, hops, node = heapq.heappop(heap)
             if cost > best_cost.get(node, inf) or hops >= max_hops:
                 continue
-            for edge in out_edges[out_ptr[node] : out_ptr[node + 1]]:
+            for edge in range(out_ptr[node], out_ptr[node + 1]):
                 new_cost = cost + (1.0 / edge_power[edge] - 1.0)
                 if new_cost > max_cost:
                     continue
@@ -192,7 +191,9 @@ class InferencePowerEstimator:
 
         A labelled relation pair zeroes the relation difference of its edges;
         each distinct target of those edges gets power 1.0 (the value an
-        exact translational fit gives), in first-seen edge order.
+        exact translational fit gives).  Targets are listed in the order of
+        their first edge, and edge ids follow source pair ids, so a target
+        comes before another when its first edge leaves a lower source id.
         """
         if self.graph.kind_of(source) is not ElementKind.RELATION:
             raise ValueError("relation_to_entity_power expects a relation pair id")
@@ -260,7 +261,7 @@ class InferencePowerEstimator:
             power = float(np.sqrt(np.sum(grad_left**2) + np.sum(grad_right**2)))
             if power >= min_power:
                 powers[graph.class_offset + index] = min(power, 1.0)
-        for edge in self._out_edges[self._out_ptr[source] : self._out_ptr[source + 1]]:
+        for edge in range(self._out_ptr[source], self._out_ptr[source + 1]):
             _, relation, target = self._edges[edge]
             gradient = self._schema_gradient(ElementKind.RELATION, relation)
             if gradient is None:

@@ -258,17 +258,8 @@ def save_checkpoint(path: str | os.PathLike, daakg: "DAAKG", loop: "ActiveLearni
     if loop is not None:
         pool = loop._pool
         if pool is not None:
-            for name, pairs in (
-                ("entity", pool.entity_pairs),
-                ("relation", pool.relation_pairs),
-                ("class", pool.class_pairs),
-            ):
-                arrays[f"pool/{name}"] = np.column_stack(
-                    [
-                        np.fromiter((p.left for p in pairs), np.int64, len(pairs)),
-                        np.fromiter((p.right for p in pairs), np.int64, len(pairs)),
-                    ]
-                )
+            for kind in _KINDS:
+                arrays[f"pool/{kind.value}"] = pool.sides(kind)
         manifest["loop"] = {
             "config": config_to_dict(loop.config),
             "strategy": _strategy_spec(loop.strategy),
@@ -403,7 +394,6 @@ def restore_loop(
     """
     from repro.active.loop import ActiveLearningConfig  # circular at module level
     from repro.active.pool import ElementPairPool
-    from repro.inference.pairs import class_pair, entity_pair, relation_pair
 
     if not checkpoint.has_loop:
         raise CheckpointError("checkpoint holds no active-learning campaign state")
@@ -419,13 +409,5 @@ def restore_loop(
     loop.records = [_record_from_dict(r) for r in section["records"]]
     loop.autosave_path = section.get("autosave_path")
     if section.get("has_pool"):
-        builders = {"entity": entity_pair, "relation": relation_pair, "class": class_pair}
-        pools = {
-            name: tuple(
-                build(left, right)
-                for left, right in checkpoint.arrays[f"pool/{name}"].tolist()
-            )
-            for name, build in builders.items()
-        }
-        loop._pool = ElementPairPool(pools["entity"], pools["relation"], pools["class"])
+        loop._pool = ElementPairPool(*(checkpoint.arrays[f"pool/{k.value}"] for k in _KINDS))
     return loop

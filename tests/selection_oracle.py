@@ -7,6 +7,8 @@ dicts, an estimator that walks them, Algorithm 2's refinement loop over
 the five non-inference strategies (random, degree, PageRank, uncertainty,
 ActiveEA) ranking a list of unlabelled ``ElementPair`` objects by a
 ``{pair: probability}`` dict.
+Edges are built with sources in sorted pair order, as the array graph
+numbers them (it once walked the pool set in its iteration order).
 The estimator scores each edge by the displacement the source label implies,
 ``||A_ent(t₁ − h₁) − (t₂ − h₂)||``, one edge at a time from per-entity dicts,
 and a relation pair gives each distinct target of its edges power 1.0 (Eq.
@@ -70,7 +72,7 @@ def build_alignment_graph(kg1, kg2, entity_pool, relation_pool=None, class_pool=
     entity_pool_set = set(entity_pool)
     relation_pool_set = set(relation_pool)
     kg2_out = {e: kg2.out_edges(e) for e in range(kg2.num_entities)}
-    for left, right in entity_pool_set:
+    for left, right in sorted(entity_pool_set):
         source = entity_pair(left, right)
         left_edges = kg1.out_edges(left)
         right_edges = kg2_out.get(right, [])
@@ -89,7 +91,7 @@ def build_alignment_graph(kg1, kg2, entity_pool, relation_pool=None, class_pool=
     class_pool_set = set(class_pool)
     classes_of_1 = {e: kg1.classes_of(e) for e in range(kg1.num_entities)}
     classes_of_2 = {e: kg2.classes_of(e) for e in range(kg2.num_entities)}
-    for left, right in entity_pool_set:
+    for left, right in sorted(entity_pool_set):
         e_pair = entity_pair(left, right)
         for c1 in classes_of_1.get(left, []):
             for c2 in classes_of_2.get(right, []):

@@ -84,10 +84,16 @@ class TestElementPair:
         assert class_pair(0, 1).kind is ElementKind.CLASS
 
 
+def _gold_sides(pair) -> tuple[set, np.ndarray]:
+    """The gold entity matches as a set of tuples and as sorted side arrays."""
+    entity_pool = {tuple(row) for row in pair.entity_match_ids().tolist()}
+    return entity_pool, np.array(sorted(entity_pool), dtype=np.int64)
+
+
 class TestAlignmentGraph:
     def test_build_graph_from_tiny_pair(self, tiny_pair):
-        entity_pool = {tuple(row) for row in tiny_pair.entity_match_ids().tolist()}
-        graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, entity_pool)
+        entity_pool, sides = _gold_sides(tiny_pair)
+        graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, sides)
         assert graph.relation_offset == len(entity_pool)
         assert graph.sides[: graph.relation_offset].tolist() == [list(p) for p in sorted(entity_pool)]
         assert graph.num_edges() > 0
@@ -97,22 +103,28 @@ class TestAlignmentGraph:
             assert tuple(graph.side_list[target]) in entity_pool
 
     def test_class_membership_links(self, tiny_pair):
-        entity_pool = {tuple(row) for row in tiny_pair.entity_match_ids().tolist()}
-        graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, entity_pool)
+        graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, _gold_sides(tiny_pair)[1])
         assert len(graph.class_ids) > 0
         assert graph.class_ptr[-1] == len(graph.class_ids)
 
     def test_neighbors_symmetric_closure(self, tiny_pair):
-        entity_pool = {tuple(row) for row in tiny_pair.entity_match_ids().tolist()}
-        graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, entity_pool)
-        # the out-edge index lists every edge exactly once, under its source
-        assert sorted(graph.out_edges.tolist()) == list(range(graph.num_edges()))
-        for edge, (source, _, _) in enumerate(graph.edges[:10].tolist()):
-            assert edge in graph.out_edges[graph.out_ptr[source] : graph.out_ptr[source + 1]]
+        graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, _gold_sides(tiny_pair)[1])
+        # edge ids follow source ids, so out_ptr delimits each source's edges
+        sources = graph.edges[:, 0]
+        assert np.all(np.diff(sources) >= 0)
+        for source in range(graph.relation_offset):
+            span = sources[graph.out_ptr[source] : graph.out_ptr[source + 1]]
+            assert np.all(span == source)
+        assert graph.out_ptr[-1] == graph.num_edges()
 
     def test_empty_pool_gives_empty_graph(self, tiny_pair):
-        graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, set())
+        graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, ())
         assert graph.num_edges() == 0
+
+    def test_rejects_unsorted_sides(self, tiny_pair):
+        sides = _gold_sides(tiny_pair)[1]
+        with pytest.raises(ValueError):
+            build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, sides[::-1])
 
     def test_estimator_keeps_an_empty_pool(self, fitted_pipeline):
         # an empty pool is falsy (it has a length) but must not be replaced
@@ -126,7 +138,6 @@ class TestAlignmentGraph:
         assert graph.edge_list == graph.edges.tolist()
         assert graph.target_list == graph.edges[:, 2].tolist()
         assert graph.out_ptr_list == graph.out_ptr.tolist()
-        assert graph.out_edge_list == graph.out_edges.tolist()
         assert graph.side_list == graph.sides.tolist()
         # a second estimator over the same graph shares the views
         other = InferencePowerEstimator(estimator.model, graph, estimator.config)
@@ -238,8 +249,9 @@ class TestInferencePower:
 class TestPool:
     def test_pool_contains_all_schema_pairs(self, inference_setup):
         pipeline, pool, _, _ = inference_setup
-        assert len(pool.relation_pairs) == pipeline.kg1.num_relations * pipeline.kg2.num_relations
-        assert len(pool.class_pairs) == pipeline.kg1.num_classes * pipeline.kg2.num_classes
+        kg1, kg2 = pipeline.kg1, pipeline.kg2
+        assert len(pool.sides(ElementKind.RELATION)) == kg1.num_relations * kg2.num_relations
+        assert len(pool.sides(ElementKind.CLASS)) == kg1.num_classes * kg2.num_classes
 
     def test_pool_recall_monotone_in_n(self, fitted_pipeline):
         gold = {
@@ -252,12 +264,18 @@ class TestPool:
 
     def test_pool_membership_and_len(self, inference_setup):
         _, pool, _, _ = inference_setup
-        assert len(pool) == len(pool.all_pairs)
-        assert pool.entity_pairs[0] in pool
+        assert len(pool) == sum(len(pool.sides(kind)) for kind in ElementKind)
+        first = pool.pair(0)
+        assert first == entity_pair(*pool.sides(ElementKind.ENTITY)[0].tolist())
+        assert pool.pair_ids(first.kind, [first.left], [first.right]).tolist() == [0]
+        with pytest.raises(IndexError):
+            pool.pair(len(pool))
+        with pytest.raises(IndexError):
+            pool.pair(-1)
 
     def test_pool_ids_are_positions(self, inference_setup):
         _, pool, graph, _ = inference_setup
-        pairs = pool.all_pairs
+        pairs = [pool.pair(i) for i in range(len(pool))]
         assert graph.sides.tolist() == [[q.left, q.right] for q in pairs]
         for kind in (ElementKind.ENTITY, ElementKind.RELATION, ElementKind.CLASS):
             sides = pool.sides(kind)
@@ -269,9 +287,9 @@ class TestPool:
 
     def test_pool_rejects_unsorted_pairs(self):
         with pytest.raises(ValueError):
-            ElementPairPool((entity_pair(1, 0), entity_pair(0, 1)))
+            ElementPairPool([(1, 0), (0, 1)])
         with pytest.raises(ValueError):
-            ElementPairPool((), (relation_pair(0, 1), relation_pair(0, 1)))
+            ElementPairPool((), [(0, 1), (0, 1)])
 
     def test_pool_config_validation(self):
         with pytest.raises(ValueError):
@@ -492,7 +510,7 @@ class TestActiveLoop:
             # a different pool object (as a resume sets) gets its own graph
             graph = loop.graph()
             pool = loop.pool()
-            loop._pool = ElementPairPool(pool.entity_pairs, pool.relation_pairs, pool.class_pairs)
+            loop._pool = ElementPairPool(*(pool.sides(kind) for kind in ElementKind))
             assert loop.graph() is not graph
             assert loop.graph().edges.tolist() == graph.edges.tolist()
             assert len(calls) == 2

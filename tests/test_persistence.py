@@ -206,11 +206,12 @@ def test_resume_preserves_custom_strategy_configuration(checkpoint_dir, tmp_path
 def test_restored_pool_equals_saved_pool(checkpoint_dir, tmp_path):
     loop = DAAKG.load(checkpoint_dir).active_learning("uncertainty", LOOP_CONFIG)
     saved = loop.pool()
-    assert len(saved.entity_pairs) and len(saved.relation_pairs)
+    assert len(saved.sides(ElementKind.ENTITY)) and len(saved.sides(ElementKind.RELATION))
     loop.save(str(tmp_path / "campaign"))
     restored = restore_loop(load_checkpoint(tmp_path / "campaign"))._pool
-    for field in ("entity_pairs", "relation_pairs", "class_pairs"):
-        assert getattr(restored, field) == getattr(saved, field)  # same pairs, same order
+    for kind in ElementKind:
+        # same pairs, same order
+        assert restored.sides(kind).tolist() == saved.sides(kind).tolist()
 
 
 def test_resume_requires_campaign_state(checkpoint_dir):

@@ -4,7 +4,7 @@
 integer ids and NumPy arrays (with a rank tie-break among equal gains), with
 edge powers computed one edge at a time from dicts, and the five strategies
 that need no inference power as they were before they moved to pool ids.
-The array side addresses a pair by its position in ``pool.all_pairs``.  For
+The array side addresses a pair by its position in the pool (``pool.pair``).  For
 TransE and RotatE the two must agree exactly: the same edges in the same
 order, the same partition labels, the same batches and the same RNG state
 after selection.
@@ -28,6 +28,7 @@ from repro.alignment.trainer import AlignmentTrainingConfig
 from repro.embedding.trainer import EmbeddingTrainingConfig
 from repro.inference.alignment_graph import build_alignment_graph
 from repro.inference.power import InferencePowerConfig, InferencePowerEstimator
+from repro.kg.elements import ElementKind
 
 SELECTION = GreedySelectionConfig(batch_size=12, power_threshold=0.5, candidate_limit=300)
 RHOS = [1.0, 0.9, 0.8]
@@ -53,19 +54,22 @@ def world(request):
     pipeline = DAAKG(pair, config).fit()
     pool = build_pool(pipeline.model, config.pool)
     rng = np.random.default_rng(1)
-    probabilities = {q: float(rng.random()) for q in pool.all_pairs}
+    probabilities = {q: float(rng.random()) for q in _pairs(pool)}
     # some pairs tie, so the strategies' tie-breaks are exercised
-    for q in pool.all_pairs[::7]:
+    for q in _pairs(pool)[::7]:
         probabilities[q] = 0.5
-    pools = (
-        pipeline.kg1,
-        pipeline.kg2,
-        pool.entity_pair_set(),
-        {(q.left, q.right) for q in pool.relation_pairs},
-        {(q.left, q.right) for q in pool.class_pairs},
-    )
-    graphs = {"oracle": oracle.build_alignment_graph(*pools), "arrays": build_alignment_graph(*pools)}
+    sides = [pool.sides(kind) for kind in ElementKind]
+    kgs = (pipeline.kg1, pipeline.kg2)
+    graphs = {
+        "oracle": oracle.build_alignment_graph(*kgs, *({*map(tuple, s.tolist())} for s in sides)),
+        "arrays": build_alignment_graph(*kgs, *sides),
+    }
     return pipeline, pool, probabilities, graphs
+
+
+def _pairs(pool):
+    """Every pool pair as an ``ElementPair``, in id order."""
+    return [pool.pair(i) for i in range(len(pool))]
 
 
 def _estimator(world, side, seed=5):
@@ -77,7 +81,7 @@ def _estimator(world, side, seed=5):
 
 def _ids(pool, probabilities):
     """The array side's inputs: every pool id, and probabilities by id."""
-    pairs = pool.all_pairs
+    pairs = _pairs(pool)
     return np.arange(len(pairs)), np.array([probabilities[q] for q in pairs])
 
 
@@ -85,7 +89,7 @@ def test_edges_match_in_order(world):
     _, pool, _, graphs = world
     expected = [(e.source, e.relation, e.target) for e in graphs["oracle"].edges]
     graph = graphs["arrays"]
-    pairs = pool.all_pairs
+    pairs = _pairs(pool)
     assert expected
     # the graph numbers pairs by their position in the pool
     assert graph.sides.tolist() == [[q.left, q.right] for q in pairs]
@@ -118,7 +122,7 @@ def test_powers_and_reaches_leave_the_loop_rng_alone(world):
 
 def test_greedy_batch_and_rng_match(world):
     _, pool, probabilities, _ = world
-    pairs = pool.all_pairs
+    pairs = _pairs(pool)
     results = {}
     estimator, rng = _estimator(world, "oracle")
     batch = oracle.greedy_select(pairs, probabilities, estimator.reachable_power, SELECTION, rng=rng)
@@ -135,7 +139,7 @@ def test_greedy_batch_and_rng_match(world):
 def test_partition_labels_batch_and_rng_match(world, rho, max_partitions):
     _, pool, probabilities, graphs = world
     config = PartitionSelectionConfig(rho=rho, max_partitions=max_partitions)
-    pairs = pool.all_pairs
+    pairs = _pairs(pool)
     results, labels = {}, {}
     estimator, rng = _estimator(world, "oracle")
     batch = oracle.partition_select(
@@ -160,7 +164,7 @@ def test_partition_labels_batch_and_rng_match(world, rho, max_partitions):
 @pytest.mark.parametrize("name", sorted(oracle.STRATEGIES))
 def test_strategy_batch_and_rng_match(world, name):
     pipeline, pool, probabilities, _ = world
-    pairs = pool.all_pairs
+    pairs = _pairs(pool)
     labelled = set(pairs[::5])
     unlabelled = [q for q in pairs if q not in labelled]
     old = oracle.SelectionState(

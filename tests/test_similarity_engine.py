@@ -306,27 +306,32 @@ class TestLabelStore:
 
 class TestImmutablePool:
     def test_lists_are_normalised_to_tuples(self):
-        pool = ElementPairPool([entity_pair(0, 0)], [relation_pair(0, 1)], [])
-        assert isinstance(pool.entity_pairs, tuple)
-        assert isinstance(pool.relation_pairs, tuple)
-        assert entity_pair(0, 0) in pool
-        assert relation_pair(0, 1) in pool
-        assert relation_pair(1, 0) not in pool
+        pool = ElementPairPool([(0, 0)], [(0, 1)], [])
+        for kind in ElementKind:
+            sides = pool.sides(kind)
+            assert sides.dtype == np.int64 and sides.shape[1] == 2
+        assert pool.pair(0) == entity_pair(0, 0)
+        assert pool.pair(1) == relation_pair(0, 1)
+        assert pool.pair_ids(ElementKind.RELATION, [0, 1], [1, 0]).tolist() == [1, -1]
         assert len(pool) == 2
 
     def test_pool_is_frozen(self):
-        pool = ElementPairPool((entity_pair(0, 0),), (), ())
-        with pytest.raises(AttributeError):
-            pool.entity_pairs = ()
+        given = np.array([[0, 0], [1, 2]])
+        pool = ElementPairPool(given, (), ())
+        given[0, 0] = 5  # the pool holds its own copy
+        assert pool.sides(ElementKind.ENTITY).tolist() == [[0, 0], [1, 2]]
+        with pytest.raises(ValueError):
+            pool.sides(ElementKind.ENTITY)[0, 0] = 3
 
     def test_recall_of_matches(self):
-        pool = ElementPairPool((entity_pair(0, 0), entity_pair(1, 2)), (), ())
+        pool = ElementPairPool([(0, 0), (1, 2)], (), ())
         assert pool.recall_of_matches({(0, 0), (5, 5)}) == 0.5
         assert pool.recall_of_matches(set()) == 0.0
 
     def test_build_pool_mutual_top_n(self, fresh_model):
         pool = build_pool(fresh_model, PoolConfig(top_n=2))
-        assert len(pool.entity_pairs) > 0
-        # membership checks agree with the tuple contents
-        for pair in pool.entity_pairs:
-            assert pair in pool
+        sides = pool.sides(ElementKind.ENTITY)
+        assert len(sides) > 0
+        # membership checks agree with the side arrays
+        ids = pool.pair_ids(ElementKind.ENTITY, sides[:, 0], sides[:, 1])
+        assert ids.tolist() == list(range(len(sides)))
