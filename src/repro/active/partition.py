@@ -24,7 +24,14 @@ import numpy as np
 
 from repro import obs
 from repro.active.selection import GreedySelectionConfig, greedy_select
-from repro.inference.alignment_graph import AlignmentGraph, PairValues, expand_ranges
+from repro.inference.alignment_graph import (
+    AlignmentGraph,
+    PairValues,
+    expand_ranges,
+    first_per_key,
+    ranges,
+    relax,
+)
 from repro.inference.power import InferencePowerEstimator
 from repro.kg.graph import csr_index
 from repro.utils.logging import get_logger
@@ -147,76 +154,56 @@ class _QuotientReach:
     group's neighbours in the order their first edge was built.
     """
 
+    algorithm = "partition"
+
     def __init__(
         self, graph: AlignmentGraph, estimator: InferencePowerEstimator, labels: np.ndarray
     ) -> None:
         self.graph = graph
         self.estimator = estimator
-        power = estimator.edge_powers()
+        self.power = estimator.edge_powers()
         num_groups = int(labels.max()) + 1 if labels.size else 1
         source, _, target = graph.edges.T
         left, right = labels[source], labels[target]
         cross = np.flatnonzero(left != right)
         # quotient edges: strongest power per (group, group), ordered by
         # source group and then by the first edge between the two
-        link, first, slot = np.unique(
-            left[cross] * num_groups + right[cross], return_index=True, return_inverse=True
+        link_source, link_target, strongest = first_per_key(
+            left[cross], right[cross], self.power[cross], num_groups
         )
-        strongest = np.zeros(link.size)
-        np.maximum.at(strongest, slot, power[cross])
-        link_source = link // num_groups
-        order = np.lexsort((cross[first], link_source))
-        self.quotient_ptr, _ = csr_index(link_source, num_groups)
-        self.quotient_target = (link % num_groups)[order]
-        self.quotient_power = strongest[order]
+        self.quotient_ptr, order = csr_index(link_source, num_groups)
+        self.quotient_target, self.quotient_power = link_target[order], strongest[order]
         self.member_ptr, self.members = csr_index(labels, num_groups)
         self.num_groups = num_groups
-        self.target_groups = labels[target].tolist()
-        self.power = power.tolist()
+        self.labels = labels
 
-    def _group_power(self, candidate: int) -> tuple[np.ndarray, np.ndarray]:
-        """Reached groups in first-reached order, with their powers."""
-        out_ptr = self.graph.out_ptr_list
-        reached: dict[int, float] = {}
-        for edge in range(out_ptr[candidate], out_ptr[candidate + 1]):
-            group, power = self.target_groups[edge], self.power[edge]
-            if power > reached.get(group, 0.0):
-                reached[group] = power
-        order = list(reached)
-        value = np.zeros(self.num_groups)
-        value[order] = list(reached.values())
-        frontier = np.array(order, dtype=np.int64)
-        min_power = self.estimator.config.min_power
-        ptr = self.quotient_ptr
-        for _ in range(self.estimator.config.max_hops - 1):
-            row, link = expand_ranges(ptr[frontier], ptr[frontier + 1] - ptr[frontier])
-            reach = self.quotient_target[link]
-            offered = value[frontier][row] * self.quotient_power[link]
-            improves = (offered > value[reach]) & (offered > min_power)
-            if not improves.any():
-                break
-            reach, offered = reach[improves], offered[improves]
-            groups, first = np.unique(reach, return_index=True)
-            groups = groups[np.argsort(first)]
-            order.extend(groups[value[groups] == 0.0].tolist())
-            np.maximum.at(value, reach, offered)
-            frontier = groups
-        groups = np.array(order, dtype=np.int64)
-        return groups, value[groups]
-
-    def __call__(self, candidate: int) -> PairValues:
-        if candidate >= self.graph.relation_offset:
-            return self.estimator.reachable_power(candidate)
-        groups, values = self._group_power(candidate)
-        ptr = self.member_ptr
-        row, position = expand_ranges(ptr[groups], ptr[groups + 1] - ptr[groups])
-        ids = self.members[position]
-        keep = ids != candidate
-        schema_ids, schema_powers = self.estimator.schema_power(candidate)
-        return PairValues(
-            np.concatenate([ids[keep], schema_ids]),
-            np.concatenate([values[row][keep], schema_powers]),
+    def group_reach(self, sources: np.ndarray) -> PairValues:
+        """Each entity id's reach: the members of its reached groups, groups
+        in first-reached order."""
+        ptr, min_power = self.graph.out_ptr, self.estimator.config.min_power
+        row, edge = expand_ranges(ptr[sources], ptr[sources + 1] - ptr[sources])
+        # first hop: the strongest edge into each group, groups by first edge
+        groups = self.labels[self.graph.edges[edge, 2]]
+        first_hop = first_per_key(row, groups, self.power[edge], self.num_groups)
+        rows, groups, values = relax(
+            self.quotient_ptr, self.quotient_target, self.quotient_power, *first_hop,
+            self.estimator.config.max_hops - 1, np.multiply, lambda power: power > min_power,
         )
+        order = np.argsort(rows, kind="stable")
+        rows, groups, values = rows[order], groups[order], values[order]
+        # every member of a reached group but the source itself
+        ptr = self.member_ptr
+        counts = ptr[groups + 1] - ptr[groups]
+        ids = self.members[ranges(ptr[groups], counts)]
+        ids = ids[ids != np.repeat(sources[rows], counts)]
+        counts -= groups == self.labels[sources[rows]]
+        ends = np.concatenate([[0], np.cumsum(counts)])
+        return PairValues(
+            ids, np.repeat(values, counts), ends[np.searchsorted(rows, np.arange(sources.size + 1))]
+        )
+
+    def __call__(self, ids: np.ndarray) -> PairValues:
+        return self.estimator.reach_table(ids, self.group_reach)
 
 
 def partition_select(
@@ -228,14 +215,9 @@ def partition_select(
     partition_config: PartitionSelectionConfig | None = None,
     rng: RandomState = None,
 ) -> np.ndarray:
-    """Algorithm 2: partition the pool, then run the greedy selection on estimates.
-
-    Takes and returns pool ids, as :func:`~repro.active.selection.greedy_select`.
-
-    The estimated reach of a candidate assigns each reachable partition the
-    best path power on the quotient graph, and every member of that partition
-    inherits it; schema pairs keep their exact (cheap) gradient-based reach.
-    """
+    """Algorithm 2: partition the pool, then run the greedy selection on the
+    quotient graph's estimated reach.  Takes and returns pool ids, as
+    :func:`~repro.active.selection.greedy_select`."""
     selection_config = selection_config or GreedySelectionConfig()
     partition_config = partition_config or PartitionSelectionConfig()
     partition_of = partition_pool(graph, estimator, partition_config)

@@ -48,12 +48,14 @@ class GreedySelectionConfig:
             raise ValueError("num_samples must be >= 1")
         if not 0.0 <= self.power_threshold <= 1.0:
             raise ValueError("power_threshold must be in [0, 1]")
+        if self.candidate_limit is not None and self.candidate_limit < 1:
+            raise ValueError("candidate_limit must be None or >= 1")
 
 
 def greedy_select(
     candidates: np.ndarray,
     probabilities: np.ndarray,
-    reach: Callable[[int], PairValues],
+    reach: Callable[[np.ndarray], PairValues],
     config: GreedySelectionConfig | None = None,
     rng: RandomState = None,
 ) -> np.ndarray:
@@ -67,12 +69,14 @@ def greedy_select(
         Calibrated match probability ``Pr[y*(q) = 1]`` of every pool pair,
         indexed by id (Eq. 12).
     reach:
-        Function returning ``I(q' | q)`` for the pairs candidate ``q`` can
-        infer (typically ``InferencePowerEstimator.reachable_power``).
+        Function returning the reach table ``I(q' | q)`` of an array of
+        candidates, one row per candidate (typically
+        ``InferencePowerEstimator.reachable_power``).
 
     Candidates are ranked by probability (descending, input order among
-    equals); among equal gains the lower rank wins.  Each candidate's reach is
-    evaluated once, in rank order.  Returns the picked ids in pick order.
+    equals); among equal gains the lower rank wins.  ``reach`` is called once,
+    on the ranked candidates.  Returns the picked ids in pick order, and
+    records each pick as an ``active.select.pick`` event.
     """
     config = config or GreedySelectionConfig()
     rng = ensure_rng(rng)
@@ -85,17 +89,27 @@ def greedy_select(
         ranked = ranked[: config.candidate_limit]
 
     with obs.span("active.greedy.reach", candidates=len(ranked)):
-        reachable = []
-        for candidate in ranked.tolist():
-            result = reach(candidate)
-            keep = result.data > config.power_threshold
-            reachable.append((result.ids[keep], result.data[keep]))
+        table = reach(ranked)
+        kept = np.flatnonzero(table.data > config.power_threshold)
+        ends = np.searchsorted(kept, table.ptr[1:-1])
+        reachable = list(zip(np.split(table.ids[kept], ends), np.split(table.data[kept], ends)))
     with obs.span("active.greedy.loop"):
-        picks = _lazy_greedy(
+        picks, gains = _lazy_greedy(
             probabilities[ranked].tolist(), reachable, len(probabilities), config, rng
         )
     logger.debug("greedy selection picked %d pairs", len(picks))
-    return ranked[picks]
+    batch = ranked[picks]
+    if obs.enabled():
+        # why each pair was picked; the object behind ``reach`` knows the kinds
+        owner = getattr(reach, "__self__", reach)
+        graph = getattr(owner, "graph", None)
+        for pair, gain in zip(batch.tolist(), gains):
+            obs.event(
+                "active.select.pick", pair=pair, probability=float(probabilities[pair]),
+                gain=gain, algorithm=getattr(owner, "algorithm", "greedy"),
+                kind=None if graph is None else graph.kind_of(pair).value,
+            )
+    return batch
 
 
 def _lazy_greedy(
@@ -104,8 +118,8 @@ def _lazy_greedy(
     width: int,
     config: GreedySelectionConfig,
     rng: np.random.Generator,
-) -> list[int]:
-    """Greedy picks (as ranks) by lazy evaluation (CELF, Leskovec et al. 2007).
+) -> tuple[list[int], list[float]]:
+    """Greedy picks (as ranks) and their gains by lazy evaluation (CELF, Leskovec et al. 2007).
 
     The Monte-Carlo state is an ``(S, width)`` array of the best power each
     sample has reached per target.  A gain only falls as picks raise that
@@ -130,23 +144,25 @@ def _lazy_greedy(
     heap = [(-gain(rank), rank, 0) for rank in range(len(probabilities))]
     heapq.heapify(heap)
     picks: list[int] = []
+    gains: list[float] = []
     for round_index in range(min(config.batch_size, len(probabilities))):
         while heap[0][2] != round_index:
             rank = heap[0][1]
             heapq.heapreplace(heap, (-gain(rank), rank, round_index))
-        rank = heapq.heappop(heap)[1]
+        negative_gain, rank, _ = heapq.heappop(heap)
         picks.append(rank)
+        gains.append(-negative_gain)
         ids, values = reachable[rank]
         for sample in range(num_samples):
             if rng.random() < probabilities[rank] and ids.size:
                 best[sample, ids] = np.maximum(best[sample, ids], values)
-    return picks
+    return picks, gains
 
 
 def expected_overall_power(
     selected: np.ndarray,
     probabilities: np.ndarray,
-    reach: Callable[[int], PairValues],
+    reach: Callable[[np.ndarray], PairValues],
     power_threshold: float = 0.8,
     num_samples: int = 16,
     rng: RandomState = None,
@@ -157,16 +173,13 @@ def expected_overall_power(
     Algorithm 2 solutions.
     """
     rng = ensure_rng(rng)
-    selected = [int(q) for q in selected]
-    reachable = {q: reach(q) for q in selected}
+    selected = np.asarray(selected, dtype=np.int64)
+    table = reach(selected)
+    row = np.repeat(np.arange(selected.size), np.diff(table.ptr))
     total = 0.0
     for _ in range(num_samples):
-        best: dict[int, float] = {}
-        for q in selected:
-            if rng.random() >= probabilities[q]:
-                continue
-            for target, value in zip(reachable[q].ids.tolist(), reachable[q].data.tolist()):
-                if value > best.get(target, 0.0):
-                    best[target] = value
+        # one draw per selected pair, in order, as separate scalar draws would be
+        matched = rng.random(selected.size) < probabilities[selected]
+        best = table.best(matched[row])
         total += sum(value for value in best.values() if value > power_threshold)
     return total / num_samples

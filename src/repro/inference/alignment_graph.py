@@ -12,8 +12,8 @@ type triples), used by the gradient-based inference power.
 
 **Layout.**  Every pool pair has an integer id, its position in the pool:
 entity pairs take ids ``0 .. n_entity - 1`` in sorted ``(left, right)``
-order — so comparing ids breaks heap ties exactly as comparing
-``ElementPair`` objects would — relation pairs follow at
+order — so comparing ids orders pairs as comparing ``ElementPair`` objects
+would — relation pairs follow at
 :attr:`relation_offset` and class pairs at :attr:`class_offset`, each in
 sorted order.  The builder takes each kind's pairs as the sorted ``(n, 2)``
 side arrays a pool holds (:meth:`~repro.active.pool.ElementPairPool.sides`),
@@ -31,16 +31,12 @@ type-triple order.
 
 The graph depends only on the pool and the two KGs, so an active loop builds
 it once per pool (:func:`graph_from_pool`) and every batch's estimator shares
-it.  Those estimators walk edges one at a time in Python, so the graph also
-keeps read-only list views of the arrays they index, built on first use:
-:attr:`edge_list`, :attr:`target_list`, :attr:`out_ptr_list` and
-:attr:`side_list`.
+it.  :func:`relax` walks these CSR arrays for a block of sources at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -67,24 +63,6 @@ class AlignmentGraph:
     class_ptr: np.ndarray
     class_ids: np.ndarray
 
-    # Python lists of the arrays the estimator indexes per edge (no boxing);
-    # shared by every estimator over this graph, so treat them as read-only.
-    @cached_property
-    def edge_list(self) -> list[list[int]]:
-        return self.edges.tolist()
-
-    @cached_property
-    def target_list(self) -> list[int]:
-        return self.edges[:, 2].tolist()
-
-    @cached_property
-    def out_ptr_list(self) -> list[int]:
-        return self.out_ptr.tolist()
-
-    @cached_property
-    def side_list(self) -> list[list[int]]:
-        return self.sides.tolist()
-
     def kind_of(self, pair: int) -> ElementKind:
         """The kind of the pair with id ``pair``."""
         if pair < self.relation_offset:
@@ -98,16 +76,25 @@ class AlignmentGraph:
 
 
 class PairValues:
-    """One value per listed pool pair: pair ids ``ids`` and values ``data``."""
+    """One value per listed pool pair: pair ids ``ids`` and values ``data``;
+    a reach table's row ``i`` holds the entries ``ptr[i] .. ptr[i + 1] - 1``."""
 
-    __slots__ = ("ids", "data")
+    __slots__ = ("ids", "data", "ptr")
 
-    def __init__(self, ids: np.ndarray, data: np.ndarray) -> None:
+    def __init__(self, ids: np.ndarray, data: np.ndarray, ptr: np.ndarray | None = None) -> None:
         self.ids = ids
         self.data = data
+        self.ptr = ptr
 
     def values(self):
         return self.data.tolist()
+
+    def best(self, keep: np.ndarray | bool = True) -> "PairValues":
+        """The largest value per id over the entries where ``keep`` holds,
+        ids in the order their first positive value is listed."""
+        positive = (self.data > 0.0) & keep
+        ids = self.ids[positive]
+        return PairValues(*first_per_key(np.zeros_like(ids), ids, self.data[positive], 0)[1:])
 
 
 def pair_array(pairs) -> np.ndarray:
@@ -143,10 +130,65 @@ def _pair_lookup(sides: np.ndarray, width: int):
     return lookup
 
 
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``starts[i] + 0 .. counts[i] - 1``."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(np.sum(counts))
+
+
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(row, position)`` over the concatenated ranges ``starts[i] + 0 .. counts[i] - 1``."""
-    row = np.repeat(np.arange(len(counts)), counts)
-    return row, starts[row] + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(np.arange(len(counts)), counts), ranges(starts, counts)
+
+
+def first_per_key(row: np.ndarray, key: np.ndarray, value: np.ndarray, width: int):
+    """One entry per ``(row, key)``, at its first position, with its largest
+    value: ``(rows, keys, values)`` (``width`` bounds the keys)."""
+    keys, first, slot = np.unique(row * width + key, return_index=True, return_inverse=True)
+    best = np.full(keys.size, -np.inf)
+    np.maximum.at(best, slot, value)
+    order = np.argsort(first)
+    return row[first[order]], key[first[order]], best[order]
+
+
+def _find(keys: np.ndarray, sorter: np.ndarray, query: np.ndarray):
+    """``(position, found)`` of each ``query`` key in ``keys``, which
+    ``sorter`` sorts."""
+    position = sorter[np.minimum(np.searchsorted(keys, query, sorter=sorter), keys.size - 1)]
+    return position, keys[position] == query
+
+
+def relax(ptr, targets, weights, rows, nodes, values, rounds, extend, keep):
+    """``rounds`` synchronous rounds of frontier relaxation for a block of sources.
+
+    The table starts as the distinct entries ``(rows, nodes, values)``, also
+    the first frontier.  A round extends each frontier entry along its node's
+    CSR links (``ptr``, ``targets``, ``weights``) by ``extend(value, weight)``;
+    an offer that passes ``keep`` and beats its ``(row, target)``'s value at
+    the round's start (absent: ``-inf``) improves it.  Improved entries take
+    their best offer and, in the order of their first improving offer, form
+    the next frontier.  With ``extend`` monotone, each entry ends as the best
+    walk of at most ``rounds`` links.  Returns ``(rows, nodes, values)`` in
+    insertion order."""
+    width = ptr.size  # above every node id
+    keys, table = rows * width + nodes, values.copy()
+    frontier, offered = keys, values
+    for _ in range(rounds):
+        if not frontier.size:
+            break
+        source = frontier % width
+        row, link = expand_ranges(ptr[source], ptr[source + 1] - ptr[source])
+        reached = frontier[row] - source[row] + targets[link]
+        offered = extend(offered[row], weights[link])
+        sorter = np.argsort(keys)
+        position, known = _find(keys, sorter, reached)
+        improving = keep(offered) & (offered > np.where(known, table[position], -np.inf))
+        reached = reached[improving]
+        _, frontier, offered = first_per_key(np.zeros_like(reached), reached, offered[improving], 0)
+        position, known = _find(keys, sorter, frontier)
+        table[position[known]] = offered[known]
+        keys = np.concatenate([keys, frontier[~known]])
+        table = np.concatenate([table, offered[~known]])
+    return keys // width, keys % width, table
 
 
 def _join(

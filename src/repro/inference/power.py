@@ -21,27 +21,34 @@ Every edge's power is one array expression over the graph's edge array; no
 randomness is drawn, so results do not depend on the order in which callers
 read edges.
 
-Gradient-based power for class and relation pairs (Eqs. 21–22) is computed in
-closed form through the mean-embedding channel of the schema similarities.
-
-Edges and pairs are addressed by the graph's integer ids; a pair's id is its
-position in the pool (see :mod:`repro.inference.alignment_graph`).
+The path power is the exact best path of at most ``μ`` hops, from ``μ``
+rounds of frontier relaxation over the CSR arrays for the whole block of
+sources (:func:`~repro.inference.alignment_graph.relax`), listed by
+ascending pair id.  Gradient-based power for class and relation pairs
+(Eqs. 21–22) is computed in closed form through the mean-embedding channel
+of the schema similarities.  :meth:`InferencePowerEstimator.reachable_power`
+answers an array of pair ids (positions in the pool) with one table per call.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.alignment.model import JointAlignmentModel
-from repro.inference.alignment_graph import AlignmentGraph, PairValues
+from repro.inference.alignment_graph import (
+    AlignmentGraph,
+    PairValues,
+    expand_ranges,
+    first_per_key,
+    ranges,
+    relax,
+)
 from repro.kg.elements import ElementKind
 
-_NO_IDS = np.empty(0, dtype=np.int64)
-_NO_VALUES = np.empty(0, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -71,14 +78,9 @@ def _cosine_gradient(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return grad_a, grad_b
 
 
-def _arrays(powers: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    """``(ids, values)`` of an ``{id: value}`` dict, in insertion order."""
-    if not powers:
-        return _NO_IDS, _NO_VALUES
-    return (
-        np.fromiter(powers.keys(), dtype=np.int64, count=len(powers)),
-        np.fromiter(powers.values(), dtype=np.float64, count=len(powers)),
-    )
+def _table(row: np.ndarray, ids: np.ndarray, values: np.ndarray, size: int) -> PairValues:
+    """The reach table of ``size`` sources from entries sorted by source ``row``."""
+    return PairValues(ids, values, np.searchsorted(row, np.arange(size + 1)))
 
 
 class InferencePowerEstimator:
@@ -93,26 +95,14 @@ class InferencePowerEstimator:
         self.model = model
         self.graph = graph
         self.config = config or InferencePowerConfig()
-        # Snapshot arrays are read through the model's SimilarityEngine (the
-        # single access point for cached NumPy state) instead of being copied
-        # field by field into the estimator; the snapshot itself is built from
-        # the embedding models' cached forward session, so constructing an
-        # estimator never re-runs a model forward.
+        # the engine's snapshot, built from the cached forward session: an
+        # estimator never re-runs a model forward
         self._snap = model.similarity.snapshot
         self._map_entity = model.map_entity.data
         self._all_edge_powers: np.ndarray | None = None
-        # list view of edge_powers() for the per-edge loops below, filled on
-        # first use
+        # list view of edge_powers() for edge_power, filled on first use
         self._edge_power_cache: list[float] = []
-        self._path_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._schema_gradients: dict[tuple[ElementKind, int], tuple | None] = {}
-        # The graph's shared list views: the per-edge loops below index them
-        # without boxing.  Everything above depends on the model, so it stays
-        # per estimator.
-        self._edges = graph.edge_list
-        self._targets = graph.target_list
-        self._out_ptr = graph.out_ptr_list
-        self._sides = graph.side_list
+        self._schema_gradients: dict[tuple[ElementKind, int], tuple] = {}
 
     # ----------------------------------------------------------- edge powers
     def edge_powers(self) -> np.ndarray:
@@ -133,94 +123,61 @@ class InferencePowerEstimator:
             self._all_edge_powers = 1.0 / (1.0 + cost)
         return self._all_edge_powers
 
-    def _edge_power_list(self) -> list[float]:
-        if not self._edge_power_cache:
-            self._edge_power_cache = self.edge_powers().tolist()
-        return self._edge_power_cache
-
     def edge_power(self, edge: int) -> float:
         """``I(target | source)`` through one edge id."""
-        return self._edge_power_list()[edge]
+        if not self._edge_power_cache:
+            self._edge_power_cache = self.edge_powers().tolist()
+        return self._edge_power_cache[edge]
 
     # --------------------------------------------------- entity → entity pairs
-    def _path_power(self, source: int) -> tuple[np.ndarray, np.ndarray]:
-        """Best-path power from entity id ``source``: ``(entity ids, powers)``.
+    def path_reach(self, sources: np.ndarray) -> PairValues:
+        """Best-path power from entity ids ``sources`` over at most ``max_hops``
+        edges, by ascending target id; paths below ``min_power`` are dropped.
 
-        Depth-limited Dijkstra over additive edge costs (≤ ``max_hops`` hops);
-        pairs are listed in discovery order and results below ``min_power``
-        are dropped.
+        Costs ``1/power − 1`` add along a path; the relaxation keeps each
+        path's cost negated, so that it maximises.
         """
-        cached = self._path_cache.get(source)
-        if cached is not None:
-            return cached
-        best_cost: dict[int, float] = {source: 0.0}
-        heap: list[tuple[float, int, int]] = [(0.0, 0, source)]
-        max_cost = (1.0 / max(self.config.min_power, 1e-6)) - 1.0
-        max_hops = self.config.max_hops
-        out_ptr, targets = self._out_ptr, self._targets
-        edge_power = self._edge_power_list()
-        inf = float("inf")
-        while heap:
-            cost, hops, node = heapq.heappop(heap)
-            if cost > best_cost.get(node, inf) or hops >= max_hops:
-                continue
-            for edge in range(out_ptr[node], out_ptr[node + 1]):
-                new_cost = cost + (1.0 / edge_power[edge] - 1.0)
-                if new_cost > max_cost:
-                    continue
-                target = targets[edge]
-                if new_cost < best_cost.get(target, inf):
-                    best_cost[target] = new_cost
-                    heapq.heappush(heap, (new_cost, hops + 1, target))
-        ids, costs = _arrays(best_cost)
-        powers = 1.0 / (1.0 + costs)
-        keep = (ids != source) & (powers >= self.config.min_power)
-        result = (ids[keep], powers[keep])
-        self._path_cache[source] = result
-        return result
-
-    def entity_path_power(self, source: int) -> PairValues:
-        """Best-path inference power from entity pair ``source`` to reachable entity pairs."""
-        if self.graph.kind_of(source) is not ElementKind.ENTITY:
-            raise ValueError("entity_path_power expects an entity pair id")
-        return PairValues(*self._path_power(source))
+        graph, min_power, size = self.graph, self.config.min_power, sources.size
+        rows, ids, gains = relax(
+            graph.out_ptr, graph.edges[:, 2], -(1.0 / self.edge_powers() - 1.0),
+            np.arange(size), sources, np.zeros(size), self.config.max_hops,
+            np.add, lambda gain: 1.0 / (1.0 - gain) >= min_power,
+        )
+        # drop the sources themselves, then order by (row, id)
+        rows, ids, gains = rows[size:], ids[size:], gains[size:]
+        order = np.argsort(rows * graph.relation_offset + ids)
+        return _table(rows[order], ids[order], 1.0 / (1.0 - gains[order]), size)
 
     # -------------------------------------------------- relation → entity pairs
-    def relation_to_entity_power(self, source: int) -> PairValues:
-        """Eq. 20: power of relation pair ``source`` over entity pairs reachable through it.
-
-        A labelled relation pair zeroes the relation difference of its edges;
-        each distinct target of those edges gets power 1.0 (the value an
-        exact translational fit gives).  Targets are listed in the order of
-        their first edge, and edge ids follow source pair ids, so a target
-        comes before another when its first edge leaves a lower source id.
-        """
-        if self.graph.kind_of(source) is not ElementKind.RELATION:
-            raise ValueError("relation_to_entity_power expects a relation pair id")
-        relation = source - self.graph.relation_offset
-        ptr = self.graph.relation_ptr
-        targets = self.graph.edges[self.graph.relation_edges[ptr[relation] : ptr[relation + 1]], 2]
-        _, first = np.unique(targets, return_index=True)
-        targets = targets[np.sort(first)]
-        return PairValues(targets, np.ones(targets.size))
+    def _relation_to_entity(self, sources: np.ndarray) -> PairValues:
+        """Eq. 20 for relation pair ids ``sources``: a labelled relation pair
+        zeroes the relation difference of its edges, so each distinct target
+        of those edges gets power 1.0 (an exact translational fit's value),
+        in the order of its first edge."""
+        graph = self.graph
+        relations, ptr = sources - graph.relation_offset, graph.relation_ptr
+        row, position = expand_ranges(ptr[relations], ptr[relations + 1] - ptr[relations])
+        targets = graph.edges[graph.relation_edges[position], 2]
+        entries = first_per_key(row, targets, np.ones(row.size), graph.relation_offset)
+        return _table(*entries, sources.size)
 
     # ------------------------------------------------ entity → schema pairs
-    def _schema_gradient(self, kind: ElementKind, index: int) -> tuple | None:
+    def _schema_gradient(self, kind: ElementKind, index: int) -> tuple:
         """Per schema pair: ``(A_ent·∇_a, ∇_b, weight sum 1, weight sum 2)`` of
-        the mean-embedding cosine, or ``None`` when a side has no weight."""
+        the mean-embedding cosine; the sums are NaN when a side has no weight."""
         key = (kind, index)
         if key in self._schema_gradients:
             return self._schema_gradients[key]
         snap = self._snap
         if kind is ElementKind.CLASS:
-            left, right = self._sides[self.graph.class_offset + index]
+            left, right = self.graph.sides[self.graph.class_offset + index].tolist()
             left_members = self.model.kg1.entities_of_class(left)
             right_members = self.model.kg2.entities_of_class(right)
             weight_sum_1 = float(np.sum(snap.weights_1[left_members])) if left_members else 0.0
             weight_sum_2 = float(np.sum(snap.weights_2[right_members])) if right_members else 0.0
             means_1, means_2 = snap.mean_classes_1, snap.mean_classes_2
         else:
-            left, right = self._sides[self.graph.relation_offset + index]
+            left, right = self.graph.sides[self.graph.relation_offset + index].tolist()
             triples_1 = self.model.kg1.triples_of_relation(left)
             triples_2 = self.model.kg2.triples_of_relation(right)
             weight_sum_1 = weight_sum_2 = 0.0
@@ -232,78 +189,83 @@ class InferencePowerEstimator:
                     np.sum(np.minimum(snap.weights_2[triples_2[:, 0]], snap.weights_2[triples_2[:, 2]]))
                 )
             means_1, means_2 = snap.mean_relations_1, snap.mean_relations_2
-        gradient = None
-        if weight_sum_1 >= 1e-9 and weight_sum_2 >= 1e-9:
-            grad_a, grad_b = _cosine_gradient(self._map_entity.T @ means_1[left], means_2[right])
-            gradient = (self._map_entity @ grad_a, grad_b, weight_sum_1, weight_sum_2)
+        if weight_sum_1 < 1e-9 or weight_sum_2 < 1e-9:  # NaN powers: no min_power admits them
+            weight_sum_1 = weight_sum_2 = np.nan
+        grad_a, grad_b = _cosine_gradient(self._map_entity.T @ means_1[left], means_2[right])
+        gradient = (self._map_entity @ grad_a, grad_b, weight_sum_1, weight_sum_2)
         self._schema_gradients[key] = gradient
         return gradient
 
-    def schema_power(self, source: int) -> tuple[np.ndarray, np.ndarray]:
-        """Eqs. 21–22 for entity id ``source``: ``(global pair ids, powers)``.
-
-        Class pairs come first, in type-triple order; relation pairs follow in
-        the order of the source's out-edges.
-        """
-        if not self.model.use_mean_embeddings:
-            return _NO_IDS, _NO_VALUES
-        graph, snap, min_power = self.graph, self._snap, self.config.min_power
-        weights_1, weights_2 = snap.weights_1, snap.weights_2
-        left, right = self._sides[source]
-        powers: dict[int, float] = {}
-        for index in graph.class_ids[graph.class_ptr[source] : graph.class_ptr[source + 1]].tolist():
-            gradient = self._schema_gradient(ElementKind.CLASS, index)
-            if gradient is None:
-                continue
-            mapped_a, grad_b, weight_sum_1, weight_sum_2 = gradient
-            grad_left = (weights_1[left] / weight_sum_1) * mapped_a
-            grad_right = (weights_2[right] / weight_sum_2) * grad_b
-            power = float(np.sqrt(np.sum(grad_left**2) + np.sum(grad_right**2)))
-            if power >= min_power:
-                powers[graph.class_offset + index] = min(power, 1.0)
-        for edge in range(self._out_ptr[source], self._out_ptr[source + 1]):
-            _, relation, target = self._edges[edge]
-            gradient = self._schema_gradient(ElementKind.RELATION, relation)
-            if gradient is None:
-                continue
-            mapped_a, grad_b, weight_sum_1, weight_sum_2 = gradient
-            target_left, target_right = self._sides[target]
-            weight_left = min(weights_1[left], weights_1[target_left])
-            weight_right = min(weights_2[right], weights_2[target_right])
-            grad_left = (weight_left / weight_sum_1) * mapped_a
-            grad_right = (weight_right / weight_sum_2) * grad_b
-            power = float(np.sqrt(np.sum(grad_left**2) + np.sum(grad_right**2)))
-            key = graph.relation_offset + relation
-            if power >= min_power and power > powers.get(key, 0.0):
-                powers[key] = min(power, 1.0)
-        return _arrays(powers)
+    def _schema_reach(self, kind: ElementKind, sources: np.ndarray) -> PairValues:
+        """Eqs. 21–22 for entity ids ``sources``: the class pairs of their type
+        triples in type-triple order, or the relation pairs of their
+        out-edges in the order of the first edge that gives ``min_power``.
+        Each pair keeps its largest power, capped at 1."""
+        graph, snap = self.graph, self._snap
+        lefts, rights = graph.sides[sources].T
+        if kind is ElementKind.CLASS:
+            ptr, offset = graph.class_ptr, graph.class_offset
+            row, link = expand_ranges(ptr[sources], ptr[sources + 1] - ptr[sources])
+            index = graph.class_ids[link]
+            weight_1, weight_2 = snap.weights_1[lefts[row]], snap.weights_2[rights[row]]
+        else:
+            ptr, offset = graph.out_ptr, graph.relation_offset
+            row, edge = expand_ranges(ptr[sources], ptr[sources + 1] - ptr[sources])
+            index = graph.edges[edge, 1]
+            target_lefts, target_rights = graph.sides[graph.edges[edge, 2]].T
+            weight_1 = np.minimum(snap.weights_1[lefts[row]], snap.weights_1[target_lefts])
+            weight_2 = np.minimum(snap.weights_2[rights[row]], snap.weights_2[target_rights])
+        unique, slot = np.unique(index, return_inverse=True)
+        if not unique.size:
+            return _table(row, index, weight_1, sources.size)
+        mapped_a, grad_b, sum_1, sum_2 = map(
+            np.array, zip(*(self._schema_gradient(kind, i) for i in unique.tolist()))
+        )
+        grad_left = (weight_1 / sum_1[slot])[:, None] * mapped_a[slot]
+        grad_right = (weight_2 / sum_2[slot])[:, None] * grad_b[slot]
+        power = np.sqrt(np.sum(grad_left**2, axis=1) + np.sum(grad_right**2, axis=1))
+        keep = power >= self.config.min_power
+        row, pair, power = first_per_key(
+            row[keep], index[keep] + offset, power[keep], len(graph.sides)
+        )
+        return _table(row, pair, np.minimum(power, 1.0), sources.size)
 
     # --------------------------------------------------------------- aggregates
-    def reachable_power(self, source: int) -> PairValues:
-        """``I(q' | q)`` for every pair ``q'`` the pair with id ``source`` can influence."""
-        kind = self.graph.kind_of(source)
-        if kind is ElementKind.CLASS:
-            # Class pairs do not propagate inference power in the paper's model.
-            return PairValues(_NO_IDS, _NO_VALUES)
-        if kind is ElementKind.RELATION:
-            return self.relation_to_entity_power(source)
-        path_ids, path_powers = self._path_power(source)
-        schema_ids, schema_powers = self.schema_power(source)
+    def reachable_power(self, ids: np.ndarray) -> PairValues:
+        """``I(q' | q)`` for every pair ``q'`` each pair id in ``ids`` can
+        influence: one reach table, rows in request order."""
+        return self.reach_table(ids, self.path_reach)
+
+    def reach_table(self, ids: np.ndarray, entity_reach) -> PairValues:
+        """The reach table of pair ids ``ids``.  An entity pair's row lists
+        the entity pairs ``entity_reach(sources)`` gives it, then its schema
+        pairs (Eqs. 21–22); a relation pair's row lists the targets of its
+        edges (Eq. 20); class pairs propagate no power in the paper's model."""
+        ids, graph = np.asarray(ids, dtype=np.int64), self.graph
+        entity = np.flatnonzero(ids < graph.relation_offset)
+        relation = np.flatnonzero((ids >= graph.relation_offset) & (ids < graph.class_offset))
+        reaches = [(entity, entity_reach), (relation, self._relation_to_entity)]
+        if self.model.use_mean_embeddings:
+            schema = (ElementKind.CLASS, ElementKind.RELATION)
+            reaches[1:1] = [(entity, partial(self._schema_reach, kind)) for kind in schema]
+        parts = [(rows, reach(ids[rows])) for rows, reach in reaches]
+        # (part, row) blocks: where each starts in the parts' concatenation,
+        # then gathered row by row
+        counts = np.zeros((len(parts), ids.size), dtype=np.int64)
+        for part, (rows, table) in enumerate(parts):
+            counts[part, rows] = np.diff(table.ptr)
+        starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+        order = ranges(starts.T.ravel(), counts.T.ravel())
         return PairValues(
-            np.concatenate([path_ids, schema_ids]),
-            np.concatenate([path_powers, schema_powers]),
+            np.concatenate([table.ids for _, table in parts])[order],
+            np.concatenate([table.data for _, table in parts])[order],
+            np.concatenate([[0], np.cumsum(counts.sum(axis=0))]),
         )
 
     def power_from_labelled(self, labelled: Sequence[int]) -> PairValues:
         """``I(q' | L+) = max_{q ∈ L+} I(q' | q)`` for every reachable pair, in
         the order pairs are first reached."""
-        combined: dict[int, float] = {}
-        for source in labelled:
-            reach = self.reachable_power(int(source))
-            for target, value in zip(reach.ids.tolist(), reach.data.tolist()):
-                if value > combined.get(target, 0.0):
-                    combined[target] = value
-        return PairValues(*_arrays(combined))
+        return self.reachable_power(labelled).best()
 
     def overall_power(self, labelled: Sequence[int]) -> float:
         """``I(P | L+)`` of Eq. 23."""
@@ -333,11 +295,10 @@ def inference_accuracy(
     ``labelled_matches`` are pool pair ids.  An empty inferred set has no
     precision (``None``), not a precision of 0.
     """
-    inferred = estimator.inferred_pairs(labelled_matches).ids.tolist()
-    if not inferred:
+    inferred = estimator.inferred_pairs(labelled_matches).ids
+    if not inferred.size:
         return 0, None
-    graph, sides = estimator.graph, estimator.graph.side_list
-    correct = sum(
-        1 for pair in inferred if tuple(sides[pair]) in gold.get(graph.kind_of(pair), set())
-    )
-    return len(inferred), correct / len(inferred)
+    graph = estimator.graph
+    pairs = zip(inferred.tolist(), graph.sides[inferred].tolist())
+    correct = sum(tuple(sides) in gold.get(graph.kind_of(pair), set()) for pair, sides in pairs)
+    return inferred.size, correct / inferred.size

@@ -11,8 +11,10 @@ Edges are built with sources in sorted pair order, as the array graph
 numbers them (it once walked the pool set in its iteration order).
 The estimator scores each edge by the displacement the source label implies,
 ``||A_ent(t₁ − h₁) − (t₂ − h₂)||``, one edge at a time from per-entity dicts,
-and a relation pair gives each distinct target of its edges power 1.0 (Eq.
-20).  The one deliberate difference from the historical loops is the
+takes an entity pair's path power as the cheapest of every walk of at most
+``μ`` edges, enumerated by brute force and listed by ascending pair, and a
+relation pair gives each distinct target of its edges power 1.0 (Eq. 20).
+The one deliberate difference from the historical loops is the
 tie-break among equal gains in :func:`greedy_select`: the lowest rank
 (probability descending, then input order) wins, instead of whichever pair a
 ``set`` happened to yield first.  ``tests/test_selection_parity.py`` asserts
@@ -22,7 +24,6 @@ edges, edge powers, partition labels, batches and RNG state exactly.
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -125,28 +126,25 @@ class InferencePowerEstimator:
         return self._edge_power_cache[key]
 
     def entity_path_power(self, source):
+        """Every walk of at most ``max_hops`` edges, enumerated: the cheapest
+        per target (costs ``1/power − 1`` added in walk order), by ascending
+        pair."""
         if source in self._source_power_cache:
             return self._source_power_cache[source]
-        best_cost = {source: 0.0}
-        heap = [(0.0, 0, source)]
-        max_cost = (1.0 / max(self.config.min_power, 1e-6)) - 1.0
-        while heap:
-            cost, hops, node = heapq.heappop(heap)
-            if cost > best_cost.get(node, float("inf")):
-                continue
-            if hops >= self.config.max_hops:
-                continue
-            for edge in self.graph.out_edges.get(node, []):
-                new_cost = cost + (1.0 / self.edge_power(edge) - 1.0)
-                if new_cost > max_cost:
-                    continue
-                if new_cost < best_cost.get(edge.target, float("inf")):
-                    best_cost[edge.target] = new_cost
-                    heapq.heappush(heap, (new_cost, hops + 1, edge.target))
+        best_cost = {}
+        walks = [(source, 0.0)]
+        for _ in range(self.config.max_hops):
+            walks = [
+                (edge.target, cost + (1.0 / self.edge_power(edge) - 1.0))
+                for node, cost in walks
+                for edge in self.graph.out_edges.get(node, [])
+            ]
+            for node, cost in walks:
+                best_cost[node] = min(cost, best_cost.get(node, float("inf")))
         powers = {
-            node: 1.0 / (1.0 + cost)
-            for node, cost in best_cost.items()
-            if node != source and 1.0 / (1.0 + cost) >= self.config.min_power
+            node: 1.0 / (1.0 + best_cost[node])
+            for node in sorted(best_cost)
+            if node != source and 1.0 / (1.0 + best_cost[node]) >= self.config.min_power
         }
         self._source_power_cache[source] = powers
         return powers

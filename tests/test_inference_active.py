@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro import DAAKG
+from repro import DAAKG, obs
 from repro.active import (
     ActiveLearningConfig,
     ElementPairPool,
@@ -29,7 +29,7 @@ from repro.inference import (
     build_alignment_graph,
 )
 from repro.inference import alignment_graph
-from repro.inference.alignment_graph import PairValues
+from repro.inference.alignment_graph import AlignmentGraph, PairValues
 from repro.inference.pairs import class_pair, entity_pair, relation_pair
 from repro.inference.power import inference_accuracy
 from repro.kg.elements import ElementKind
@@ -49,11 +49,15 @@ def pipeline_copy(pipeline_checkpoint):
 
 
 def _reach(table):
-    """A reach function over ``{id: {target id: power}}``."""
+    """A reach function over ``{id: {target id: power}}``: one row per id."""
 
-    def reach(q):
-        powers = table.get(q, {})
-        return PairValues(np.array(list(powers), dtype=np.int64), np.array(list(powers.values())))
+    def reach(ids):
+        rows = [table.get(q, {}) for q in np.asarray(ids).tolist()]
+        return PairValues(
+            np.array([target for row in rows for target in row], dtype=np.int64),
+            np.array([value for row in rows for value in row.values()], dtype=np.float64),
+            np.cumsum([0] + [len(row) for row in rows]),
+        )
 
     return reach
 
@@ -84,6 +88,39 @@ class TestElementPair:
         assert class_pair(0, 1).kind is ElementKind.CLASS
 
 
+class _FixedPowers(InferencePowerEstimator):
+    """An estimator whose edge powers are given, not derived from a model."""
+
+    def __init__(self, graph, powers, max_hops):
+        model = SimpleNamespace(
+            similarity=SimpleNamespace(snapshot=None),
+            map_entity=SimpleNamespace(data=None),
+            use_mean_embeddings=False,
+        )
+        super().__init__(model, graph, InferencePowerConfig(max_hops=max_hops))
+        self.powers = np.asarray(powers, dtype=np.float64)
+
+    def edge_powers(self):
+        return self.powers
+
+
+def _chain_graph() -> AlignmentGraph:
+    """Entity pairs s, a, b, c (ids 0-3) and one relation pair; edges s→a,
+    s→b, a→c and b→a, numbered by source."""
+    edges = np.array([[0, 0, 1], [0, 0, 2], [1, 0, 3], [2, 0, 1]])
+    return AlignmentGraph(
+        sides=np.array([[0, 0], [1, 1], [2, 2], [3, 3], [0, 0]]),
+        relation_offset=4,
+        class_offset=5,
+        edges=edges,
+        out_ptr=np.array([0, 2, 3, 4, 4]),
+        relation_ptr=np.array([0, 4]),
+        relation_edges=np.arange(4),
+        class_ptr=np.zeros(5, dtype=np.int64),
+        class_ids=np.empty(0, dtype=np.int64),
+    )
+
+
 def _gold_sides(pair) -> tuple[set, np.ndarray]:
     """The gold entity matches as a set of tuples and as sorted side arrays."""
     entity_pool = {tuple(row) for row in pair.entity_match_ids().tolist()}
@@ -98,9 +135,10 @@ class TestAlignmentGraph:
         assert graph.sides[: graph.relation_offset].tolist() == [list(p) for p in sorted(entity_pool)]
         assert graph.num_edges() > 0
         # every edge endpoint is in the pool
-        for source, _, target in graph.edge_list:
-            assert tuple(graph.side_list[source]) in entity_pool
-            assert tuple(graph.side_list[target]) in entity_pool
+        sides = graph.sides.tolist()
+        for source, _, target in graph.edges.tolist():
+            assert tuple(sides[source]) in entity_pool
+            assert tuple(sides[target]) in entity_pool
 
     def test_class_membership_links(self, tiny_pair):
         graph = build_alignment_graph(tiny_pair.kg1, tiny_pair.kg2, _gold_sides(tiny_pair)[1])
@@ -133,16 +171,6 @@ class TestAlignmentGraph:
         assert graph.relation_offset == 0
         assert graph.num_edges() == 0
 
-    def test_list_views_match_arrays(self, inference_setup):
-        _, _, graph, estimator = inference_setup
-        assert graph.edge_list == graph.edges.tolist()
-        assert graph.target_list == graph.edges[:, 2].tolist()
-        assert graph.out_ptr_list == graph.out_ptr.tolist()
-        assert graph.side_list == graph.sides.tolist()
-        # a second estimator over the same graph shares the views
-        other = InferencePowerEstimator(estimator.model, graph, estimator.config)
-        assert other._edges is estimator._edges is graph.edge_list
-
 
 class TestInferencePower:
     def test_edge_power_in_unit_interval(self, inference_setup):
@@ -158,7 +186,8 @@ class TestInferencePower:
         relation = int(np.argmax(np.diff(ptr)))
         targets = graph.edges[graph.relation_edges[ptr[relation] : ptr[relation + 1]], 2].tolist()
         assert len(set(targets)) > 1
-        powers = estimator.relation_to_entity_power(graph.relation_offset + relation)
+        powers = estimator.reachable_power([graph.relation_offset + relation])
+        assert powers.ptr.tolist() == [0, len(powers.ids)]
         assert powers.ids.tolist() == list(dict.fromkeys(targets))
         assert powers.values() == [1.0] * len(powers.ids)
 
@@ -167,13 +196,13 @@ class TestInferencePower:
         pipeline, _, graph, _ = inference_setup
         snap = pipeline.model.similarity.snapshot
         entities_1, entities_2 = snap.entity_matrix_1.copy(), snap.entity_matrix_2.copy()
-        sides = graph.side_list
+        sides, edges = graph.sides.tolist(), graph.edges.tolist()
         edge = next(
             edge
-            for edge, (h, _, t) in enumerate(graph.edge_list)
+            for edge, (h, _, t) in enumerate(edges)
             if sides[h][0] != sides[t][0] and sides[h][1] != sides[t][1]
         )
-        source, relation, target = graph.edge_list[edge]
+        source, relation, target = edges[edge]
         (h1, h2), (t1, t2) = sides[source], sides[target]
         r1, r2 = sides[graph.relation_offset + relation]
         relation_1, relation_2 = snap.relation_matrix_1[r1], snap.relation_matrix_2[r2]
@@ -192,15 +221,15 @@ class TestInferencePower:
 
     def test_path_power_reaches_neighbors(self, inference_setup):
         _, _, graph, estimator = inference_setup
-        powers = estimator.entity_path_power(int(graph.edges[0, 0]))
+        powers = estimator.path_reach(graph.edges[:1, 0])
         assert powers.ids.size
+        # listed by ascending id
+        assert np.all(np.diff(powers.ids) > 0)
         assert all(0.0 < value <= 1.0 for value in powers.values())
-        with pytest.raises(ValueError):
-            estimator.entity_path_power(graph.relation_offset)
 
     def test_reachable_power_entity_includes_schema_pairs(self, inference_setup):
         _, _, graph, estimator = inference_setup
-        reach = estimator.reachable_power(int(graph.edges[0, 0]))
+        reach = estimator.reachable_power(graph.edges[:1, 0])
         kinds = {graph.kind_of(pair) for pair in reach.ids.tolist()}
         assert ElementKind.ENTITY in kinds
 
@@ -212,12 +241,12 @@ class TestInferencePower:
             if graph.relation_ptr[i + 1] > graph.relation_ptr[i]
         ]
         assert relation_pairs_with_edges
-        powers = estimator.relation_to_entity_power(relation_pairs_with_edges[0])
+        powers = estimator.reachable_power(relation_pairs_with_edges[:1])
         assert all(value <= 1.0 for value in powers.values())
 
     def test_class_pair_has_no_outgoing_power(self, inference_setup):
         _, _, graph, estimator = inference_setup
-        assert estimator.reachable_power(graph.class_offset).ids.size == 0
+        assert estimator.reachable_power([graph.class_offset]).ids.size == 0
 
     def test_overall_power_is_monotone_in_labels(self, inference_setup):
         pipeline, pool, graph, estimator = inference_setup
@@ -238,6 +267,36 @@ class TestInferencePower:
             assert 0.0 <= precision <= 1.0
         else:
             assert precision is None
+
+    def test_path_power_is_the_best_path_of_at_most_max_hops(self):
+        # costs 1/power - 1: s→a 5, s→b 1, a→c 1, b→a 1.  a is cheapest over
+        # two hops (cost 2), but c lies two hops away only through the dear
+        # edge s→a (cost 6); a search that drops a after two hops never
+        # reaches c.
+        estimator = _FixedPowers(_chain_graph(), [1 / 6, 0.5, 0.5, 0.5], max_hops=2)
+        reach = estimator.reachable_power([0])
+        assert reach.ptr.tolist() == [0, 3]
+        assert reach.ids.tolist() == [1, 2, 3]
+        assert reach.data == pytest.approx([1 / 3, 1 / 2, 1 / 7])
+        assert reach.data[2] >= estimator.config.min_power
+        one_hop = _FixedPowers(_chain_graph(), [1 / 6, 0.5, 0.5, 0.5], max_hops=1)
+        assert one_hop.reachable_power([0]).data == pytest.approx([1 / 6, 1 / 2])
+
+    def test_reach_table_rows_follow_the_request(self, inference_setup):
+        _, _, graph, estimator = inference_setup
+        ids = np.array([
+            graph.class_offset, int(graph.edges[0, 0]), graph.relation_offset,
+            int(graph.edges[-1, 0]), int(graph.edges[0, 0]),
+        ])
+        table = estimator.reachable_power(ids)
+        assert table.ptr.size == ids.size + 1
+        for row, pair in enumerate(ids.tolist()):
+            alone = estimator.reachable_power([pair])
+            start, end = table.ptr[row], table.ptr[row + 1]
+            assert table.ids[start:end].tolist() == alone.ids.tolist()
+            assert table.data[start:end].tolist() == alone.data.tolist()
+        empty = estimator.reachable_power(np.empty(0, dtype=np.int64))
+        assert empty.ptr.tolist() == [0] and empty.ids.size == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -372,6 +431,50 @@ class TestSelection:
     def test_selection_config_validation(self):
         with pytest.raises(ValueError):
             GreedySelectionConfig(batch_size=0)
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_candidate_limit_below_one_is_rejected(self, limit):
+        # -1 once dropped the last-ranked candidate and 0 gave an empty batch
+        with pytest.raises(ValueError):
+            GreedySelectionConfig(candidate_limit=limit)
+        assert GreedySelectionConfig(candidate_limit=None).candidate_limit is None
+        assert GreedySelectionConfig(candidate_limit=1).candidate_limit == 1
+
+    def test_picks_are_recorded_with_their_gain(self):
+        probabilities = np.full(120, 0.5)
+        probabilities[3] = 0.9
+        reach = _reach({q: {q + 100: 0.9} for q in range(5)})
+        config = GreedySelectionConfig(batch_size=2)
+        with obs.scoped():
+            batch = greedy_select(np.arange(5), probabilities, reach, config, rng=0)
+            picks = [e for e in obs.events() if e["name"] == "active.select.pick"]
+        assert [e["attrs"]["pair"] for e in picks] == batch.tolist()
+        assert picks[0]["attrs"]["probability"] == 0.9
+        assert all(e["attrs"]["algorithm"] == "greedy" for e in picks)
+        assert all(e["attrs"]["gain"] > 0.0 for e in picks)
+        # the first pick's gain is exact: one sample term per target
+        assert picks[0]["attrs"]["gain"] == pytest.approx(0.9 * (0.9 + 1e-3))
+        # nothing is recorded while obs is off
+        before = len(obs.events())
+        greedy_select(np.arange(5), probabilities, reach, config, rng=0)
+        assert len(obs.events()) == before
+
+    @pytest.mark.parametrize("algorithm", ["greedy", "partition"])
+    def test_pick_events_name_kind_and_algorithm(self, inference_setup, algorithm):
+        _, pool, graph, estimator = inference_setup
+        probabilities = np.random.default_rng(0).random(len(pool))
+        state = SimpleNamespace(
+            candidates=np.arange(len(pool)), probabilities=probabilities,
+            graph=graph, estimator=estimator, rng=np.random.default_rng(1),
+        )
+        with obs.scoped():
+            batch = DAAKGStrategy(algorithm=algorithm).select(state, 6)
+            picks = [e["attrs"] for e in obs.events() if e["name"] == "active.select.pick"]
+        assert [e["pair"] for e in picks] == batch.tolist()
+        for event in picks:
+            assert event["algorithm"] == algorithm
+            assert event["kind"] == graph.kind_of(event["pair"]).value
+            assert event["probability"] == probabilities[event["pair"]]
 
 
 class TestPartitioning:

@@ -95,7 +95,7 @@ def test_edges_match_in_order(world):
     assert graph.sides.tolist() == [[q.left, q.right] for q in pairs]
     edges = [
         (pairs[source], pairs[graph.relation_offset + relation], pairs[target])
-        for source, relation, target in graph.edge_list
+        for source, relation, target in graph.edges.tolist()
     ]
     assert edges == expected
 
@@ -114,10 +114,29 @@ def test_powers_and_reaches_leave_the_loop_rng_alone(world):
     state = loop._build_state()
     before = loop.rng.bit_generator.state
     state.estimator.edge_powers()
-    for pair in range(len(pool)):
-        state.estimator.reachable_power(pair)
+    state.estimator.reachable_power(np.arange(len(pool)))
     partition_pool(state.graph, state.estimator)
     assert loop.rng.bit_generator.state == before
+
+
+def test_path_power_matches_every_walk(world):
+    """The relaxation's reach equals the oracle's enumeration of every walk
+    of at most ``max_hops`` edges: the same pairs, in ascending order, with
+    bit-equal powers."""
+    _, pool, _, graphs = world
+    pairs = _pairs(pool)
+    oracle_estimator, _ = _estimator(world, "oracle")
+    estimator, _ = _estimator(world, "arrays")
+    sources = np.arange(graphs["arrays"].relation_offset)
+    table = estimator.path_reach(sources)
+    reached = 0
+    for source in sources.tolist():
+        start, end = table.ptr[source], table.ptr[source + 1]
+        expected = oracle_estimator.entity_path_power(pairs[source])
+        assert [pairs[i] for i in table.ids[start:end].tolist()] == list(expected)
+        assert table.data[start:end].tolist() == list(expected.values())
+        reached += end - start
+    assert reached
 
 
 def test_greedy_batch_and_rng_match(world):
@@ -189,8 +208,9 @@ _TIE_SCRIPT = """
 import numpy as np
 from repro.active.selection import GreedySelectionConfig, greedy_select
 from repro.inference.alignment_graph import PairValues
-none = PairValues(np.empty(0, dtype=np.int64), np.empty(0))
-batch = greedy_select(np.arange(40), np.full(40, 0.5), lambda q: none,
+def none(ids):
+    return PairValues(np.empty(0, dtype=np.int64), np.empty(0), np.zeros(len(ids) + 1, dtype=int))
+batch = greedy_select(np.arange(40), np.full(40, 0.5), none,
                       GreedySelectionConfig(batch_size=3), rng=0)
 print(",".join(str(q) for q in batch.tolist()))
 """
