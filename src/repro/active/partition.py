@@ -152,12 +152,17 @@ class _QuotientReach:
     power; schema pairs keep their exact (cheap) gradient-based reach.
     Groups are listed in the order they are first reached, visiting a
     group's neighbours in the order their first edge was built.
+
+    Only groups whose power exceeds ``floor`` (the selection's
+    ``power_threshold``) are expanded into their members: the greedy gain
+    reads no entry at or below it, and the kept entries keep their order.
     """
 
     algorithm = "partition"
 
     def __init__(
-        self, graph: AlignmentGraph, estimator: InferencePowerEstimator, labels: np.ndarray
+        self, graph: AlignmentGraph, estimator: InferencePowerEstimator, labels: np.ndarray,
+        floor: float,
     ) -> None:
         self.graph = graph
         self.estimator = estimator
@@ -176,31 +181,40 @@ class _QuotientReach:
         self.member_ptr, self.members = csr_index(labels, num_groups)
         self.num_groups = num_groups
         self.labels = labels
+        self.floor = floor
 
     def group_reach(self, sources: np.ndarray) -> PairValues:
-        """Each entity id's reach: the members of its reached groups, groups
-        in first-reached order."""
-        ptr, min_power = self.graph.out_ptr, self.estimator.config.min_power
-        row, edge = expand_ranges(ptr[sources], ptr[sources + 1] - ptr[sources])
-        # first hop: the strongest edge into each group, groups by first edge
-        groups = self.labels[self.graph.edges[edge, 2]]
-        first_hop = first_per_key(row, groups, self.power[edge], self.num_groups)
-        rows, groups, values = relax(
-            self.quotient_ptr, self.quotient_target, self.quotient_power, *first_hop,
-            self.estimator.config.max_hops - 1, np.multiply, lambda power: power > min_power,
-        )
-        order = np.argsort(rows, kind="stable")
-        rows, groups, values = rows[order], groups[order], values[order]
-        # every member of a reached group but the source itself
-        ptr = self.member_ptr
-        counts = ptr[groups + 1] - ptr[groups]
-        ids = self.members[ranges(ptr[groups], counts)]
-        ids = ids[ids != np.repeat(sources[rows], counts)]
-        counts -= groups == self.labels[sources[rows]]
-        ends = np.concatenate([[0], np.cumsum(counts)])
-        return PairValues(
-            ids, np.repeat(values, counts), ends[np.searchsorted(rows, np.arange(sources.size + 1))]
-        )
+        """Each entity id's reach: the members of its reached groups above
+        the floor, groups in first-reached order."""
+        with obs.span("active.partition.reach", sources=sources.size) as span:
+            ptr, min_power = self.graph.out_ptr, self.estimator.config.min_power
+            row, edge = expand_ranges(ptr[sources], ptr[sources + 1] - ptr[sources])
+            # first hop: the strongest edge into each group, groups by first edge
+            groups = self.labels[self.graph.edges[edge, 2]]
+            first_hop = first_per_key(row, groups, self.power[edge], self.num_groups)
+            rows, groups, values = relax(
+                self.quotient_ptr, self.quotient_target, self.quotient_power, *first_hop,
+                self.estimator.config.max_hops - 1, np.multiply, lambda power: power > min_power,
+            )
+            reached = rows.size
+            # filtered after the relaxation, which may raise a group above the
+            # floor in a later round than the one that first reached it
+            kept = np.flatnonzero(values > self.floor)
+            kept = kept[np.argsort(rows[kept], kind="stable")]
+            rows, groups, values = rows[kept], groups[kept], values[kept]
+            # every member of a kept group but the source itself
+            ptr = self.member_ptr
+            counts = ptr[groups + 1] - ptr[groups]
+            ids = self.members[ranges(ptr[groups], counts)]
+            ids = ids[ids != np.repeat(sources[rows], counts)]
+            counts -= groups == self.labels[sources[rows]]
+            ends = np.concatenate([[0], np.cumsum(counts)])
+            span.set(groups_reached=reached, groups_kept=rows.size, entries=ids.size)
+            return PairValues(
+                ids,
+                np.repeat(values, counts),
+                ends[np.searchsorted(rows, np.arange(sources.size + 1))],
+            )
 
     def __call__(self, ids: np.ndarray) -> PairValues:
         return self.estimator.reach_table(ids, self.group_reach)
@@ -222,5 +236,7 @@ def partition_select(
     partition_config = partition_config or PartitionSelectionConfig()
     partition_of = partition_pool(graph, estimator, partition_config)
     with obs.span("active.partition.quotient"):
-        reach = _QuotientReach(graph, estimator, partition_of.data)
+        reach = _QuotientReach(
+            graph, estimator, partition_of.data, selection_config.power_threshold
+        )
     return greedy_select(candidates, probabilities, reach, selection_config, rng)

@@ -71,7 +71,8 @@ def greedy_select(
     reach:
         Function returning the reach table ``I(q' | q)`` of an array of
         candidates, one row per candidate (typically
-        ``InferencePowerEstimator.reachable_power``).
+        ``InferencePowerEstimator.reachable_power``).  A row may omit
+        entries at or below ``config.power_threshold``: the gains read none.
 
     Candidates are ranked by probability (descending, input order among
     equals); among equal gains the lower rank wins.  ``reach`` is called once,
@@ -91,8 +92,9 @@ def greedy_select(
     with obs.span("active.greedy.reach", candidates=len(ranked)):
         table = reach(ranked)
         kept = np.flatnonzero(table.data > config.power_threshold)
-        ends = np.searchsorted(kept, table.ptr[1:-1])
-        reachable = list(zip(np.split(table.ids[kept], ends), np.split(table.data[kept], ends)))
+        ids, values = table.ids[kept], table.data[kept]
+        ends = np.searchsorted(kept, table.ptr).tolist()
+        reachable = [(ids[lo:hi], values[lo:hi]) for lo, hi in zip(ends, ends[1:])]
     with obs.span("active.greedy.loop"):
         picks, gains = _lazy_greedy(
             probabilities[ranked].tolist(), reachable, len(probabilities), config, rng

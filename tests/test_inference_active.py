@@ -21,6 +21,7 @@ from repro.active import (
     partition_select,
     STRATEGY_REGISTRY,
 )
+from repro.active.partition import _QuotientReach
 from repro.active.selection import expected_overall_power
 from repro.active.strategies import DAAKGStrategy, UncertaintyStrategy
 from repro.inference import (
@@ -495,6 +496,33 @@ class TestPartitioning:
             rng=0,
         )
         assert 0 < len(batch) <= 5
+
+    def test_group_reach_keeps_the_entries_above_the_floor(self, inference_setup):
+        """A floored quotient reach is the unfloored one filtered to entries
+        above the floor, in the same order; a floor above every group keeps
+        empty rows."""
+        _, _, graph, estimator = inference_setup
+        labels = partition_pool(graph, estimator, PartitionSelectionConfig(rho=0.9)).data
+        sources = np.arange(graph.relation_offset)
+        full = _QuotientReach(graph, estimator, labels, -np.inf).group_reach(sources)
+        row = np.repeat(np.arange(sources.size), np.diff(full.ptr))
+        assert len(set(full.data.tolist())) > 1
+        for floor in (float(np.median(full.data)), float(full.data.max())):
+            with obs.scoped():
+                table = _QuotientReach(graph, estimator, labels, floor).group_reach(sources)
+                spans = [e for e in obs.events() if e["name"] == "active.partition.reach"]
+            span = spans[0]["attrs"]
+            kept = full.data > floor
+            ptr = np.searchsorted(row[kept], np.arange(sources.size + 1))
+            assert table.ids.tolist() == full.ids[kept].tolist()
+            assert table.data.tolist() == full.data[kept].tolist()
+            assert table.ptr.tolist() == ptr.tolist()
+            assert len(spans) == 1
+            assert span["entries"] == table.ids.size
+            assert span["groups_kept"] <= span["groups_reached"]
+        assert not table.ids.size and not table.data.size
+        assert table.ptr.tolist() == [0] * (sources.size + 1)
+        assert span["groups_kept"] == 0 < span["groups_reached"]
 
     def test_partition_config_validation(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ after selection.
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,8 @@ from repro.inference.power import InferencePowerConfig, InferencePowerEstimator
 from repro.kg.elements import ElementKind
 
 SELECTION = GreedySelectionConfig(batch_size=12, power_threshold=0.5, candidate_limit=300)
+#: greedy thresholds for Algorithm 2; at 0.8 the quotient reach may keep no group
+THRESHOLDS = [0.5, 0.8]
 RHOS = [1.0, 0.9, 0.8]
 MAX_PARTITIONS = [12, 200]
 
@@ -156,28 +159,32 @@ def test_greedy_batch_and_rng_match(world):
 @pytest.mark.parametrize("max_partitions", MAX_PARTITIONS)
 @pytest.mark.parametrize("rho", RHOS)
 def test_partition_labels_batch_and_rng_match(world, rho, max_partitions):
+    """Labels, batch and RNG state match the oracle at every greedy threshold
+    (the quotient reach expands only the groups above it)."""
     _, pool, probabilities, graphs = world
     config = PartitionSelectionConfig(rho=rho, max_partitions=max_partitions)
     pairs = _pairs(pool)
-    results, labels = {}, {}
-    estimator, rng = _estimator(world, "oracle")
-    batch = oracle.partition_select(
-        pairs, probabilities, graphs["oracle"], estimator, SELECTION, config, rng=rng
-    )
-    results["oracle"] = (batch, rng.random())
-    # repeats the labels the selection used
-    labels["oracle"] = oracle.partition_pool(graphs["oracle"], estimator, config)
-    estimator, rng = _estimator(world, "arrays")
-    picks = partition_select(
-        *_ids(pool, probabilities), graphs["arrays"], estimator, SELECTION, config, rng=rng
-    )
-    results["arrays"] = ([pairs[i] for i in picks.tolist()], rng.random())
+    for threshold in THRESHOLDS:
+        selection = replace(SELECTION, power_threshold=threshold)
+        results = {}
+        estimator, rng = _estimator(world, "oracle")
+        batch = oracle.partition_select(
+            pairs, probabilities, graphs["oracle"], estimator, selection, config, rng=rng
+        )
+        results["oracle"] = (batch, rng.random())
+        estimator, rng = _estimator(world, "arrays")
+        picks = partition_select(
+            *_ids(pool, probabilities), graphs["arrays"], estimator, selection, config, rng=rng
+        )
+        results["arrays"] = ([pairs[i] for i in picks.tolist()], rng.random())
+        assert len(results["arrays"][0]) == selection.batch_size
+        assert results["arrays"] == results["oracle"]
+    # repeats the labels the selections used
+    expected = oracle.partition_pool(graphs["oracle"], _estimator(world, "oracle")[0], config)
     partition = partition_pool(graphs["arrays"], estimator, config)
-    labels["arrays"] = dict(zip([pairs[i] for i in partition.ids.tolist()], partition.values()))
-    assert len(set(labels["arrays"].values())) > 1
-    assert labels["arrays"] == labels["oracle"]
-    assert len(results["arrays"][0]) == SELECTION.batch_size
-    assert results["arrays"] == results["oracle"]
+    labels = dict(zip([pairs[i] for i in partition.ids.tolist()], partition.values()))
+    assert len(set(labels.values())) > 1
+    assert labels == expected
 
 
 @pytest.mark.parametrize("name", sorted(oracle.STRATEGIES))
