@@ -237,8 +237,6 @@ class PartitionedCampaign:
         n = self.partition.num_partitions
         self.pipelines: list["DAAKG | None"] = [None] * n
         self.loops: list[ActiveLearningLoop | None] = [None] * n
-        # per-piece encoded dataset arrays, built once (specs reuse them)
-        self._piece_arrays: dict[int, dict[str, np.ndarray]] = {}
         # merged-state cache, keyed on every piece engine's version token so
         # training through ANY path (run(), or a piece's public pipeline()/
         # loop() accessors) invalidates it
@@ -341,7 +339,7 @@ class PartitionedCampaign:
                 save_checkpoint(path, self.pipelines[index], loop=self.loops[index])
                 checkpoint_dir = str(path)
             else:
-                dataset_arrays = self._piece_dataset_arrays(index)
+                dataset_arrays = self._encode_piece(index)
                 if index in self._warm:
                     # the piece's pre-update pipeline: the runner transplants
                     # its parameters by name into the fresh pipeline it
@@ -365,15 +363,13 @@ class PartitionedCampaign:
             )
         return specs
 
-    def _piece_dataset_arrays(self, index: int) -> dict[str, np.ndarray]:
-        """The piece pair encoded once (specs for unstarted pieces reuse it)."""
+    def _encode_piece(self, index: int) -> dict[str, np.ndarray]:
+        """Piece ``index``'s pair encoded as codec arrays."""
         from repro.persistence.codec import pair_to_arrays  # circular at module level
 
-        if index not in self._piece_arrays:
-            arrays: dict[str, np.ndarray] = {}
-            pair_to_arrays(self.partition.pieces[index].pair, "dataset", arrays)
-            self._piece_arrays[index] = arrays
-        return self._piece_arrays[index]
+        arrays: dict[str, np.ndarray] = {}
+        pair_to_arrays(self.partition.pieces[index].pair, "dataset", arrays)
+        return arrays
 
     def _fold_outcome(self, outcome: PieceOutcome) -> None:
         """Adopt a completed piece's result checkpoint (bit-exact restore)."""
@@ -546,9 +542,7 @@ class PartitionedCampaign:
                 self._warm[index] = self.pipelines[index]
             self.pipelines[index] = None
             self.loops[index] = None
-            self._piece_arrays.pop(index, None)
         self.dataset = new_dataset
-        self.partition.invalidate_membership()
         self._merged = None
         route_seconds = time.perf_counter() - start
         logger.info(

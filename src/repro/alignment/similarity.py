@@ -24,8 +24,8 @@ pairs, so no production query path calls it.
 Caching / versioning contract
 -----------------------------
 
-A cached channel set (with its kept tile) or top-k table is valid for a
-*version token*:
+The engine caches one thing: each kind's channel set, with its kept tile,
+under a *version token* built from:
 
 * ``parameter_version`` — the global counter in :mod:`repro.nn.optim`, bumped
   by every ``Adam.step`` / ``SGD.step`` (and by ``Module.load_state_dict``
@@ -42,10 +42,12 @@ A cached channel set (with its kept tile) or top-k table is valid for a
   similarity is keyed on it (through the structural propagation channel);
   relation/class similarities survive landmark updates untouched.
 
-Between two bumps the engine serves the same objects over and over (treat
-returned arrays as read-only); within one optimiser step a channel set, its
-kept tile or a top-k table is computed at most once, no matter how many call
-sites ask for it.
+Between two bumps the engine serves the same channels over and over (treat
+returned arrays as read-only); within one optimiser step a channel set and
+its kept tile are computed at most once, no matter how many call sites ask
+for them.  Query results (top-k tables, row slabs, candidates) are not
+cached: each call streams them from the token's channels, which for a
+matrix that fits one block means slicing the kept tile.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from repro.autograd.tensor import no_grad
 from repro.kg.elements import ElementKind
 from repro.nn.optim import parameter_version
 from repro.runtime.merge import MergedSimilarityState
-from repro.runtime.streaming import ChannelPair, CosineChannels, TopKTable
+from repro.runtime.streaming import ChannelPair, CosineChannels
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with model.py
     from repro.alignment.model import AlignmentSnapshot, JointAlignmentModel
@@ -68,14 +70,14 @@ DEFAULT_BLOCK_SIZE = 4096
 
 
 class SimilarityEngine(MergedSimilarityState):
-    """Owns similarity state and top-k candidates for one alignment model.
+    """Owns the versioned similarity channels of one alignment model.
 
     One engine is created per :class:`JointAlignmentModel` (available as
     ``model.similarity``); the trainer, the active loop, pool building,
     evaluation, serving exports and the inference-power estimator all read
     through it.  It overrides only how channels are built (:meth:`channels`,
-    per version token) and which token keys the caches (:meth:`_token_for`);
-    every query is the inherited streamed surface.
+    cached per version token, :meth:`_token_for`); every query is the
+    inherited streamed surface.
     """
 
     def __init__(self, model: "JointAlignmentModel", block_size: int = DEFAULT_BLOCK_SIZE) -> None:
@@ -90,7 +92,7 @@ class SimilarityEngine(MergedSimilarityState):
         return (parameter_version(), model.snapshot_version, model.landmark_version)
 
     def _token_for(self, kind: ElementKind) -> tuple[int, ...]:
-        """The version token ``kind``'s channels and top-k tables depend on.
+        """The version token ``kind``'s channels depend on.
 
         Only the entity similarity reads the structural channel, so only it
         is keyed on the landmark version; the relation and class similarities
@@ -106,9 +108,8 @@ class SimilarityEngine(MergedSimilarityState):
         return self.model.snapshot
 
     def invalidate(self) -> None:
-        """Drop every cached channel set and top-k table."""
+        """Drop every cached channel set."""
         self._channel_cache.clear()
-        self._top_k.clear()
 
     # -------------------------------------------------------- channel factors
     def channels(self, kind: ElementKind) -> CosineChannels:
@@ -201,40 +202,3 @@ class SimilarityEngine(MergedSimilarityState):
                     )
                 )
             return CosineChannels(pairs, shape=shape)
-
-    # ----------------------------------------------------- top-k persistence
-    def export_top_k_arrays(self) -> dict[str, np.ndarray]:
-        """Current-token top-k tables as flat arrays (checkpoint payload)."""
-        out: dict[str, np.ndarray] = {}
-        for (kind, k), (token, table) in self._top_k.items():
-            if token != self._token_for(kind):
-                continue
-            prefix = f"{kind.value}/{k}"
-            out[f"{prefix}/left_indices"] = table.left_indices
-            out[f"{prefix}/left_values"] = table.left_values
-            out[f"{prefix}/right_indices"] = table.right_indices
-            out[f"{prefix}/right_values"] = table.right_values
-        return out
-
-    def seed_top_k_arrays(self, arrays: dict[str, np.ndarray]) -> int:
-        """Seed the top-k cache from checkpoint arrays; returns entries seeded.
-
-        Valid only right after a bit-exact restore (the saved tables describe
-        exactly the restored similarity state); entries are keyed under the
-        *current* token, so the next optimiser step invalidates them as usual.
-        """
-        grouped: dict[tuple[ElementKind, int], dict[str, np.ndarray]] = {}
-        for key, value in arrays.items():
-            kind_value, k, field = key.split("/")
-            grouped.setdefault((ElementKind(kind_value), int(k)), {})[field] = value
-        for (kind, k), fields in grouped.items():
-            self._top_k[(kind, k)] = (
-                self._token_for(kind),
-                TopKTable(
-                    left_indices=fields["left_indices"],
-                    left_values=fields["left_values"],
-                    right_indices=fields["right_indices"],
-                    right_values=fields["right_values"],
-                ),
-            )
-        return len(grouped)

@@ -211,7 +211,8 @@ class JointAlignmentTrainer:
 
         Hard sample mining sharpens the mapping matrix far more than uniform
         corruption (the role Dual-AMN attributes to normalised hard samples);
-        the candidate lists come from the engine's cached top-k tables.  Fully
+        the candidate lists are the round's entity top-k table, which
+        :meth:`_refresh_hard_candidates` keeps on the trainer.  Fully
         vectorized: one coin-flip array decides the corrupted side, one slot
         array picks candidates, and collisions with the positive counterpart
         are repaired in bulk.

@@ -102,7 +102,6 @@ class InferencePowerEstimator:
         self._all_edge_powers: np.ndarray | None = None
         # list view of edge_powers() for edge_power, filled on first use
         self._edge_power_cache: list[float] = []
-        self._schema_gradients: dict[tuple[ElementKind, int], tuple] = {}
 
     # ----------------------------------------------------------- edge powers
     def edge_powers(self) -> np.ndarray:
@@ -165,9 +164,6 @@ class InferencePowerEstimator:
     def _schema_gradient(self, kind: ElementKind, index: int) -> tuple:
         """Per schema pair: ``(A_ent·∇_a, ∇_b, weight sum 1, weight sum 2)`` of
         the mean-embedding cosine; the sums are NaN when a side has no weight."""
-        key = (kind, index)
-        if key in self._schema_gradients:
-            return self._schema_gradients[key]
         snap = self._snap
         if kind is ElementKind.CLASS:
             left, right = self.graph.sides[self.graph.class_offset + index].tolist()
@@ -192,9 +188,7 @@ class InferencePowerEstimator:
         if weight_sum_1 < 1e-9 or weight_sum_2 < 1e-9:  # NaN powers: no min_power admits them
             weight_sum_1 = weight_sum_2 = np.nan
         grad_a, grad_b = _cosine_gradient(self._map_entity.T @ means_1[left], means_2[right])
-        gradient = (self._map_entity @ grad_a, grad_b, weight_sum_1, weight_sum_2)
-        self._schema_gradients[key] = gradient
-        return gradient
+        return self._map_entity @ grad_a, grad_b, weight_sum_1, weight_sum_2
 
     def _schema_reach(self, kind: ElementKind, sources: np.ndarray) -> PairValues:
         """Eqs. 21–22 for entity ids ``sources``: the class pairs of their type

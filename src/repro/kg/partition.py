@@ -177,29 +177,23 @@ class KGPairPartition:
 
     # -------------------------------------------------------------- membership
     def membership(self) -> tuple[dict[str, int], dict[str, int]]:
-        """``entity name → piece index`` maps for both sides (cached).
+        """``entity name → piece index`` maps for both sides.
 
         This is the routing surface for :func:`repro.updates.route_delta`:
         which piece owns an entity is exactly which piece's sub-KG contains
         it.  Pieces never share entities, so the maps are well defined.
-        The cache is invalidated by :meth:`invalidate_membership` whenever a
-        piece's pair is replaced (incremental updates do this).
+        They are built from the current pieces on each call, so a piece
+        whose pair an incremental update replaced is routed by its new
+        entities.
         """
-        cached = getattr(self, "_membership", None)
-        if cached is None:
-            side_1: dict[str, int] = {}
-            side_2: dict[str, int] = {}
-            for piece in self.pieces:
-                for name in piece.pair.kg1.entities:
-                    side_1[name] = piece.index
-                for name in piece.pair.kg2.entities:
-                    side_2[name] = piece.index
-            cached = (side_1, side_2)
-            self._membership = cached
-        return cached
-
-    def invalidate_membership(self) -> None:
-        self._membership = None
+        side_1: dict[str, int] = {}
+        side_2: dict[str, int] = {}
+        for piece in self.pieces:
+            for name in piece.pair.kg1.entities:
+                side_1[name] = piece.index
+            for name in piece.pair.kg2.entities:
+                side_2[name] = piece.index
+        return side_1, side_2
 
     def membership_digest(self) -> str:
         """Order-sensitive digest of every piece's entity membership.

@@ -143,7 +143,7 @@ def save_campaign(path: str | os.PathLike, campaign: "PartitionedCampaign") -> P
                 filename = _pending_dataset_filename(index, generation)
                 _atomic_write_bytes(
                     directory / filename,
-                    _npz_bytes(campaign._piece_dataset_arrays(index)),
+                    _npz_bytes(campaign._encode_piece(index)),
                 )
                 entry["dataset"] = filename
             pieces.append(entry)

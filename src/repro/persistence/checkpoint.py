@@ -17,10 +17,12 @@ Restoration is *bit-exact*: ``DAAKG.save`` → ``DAAKG.load`` → ``evaluate()``
 reproduces the in-memory scores exactly, and a campaign resumed from an
 autosave produces the same :class:`ActiveLearningRecord` sequence as the
 uninterrupted run.  The parts of the pipeline that are pure functions of the
-saved state (similarity matrices, the structural propagation channel, hard
-negative tables, forward sessions) are deliberately **not** stored — they are
-recomputed on first use from restored inputs, which yields the identical
-floats at a fraction of the checkpoint size.
+saved state (similarity matrices, top-k tables, the structural propagation
+channel, hard negative tables, forward sessions) are deliberately **not**
+stored — they are recomputed on first use from restored inputs, which yields
+the identical floats at a fraction of the checkpoint size.  Format-6
+checkpoints written while top-k tables were still saved carry a ``topk/``
+section; nothing reads it, so they load unchanged.
 
 Both files are written via temp-file + ``os.replace``, and the manifest (which
 names the array file's hash) is written last, so a crash mid-save leaves
@@ -204,16 +206,7 @@ def save_checkpoint(path: str | os.PathLike, daakg: "DAAKG", loop: "ActiveLearni
     directory.mkdir(parents=True, exist_ok=True)
 
     arrays: dict[str, np.ndarray] = {}
-    # The dataset is immutable for the lifetime of a pipeline, but encoding
-    # it dominates checkpoint CPU on large KGs; per-batch autosaves would pay
-    # it over and over, so the encoded arrays are memoized on the pipeline.
-    cached = getattr(daakg, "_dataset_arrays", None)
-    if cached is None or cached[0] is not daakg.dataset:
-        encoded: dict[str, np.ndarray] = {}
-        pair_to_arrays(daakg.dataset, "dataset", encoded)
-        cached = (daakg.dataset, encoded)
-        daakg._dataset_arrays = cached
-    arrays.update(cached[1])
+    pair_to_arrays(daakg.dataset, "dataset", arrays)
     for key, value in daakg.model.state_dict().items():
         arrays[f"model/{key}"] = value
     for key, value in daakg.trainer.optimizer.state_dict().items():
@@ -230,13 +223,6 @@ def save_checkpoint(path: str | os.PathLike, daakg: "DAAKG", loop: "ActiveLearni
     if snapshot is not None:
         for name in _SNAPSHOT_FIELDS:
             arrays[f"snapshot/{name}"] = getattr(snapshot, name)
-    # Similarity state: the top-k tables that are valid for the current
-    # version token.  On restore (which is bit-exact) the tables seed the
-    # engine's cache, so the streamed top-k passes resume for free.
-    engine = daakg.model.similarity
-    if snapshot is not None:
-        for key, value in engine.export_top_k_arrays().items():
-            arrays[f"topk/{key}"] = value
 
     manifest: dict = {
         "format_version": FORMAT_VERSION,
@@ -361,14 +347,7 @@ def restore_pipeline(checkpoint: Checkpoint) -> "DAAKG":
         )
     daakg.model._snapshot_version = int(manifest.get("snapshot_version", 0))
     daakg.model._landmark_version = int(manifest.get("landmark_version", 0))
-    engine = daakg.model.similarity
-    engine.invalidate()
-    # Re-seed the saved top-k tables (restoration is bit-exact, so the
-    # tables describe exactly the restored similarity state).
-    if manifest.get("has_snapshot"):
-        topk = checkpoint.section("topk")
-        if topk:
-            engine.seed_top_k_arrays(topk)
+    daakg.model.similarity.invalidate()
 
     daakg._fitted = bool(manifest.get("fitted", False))
     daakg.training_time.elapsed = float(manifest.get("training_seconds", 0.0))

@@ -113,17 +113,16 @@ class MergedSimilarityState:
     Every query reads :meth:`channels` and :attr:`block_size` and nothing
     else, so the frozen merge built by :meth:`from_contributions` and the
     live :class:`~repro.alignment.similarity.SimilarityEngine` (which
-    subclasses this and overrides only how channels are built and which
-    version token keys its caches) answer through the same code.
+    subclasses this and overrides only how channels are built, cached per
+    version token) answer through the same code.
 
     Queries stream row-block × column-block cosine tiles with per-row running
     top-k merges, so peak memory is ``O(block² + N·k)`` and the ``N × M``
     matrix is never materialised on a query path.  When a matrix fits one
     block, channels that kept their full tile
     (:meth:`~repro.runtime.streaming.CosineChannels.keep_tile`) answer every
-    query by slicing it.  Top-k tables are cached per ``(kind, k)`` under
-    :meth:`_token_for`; a merged state is immutable, so its token never
-    moves and its cache never invalidates.
+    query by slicing it.  No query result is cached: a top-k table is
+    recomputed from the channels on each call.
     """
 
     def __init__(
@@ -135,7 +134,6 @@ class MergedSimilarityState:
             raise ValueError("block_size must be >= 1")
         self._by_kind = dict(channels)
         self.block_size = block_size
-        self._top_k: dict[tuple[ElementKind, int], tuple[tuple[int, ...], TopKTable]] = {}
 
     @classmethod
     def from_contributions(
@@ -159,10 +157,6 @@ class MergedSimilarityState:
     def channels(self, kind: ElementKind) -> CosineChannels:
         """``kind``'s similarity as max-of-factored-cosines."""
         return self._by_kind[kind]
-
-    def _token_for(self, kind: ElementKind) -> tuple[int, ...]:
-        """The version token cached state of ``kind`` is valid for."""
-        return ()
 
     def shape(self, kind: ElementKind) -> tuple[int, int]:
         """The ``(|X1|, |X2|)`` shape of ``kind``'s similarity."""
@@ -190,25 +184,12 @@ class MergedSimilarityState:
 
     # -------------------------------------------------------------- queries
     def top_k_table(self, kind: ElementKind, k: int) -> TopKTable:
-        """Top-``k`` counterpart indices *and values*, both directions, cached."""
-        key = (kind, k)
-        entry = self._top_k.get(key)
-        if entry is None or entry[0] != self._token_for(kind):
-            # reading the channels may lazily refresh the engine's snapshot,
-            # which bumps its token: look the table up again afterwards
-            channels = self.channels(kind)
-            entry = self._top_k.get(key)
-        if entry is not None and entry[0] == self._token_for(kind):
-            obs.counter("similarity.cache.hits", kind=kind.value, cache="top_k").inc()
-            return entry[1]
-        obs.counter("similarity.cache.misses", kind=kind.value, cache="top_k").inc()
-        with obs.span("similarity.top_k.rebuild", kind=kind.value, k=k):
+        """Top-``k`` counterpart indices *and values*, both directions."""
+        channels = self.channels(kind)
+        with obs.span("similarity.top_k", kind=kind.value, k=k):
             left_idx, left_val = stream_topk(channels, k, self.block_size)
             right_idx, right_val = stream_topk(channels.transpose(), k, self.block_size)
-        table = TopKTable(left_idx, left_val, right_idx, right_val)
-        self._top_k[key] = (self._token_for(kind), table)
-        obs.counter("similarity.cache.rebuilds", kind=kind.value, cache="top_k").inc()
-        return table
+        return TopKTable(left_idx, left_val, right_idx, right_val)
 
     def top_k(self, kind: ElementKind, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-``k`` counterpart indices per row and per column of ``kind``.

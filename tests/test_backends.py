@@ -563,30 +563,29 @@ class TestBackendPersistence:
         )
         return DAAKG(small_benchmark, config).fit()
 
-    def test_round_trip_preserves_metrics_and_seeds_topk(self, pipeline, tmp_path):
-        # populate a current-token top-k table so the checkpoint carries it
+    def test_round_trip_recomputes_topk_without_storing_it(self, pipeline, tmp_path):
         table = pipeline.model.similarity.top_k_table(ElementKind.ENTITY, 5)
         before = {k: v.as_dict() for k, v in pipeline.evaluate().items()}
         pipeline.save(tmp_path / "ckpt")
+        with np.load(tmp_path / "ckpt" / "arrays.npz") as npz:
+            assert not any(key.startswith("topk/") for key in npz.files)
 
         from repro import DAAKG
 
         restored = DAAKG.load(tmp_path / "ckpt")
-        # the saved table was re-seeded: identical arrays, no recompute
-        seeded = restored.model.similarity._top_k[(ElementKind.ENTITY, 5)][1]
-        assert np.array_equal(seeded.left_indices, table.left_indices)
-        np.testing.assert_array_equal(seeded.left_values, table.left_values)
+        # restoration is bit-exact, so the recomputed table is the live one
+        again = restored.model.similarity.top_k_table(ElementKind.ENTITY, 5)
+        for name in ("left_indices", "left_values", "right_indices", "right_values"):
+            live, recomputed = getattr(table, name), getattr(again, name)
+            assert live.dtype == recomputed.dtype and live.shape == recomputed.shape
+            assert live.tobytes() == recomputed.tobytes()
         after = {k: v.as_dict() for k, v in restored.evaluate().items()}
         assert before == after
 
-    def test_manifest_carries_topk_without_backend(self, pipeline, tmp_path):
-        # a freshly-computed table is current for the engine's token, so the
-        # checkpoint carries it (fit-time tables are stale by the last step)
-        pipeline.model.similarity.top_k_table(ElementKind.ENTITY, 5)
+    def test_manifest_without_backend(self, pipeline, tmp_path):
         pipeline.save(tmp_path / "ckpt")
         from repro import load_checkpoint
 
         checkpoint = load_checkpoint(tmp_path / "ckpt")
         assert "similarity_backend" not in checkpoint.manifest
         assert checkpoint.manifest["config"]["similarity_backend"] == "sharded"
-        assert any(key.startswith("topk/") for key in checkpoint.arrays)

@@ -21,6 +21,7 @@ from repro.persistence import (
     pair_from_arrays,
     pair_to_arrays,
     restore_loop,
+    restore_pipeline,
     save_checkpoint,
 )
 
@@ -108,6 +109,34 @@ def test_unsupported_format_version_fails(checkpoint_dir, tmp_path):
 # ------------------------------------------------------------------- round trip
 def test_save_load_evaluate_bit_exact(checkpoint_dir, fitted_pipeline):
     restored = DAAKG.load(checkpoint_dir)
+    original_scores = fitted_pipeline.evaluate()
+    restored_scores = restored.evaluate()
+    for kind in original_scores:
+        assert original_scores[kind].as_dict() == restored_scores[kind].as_dict()
+
+
+def test_format_6_topk_section_loads_unchanged(fitted_pipeline, tmp_path):
+    """Format-6 checkpoints written while top-k tables were saved carry a
+    ``topk/`` section; it is ignored, so they restore bit-exactly as before."""
+    import hashlib
+    import io
+
+    older = save_checkpoint(tmp_path / "with_topk", fitted_pipeline)
+    with np.load(older / "arrays.npz") as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    assert not any(key.startswith("topk/") for key in arrays)
+    arrays["topk/entity/5/left_indices"] = np.zeros((fitted_pipeline.kg1.num_entities, 5), np.int64)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    (older / "arrays.npz").write_bytes(buffer.getvalue())
+    manifest = json.loads((older / "manifest.json").read_text())
+    manifest["arrays"]["sha256"] = hashlib.sha256(buffer.getvalue()).hexdigest()
+    manifest["arrays"]["count"] = len(arrays)
+    (older / "manifest.json").write_text(json.dumps(manifest))
+
+    checkpoint = load_checkpoint(older)
+    assert "topk/entity/5/left_indices" in checkpoint.arrays
+    restored = restore_pipeline(checkpoint)
     original_scores = fitted_pipeline.evaluate()
     restored_scores = restored.evaluate()
     for kind in original_scores:
