@@ -7,6 +7,7 @@ PageRank, Uncertainty and an ActiveEA-style structural uncertainty strategy.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -106,16 +107,15 @@ class PageRankStrategy(SelectionStrategy):
     name = "pagerank"
 
     def __init__(self) -> None:
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # held by weak reference: a model's entry dies with it, so a later
+        # model that reuses its id() never reads its scores
+        self._cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def _scores(self, state: SelectionState) -> tuple[np.ndarray, np.ndarray]:
-        key = id(state.model)
-        if key not in self._cache:
-            self._cache[key] = (
-                entity_pagerank(state.model.kg1),
-                entity_pagerank(state.model.kg2),
-            )
-        return self._cache[key]
+        model = state.model
+        if model not in self._cache:
+            self._cache[model] = (entity_pagerank(model.kg1), entity_pagerank(model.kg2))
+        return self._cache[model]
 
     def select(self, state: SelectionState, batch_size: int) -> np.ndarray:
         pr1, pr2 = self._scores(state)

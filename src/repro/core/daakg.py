@@ -32,7 +32,7 @@ from repro.embedding import CompGCN, EntityClassScorer, create_embedding_model
 from repro.embedding.trainer import KGEmbeddingTrainer
 from repro.inference.alignment_graph import AlignmentGraph, graph_from_pool
 from repro.inference.power import InferencePowerEstimator
-from repro.kg.elements import ElementKind, Triple
+from repro.kg.elements import ElementKind
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pair import AlignedKGPair
 from repro.utils.logging import get_logger
@@ -49,21 +49,20 @@ def _classes_as_entities(kg: KnowledgeGraph) -> tuple[KnowledgeGraph, np.ndarray
     entity per class and one extra relation; the returned array maps each class
     index to its pseudo-entity index in the new KG.
     """
-    class_entities = [f"__class__:{c}" for c in kg.classes]
-    triples = list(kg.triples) + [
-        Triple(tt.entity, "__type__", f"__class__:{tt.cls}") for tt in kg.type_triples
-    ]
-    new_kg = KnowledgeGraph(
-        name=kg.name,
-        entities=list(kg.entities) + class_entities,
-        relations=list(kg.relations) + ["__type__"],
-        classes=list(kg.classes),
-        triples=triples,
-        type_triples=list(kg.type_triples),
+    n, types = kg.num_entities, kg.type_array
+    type_edges = np.stack(
+        [types[:, 0], np.full(len(types), kg.num_relations, dtype=np.int64), types[:, 1] + n],
+        axis=1,
     )
-    class_entity_map = np.array(
-        [new_kg.entity_id(f"__class__:{c}") for c in kg.classes], dtype=np.int64
+    new_kg = KnowledgeGraph.from_arrays(
+        kg.name,
+        list(kg.entities) + [f"__class__:{c}" for c in kg.classes],
+        list(kg.relations) + ["__type__"],
+        list(kg.classes),
+        np.concatenate([kg.triple_array, type_edges]),
+        types,
     )
+    class_entity_map = np.arange(n, n + kg.num_classes, dtype=np.int64)
     return new_kg, class_entity_map
 
 

@@ -6,6 +6,16 @@ and type triples between entities and classes).  The class keeps dense integer
 indexes for all three vocabularies, because every downstream component
 (embedding models, alignment graph, pool generation) works on index arrays.
 
+**Store.**  The triple stores are two ``int64`` index arrays:
+:attr:`triple_array` (``head, relation, tail`` rows) and :attr:`type_array`
+(``entity, class`` rows).  A KG is built either from names (the public
+constructor and :meth:`from_triples`) or straight from those arrays
+(:meth:`from_arrays`, which every derivation — inverse relations, subgraphs,
+checkpoint decoding, delta application — goes through).  :attr:`triples` and
+:attr:`type_triples` are read views: lists of :class:`Triple` /
+:class:`TypeTriple` objects in array row order, built on first read for an
+array-built KG.
+
 **Indexes.**  Each KG builds, once at construction, five CSR indexes as
 ``(ptr, order)`` pairs from :func:`csr_index`: rows of :attr:`triple_array` by
 head (``out_ptr``/``out_order``), by tail (``in_ptr``/``in_order``) and by
@@ -20,7 +30,7 @@ id outside the vocabulary reads as empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,7 +57,19 @@ def _frozen_index(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return ptr, order
 
 
-@dataclass
+def _rows_of(array, width: int, what: str) -> np.ndarray:
+    """``array`` as an owned ``(n, width)`` int64 array, or :class:`KGError`."""
+    array = np.asarray(array)
+    if array.ndim != 2 or array.shape[1] != width or (array.size and array.dtype.kind not in "iu"):
+        raise KGError(f"{what} must be an integer array of shape (n, {width}), got {array.shape}")
+    return np.array(array, dtype=np.int64)
+
+
+def _check_range(column: np.ndarray, size: int, what: str) -> None:
+    if column.size and (column.min() < 0 or column.max() >= size):
+        raise KGError(f"{what} index out of range [0, {size})")
+
+
 class KnowledgeGraph:
     """An in-memory knowledge graph with integer indexing.
 
@@ -63,64 +85,114 @@ class KnowledgeGraph:
         Type triples ``(entity, class)``.
     """
 
-    name: str
-    entities: list[str] = field(default_factory=list)
-    relations: list[str] = field(default_factory=list)
-    classes: list[str] = field(default_factory=list)
-    triples: list[Triple] = field(default_factory=list)
-    type_triples: list[TypeTriple] = field(default_factory=list)
+    __hash__ = None  # mutable vocabularies, compared by value
 
-    def __post_init__(self) -> None:
-        self._validate_unique("entities", self.entities)
-        self._validate_unique("relations", self.relations)
-        self._validate_unique("classes", self.classes)
-        self.entity_index: dict[str, int] = {e: i for i, e in enumerate(self.entities)}
-        self.relation_index: dict[str, int] = {r: i for i, r in enumerate(self.relations)}
-        self.class_index: dict[str, int] = {c: i for i, c in enumerate(self.classes)}
+    def __init__(
+        self,
+        name: str,
+        entities: list[str] | None = None,
+        relations: list[str] | None = None,
+        classes: list[str] | None = None,
+        triples: list[Triple] | None = None,
+        type_triples: list[TypeTriple] | None = None,
+    ) -> None:
+        self._set_vocabularies(name, entities, relations, classes)
+        self._triples = [] if triples is None else triples
+        self._type_triples = [] if type_triples is None else type_triples
         self._check_triples()
-        self._build_adjacency()
+        entity, relation, cls = self.entity_index, self.relation_index, self.class_index
+        triples, types = self._triples, self._type_triples
+        # index arrays built column by column and copied to row-major
+        self._set_arrays(
+            np.array(
+                [
+                    [entity[t.head] for t in triples],
+                    [relation[t.relation] for t in triples],
+                    [entity[t.tail] for t in triples],
+                ],
+                dtype=np.int64,
+            ).T.copy(),
+            np.array(
+                [[entity[tt.entity] for tt in types], [cls[tt.cls] for tt in types]],
+                dtype=np.int64,
+            ).T.copy(),
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        name: str,
+        entities: list[str],
+        relations: list[str],
+        classes: list[str],
+        triple_array: np.ndarray,
+        type_array: np.ndarray,
+    ) -> "KnowledgeGraph":
+        """Build a KG from its vocabularies and index arrays, no objects.
+
+        ``triple_array`` holds ``(head, relation, tail)`` index rows and
+        ``type_array`` ``(entity, class)`` rows; both are copied.  Raises
+        :class:`KGError` for a duplicate vocabulary entry, a wrong shape or
+        an index outside its vocabulary.  :attr:`triples` and
+        :attr:`type_triples` are built from the arrays on first read.
+        """
+        kg = cls.__new__(cls)
+        kg._set_vocabularies(name, entities, relations, classes)
+        triple_array = _rows_of(triple_array, 3, "triple_array")
+        type_array = _rows_of(type_array, 2, "type_array")
+        _check_range(triple_array[:, [0, 2]], kg.num_entities, "triple entity")
+        _check_range(triple_array[:, 1], kg.num_relations, "triple relation")
+        _check_range(type_array[:, 0], kg.num_entities, "type triple entity")
+        _check_range(type_array[:, 1], kg.num_classes, "type triple class")
+        kg._triples = kg._type_triples = None
+        kg._set_arrays(triple_array, type_array)
+        return kg
 
     # ------------------------------------------------------------------ setup
+    def _set_vocabularies(
+        self,
+        name: str,
+        entities: list[str] | None,
+        relations: list[str] | None,
+        classes: list[str] | None,
+    ) -> None:
+        self.name = name
+        self.entities = [] if entities is None else entities
+        self.relations = [] if relations is None else relations
+        self.classes = [] if classes is None else classes
+        self.entity_index: dict[str, int] = self._index_of("entities", self.entities)
+        self.relation_index: dict[str, int] = self._index_of("relations", self.relations)
+        self.class_index: dict[str, int] = self._index_of("classes", self.classes)
+
     @staticmethod
-    def _validate_unique(kind: str, values: Sequence[str]) -> None:
-        if len(values) != len(set(values)):
+    def _index_of(kind: str, values: Sequence[str]) -> dict[str, int]:
+        index = {value: i for i, value in enumerate(values)}
+        if len(index) != len(values):
             raise KGError(f"duplicate {kind} in KG vocabulary")
+        return index
 
     def _check_triples(self) -> None:
-        for t in self.triples:
+        for t in self._triples:
             if t.head not in self.entity_index or t.tail not in self.entity_index:
                 raise KGError(f"triple references unknown entity: {t}")
             if t.relation not in self.relation_index:
                 raise KGError(f"triple references unknown relation: {t}")
-        for tt in self.type_triples:
+        for tt in self._type_triples:
             if tt.entity not in self.entity_index:
                 raise KGError(f"type triple references unknown entity: {tt}")
             if tt.cls not in self.class_index:
                 raise KGError(f"type triple references unknown class: {tt}")
 
-    def _build_adjacency(self) -> None:
-        entity, relation, cls = self.entity_index, self.relation_index, self.class_index
-        triples, types = self.triples, self.type_triples
-        # index arrays of shape (n_triples, 3): head idx, relation idx, tail idx,
-        # built column by column and copied to row-major
-        self.triple_array = np.array(
-            [
-                [entity[t.head] for t in triples],
-                [relation[t.relation] for t in triples],
-                [entity[t.tail] for t in triples],
-            ],
-            dtype=np.int64,
-        ).T.copy()
-        self.type_array = np.array(
-            [[entity[tt.entity] for tt in types], [cls[tt.cls] for tt in types]], dtype=np.int64
-        ).T.copy()
+    def _set_arrays(self, triple_array: np.ndarray, type_array: np.ndarray) -> None:
+        self.triple_array = triple_array
+        self.type_array = type_array
         n = self.num_entities
-        heads, relations, tails = self.triple_array.T
+        heads, relations, tails = triple_array.T
         self.out_ptr, self.out_order = _frozen_index(heads, n)
         self.in_ptr, self.in_order = _frozen_index(tails, n)
         self.relation_ptr, self.relation_order = _frozen_index(relations, self.num_relations)
-        self.type_ptr, self.type_order = _frozen_index(self.type_array[:, 0], n)
-        self.member_ptr, self.member_order = _frozen_index(self.type_array[:, 1], self.num_classes)
+        self.type_ptr, self.type_order = _frozen_index(type_array[:, 0], n)
+        self.member_ptr, self.member_order = _frozen_index(type_array[:, 1], self.num_classes)
 
     @staticmethod
     def _rows(ptr: np.ndarray, order: np.ndarray, key: int) -> np.ndarray:
@@ -128,6 +200,35 @@ class KnowledgeGraph:
         if not 0 <= key < len(ptr) - 1:
             return order[:0]
         return order[ptr[key] : ptr[key + 1]]
+
+    # ------------------------------------------------------------ read views
+    @property
+    def triples(self) -> list[Triple]:
+        """Relation triples as objects, in :attr:`triple_array` row order."""
+        if self._triples is None:
+            e, r = self.entities, self.relations
+            self._triples = [Triple(e[h], r[rel], e[t]) for h, rel, t in self.triple_array.tolist()]
+        return self._triples
+
+    @property
+    def type_triples(self) -> list[TypeTriple]:
+        """Type triples as objects, in :attr:`type_array` row order."""
+        if self._type_triples is None:
+            e, c = self.entities, self.classes
+            self._type_triples = [TypeTriple(e[i], c[k]) for i, k in self.type_array.tolist()]
+        return self._type_triples
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KnowledgeGraph):
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.entities == other.entities
+            and self.relations == other.relations
+            and self.classes == other.classes
+            and np.array_equal(self.triple_array, other.triple_array)
+            and np.array_equal(self.type_array, other.type_array)
+        )
 
     # --------------------------------------------------------------- counting
     @property
@@ -144,11 +245,11 @@ class KnowledgeGraph:
 
     @property
     def num_triples(self) -> int:
-        return len(self.triples)
+        return len(self.triple_array)
 
     @property
     def num_type_triples(self) -> int:
-        return len(self.type_triples)
+        return len(self.type_array)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -248,16 +349,15 @@ class KnowledgeGraph:
         keys = (tails * width + inverse_of[relations]) * n + heads
         existing = (triples[:, 0] * width + triples[:, 1]) * n + triples[:, 2]
         first = np.sort(np.unique(keys, return_index=True)[1])
-        added = rows[first[~np.isin(keys[first], existing)]].tolist()
-        new_triples = list(self.triples)
-        new_triples.extend(self.triples[i].reversed(INVERSE_SUFFIX) for i in added)
-        return KnowledgeGraph(
-            name=self.name,
-            entities=list(self.entities),
-            relations=new_relations,
-            classes=list(self.classes),
-            triples=new_triples,
-            type_triples=list(self.type_triples),
+        added = triples[rows[first[~np.isin(keys[first], existing)]]]
+        reverse = np.stack([added[:, 2], inverse_of[added[:, 1]], added[:, 0]], axis=1)
+        return KnowledgeGraph.from_arrays(
+            self.name,
+            list(self.entities),
+            new_relations,
+            list(self.classes),
+            np.concatenate([triples, reverse]),
+            self.type_array,
         )
 
     def subgraph_of_entities(self, keep: Iterable[str]) -> "KnowledgeGraph":
@@ -271,17 +371,26 @@ class KnowledgeGraph:
         unknown = keep_set - set(self.entities)
         if unknown:
             raise KGError(f"cannot keep unknown entities: {sorted(unknown)[:5]}")
-        triples = [t for t in self.triples if t.head in keep_set and t.tail in keep_set]
-        type_triples = [tt for tt in self.type_triples if tt.entity in keep_set]
-        used_relations = {t.relation for t in triples}
-        used_classes = {tt.cls for tt in type_triples}
-        return KnowledgeGraph(
-            name=self.name,
-            entities=[e for e in self.entities if e in keep_set],
-            relations=[r for r in self.relations if r in used_relations],
-            classes=[c for c in self.classes if c in used_classes],
-            triples=triples,
-            type_triples=type_triples,
+        kept = np.zeros(self.num_entities, dtype=bool)
+        kept[[self.entity_index[e] for e in keep_set]] = True
+        triples = self.triple_array[kept[self.triple_array[:, 0]] & kept[self.triple_array[:, 2]]]
+        types = self.type_array[kept[self.type_array[:, 0]]]
+        used_relations = np.bincount(triples[:, 1], minlength=self.num_relations) > 0
+        used_classes = np.bincount(types[:, 1], minlength=self.num_classes) > 0
+        # surviving elements keep their vocabulary order, so a running count renumbers them
+        entity_id, relation_id, class_id = (
+            np.cumsum(used) - 1 for used in (kept, used_relations, used_classes)
+        )
+        return KnowledgeGraph.from_arrays(
+            self.name,
+            list(compress(self.entities, kept.tolist())),
+            list(compress(self.relations, used_relations.tolist())),
+            list(compress(self.classes, used_classes.tolist())),
+            np.stack(
+                [entity_id[triples[:, 0]], relation_id[triples[:, 1]], entity_id[triples[:, 2]]],
+                axis=1,
+            ),
+            np.stack([entity_id[types[:, 0]], class_id[types[:, 1]]], axis=1),
         )
 
     def relation_name(self, idx: int) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kg.elements import ElementKind, Triple, TypeTriple
+from repro.kg.elements import ElementKind
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pair import AlignedKGPair, GoldAlignment
 
@@ -47,23 +47,13 @@ def kg_to_arrays(kg: KnowledgeGraph, prefix: str, arrays: dict[str, np.ndarray])
 
 def kg_from_arrays(prefix: str, arrays: dict[str, np.ndarray]) -> KnowledgeGraph:
     """Rebuild a KG flattened by :func:`kg_to_arrays` (vocab order preserved)."""
-    entities = [str(e) for e in arrays[f"{prefix}/entities"]]
-    relations = [str(r) for r in arrays[f"{prefix}/relations"]]
-    classes = [str(c) for c in arrays[f"{prefix}/classes"]]
-    triples = [
-        Triple(entities[h], relations[r], entities[t])
-        for h, r, t in arrays[f"{prefix}/triples"]
-    ]
-    type_triples = [
-        TypeTriple(entities[e], classes[c]) for e, c in arrays[f"{prefix}/type_triples"]
-    ]
-    return KnowledgeGraph(
+    return KnowledgeGraph.from_arrays(
         name=str(arrays[f"{prefix}/name"]),
-        entities=entities,
-        relations=relations,
-        classes=classes,
-        triples=triples,
-        type_triples=type_triples,
+        entities=arrays[f"{prefix}/entities"].tolist(),
+        relations=arrays[f"{prefix}/relations"].tolist(),
+        classes=arrays[f"{prefix}/classes"].tolist(),
+        triple_array=arrays[f"{prefix}/triples"],
+        type_array=arrays[f"{prefix}/type_triples"],
     )
 
 

@@ -22,7 +22,7 @@ This module hosts the kernels every similarity query runs on:
 * :func:`stream_row_col_max` — streamed per-row and per-column maxima from
   one tile sweep (exact: ``max`` is order-independent).
 * :func:`mutual_top_n` — the pool's mutual top-N filter from two streamed
-  top-N passes plus a vectorised membership check; peak memory is
+  top-N passes plus one sorted intersection of their pair keys; peak memory is
   ``O(block² + (N + M)·n)``, never two ``N × M`` boolean masks.
 
 Tie-breaking: selected candidates are always ordered canonically (*value
@@ -402,8 +402,9 @@ def mutual_top_n(
 
     A pair ``(i, j)`` survives when ``j`` is among row ``i``'s top-``n``
     columns *and* ``i`` is among column ``j``'s top-``n`` rows — the pool
-    filter of Sect. 6.1 — computed from two streamed top-``n`` passes and a
-    ``searchsorted`` membership check instead of two ``N × M`` boolean masks.
+    filter of Sect. 6.1 — computed from two streamed top-``n`` passes and one
+    sorted intersection of their pair keys instead of two ``N × M`` boolean
+    masks.
     Returns ``(lefts, rights)`` sorted row-major like ``np.nonzero``.
     """
     if left_factors.shape[0] == 0 or right_factors.shape[0] == 0 or n < 1:
@@ -412,18 +413,14 @@ def mutual_top_n(
     channels = CosineChannels([ChannelPair.from_raw(left_factors, right_factors)]).keep_tile(block)
     top_left, _ = stream_topk(channels, n, block)
     top_right, _ = stream_topk(channels.transpose(), n, block)
-    # membership: is i among column j's top rows?  Sort each top_right row
-    # once, then binary-search every candidate, in bounded blocks.
-    sorted_right = np.sort(top_right, axis=1)
-    width = sorted_right.shape[1]
-    num_left = left_factors.shape[0]
-    lefts = np.repeat(np.arange(num_left, dtype=np.int64), top_left.shape[1])
-    rights = top_left.reshape(-1)
-    member = np.empty(rights.shape[0], dtype=bool)
-    for cb in _as_blocks(rights.shape[0], max(block * block // max(width, 1), 1)):
-        rows = sorted_right[rights[cb]]  # (b, width), sorted ascending
-        idx = np.clip(np.sum(rows < lefts[cb, None], axis=1), 0, width - 1)
-        member[cb] = rows[np.arange(rows.shape[0]), idx] == lefts[cb]
-    lefts, rights = lefts[member], rights[member]
-    order = np.lexsort((rights, lefts))
-    return lefts[order], rights[order]
+    # key (i, j) as i * M + j on both sides; each side's keys are unique, and
+    # their sorted intersection is the mutual pairs in row-major order
+    num_right = right_factors.shape[0]
+    rows = np.arange(left_factors.shape[0], dtype=np.int64)[:, None]
+    columns = np.arange(num_right, dtype=np.int64)[:, None]
+    mutual = np.intersect1d(
+        (rows * num_right + top_left).reshape(-1),
+        (top_right * num_right + columns).reshape(-1),
+        assume_unique=True,
+    )
+    return mutual // num_right, mutual % num_right

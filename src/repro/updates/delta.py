@@ -28,7 +28,9 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.kg.elements import ElementKind, Triple
+import numpy as np
+
+from repro.kg.elements import ElementKind
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pair import AlignedKGPair, GoldAlignment
 
@@ -152,36 +154,57 @@ def _apply_kg_delta(
     for entity in added_entities:
         if entity in kg.entity_index:
             raise DeltaError(f"added entity {entity!r} already exists in KG{side}")
-    known = set(kg.entities)
-    known.update(added_entities)
-    existing = {t.as_tuple() for t in kg.triples}
-    removed = set(removed_triples)
-    for triple in removed_triples:
-        if triple not in existing:
-            raise DeltaError(f"removed triple {triple!r} does not exist in KG{side}")
+    entities = list(kg.entities) + list(added_entities)
+    entity_id = {name: i for i, name in enumerate(entities)}
     relations = list(kg.relations)
-    seen_relations = set(relations)
-    for head, relation, tail in added_triples:
-        if head not in known or tail not in known:
-            missing = head if head not in known else tail
+    relation_id = dict(kg.relation_index)
+    for _, relation, _ in added_triples:
+        if relation not in relation_id:
+            relation_id[relation] = len(relations)
+            relations.append(relation)
+    width, size = len(relations), len(entities)
+
+    def rows(triples: tuple[tuple[str, str, str], ...]) -> np.ndarray:
+        """Index rows of named triples; -1 marks a name outside the vocabulary."""
+        ids = [
+            (entity_id.get(head, -1), relation_id.get(relation, -1), entity_id.get(tail, -1))
+            for head, relation, tail in triples
+        ]
+        return np.array(ids, dtype=np.int64).reshape(-1, 3)
+
+    def keys(index_rows: np.ndarray) -> np.ndarray:
+        # exact in int64 while entities² × relations < 2⁶³
+        heads, relation_ids, tails = index_rows.T
+        return (heads * width + relation_ids) * size + tails
+
+    existing = keys(kg.triple_array)
+
+    def present(index_rows: np.ndarray) -> list[bool]:
+        known = (index_rows >= 0).all(axis=1)
+        return (np.isin(keys(index_rows), existing) & known).tolist()
+
+    removed = rows(removed_triples)
+    for triple, found in zip(removed_triples, present(removed)):
+        if not found:
+            raise DeltaError(f"removed triple {triple!r} does not exist in KG{side}")
+    added = rows(added_triples)
+    for (head, relation, tail), found in zip(added_triples, present(added)):
+        if head not in entity_id or tail not in entity_id:
+            missing = head if head not in entity_id else tail
             raise DeltaError(
                 f"added triple ({head!r}, {relation!r}, {tail!r}) references "
                 f"unknown KG{side} entity {missing!r}"
             )
-        if (head, relation, tail) in existing:
+        if found:
             raise DeltaError(f"added triple ({head!r}, {relation!r}, {tail!r}) already present")
-        if relation not in seen_relations:
-            seen_relations.add(relation)
-            relations.append(relation)
-    triples = [t for t in kg.triples if t.as_tuple() not in removed]
-    triples.extend(Triple(head, relation, tail) for head, relation, tail in added_triples)
-    return KnowledgeGraph(
-        name=kg.name,
-        entities=list(kg.entities) + list(added_entities),
-        relations=relations,
-        classes=list(kg.classes),
-        triples=triples,
-        type_triples=list(kg.type_triples),
+    kept = kg.triple_array[~np.isin(existing, keys(removed))]
+    return KnowledgeGraph.from_arrays(
+        kg.name,
+        entities,
+        relations,
+        list(kg.classes),
+        np.concatenate([kept, added]),
+        kg.type_array,
     )
 
 

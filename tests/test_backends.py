@@ -191,6 +191,46 @@ class TestStreamingKernels:
         lefts, rights = mutual_top_n(a, b, 99, block=3)
         assert lefts.size == 24 and rights.size == 24
 
+    @pytest.mark.parametrize(
+        "rows, cols, n, block, ties",
+        [
+            (7, 20, 9, 5, False),  # n >= rows
+            (25, 6, 8, 4, False),  # n >= cols
+            (6, 4, 99, 3, False),  # n beyond both sides: every pair
+            (40, 33, 5, 9, True),  # heavy exact ties, including zero-norm rows
+            (40, 33, 12, 64, True),
+            (9, 30, 10, 4, True),
+            (0, 5, 3, 4, False),  # empty sides
+            (5, 0, 3, 4, False),
+            (5, 4, 0, 4, False),
+        ],
+    )
+    def test_mutual_top_n_matches_the_dense_mask_oracle(self, rows, cols, n, block, ties):
+        rng = np.random.default_rng(rows * 100 + cols + n)
+        if ties:
+            # three-valued factors repeat rows, so many cosines tie exactly
+            a = rng.integers(-1, 2, size=(rows, 3)).astype(float)
+            b = rng.integers(-1, 2, size=(cols, 3)).astype(float)
+        else:
+            a, b = rng.normal(size=(rows, 4)), rng.normal(size=(cols, 4))
+        lefts, rights = mutual_top_n(a, b, n, block=block)
+        assert lefts.dtype == rights.dtype == np.int64
+        if rows == 0 or cols == 0 or n < 1:
+            assert lefts.size == rights.size == 0
+            return
+        # the oracle marks the same top-n lists in two dense masks
+        channels = CosineChannels([ChannelPair.from_raw(a, b)]).keep_tile(block)
+        top_left, _ = stream_topk(channels, n, block)
+        top_right, _ = stream_topk(channels.transpose(), n, block)
+        in_left = np.zeros((rows, cols), dtype=bool)
+        in_left[np.arange(rows)[:, None], top_left] = True
+        in_right = np.zeros((rows, cols), dtype=bool)
+        in_right[top_right, np.arange(cols)[:, None]] = True
+        er, ec = np.nonzero(in_left & in_right)
+        assert np.array_equal(lefts, er) and np.array_equal(rights, ec)
+        if n >= max(rows, cols):
+            assert lefts.size == rows * cols
+
 
 # ---------------------------------------------------------- zero-norm guard
 class TestZeroNormGuard:

@@ -1,5 +1,7 @@
 """Tests for inference power measurement and batch active learning."""
 
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -557,6 +559,45 @@ class TestStrategies:
         assert len(batch) == 7
         assert len(set(batch)) == 7
         assert set(batch) <= set(candidates.tolist())
+
+    def test_pagerank_cache_does_not_outlive_its_model(self, small_benchmark):
+        """Scores are cached per live model: a dead model's entry goes with it,
+        so the cache pins nothing and a later model that reuses its ``id()``
+        gets its own scores."""
+        from repro.active.strategies import PageRankStrategy, SelectionState
+        from repro.kg.statistics import entity_pagerank
+
+        class Model:
+            __slots__ = ("kg1", "kg2", "__weakref__")
+
+            def __init__(self, kg1, kg2):
+                self.kg1, self.kg2 = kg1, kg2
+
+        def scores(strategy, model):
+            state = SelectionState(
+                pool=None, candidates=np.arange(0), probabilities=np.zeros(0), model=model
+            )
+            return strategy._scores(state)
+
+        strategy = PageRankStrategy()
+        kg1, kg2 = small_benchmark.kg1, small_benchmark.kg2
+        model = Model(kg1, kg2)
+        first = scores(strategy, model)
+        assert scores(strategy, model) is first  # a live model hits its entry
+        dead_id, alive = id(model), weakref.ref(model)
+        del model
+        gc.collect()
+        assert alive() is None and len(strategy._cache) == 0  # nothing pinned
+        # models over swapped KGs, kept alive, until one lands on the dead id
+        others, reused = [], None
+        while reused is None and len(others) < 200_000:
+            others.append(Model(kg2, kg1))
+            if id(others[-1]) == dead_id:
+                reused = others[-1]
+        assert reused is not None, "no later model reused the dead model's id"
+        pr1, pr2 = scores(strategy, reused)
+        assert np.array_equal(pr1, entity_pagerank(kg2))
+        assert np.array_equal(pr2, entity_pagerank(kg1))
 
 
     def test_entropy_scores_equal_the_scalar_formula(self, fitted_pipeline):

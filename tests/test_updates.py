@@ -37,6 +37,7 @@ from repro.datasets import make_large_world_pair
 from repro.embedding.trainer import EmbeddingTrainingConfig
 from repro.inference.power import InferencePowerConfig
 from repro.kg.elements import ElementKind
+from repro.kg.graph import KnowledgeGraph
 from repro.kg.pair import SplitRatios
 from repro.kg.partition import partition_pair
 from repro.persistence.checkpoint import load_checkpoint, save_checkpoint
@@ -246,6 +247,41 @@ def test_apply_update_retrains_exactly_touched_piece(trained_campaign):
     # empty deltas are a no-op
     empty = campaign.apply_update(KGDelta.empty())
     assert empty.touched == () and empty.result is None
+
+
+def held_kgs(root) -> list[KnowledgeGraph]:
+    """Every KG reachable from ``root`` through repro objects and containers."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (str, bytes, int, float, np.ndarray)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, KnowledgeGraph):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro."):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+    return found
+
+
+def test_apply_update_keeps_kgs_array_only():
+    """The update path derives every KG from index arrays: after an update no
+    KG the campaign or its pieces hold has built its ``Triple`` objects."""
+    campaign = make_campaign()
+    campaign.run()
+    anchor_1 = campaign.partition.pieces[1].pair.kg1.entities[0]
+    anchor_2 = campaign.partition.pieces[1].pair.kg2.entities[0]
+    campaign.apply_update(growth_delta(campaign.dataset, anchor_1, anchor_2))
+    kgs = held_kgs(campaign)
+    # both datasets, both pieces, and the touched and untouched pipelines
+    assert len(kgs) >= 12
+    assert campaign.dataset.kg1 in kgs and "lw1:new" in campaign.dataset.kg1.entity_index
+    for kg in kgs:
+        assert kg._triples is None and kg._type_triples is None, kg
 
 
 def test_resumed_incremental_campaign_byte_identical(tmp_path):
