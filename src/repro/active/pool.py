@@ -152,8 +152,8 @@ def build_pool(model: JointAlignmentModel, config: PoolConfig | None = None) -> 
 
     Schema-evidence weights (Eq. 25) are per-row / per-column similarity
     maxima read through the engine, and the mutual top-N entity filter on
-    the schema signatures is two streamed top-N passes plus a
-    ``searchsorted`` membership check
+    the schema signatures is two streamed top-N passes plus one sorted
+    intersection of their ``row * M + column`` pair keys
     (:func:`~repro.runtime.streaming.mutual_top_n`), so pool construction
     never materialises an ``N × M`` array.
     """

@@ -12,12 +12,13 @@ Gold matches are the world elements that survive in both views.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.datasets.world import WorldKG
-from repro.kg.elements import ElementKind, Triple, TypeTriple
+from repro.kg.elements import ElementKind
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pair import AlignedKGPair, GoldAlignment
 from repro.utils.rng import RandomState, ensure_rng
@@ -49,13 +50,14 @@ class ViewConfig:
                 raise ValueError(f"{field_name} must be in (0, 1], got {value}")
 
 
-def _keep_subset(items: list[str], fraction: float, rng: np.random.Generator) -> list[str]:
-    n_keep = max(1, int(round(fraction * len(items))))
-    if n_keep >= len(items):
-        return list(items)
-    chosen = rng.choice(len(items), size=n_keep, replace=False)
-    chosen_set = {int(i) for i in chosen}
-    return [item for i, item in enumerate(items) if i in chosen_set]
+def _keep_mask(n: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
+    """A mask keeping ``round(fraction * n)`` (at least one) of ``n`` items."""
+    n_keep = max(1, int(round(fraction * n)))
+    if n_keep >= n:
+        return np.ones(n, dtype=bool)
+    keep = np.zeros(n, dtype=bool)
+    keep[rng.choice(n, size=n_keep, replace=False)] = True
+    return keep
 
 
 def derive_view(
@@ -69,12 +71,19 @@ def derive_view(
     rng = ensure_rng(seed)
     kg = world.kg
 
-    kept_entities = _keep_subset(kg.entities, config.entity_keep_fraction, rng)
-    kept_relations = _keep_subset(kg.relations, config.relation_keep_fraction, rng)
-    kept_classes = _keep_subset(kg.classes, config.class_keep_fraction, rng)
-    kept_entity_set = set(kept_entities)
-    kept_relation_set = set(kept_relations)
-    kept_class_set = set(kept_classes)
+    kept_entities = _keep_mask(kg.num_entities, config.entity_keep_fraction, rng)
+    kept_relations = _keep_mask(kg.num_relations, config.relation_keep_fraction, rng)
+    kept_classes = _keep_mask(kg.num_classes, config.class_keep_fraction, rng)
+
+    # One keep coin per candidate row, drawn in row order.
+    triples = kg.triple_array
+    triples = triples[
+        kept_entities[triples[:, 0]] & kept_relations[triples[:, 1]] & kept_entities[triples[:, 2]]
+    ]
+    triples = triples[rng.random(len(triples)) <= config.triple_keep_fraction]
+    types = kg.type_array
+    types = types[kept_entities[types[:, 0]] & kept_classes[types[:, 1]]]
+    types = types[rng.random(len(types)) <= config.type_keep_fraction]
 
     def local_name(world_name: str) -> str:
         """The view-local identifier of a world element.
@@ -84,57 +93,42 @@ def derive_view(
         view, so purely lexical matchers get no signal, as in the paper.
         """
         if config.obfuscate_names:
-            import hashlib
-
-            digest = hashlib.md5(f"{config.prefix}:{world_name}".encode()).hexdigest()[:10]
-            return digest
+            return hashlib.md5(f"{config.prefix}:{world_name}".encode()).hexdigest()[:10]
         return world_name
 
-    def ent_name(world_name: str) -> str:
-        if not config.rename_entities:
-            return world_name
+    def view_name(world_name: str) -> str:
         return f"{config.prefix}:{local_name(world_name)}"
 
-    entity_map = {e: ent_name(e) for e in kept_entities}
-    relation_map = {r: f"{config.prefix}:{local_name(r)}" for r in kept_relations}
-    class_map = {c: f"{config.prefix}:{local_name(c)}" for c in kept_classes}
-
-    triples: list[Triple] = []
-    for t in kg.triples:
-        if t.head not in kept_entity_set or t.tail not in kept_entity_set:
-            continue
-        if t.relation not in kept_relation_set:
-            continue
-        if rng.random() > config.triple_keep_fraction:
-            continue
-        triples.append(Triple(entity_map[t.head], relation_map[t.relation], entity_map[t.tail]))
-
-    type_triples: list[TypeTriple] = []
-    for tt in kg.type_triples:
-        if tt.entity not in kept_entity_set or tt.cls not in kept_class_set:
-            continue
-        if rng.random() > config.type_keep_fraction:
-            continue
-        type_triples.append(TypeTriple(entity_map[tt.entity], class_map[tt.cls]))
+    def ent_name(world_name: str) -> str:
+        return view_name(world_name) if config.rename_entities else world_name
 
     # Drop elements that end up unused (mirrors how OpenEA samples are built:
     # the vocabularies are exactly what the triples mention).
-    used_entities = {t.head for t in triples} | {t.tail for t in triples}
-    used_entities |= {tt.entity for tt in type_triples}
-    used_relations = {t.relation for t in triples}
-    used_classes = {tt.cls for tt in type_triples}
+    def used(size: int, *columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """World ids in use, ascending, and the world-to-view id map."""
+        mask = np.zeros(size, dtype=bool)
+        for column in columns:
+            mask[column] = True
+        return np.flatnonzero(mask), np.cumsum(mask) - 1
 
-    view_kg = KnowledgeGraph(
-        name=config.prefix,
-        entities=[entity_map[e] for e in kept_entities if entity_map[e] in used_entities],
-        relations=[relation_map[r] for r in kept_relations if relation_map[r] in used_relations],
-        classes=[class_map[c] for c in kept_classes if class_map[c] in used_classes],
-        triples=triples,
-        type_triples=type_triples,
+    entity_ids, entity_view = used(kg.num_entities, triples[:, 0], triples[:, 2], types[:, 0])
+    relation_ids, relation_view = used(kg.num_relations, triples[:, 1])
+    class_ids, class_view = used(kg.num_classes, types[:, 1])
+    entity_map = {kg.entities[i]: ent_name(kg.entities[i]) for i in entity_ids}
+    relation_map = {kg.relations[i]: view_name(kg.relations[i]) for i in relation_ids}
+    class_map = {kg.classes[i]: view_name(kg.classes[i]) for i in class_ids}
+
+    view_kg = KnowledgeGraph.from_arrays(
+        config.prefix,
+        list(entity_map.values()),
+        list(relation_map.values()),
+        list(class_map.values()),
+        np.stack(
+            [entity_view[triples[:, 0]], relation_view[triples[:, 1]], entity_view[triples[:, 2]]],
+            axis=1,
+        ),
+        np.stack([entity_view[types[:, 0]], class_view[types[:, 1]]], axis=1),
     )
-    entity_map = {w: v for w, v in entity_map.items() if v in used_entities}
-    relation_map = {w: v for w, v in relation_map.items() if v in used_relations}
-    class_map = {w: v for w, v in class_map.items() if v in used_classes}
     return view_kg, entity_map, relation_map, class_map
 
 

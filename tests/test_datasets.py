@@ -53,6 +53,9 @@ class TestWorld:
             WorldConfig(num_entities=0)
         with pytest.raises(ValueError):
             WorldConfig(functional_relation_fraction=2.0)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_classes_per_entity"):
+                WorldConfig(max_classes_per_entity=bad)
 
 
 class TestViews:
