@@ -51,14 +51,14 @@ def test_fig7_partitioning(benchmark):
     ])
     candidates = np.arange(len(pool))
     selection_config = GreedySelectionConfig(
-        batch_size=BATCH_SIZE, power_threshold=estimator.config.power_threshold, candidate_limit=500
+        power_threshold=estimator.config.power_threshold, candidate_limit=500
     )
 
     def run() -> list[dict]:
         entries = []
         start = time.perf_counter()
         greedy_batch = greedy_select(candidates, probabilities, estimator.reachable_power,
-                                     selection_config, rng=0)
+                                     BATCH_SIZE, selection_config, rng=0)
         greedy_time = time.perf_counter() - start
         greedy_power = expected_overall_power(
             greedy_batch, probabilities, estimator.reachable_power,
@@ -70,7 +70,7 @@ def test_fig7_partitioning(benchmark):
             partition_config = PartitionSelectionConfig(rho=rho)
             start = time.perf_counter()
             batch = partition_select(
-                candidates, probabilities, graph, estimator,
+                candidates, probabilities, graph, estimator, BATCH_SIZE,
                 selection_config=selection_config,
                 partition_config=partition_config,
                 rng=0,

@@ -52,12 +52,7 @@ from repro.alignment.similarity import DEFAULT_BLOCK_SIZE
 from repro.kg.elements import ElementKind
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pair import AlignedKGPair
-from repro.kg.partition import (
-    KGPairPartition,
-    PartitionConfig,
-    partition_pair,
-    resolve_campaign_executor,
-)
+from repro.kg.partition import KGPairPartition, PartitionConfig, partition_pair
 import repro.obs as obs
 from repro.runtime.executor import (
     PieceOutcome,
@@ -65,6 +60,7 @@ from repro.runtime.executor import (
     create_executor,
     effective_executor_name,
     load_piece_obs,
+    resolve_campaign_executor,
 )
 from repro.runtime.merge import MergedSimilarityState
 from repro.utils.logging import get_logger

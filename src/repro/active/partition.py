@@ -32,7 +32,7 @@ from repro.inference.alignment_graph import (
     ranges,
     relax,
 )
-from repro.inference.power import InferencePowerEstimator
+from repro.inference.power import MIN_POWER, InferencePowerEstimator
 from repro.kg.graph import csr_index
 from repro.utils.logging import get_logger
 from repro.utils.rng import RandomState
@@ -187,14 +187,14 @@ class _QuotientReach:
         """Each entity id's reach: the members of its reached groups above
         the floor, groups in first-reached order."""
         with obs.span("active.partition.reach", sources=sources.size) as span:
-            ptr, min_power = self.graph.out_ptr, self.estimator.config.min_power
+            ptr = self.graph.out_ptr
             row, edge = expand_ranges(ptr[sources], ptr[sources + 1] - ptr[sources])
             # first hop: the strongest edge into each group, groups by first edge
             groups = self.labels[self.graph.edges[edge, 2]]
             first_hop = first_per_key(row, groups, self.power[edge], self.num_groups)
             rows, groups, values = relax(
                 self.quotient_ptr, self.quotient_target, self.quotient_power, *first_hop,
-                self.estimator.config.max_hops - 1, np.multiply, lambda power: power > min_power,
+                self.estimator.config.max_hops - 1, np.multiply, lambda power: power > MIN_POWER,
             )
             reached = rows.size
             # filtered after the relaxation, which may raise a group above the
@@ -225,6 +225,7 @@ def partition_select(
     probabilities: np.ndarray,
     graph: AlignmentGraph,
     estimator: InferencePowerEstimator,
+    batch_size: int,
     selection_config: GreedySelectionConfig | None = None,
     partition_config: PartitionSelectionConfig | None = None,
     rng: RandomState = None,
@@ -239,4 +240,4 @@ def partition_select(
         reach = _QuotientReach(
             graph, estimator, partition_of.data, selection_config.power_threshold
         )
-    return greedy_select(candidates, probabilities, reach, selection_config, rng)
+    return greedy_select(candidates, probabilities, reach, batch_size, selection_config, rng)

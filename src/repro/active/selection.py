@@ -32,20 +32,19 @@ logger = get_logger(__name__)
 BASE_GAIN = 1e-3
 
 
+#: Monte-Carlo samples of the match indicator vector behind each greedy gain.
+NUM_SAMPLES = 8
+
+
 @dataclass(frozen=True)
 class GreedySelectionConfig:
-    """Parameters of the greedy batch selection."""
+    """Parameters of the greedy batch selection; the batch size is the
+    caller's (the active loop's ``batch_size``)."""
 
-    batch_size: int = 100
     power_threshold: float = 0.8
-    num_samples: int = 8
     candidate_limit: int | None = 2000
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.num_samples < 1:
-            raise ValueError("num_samples must be >= 1")
         if not 0.0 <= self.power_threshold <= 1.0:
             raise ValueError("power_threshold must be in [0, 1]")
         if self.candidate_limit is not None and self.candidate_limit < 1:
@@ -56,10 +55,12 @@ def greedy_select(
     candidates: np.ndarray,
     probabilities: np.ndarray,
     reach: Callable[[np.ndarray], PairValues],
+    batch_size: int,
     config: GreedySelectionConfig | None = None,
     rng: RandomState = None,
 ) -> np.ndarray:
-    """Select a batch maximising expected overall inference power (Algorithm 1).
+    """Select a batch of at most ``batch_size`` ids maximising expected overall
+    inference power (Algorithm 1).
 
     Parameters
     ----------
@@ -79,6 +80,8 @@ def greedy_select(
     on the ranked candidates.  Returns the picked ids in pick order, and
     records each pick as an ``active.select.pick`` event.
     """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     config = config or GreedySelectionConfig()
     rng = ensure_rng(rng)
     candidates = np.asarray(candidates, dtype=np.int64)
@@ -97,7 +100,7 @@ def greedy_select(
         reachable = [(ids[lo:hi], values[lo:hi]) for lo, hi in zip(ends, ends[1:])]
     with obs.span("active.greedy.loop"):
         picks, gains = _lazy_greedy(
-            probabilities[ranked].tolist(), reachable, len(probabilities), config, rng
+            probabilities[ranked].tolist(), reachable, len(probabilities), batch_size, rng
         )
     logger.debug("greedy selection picked %d pairs", len(picks))
     batch = ranked[picks]
@@ -118,7 +121,7 @@ def _lazy_greedy(
     probabilities: list[float],
     reachable: list[tuple[np.ndarray, np.ndarray]],
     width: int,
-    config: GreedySelectionConfig,
+    batch_size: int,
     rng: np.random.Generator,
 ) -> tuple[list[int], list[float]]:
     """Greedy picks (as ranks) and their gains by lazy evaluation (CELF, Leskovec et al. 2007).
@@ -130,8 +133,7 @@ def _lazy_greedy(
     its top with a stale gain, and pops the same argmax as a full rescan.
     Gains add their terms in sample-then-target order, one at a time.
     """
-    num_samples = config.num_samples
-    best = np.zeros((num_samples, width))
+    best = np.zeros((NUM_SAMPLES, width))
 
     def gain(rank: int) -> float:
         probability = probabilities[rank]
@@ -141,13 +143,13 @@ def _lazy_greedy(
         current = best[:, ids]
         terms = np.where(values > current, values - current, 0.0)
         total = float(np.cumsum(terms)[-1])
-        return probability * (total / num_samples + BASE_GAIN)
+        return probability * (total / NUM_SAMPLES + BASE_GAIN)
 
     heap = [(-gain(rank), rank, 0) for rank in range(len(probabilities))]
     heapq.heapify(heap)
     picks: list[int] = []
     gains: list[float] = []
-    for round_index in range(min(config.batch_size, len(probabilities))):
+    for round_index in range(min(batch_size, len(probabilities))):
         while heap[0][2] != round_index:
             rank = heap[0][1]
             heapq.heapreplace(heap, (-gain(rank), rank, round_index))
@@ -155,7 +157,7 @@ def _lazy_greedy(
         picks.append(rank)
         gains.append(-negative_gain)
         ids, values = reachable[rank]
-        for sample in range(num_samples):
+        for sample in range(NUM_SAMPLES):
             if rng.random() < probabilities[rank] and ids.size:
                 best[sample, ids] = np.maximum(best[sample, ids], values)
     return picks, gains
@@ -165,7 +167,7 @@ def expected_overall_power(
     selected: np.ndarray,
     probabilities: np.ndarray,
     reach: Callable[[np.ndarray], PairValues],
-    power_threshold: float = 0.8,
+    power_threshold: float,
     num_samples: int = 16,
     rng: RandomState = None,
 ) -> float:

@@ -8,7 +8,7 @@ PageRank, Uncertainty and an ActiveEA-style structural uncertainty strategy.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -197,14 +197,14 @@ class DAAKGStrategy(SelectionStrategy):
     def select(self, state: SelectionState, batch_size: int) -> np.ndarray:
         if state.estimator is None or state.graph is None:
             raise RuntimeError("DAAKGStrategy needs the alignment graph and power estimator")
-        config = replace(self.selection_config, batch_size=batch_size)
         if self.algorithm == "partition":
             return partition_select(
                 state.candidates,
                 state.probabilities,
                 state.graph,
                 state.estimator,
-                selection_config=config,
+                batch_size,
+                selection_config=self.selection_config,
                 partition_config=self.partition_config,
                 rng=state.rng,
             )
@@ -212,7 +212,8 @@ class DAAKGStrategy(SelectionStrategy):
             state.candidates,
             state.probabilities,
             state.estimator.reachable_power,
-            config,
+            batch_size,
+            self.selection_config,
             rng=state.rng,
         )
 

@@ -44,6 +44,9 @@ NON_MATCH_MARGIN = 0.3
 EMBEDDING_MARGIN = 1.0
 #: At most this many potential matches are mined per element kind per round.
 SEMI_MAX_PER_KIND = 500
+#: Hard entity negatives are drawn from each entity's this many most similar
+#: counterparts.
+HARD_NEGATIVE_POOL = 10
 
 
 @dataclass(frozen=True)
@@ -54,13 +57,11 @@ class AlignmentTrainingConfig:
     epochs_per_round: int = 25
     learning_rate: float = 0.02
     num_negatives: int = 5
-    semi_supervised: bool = True
     semi_threshold: float = 0.7
     embedding_batches_per_round: int = 2
     embedding_batch_size: int = 256
     align_relations_via_entity_map: bool = True
     hard_negative_fraction: float = 0.5
-    hard_negative_pool: int = 10
     entity_anchor_weight: float = 1.0
 
     def __post_init__(self) -> None:
@@ -133,17 +134,22 @@ class LabelStore:
 
 
 class JointAlignmentTrainer:
-    """Optimises a :class:`JointAlignmentModel` from labelled element pairs."""
+    """Optimises a :class:`JointAlignmentModel` from labelled element pairs;
+    ``semi_supervised`` (``DAAKGConfig.use_semi_supervision``) switches the
+    Eq. 10 mining and loss on."""
 
     def __init__(
         self,
         model: JointAlignmentModel,
         config: AlignmentTrainingConfig | None = None,
         seed: RandomState = None,
+        *,
+        semi_supervised: bool,
     ) -> None:
         self.model = model
         self.engine = model.similarity
         self.config = config or AlignmentTrainingConfig()
+        self.semi_supervised = semi_supervised
         self.rng = ensure_rng(seed)
         self.labels = LabelStore()
         self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
@@ -226,7 +232,7 @@ class JointAlignmentTrainer:
         corrupt_right = self.rng.random(total) < 0.5
         num_corrupt_right = int(corrupt_right.sum())
         # each side draws slots over its own table width — the tables can be
-        # narrower than the configured pool when a KG is small
+        # narrower than HARD_NEGATIVE_POOL when a KG is small
         slots = np.empty(total, dtype=np.int64)
         slots[corrupt_right] = self.rng.integers(
             0, top_for_left.shape[1], size=num_corrupt_right
@@ -364,7 +370,7 @@ class JointAlignmentTrainer:
             if non_matches.size:
                 with obs.timer("trainer.loss.seconds", term="non_match", kind=kind.value):
                     terms.append(self._non_match_loss(kind, non_matches))
-            if self.config.semi_supervised:
+            if self.semi_supervised:
                 with obs.timer("trainer.loss.seconds", term="semi", kind=kind.value):
                     semi = self._semi_loss(kind)
                 if semi is not None:
@@ -407,14 +413,14 @@ class JointAlignmentTrainer:
             self.model.set_landmarks(self._current_entity_landmarks())
             self.model.refresh_statistics()
             self._refresh_hard_candidates()
-            if self.config.semi_supervised:
+            if self.semi_supervised:
                 self._refresh_semi_supervision()
                 self.model.set_landmarks(self._current_entity_landmarks())
 
     def _refresh_hard_candidates(self) -> None:
         """Cache each entity's most similar counterparts for hard negative mining."""
         num_right = self.model.kg2.num_entities
-        pool = min(self.config.hard_negative_pool, max(num_right - 1, 1))
+        pool = min(HARD_NEGATIVE_POOL, max(num_right - 1, 1))
         if num_right == 0 or pool <= 0 or self.config.hard_negative_fraction == 0:
             self._hard_candidates = None
             return

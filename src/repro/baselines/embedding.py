@@ -62,7 +62,6 @@ class _RestrictedDAAKG(AlignmentBaseline):
             epochs_per_round=cfg.epochs_per_round,
             learning_rate=cfg.learning_rate,
             num_negatives=10,
-            semi_supervised=self.semi_supervised,
             embedding_batches_per_round=4,
             embedding_batch_size=512,
             align_relations_via_entity_map=False,

@@ -20,14 +20,17 @@ from repro.kg.pair import AlignedKGPair
 from repro.kg.statistics import relation_functionality
 
 
+#: Every relation pair starts at this match probability.
+INITIAL_RELATION_PROBABILITY = 0.1
+#: Training seed matches enter as entity matches of this probability.
+SEED_PROBABILITY = 1.0
+
+
 @dataclass(frozen=True)
 class ParisConfig:
     """Iteration parameters of PARIS."""
 
     iterations: int = 4
-    initial_entity_probability: float = 0.1
-    seed_probability: float = 1.0
-    use_training_seeds: bool = True
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -54,11 +57,11 @@ class PARIS(AlignmentBaseline):
             functionality_1 = relation_functionality(kg1)
 
             entity_probability = np.zeros((kg1.num_entities, kg2.num_entities))
-            if config.use_training_seeds and pair.train_entity_pairs:
+            if pair.train_entity_pairs:
                 seeds = pair.entity_match_ids(pair.train_entity_pairs)
-                entity_probability[seeds[:, 0], seeds[:, 1]] = config.seed_probability
+                entity_probability[seeds[:, 0], seeds[:, 1]] = SEED_PROBABILITY
             relation_probability = np.full(
-                (kg1.num_relations, kg2.num_relations), config.initial_entity_probability
+                (kg1.num_relations, kg2.num_relations), INITIAL_RELATION_PROBABILITY
             )
 
             triples_1 = kg1.triple_array

@@ -5,10 +5,19 @@ the datasets (see DESIGN.md §4): similarity threshold τ, inference-power
 threshold κ, partition threshold ρ, focal γ and calibration temperatures keep
 the paper's values; embedding dimensions and epoch counts are scaled to the
 NumPy substrate.  Values no caller varies are not fields here but module
-constants next to the code that reads them: focal γ, the loss margins and the
-semi-supervised mining cap in :mod:`repro.embedding.trainer` and
-:mod:`repro.alignment.trainer`, the greedy base gain in
-:mod:`repro.active.selection`.
+constants next to the code that reads them: focal γ, the loss margins, the
+semi-supervised mining cap and the hard-negative pool
+(``HARD_NEGATIVE_POOL``) in :mod:`repro.embedding.trainer` and
+:mod:`repro.alignment.trainer`; the greedy base gain and Monte-Carlo sample
+count (``BASE_GAIN``, ``NUM_SAMPLES``) in :mod:`repro.active.selection`; the
+reach floor ``MIN_POWER`` in :mod:`repro.inference.power`; PARIS's
+``INITIAL_RELATION_PROBABILITY`` and ``SEED_PROBABILITY`` in
+:mod:`repro.baselines.paris`.  Each knob has one home: semi-supervision is
+switched by :attr:`DAAKGConfig.use_semi_supervision` alone, and the greedy
+batch size is the active loop's ``batch_size``.
+
+Manifests written before a field was retired still carry its key;
+:data:`RETIRED_KEYS` lets them load (see :func:`config_from_dict`).
 """
 
 from __future__ import annotations
@@ -18,13 +27,26 @@ from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Type, TypeVar, get_type_hints
 
 from repro.alignment.calibration import CalibrationConfig
-from repro.alignment.trainer import AlignmentTrainingConfig
+from repro.alignment.trainer import HARD_NEGATIVE_POOL, AlignmentTrainingConfig
 from repro.embedding.trainer import EmbeddingTrainingConfig
-from repro.inference.power import InferencePowerConfig
+from repro.inference.power import MIN_POWER, InferencePowerConfig
 from repro.kg.partition import PartitionConfig
 from repro.active.pool import PoolConfig
+from repro.active.selection import NUM_SAMPLES, GreedySelectionConfig
 
 C = TypeVar("C")
+
+#: Keys that older manifests hold for retired fields, with the value each
+#: must hold to load.  A shadow (``None``) never took effect, so any value is
+#: dropped; a field that became a constant is dropped only at that
+#: constant's value, since any other value would change results.
+RETIRED_KEYS: dict[tuple[type, str], object] = {
+    (AlignmentTrainingConfig, "semi_supervised"): None,
+    (GreedySelectionConfig, "batch_size"): None,
+    (AlignmentTrainingConfig, "hard_negative_pool"): HARD_NEGATIVE_POOL,
+    (InferencePowerConfig, "min_power"): MIN_POWER,
+    (GreedySelectionConfig, "num_samples"): NUM_SAMPLES,
+}
 
 
 def config_to_dict(config: Any) -> dict:
@@ -43,13 +65,23 @@ def config_from_dict(cls: Type[C], data: dict) -> C:
 
     Unknown keys are rejected rather than ignored: a typo in a manifest or a
     field renamed between format versions must fail loudly, not silently fall
-    back to a default.  Missing keys fall back to the dataclass defaults so
+    back to a default.  A retired key (:data:`RETIRED_KEYS`) is dropped when
+    it holds a value the retired field allows, and rejected, naming key and
+    value, otherwise.  Missing keys fall back to the dataclass defaults so
     old manifests keep loading after new fields are added.
     """
     if not isinstance(data, dict):
         raise TypeError(f"expected a dict for {cls.__name__}, got {type(data).__name__}")
     known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    retired = {key for key in set(data) - known if (cls, key) in RETIRED_KEYS}
+    for key in retired:
+        constant = RETIRED_KEYS[cls, key]
+        if constant is not None and data[key] != constant:
+            raise ValueError(
+                f"retired {cls.__name__} key {key!r} holds {data[key]!r}; "
+                f"it is fixed at {constant!r}"
+            )
+    unknown = set(data) - known - retired
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)[:5]}")
     hints = get_type_hints(cls)
@@ -87,7 +119,7 @@ class DAAKGConfig:
     # Campaign partitioning: how PartitionedCampaign cuts the pair into
     # rho-bounded cross-linked sub-pairs and how wide its worker pool is;
     # num_partitions=1 keeps the monolithic path.  Only the executor has an
-    # environment override, REPRO_CAMPAIGN_EXECUTOR (see repro.kg.partition).
+    # environment override, REPRO_CAMPAIGN_EXECUTOR (see repro.runtime.executor).
     partition: PartitionConfig = PartitionConfig()
     # Ablation switches (Table 5)
     use_class_embeddings: bool = True

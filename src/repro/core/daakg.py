@@ -14,8 +14,6 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 import repro.obs as obs
@@ -157,10 +155,10 @@ class DAAKG:
             use_structural_channel=config.use_structural_channel,
             rng=self.rng,
         )
-        alignment_config = replace(
-            config.alignment, semi_supervised=config.use_semi_supervision
+        self.trainer = JointAlignmentTrainer(
+            self.model, config.alignment, seed=self.rng,
+            semi_supervised=config.use_semi_supervision,
         )
-        self.trainer = JointAlignmentTrainer(self.model, alignment_config, seed=self.rng)
 
     # -------------------------------------------------------------------- fit
     def fit(

@@ -27,10 +27,9 @@ from repro.utils.rng import RandomState, ensure_rng
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """A named dataset configuration (world + two view configs)."""
+    """A dataset configuration (world + two view configs); its registry key
+    names it."""
 
-    name: str
-    description: str
     world: WorldConfig
     view1: ViewConfig
     view2: ViewConfig
@@ -47,9 +46,8 @@ class BenchmarkConfig:
 
 
 BENCHMARK_CONFIGS: dict[str, BenchmarkConfig] = {
+    # DBpedia-Wikidata style: rich schemata on both sides, heterogeneous names
     "D-W": BenchmarkConfig(
-        name="D-W",
-        description="DBpedia-Wikidata style: rich schemata on both sides, heterogeneous names",
         world=WorldConfig(
             num_entities=1000, num_classes=24, num_relations=40, mean_out_degree=6.0, seed=11
         ),
@@ -58,9 +56,8 @@ BENCHMARK_CONFIGS: dict[str, BenchmarkConfig] = {
         view2=ViewConfig(prefix="wd", obfuscate_names=True, entity_keep_fraction=0.7, relation_keep_fraction=0.7,
                          class_keep_fraction=0.7, triple_keep_fraction=0.9, type_keep_fraction=0.85),
     ),
+    # DBpedia-YAGO style: very small class vocabulary, asymmetric relations
     "D-Y": BenchmarkConfig(
-        name="D-Y",
-        description="DBpedia-YAGO style: very small class vocabulary, asymmetric relations",
         world=WorldConfig(
             num_entities=1000, num_classes=13, num_relations=36, mean_out_degree=6.0, seed=13
         ),
@@ -69,9 +66,8 @@ BENCHMARK_CONFIGS: dict[str, BenchmarkConfig] = {
         view2=ViewConfig(prefix="yago", entity_keep_fraction=0.7, relation_keep_fraction=0.4,
                          class_keep_fraction=0.7, triple_keep_fraction=0.9, type_keep_fraction=0.85),
     ),
+    # English-German DBpedia style: same underlying schema, different languages
     "EN-DE": BenchmarkConfig(
-        name="EN-DE",
-        description="English-German DBpedia style: same underlying schema, different languages",
         world=WorldConfig(
             num_entities=1000, num_classes=20, num_relations=38, mean_out_degree=6.0, seed=17
         ),
@@ -80,9 +76,8 @@ BENCHMARK_CONFIGS: dict[str, BenchmarkConfig] = {
         view2=ViewConfig(prefix="de", obfuscate_names=True, entity_keep_fraction=0.7, relation_keep_fraction=0.6,
                          class_keep_fraction=0.7, triple_keep_fraction=0.9, type_keep_fraction=0.85),
     ),
+    # English-French DBpedia style: rich schemata, lower structural overlap
     "EN-FR": BenchmarkConfig(
-        name="EN-FR",
-        description="English-French DBpedia style: rich schemata, lower structural overlap",
         world=WorldConfig(
             num_entities=1000, num_classes=22, num_relations=40, mean_out_degree=5.0, seed=19
         ),

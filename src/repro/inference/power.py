@@ -51,21 +51,23 @@ from repro.kg.elements import ElementKind
 
 
 
+#: Reach entries weaker than this are dropped: path powers below it end the
+#: path, and gradient powers below it are not listed.
+MIN_POWER = 0.05
+
+
 @dataclass(frozen=True)
 class InferencePowerConfig:
     """Knobs of the inference power measurement."""
 
     max_hops: int = 3
     power_threshold: float = 0.8
-    min_power: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
         if not 0.0 <= self.power_threshold <= 1.0:
             raise ValueError("power_threshold must be in [0, 1]")
-        if not 0.0 <= self.min_power <= 1.0:
-            raise ValueError("min_power must be in [0, 1]")
 
 
 def _cosine_gradient(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,16 +133,16 @@ class InferencePowerEstimator:
     # --------------------------------------------------- entity → entity pairs
     def path_reach(self, sources: np.ndarray) -> PairValues:
         """Best-path power from entity ids ``sources`` over at most ``max_hops``
-        edges, by ascending target id; paths below ``min_power`` are dropped.
+        edges, by ascending target id; paths below :data:`MIN_POWER` are dropped.
 
         Costs ``1/power − 1`` add along a path; the relaxation keeps each
         path's cost negated, so that it maximises.
         """
-        graph, min_power, size = self.graph, self.config.min_power, sources.size
+        graph, size = self.graph, sources.size
         rows, ids, gains = relax(
             graph.out_ptr, graph.edges[:, 2], -(1.0 / self.edge_powers() - 1.0),
             np.arange(size), sources, np.zeros(size), self.config.max_hops,
-            np.add, lambda gain: 1.0 / (1.0 - gain) >= min_power,
+            np.add, lambda gain: 1.0 / (1.0 - gain) >= MIN_POWER,
         )
         # drop the sources themselves, then order by (row, id)
         rows, ids, gains = rows[size:], ids[size:], gains[size:]
@@ -185,7 +187,7 @@ class InferencePowerEstimator:
                     np.sum(np.minimum(snap.weights_2[triples_2[:, 0]], snap.weights_2[triples_2[:, 2]]))
                 )
             means_1, means_2 = snap.mean_relations_1, snap.mean_relations_2
-        if weight_sum_1 < 1e-9 or weight_sum_2 < 1e-9:  # NaN powers: no min_power admits them
+        if weight_sum_1 < 1e-9 or weight_sum_2 < 1e-9:  # NaN powers: MIN_POWER admits none
             weight_sum_1 = weight_sum_2 = np.nan
         grad_a, grad_b = _cosine_gradient(self._map_entity.T @ means_1[left], means_2[right])
         return self._map_entity @ grad_a, grad_b, weight_sum_1, weight_sum_2
@@ -193,7 +195,7 @@ class InferencePowerEstimator:
     def _schema_reach(self, kind: ElementKind, sources: np.ndarray) -> PairValues:
         """Eqs. 21–22 for entity ids ``sources``: the class pairs of their type
         triples in type-triple order, or the relation pairs of their
-        out-edges in the order of the first edge that gives ``min_power``.
+        out-edges in the order of the first edge that gives :data:`MIN_POWER`.
         Each pair keeps its largest power, capped at 1."""
         graph, snap = self.graph, self._snap
         lefts, rights = graph.sides[sources].T
@@ -218,7 +220,7 @@ class InferencePowerEstimator:
         grad_left = (weight_1 / sum_1[slot])[:, None] * mapped_a[slot]
         grad_right = (weight_2 / sum_2[slot])[:, None] * grad_b[slot]
         power = np.sqrt(np.sum(grad_left**2, axis=1) + np.sum(grad_right**2, axis=1))
-        keep = power >= self.config.min_power
+        keep = power >= MIN_POWER
         row, pair, power = first_per_key(
             row[keep], index[keep] + offset, power[keep], len(graph.sides)
         )

@@ -14,7 +14,6 @@ from repro.kg.partition import (
     PartitionConfig,
     PartitionPiece,
     partition_pair,
-    resolve_campaign_executor,
 )
 from repro.kg.sampling import NegativeSampler
 from repro.kg.statistics import KGStatistics, compute_statistics, relation_functionality
@@ -36,6 +35,5 @@ __all__ = [
     "load_openea_directory",
     "partition_pair",
     "relation_functionality",
-    "resolve_campaign_executor",
     "save_openea_directory",
 ]

@@ -39,10 +39,8 @@ monolithic pipeline.
 
 The partitioning itself is set by :class:`PartitionConfig` alone.  The one
 environment override, ``REPRO_CAMPAIGN_EXECUTOR``, picks the executor backend
-(:func:`resolve_campaign_executor`); it wins over the configured value,
-which is how CI runs the suite on the process executor without touching any
-config.  The
-executor never changes results.
+(:func:`repro.runtime.executor.resolve_campaign_executor`); it wins over the
+configured value.  The executor never changes results.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-import os
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -58,15 +55,10 @@ import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pair import AlignedKGPair, GoldAlignment
+from repro.runtime.executor import check_executor_name
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
-
-CAMPAIGN_EXECUTOR_ENV = "REPRO_CAMPAIGN_EXECUTOR"
-
-#: Valid values of ``PartitionConfig.executor``; the concrete backends live
-#: in :mod:`repro.runtime.executor`, ``"auto"`` resolves there per machine.
-EXECUTOR_CHOICES = ("auto", "serial", "process")
 
 
 @dataclass(frozen=True)
@@ -105,28 +97,7 @@ class PartitionConfig:
             raise ValueError("balance_slack must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.executor not in EXECUTOR_CHOICES:
-            raise ValueError(
-                f"executor must be one of {', '.join(EXECUTOR_CHOICES)}; "
-                f"got {self.executor!r}"
-            )
-
-
-def resolve_campaign_executor(configured: str | None = None) -> str:
-    """Effective executor selection: env override first, then config, then auto.
-
-    Resolution stops at the *name* (``"auto"`` stays ``"auto"`` here); the
-    campaign maps it to a concrete backend per machine via
-    :func:`repro.runtime.executor.effective_executor_name`.
-    """
-    raw = os.environ.get(CAMPAIGN_EXECUTOR_ENV, "").strip()
-    executor = raw if raw else (configured if configured is not None else "auto")
-    if executor not in EXECUTOR_CHOICES:
-        raise ValueError(
-            f"campaign executor must be one of {', '.join(EXECUTOR_CHOICES)}; "
-            f"got {executor!r}"
-        )
-    return executor
+        check_executor_name(self.executor, auto=True)
 
 
 @dataclass

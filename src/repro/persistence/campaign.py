@@ -47,12 +47,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.config import DAAKGConfig, config_from_dict, config_to_dict
+from repro.core.config import DAAKGConfig, config_to_dict
 from repro.kg.pair import AlignedKGPair
 from repro.kg.partition import KGPairPartition, PartitionConfig, PartitionPiece
 from repro.persistence.checkpoint import (
     CheckpointError,
     _atomic_write_bytes,
+    _manifest_config,
     _sha256,
     load_checkpoint,
     restore_loop,
@@ -77,6 +78,7 @@ logger = get_logger(__name__)
 # ``similarity_backend`` in their manifests; the config accepts only
 # ``"sharded"``).  Version 7: the embedded configs dropped the inference
 # config's ``solver_samples`` and ``solver_steps`` (checkpoint format 6).
+# Keys of fields retired since load through ``repro.core.config.RETIRED_KEYS``.
 CAMPAIGN_FORMAT_VERSION = 7
 CAMPAIGN_MANIFEST_FILE = "campaign.json"
 
@@ -238,10 +240,10 @@ def load_campaign(path: str | os.PathLike) -> "PartitionedCampaign":
         )
     pair = _pair_from_npz(payload)
 
-    config = config_from_dict(DAAKGConfig, manifest["config"])
-    partition_config = config_from_dict(PartitionConfig, manifest["partition_config"])
+    config = _manifest_config(DAAKGConfig, manifest["config"])
+    partition_config = _manifest_config(PartitionConfig, manifest["partition_config"])
     active_config = (
-        config_from_dict(ActiveLearningConfig, manifest["active_config"])
+        _manifest_config(ActiveLearningConfig, manifest["active_config"])
         if manifest.get("active_config") is not None
         else None
     )

@@ -67,7 +67,8 @@ logger = get_logger(__name__)
 # ``similarity_backend`` accepts only ``"sharded"``; version 6 dropped the
 # inference config's ``solver_samples`` and ``solver_steps``.  Older
 # checkpoints fail the version check instead of the config's unknown-key or
-# value check.
+# value check.  Keys of fields retired since load through
+# ``repro.core.config.RETIRED_KEYS``.
 FORMAT_VERSION = 6
 ARRAYS_FILE = "arrays.npz"
 MANIFEST_FILE = "manifest.json"
@@ -90,7 +91,7 @@ class Checkpoint:
 
     @property
     def config(self) -> DAAKGConfig:
-        return DAAKGConfig.from_dict(self.manifest["config"])
+        return _manifest_config(DAAKGConfig, self.manifest["config"])
 
     @property
     def has_loop(self) -> bool:
@@ -112,6 +113,15 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _manifest_config(cls, data: dict):
+    """:func:`config_from_dict` on a manifest section; a config it rejects
+    makes the checkpoint unreadable."""
+    try:
+        return config_from_dict(cls, data)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint manifest holds an unreadable {cls.__name__}: {exc}") from exc
 
 
 def _scores_to_dict(scores: AlignmentScores) -> dict:
@@ -181,11 +191,11 @@ def _strategy_from_spec(spec: dict):
     spec = dict(spec)
     name = spec.pop("name")
     if "selection_config" in spec:
-        spec["selection_config"] = config_from_dict(
+        spec["selection_config"] = _manifest_config(
             GreedySelectionConfig, spec["selection_config"]
         )
     if "partition_config" in spec:
-        spec["partition_config"] = config_from_dict(
+        spec["partition_config"] = _manifest_config(
             PartitionSelectionConfig, spec["partition_config"]
         )
     return create_strategy(name, **spec)
@@ -379,7 +389,7 @@ def restore_loop(
     if daakg is None:
         daakg = restore_pipeline(checkpoint)
     section = checkpoint.manifest["loop"]
-    loop_config = config_from_dict(ActiveLearningConfig, section["config"])
+    loop_config = _manifest_config(ActiveLearningConfig, section["config"])
     if strategy is None:
         strategy = _strategy_from_spec(section["strategy"])
     loop = daakg.active_learning(strategy, loop_config)

@@ -28,6 +28,7 @@ from repro.runtime.executor import (
     SerialExecutor,
     create_executor,
     effective_executor_name,
+    resolve_campaign_executor,
     run_piece_spec,
 )
 from repro.runtime.merge import MergedSimilarityState, scatter_channels
@@ -50,6 +51,7 @@ __all__ = [
     "create_executor",
     "effective_executor_name",
     "mutual_top_n",
+    "resolve_campaign_executor",
     "run_piece_spec",
     "stream_row_col_max",
     "stream_threshold_candidates",

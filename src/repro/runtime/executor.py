@@ -47,8 +47,10 @@ process, only a shared filesystem for its directories.
 Executor selection: ``PartitionConfig.executor`` (``"auto"`` picks the
 process backend when the campaign has more than one piece, more than one
 worker and more than one core), overridden per process by the
-``REPRO_CAMPAIGN_EXECUTOR`` environment variable (see
-:func:`repro.kg.partition.resolve_campaign_executor`).
+``REPRO_CAMPAIGN_EXECUTOR`` environment variable
+(:func:`resolve_campaign_executor`).  This module holds the one table of
+executor names, :data:`EXECUTOR_NAMES`, and the one check of a name,
+:func:`check_executor_name`.
 """
 
 from __future__ import annotations
@@ -72,14 +74,40 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with active/core
 
 logger = get_logger(__name__)
 
-#: Concrete executor names (the ``"auto"`` config value resolves to one of
-#: these through :func:`effective_executor_name`).
-EXECUTOR_NAMES = ("serial", "process")
+#: Every executor name: ``"auto"``, which :func:`effective_executor_name`
+#: resolves per machine, then the concrete backends.
+EXECUTOR_NAMES = ("auto", "serial", "process")
+
+#: Overrides the configured executor name when set and non-empty; CI runs the
+#: suite on the process executor this way without touching any config.
+CAMPAIGN_EXECUTOR_ENV = "REPRO_CAMPAIGN_EXECUTOR"
 
 #: Fault-injection hook for crash-recovery tests: a comma-separated list of
 #: piece indices whose runner raises instead of running — in whichever
 #: process the runner executes (children inherit the environment).
 POISON_ENV = "REPRO_CAMPAIGN_POISON"
+
+
+def check_executor_name(name: str, auto: bool) -> str:
+    """``name`` if it is in :data:`EXECUTOR_NAMES` (``"auto"`` only when
+    ``auto``), else :class:`ValueError`."""
+    choices = EXECUTOR_NAMES if auto else EXECUTOR_NAMES[1:]
+    if name not in choices:
+        raise ValueError(
+            f"unknown campaign executor {name!r} (choose from {', '.join(choices)})"
+        )
+    return name
+
+
+def resolve_campaign_executor(configured: str = "auto") -> str:
+    """Effective executor name: the environment override first, then config.
+
+    Resolution stops at the *name* (``"auto"`` stays ``"auto"`` here); the
+    campaign maps it to a concrete backend per machine via
+    :func:`effective_executor_name`.
+    """
+    raw = os.environ.get(CAMPAIGN_EXECUTOR_ENV, "").strip()
+    return check_executor_name(raw or configured, auto=True)
 
 
 def effective_executor_name(
@@ -93,12 +121,7 @@ def effective_executor_name(
     core there is nothing to parallelise, and process spawn plus checkpoint
     transfer would only add overhead.
     """
-    if name != "auto":
-        if name not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"unknown campaign executor {name!r} (choose from "
-                f"{', '.join(EXECUTOR_NAMES)} or 'auto')"
-            )
+    if check_executor_name(name, auto=True) != "auto":
         return name
     if workers <= 1 or num_partitions <= 1:
         return "serial"
@@ -383,10 +406,6 @@ class ProcessExecutor:
 
 def create_executor(name: str, workers: int = 1) -> CampaignExecutor:
     """Instantiate a concrete executor backend by name."""
-    if name == "serial":
+    if check_executor_name(name, auto=False) == "serial":
         return SerialExecutor()
-    if name == "process":
-        return ProcessExecutor(workers=max(1, workers))
-    raise ValueError(
-        f"unknown campaign executor {name!r} (choose from {', '.join(EXECUTOR_NAMES)})"
-    )
+    return ProcessExecutor(workers=max(1, workers))

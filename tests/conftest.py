@@ -1,17 +1,35 @@
-"""Shared fixtures: small KGs and a tiny trained pipeline for integration tests."""
+"""Shared fixtures: small KGs and a tiny trained pipeline for integration tests.
+
+BLAS runs on one thread, as in the repository benchmark (``perfbench``):
+threading changes reduction order, so results as well as timings.  OpenBLAS
+reads its thread count once, when NumPy loads, so the variables are set
+before anything imports NumPy, and a session that loaded NumPy earlier
+stops here instead of running unpinned.
+"""
 
 from __future__ import annotations
 
-import pytest
+import os
+import sys
 
-from repro import DAAKG, DAAKGConfig, make_benchmark
-from repro.alignment.trainer import AlignmentTrainingConfig
-from repro.embedding.trainer import EmbeddingTrainingConfig
-from repro.active.pool import PoolConfig
-from repro.inference.power import InferencePowerConfig
-from repro.kg.elements import ElementKind
-from repro.kg.graph import KnowledgeGraph
-from repro.kg.pair import AlignedKGPair, GoldAlignment, SplitRatios
+if "numpy" in sys.modules:
+    raise RuntimeError(
+        "NumPy was imported before tests/conftest.py could pin BLAS to one thread; "
+        "run the tier-1 suite on its own (python -m pytest)"
+    )
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import pytest  # noqa: E402
+
+from repro import DAAKG, DAAKGConfig, make_benchmark  # noqa: E402
+from repro.alignment.trainer import AlignmentTrainingConfig  # noqa: E402
+from repro.embedding.trainer import EmbeddingTrainingConfig  # noqa: E402
+from repro.active.pool import PoolConfig  # noqa: E402
+from repro.inference.power import InferencePowerConfig  # noqa: E402
+from repro.kg.elements import ElementKind  # noqa: E402
+from repro.kg.graph import KnowledgeGraph  # noqa: E402
+from repro.kg.pair import AlignedKGPair, GoldAlignment, SplitRatios  # noqa: E402
 
 
 @pytest.fixture(scope="session")

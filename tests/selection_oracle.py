@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.active.partition import PartitionSelectionConfig
-from repro.active.selection import GreedySelectionConfig
+from repro.active.selection import NUM_SAMPLES, GreedySelectionConfig
 from repro.inference.pairs import ElementPair, class_pair, entity_pair, relation_pair
-from repro.inference.power import InferencePowerConfig, _cosine_gradient
+from repro.inference.power import MIN_POWER, InferencePowerConfig, _cosine_gradient
 from repro.kg.elements import ElementKind
 from repro.kg.statistics import entity_pagerank
 from repro.utils.rng import ensure_rng
@@ -144,7 +144,7 @@ class InferencePowerEstimator:
         powers = {
             node: 1.0 / (1.0 + best_cost[node])
             for node in sorted(best_cost)
-            if node != source and 1.0 / (1.0 + best_cost[node]) >= self.config.min_power
+            if node != source and 1.0 / (1.0 + best_cost[node]) >= MIN_POWER
         }
         self._source_power_cache[source] = powers
         return powers
@@ -172,7 +172,7 @@ class InferencePowerEstimator:
             grad_left = (self._snap.weights_1[source.left] / weight_sum_1) * (self._map_entity @ grad_a)
             grad_right = (self._snap.weights_2[source.right] / weight_sum_2) * grad_b
             power = float(np.sqrt(np.sum(grad_left**2) + np.sum(grad_right**2)))
-            if power >= self.config.min_power:
+            if power >= MIN_POWER:
                 powers[c_pair] = min(power, 1.0)
         return powers
 
@@ -203,7 +203,7 @@ class InferencePowerEstimator:
             grad_left = (weight_left / weight_sum_1) * (self._map_entity @ grad_a)
             grad_right = (weight_right / weight_sum_2) * grad_b
             power = float(np.sqrt(np.sum(grad_left**2) + np.sum(grad_right**2)))
-            if power >= self.config.min_power:
+            if power >= MIN_POWER:
                 if power > powers.get(r_pair, 0.0):
                     powers[r_pair] = min(power, 1.0)
         return powers
@@ -221,7 +221,7 @@ class InferencePowerEstimator:
         return {}
 
 
-def greedy_select(candidates, probabilities, reach, config=None, rng=None):
+def greedy_select(candidates, probabilities, reach, batch_size, config=None, rng=None):
     config = config or GreedySelectionConfig()
     rng = ensure_rng(rng)
     if not candidates:
@@ -236,7 +236,7 @@ def greedy_select(candidates, probabilities, reach, config=None, rng=None):
             for target, value in reach(candidate).items()
             if value > config.power_threshold
         }
-    current_power = [dict() for _ in range(config.num_samples)]
+    current_power = [dict() for _ in range(NUM_SAMPLES)]
     selected = []
     remaining = set(ranked)
 
@@ -251,9 +251,9 @@ def greedy_select(candidates, probabilities, reach, config=None, rng=None):
                 best = sample.get(target, 0.0)
                 if value > best:
                     total += value - best
-        return probability * (total / config.num_samples + BASE_GAIN)
+        return probability * (total / NUM_SAMPLES + BASE_GAIN)
 
-    for _ in range(min(config.batch_size, len(ranked))):
+    for _ in range(min(batch_size, len(ranked))):
         best_candidate = None
         best_gain = -1.0
         # the one change from the historical loop: scan in rank order, so the
@@ -340,8 +340,8 @@ def partition_pool(graph, estimator, config=None):
 
 
 def partition_select(
-    candidates, probabilities, graph, estimator, selection_config=None, partition_config=None,
-    rng=None,
+    candidates, probabilities, graph, estimator, batch_size, selection_config=None,
+    partition_config=None, rng=None,
 ):
     selection_config = selection_config or GreedySelectionConfig()
     partition_config = partition_config or PartitionSelectionConfig()
@@ -376,7 +376,7 @@ def partition_select(
             for pid, power in frontier.items():
                 for neighbor, edge_power in quotient.get(pid, {}).items():
                     value = power * edge_power
-                    if value > partition_power.get(neighbor, 0.0) and value > estimator.config.min_power:
+                    if value > partition_power.get(neighbor, 0.0) and value > MIN_POWER:
                         partition_power[neighbor] = value
                         next_frontier[neighbor] = value
             if not next_frontier:
@@ -393,7 +393,9 @@ def partition_select(
             reach[target] = max(reach.get(target, 0.0), value)
         return reach
 
-    return greedy_select(candidates, probabilities, estimated_reach, selection_config, rng)
+    return greedy_select(
+        candidates, probabilities, estimated_reach, batch_size, selection_config, rng
+    )
 
 
 # ------------------------------------------------------------------ strategies

@@ -404,9 +404,9 @@ class TestJointAlignmentTrainer:
         model = JointAlignmentModel(pair, m1, m2, rng=2)
         trainer = JointAlignmentTrainer(
             model,
-            AlignmentTrainingConfig(rounds=2, epochs_per_round=15, num_negatives=4,
-                                    semi_supervised=False),
+            AlignmentTrainingConfig(rounds=2, epochs_per_round=15, num_negatives=4),
             seed=0,
+            semi_supervised=False,
         )
         seeds = pair.entity_match_ids(pair.train_entity_pairs)
         before = model.entity_pair_similarity(seeds).numpy().mean()
@@ -420,7 +420,8 @@ class TestJointAlignmentTrainer:
         m1, m2 = TransE(pair.kg1, dim=8, rng=4), TransE(pair.kg2, dim=8, rng=5)
         model = JointAlignmentModel(pair, m1, m2, rng=4)
         trainer = JointAlignmentTrainer(
-            model, AlignmentTrainingConfig(rounds=1, epochs_per_round=5, num_negatives=2), seed=0
+            model, AlignmentTrainingConfig(rounds=1, epochs_per_round=5, num_negatives=2), seed=0,
+            semi_supervised=True,
         )
         trainer.add_matches(ElementKind.ENTITY, pair.entity_match_ids(pair.train_entity_pairs))
         trainer.train()
@@ -435,7 +436,9 @@ class TestJointAlignmentTrainer:
 
     def test_duplicate_labels_are_ignored(self, joint_setup):
         pair, model = joint_setup
-        trainer = JointAlignmentTrainer(model, AlignmentTrainingConfig(), seed=0)
+        trainer = JointAlignmentTrainer(
+            model, AlignmentTrainingConfig(), seed=0, semi_supervised=True
+        )
         trainer.add_matches(ElementKind.ENTITY, [(0, 0), (0, 0)])
         assert len(trainer.labels.matches[ElementKind.ENTITY]) == 1
 
@@ -501,6 +504,7 @@ class TestLossTermArrayCache:
         trainer = JointAlignmentTrainer(
             model, AlignmentTrainingConfig(rounds=1, epochs_per_round=2, semi_threshold=0.1),
             seed=0,
+            semi_supervised=True,
         )
         trainer.add_matches(ElementKind.ENTITY, pair.entity_match_ids(pair.train_entity_pairs))
         trainer.add_matches(ElementKind.RELATION, [(0, 0)])

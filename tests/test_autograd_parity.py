@@ -154,6 +154,7 @@ def _short_fit(pair, base_model: str) -> dict:
             embedding_batches_per_round=2, embedding_batch_size=4,
         ),
         seed=26,
+        semi_supervised=True,
     )
     trainer.add_matches(ElementKind.ENTITY, pair.entity_match_ids(pair.train_entity_pairs))
     trainer.add_matches(ElementKind.RELATION, [(0, 0)])

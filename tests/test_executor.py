@@ -30,14 +30,15 @@ from repro.alignment.trainer import AlignmentTrainingConfig
 from repro.embedding.trainer import EmbeddingTrainingConfig
 from repro.inference.power import InferencePowerConfig
 from repro.kg.elements import ElementKind
-from repro.kg.partition import CAMPAIGN_EXECUTOR_ENV, resolve_campaign_executor
 from repro.runtime.executor import (
+    CAMPAIGN_EXECUTOR_ENV,
     POISON_ENV,
     PieceSpec,
     ProcessExecutor,
     SerialExecutor,
     create_executor,
     effective_executor_name,
+    resolve_campaign_executor,
 )
 
 SCALE = 0.15

@@ -67,6 +67,7 @@ def _make_trainer(pair, base_model: str, session: bool, epochs: int = 4, rounds:
             embedding_batch_size=8,
         ),
         seed=14,
+        semi_supervised=True,
     )
     trainer.add_matches(ElementKind.ENTITY, pair.entity_match_ids(pair.train_entity_pairs))
     trainer.add_matches(ElementKind.RELATION, [(0, 0)])

@@ -24,6 +24,7 @@ from repro.active import (
     STRATEGY_REGISTRY,
 )
 from repro.active.partition import _QuotientReach
+from repro.active import selection
 from repro.active.selection import expected_overall_power
 from repro.active.strategies import DAAKGStrategy, UncertaintyStrategy
 from repro.inference import (
@@ -34,7 +35,7 @@ from repro.inference import (
 from repro.inference import alignment_graph
 from repro.inference.alignment_graph import AlignmentGraph, PairValues
 from repro.inference.pairs import class_pair, entity_pair, relation_pair
-from repro.inference.power import inference_accuracy
+from repro.inference.power import MIN_POWER, inference_accuracy
 from repro.kg.elements import ElementKind
 
 
@@ -281,7 +282,7 @@ class TestInferencePower:
         assert reach.ptr.tolist() == [0, 3]
         assert reach.ids.tolist() == [1, 2, 3]
         assert reach.data == pytest.approx([1 / 3, 1 / 2, 1 / 7])
-        assert reach.data[2] >= estimator.config.min_power
+        assert reach.data[2] >= MIN_POWER
         one_hop = _FixedPowers(_chain_graph(), [1 / 6, 0.5, 0.5, 0.5], max_hops=1)
         assert one_hop.reachable_power([0]).data == pytest.approx([1 / 6, 1 / 2])
 
@@ -378,8 +379,7 @@ class TestSelection:
         candidates = np.arange(20)
         probabilities = np.full(120, 0.5)
         reach = _reach({q: {q + 100: 0.9} for q in range(20)})
-        batch = greedy_select(candidates, probabilities, reach,
-                              GreedySelectionConfig(batch_size=5), rng=0)
+        batch = greedy_select(candidates, probabilities, reach, 5, rng=0)
         assert len(batch) == 5
         assert len(set(batch.tolist())) == 5
 
@@ -388,20 +388,19 @@ class TestSelection:
         probabilities = np.zeros(20)
         probabilities[[strong, weak]] = [0.9, 0.1]
         reach = _reach({strong: {10: 0.95, 11: 0.95}, weak: {12: 0.85}})
-        batch = greedy_select(np.array([weak, strong]), probabilities, reach,
-                              GreedySelectionConfig(batch_size=1), rng=0)
+        batch = greedy_select(np.array([weak, strong]), probabilities, reach, 1, rng=0)
         assert batch.tolist() == [strong]
 
-    def test_greedy_avoids_redundant_coverage(self):
+    def test_greedy_avoids_redundant_coverage(self, monkeypatch):
+        monkeypatch.setattr(selection, "NUM_SAMPLES", 32)
         a, b, c = 0, 1, 2
         shared_target, other_target = 10, 20
         probabilities = np.full(30, 0.9)
         reach = _reach({a: {shared_target: 0.95}, b: {shared_target: 0.95}, c: {other_target: 0.9}})
-        batch = greedy_select(np.array([a, b, c]), probabilities, reach,
-                              GreedySelectionConfig(batch_size=2, num_samples=32), rng=0)
+        batch = greedy_select(np.array([a, b, c]), probabilities, reach, 2, rng=0)
         assert c in batch.tolist()
 
-    def test_gain_adds_terms_one_at_a_time(self):
+    def test_gain_adds_terms_one_at_a_time(self, monkeypatch):
         # A's gain is the left-to-right sum of its powers, which equals B's
         # single power exactly, so A wins the tie on rank.  A pairwise sum of
         # A's powers comes out smaller and would hand the pick to B.
@@ -415,9 +414,9 @@ class TestSelection:
             a: {100 + i: value for i, value in enumerate(powers)},
             b: {99: in_order},
         })
-        batch = greedy_select(np.array([a, b]), np.full(120, 0.5), reach,
-                              GreedySelectionConfig(batch_size=1, num_samples=1,
-                                                    power_threshold=0.0), rng=0)
+        monkeypatch.setattr(selection, "NUM_SAMPLES", 1)
+        batch = greedy_select(np.array([a, b]), np.full(120, 0.5), reach, 1,
+                              GreedySelectionConfig(power_threshold=0.0), rng=0)
         assert batch.tolist() == [a]
 
     def test_expected_overall_power_nonnegative(self):
@@ -427,13 +426,14 @@ class TestSelection:
         assert value >= 0.0
 
     def test_empty_candidates(self):
-        batch = greedy_select(np.array([], dtype=np.int64), np.zeros(0), _reach({}),
-                              GreedySelectionConfig(batch_size=3))
+        batch = greedy_select(np.array([], dtype=np.int64), np.zeros(0), _reach({}), 3)
         assert batch.size == 0
 
     def test_selection_config_validation(self):
-        with pytest.raises(ValueError):
-            GreedySelectionConfig(batch_size=0)
+        with pytest.raises(ValueError, match="batch_size"):
+            greedy_select(np.arange(3), np.full(3, 0.5), _reach({}), 0)
+        with pytest.raises(ValueError, match="power_threshold"):
+            GreedySelectionConfig(power_threshold=1.5)
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_candidate_limit_below_one_is_rejected(self, limit):
@@ -447,9 +447,8 @@ class TestSelection:
         probabilities = np.full(120, 0.5)
         probabilities[3] = 0.9
         reach = _reach({q: {q + 100: 0.9} for q in range(5)})
-        config = GreedySelectionConfig(batch_size=2)
         with obs.scoped():
-            batch = greedy_select(np.arange(5), probabilities, reach, config, rng=0)
+            batch = greedy_select(np.arange(5), probabilities, reach, 2, rng=0)
             picks = [e for e in obs.events() if e["name"] == "active.select.pick"]
         assert [e["attrs"]["pair"] for e in picks] == batch.tolist()
         assert picks[0]["attrs"]["probability"] == 0.9
@@ -459,7 +458,7 @@ class TestSelection:
         assert picks[0]["attrs"]["gain"] == pytest.approx(0.9 * (0.9 + 1e-3))
         # nothing is recorded while obs is off
         before = len(obs.events())
-        greedy_select(np.arange(5), probabilities, reach, config, rng=0)
+        greedy_select(np.arange(5), probabilities, reach, 2, rng=0)
         assert len(obs.events()) == before
 
     @pytest.mark.parametrize("algorithm", ["greedy", "partition"])
@@ -492,8 +491,8 @@ class TestPartitioning:
         candidates = np.arange(200)
         probabilities = np.full(len(pool), 0.5)
         batch = partition_select(
-            candidates, probabilities, graph, estimator,
-            selection_config=GreedySelectionConfig(batch_size=5, candidate_limit=100),
+            candidates, probabilities, graph, estimator, 5,
+            selection_config=GreedySelectionConfig(candidate_limit=100),
             partition_config=PartitionSelectionConfig(rho=0.9),
             rng=0,
         )

@@ -340,6 +340,36 @@ def test_campaign_load_adopts_saved_pieces(campaign_config, loop_config, tmp_pat
         assert loaded.pair.kg2.entities == saved.pair.kg2.entities
 
 
+def test_format_7_retired_keys_load_unchanged(multi_campaign, tmp_path):
+    """A format-7 campaign written before the retired fields went holds their
+    keys, at their old values, in its manifest and in every piece's; it
+    restores to the same merged evaluation."""
+    import json
+
+    def as_written_before(config: dict) -> None:
+        config["alignment"].update(semi_supervised=True, hard_negative_pool=10)
+        config["inference"]["min_power"] = 0.05
+
+    path = tmp_path / "campaign"
+    multi_campaign.save(path)
+    manifest = json.loads((path / "campaign.json").read_text())
+    assert manifest["format_version"] == 7
+    as_written_before(manifest["config"])
+    manifest["active_config"]["inference"]["min_power"] = 0.05
+    (path / "campaign.json").write_text(json.dumps(manifest))
+    for piece in manifest["pieces"]:
+        piece_path = path / piece["directory"] / "manifest.json"
+        piece_manifest = json.loads(piece_path.read_text())
+        as_written_before(piece_manifest["config"])
+        piece_manifest["loop"]["config"]["inference"]["min_power"] = 0.05
+        piece_path.write_text(json.dumps(piece_manifest))
+
+    restored = PartitionedCampaign.load(path)
+    assert restored.config == multi_campaign.config
+    assert restored.active_config == multi_campaign.active_config
+    assert restored.evaluate() == multi_campaign.evaluate()
+
+
 def test_unsupported_campaign_format_version_fails(campaign_config, tmp_path):
     import json
     import shutil

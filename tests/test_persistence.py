@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from repro import DAAKG, DAAKGConfig
 from repro.active.loop import ActiveLearningConfig, ActiveLearningLoop
 from repro.active.pool import PoolConfig
+from repro.active.selection import GreedySelectionConfig
 from repro.active.strategies import DAAKGStrategy
 from repro.core.config import config_from_dict, config_to_dict
 from repro.inference.power import InferencePowerConfig
@@ -72,8 +74,6 @@ def test_load_missing_checkpoint_fails(tmp_path):
 
 
 def test_load_corrupt_arrays_fails(checkpoint_dir, tmp_path):
-    import shutil
-
     broken = tmp_path / "broken"
     shutil.copytree(checkpoint_dir, broken)
     with open(broken / "arrays.npz", "ab") as handle:
@@ -83,8 +83,6 @@ def test_load_corrupt_arrays_fails(checkpoint_dir, tmp_path):
 
 
 def test_unsupported_format_version_fails(checkpoint_dir, tmp_path):
-    import shutil
-
     # 1 predates the retired ``ann_*`` config keys, 2 the settings that became
     # constants, 3 the retired ``similarity_workers``, 4 the retired dense
     # similarity backend, 5 the retired tail-solver knobs; 999 is from the
@@ -141,6 +139,78 @@ def test_format_6_topk_section_loads_unchanged(fitted_pipeline, tmp_path):
     restored_scores = restored.evaluate()
     for kind in original_scores:
         assert original_scores[kind].as_dict() == restored_scores[kind].as_dict()
+
+
+def _with_retired_keys(config: dict) -> None:
+    """Put back the keys a manifest held before their fields were retired,
+    at the values the retired fields had."""
+    config["alignment"].update(semi_supervised=True, hard_negative_pool=10)
+    config["inference"]["min_power"] = 0.05
+
+
+def _write_manifest(directory, edit) -> None:
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def test_format_6_retired_keys_load_unchanged(checkpoint_dir, fitted_pipeline, tmp_path):
+    """A format-6 campaign checkpoint written before the retired fields went
+    holds their keys at their old values; it restores bit-exactly."""
+    strategy = DAAKGStrategy(
+        selection_config=GreedySelectionConfig(power_threshold=0.6, candidate_limit=50)
+    )
+    DAAKG.load(checkpoint_dir).active_learning(strategy, LOOP_CONFIG).save(tmp_path / "new")
+
+    def as_written_before(manifest):
+        _with_retired_keys(manifest["config"])
+        manifest["loop"]["config"]["inference"]["min_power"] = 0.05
+        manifest["loop"]["strategy"]["selection_config"].update(batch_size=100, num_samples=8)
+
+    older = tmp_path / "older"
+    shutil.copytree(tmp_path / "new", older)
+    _write_manifest(older, as_written_before)
+    assert json.loads((older / "manifest.json").read_text())["format_version"] == 6
+
+    loop = restore_loop(load_checkpoint(older))
+    expected = restore_loop(load_checkpoint(tmp_path / "new"))
+    assert loop.daakg.config == expected.daakg.config == fitted_pipeline.config
+    assert loop.config == expected.config == LOOP_CONFIG
+    assert loop.strategy.selection_config == strategy.selection_config
+    original_scores = fitted_pipeline.evaluate()
+    restored_scores = loop.daakg.evaluate()
+    for kind in original_scores:
+        assert original_scores[kind].as_dict() == restored_scores[kind].as_dict()
+
+
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("hard_negative_pool", lambda m: m["config"]["alignment"].update(hard_negative_pool=50)),
+        ("min_power", lambda m: m["config"]["inference"].update(min_power=0.2)),
+    ],
+    ids=["hard_negative_pool", "min_power"],
+)
+def test_retired_key_off_its_constant_is_refused(checkpoint_dir, tmp_path, key, edit):
+    """A retired field set away from the constant it became would load as a
+    different pipeline; the checkpoint is refused, naming key and value."""
+    older = tmp_path / "older"
+    shutil.copytree(checkpoint_dir, older)
+    _write_manifest(older, edit)
+    with pytest.raises(CheckpointError, match=f"retired .*'{key}' holds .*; it is fixed at"):
+        DAAKG.load(older)
+
+
+def test_retired_shadow_key_loads_whatever_its_value(checkpoint_dir, fitted_pipeline, tmp_path):
+    """``alignment.semi_supervised`` never took effect (``use_semi_supervision``
+    did), so even a value that disagrees with the pipeline loads."""
+    older = tmp_path / "older"
+    shutil.copytree(checkpoint_dir, older)
+    _write_manifest(older, lambda m: m["config"]["alignment"].update(semi_supervised=False))
+    restored = DAAKG.load(older)
+    assert restored.config == fitted_pipeline.config
+    assert restored.trainer.semi_supervised is fitted_pipeline.config.use_semi_supervision
 
 
 def test_restored_state_matches(checkpoint_dir, fitted_pipeline):
@@ -215,12 +285,9 @@ def test_resumed_campaign_matches_uninterrupted(checkpoint_dir, tmp_path, strate
 
 
 def test_resume_preserves_custom_strategy_configuration(checkpoint_dir, tmp_path):
-    from repro.active.selection import GreedySelectionConfig
-    from repro.active.strategies import DAAKGStrategy
-
     strategy = DAAKGStrategy(
         algorithm="greedy",
-        selection_config=GreedySelectionConfig(num_samples=2, candidate_limit=50),
+        selection_config=GreedySelectionConfig(candidate_limit=50),
     )
     loop = DAAKG.load(checkpoint_dir).active_learning(strategy, LOOP_CONFIG)
     loop.autosave_path = str(tmp_path / "campaign")
@@ -266,6 +333,9 @@ def test_daakg_config_json_round_trip(fast_config):
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown"):
         DAAKGConfig.from_dict({"no_such_knob": 1})
+    # a retired key is known only in the config that held it
+    with pytest.raises(ValueError, match="unknown"):
+        DAAKGConfig.from_dict({"min_power": 0.05})
 
 
 def test_config_from_dict_defaults_missing_fields():

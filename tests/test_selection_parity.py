@@ -31,7 +31,8 @@ from repro.inference.alignment_graph import build_alignment_graph
 from repro.inference.power import InferencePowerConfig, InferencePowerEstimator
 from repro.kg.elements import ElementKind
 
-SELECTION = GreedySelectionConfig(batch_size=12, power_threshold=0.5, candidate_limit=300)
+BATCH_SIZE = 12
+SELECTION = GreedySelectionConfig(power_threshold=0.5, candidate_limit=300)
 #: greedy thresholds for Algorithm 2; at 0.8 the quotient reach may keep no group
 THRESHOLDS = [0.5, 0.8]
 RHOS = [1.0, 0.9, 0.8]
@@ -147,12 +148,16 @@ def test_greedy_batch_and_rng_match(world):
     pairs = _pairs(pool)
     results = {}
     estimator, rng = _estimator(world, "oracle")
-    batch = oracle.greedy_select(pairs, probabilities, estimator.reachable_power, SELECTION, rng=rng)
+    batch = oracle.greedy_select(
+        pairs, probabilities, estimator.reachable_power, BATCH_SIZE, SELECTION, rng=rng
+    )
     results["oracle"] = (batch, rng.random())
     estimator, rng = _estimator(world, "arrays")
-    picks = greedy_select(*_ids(pool, probabilities), estimator.reachable_power, SELECTION, rng=rng)
+    picks = greedy_select(
+        *_ids(pool, probabilities), estimator.reachable_power, BATCH_SIZE, SELECTION, rng=rng
+    )
     results["arrays"] = ([pairs[i] for i in picks.tolist()], rng.random())
-    assert len(results["arrays"][0]) == SELECTION.batch_size
+    assert len(results["arrays"][0]) == BATCH_SIZE
     assert results["arrays"] == results["oracle"]
 
 
@@ -169,15 +174,17 @@ def test_partition_labels_batch_and_rng_match(world, rho, max_partitions):
         results = {}
         estimator, rng = _estimator(world, "oracle")
         batch = oracle.partition_select(
-            pairs, probabilities, graphs["oracle"], estimator, selection, config, rng=rng
+            pairs, probabilities, graphs["oracle"], estimator, BATCH_SIZE, selection, config,
+            rng=rng,
         )
         results["oracle"] = (batch, rng.random())
         estimator, rng = _estimator(world, "arrays")
         picks = partition_select(
-            *_ids(pool, probabilities), graphs["arrays"], estimator, selection, config, rng=rng
+            *_ids(pool, probabilities), graphs["arrays"], estimator, BATCH_SIZE, selection,
+            config, rng=rng,
         )
         results["arrays"] = ([pairs[i] for i in picks.tolist()], rng.random())
-        assert len(results["arrays"][0]) == selection.batch_size
+        assert len(results["arrays"][0]) == BATCH_SIZE
         assert results["arrays"] == results["oracle"]
     # repeats the labels the selections used
     expected = oracle.partition_pool(graphs["oracle"], _estimator(world, "oracle")[0], config)
@@ -213,12 +220,11 @@ def test_strategy_batch_and_rng_match(world, name):
 
 _TIE_SCRIPT = """
 import numpy as np
-from repro.active.selection import GreedySelectionConfig, greedy_select
+from repro.active.selection import greedy_select
 from repro.inference.alignment_graph import PairValues
 def none(ids):
     return PairValues(np.empty(0, dtype=np.int64), np.empty(0), np.zeros(len(ids) + 1, dtype=int))
-batch = greedy_select(np.arange(40), np.full(40, 0.5), none,
-                      GreedySelectionConfig(batch_size=3), rng=0)
+batch = greedy_select(np.arange(40), np.full(40, 0.5), none, 3, rng=0)
 print(",".join(str(q) for q in batch.tolist()))
 """
 

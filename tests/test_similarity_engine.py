@@ -16,6 +16,7 @@ from repro.alignment import (
     JointAlignmentTrainer,
     SimilarityEngine,
 )
+from repro.alignment import trainer as trainer_module
 from repro.alignment.trainer import LabelStore
 from repro.active.pool import ElementPairPool, PoolConfig, build_pool
 from repro.embedding import TransE
@@ -163,6 +164,7 @@ class TestEngineCaching:
             fresh_model,
             AlignmentTrainingConfig(rounds=1, epochs_per_round=3, num_negatives=2),
             seed=0,
+            semi_supervised=True,
         )
         trainer.add_matches(
             ElementKind.ENTITY,
@@ -214,6 +216,7 @@ class TestVectorizedHardNegatives:
             fresh_model,
             AlignmentTrainingConfig(rounds=1, epochs_per_round=1, num_negatives=4),
             seed=seed,
+            semi_supervised=True,
         )
         trainer._refresh_hard_candidates()
         return trainer
@@ -259,20 +262,24 @@ class TestVectorizedHardNegatives:
                     assert nl in top_for_right[right]
 
     def test_no_candidates_returns_empty(self, fresh_model):
-        trainer = JointAlignmentTrainer(fresh_model, AlignmentTrainingConfig(), seed=0)
+        trainer = JointAlignmentTrainer(
+            fresh_model, AlignmentTrainingConfig(), seed=0, semi_supervised=True
+        )
         trainer._hard_candidates = None
         assert trainer._hard_negatives(np.array([[0, 0]]), 3).shape == (0, 2)
 
-    def test_asymmetric_kgs_draw_within_each_table(self, fresh_model):
+    def test_asymmetric_kgs_draw_within_each_table(self, fresh_model, monkeypatch):
         """Regression: slots must respect each top-k table's own width.
 
         When one KG is smaller than the configured pool the two candidate
         tables have different column counts; drawing every slot over the wider
         table used to raise IndexError on the narrower one."""
+        monkeypatch.setattr(trainer_module, "HARD_NEGATIVE_POOL", 50)
         trainer = JointAlignmentTrainer(
             fresh_model,
-            AlignmentTrainingConfig(rounds=1, epochs_per_round=1, hard_negative_pool=50),
+            AlignmentTrainingConfig(rounds=1, epochs_per_round=1),
             seed=0,
+            semi_supervised=True,
         )
         trainer._refresh_hard_candidates()
         top_for_left, top_for_right = trainer._hard_candidates
