@@ -8,8 +8,8 @@ cross-linked sub-pairs (:func:`repro.kg.partition.partition_pair`), hands
 one self-contained :class:`~repro.runtime.executor.PieceSpec` per partition
 to a :class:`~repro.runtime.executor.CampaignExecutor` (serial or
 GIL-breaking process backend — both running the same
-:func:`~repro.runtime.executor.run_piece_spec`), folds each piece's result
-checkpoint back bit-exactly, and merges the per-partition similarity states
+:func:`~repro.runtime.executor.run_piece_spec`), adopts each piece's
+finished loop, and merges the per-partition similarity states
 into one global :class:`~repro.runtime.merge.MergedSimilarityState` that
 answers ``top_k`` / ``evaluate`` / ``mine`` queries over the original index
 spaces without ever materialising the global matrix.
@@ -37,11 +37,8 @@ campaign on the process executor without touching configs.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -59,7 +56,6 @@ from repro.runtime.executor import (
     PieceSpec,
     create_executor,
     effective_executor_name,
-    load_piece_obs,
     resolve_campaign_executor,
 )
 from repro.runtime.merge import MergedSimilarityState
@@ -173,7 +169,7 @@ class PartitionedCampaign:
     self-contained :class:`PieceSpec` per partition, hands the specs to a
     :class:`CampaignExecutor` backend (serial / process — selected
     via ``partition.executor``, overridable with ``REPRO_CAMPAIGN_EXECUTOR``)
-    and folds the per-piece result checkpoints back in.  All training runs
+    and adopts the per-piece finished loops.  All training runs
     inside :func:`repro.runtime.executor.run_piece_spec`, whichever backend
     hosts it.
 
@@ -303,46 +299,38 @@ class PartitionedCampaign:
 
     def piece_specs(
         self,
-        directory: str | Path,
         max_batches: int | None = None,
         indices: list[int] | None = None,
     ) -> list[PieceSpec]:
         """Self-contained, picklable specs for the given (default: all) pieces.
 
-        Each spec carries everything its runner needs: a started piece is
-        snapshotted into a standard checkpoint under ``directory`` (so the
-        runner resumes it bit-exactly, wherever it runs), an unstarted piece
-        carries its encoded dataset arrays and seeded config JSON.  Result
-        checkpoints land in per-piece ``piece_NNNN_out`` directories under
-        ``directory``.  This is the whole campaign↔executor interface —
-        shipping these specs to another machine (plus a shared filesystem)
-        is all a multi-machine fleet needs.
+        Each spec carries everything its runner needs, as values: a started
+        piece carries its pipeline and loop as a checkpoint value (so the
+        runner resumes it bit-exactly, wherever it runs, and a crash leaves
+        the campaign's own objects untouched); an unstarted piece carries
+        its encoded dataset arrays and seeded config JSON, plus its
+        pre-update pipeline's checkpoint value when it warm-starts.  This is
+        the whole campaign↔executor interface — shipping these specs to
+        another machine is all a multi-machine fleet needs.
         """
         from repro.core.config import config_to_dict  # circular at module level
-        from repro.persistence.checkpoint import save_checkpoint  # circular at module level
+        from repro.persistence.checkpoint import checkpoint_of  # circular at module level
 
-        directory = Path(directory)
         active_config = (
             config_to_dict(self.active_config) if self.active_config is not None else None
         )
         specs = []
         for index in indices if indices is not None else range(self.num_partitions):
-            checkpoint_dir: str | None = None
-            warm_start_dir: str | None = None
-            dataset_arrays = None
+            checkpoint = warm_start = dataset_arrays = None
             if self.pipelines[index] is not None:
-                path = directory / f"piece_{index:04d}_in"
-                save_checkpoint(path, self.pipelines[index], loop=self.loops[index])
-                checkpoint_dir = str(path)
+                checkpoint = checkpoint_of(self.pipelines[index], self.loops[index])
             else:
                 dataset_arrays = self._encode_piece(index)
                 if index in self._warm:
                     # the piece's pre-update pipeline: the runner transplants
                     # its parameters by name into the fresh pipeline it
                     # builds on the updated pair (see repro.updates.warm_start)
-                    path = directory / f"piece_{index:04d}_warm"
-                    save_checkpoint(path, self._warm[index])
-                    warm_start_dir = str(path)
+                    warm_start = checkpoint_of(self._warm[index])
             specs.append(
                 PieceSpec(
                     index=index,
@@ -351,9 +339,8 @@ class PartitionedCampaign:
                     active_config=active_config,
                     max_batches=max_batches,
                     dataset_arrays=dataset_arrays,
-                    checkpoint_dir=checkpoint_dir,
-                    warm_start_dir=warm_start_dir,
-                    output_dir=str(directory / f"piece_{index:04d}_out"),
+                    checkpoint=checkpoint,
+                    warm_start=warm_start,
                     obs=obs.enabled(),
                 )
             )
@@ -368,40 +355,36 @@ class PartitionedCampaign:
         return arrays
 
     def _fold_outcome(self, outcome: PieceOutcome) -> None:
-        """Adopt a completed piece's result checkpoint (bit-exact restore)."""
-        from repro.persistence.checkpoint import load_checkpoint, restore_loop
-
-        loop = restore_loop(load_checkpoint(outcome.output_dir))
-        self.loops[outcome.index] = loop
-        self.pipelines[outcome.index] = loop.daakg
+        """Adopt a completed piece's finished loop and its pipeline."""
+        self.loops[outcome.index] = outcome.loop
+        self.pipelines[outcome.index] = outcome.loop.daakg
         self._warm.pop(outcome.index, None)
 
-    def _fold_piece_obs(self, specs: list[PieceSpec]) -> None:
-        """Merge every piece's serialised obs state into the current scope.
+    def _fold_piece_obs(self, outcomes: list[PieceOutcome]) -> None:
+        """Merge every piece's obs payload into the current scope.
 
         Counter and histogram merges are exact (fixed buckets), so the
         campaign-level snapshot equals the sum of the per-piece snapshots no
         matter which executor backend produced them.  Per-piece payloads are
         also kept on ``self.piece_obs`` for inspection.
         """
-        if not obs.enabled():
-            return
-        for spec in specs:
-            payload = load_piece_obs(spec.output_dir)
-            if payload is None:
+        for outcome in outcomes:
+            if outcome.obs is None:
                 continue
-            self.piece_obs[spec.index] = payload
-            obs.merge_snapshot(payload.get("snapshot", {}))
-            obs.extend_events(payload.get("events", []))
+            self.piece_obs[outcome.index] = outcome.obs
+            obs.merge_snapshot(outcome.obs["snapshot"])
+            obs.extend_events(outcome.obs["events"])
 
     def run(self, max_batches: int | None = None) -> CampaignResult:
         """Fit + run the active loop of every unfinished partition.
 
         Pieces execute on the configured :class:`CampaignExecutor` backend
         (``executor_name``); every backend runs the same
-        :func:`~repro.runtime.executor.run_piece_spec` and every result is
-        folded back through the bit-exact checkpoint restore path, so the
-        backend and worker count can never change results — only wall-clock.
+        :func:`~repro.runtime.executor.run_piece_spec`, and the campaign
+        adopts each finished loop — the serial backend's as it ran, the
+        process backend's through the bit-exact checkpoint restore — so the
+        backend and worker count can never change results, only wall-clock.
+        Nothing is written to disk.
         ``max_batches`` caps how many *new* batches each partition processes
         this call (resume semantics identical to ``ActiveLearningLoop.run``).
         Pieces that already exhausted their batch budget are skipped; failed
@@ -416,39 +399,29 @@ class PartitionedCampaign:
             for index in range(self.num_partitions)
             if not self._piece_complete(index)
         ]
-        scratch = Path(tempfile.mkdtemp(prefix="repro-campaign-"))
-        try:
-            if pending:
-                with obs.span(
-                    "campaign.run", executor=executor_name, pieces=len(pending)
-                ):
-                    specs = self.piece_specs(scratch, max_batches, indices=pending)
-                    executor = create_executor(
-                        executor_name, workers=self.partition_config.workers
+        if pending:
+            with obs.span("campaign.run", executor=executor_name, pieces=len(pending)):
+                specs = self.piece_specs(max_batches, indices=pending)
+                executor = create_executor(
+                    executor_name, workers=self.partition_config.workers
+                )
+                for spec in specs:
+                    obs.event(
+                        "executor.piece.queued", piece=spec.index, executor=executor_name
                     )
-                    for spec in specs:
-                        obs.event(
-                            "executor.piece.queued",
-                            piece=spec.index,
-                            executor=executor_name,
-                        )
-                    logger.info(
-                        "running %d/%d pieces on the %s executor (%d workers)",
-                        len(pending),
-                        self.num_partitions,
-                        executor_name,
-                        executor.workers,
-                    )
-                    for outcome in executor.execute(specs):
-                        outcomes[outcome.index] = outcome
-                        if outcome.completed:
-                            self._fold_outcome(outcome)
-                    # fold piece telemetry before the scratch dir disappears:
-                    # the per-piece obs payloads cross the process boundary as
-                    # files, exactly like the result checkpoints above
-                    self._fold_piece_obs(specs)
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
+                logger.info(
+                    "running %d/%d pieces on the %s executor (%d workers)",
+                    len(pending),
+                    self.num_partitions,
+                    executor_name,
+                    executor.workers,
+                )
+                finished = executor.execute(specs)
+                for outcome in finished:
+                    outcomes[outcome.index] = outcome
+                    if outcome.completed:
+                        self._fold_outcome(outcome)
+                self._fold_piece_obs(finished)
 
         results = []
         for index in range(self.num_partitions):

@@ -30,11 +30,11 @@ clobber the parent's export).
 (:class:`~repro.obs.registry.MetricsRegistry`, ``TraceBuffer``).  The
 process starts with one root state; :func:`scoped` pushes a fresh isolated
 state, which is how :func:`repro.runtime.executor.run_piece_spec` gives
-every campaign piece its own registry whose snapshot is serialised next to
-the piece's checkpoint and folded back (exactly, see
+every campaign piece its own registry whose snapshot rides on the piece's
+outcome and is folded back (exactly, see
 :meth:`~repro.obs.registry.MetricsRegistry.merge_snapshot`) by
-:class:`~repro.active.campaign.PartitionedCampaign` — fleet metrics survive
-the process boundary the same way checkpoints do.
+:class:`~repro.active.campaign.PartitionedCampaign` — fleet metrics cross
+the process boundary the same way the piece's checkpoint value does.
 """
 
 from __future__ import annotations

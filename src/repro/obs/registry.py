@@ -18,9 +18,9 @@ Design contract:
   registry-wide one), so concurrent counter increments from many threads are
   exact and uncontended across instruments.
 * **Snapshots are plain JSON.**  :meth:`MetricsRegistry.snapshot` returns a
-  dict of primitives only — it serialises into a piece's checkpoint
-  directory, crosses the process boundary as ``obs.json``, and merges back
-  through :meth:`MetricsRegistry.merge_snapshot`.
+  dict of primitives only — it pickles with a campaign piece's outcome
+  across the process boundary, and merges back through
+  :meth:`MetricsRegistry.merge_snapshot`.
 * **Prometheus exposition.**  :func:`render_prometheus` renders any snapshot
   as valid text exposition format (metric names sanitised, label values
   escaped, cumulative ``_bucket``/``_sum``/``_count`` series).

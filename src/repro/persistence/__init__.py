@@ -15,6 +15,7 @@ from repro.persistence.checkpoint import (
     MANIFEST_FILE,
     Checkpoint,
     CheckpointError,
+    checkpoint_of,
     load_checkpoint,
     restore_loop,
     restore_pipeline,
@@ -39,6 +40,7 @@ __all__ = [
     "CheckpointError",
     "FORMAT_VERSION",
     "MANIFEST_FILE",
+    "checkpoint_of",
     "kg_from_arrays",
     "kg_to_arrays",
     "load_campaign",

@@ -24,10 +24,12 @@ the identical floats at a fraction of the checkpoint size.  Format-6
 checkpoints written while top-k tables were still saved carry a ``topk/``
 section; nothing reads it, so they load unchanged.
 
-Both files are written via temp-file + ``os.replace``, and the manifest (which
-names the array file's hash) is written last, so a crash mid-save leaves
-either the previous consistent checkpoint or a detectably broken one — never
-a silently corrupt state.
+:func:`checkpoint_of` takes the same state as an in-memory
+:class:`Checkpoint` value; :func:`save_checkpoint` writes that value to a
+directory.  Both files are written via temp-file + ``os.replace``, and the
+manifest (which names the array file's hash) is written last, so a crash
+mid-save leaves either the previous consistent checkpoint or a detectably
+broken one — never a silently corrupt state.
 """
 
 from __future__ import annotations
@@ -83,7 +85,11 @@ class CheckpointError(RuntimeError):
 
 @dataclass
 class Checkpoint:
-    """A loaded checkpoint: the parsed manifest plus all arrays, in memory."""
+    """A checkpoint in memory: the manifest plus all arrays.
+
+    :func:`load_checkpoint` reads one from a directory (``path`` set);
+    :func:`checkpoint_of` takes one from a live pipeline (``path`` is None).
+    """
 
     manifest: dict
     arrays: dict[str, np.ndarray]
@@ -206,15 +212,16 @@ def _pairs_array(pairs: list[tuple[int, int]]) -> np.ndarray:
 
 
 # ------------------------------------------------------------------------ save
-def save_checkpoint(path: str | os.PathLike, daakg: "DAAKG", loop: "ActiveLearningLoop | None" = None) -> Path:
-    """Write a checkpoint of ``daakg`` (and optionally a campaign) to ``path``.
+def checkpoint_of(daakg: "DAAKG", loop: "ActiveLearningLoop | None" = None) -> Checkpoint:
+    """The checkpoint of ``daakg`` (and optionally a campaign) as a value.
 
-    ``path`` is created as a directory; an existing checkpoint there is
-    replaced atomically.  Returns the checkpoint path.
+    Holds exactly what :func:`save_checkpoint` writes, in memory: the
+    manifest without its ``arrays`` file section, and arrays that share no
+    writable buffer with the live pipeline, so training it further leaves
+    the value unchanged.  It pickles, which is how a piece's result crosses
+    the process executor's boundary, and it restores with
+    :func:`restore_loop` / :func:`restore_pipeline` like a loaded directory.
     """
-    directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
-
     arrays: dict[str, np.ndarray] = {}
     pair_to_arrays(daakg.dataset, "dataset", arrays)
     for key, value in daakg.model.state_dict().items():
@@ -225,14 +232,14 @@ def save_checkpoint(path: str | os.PathLike, daakg: "DAAKG", loop: "ActiveLearni
     for kind in _KINDS:
         arrays[f"labels/{kind.value}/matches"] = _pairs_array(labels.matches[kind])
         arrays[f"labels/{kind.value}/non_matches"] = _pairs_array(labels.non_matches[kind])
-        arrays[f"semi/{kind.value}/pairs"], arrays[f"semi/{kind.value}/soft"] = (
-            daakg.trainer._mined[kind]
-        )
+        pairs, soft = daakg.trainer._mined[kind]
+        arrays[f"semi/{kind.value}/pairs"] = np.array(pairs)
+        arrays[f"semi/{kind.value}/soft"] = np.array(soft)
     arrays["landmarks"] = daakg.model._landmarks.copy()
     snapshot = daakg.model._snapshot
     if snapshot is not None:
         for name in _SNAPSHOT_FIELDS:
-            arrays[f"snapshot/{name}"] = getattr(snapshot, name)
+            arrays[f"snapshot/{name}"] = np.array(getattr(snapshot, name))
 
     manifest: dict = {
         "format_version": FORMAT_VERSION,
@@ -265,6 +272,20 @@ def save_checkpoint(path: str | os.PathLike, daakg: "DAAKG", loop: "ActiveLearni
             "has_pool": pool is not None,
             "records": [_record_to_dict(r) for r in loop.records],
         }
+    return Checkpoint(manifest=manifest, arrays=arrays)
+
+
+def save_checkpoint(path: str | os.PathLike, daakg: "DAAKG", loop: "ActiveLearningLoop | None" = None) -> Path:
+    """Write a checkpoint of ``daakg`` (and optionally a campaign) to ``path``.
+
+    ``path`` is created as a directory holding :func:`checkpoint_of`'s value;
+    an existing checkpoint there is replaced atomically.  Returns the
+    checkpoint path.
+    """
+    directory = Path(path)
+    directory.mkdir(parents=True, exist_ok=True)
+    checkpoint = checkpoint_of(daakg, loop)
+    arrays, manifest = checkpoint.arrays, checkpoint.manifest
 
     # arrays first, manifest (holding their hash) last: a crash in between
     # leaves a manifest that still describes the previous arrays — detectable.

@@ -6,14 +6,16 @@ actually runs**.  The contract has three parts:
 
 1. **One runner, every backend.**  :func:`run_piece_spec` is a top-level,
    picklable function taking a self-contained :class:`PieceSpec` — the
-   piece's dataset arrays (or a standard per-piece checkpoint to resume
-   from), its config as JSON, its strategy name, and the directory to write
-   its result checkpoint into.  The serial and process executors both call
-   *the same function*; the process backend merely calls it in a worker
-   process.  A piece's result is always a standard
-   :mod:`repro.persistence.checkpoint` directory, which the campaign folds
-   back with the ordinary bit-exact restore path — so results can never
-   depend on which backend produced them.
+   piece's dataset arrays (or, for a started piece, its checkpoint value to
+   resume from), an optional warm-start checkpoint value, its config as
+   JSON and its strategy name — and returning a :class:`PieceOutcome` that
+   holds the finished loop and the piece's obs payload.  The serial and
+   process executors both call *the same function*.  The serial backend
+   hands the finished loop back as it is; the process backend's worker
+   sends it back as its :func:`~repro.persistence.checkpoint.checkpoint_of`
+   value, which the parent rebuilds with the bit-exact
+   :func:`~repro.persistence.checkpoint.restore_loop` — so results can
+   never depend on which backend produced them.
 
 2. **Bit-exactness across backends and worker counts.**  Every piece is a
    pure function of ``(piece dataset, piece config)``: the per-piece seed is
@@ -26,9 +28,11 @@ actually runs**.  The contract has three parts:
 3. **Crashes are per-piece, resumable failures.**  The runner converts any
    exception into a failed :class:`PieceOutcome` (and the process executor
    additionally absorbs hard worker deaths — ``BrokenProcessPool`` — the
-   same way).  A failed piece simply has no result checkpoint: the campaign
-   keeps its previous state for that piece, its next ``run()`` re-executes
-   only the failed pieces, and a campaign checkpoint taken in between stays
+   same way).  A failed piece simply has no finished loop: the campaign
+   keeps its previous state for that piece (a started piece is restored
+   from its checkpoint value inside the runner, so a crash mid-run touches
+   nothing the campaign holds), its next ``run()`` re-executes only the
+   failed pieces, and a campaign checkpoint taken in between stays
    loadable.
 
 Why processes and not threads: the training loops are GIL-bound pure-numpy
@@ -36,13 +40,14 @@ Python, so a thread pool cannot scale them — the last ``BENCH_partition.json``
 run that swept one measured serial *beating* four threads (18.66 s vs
 22.55 s on a 1-core host), and the thread backend was retired.  Worker
 processes follow the rank/world-size idiom of distributed inference (each
-rank computes its shard and saves a per-rank artifact; the merge step folds
-artifacts in rank order): a piece's ``index`` is its rank, the result
-checkpoint is its per-rank artifact, and
-:class:`~repro.runtime.merge.MergedSimilarityState` is the barrier-free
-fold.  Shipping specs to *remote* ranks instead of local
+rank computes its shard and serialises a per-rank artifact only because it
+crosses a process boundary; the merge step folds artifacts in rank order):
+a piece's ``index`` is its rank, its checkpoint value is the per-rank
+artifact, and :class:`~repro.runtime.merge.MergedSimilarityState` is the
+barrier-free fold.  Shipping specs to *remote* ranks instead of local
 processes is the designed next step — nothing in a spec assumes a shared
-process, only a shared filesystem for its directories.
+process: a spec and an outcome are picklable values (a worker's outcome
+carries its loop as a checkpoint value).
 
 Executor selection: ``PartitionConfig.executor`` (``"auto"`` picks the
 process backend when the campaign has more than one piece, more than one
@@ -55,12 +60,11 @@ executor names, :data:`EXECUTOR_NAMES`, and the one check of a name,
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import traceback
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -71,6 +75,7 @@ from repro.utils.logging import get_logger
 if TYPE_CHECKING:  # pragma: no cover - import cycle with active/core
     from repro.active.loop import ActiveLearningLoop
     from repro.core.daakg import DAAKG
+    from repro.persistence.checkpoint import Checkpoint
 
 logger = get_logger(__name__)
 
@@ -119,69 +124,86 @@ def effective_executor_name(
     more than one piece, more than one worker, and more than one core — and
     ``"serial"`` otherwise: with a single worker, a single piece or a single
     core there is nothing to parallelise, and process spawn plus checkpoint
-    transfer would only add overhead.
+    transfer would only add overhead.  The cores are the ones this process
+    may run on (its affinity mask under ``taskset`` or a container's CPU
+    set), not the host's.
     """
     if check_executor_name(name, auto=True) != "auto":
         return name
     if workers <= 1 or num_partitions <= 1:
         return "serial"
-    cores = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
+    cores = cpu_count if cpu_count is not None else _available_cpus()
     return "process" if cores > 1 else "serial"
+
+
+def _available_cpus() -> int:
+    """How many CPUs this process may run on (its affinity mask if the
+    platform has one, else the host's count)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------- specs
 @dataclass
 class PieceSpec:
-    """Everything one piece's runner needs, with no live-object references.
+    """Everything one piece's runner needs, as values.
 
-    A spec is picklable by construction (ints, strings, plain dicts of numpy
-    arrays), so it crosses the process boundary — and, by design, could
-    cross a machine boundary given a shared filesystem.  Exactly one of
-    ``dataset_arrays`` (fresh piece: build the pipeline from the encoded
-    pair) and ``checkpoint_dir`` (started piece: bit-exact restore, then
-    continue) is set.
+    A spec holds no live object and no writable buffer of the campaign
+    (ints, strings, plain dicts of numpy arrays and
+    :class:`~repro.persistence.checkpoint.Checkpoint` values), so it
+    pickles across the process boundary — and, by design, could cross a
+    machine boundary.  Exactly one of ``dataset_arrays`` (fresh piece:
+    build the pipeline from the encoded pair) and ``checkpoint`` (started
+    piece: bit-exact restore, then continue) is set.
     """
 
     index: int
     config_json: str
     strategy: str
-    output_dir: str
     active_config: dict | None = None
     max_batches: int | None = None
     dataset_arrays: dict[str, np.ndarray] | None = None
-    checkpoint_dir: str | None = None
-    # warm start (incremental updates): a checkpoint of the piece's pipeline
-    # from *before* its pair changed.  The runner builds a fresh pipeline
-    # from ``dataset_arrays`` and transplants every compatible parameter
-    # from this checkpoint by vocabulary name before fitting.
-    warm_start_dir: str | None = None
+    checkpoint: "Checkpoint | None" = None
+    # warm start (incremental updates): the checkpoint of the piece's
+    # pipeline from *before* its pair changed.  The runner builds a fresh
+    # pipeline from ``dataset_arrays`` and transplants every compatible
+    # parameter from this checkpoint by vocabulary name before fitting.
+    warm_start: "Checkpoint | None" = None
     # observability opt-in: the campaign stamps ``obs.enabled()`` here, so a
     # worker process (which does not share the parent's in-process flag)
-    # knows to collect a piece-scoped metrics/trace state and serialise it
-    # into ``output_dir`` alongside the result checkpoint
+    # knows to collect a piece-scoped metrics/trace state and return it on
+    # the outcome
     obs: bool = False
 
     def __post_init__(self) -> None:
-        if (self.dataset_arrays is None) == (self.checkpoint_dir is None):
+        if (self.dataset_arrays is None) == (self.checkpoint is None):
             raise ValueError(
                 "a piece spec carries exactly one of dataset_arrays "
-                "(fresh piece) and checkpoint_dir (resumed piece)"
+                "(fresh piece) and checkpoint (resumed piece)"
             )
-        if self.warm_start_dir is not None and self.dataset_arrays is None:
+        if self.warm_start is not None and self.dataset_arrays is None:
             raise ValueError(
-                "warm_start_dir requires dataset_arrays (a warm start builds "
+                "warm_start requires dataset_arrays (a warm start builds "
                 "a fresh pipeline on the updated pair, then transplants)"
             )
 
 
 @dataclass
 class PieceOutcome:
-    """What one runner invocation produced (or failed to)."""
+    """What one runner invocation produced (or failed to).
+
+    A completed piece holds its finished ``loop`` (whose ``daakg`` is the
+    piece's pipeline); a failed one holds None.  ``obs`` is the piece's
+    ``{"snapshot", "events"}`` payload when the spec asked for one, on
+    failure too.
+    """
 
     index: int
     status: str  # "completed" | "failed"
     seconds: float
-    output_dir: str | None = None
+    loop: "ActiveLearningLoop | None" = None
+    obs: dict | None = None
     error: str | None = None
     traceback: str | None = None
 
@@ -204,26 +226,21 @@ def _materialize_piece(spec: PieceSpec) -> "tuple[DAAKG, ActiveLearningLoop]":
     from repro.active.loop import ActiveLearningConfig  # circular at module level
     from repro.core.config import DAAKGConfig, config_from_dict
     from repro.core.daakg import DAAKG
-    from repro.persistence.checkpoint import (
-        load_checkpoint,
-        restore_loop,
-        restore_pipeline,
-    )
+    from repro.persistence.checkpoint import restore_loop, restore_pipeline
     from repro.persistence.codec import pair_from_arrays
 
-    if spec.checkpoint_dir is not None:
-        checkpoint = load_checkpoint(spec.checkpoint_dir)
-        if checkpoint.has_loop:
-            loop = restore_loop(checkpoint)
+    if spec.checkpoint is not None:
+        if spec.checkpoint.has_loop:
+            loop = restore_loop(spec.checkpoint)
             return loop.daakg, loop
-        pipeline = restore_pipeline(checkpoint)
+        pipeline = restore_pipeline(spec.checkpoint)
     else:
         pair = pair_from_arrays("dataset", spec.dataset_arrays)
         pipeline = DAAKG(pair, DAAKGConfig.from_json(spec.config_json))
-        if spec.warm_start_dir is not None:
+        if spec.warm_start is not None:
             from repro.updates.warm_start import warm_start_pipeline
 
-            counts = warm_start_pipeline(pipeline, load_checkpoint(spec.warm_start_dir))
+            counts = warm_start_pipeline(pipeline, spec.warm_start)
             logger.info(
                 "piece %d warm-started: %d copied, %d row-mapped, %d fresh",
                 spec.index, counts["copied"], counts["row_mapped"], counts["fresh"],
@@ -237,59 +254,23 @@ def _materialize_piece(spec: PieceSpec) -> "tuple[DAAKG, ActiveLearningLoop]":
     return pipeline, loop
 
 
-#: Per-piece observability artifact, written next to the result checkpoint.
-PIECE_OBS_FILENAME = "obs.json"
-
-
-def write_piece_obs(output_dir: str, state: "obs.ObsState") -> None:
-    """Serialise a piece-scoped obs state into the piece's output directory.
-
-    Written for completed *and* failed pieces (a failed piece has no result
-    checkpoint, but its lifecycle telemetry is exactly what debugging
-    needs), so the directory may not exist yet.
-    """
-    os.makedirs(output_dir, exist_ok=True)
-    payload = {
-        "snapshot": state.registry.snapshot(),
-        "events": state.trace.events(),
-    }
-    with open(os.path.join(output_dir, PIECE_OBS_FILENAME), "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.write("\n")
-
-
-def load_piece_obs(output_dir: str | None) -> dict | None:
-    """The piece's serialised obs payload, or None when absent/unreadable."""
-    if not output_dir:
-        return None
-    path = os.path.join(output_dir, PIECE_OBS_FILENAME)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
 def run_piece_spec(spec: PieceSpec) -> PieceOutcome:
     """Run one piece end to end; every executor backend calls exactly this.
 
-    Materialises the piece (fresh build or bit-exact restore), fits the
-    pipeline if needed, runs the active loop (``max_batches`` caps *new*
-    batches, the same semantics as :meth:`ActiveLearningLoop.run`), and
-    writes a standard per-piece checkpoint into ``spec.output_dir`` — the
-    per-rank artifact the campaign's merge layer folds in unchanged.
+    Materialises the piece (fresh build, warm start or bit-exact restore),
+    fits the pipeline if needed, runs the active loop (``max_batches`` caps
+    *new* batches, the same semantics as :meth:`ActiveLearningLoop.run`),
+    and returns the finished loop on the outcome.
 
     When ``spec.obs`` is set, the whole run executes inside a fresh
     piece-scoped :class:`repro.obs.ObsState`; its metrics snapshot and trace
-    events (including the started/finished/failed lifecycle events) are
-    serialised into ``spec.output_dir`` for the campaign to fold back —
-    metrics cross the process boundary exactly like checkpoints do.
+    events (including the started/finished/failed lifecycle events) ride on
+    the outcome for the campaign to fold back — metrics cross the process
+    boundary exactly like the loop does.
 
     Never raises: any exception (including injected poison) becomes a failed
     :class:`PieceOutcome`, leaving the campaign resumable.
     """
-    from repro.persistence.checkpoint import save_checkpoint  # circular at module level
-
     start = time.perf_counter()
     with obs.scoped(spec.obs) as obs_state:
         obs.event("executor.piece.started", piece=spec.index, pid=os.getpid())
@@ -300,7 +281,6 @@ def run_piece_spec(spec: PieceSpec) -> PieceOutcome:
                 if not pipeline.is_fitted:
                     pipeline.fit()
                 loop.run(spec.max_batches)
-                save_checkpoint(spec.output_dir, pipeline, loop=loop)
             seconds = time.perf_counter() - start
             logger.info(
                 "piece %d done in %.2fs (%d records, pid %d)",
@@ -313,7 +293,7 @@ def run_piece_spec(spec: PieceSpec) -> PieceOutcome:
                 index=spec.index,
                 status="completed",
                 seconds=seconds,
-                output_dir=spec.output_dir,
+                loop=loop,
             )
         except Exception as exc:  # surfaced as a resumable per-piece failure
             seconds = time.perf_counter() - start
@@ -334,11 +314,26 @@ def run_piece_spec(spec: PieceSpec) -> PieceOutcome:
             pid=os.getpid(),
         )
         if obs_state is not None:
-            try:
-                write_piece_obs(spec.output_dir, obs_state)
-            except OSError:  # telemetry must never fail a piece
-                logger.warning("piece %d could not write its obs artifact", spec.index)
+            outcome.obs = {
+                "snapshot": obs_state.registry.snapshot(),
+                "events": obs_state.trace.events(),
+            }
     return outcome
+
+
+def _run_piece_in_worker(spec: PieceSpec) -> "tuple[PieceOutcome, Checkpoint | None]":
+    """:func:`run_piece_spec` in a worker process.
+
+    The finished loop goes back to the parent as its checkpoint value, the
+    picklable form the bit-exact restore reads, for
+    :meth:`ProcessExecutor.execute` to restore.
+    """
+    from repro.persistence.checkpoint import checkpoint_of  # circular at module level
+
+    outcome = run_piece_spec(spec)
+    if outcome.loop is None:
+        return outcome, None
+    return replace(outcome, loop=None), checkpoint_of(outcome.loop.daakg, outcome.loop)
 
 
 # ------------------------------------------------------------------ executors
@@ -370,29 +365,34 @@ class ProcessExecutor:
     """Worker processes — the backend that actually breaks the GIL.
 
     Each piece spec is shipped (pickled) to a worker process that runs the
-    shared :func:`run_piece_spec` and leaves its result checkpoint on disk;
-    the parent only collects outcomes.  A worker dying hard (OOM kill,
-    segfault — ``BrokenProcessPool``) fails the pieces that were in flight
-    instead of raising through the campaign, keeping the same
-    resumable-failure contract as an in-runner exception.
+    shared :func:`run_piece_spec` and returns its outcome with the finished
+    loop as a checkpoint value; the parent restores that loop bit-exactly.
+    A worker dying hard (OOM kill, segfault — ``BrokenProcessPool``) fails
+    the pieces that were in flight instead of raising through the campaign,
+    keeping the same resumable-failure contract as an in-runner exception.
     """
 
     workers: int = 2
     name: str = field(default="process", init=False)
 
     def execute(self, specs: Sequence[PieceSpec]) -> list[PieceOutcome]:
+        from repro.persistence.checkpoint import restore_loop  # circular at module level
+
         if not specs:
             return []
         outcomes: list[PieceOutcome] = []
         with ProcessPoolExecutor(max_workers=min(self.workers, len(specs))) as pool:
             futures: list[tuple[PieceSpec, Future]] = [
-                (spec, pool.submit(run_piece_spec, spec)) for spec in specs
+                (spec, pool.submit(_run_piece_in_worker, spec)) for spec in specs
             ]
             for spec, future in futures:
                 try:
-                    outcomes.append(future.result())
-                except Exception as exc:  # worker died before returning an outcome
-                    logger.warning("piece %d lost its worker: %s", spec.index, exc)
+                    outcome, checkpoint = future.result()
+                    if checkpoint is not None:
+                        outcome.loop = restore_loop(checkpoint)
+                    outcomes.append(outcome)
+                except Exception as exc:  # the worker died, or its loop did not restore
+                    logger.warning("piece %d did not come back from its worker: %s", spec.index, exc)
                     outcomes.append(
                         PieceOutcome(
                             index=spec.index,

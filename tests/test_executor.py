@@ -4,25 +4,33 @@ The load-bearing guarantees:
 
 * executor resolution is explicit — env beats config, ``"auto"`` maps to a
   concrete backend from (workers, pieces, cores) only;
-* a :class:`PieceSpec` is a self-contained, picklable work unit, and the
-  runtime knobs that shape it survive ``DAAKGConfig`` JSON round-trips;
+* a :class:`PieceSpec` is a self-contained, picklable work unit (its
+  checkpoint values survive pickling byte for byte), and the runtime knobs
+  that shape it survive ``DAAKGConfig`` JSON round-trips;
 * serial and process backends produce **byte-identical** campaigns
-  (merged top-k digests, eval scores, record sequences);
+  (merged top-k digests, eval scores, record sequences), through the first
+  ``run()`` and through warm-start updates after it;
+* serial pieces touch no disk: their checkpoints are values, serialised
+  only where a process boundary exists;
 * a crashing piece is a resumable per-piece failure: the campaign checkpoint
   stays loadable and resume re-runs *only* the failed piece, converging to
-  the same bytes as a run that never crashed.
+  the same bytes as a run that never crashed — in a first ``run()`` and in
+  a warm-start retrain alike.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pickle
+import sys
+import tempfile
 
 import numpy as np
 import pytest
 
-from repro import DAAKGConfig, PartitionConfig, PartitionedCampaign, make_benchmark
+from repro import DAAKGConfig, KGDelta, PartitionConfig, PartitionedCampaign, make_benchmark
 from repro.active.campaign import CampaignExecutionError
 from repro.active.loop import ActiveLearningConfig
 from repro.active.pool import PoolConfig
@@ -30,6 +38,7 @@ from repro.alignment.trainer import AlignmentTrainingConfig
 from repro.embedding.trainer import EmbeddingTrainingConfig
 from repro.inference.power import InferencePowerConfig
 from repro.kg.elements import ElementKind
+from repro.persistence.checkpoint import Checkpoint
 from repro.runtime.executor import (
     CAMPAIGN_EXECUTOR_ENV,
     POISON_ENV,
@@ -122,6 +131,44 @@ def serial_payload(serial_campaign) -> str:
     return campaign_payload(serial_campaign)
 
 
+def growth_delta(pair, step: int) -> KGDelta:
+    """One new gold-linked entity pair, attached next to gold pair ``step``."""
+    anchor_1, anchor_2 = sorted(pair.entity_alignment.pairs)[step * 7]
+    new_1, new_2 = f"new1:{step}", f"new2:{step}"
+    return KGDelta(
+        added_entities_1=(new_1,),
+        added_entities_2=(new_2,),
+        added_triples_1=((new_1, pair.kg1.relations[0], anchor_1),),
+        added_triples_2=((new_2, pair.kg2.relations[0], anchor_2),),
+        added_gold_links=((new_1, new_2),),
+    )
+
+
+def update_payloads(campaign: PartitionedCampaign) -> list[str]:
+    """Apply two growth deltas; the campaign payload after each."""
+    payloads = []
+    for step in range(2):
+        campaign.apply_update(growth_delta(campaign.dataset, step))
+        payloads.append(campaign_payload(campaign))
+    return payloads
+
+
+@pytest.fixture(scope="module")
+def serial_update_payloads() -> list[str]:
+    campaign = make_campaign("serial")
+    campaign.run()
+    return update_payloads(campaign)
+
+
+def assert_same_checkpoint(left: Checkpoint, right: Checkpoint) -> None:
+    assert left.manifest == right.manifest
+    assert sorted(left.arrays) == sorted(right.arrays)
+    for key, array in left.arrays.items():
+        other = right.arrays[key]
+        assert (other.dtype, other.shape) == (array.dtype, array.shape), key
+        assert np.ascontiguousarray(other).tobytes() == np.ascontiguousarray(array).tobytes(), key
+
+
 # ---------------------------------------------------------------- resolution
 def test_effective_executor_name_resolution():
     # explicit names pass through untouched, whatever the machine looks like
@@ -136,6 +183,16 @@ def test_effective_executor_name_resolution():
     assert effective_executor_name("auto", workers=4, num_partitions=4, cpu_count=1) == "serial"
     with pytest.raises(ValueError, match="unknown campaign executor"):
         effective_executor_name("greenlet", workers=1, num_partitions=1)
+
+
+def test_auto_counts_the_cpus_this_process_may_use(monkeypatch):
+    # a host with eight CPUs, of which an affinity mask (taskset, a
+    # container's CPU set) leaves this process one
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert effective_executor_name("auto", workers=4, num_partitions=4) == "serial"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert effective_executor_name("auto", workers=4, num_partitions=4) == "process"
 
 
 def test_campaign_executor_env_override(monkeypatch):
@@ -183,50 +240,95 @@ def test_config_json_roundtrip_preserves_runtime_knobs():
     assert restored.similarity_backend == "sharded"
 
 
-def test_piece_spec_pickle_roundtrip(tmp_path):
+def test_piece_spec_pickle_roundtrip(monkeypatch, serial_campaign):
     campaign = make_campaign("serial")
-    specs = campaign.piece_specs(tmp_path)
+    specs = campaign.piece_specs()
     assert len(specs) == campaign.num_partitions
     for spec in specs:
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.index == spec.index
         assert clone.config_json == spec.config_json
         assert clone.strategy == spec.strategy
-        assert clone.checkpoint_dir is None  # unstarted piece ships its dataset
+        assert clone.checkpoint is None  # unstarted piece ships its dataset
         assert set(clone.dataset_arrays) == set(spec.dataset_arrays)
         for key, array in spec.dataset_arrays.items():
             assert np.array_equal(clone.dataset_arrays[key], array)
 
+    # a started piece ships its pipeline and loop as a checkpoint value
+    for spec in serial_campaign.piece_specs():
+        assert spec.dataset_arrays is None and spec.checkpoint.has_loop
+        assert_same_checkpoint(pickle.loads(pickle.dumps(spec)).checkpoint, spec.checkpoint)
 
-def test_piece_spec_requires_exactly_one_source(tmp_path):
+    # a warm piece ships its dataset plus its pre-update pipeline's checkpoint
+    # value: an update whose retrain crashes leaves the touched pieces so
+    campaign.run()
+    monkeypatch.setenv(POISON_ENV, "0,1")
+    with pytest.raises(CampaignExecutionError):
+        campaign.apply_update(growth_delta(campaign.dataset, 0))
+    warm = [spec for spec in campaign.piece_specs() if spec.warm_start is not None]
+    assert warm
+    for spec in warm:
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone.checkpoint is None and not spec.warm_start.has_loop
+        assert_same_checkpoint(clone.warm_start, spec.warm_start)
+
+
+def test_piece_spec_requires_exactly_one_source():
     with pytest.raises(ValueError, match="exactly one"):
-        PieceSpec(index=0, config_json="{}", strategy="daakg", output_dir=str(tmp_path))
+        PieceSpec(index=0, config_json="{}", strategy="daakg")
     with pytest.raises(ValueError, match="exactly one"):
         PieceSpec(
             index=0,
             config_json="{}",
             strategy="daakg",
-            output_dir=str(tmp_path),
             dataset_arrays={"x": np.zeros(1)},
-            checkpoint_dir=str(tmp_path),
+            checkpoint=Checkpoint(manifest={}, arrays={}),
+        )
+    with pytest.raises(ValueError, match="warm_start requires dataset_arrays"):
+        PieceSpec(
+            index=0,
+            config_json="{}",
+            strategy="daakg",
+            checkpoint=Checkpoint(manifest={}, arrays={}),
+            warm_start=Checkpoint(manifest={}, arrays={}),
         )
 
 
-def test_piece_seeds_flow_into_specs(tmp_path):
+def test_piece_seeds_flow_into_specs():
     campaign = make_campaign("serial")
-    specs = campaign.piece_specs(tmp_path)
+    specs = campaign.piece_specs()
     seeds = {DAAKGConfig.from_json(spec.config_json).seed for spec in specs}
     assert len(seeds) == campaign.num_partitions  # every piece gets its own stream
 
 
 # ----------------------------------------------------------- backend parity
 @pytest.mark.parametrize("executor", ["process"])
-def test_backend_parity_byte_identical(executor, serial_payload):
+def test_backend_parity_byte_identical(executor, serial_payload, serial_update_payloads):
     campaign = make_campaign(executor)
     result = campaign.run()
     assert result.executor == executor
     assert [r.status for r in result.partition_results] == ["completed", "completed"]
     assert campaign_payload(campaign) == serial_payload
+    # the warm-start retrains after it: the serial backend adopts its live
+    # loops, the process backend restores them from checkpoint values
+    assert update_payloads(campaign) == serial_update_payloads
+
+
+def test_serial_pieces_touch_no_disk(monkeypatch, serial_update_payloads):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a serial campaign piece touched the disk")
+
+    for module in list(sys.modules.values()):
+        if module is None or not module.__name__.startswith("repro"):
+            continue
+        for name in ("save_checkpoint", "load_checkpoint"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+
+    campaign = make_campaign("serial")
+    campaign.run()
+    assert update_payloads(campaign) == serial_update_payloads
 
 
 def test_completed_pieces_are_skipped(serial_campaign):
@@ -271,3 +373,24 @@ def test_crash_recovery_resumes_only_failed_piece(monkeypatch, tmp_path, serial_
     }
     # ...and the final bytes match a campaign that never crashed
     assert campaign_payload(restored) == serial_payload
+
+
+def test_crash_during_warm_start_retrain_resumes(monkeypatch, serial_update_payloads):
+    from repro.updates import route_delta
+
+    campaign = make_campaign("serial")
+    campaign.run()
+    delta = growth_delta(campaign.dataset, 0)
+    touched = route_delta(campaign.partition, delta).touched
+    monkeypatch.setenv(POISON_ENV, ",".join(str(index) for index in touched))
+    with pytest.raises(CampaignExecutionError) as excinfo:
+        campaign.apply_update(delta)
+    assert sorted(r.index for r in excinfo.value.result.failed) == sorted(touched)
+
+    # the retry retrains the touched pieces warm, from the stash the crash kept
+    monkeypatch.delenv(POISON_ENV)
+    result = campaign.run()
+    assert {r.index for r in result.partition_results if r.status == "completed"} == set(touched)
+    assert campaign_payload(campaign) == serial_update_payloads[0]
+    campaign.apply_update(growth_delta(campaign.dataset, 1))
+    assert campaign_payload(campaign) == serial_update_payloads[1]

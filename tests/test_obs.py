@@ -236,7 +236,7 @@ def make_campaign(executor: str) -> PartitionedCampaign:
 
 def test_process_campaign_folds_every_piece(enabled_obs):
     """Cross-process fleet metrics: each worker's snapshot crosses the
-    boundary through its checkpoint dir and the fold is exact."""
+    boundary on its piece outcome and the fold is exact."""
     campaign = make_campaign("process")
     campaign.run()
 
